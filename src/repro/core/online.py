@@ -70,9 +70,8 @@ async def deploy_async(source: Union[OfflineArtifact, BytecodeModule],
     Artifact deployments route through the compilation service's
     async facade (``service`` may be a ``CompilationService``, an
     ``AsyncCompilationService`` or ``None`` for the process-wide
-    default), awaiting the deployment pool's future instead of
-    blocking the loop; plain bytecode modules compile in the loop's
-    default thread pool.
+    default), which serves them off the loop; plain bytecode modules
+    compile in the loop's default thread pool.
     """
     import asyncio
 

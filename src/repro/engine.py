@@ -46,9 +46,6 @@ ENGINES = (FAST, REFERENCE, TIER2)
 #: environment variable naming the process-wide default engine
 ENGINE_ENV = "PVI_ENGINE"
 
-#: environment gate for predecoding JIT output eagerly at compile time
-JIT_PREDECODE_ENV = "PVI_JIT_PREDECODE"
-
 #: environment gate for on-stack replacement (default: enabled)
 OSR_ENV = "PVI_OSR"
 
@@ -82,17 +79,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     if engine in ENGINES:
         return engine
     raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-
-
-def predecode_at_jit() -> bool:
-    """Should the JIT warm the machine-code predecode cache eagerly at
-    compile time?  Off by default: predecode is lazy and cached on the
-    function object, so the first simulation pays it exactly once per
-    image anyway — eager warming only moves that cost onto the cold
-    compile path (latency-sensitive deployments that want decode-free
-    first dispatch opt in, or call ``repro.targets.warm_module``)."""
-    value = os.environ.get(JIT_PREDECODE_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
 
 
 def osr_enabled() -> bool:

@@ -29,7 +29,6 @@ from typing import Dict, Optional
 from repro.bytecode.annotations import (
     HotnessAnnotation, RegAllocAnnotation,
 )
-from repro.engine import predecode_at_jit
 from repro.bytecode.module import BytecodeModule
 from repro.jit.addrfold import fold_addressing
 from repro.jit.codegen import generate
@@ -92,12 +91,6 @@ class JITCompiler:
         # JIT output is never edited in place; freezing lets the fast
         # engine bind call targets directly at predecode time.
         compiled.freeze()
-        # Optionally (PVI_JIT_PREDECODE) warm the fast engine's
-        # predecode cache outside the modeled compile time, trading
-        # cold-compile latency for decode-free first dispatch.
-        if predecode_at_jit():
-            from repro.targets.dispatch import warm_module
-            warm_module(compiled)
         return compiled
 
     def compile_function(self, module: BytecodeModule,

@@ -12,25 +12,24 @@ enforces the reuse:
   :class:`DeployExecutor` substrates a deployment compiles on
   (threads, worker processes, inline);
 * :mod:`repro.service.deployment` — concurrent multi-target deployment
-  with a per-``(artifact, target, flow)`` image memo and in-flight
-  future dedup;
+  with a per-``(artifact, target, flow)`` image memo;
+* :mod:`repro.service.singleflight` — the one in-flight dedup both
+  once-only jobs (offline compile, image build) share;
 * :mod:`repro.service.requests` — the batch request/response API with
   hit/miss/latency accounting;
 * :mod:`repro.service.asyncio` — the :class:`AsyncCompilationService`
-  front end: ``await service.deploy(request)``, ``asyncio.gather``
-  batch fan-out, and coalescing of concurrent identical requests.
+  front end: ``await service.deploy(request)`` and ``asyncio.gather``
+  batch fan-out, each call one off-loop hop onto this facade.
 
 Every higher layer (``core.online.deploy``, the platform
 ``DeploymentManager``, the KPN mapper, the experiment harness) can
 route through one service instance so repeated flows hit the cache.
 
-Both facades — this synchronous one and the async front end — are
-thin wrappers over the same core: the sharded cache, the deployment
-pool and the request assembly below.  All the pre-redesign names
-(``CompilationService``, ``ArtifactCache``, ``DeploymentPool``,
-``max_workers=``) keep working; ``max_workers`` is deprecated in
-favour of handing the pool a configured executor
-(``executor="thread" | "process" | "inline"`` or a
+There is one request path: :meth:`CompilationService.submit` below.
+The async front end hands it to a thread and awaits it; the serving
+edge (:mod:`repro.service.edge`) queues in front of that.  The pool's
+execution substrate is chosen by handing it an executor
+(``executor="thread" | "process" | "inline"`` or a configured
 :class:`~repro.service.executors.DeployExecutor` instance).
 """
 
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,7 +58,8 @@ from repro.service.requests import (
     CompileOutcome, CompileRequest, DeployResult, ServiceStats,
     TargetDeployment,
 )
-from repro.targets.registry import Targetish
+from repro.service.singleflight import SingleFlight, run_settled
+from repro.targets.registry import Targetish, as_target
 
 __all__ = [
     "ArtifactCache", "CacheStats", "SCHEMA_VERSION",
@@ -92,24 +91,20 @@ class CompilationService:
     def __init__(self, cache: Optional[ArtifactCache] = None,
                  cache_capacity: int = 64,
                  persist_dir: Optional[Path] = None,
-                 max_workers: Optional[int] = None,
                  executor: Executorish = None,
                  cache_shards: Optional[int] = None,
                  lint: bool = True):
         """``executor`` picks the deployment substrate (name or
         :class:`DeployExecutor` instance; default thread pool) and
         ``cache_shards`` the artifact-cache shard count (default
-        ``min(8, capacity)``).  ``max_workers`` is deprecated: it
-        only sizes the worker pool when the service constructs the
-        executor itself — pass a configured executor instead.
-        ``lint=False`` disables the deploy-time admission gate (the
-        dataflow-plane lint every artifact passes before any target
-        compiles; see :mod:`repro.analysis.lint`)."""
+        ``min(8, capacity)``).  ``lint=False`` disables the
+        deploy-time admission gate (the dataflow-plane lint every
+        artifact passes before any target compiles; see
+        :mod:`repro.analysis.lint`)."""
         self.cache = cache if cache is not None else \
             ArtifactCache(cache_capacity, persist_dir,
                           shards=cache_shards)
-        self.pool = DeploymentPool(max_workers=max_workers,
-                                   executor=executor)
+        self.pool = DeploymentPool(executor=executor)
         self.lint = lint
         self._lint_findings: List[Dict[str, object]] = []
         self._lint_rejections = 0
@@ -123,9 +118,8 @@ class CompilationService:
         #: above so they measure real compilation, not herd size
         self._coalesced_wait = 0.0
         #: in-flight offline compiles, keyed by artifact key — the
-        #: offline-side mirror of the pool's future dedup
-        self._inflight: Dict[str, Future] = {}
-        self._inflight_lock = threading.Lock()
+        #: offline-side twin of the pool's in-flight image builds
+        self._compiling = SingleFlight()
 
     def shutdown(self) -> None:
         self.pool.shutdown()
@@ -146,8 +140,9 @@ class CompilationService:
         hit = artifact is not None
         joined = False
         if artifact is None:
-            artifact, hit, joined = self._compile_deduped(
+            artifact, joined = self._compile_deduped(
                 key, source, name, options)
+            hit = joined
         latency = time.perf_counter() - start
         # A joiner's wall clock is time spent *waiting* on another
         # request's compile, not work this request performed — charge
@@ -162,53 +157,30 @@ class CompilationService:
                               latency=latency)
 
     def _compile_deduped(self, key: str, source: str, name: str,
-                         options) -> Tuple[OfflineArtifact, bool, bool]:
+                         options) -> Tuple[OfflineArtifact, bool]:
         """Run (or join) the offline compile for one cache key.
 
-        Returns ``(artifact, hit, joined)`` — ``joined`` is True when
-        this call rode another thread's in-flight compilation (it
-        triggered no work of its own).
+        Returns ``(artifact, joined)`` — ``joined`` is True when this
+        call rode another thread's compilation (it triggered no work
+        of its own).
         """
-        with self._inflight_lock:
-            future = self._inflight.get(key)
-            joined = future is not None
-            if not joined:
-                future = Future()
-                self._inflight[key] = future
-        if joined:
-            self._note_coalesced()
-            return future.result(), True, True
-        # Won the in-flight slot — but a previous holder may have
-        # compiled and stored between our cache miss and now (it puts
-        # before it releases the slot).  Re-check so a lost race costs
-        # a lookup, not a recompile; peek is stat-free, so the miss
-        # already counted stays the truth of this call.
-        artifact = self.cache.peek(key)
-        if artifact is not None:
-            future.set_result(artifact)
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            self._note_coalesced()
-            return artifact, True, True
-        try:
+        def build() -> OfflineArtifact:
             artifact = offline_compile(
                 source, name, **canonical_options(options or None))
             # Remember the content address so deployment keys line up
             # with the cache key without re-encoding the modules.
             artifact._pvi_fingerprint = key
-            self.cache.put(key, artifact)
-        except BaseException as exc:
-            future.set_exception(exc)
-            # The future is never awaited again once evicted from the
-            # in-flight map; silence the never-retrieved warning path.
-            future.exception()
-            raise
-        else:
-            future.set_result(artifact)
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-        return artifact, False, False
+            return artifact
+
+        future, joined = self._compiling.fly(
+            key,
+            peek=lambda: self.cache.peek(key),
+            start=lambda: run_settled(build),
+            store=lambda artifact: self.cache.put(key, artifact))
+        if joined:
+            with self._counter_lock:
+                self._coalesced += 1
+        return future.result(), joined
 
     def artifact(self, source: str, name: str = "module",
                  **options) -> OfflineArtifact:
@@ -246,21 +218,18 @@ class CompilationService:
         self._admit(artifact)
         start = time.perf_counter()
         image = self.pool.deploy_one(artifact, target, flow)
-        with self._counter_lock:
-            self._deploy_latency += time.perf_counter() - start
+        self._add_deploy_latency(time.perf_counter() - start)
         return image
 
     def deploy_many(self, artifact: OfflineArtifact,
-                    targets: Sequence[Targetish], flow="split",
-                    concurrent: bool = True) -> Dict[str, object]:
+                    targets: Sequence[Targetish],
+                    flow="split") -> Dict[str, object]:
         """Fan one artifact out over a target catalog (descriptors or
         registered names, mixed freely)."""
         self._admit(artifact)
         start = time.perf_counter()
-        images = self.pool.deploy_many(artifact, targets, flow,
-                                       concurrent=concurrent)
-        with self._counter_lock:
-            self._deploy_latency += time.perf_counter() - start
+        images = self.pool.deploy_many(artifact, targets, flow)
+        self._add_deploy_latency(time.perf_counter() - start)
         return images
 
     # -- batch API ----------------------------------------------------------
@@ -268,7 +237,9 @@ class CompilationService:
     def submit(self, request: CompileRequest) -> DeployResult:
         """Serve one request end to end: cache, then fan-out.
 
-        The flow is resolved through the registry up front (raising
+        This is the only implementation of "serve one request" — the
+        async facade and the serving edge both arrive here.  The flow
+        is resolved through the registry up front (raising
         ``UnknownFlowError`` before any work happens), and its offline
         pipeline spec joins the artifact cache key, so flows with
         distinct pipelines get distinct cached artifacts.  With
@@ -276,8 +247,11 @@ class CompilationService:
         its :class:`TargetDeployment` instead of failing the request.
         """
         start = time.perf_counter()
-        flow, options = self._begin(request)
-        outcome = self.compile(request.source, request.name, **options)
+        flow = as_flow(request.flow)
+        with self._counter_lock:
+            self._requests += 1
+        outcome = self.compile(request.source, request.name,
+                               **self.request_options(request, flow))
         self._admit(outcome.artifact)
         deploy_start = time.perf_counter()
         futures = self.pool.submit_many(outcome.artifact,
@@ -290,21 +264,20 @@ class CompilationService:
                 if not request.tolerate_failures:
                     raise
                 info[name] = (None, reused, exc)
-        self._settle_deploy_latency(time.perf_counter() - deploy_start,
-                                    info)
+        # A request whose every target rode the memo or an in-flight
+        # compile triggered no JIT work — its wait belongs to
+        # ``coalesced_wait``, not the deploy latency total.
+        waited = time.perf_counter() - deploy_start
+        with self._counter_lock:
+            if info and all(reused for _c, reused, _e in info.values()):
+                self._coalesced_wait += waited
+            else:
+                self._deploy_latency += waited
         return self._build_result(request, flow, outcome, info, start)
 
     def submit_batch(self, requests: Iterable[CompileRequest]) \
             -> List[DeployResult]:
         return [self.submit(request) for request in requests]
-
-    # -- shared request plumbing (both facades) -----------------------------
-
-    def _begin(self, request: CompileRequest):
-        """Count the request and resolve its flow + offline options."""
-        flow = as_flow(request.flow)
-        self._note_request()
-        return flow, self.request_options(request, flow)
 
     @staticmethod
     def request_options(request: CompileRequest,
@@ -318,6 +291,27 @@ class CompilationService:
                 flow.pipeline != DEFAULT_PIPELINE:
             options["pipeline"] = flow.pipeline
         return options
+
+    @staticmethod
+    def request_key(request: CompileRequest) \
+            -> Tuple[str, str, Tuple[str, ...], bool]:
+        """The request's identity: artifact cache key x flow identity
+        x sorted target set x failure policy — everything that
+        determines the served result.  The serving edge coalesces
+        concurrent requests onto one queued job iff their keys are
+        equal.  The failure policy is part of it because its two
+        settings promise different things: a strict request raises on
+        the first failing target, a tolerant one is owed a partial
+        result, so one served job cannot answer both."""
+        flow = as_flow(request.flow)
+        options = CompilationService.request_options(request, flow)
+        return (
+            artifact_key(request.source, request.name, options or None),
+            flow.cache_key(),
+            tuple(sorted(as_target(target).cache_key()
+                         for target in request.targets)),
+            request.tolerate_failures,
+        )
 
     def _build_result(self, request: CompileRequest, flow: Flow,
                       outcome: CompileOutcome, info, start: float) \
@@ -351,28 +345,6 @@ class CompilationService:
     def _add_deploy_latency(self, seconds: float) -> None:
         with self._counter_lock:
             self._deploy_latency += seconds
-
-    def _add_coalesced_wait(self, seconds: float) -> None:
-        with self._counter_lock:
-            self._coalesced_wait += seconds
-
-    def _settle_deploy_latency(self, seconds: float, info) -> None:
-        """Charge one fan-out's wall clock to the right bucket: a
-        request whose every target rode the memo or an in-flight
-        compile triggered no JIT work — its wait belongs to
-        ``coalesced_wait``, not the deploy latency total."""
-        if info and all(reused for (_c, reused, _e) in info.values()):
-            self._add_coalesced_wait(seconds)
-        else:
-            self._add_deploy_latency(seconds)
-
-    def _note_request(self) -> None:
-        with self._counter_lock:
-            self._requests += 1
-
-    def _note_coalesced(self) -> None:
-        with self._counter_lock:
-            self._coalesced += 1
 
     # -- observability ------------------------------------------------------
 

@@ -2,61 +2,44 @@
 
 A serving layer absorbing deployment traffic for many heterogeneous
 cores wants an *async* front door: requests arrive concurrently, most
-of them are cache hits, and the expensive ones should coalesce rather
-than stampede.  :class:`AsyncCompilationService` is that front door,
-layered on the synchronous core's two dedup seams:
-
-* the deployment pool's **in-flight future dedup** — every
-  ``(artifact, target, flow)`` future is awaited with
-  :func:`asyncio.wrap_future`, so a coroutine waiting on a compile
-  never blocks the event loop and concurrent coroutines asking for
-  the same triple share one compilation;
-* **request coalescing** — two concurrent ``await submit(request)``
-  calls with the same identity (artifact key x flow x target set)
-  share one served task; the join is counted in
-  ``ServiceStats.coalesced_requests``.
-
-The offline compile (pure Python, potentially tens of milliseconds)
-is pushed off the event loop with ``run_in_executor``.  Batch fan-out
-is one ``asyncio.gather`` away::
+of them are cache hits, and none of them may stall the event loop.
+:class:`AsyncCompilationService` is that front door and nothing more:
+every method hands the matching :class:`CompilationService` method to
+a thread (:func:`asyncio.to_thread`) and awaits it.  There is one
+request path — the synchronous one — so both facades serve the same
+results with the same accounting, and everything that makes a herd
+cheap (the artifact cache, the image memo, the single-flight in front
+of each) is the core's and is shared by threads and coroutines alike.
+Batch fan-out is one ``asyncio.gather`` away::
 
     async with AsyncCompilationService() as service:
         results = await service.submit_batch(requests)
 
-Both facades are thin wrappers over the same core — construct the
-async service around an existing :class:`CompilationService` to share
-its caches, or let it own a private one.
+Construct the async service around an existing
+:class:`CompilationService` to share its caches, or let it own a
+private one.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.offline import OfflineArtifact
-from repro.flows import Flow, as_flow
-from repro.service import CompilationService, artifact_key
+from repro.service import CompilationService
 from repro.service.requests import (
     CompileOutcome, CompileRequest, DeployResult,
 )
-from repro.targets.registry import Targetish, as_target
+from repro.targets.registry import Targetish
 
 __all__ = ["AsyncCompilationService"]
-
-#: a request's coalescing identity: everything that determines the
-#: served result — artifact cache key, flow identity, target set and
-#: the failure policy (a tolerant and a strict request must not join)
-RequestKey = Tuple[str, str, Tuple[str, ...], bool]
 
 
 class AsyncCompilationService:
     """``await``-able facade over a :class:`CompilationService` core.
 
-    All methods must be called from a running event loop.  The
-    instance is *not* loop-portable: like any asyncio object, use it
-    within one loop (its in-flight task map holds loop-bound tasks).
+    All methods must be called from a running event loop; the
+    instance itself holds no loop-bound state.
     """
 
     def __init__(self, service: Optional[CompilationService] = None,
@@ -68,7 +51,6 @@ class AsyncCompilationService:
         self._owns_core = service is None
         self.service = service if service is not None \
             else CompilationService(**service_kwargs)
-        self._inflight: Dict[RequestKey, "asyncio.Task"] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -101,10 +83,8 @@ class AsyncCompilationService:
     async def compile(self, source: str, name: str = "module",
                       **options) -> CompileOutcome:
         """Offline-compile through the cache, off the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, functools.partial(self.service.compile, source, name,
-                                    **options))
+        return await asyncio.to_thread(self.service.compile, source,
+                                       name, **options)
 
     async def artifact(self, source: str, name: str = "module",
                        **options) -> OfflineArtifact:
@@ -114,73 +94,25 @@ class AsyncCompilationService:
 
     async def deploy_one(self, artifact: OfflineArtifact,
                          target: Targetish, flow="split"):
-        """Compile (or reuse) one image, awaiting the pool's future
-        instead of blocking a thread on it."""
-        self.service._admit(artifact)
-        start = time.perf_counter()
-        futures = self.service.pool.submit_many(artifact, [target], flow)
-        ((future, _),) = futures.values()
-        try:
-            return await asyncio.wrap_future(future)
-        finally:
-            self.service._add_deploy_latency(
-                time.perf_counter() - start)
+        """Compile (or reuse) one image, off the event loop."""
+        return await asyncio.to_thread(self.service.deploy, artifact,
+                                       target, flow)
 
     async def deploy_many(self, artifact: OfflineArtifact,
                           targets: Sequence[Targetish],
                           flow="split") -> Dict[str, object]:
-        """Fan one artifact out over a catalog; one gather, no
-        blocked threads."""
-        self.service._admit(artifact)
-        start = time.perf_counter()
-        futures = self.service.pool.submit_many(artifact, targets, flow)
-        names = list(futures)
-        try:
-            images = await asyncio.gather(
-                *(asyncio.wrap_future(futures[name][0])
-                  for name in names))
-        finally:
-            self.service._add_deploy_latency(
-                time.perf_counter() - start)
-        return dict(zip(names, images))
+        """Fan one artifact out over a catalog, off the event loop."""
+        return await asyncio.to_thread(self.service.deploy_many,
+                                       artifact, targets, flow)
 
     # -- batch API ----------------------------------------------------------
 
     async def submit(self, request: CompileRequest) -> DeployResult:
-        """Serve one request; concurrent identical requests coalesce.
-
-        The first caller creates the serving task; callers arriving
-        while it is in flight await the *same* task (and are counted
-        as coalesced), so a thundering herd of identical requests
-        costs one offline compile and one fan-out.
-
-        Two requests coalesce only when their *entire* identity
-        matches — see :meth:`request_key`.  In particular the failure
-        policy is part of the identity: a ``tolerate_failures=True``
-        request must never join a strict request's serving task (the
-        strict task raises on the first failing target, while the
-        tolerant caller was promised a partial result — and vice
-        versa, a strict caller must not receive a degraded result a
-        tolerant task recorded).  Identical requests differing only
-        in ``tolerate_failures`` are therefore served independently.
-        """
-        flow = as_flow(request.flow)
-        key = self._request_key(request, flow)
-        task = self._inflight.get(key)
-        if task is None:
-            task = asyncio.ensure_future(self._serve(request, flow))
-            self._inflight[key] = task
-            task.add_done_callback(
-                lambda done, key=key: self._inflight.pop(key, None))
-        else:
-            # A join is still an incoming request: count it so the
-            # requests denominator means the same thing through both
-            # facades, then mark the coalescence.
-            self.service._note_request()
-            self.service._note_coalesced()
-        # Shield: one caller's cancellation must not kill the shared
-        # serving task other callers are awaiting.
-        return await asyncio.shield(task)
+        """Serve one request (:meth:`CompilationService.submit`), off
+        the event loop.  Concurrent identical requests each take a
+        thread, and the core makes the herd cheap: one of them
+        compiles and JITs, the rest join it or hit the caches."""
+        return await asyncio.to_thread(self.service.submit, request)
 
     #: ``await service.deploy(request)`` — request-level alias of
     #: :meth:`submit`, the verb the redesign's API contract names
@@ -189,71 +121,6 @@ class AsyncCompilationService:
     async def submit_batch(self, requests: Iterable[CompileRequest]) \
             -> List[DeployResult]:
         """The batch front door: gather over :meth:`submit`, so the
-        whole batch shares caches, dedup and coalescing."""
+        whole batch shares the core's caches and dedup."""
         return await asyncio.gather(
             *(self.submit(request) for request in requests))
-
-    # -- introspection ------------------------------------------------------
-
-    def request_key(self, request: CompileRequest) -> RequestKey:
-        """The request's coalescing identity: artifact cache key x
-        flow identity x sorted target set x failure policy.  Two
-        concurrent :meth:`submit` calls share one serving task iff
-        their keys are equal; anything that can change the served
-        result — including ``tolerate_failures``, whose two settings
-        promise different failure semantics — keeps them apart.  A
-        serving edge uses this to detect joins before they happen
-        (``request_key(r) in service.inflight_keys()``)."""
-        return self._request_key(request, as_flow(request.flow))
-
-    def inflight_keys(self):
-        """Snapshot of the request keys currently being served (the
-        coalescing map's keys).  Checking membership and then calling
-        :meth:`submit` with no intervening ``await`` is join-exact:
-        the map only changes from the event loop."""
-        return set(self._inflight)
-
-    # -- internals ----------------------------------------------------------
-
-    def _request_key(self, request: CompileRequest,
-                     flow: Flow) -> RequestKey:
-        options = CompilationService.request_options(request, flow)
-        return (
-            artifact_key(request.source, request.name, options or None),
-            flow.cache_key(),
-            tuple(sorted(as_target(target).cache_key()
-                         for target in request.targets)),
-            request.tolerate_failures,
-        )
-
-    async def _serve(self, request: CompileRequest,
-                     flow: Flow) -> DeployResult:
-        core = self.service
-        start = time.perf_counter()
-        _, options = core._begin(request)
-        loop = asyncio.get_running_loop()
-        outcome = await loop.run_in_executor(
-            None, functools.partial(core.compile, request.source,
-                                    request.name, **options))
-        core._admit(outcome.artifact)
-        deploy_start = time.perf_counter()
-        futures = core.pool.submit_many(outcome.artifact,
-                                        request.targets, flow)
-        names = list(futures)
-        settled = await asyncio.gather(
-            *(asyncio.wrap_future(futures[name][0]) for name in names),
-            return_exceptions=True)
-        info = {}
-        for name, result in zip(names, settled):
-            reused = futures[name][1]
-            if isinstance(result, BaseException):
-                if not request.tolerate_failures:
-                    core._add_deploy_latency(
-                        time.perf_counter() - deploy_start)
-                    raise result
-                info[name] = (None, reused, result)
-            else:
-                info[name] = (result, reused, None)
-        core._settle_deploy_latency(time.perf_counter() - deploy_start,
-                                    info)
-        return core._build_result(request, flow, outcome, info, start)

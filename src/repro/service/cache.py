@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
 import threading
 import zlib
 from collections import OrderedDict
@@ -329,18 +330,14 @@ class _CacheShard:
     """One independently locked slice of the cache: its own LRU, its
     own stats.  All the locking lives here — two lookups that route
     to different shards never contend.  Disk paths come from the
-    owning cache (``path_for`` / ``legacy_path_for``), whose layout
-    is shard-count independent."""
+    owning cache (``path_for``), whose layout is shard-count
+    independent."""
 
-    __slots__ = ("capacity", "path_for", "legacy_path_for", "stats",
-                 "_entries", "_lock")
+    __slots__ = ("capacity", "path_for", "stats", "_entries", "_lock")
 
-    def __init__(self, capacity: int, path_for, legacy_path_for):
+    def __init__(self, capacity: int, path_for):
         self.capacity = capacity
         self.path_for = path_for
-        #: pre-shard flat layout, probed as a read-only fallback so a
-        #: persistence directory written before sharding still serves
-        self.legacy_path_for = legacy_path_for
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, OfflineArtifact]" = OrderedDict()
         self._lock = threading.Lock()
@@ -392,7 +389,13 @@ class _CacheShard:
         if path is not None and not path.exists():
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(serialize_artifact(artifact))
+                # Write aside, then rename: a concurrent reader sees
+                # the whole entry or none of it, never a prefix it
+                # would count as corrupt and unlink.
+                scratch = path.with_suffix(
+                    f".{os.getpid()}-{threading.get_ident()}.tmp")
+                scratch.write_bytes(serialize_artifact(artifact))
+                scratch.replace(path)
             except OSError:
                 # Persistence is an optimization; a read-only persist
                 # dir must not fail the compile that produced the
@@ -414,38 +417,38 @@ class _CacheShard:
             self.stats.evictions += 1
 
     def _load_persisted(self, key: str) -> Optional[OfflineArtifact]:
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            if path is None or not path.exists():
-                continue
+        path = self.path_for(key)
+        if path is None or not path.exists():
+            return None
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            return None                 # raced with another unlink
+        except OSError:
+            # The entry could not be *read* (permissions, I/O
+            # error) — that says nothing about its content, so it
+            # is neither corrupt nor healed by deletion.  Count it
+            # where operators can see it (``io_errors``, surfaced
+            # through ``ServiceStats``) and degrade this lookup to
+            # a miss; recompilation keeps the service alive.
+            with self._lock:
+                self.stats.io_errors += 1
+            return None
+        try:
+            return deserialize_artifact(raw)
+        except Exception:
+            # A truncated or corrupted entry degrades to a miss
+            # (and a recompile overwrites it); it must never take
+            # the service down.  Self-heal by deleting the entry —
+            # but a deletion *failure* is an I/O problem, not more
+            # corruption.
+            with self._lock:
+                self.stats.corrupt_entries += 1
             try:
-                raw = path.read_bytes()
-            except FileNotFoundError:
-                continue                # raced with another unlink
+                path.unlink(missing_ok=True)
             except OSError:
-                # The entry could not be *read* (permissions, I/O
-                # error) — that says nothing about its content, so it
-                # is neither corrupt nor healed by deletion.  Count it
-                # where operators can see it (``io_errors``, surfaced
-                # through ``ServiceStats``) and degrade this lookup to
-                # a miss; recompilation keeps the service alive.
                 with self._lock:
                     self.stats.io_errors += 1
-                continue
-            try:
-                return deserialize_artifact(raw)
-            except Exception:
-                # A truncated or corrupted entry degrades to a miss
-                # (and a recompile overwrites it); it must never take
-                # the service down.  Self-heal by deleting the entry —
-                # but a deletion *failure* is an I/O problem, not more
-                # corruption.
-                with self._lock:
-                    self.stats.corrupt_entries += 1
-                try:
-                    path.unlink(missing_ok=True)
-                except OSError:
-                    with self._lock:
-                        self.stats.io_errors += 1
         return None
 
 
@@ -467,8 +470,7 @@ class ArtifactCache:
     evicted artifact costs a decode instead of a full recompilation.
     The on-disk layout (``shard-NN/`` by ``crc32(key) % DISK_SHARDS``)
     is deliberately *independent* of the in-memory shard count, so one
-    persistence directory serves every shard/capacity configuration;
-    a flat pre-shard directory is still probed as a read fallback.
+    persistence directory serves every shard/capacity configuration.
 
     ``shards=1`` restores the exact single-LRU behaviour (strict
     global recency ordering), which a few tests rely on.
@@ -490,7 +492,7 @@ class ArtifactCache:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
         per_shard = -(-capacity // shards)            # ceil division
         self._shards = tuple(
-            _CacheShard(per_shard, self._disk_path, self._legacy_path)
+            _CacheShard(per_shard, self._disk_path)
             for _ in range(shards))
 
     def _disk_path(self, key: str) -> Optional[Path]:
@@ -498,11 +500,6 @@ class ArtifactCache:
             return None
         index = zlib.crc32(key.encode("utf-8")) % DISK_SHARDS
         return self.persist_dir / f"shard-{index:02d}" / f"{key}.pvia"
-
-    def _legacy_path(self, key: str) -> Optional[Path]:
-        if self.persist_dir is None:
-            return None
-        return self.persist_dir / f"{key}.pvia"
 
     def _shard_for(self, key: str) -> _CacheShard:
         if self.shard_count == 1:

@@ -1,17 +1,16 @@
 """Concurrent multi-target deployment with per-target memoization.
 
 Deployment is the µproc-*specific* half of Figure 1: one JIT
-invocation per ``(artifact, target, flow)`` triple.  The seed code ran
-these serially, one target at a time; this manager fans a whole target
-catalog out across a :class:`~concurrent.futures.ThreadPoolExecutor`
-and memoizes every compiled image, so a triple is JIT-compiled at most
-once per process no matter how many platforms, experiments or requests
-ask for it.
+invocation per ``(artifact, target, flow)`` triple.  The pool fans a
+whole target catalog out across its executor and memoizes every
+compiled image, so a triple is JIT-compiled at most once per process
+no matter how many platforms, experiments or requests ask for it.
 
 In-flight deduplication: if two threads request the same triple
-concurrently, the second blocks on the first's future instead of
-compiling twice — the once-compile/many-deploy economics the paper
-argues for, enforced under concurrency.
+concurrently, the second joins the first's future instead of
+compiling twice (:mod:`repro.service.singleflight`) — the
+once-compile/many-deploy economics the paper argues for, enforced
+under concurrency.
 
 *Where* a compile runs is a pluggable axis: the pool drives a
 :class:`~repro.service.executors.DeployExecutor` (thread pool by
@@ -36,6 +35,7 @@ from repro.service.cache import SCHEMA_VERSION, artifact_fingerprint
 from repro.service.executors import (
     DeployExecutor, Executorish, as_executor,
 )
+from repro.service.singleflight import SingleFlight
 from repro.targets.machine import TargetDesc
 from repro.targets.registry import Targetish, as_target
 
@@ -88,28 +88,26 @@ class DeploymentPool:
     ``deploy_one`` compiles (or reuses) a single image; ``deploy_many``
     fans one artifact out over N targets through the pool's
     :class:`~repro.service.executors.DeployExecutor`;
-    ``submit_many`` exposes the underlying futures (the async
-    facade's seam).  The memo is bounded (LRU over finished images,
-    ``max_images``) and failed compilations are never cached — a
+    ``submit_many`` schedules the same fan-out without blocking and
+    hands back the futures.  The memo is bounded (LRU over finished
+    images, ``max_images``) and only ever holds finished images — a
     raising deploy re-runs on the next request instead of poisoning
     the triple.
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 max_images: int = 512,
+    def __init__(self, max_images: int = 512,
                  executor: Executorish = None):
         """``executor`` selects the execution substrate: an executor
         name (``"thread"`` / ``"process"`` / ``"inline"``), a
         :class:`~repro.service.executors.DeployExecutor` instance, or
-        ``None`` for the default thread pool.  ``max_workers`` sizes
-        the worker pool when the pool constructs the executor itself
-        (deprecated in favour of passing a configured executor)."""
+        ``None`` for the default thread pool."""
         if max_images < 1:
             raise ValueError("max_images must be >= 1")
-        self._images: "OrderedDict[DeployKey, Future]" = OrderedDict()
+        self._images: "OrderedDict[DeployKey, object]" = OrderedDict()
+        self._building = SingleFlight()
+        #: guards the memo and the stats, never held across a compile
         self._lock = threading.Lock()
-        self.executor: DeployExecutor = as_executor(
-            executor, max_workers=max_workers)
+        self.executor: DeployExecutor = as_executor(executor)
         self.max_images = max_images
         self.stats = DeployStats()
 
@@ -125,59 +123,34 @@ class DeploymentPool:
 
     def deploy_many(self, artifact: OfflineArtifact,
                     targets: Sequence[Targetish],
-                    flow: Flowish = "split",
-                    concurrent: bool = True) -> Dict[str, object]:
+                    flow: Flowish = "split") -> Dict[str, object]:
         """Compile ``artifact`` for every target; returns name -> image.
 
         Targets are descriptors or registered names.  Duplicate
         targets in the catalog collapse onto one compilation.
-        ``concurrent=False`` degrades to a serial loop (the benchmark
-        baseline and a debugging aid).
         """
-        info = self.deploy_many_info(artifact, targets, flow,
-                                     concurrent=concurrent)
-        return {name: image for name, (image, _) in info.items()}
-
-    def deploy_many_info(self, artifact: OfflineArtifact,
-                         targets: Sequence[Targetish],
-                         flow: Flowish = "split",
-                         concurrent: bool = True) \
-            -> Dict[str, Tuple[object, bool]]:
-        """Like :meth:`deploy_many`, returning name -> (image, reused).
-
-        ``reused`` is True when this call did not trigger the
-        compilation — the image was memoized or already in flight on
-        another thread's behalf.
-        """
-        flow = as_flow(flow)      # raises UnknownFlowError on a typo
-        # ... and UnknownTargetError on a target typo, before any JIT
-        targets = [as_target(target) for target in targets]
-        if not concurrent:
-            out = {}
-            for target in targets:
-                future, created = self._image_future(artifact, target,
-                                                     flow)
-                out[target.name] = (future.result(), not created)
-            return out
         futures = self.submit_many(artifact, targets, flow)
-        return {name: (future.result(), reused)
-                for name, (future, reused) in futures.items()}
+        return {name: future.result()
+                for name, (future, _reused) in futures.items()}
 
     def submit_many(self, artifact: OfflineArtifact,
                     targets: Sequence[Targetish],
                     flow: Flowish = "split") \
             -> Dict[str, Tuple[Future, bool]]:
         """Schedule the fan-out without blocking: name -> (future,
-        reused).  This is the seam the async facade awaits on —
-        futures carry the in-flight dedup, so however many concurrent
-        callers (threads or coroutines) ask for a triple, it compiles
-        once."""
-        flow = as_flow(flow)
+        reused).  ``reused`` is True when this call did not trigger
+        the compilation — the image was memoized or already in flight
+        on another caller's behalf; however many concurrent callers
+        ask for a triple, it compiles once."""
+        flow = as_flow(flow)      # raises UnknownFlowError on a typo
+        # ... and UnknownTargetError on a target typo, before any JIT
+        targets = [as_target(target) for target in targets]
         futures: Dict[str, Tuple[Future, bool]] = {}
-        for target in (as_target(target) for target in targets):
-            future, created = self._image_future(artifact, target, flow)
-            reused = futures.get(target.name, (None, True))[1] and \
-                not created
+        for target in targets:
+            future, reused = self._image_future(artifact, target, flow)
+            if target.name in futures:
+                # a duplicate target joins this call's own build
+                reused = reused and futures[target.name][1]
             futures[target.name] = (future, reused)
         return futures
 
@@ -185,13 +158,8 @@ class DeploymentPool:
                      flow: Flowish = "split") -> Optional[object]:
         """The memoized image if it is already built, else ``None``
         (never triggers a compilation, never raises)."""
-        key = self._key(artifact, as_target(target), as_flow(flow))
-        with self._lock:
-            future = self._images.get(key)
-        if future is None or not future.done() or \
-                future.exception() is not None:
-            return None
-        return future.result()
+        return self._memoized(
+            self._key(artifact, as_target(target), as_flow(flow)))
 
     def known_keys(self) -> List[DeployKey]:
         with self._lock:
@@ -216,65 +184,40 @@ class DeploymentPool:
 
     def _image_future(self, artifact: OfflineArtifact, target: TargetDesc,
                       flow: Flow) -> Tuple[Future, bool]:
-        """(future, created): ``created`` is True when this call
-        submitted the compilation rather than joining an existing one.
+        """(future, reused): ``reused`` is True when this call did not
+        submit the compilation — the memo had the image, or it joined
+        a build already in flight.
 
-        The memo slot is reserved under the lock with a placeholder
-        future; the executor itself is invoked *outside* the lock —
-        an inline executor compiles synchronously right here, and a
-        compile must never run (or re-enter the pool) while the
-        non-reentrant pool lock is held."""
+        The executor is invoked with no pool lock held — an inline
+        executor compiles synchronously right here, and a compile
+        must never run (or re-enter the pool) under the non-reentrant
+        lock."""
         key = self._key(artifact, target, flow)
+        future, reused = self._building.fly(
+            key,
+            peek=lambda: self._memoized(key),
+            start=lambda: self.executor.submit(self._compile, artifact,
+                                               target, flow),
+            store=lambda image: self._remember(key, image))
         with self._lock:
-            future = self._images.get(key)
-            if future is not None:
-                self.stats._count(flow.name, hit=True)
+            self.stats._count(flow.name, hit=reused)
+        return future, reused
+
+    def _memoized(self, key: DeployKey) -> Optional[object]:
+        """The finished image for ``key`` (touching its recency)."""
+        with self._lock:
+            image = self._images.get(key)
+            if image is not None:
                 self._images.move_to_end(key)
-                return future, False
-            self.stats._count(flow.name, hit=False)
-            future = Future()
-            future.set_running_or_notify_cancel()
-            self._images[key] = future
-        # Registered before the executor fires so an already-finished
-        # compile still settles; it runs outside the lock because
-        # _settle needs the (non-reentrant) lock itself.
-        future.add_done_callback(
-            lambda done, key=key: self._settle(key, done))
+            return image
 
-        def _chain(done: Future, future: Future = future) -> None:
-            try:
-                result = done.result()
-            except BaseException as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-
-        try:
-            inner = self.executor.submit(self._compile, artifact,
-                                         target, flow)
-        except BaseException as exc:
-            # A rejected submission (e.g. executor shut down) settles
-            # the placeholder so the memo drops it and callers see
-            # the error from future.result().
-            future.set_exception(exc)
-            return future, True
-        inner.add_done_callback(_chain)
-        return future, True
-
-    def _settle(self, key: DeployKey, future: Future) -> None:
-        """Drop failed compilations; bound the memo once settled."""
+    def _remember(self, key: DeployKey, image) -> None:
+        """Memoize a finished image; bound the memo."""
         with self._lock:
-            if future.exception() is not None:
-                if self._images.get(key) is future:
-                    del self._images[key]
-                return
-            overflow = len(self._images) - self.max_images
-            if overflow > 0:
-                for victim in [k for k, f in self._images.items()
-                               if f.done() and
-                               f.exception() is None][:overflow]:
-                    del self._images[victim]
-                    self.stats.evictions += 1
+            self._images[key] = image
+            while len(self._images) > self.max_images:
+                self._images.popitem(last=False)
+                self.stats.evictions += 1
 
     @staticmethod
     def _compile(artifact: OfflineArtifact, target: TargetDesc,
@@ -285,6 +228,6 @@ class DeploymentPool:
         # of a memoized image pays decode exactly once — warming
         # eagerly would tax the latency-sensitive cold-deploy path
         # instead (callers that want decode-free first dispatch can
-        # use the backend's `warm` hook, or set PVI_JIT_PREDECODE).
+        # use the backend's `warm` hook).
         return compile_for_target(select_bytecode(artifact, flow),
                                   target, flow)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from concurrent.futures import Future
 
@@ -56,11 +56,10 @@ class AdaptiveExecutor(DeployExecutor):
     name = "adaptive"
 
     def __init__(self, cold: Executorish = "process",
-                 warm: Executorish = "thread",
-                 max_workers: Optional[int] = None):
+                 warm: Executorish = "thread"):
         super().__init__()
-        self.cold = as_executor(cold, max_workers=max_workers)
-        self.warm = as_executor(warm, max_workers=max_workers)
+        self.cold = as_executor(cold)
+        self.warm = as_executor(warm)
         #: fingerprints with >= 1 completed compile (bounded LRU);
         #: guarded by ``_route_lock`` — submissions come from caller
         #: threads, completions from executor worker threads

@@ -29,11 +29,13 @@ Run one with ``pvi-serve`` (console script) or programmatically::
     async with EdgeServer(EdgeConfig(port=0)) as edge:
         ...  # edge.port is the bound port
 
-Identical concurrent requests coalesce at *three* layers: the edge's
-pending-job map (queued duplicates attach to the queued job and
-consume no extra queue slot), the async facade's in-flight task map,
-and the pool's future dedup — a thundering herd of identical requests
-costs one queue slot, one offline compile and one fan-out.
+Identical concurrent requests coalesce in the edge's pending-job map
+(duplicates attach to the queued job and consume no extra queue slot)
+— the system's only *request*-level dedup, keyed by
+``CompilationService.request_key``.  Below it the core's two
+single-flights (offline compile, image build) keep overlapping
+requests from repeating each other's work: a thundering herd costs
+one queue slot, one offline compile and one fan-out.
 """
 
 from __future__ import annotations
@@ -68,6 +70,17 @@ SERVER_NAME = "pvi-edge"
 #: handling it gracefully
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
+
+
+async def _readline(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One line, or ``None`` for a line longer than the stream reader
+    will buffer: ``readline`` reports that as ``ValueError`` (it
+    converts ``LimitOverrunError``), and the caller refuses it like a
+    line past the caps above."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
 
 
 @dataclass
@@ -198,8 +211,8 @@ class EdgeServer:
             capacity=self.config.queue_depth,
             max_wait_s=self.config.max_wait_s,
             workers=self.config.workers)
+        self.service = AsyncCompilationService(self.core)
         # loop-bound state, created in start()
-        self.service: Optional[AsyncCompilationService] = None
         self._queue: Optional[asyncio.Queue] = None
         self._pending: Dict[object, _Job] = {}
         self._workers: List[asyncio.Task] = []
@@ -208,7 +221,6 @@ class EdgeServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> "EdgeServer":
-        self.service = AsyncCompilationService(self.core)
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._workers = [
             asyncio.create_task(self._worker(), name=f"edge-worker-{i}")
@@ -280,12 +292,12 @@ class EdgeServer:
         """One HTTP/1.1 request -> (method, path, headers, body,
         error-or-None); ``None`` on a cleanly closed connection."""
         try:
-            line = await reader.readline()
-        except (ConnectionResetError, asyncio.LimitOverrunError):
+            line = await _readline(reader)
+        except ConnectionResetError:
             return None
-        if not line:
+        if line == b"":
             return None
-        if len(line) > MAX_REQUEST_LINE:
+        if line is None or len(line) > MAX_REQUEST_LINE:
             return ("GET", "/", {}, b"",
                     WireError(431, "request_too_large",
                               "request line too long"))
@@ -299,9 +311,9 @@ class EdgeServer:
         headers: Dict[str, str] = {}
         header_bytes = 0
         while True:
-            line = await reader.readline()
-            header_bytes += len(line)
-            if header_bytes > MAX_HEADER_BYTES:
+            line = await _readline(reader)
+            header_bytes += len(line or b"")
+            if line is None or header_bytes > MAX_HEADER_BYTES:
                 return (method, path, headers, b"",
                         WireError(431, "request_too_large",
                                   "headers too large"))
@@ -413,7 +425,7 @@ class EdgeServer:
                             "request body is not valid JSON")
         if path == "/deploy":
             request = parse_deploy_request(payload)
-            key = ("deploy", self.service.request_key(request))
+            key = ("deploy", CompilationService.request_key(request))
             job_args = {"request": request}
         else:
             fields = parse_compile_request(payload)

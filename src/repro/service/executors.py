@@ -38,6 +38,8 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from repro.service.singleflight import run_settled
+
 
 class UnknownExecutorError(KeyError, ValueError):
     """Raised when a deployment executor name is not registered;
@@ -127,26 +129,15 @@ class InlineExecutor(DeployExecutor):
 
     Deterministic by construction (no scheduler, no worker state), so
     tests and the differential suite can rule out concurrency as a
-    variable.  ``max_workers`` is accepted for constructor uniformity
-    and ignored.
+    variable.
     """
 
     name = "inline"
 
-    def __init__(self, max_workers: Optional[int] = None):
-        super().__init__()
-
     def submit(self, compile_fn: Callable, artifact, target,
                flow) -> Future:
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            result = compile_fn(artifact, target, flow)
-        except BaseException as exc:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-        return self._track(future)
+        return self._track(
+            run_settled(compile_fn, artifact, target, flow))
 
 
 class ThreadExecutor(DeployExecutor):
@@ -373,7 +364,7 @@ class ProcessExecutor(DeployExecutor):
 # resolution
 # ---------------------------------------------------------------------------
 
-#: name -> factory; factories accept ``max_workers=``
+#: name -> factory of a default-configured executor
 EXECUTOR_FACTORIES: Dict[str, Callable[..., DeployExecutor]] = {
     ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
@@ -387,17 +378,17 @@ def executor_names() -> Tuple[str, ...]:
     return tuple(EXECUTOR_FACTORIES)
 
 
-def as_executor(executor: Executorish = None,
-                max_workers: Optional[int] = None) -> DeployExecutor:
+def as_executor(executor: Executorish = None) -> DeployExecutor:
     """Resolve an executor argument: ``None`` (default thread pool),
     a known name, or a :class:`DeployExecutor` instance passed
-    through unchanged."""
+    through unchanged (the way to hand the pool a sized
+    :class:`ThreadExecutor` or :class:`ProcessExecutor`)."""
     if executor is None:
-        return ThreadExecutor(max_workers=max_workers)
+        return ThreadExecutor()
     if isinstance(executor, DeployExecutor):
         return executor
     factory = EXECUTOR_FACTORIES.get(executor) \
         if isinstance(executor, str) else None
     if factory is None:
         raise UnknownExecutorError(executor, executor_names())
-    return factory(max_workers=max_workers)
+    return factory()

@@ -143,8 +143,8 @@ class ServiceStats:
     deploy_memo_hits: int = 0
     deploy_evictions: int = 0
     requests: int = 0
-    #: requests answered by joining another request already in flight
-    #: (async facade coalescing + the sync offline in-flight dedup)
+    #: requests whose offline half joined a compile another request
+    #: already had in flight (the offline single-flight's joiners)
     coalesced_requests: int = 0
     total_offline_latency: float = 0.0
     total_deploy_latency: float = 0.0

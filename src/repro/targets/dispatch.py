@@ -25,8 +25,7 @@ The predecoded form is cached on the function object
 (``CompiledFunction.cached_predecode``) keyed by a structural content
 token, so the first simulation of an image pays decode exactly once no
 matter how many Simulators run it.  Latency-sensitive deployments can
-prepay it with :func:`warm_module` (or ``PVI_JIT_PREDECODE=1``, which
-makes the JIT warm every image it emits).
+prepay it with :func:`warm_module` (the backend's ``warm`` hook).
 
 When the module is *frozen* (``CompiledModule.freeze()`` — the JIT
 freezes every image it emits), ``call`` targets resolve once at

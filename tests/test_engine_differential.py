@@ -436,9 +436,7 @@ class TestPredecodeCache:
         assert VM(bytecode, verify=False,
                   engine=FAST).call("f", [1]) == 10
 
-    def test_machine_predecode_is_lazy_by_default(self, monkeypatch):
-        from repro.engine import JIT_PREDECODE_ENV
-        monkeypatch.delenv(JIT_PREDECODE_ENV, raising=False)
+    def test_machine_predecode_is_lazy_by_default(self):
         artifact = offline_compile("int f(int a) { return a - 1; }")
         compiled = deploy(artifact, X86, "split")
         func = compiled.functions["f"]
@@ -449,15 +447,6 @@ class TestPredecodeCache:
         # a second simulator reuses the function-object cache
         Simulator(compiled, engine=FAST).run("f", [5])
         assert func._predecode_cache is cached
-
-    def test_jit_warms_machine_predecode_when_opted_in(self,
-                                                       monkeypatch):
-        from repro.engine import JIT_PREDECODE_ENV
-        monkeypatch.setenv(JIT_PREDECODE_ENV, "1")
-        artifact = offline_compile("int f(int a) { return a - 2; }")
-        compiled = deploy(artifact, X86, "split")
-        func = compiled.functions["f"]
-        assert getattr(func, "_predecode_cache", None) is not None
 
     def test_in_place_edit_picked_up_by_reused_vm(self):
         """The reviewer-grade case: the *same* VM instance must see an

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.service import (
     canonical_options, deserialize_artifact, serialize_artifact,
 )
 from repro.service.cache import artifact_fingerprint
+from repro.service.singleflight import SingleFlight, run_settled
 from repro.targets import Simulator, X86
 from repro.targets.catalog import TARGETS
 from repro.workloads import TABLE1
@@ -318,6 +321,140 @@ class TestService:
 
 
 # ---------------------------------------------------------------------------
+# the single-flight helper
+# ---------------------------------------------------------------------------
+
+class _Memo:
+    """A caller-side memo plus counted hooks, as both users have."""
+
+    def __init__(self):
+        self.values = {}
+        self.peeks = 0
+        self.works = []             # one pending Future per start()
+
+    def fly(self, flights, key):
+        def peek():
+            self.peeks += 1
+            return self.values.get(key)
+
+        def start():
+            self.works.append(Future())
+            return self.works[-1]
+
+        def store(value):
+            self.values[key] = value
+
+        return flights.fly(key, peek, start, store)
+
+
+class TestSingleFlight:
+    def test_joiner_sees_the_winners_exception(self):
+        flights, memo = SingleFlight(), _Memo()
+        winner, joined = memo.fly(flights, "k")
+        assert not joined
+        joiner, joined = memo.fly(flights, "k")
+        assert joined and joiner is winner
+        assert len(memo.works) == 1
+        boom = MemoryError("work failed")
+        memo.works[0].set_exception(boom)
+        assert winner.exception(timeout=1) is boom
+        with pytest.raises(MemoryError):
+            joiner.result(timeout=1)
+
+    def test_failed_key_is_rerunnable(self):
+        flights, memo = SingleFlight(), _Memo()
+        first, _ = memo.fly(flights, "k")
+        memo.works[0].set_exception(MemoryError("transient"))
+        assert first.exception(timeout=1) is not None
+        assert "k" not in memo.values            # never cached
+        retry, joined = memo.fly(flights, "k")
+        assert not joined and retry is not first
+        memo.works[1].set_result("image")
+        assert retry.result(timeout=1) == "image"
+        assert memo.values == {"k": "image"}     # stored on landing
+
+    def test_rejected_start_settles_and_releases(self):
+        flights = SingleFlight()
+
+        def rejected():
+            raise RuntimeError("executor shut down")
+
+        future, joined = flights.fly("k", lambda: None, rejected,
+                                     lambda value: None)
+        assert not joined
+        assert isinstance(future.exception(timeout=1), RuntimeError)
+        again, joined = flights.fly(
+            "k", lambda: None, lambda: run_settled(lambda: 7),
+            lambda value: None)
+        assert not joined and again.result(timeout=1) == 7
+
+    def test_lost_race_costs_a_peek_not_a_rerun(self):
+        """A caller that missed the memo just before the previous
+        winner stored and released wins the slot — and must find the
+        value by re-checking, not run the work again."""
+        flights, memo = SingleFlight(), _Memo()
+        memo.values["k"] = "stored meanwhile"
+        future, joined = memo.fly(flights, "k")
+        assert joined
+        assert future.result(timeout=1) == "stored meanwhile"
+        assert memo.peeks == 1 and memo.works == []
+        # the slot was released: a later miss flies normally
+        del memo.values["k"]
+        _, joined = memo.fly(flights, "k")
+        assert not joined and len(memo.works) == 1
+
+    def test_stress_each_key_runs_once(self):
+        """More threads than cores, a short switch interval, every
+        thread walking every key through memo-miss -> fly: a lost
+        update in the helper shows up as a key whose work ran twice
+        or a caller holding a different value."""
+        flights = SingleFlight()
+        memo, memo_lock = {}, threading.Lock()
+        runs, seen = [], []
+        keys = list(range(40))
+
+        def lookup(key):
+            with memo_lock:
+                return memo.get(key)
+
+        def store(key, value):
+            with memo_lock:
+                memo[key] = value
+
+        def work(key):
+            runs.append(key)
+            time.sleep(0.0005)
+            return object()
+
+        def worker():
+            for key in keys:
+                value = lookup(key)
+                if value is None:
+                    value = flights.fly(
+                        key, lambda: lookup(key),
+                        lambda: run_settled(work, key),
+                        lambda value: store(key, value),
+                    )[0].result(timeout=10)
+                seen.append((key, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs) == keys
+        assert len(seen) == 16 * len(keys)
+        assert all(value is memo[key] for key, value in seen)
+
+
+# ---------------------------------------------------------------------------
 # latency accounting for coalesced requests
 # ---------------------------------------------------------------------------
 
@@ -538,11 +675,6 @@ class TestShardedCache:
                                 persist_dir=tmp_path)
         assert revived.get(key) is not None
         assert revived.stats.disk_hits == 1
-        # a pre-shard flat entry is still readable (legacy fallback)
-        flat_key = artifact_key(SAXPY, "flat-era")
-        (tmp_path / f"{flat_key}.pvia").write_bytes(
-            serialize_artifact(offline_compile(SAXPY, "flat-era")))
-        assert revived.get(flat_key) is not None
 
 
 class TestConcurrentEvictionRaces:

@@ -1,5 +1,5 @@
 """The service API v2 surface: executor backends, the async facade,
-request coalescing and failure accounting.
+herd economics and failure accounting.
 
 The redesign's contract is that *where* a compile runs (inline,
 thread pool, worker processes) and *how* a caller waits (blocking or
@@ -315,62 +315,93 @@ class TestAsyncFacade:
                 return results, service.stats()
 
         results, stats = asyncio.run(main())
-        # all eight callers shared one serving task...
-        assert len({id(r) for r in results}) == 1
-        assert stats.coalesced_requests == 7
-        # ...so the herd cost one offline compile and one fan-out
+        # every caller is a request of its own...
+        assert stats.requests == 8
+        # ...and the core made the herd cost one offline compile and
+        # one JIT per target
         assert stats.artifact_stores == 1
         assert stats.deploy_compiles == len(CATALOG)
+        for target in TARGETS:
+            assert len({id(r.image_for(target)) for r in results}) == 1
 
-    def test_failure_policy_is_part_of_coalescing_identity(self):
-        """Two concurrent requests identical except for
-        ``tolerate_failures`` must NOT coalesce: the strict one is
-        promised an exception on the first failing target, the
-        tolerant one a partial result with the error recorded — one
-        serving task cannot honor both contracts."""
-        core = CompilationService(executor="inline")
-        original = core.pool._compile
+    def test_facade_parity(self):
+        """One request path: the same request sequence through the
+        sync facade and through the async one yields the same results
+        and moves the same counters."""
+        def flaky_core():
+            core = CompilationService(executor="inline")
+            original = core.pool._compile
 
-        def flaky(artifact, target, flow):
-            raise MemoryError("JIT always fails in this test")
+            def flaky(artifact, target, flow):
+                if artifact.name == "bad" and target.name == "arm":
+                    raise MemoryError("JIT fails for bad on arm")
+                return original(artifact, target, flow)
 
-        core.pool._compile = flaky
-        strict = CompileRequest(source=SAXPY, name="m", targets=[X86],
-                                tolerate_failures=False)
-        tolerant = CompileRequest(source=SAXPY, name="m",
-                                  targets=[X86],
-                                  tolerate_failures=True)
+            core.pool._compile = flaky
+            return core
 
-        async def main():
+        sequence = [
+            CompileRequest(source=SAXPY, name="m", targets=CATALOG),
+            CompileRequest(source=SAXPY, name="m", targets=CATALOG),
+            CompileRequest(source=SUM_U8, name="m2", targets=[X86],
+                           flow="online-only"),
+            CompileRequest(source=SAXPY, name="bad", targets=CATALOG,
+                           tolerate_failures=True),
+            CompileRequest(source=SAXPY, name="bad", targets=CATALOG),
+            CompileRequest(source=SAXPY, name="m", targets=[X86],
+                           flow="no-such-flow"),
+        ]
+
+        def observe(core, outcome):
+            stats = core.stats().as_dict()
+            del stats["latency"]            # wall clock, not behaviour
+            if isinstance(outcome, BaseException):
+                return type(outcome), stats
+            return ({
+                "name": outcome.name,
+                "artifact_key": outcome.artifact_key,
+                "artifact_cache_hit": outcome.artifact_cache_hit,
+                "fully_cached": outcome.fully_cached,
+                "flow": outcome.flow,
+                "offline_pass_work": outcome.offline_pass_work,
+                "deployments": {
+                    name: (d.memo_hit, type(d.error),
+                           d.compiled and code_of(d.compiled))
+                    for name, d in outcome.deployments.items()},
+            }, stats)
+
+        def run_sync():
+            core = flaky_core()
+            seen = []
+            for request in sequence:
+                try:
+                    outcome = core.submit(request)
+                except Exception as exc:
+                    outcome = exc
+                seen.append(observe(core, outcome))
+            core.shutdown()
+            return seen
+
+        async def run_async():
+            core = flaky_core()
+            seen = []
             async with AsyncCompilationService(core) as service:
-                assert service.request_key(strict) != \
-                    service.request_key(tolerant)
-                strict_task = asyncio.ensure_future(
-                    service.submit(strict))
-                tolerant_task = asyncio.ensure_future(
-                    service.submit(tolerant))
-                results = await asyncio.gather(
-                    strict_task, tolerant_task,
-                    return_exceptions=True)
-                return results, service.stats()
+                for request in sequence:
+                    try:
+                        outcome = await service.submit(request)
+                    except Exception as exc:
+                        outcome = exc
+                    seen.append(observe(core, outcome))
+            core.shutdown()
+            return seen
 
-        (strict_result, tolerant_result), stats = asyncio.run(main())
-        core.shutdown()
-        core.pool._compile = original
-        # the strict caller got its promised exception...
-        assert isinstance(strict_result, MemoryError)
-        # ...the tolerant caller its promised partial result...
-        assert tolerant_result.failed_targets == ["x86"]
-        assert isinstance(
-            tolerant_result.deployments["x86"].error, MemoryError)
-        # ...which is only possible because the *requests* never
-        # coalesced: each ran its own fan-out (two executor
-        # submissions, two failures).  The offline halves still
-        # share one artifact compile — identical sources should —
-        # so the artifact was stored once.
-        assert stats.deploy_executors["inline"]["submitted"] == 2
-        assert stats.deploy_executors["inline"]["failed"] == 2
-        assert stats.artifact_stores == 1
+        sync_seen = run_sync()
+        assert asyncio.run(run_async()) == sync_seen
+        # the sequence did exercise every outcome kind
+        assert sync_seen[1][0]["fully_cached"]
+        assert sync_seen[3][0]["deployments"]["arm"][1] is MemoryError
+        assert sync_seen[4][0] is MemoryError
+        assert issubclass(sync_seen[5][0], ValueError)
 
     def test_deploy_one_and_many_await_pool_futures(self):
         async def main():

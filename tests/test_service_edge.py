@@ -12,6 +12,7 @@ implementation detail.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -423,6 +424,98 @@ class TestEdgeServer:
         assert edge_stats["accepted"] == 6
         assert edge_stats["coalesced"] == 5
         assert edge_stats["shed"]["total"] == 0
+
+    def test_failure_policy_is_part_of_coalescing_identity(self):
+        """Two concurrent /deploy requests identical except for
+        ``tolerate_failures`` must NOT share an edge job: the strict
+        one is promised an error on the first failing target, the
+        tolerant one a partial result with the error recorded — one
+        served job cannot honor both contracts."""
+        from repro.service import CompilationService, CompileRequest
+        core = CompilationService(executor="inline")
+
+        def failing(artifact, target, flow):
+            raise MemoryError("JIT always fails in this test")
+
+        core.pool._compile = failing
+        strict = CompileRequest(source=SAXPY, name="m", targets=["x86"])
+        tolerant = CompileRequest(source=SAXPY, name="m",
+                                  targets=["x86"],
+                                  tolerate_failures=True)
+        assert CompilationService.request_key(strict) != \
+            CompilationService.request_key(tolerant)
+
+        async def scenario():
+            async with EdgeServer(edge_config(workers=1,
+                                              max_wait_s=None),
+                                  service=core) as edge:
+                # hold the one worker so both requests are pending
+                # together: identical keys would coalesce here
+                real_submit = edge.service.submit
+                async def slow_submit(request):
+                    await asyncio.sleep(0.2)
+                    return await real_submit(request)
+                edge.service.submit = slow_submit
+
+                async def one(tolerate):
+                    async with EdgeClient("127.0.0.1",
+                                          edge.port) as client:
+                        return await client.deploy(
+                            SAXPY, ["x86"], name="m",
+                            tolerate_failures=tolerate)
+                results = await asyncio.gather(one(False), one(True))
+                return results, edge.stats_snapshot()
+        try:
+            (strict_reply, tolerant_reply), stats = \
+                asyncio.run(scenario())
+        finally:
+            core.shutdown()
+        assert stats["edge"]["accepted"] == 2
+        assert stats["edge"]["coalesced"] == 0
+        # the strict caller got its promised error...
+        assert strict_reply[0] == 500
+        assert "MemoryError" in strict_reply[2]["error"]["message"]
+        # ...the tolerant caller its promised partial result
+        assert tolerant_reply[0] == 200
+        deployment = tolerant_reply[2]["deployments"]["x86"]
+        assert not deployment["ok"]
+        assert deployment["error"]["type"] == "MemoryError"
+        # each ran its own fan-out; the offline halves still shared
+        # one artifact compile, as identical sources should
+        executor = stats["service"]["deploy"]["executors"]["inline"]
+        assert executor["submitted"] == 2 and executor["failed"] == 2
+        assert stats["service"]["artifact"]["stores"] == 1
+
+    def test_oversized_request_and_header_lines_are_431(self):
+        """A request line or a header line longer than the stream
+        reader will buffer is answered 431 and closed; the handler
+        survives and the server keeps serving."""
+        async def raw(edge, head: bytes):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", edge.port)
+            writer.write(head)
+            await writer.drain()
+            reply = await reader.read()         # until the server closes
+            writer.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            return head.decode("latin-1"), json.loads(body)
+
+        async def scenario(edge):
+            long_line = await raw(
+                edge, b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n")
+            long_header = await raw(
+                edge, b"GET /healthz HTTP/1.1\r\nX-Junk: " +
+                b"b" * 100_000 + b"\r\n\r\n")
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                health = await client.healthz()
+            return long_line, long_header, health
+        long_line, long_header, health = run_edge(edge_config(),
+                                                  scenario)
+        for head, body in (long_line, long_header):
+            assert head.startswith("HTTP/1.1 431 ")
+            assert "Connection: close" in head
+            assert body["error"]["code"] == "request_too_large"
+        assert health[0] == 200
 
     def test_stats_shape(self):
         async def scenario(edge):

@@ -26,7 +26,7 @@ from repro.core import (
 from repro.core.online import select_bytecode
 from repro.semantics import Memory, TrapError
 from repro.service import (
-    CompilationService, CompileRequest, SCHEMA_VERSION,
+    CompilationService, CompileRequest, SCHEMA_VERSION, ThreadExecutor,
 )
 from repro.service.deployment import DeploymentPool
 from repro.targets import (
@@ -352,7 +352,7 @@ class TestCacheKeySeparation:
         fast = make_custom_target(name="niche")
         slow = make_custom_target(name="niche",
                                   costs=CostModel(alu=3, load=9))
-        pool = DeploymentPool(max_workers=2)
+        pool = DeploymentPool(executor=ThreadExecutor(max_workers=2))
         try:
             image_fast = pool.deploy_one(artifact, fast)
             image_slow = pool.deploy_one(artifact, slow)
