@@ -60,8 +60,9 @@ REG_CLASSES = ("int", "flt", "vec")
 # vector-lane / tuple fixpoint (VM bytecode)
 # ---------------------------------------------------------------------------
 
-#: vstack meta for a wrapped-u64 inline result (value-compared only —
-#: mirrors ``repro.vm.threaded._MASKED64_META``)
+#: vstack meta for a wrapped-u64 inline result — feeding one into an
+#: address slot skips the redundant 64-bit re-mask (shared with the
+#: emitter, ``repro.vm.threaded``)
 _MASKED64_META = {"masked64": True}
 
 
@@ -78,14 +79,14 @@ def _abstract_block(code, leader: int, length: int, frame_offsets,
                     info: dict, widths: set) -> None:
     """One block of the emitter's meta dataflow, emission elided.
 
-    Must stay in lockstep with ``_gen_block_lines(tier2=True)``: the
-    same pops/pushes per op, the same meta values, the same
-    ``tuple_stores``/``lane_breaks`` recording, and — critically — the
-    same raising helper calls in the same order, so an exception
-    aborts this walk at exactly the instruction whose handler raises
-    when the block executes.  ``_gen_tier2`` cross-checks the final
-    codegen pass against these facts and declines the build on any
-    mismatch, so a drift bug degrades to the block tier instead of
+    Must stay in lockstep with ``repro.vm.threaded._gen_block_lines``
+    under its tier-2 descriptor: the same pops/pushes per op, the same
+    meta values, the same ``tuple_stores``/``lane_breaks`` recording,
+    and — critically — the same raising helper calls in the same
+    order, so an exception aborts this walk at exactly the instruction
+    whose handler raises when the block executes.  The tier-2 build cross-checks the final
+    codegen pass against these facts (``check_facts``) and declines on
+    any mismatch, so a drift bug degrades to the block tier instead of
     miscompiling.
     """
     vmeta: List = []

@@ -1,0 +1,901 @@
+"""The tier scaffold under both predecode engines.
+
+:mod:`repro.vm.threaded` (PVI bytecode, a virtual operand stack) and
+:mod:`repro.targets.dispatch` (machine code, ``_UNSET`` register
+files) translate a function the same way: raw per-instruction
+closures, fuel blocks compiled to one Python function each, and a
+lazily built whole-function tier-2 translation.  Everything about
+that translation that is *not* the operand model lives here, once:
+
+* the build-site statistics (:class:`Tier2BuildStats`) and the
+  predecoded form with its lazy, thread-safe ``tier2()`` build
+  (:class:`Predecoded`);
+* the content-token cache protocol and the block-tier build loop
+  (:meth:`Lowering.predecode`, :meth:`Lowering.build`);
+* the block line emitter (:class:`BlockEmitter`): temps, progress
+  marks, and the bounds / store / reduce / quad templates both
+  engines spell identically;
+* the debit protocol over per-block *counter vectors* and the trap
+  rollback (:class:`Tier2Writer`, :meth:`Lowering.block_source`);
+* the tier-2 dispatcher: hot-span ordering, two-block loop fusion,
+  the OSR entry whitelist and prologue, the ``pc`` ladder and its
+  deopt arms (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
+
+An engine is a :class:`Lowering` subclass: class attributes carry its
+data (handler signature, counter names, source tags) and a handful of
+hooks carry its operand model.  Nothing here asks which engine is
+calling; the engines import this module, never the reverse.
+
+The runtime trampolines (``_run_fast`` / ``_call_fast``, ``_run_osr``,
+``_run_metered``) stay per engine: their handler arities differ, and
+sharing them would put a ``*frame`` splat on the hottest loop.
+"""
+
+from __future__ import annotations
+
+import re
+import threading
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.engine import (
+    CodegenEnv, MeterTrip, _ARITH_SYMS, _F32_QUAD, backedge_targets,
+    fuel_blocks, inline_binop, inline_cast, keep_osr_guards,
+)
+from repro.lang import types as ty
+from repro.semantics.errors import TrapError
+from repro.semantics.kernels import (
+    binop_kernel, cast_kernel, identity_kernel,
+)
+from repro.semantics.memory import (
+    NULL_GUARD, PACK_COERCE_ERRORS, scalar_struct,
+)
+
+
+class Tier2BuildStats:
+    """Tier-2 build-site accounting, one instance per engine.
+
+    ``warm`` builds happen off the hot path (the ``warm`` hooks);
+    ``request`` builds happen inside a serving call.  A warmed image
+    keeps the request bucket at zero — the bench/CI stat that proves
+    warming prepays whole-function codegen.  ``facts_warm`` /
+    ``facts_request`` count fresh dataflow-plane analyses by the same
+    split (facts provenance), and ``guards_elided`` / ``guards_kept``
+    count OSR prologue fact guards the analysis proved redundant (kept
+    only under ``PVI_OSR_GUARDS=1``)."""
+
+    def __init__(self) -> None:
+        self.counts = {"warm": 0, "request": 0,
+                       "facts_warm": 0, "facts_request": 0,
+                       "guards_elided": 0, "guards_kept": 0}
+
+    def tier2_build_stats(self) -> dict:
+        """Copy of the tier-2 build-site counters."""
+        return dict(self.counts)
+
+    def reset_tier2_build_stats(self) -> None:
+        for key in self.counts:
+            self.counts[key] = 0
+
+
+#: "tier-2 code not built yet" sentinel (distinct from None = "build
+#: failed or declined; stay block-threaded")
+_TIER2_UNBUILT = object()
+
+#: serializes first-time tier-2 builds.  Predecodes ride shared images
+#: (the deploy memo hands one object to every caller); the builds are
+#: pure Python, so one process-wide lock costs nothing a per-function
+#: lock would save.
+_TIER2_BUILD_LOCK = threading.Lock()
+
+
+class Predecoded:
+    """One function's decoded form: block-compiled handlers at fuel
+    block leaders, raw per-instruction handlers (the metered path),
+    the lazily built tier-2 whole-function translation, and — in the
+    engine's subclass — the per-call frame initialization data."""
+
+    __slots__ = ("token", "handlers", "raw", "osr_leaders", "_tier2",
+                 "_tier2_args", "_lowering")
+
+    def __init__(self, lowering, token, handlers, raw, osr_leaders,
+                 tier2_args, **frame):
+        self.token = token
+        self.handlers = handlers
+        self.raw = raw
+        #: back-edge target leaders — the candidate on-stack
+        #: replacement entry points the trampoline counts visits at.
+        #: The generated ``_t2`` carries its own (possibly narrower)
+        #: entry whitelist and validates the snapshot itself; this set
+        #: only gates whether counting is worth doing at all.
+        self.osr_leaders = osr_leaders
+        self._tier2 = _TIER2_UNBUILT
+        self._tier2_args = tier2_args
+        self._lowering = lowering
+        for name, value in frame.items():
+            setattr(self, name, value)
+
+    def tier2(self, warm: bool = False):
+        """The whole-function tier-2 translation, built on first
+        request and cached with the predecode (so it rides the same
+        content-token invalidation).  ``None`` means the build failed
+        or was declined — callers stay on the block-threaded tier.
+        ``warm`` marks a build happening off the serving path (the
+        warm hooks), for the build-site stats."""
+        t2 = self._tier2
+        if t2 is _TIER2_UNBUILT:
+            with _TIER2_BUILD_LOCK:
+                t2 = self._tier2        # a racing thread may have won
+                if t2 is _TIER2_UNBUILT:
+                    func, binding = self._tier2_args
+                    t2 = None if func is None else \
+                        self._lowering._build_tier2(func, binding, warm)
+                    self._tier2 = t2
+                    self._tier2_args = (None, None)
+        return t2
+
+
+class Tier(NamedTuple):
+    """How one tier shapes the per-instruction lowering.  Exactly two
+    instances exist per engine (:func:`block_tier`, :func:`whole_tier`)
+    and ``_gen_block_lines`` is called with one of them."""
+
+    #: whole-function tier: kernels inlined as expressions where
+    #: provably identical, progress marks only where code can raise
+    tier2: bool
+    #: the engine's storage lvalue format (list cell vs Python local)
+    place: str
+    #: a control transfer: ``return pc`` to the trampoline vs ``pc =``
+    #: inside the generated dispatcher
+    goto_fmt: str
+    #: memory buffer / size expressions (hoisted into locals in tier-2)
+    data: str
+    size: str
+
+
+def block_tier(place: str) -> Tier:
+    return Tier(False, place, "return {0}", "mem.data", "mem.size")
+
+
+def whole_tier(place: str) -> Tier:
+    return Tier(True, place, "pc = {0}", "_md", "_ms")
+
+
+class BlockEmitter:
+    """Source lines of one fuel block's body, plus the *marks* that
+    say which instruction each line belongs to.
+
+    A mark ``(line index, instruction offset)`` is recorded before the
+    first line of every instruction whose generated code can raise.
+    If that instruction traps mid-block, the rollback handler uses the
+    mark to roll the block-entry fuel debit back to exactly the
+    reference engine's per-instruction count.  The block tier
+    conservatively marks everything and materializes the marks as
+    ``_i = k`` stores (:meth:`marked_lines`); tier-2 marks only
+    instructions that can actually raise and keeps the hot path
+    store-free — the marks feed a source-line table instead
+    (:meth:`Tier2Writer.body`)."""
+
+    def __init__(self, env: CodegenEnv, tier: Tier):
+        self.env = env
+        self.tier = tier
+        self.lines: List[str] = []
+        self.marks: List[Tuple[int, int]] = []
+        #: current instruction: where its lines start, and whether it
+        #: emitted code that can raise (forces its mark)
+        self.marker_at = 0
+        self.impure = False
+        self._temps = 0
+
+    def newt(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def emit(self, text: str, indent: str = "") -> None:
+        self.lines.append(indent + text)
+
+    def begin(self) -> None:
+        """Start lowering one instruction."""
+        self.marker_at = len(self.lines)
+        self.impure = not self.tier.tier2
+
+    def end(self, offset: int) -> None:
+        """Finish the instruction at block offset ``offset``."""
+        if len(self.lines) > self.marker_at and self.impure:
+            self.marks.append((self.marker_at, offset))
+
+    def marked_lines(self) -> List[str]:
+        """The body with every mark materialized as an ``_i = k``
+        progress store (the block tier's rollback mechanism)."""
+        lines, start = [], 0
+        for at, offset in self.marks:
+            lines += self.lines[start:at]
+            lines.append(f"_i = {offset}")
+            start = at
+        return lines + self.lines[start:]
+
+    # -- templates both engines spell identically ----------------------------
+
+    def bounds(self, addr: str, size: int,
+               limit: Optional[str] = None) -> None:
+        """Range-check a ``size``-byte access at ``addr`` (``limit``:
+        a hoisted ``mem.size - size`` local, when the tier has one)."""
+        upper = f"{addr} > {limit}" if limit is not None \
+            else f"{addr} + {size} > {self.tier.size}"
+        self.emit(f"if {addr} < {NULL_GUARD} or {upper}:")
+        self.emit('raise TrapError(f"memory access out of bounds: '
+                  'addr={' + addr + ':#x} size=' + str(size) + '")',
+                  "    ")
+
+    def store_kernels(self, value_ty):
+        """``(packer, pack name, coerce name)`` for a scalar store —
+        bound before the operands are read, like every kernel."""
+        packer = scalar_struct(value_ty)
+        pack = self.env.bind(packer.pack_into, "p")
+        if isinstance(value_ty, ty.IntType):
+            coerce = self.env.bind(
+                lambda v, _t=value_ty: ty.wrap_int(int(v), _t), "w")
+        else:
+            coerce = "float"
+        return packer, pack, coerce
+
+    def store(self, pack: str, coerce: str, addr: str,
+              value: str) -> None:
+        """Pack straight into the buffer; values the struct rejects
+        retry through the reference's coercion."""
+        data = self.tier.data
+        self.emit("try:")
+        self.emit(f"{pack}({data}, {addr}, {value})", "    ")
+        self.emit("except _PE:")
+        self.emit(f"{pack}({data}, {addr}, {coerce}({value}))", "    ")
+
+    def reduce(self, reduce_op: str, elem, acc_ty,
+               read_vec: Callable[[], str]) -> str:
+        """Fold a vector into an accumulator temp (returned).
+        ``read_vec`` emits the operand read and names the vector."""
+        if reduce_op not in ("add", "max", "min"):
+            raise ValueError("undefined reduce op")   # -> fallback
+        env = self.env
+        widen_kernel = cast_kernel(elem, acc_ty)
+        widen_tpl = fold_tpl = None
+        if self.tier.tier2:
+            if widen_kernel is identity_kernel:
+                widen_tpl = ("{a}", True)
+            else:
+                widen_tpl = inline_cast(elem, acc_ty, env)
+            fold_tpl = inline_binop(reduce_op, acc_ty, env)
+        vec = read_vec()
+        acc, lane = self.newt(), self.newt()
+        self.emit(f"if not {vec}:")
+        self.emit("raise TrapError('reduce of empty vector')", "    ")
+        if widen_tpl is not None and widen_tpl[1] \
+                and fold_tpl is not None and fold_tpl[1]:
+            # Inline the whole fold: no kernel call per lane.
+            wexpr = widen_tpl[0]
+            self.emit(f"{acc} = {wexpr.format(a=f'{vec}[0]')}")
+            self.emit(f"for {lane} in {vec}[1:]:")
+            self.emit(
+                f"{acc} = "
+                f"{fold_tpl[0].format(a=acc, b=wexpr.format(a=lane))}",
+                "    ")
+        else:
+            widen = env.bind(widen_kernel, "k")
+            fold = env.bind(binop_kernel(reduce_op, acc_ty), "k")
+            self.emit(f"{acc} = {widen}({vec}[0])")
+            self.emit(f"for {lane} in {vec}[1:]:")
+            self.emit(f"{acc} = {fold}({acc}, {widen}({lane}))", "    ")
+        return acc
+
+    def quad_kernels(self, bop: str, elem):
+        """``(pack name, unpack name, lane expressions)`` when tier-2
+        can inline the 4-lane f32 batch kernel for ``bop``: raw lane
+        results, one <4f> pack/unpack round trip — exactly the quad
+        kernel's arithmetic (including the left-to-right rounding
+        order), minus the call.  ``None`` for every other shape."""
+        if not (self.tier.tier2 and isinstance(elem, ty.FloatType)
+                and elem.bits == 32
+                and bop in ("add", "sub", "mul", "min", "max")):
+            return None
+        qp = self.env.bind(_F32_QUAD.pack, "qp")
+        qu = self.env.bind(_F32_QUAD.unpack, "qu")
+        sym = _ARITH_SYMS.get(bop)
+        if sym is not None:
+            cores = ", ".join(f"_a{i} {sym} _b{i}" for i in range(4))
+        else:
+            cores = ", ".join(f"{bop}(_a{i}, _b{i})" for i in range(4))
+        return qp, qu, cores
+
+    def quad(self, kernels, a: str, b: str, guards: List[str],
+             dst: str, value_fmt: str, kernel: str) -> None:
+        """``dst = value_fmt(quad(a, b))``; operands whose lane count
+        is not proven (``guards``) fall back to the generic ``kernel``
+        (any lane count, exact mismatch trap)."""
+        qp, qu, cores = kernels
+        pad = ""
+        if guards:
+            self.emit(f"if {' and '.join(guards)}:")
+            pad = "    "
+        self.emit(f"_a0, _a1, _a2, _a3 = {a}", pad)
+        self.emit(f"_b0, _b1, _b2, _b3 = {b}", pad)
+        self.emit(f"{dst} = {value_fmt.format(f'{qu}({qp}({cores}))')}",
+                  pad)
+        if guards:
+            self.emit("else:")
+            self.emit(f"{dst} = {kernel}({a}, {b})", "    ")
+
+
+def fused_loops(code, blocks: Dict[int, int],
+                bodies: Dict[int, Optional[List[str]]]) -> dict:
+    """header -> ``(latch, condition, taken pc, fall pc)`` for every
+    two-block natural loop — a header ending in ``brif`` and a lone
+    latch ending in ``br header`` — that tier-2 runs as a native
+    ``while`` inside the header's dispatch arm, so iterations pay no
+    dispatch at all.  Debits and deopt returns stay per block,
+    byte-identical to the ladder form.  (Any *other* entry into a
+    fused latch lands in the else arm — a deopt, correct but slower;
+    real loop latches have no such entries.)"""
+    loops: dict = {}
+    dropped = set()
+    for src, instr in enumerate(code):
+        if instr.op != "br" or not isinstance(instr.arg, int):
+            continue
+        header = instr.arg
+        if header not in blocks or header > src:
+            continue
+        latch = max(b for b in blocks if b <= src)
+        if latch == header or src != latch + blocks[latch] - 1:
+            continue
+        hbody, lbody = bodies.get(header), bodies.get(latch)
+        if not hbody or not lbody or lbody[-1] != f"pc = {header}":
+            continue
+        branch = re.fullmatch(r"pc = (\d+) if (.+) else (\d+)",
+                              hbody[-1])
+        if branch is None:
+            continue
+        taken, fall = int(branch.group(1)), int(branch.group(3))
+        if taken == fall or latch not in (taken, fall):
+            continue
+        if header in loops:
+            dropped.add(header)     # two latches: keep the ladder form
+        loops[header] = (latch, branch.group(2), taken, fall)
+    for header in dropped:
+        del loops[header]
+    # (No block is both: a latch body ends in ``pc = <header>``, a
+    # header body in a conditional ``pc = ... if ... else ...``.)
+    return loops
+
+
+def osr_entry_points(code, blocks, bodies, fused_latches) -> frozenset:
+    """On-stack replacement entry points: translated back-edge targets
+    (loop headers) outside fused latches.  The trampoline may call
+    ``_t2`` with ``pc`` at one of these, handing over the live
+    block-tier frame mid-call; the prologue re-establishes every
+    entered-once fact from that snapshot or declines the entry by
+    returning ``pc`` untouched (nothing debited, nothing written — the
+    block tier just continues)."""
+    return frozenset(t for t in backedge_targets(code, blocks)
+                     if bodies.get(t) and t not in fused_latches)
+
+
+class Tier2Writer:
+    """The source of one ``_t2`` and its debit protocol.
+
+    Every fuel block has a *counter vector*: its length (the fuel
+    debit) plus the engine's result counters (``charges`` — empty for
+    the VM; ``instructions``, ``cycles`` and the non-zero ``branches``
+    / ``spill_*`` / ``calls`` for the simulator, on the ``res``
+    object).  Accounting comes in two shapes.  Functions containing
+    calls keep every counter *live* on its object at every block debit
+    (the callee's debits must interleave with the caller's exactly as
+    per-instruction accounting would); call-free functions carry them
+    in locals (``executed``, ``_r_<field>``) and flush on every exit
+    path — except the raise paths, which flush fuel only: result
+    counters are unobservable after a trap.
+
+    A *deopt* writes the lowered state back, leaves the block
+    **undebited** (every counter) and returns the leader to the
+    block-threaded trampoline, which re-debits and — on fuel
+    exhaustion — meters per instruction, so counts and trap messages
+    stay byte-identical to the reference."""
+
+    def __init__(self, env: CodegenEnv, fuel: str,
+                 blocks: Dict[int, int], charges: Dict[int, dict],
+                 fields: Tuple[str, ...], live: bool,
+                 writeback: List[str]):
+        self.out: List[str] = []
+        self.env = env
+        self.fuel = fuel
+        self.blocks = blocks
+        self.charges = charges
+        self.live = live
+        self.writeback = writeback
+        #: result counters carried in locals, in debit order
+        self.carried = [] if live else \
+            [f for f in fields if any(f in c for c in charges.values())]
+        #: the carried counters' stores back to their objects
+        self.flush: List[str] = []
+        if not live:
+            self.flush.append(f"{fuel} = executed")
+            if self.carried:
+                self.flush.append("; ".join(
+                    f"res.{f} = _r_{f}" for f in self.carried))
+
+    def w(self, line: str, indent: int = 0) -> None:
+        self.out.append(" " * indent + line)
+
+    def load_carried(self, base: int) -> None:
+        if not self.live:
+            self.w(f"executed = {self.fuel}", base)
+            if self.carried:
+                self.w("; ".join(f"_r_{f} = res.{f}"
+                                 for f in self.carried), base)
+
+    def deopt(self, leader, base: int) -> None:
+        for line in self.writeback + self.flush:
+            self.w(line, base)
+        self.w(f"return {leader}", base)
+
+    def count(self, charge: dict, base: int) -> None:
+        """Debit the result counters of one counter vector."""
+        if self.live:
+            for field, amount in charge.items():
+                self.w(f"res.{field} += {amount}", base)
+        elif charge:
+            self.w("; ".join(f"_r_{field} += {amount}"
+                             for field, amount in charge.items()), base)
+
+    def charge(self, leader: int, base: int) -> None:
+        """Fuel check (deopt when the debit would cross the limit),
+        then the whole counter vector."""
+        length = self.blocks[leader]
+        if self.live:
+            self.w(f"executed = {self.fuel} + {length}", base)
+            self.w("if executed > fuel:", base)
+            self.deopt(leader, base + 4)
+            self.w(f"{self.fuel} = executed", base)
+        else:
+            self.w(f"executed += {length}", base)
+            self.w("if executed > fuel:", base)
+            self.w(f"executed -= {length}", base + 4)
+            self.deopt(leader, base + 4)
+        self.count(self.charges[leader], base)
+
+    def body(self, leader: int, base: int, lines: List[str],
+             marks: List[Tuple[int, int]]) -> None:
+        """Block body at indent ``base``.  A block with no marks has
+        no instruction that can raise — no rollback handler at all.
+        Otherwise the body runs under one ``try`` whose except clause
+        maps the trapping *source line* (via the exception traceback)
+        back to the instruction offset whose mark covers it, and rolls
+        the fuel debit back to that instruction — the hot path stays
+        free of the per-instruction ``_i`` stores the block tier
+        pays."""
+        length = self.blocks[leader]
+        if not marks:
+            for line in lines:
+                self.w(line, base)
+            return
+        owners = []
+        position, active = 0, length - 1
+        for index in range(len(lines)):
+            while position < len(marks) and marks[position][0] <= index:
+                active = marks[position][1]
+                position += 1
+            owners.append(active)
+        table = {}
+        self.w("try:", base)
+        for index, line in enumerate(lines):
+            table[len(self.out) + 1] = owners[index]
+            self.w(line, base + 4)
+        name = self.env.bind(table, "lm")
+        self.w("except Exception as _e:", base)
+        self.w(f"_i = {name}.get(_e.__traceback__.tb_lineno, "
+               f"{length - 1})", base + 4)
+        if self.live:
+            self.w(f"{self.fuel} -= {length} - _i - 1", base + 4)
+        else:
+            self.w(f"{self.fuel} = executed - ({length} - _i - 1)",
+                   base + 4)
+        self.w("raise", base + 4)
+
+    def block(self, leader: int, base: int, lines, marks) -> None:
+        self.charge(leader, base)
+        self.body(leader, base, lines, marks)
+
+    def loop(self, header: int, latch: int, exit_test: str,
+             exit_target: int, base: int, hbody, hmarks, lbody,
+             lmarks) -> None:
+        """A fused two-block loop.  The header's terminal branch
+        becomes the loop exit; the latch's terminal ``pc = header``
+        becomes the implicit back edge."""
+        self.w("while 1:", base)
+        base += 4
+        exits = [f"if {exit_test}:", f"    pc = {exit_target}",
+                 "    break"]
+        if self.live or len(hbody) > 1 or hmarks:
+            self.block(header, base, hbody[:-1] + exits, hmarks)
+            self.block(latch, base, lbody[:-1], lmarks)
+            return
+        # Empty-header loop (the condition is one pure expression):
+        # both counter vectors merge into one charge at the loop top.
+        # Exit refunds the latch's share, and when the merged fuel
+        # debit crosses the limit the loop falls back to the ladder's
+        # per-block debit order — so deopt pcs, fuel traps and final
+        # counts stay byte-identical.
+        hlen, llen = self.blocks[header], self.blocks[latch]
+        hcharge, lcharge = self.charges[header], self.charges[latch]
+        merged = dict(hcharge)
+        for field, amount in lcharge.items():
+            merged[field] = merged.get(field, 0) + amount
+        merged = {f: merged[f] for f in self.carried if f in merged}
+        self.w(f"executed += {hlen + llen}", base)
+        self.w("if executed > fuel:", base)
+        self.w(f"executed -= {hlen + llen}", base + 4)
+        self.charge(header, base + 4)
+        for line in exits:
+            self.w(line, base + 4)
+        self.charge(latch, base + 4)
+        self.w(f"elif {exit_test}:", base)
+        self.w(f"executed -= {llen}", base + 4)
+        self.count(hcharge, base + 4)
+        self.w(f"pc = {exit_target}", base + 4)
+        self.w("break", base + 4)
+        if merged:
+            self.w("else:", base)
+            self.count(merged, base + 4)
+        self.body(latch, base, lbody[:-1], lmarks)
+
+
+class Lowering:
+    """One function being lowered by one engine.
+
+    Class attributes are the engine's data; the hooks at the bottom
+    are its operand model.  ``build`` produces the block tier,
+    ``_build_tier2`` the whole-function translation; each runs on a
+    fresh instance, so an engine may keep per-function codegen state
+    on ``self``."""
+
+    #: handler parameter list, e.g. ``"s, lo, ar, fb, mem, vm"``
+    signature: str
+    #: the machine object's name in it, and its fuel counter attribute
+    machine: str
+    executed: str
+    #: result counters (on ``res``) in debit order; a block's
+    #: ``charges`` name a subset
+    fields: Tuple[str, ...] = ()
+    #: ``compile()`` filename tags: block tier, tier-2
+    tags: Tuple[str, str]
+    #: comment lines of the block tier's rollback clause
+    rollback_note: Tuple[str, ...]
+    #: extra names every generated function sees
+    env_extras: dict = {}
+    block_tier: Tier
+    tier2_tier: Tier
+    predecoded: type
+    stats: Tier2BuildStats
+
+    def __init__(self, func, binding=None):
+        self.func = func
+        self.code = func.code
+        self.name = func.name
+        #: the frozen module ``call`` targets resolve against, or None
+        self.binding = binding
+        #: Blocks end at calls as well as branches and ``ret``, so a
+        #: callee's fuel debits interleave with the caller's exactly
+        #: as per-instruction accounting would.
+        self.blocks = fuel_blocks(self.code)
+        self.env: CodegenEnv = None
+        #: what a ``ret`` lowers to after storing its value
+        self.ret_lines: Tuple[str, ...] = ("return -1",)
+
+    # -- cache protocol ------------------------------------------------------
+
+    @classmethod
+    def predecode(cls, func, module=None):
+        """The (cached) predecoded form of ``func``, keyed by its
+        structural content token — in-place code edits invalidate by
+        content.  With a *frozen* ``module``, ``call`` targets are
+        resolved once here (per-call inline caching); the cache
+        records the binding module, so an engine over a different
+        module sharing the function object rebuilds instead of
+        calling into the wrong table."""
+        binding = module if module is not None and \
+            getattr(module, "frozen", False) else None
+        token = func.content_token()
+        cached = func.cached_predecode(token, binding)
+        if cached is not None:
+            return cached
+        pre = cls(func, binding).build(token, module)
+        func.store_predecode(token, pre, binding)
+        return pre
+
+    def _resolved_callee(self, name):
+        """The callee bound at predecode time, or ``None`` to fall
+        back to the dynamic per-call lookup (no frozen module, or a
+        call to a missing function — which must keep failing at
+        execution time, exactly like the reference engine)."""
+        if self.binding is None:
+            return None
+        return self.binding.functions.get(name)
+
+    # -- block tier ----------------------------------------------------------
+
+    def build(self, token, module=None) -> Predecoded:
+        code, name, blocks = self.code, self.name, self.blocks
+        n = len(code)
+
+        def tail(*frame):
+            raise TrapError(f"{name}: fell off code end")
+
+        raw: List[Callable] = [None] * (n + 1)
+        raw[n] = tail
+        for pc, instr in enumerate(code):
+            try:
+                raw[pc] = self.raw_handler(pc, instr)
+            except Exception as exc:    # malformed instruction: the
+                # reference engine only fails when it *executes* it, so
+                # defer the error to execution time
+                def deferred(*frame, _exc=exc):
+                    raise _exc
+                raw[pc] = deferred
+
+        handlers = list(raw)
+        env = {"TrapError": TrapError, "MeterTrip": MeterTrip,
+               "_PE": PACK_COERCE_ERRORS, **self.env_extras}
+        self.env = CodegenEnv(env)
+        lowered = {}
+        for leader, length in blocks.items():
+            try:
+                lowered[leader] = self.lower(
+                    leader, length, self.block_tier).marked_lines()
+            except Exception:
+                pass                    # -> the raw-closure fallback
+
+        def install(bodies: dict) -> None:
+            source = "\n".join(
+                self.block_source(leader, blocks[leader], body)
+                for leader, body in bodies.items())
+            exec(compile(source, f"<{self.tags[0]}:{name}>", "exec"),
+                 env)
+            for leader in bodies:
+                handlers[leader] = env[f"_b{leader}"]
+
+        if lowered:
+            try:
+                install(lowered)
+            except Exception:   # defensive: a codegen bug must degrade
+                lowered = {}    # to the raw closures, never break
+        if len(lowered) < len(blocks):
+            # Blocks whose lowering bailed run the raw closures under
+            # the same block-entry debit and rollback.
+            env["_raw"] = raw
+            install({leader: [f"pc = {leader}",
+                              f"for _i in range({length}):",
+                              f"    pc = _raw[pc]({self.signature})",
+                              "return pc"]
+                     for leader, length in blocks.items()
+                     if leader not in lowered})
+
+        return self.predecoded(
+            type(self), token, handlers, raw, self.osr_candidates(),
+            (self.func, self.binding), **self.frame_data(module))
+
+    def block_source(self, leader: int, length: int,
+                     body: List[str]) -> str:
+        """One block handler: debit the whole counter vector on entry
+        (:class:`repro.engine.MeterTrip` when the fuel debit crosses
+        the limit, leaving the block undebited), then run ``body``
+        under the ``_i`` rollback."""
+        machine = self.machine
+        fuel = f"{machine}.{self.executed}"
+        lines = [f"def _b{leader}({self.signature}):",
+                 f"    executed = {fuel} + {length}",
+                 f"    {fuel} = executed",
+                 f"    if executed > {machine}.fuel:",
+                 f"        {fuel} = executed - {length}",
+                 f"        raise MeterTrip({leader})"]
+        lines += [f"    res.{field} += {amount}" for field, amount
+                  in self.charges(leader, length).items()]
+        lines += [f"    _i = {length - 1}", "    try:"]
+        lines += ["        " + line for line in body]
+        lines += ["    except Exception:"]
+        lines += ["        " + note for note in self.rollback_note]
+        lines += [f"        {fuel} -= {length} - _i - 1",
+                  "        raise", ""]
+        return "\n".join(lines)
+
+    # -- tier-2: whole-function translation ----------------------------------
+    #
+    # One generated Python function covers every fuel block of the
+    # function: a ``while 1`` dispatcher over block leaders, the
+    # engine's storage lowered to Python locals, and the same per-op
+    # lowering as the block tier (the engine's ``_gen_block_lines``).
+    # The contract matches a block handler exactly — ``_t2(<signature>,
+    # pc=0) -> pc`` — so the trampoline can treat its return value like
+    # any block's: ``-1`` means the function returned; a leader pc is a
+    # *deopt* (see :class:`Tier2Writer`).
+
+    @classmethod
+    def _build_tier2(cls, func, binding=None, warm: bool = False):
+        """Compile the whole-function tier-2 form of ``func``, or
+        ``None`` when the translation fails to build — a build failure
+        is never an execution failure, callers just stay on the
+        block-threaded tier.  The facts the blocks are generated under
+        come proven from the dataflow plane; a function the plane
+        declines gets no tier-2 at all."""
+        counts = cls.stats.counts
+        counts["warm" if warm else "request"] += 1
+        facts, fresh = cls.facts(func, binding)
+        if fresh:
+            counts["facts_warm" if warm else "facts_request"] += 1
+        if facts is None:
+            return None
+        try:
+            source, env = cls(func, binding).tier2_source(facts)
+            exec(compile(source, f"<{cls.tags[1]}:{func.name}>",
+                         "exec"), env)
+            t2 = env["_t2"]
+            #: the per-leader entry whitelist, for introspection/tests
+            t2.osr_entries = env.get("_OSR_ENTRIES", frozenset())
+            t2.guards_elided = env.get("_GUARDS_ELIDED", 0)
+            t2.guards_kept = env.get("_GUARDS_KEPT", 0)
+            counts["guards_elided"] += t2.guards_elided
+            counts["guards_kept"] += t2.guards_kept
+            return t2
+        except Exception:
+            return None
+
+    def tier2_source(self, facts):
+        """Source + exec environment for the tier-2 translation."""
+        code, blocks = self.code, self.blocks
+        env_dict = {"TrapError": TrapError, "_PE": PACK_COERCE_ERRORS,
+                    **self.env_extras}
+        env = self.env = CodegenEnv(env_dict)
+        fuel = f"{self.machine}.{self.executed}"
+        live = any(instr.op == "call" for instr in code)
+        entry, load, writeback = self.begin_tier2(facts)
+        out = Tier2Writer(
+            env, fuel, blocks,
+            {leader: self.charges(leader, length)
+             for leader, length in blocks.items()},
+            self.fields, live, writeback)
+        w = out.w
+        self.ret_lines = tuple(out.flush) + ("return -1",)
+
+        # Loop blocks head the dispatch ladder: every block inside a
+        # back-edge span (the leaders a loop iterates over) is checked
+        # before the straight-line entry/exit blocks, so iterations
+        # match on the first arms instead of scanning the whole elif
+        # chain once per transfer (which made short-block loops slower
+        # than the trampoline's O(1) handler indexing).
+        hot = set()
+        for src, instr in enumerate(code):
+            if instr.op in ("br", "brif") and isinstance(instr.arg, int) \
+                    and 0 <= instr.arg <= src:
+                hot.update(b for b in blocks if instr.arg <= b <= src)
+        ordered = [b for b in blocks if b in hot] \
+            + [b for b in blocks if b not in hot]
+
+        # Pre-translate every block; an untranslatable block keeps no
+        # dispatch arm — its leader falls through to the else arm, a
+        # per-block deopt point.  The pass records what it sees, and
+        # any disagreement with the facts (a drift bug between emitter
+        # and analysis) aborts the build rather than risk a miscompile.
+        bodies: Dict[int, Optional[List[str]]] = {}
+        marks: Dict[int, list] = {}
+        for leader, length in blocks.items():
+            try:
+                block = self.lower(leader, length, self.tier2_tier)
+                bodies[leader], marks[leader] = block.lines, block.marks
+            except Exception:
+                bodies[leader] = None
+        self.check_facts(facts)
+
+        loops = fused_loops(code, blocks, bodies)
+        fused_latches = {entry[0] for entry in loops.values()}
+        osr_entries = osr_entry_points(code, blocks, bodies,
+                                       fused_latches)
+        env_dict["_OSR_ENTRIES"] = osr_entries
+
+        w(f"def _t2({self.signature}, pc=0):")
+        for line in entry:
+            w(line, 4)
+        w(f"fuel = {self.machine}.fuel", 4)
+        w("_md = mem.data; _ms = mem.size", 4)
+        for line in load:
+            w(line, 4)
+        # OSR entry guard: only whitelisted leaders may enter mid-call.
+        # The facts the blocks were generated under are whole-function
+        # invariants the analysis proves for any state the block tier
+        # can hand over (same block graph, same all-or-nothing block
+        # execution), so per-entry re-checks of them are always true
+        # and are elided.  ``PVI_OSR_GUARDS=1`` keeps them
+        # (differential escape hatch: both modes must observe
+        # byte-identical runs); either way the counts are surfaced in
+        # ``tier2_build_stats()``.
+        w("if pc:", 4)
+        if osr_entries:
+            osr_name = env.bind(osr_entries, "osr")
+            count, guards = self.fact_guards(sorted(osr_entries))
+            keep = keep_osr_guards()
+            if count:
+                env_dict["_GUARDS_KEPT" if keep
+                         else "_GUARDS_ELIDED"] = count
+            w(f"if pc not in {osr_name}:", 8)
+            w("return pc", 12)
+            if keep:
+                for line in guards:
+                    w(line, 8)
+        else:
+            w("return pc", 8)
+        out.load_carried(4)
+        w("while 1:", 4)
+
+        keyword = "if"
+        for leader in ordered:
+            body = bodies[leader]
+            if body is None or leader in fused_latches:
+                continue
+            w(f"{keyword} pc == {leader}:", 8)
+            keyword = "elif"
+            if leader not in loops:
+                out.block(leader, 12, body, marks[leader])
+                continue
+            latch, cond, taken, fall = loops[leader]
+            if latch == taken:
+                exit_test, exit_target = f"not ({cond})", fall
+            else:
+                exit_test, exit_target = cond, taken
+            out.loop(leader, latch, exit_test, exit_target, 12, body,
+                     marks[leader], bodies[latch], marks[latch])
+
+        fell = env.bind(f"{self.name}: fell off code end", "m")
+        w(f"{keyword} pc == {len(code)}:", 8)
+        if not live:
+            w(f"{fuel} = executed", 12)
+        w(f"raise TrapError({fell})", 12)
+        w("else:", 8)
+        out.deopt("pc", 12)
+        return "\n".join(out.out), env_dict
+
+    # -- what an engine supplies ---------------------------------------------
+
+    def raw_handler(self, pc: int, instr) -> Callable:
+        """The raw closure for one instruction (metered path and
+        codegen fallback); may raise on a malformed instruction."""
+        raise NotImplementedError
+
+    def lower(self, leader: int, length: int, tier: Tier) -> BlockEmitter:
+        """The engine's ``_gen_block_lines`` for one block."""
+        raise NotImplementedError
+
+    def charges(self, leader: int, length: int) -> dict:
+        """Result-counter amounts of one block (beyond its fuel)."""
+        return {}
+
+    def osr_candidates(self) -> frozenset:
+        return backedge_targets(self.code, self.blocks)
+
+    def frame_data(self, module) -> dict:
+        """The engine's per-call frame initialization data, as the
+        extra attributes of its :class:`Predecoded` subclass."""
+        raise NotImplementedError
+
+    @staticmethod
+    def facts(func, binding):
+        """``(facts | None, fresh)`` from the dataflow plane."""
+        raise NotImplementedError
+
+    def begin_tier2(self, facts):
+        """Adopt ``facts`` for the block lowering and return the
+        ``_t2`` frame lines: ``(entry checks, state loads, deopt
+        writeback)``."""
+        raise NotImplementedError
+
+    def check_facts(self, facts) -> None:
+        """Raise when what the lowering saw disagrees with ``facts``."""
+
+    def fact_guards(self, entries: List[int]):
+        """``(count, lines)``: the per-entry re-checks of ``facts`` an
+        OSR prologue carries when guards are kept — each line group
+        declines the entry with ``return pc``."""
+        return 0, []

@@ -32,6 +32,14 @@ the limit the block re-runs instruction-by-instruction
 trap lands on precisely the instruction the reference engine traps on
 — and an earlier non-fuel trap inside the block still wins.
 
+The protocol around the lowering — the build loop, the debit and
+rollback forms, the cache, the lazy tier-2 build and its dispatcher —
+is the tier scaffold (:mod:`repro.tiers`) shared with
+:mod:`repro.targets.dispatch`.  This module supplies the VM's operand
+model: the per-opcode lowering over a virtual operand stack
+(``_gen_block_lines``), the raw closures, the ``_t2`` frame lines and
+the per-call initialization data.
+
 The predecoded form is cached on the function object
 (``BytecodeFunction.cached_predecode``) keyed by a structural content
 token: VM construction stays cheap, and in-place code edits
@@ -53,14 +61,14 @@ import re
 from typing import Callable, List
 
 from repro.analysis.facts import bytecode_facts
+from repro.analysis.passes import _scalar_meta
 from repro.bytecode.module import (
     BytecodeFunction, is_vector_local, vector_elem_tag,
 )
 from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
-from repro.engine import (
-    CodegenEnv, MASK64_LITERAL, MeterTrip, _ARITH_SYMS, _F32_QUAD,
-    backedge_targets, fuel_blocks, inline_binop, inline_cast,
-    inline_cmp, inline_unop, keep_osr_guards, normalize_branch_target,
+from repro.engine import (      # MeterTrip: caught by the trampolines
+    MASK64_LITERAL, MeterTrip, inline_binop, inline_cast, inline_cmp,
+    inline_unop, normalize_branch_target,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -69,7 +77,11 @@ from repro.semantics.kernels import (
     vec_binop_kernel,
 )
 from repro.semantics.memory import (
-    NULL_GUARD, PACK_COERCE_ERRORS, scalar_struct, vector_struct,
+    NULL_GUARD, scalar_struct, vector_struct,
+)
+from repro.tiers import (
+    _TIER2_UNBUILT, BlockEmitter, Lowering, Predecoded, Tier,
+    Tier2BuildStats, block_tier, whole_tier,
 )
 
 #: handler-returned pc meaning "the function returned"
@@ -77,184 +89,33 @@ RETURN = -1
 
 Handler = Callable
 
+_EMPTY_DEPS = frozenset()
 
-#: "tier-2 code not built yet" sentinel (distinct from None = "build
-#: failed or declined; stay block-threaded")
-_TIER2_UNBUILT = object()
-
-#: tier-2 build-site accounting: ``warm`` builds happen off the hot
-#: path (``warm_bytecode_module`` / the backend ``warm`` hook twin in
-#: :mod:`repro.targets.dispatch`); ``request`` builds happen inside a
-#: serving call.  A warmed image should keep the request bucket at
-#: zero — the bench/CI stat that proves warming actually prepays
-#: whole-function codegen.  ``facts_warm``/``facts_request`` count
-#: fresh dataflow-plane analyses by the same build-site split (facts
-#: provenance: a warmed image should also have its facts prepaid),
-#: and ``guards_elided``/``guards_kept`` count OSR prologue fact
-#: guards the analysis proved redundant (kept only under
-#: ``PVI_OSR_GUARDS=1``).
-TIER2_BUILDS = {"warm": 0, "request": 0,
-                "facts_warm": 0, "facts_request": 0,
-                "guards_elided": 0, "guards_kept": 0}
+#: this engine's tier-2 build-site counters (``warm`` builds come from
+#: :func:`warm_bytecode_module`)
+TIER2_BUILDS = Tier2BuildStats()
+tier2_build_stats = TIER2_BUILDS.tier2_build_stats
+reset_tier2_build_stats = TIER2_BUILDS.reset_tier2_build_stats
 
 
-def tier2_build_stats() -> dict:
-    """Copy of the tier-2 build-site counters (see TIER2_BUILDS)."""
-    return dict(TIER2_BUILDS)
+class PredecodedFunction(Predecoded):
+    """A bytecode function's decoded form plus the VM's per-call
+    initialization data."""
 
-
-def reset_tier2_build_stats() -> None:
-    for key in TIER2_BUILDS:
-        TIER2_BUILDS[key] = 0
-
-
-class PredecodedFunction:
-    """One function's decoded form: block-compiled handlers at fuel
-    block leaders, raw per-instruction handlers (the metered path),
-    the per-call initialization data, and the lazily built tier-2
-    whole-function translation."""
-
-    __slots__ = ("token", "handlers", "raw", "frame_size",
-                 "scalar_defaults", "vector_locals", "has_ret",
-                 "tier2_hot", "osr_leaders", "_tier2", "_tier2_args")
-
-    def __init__(self, token, handlers, raw, frame_size,
-                 scalar_defaults, vector_locals, has_ret,
-                 tier2_hot=False, osr_leaders=frozenset(),
-                 tier2_args=(None, None)):
-        self.token = token
-        self.handlers = handlers
-        self.raw = raw
-        self.frame_size = frame_size
-        self.scalar_defaults = scalar_defaults
-        self.vector_locals = vector_locals
-        self.has_ret = has_ret
-        #: did the binding module's hotness annotations clear the
-        #: adaptive threshold for this function?  (the default engine's
-        #: tier-2 promotion gate; ``engine="tier2"`` ignores it)
-        self.tier2_hot = tier2_hot
-        #: back-edge target leaders — the candidate on-stack
-        #: replacement entry points the trampoline counts visits at.
-        #: The generated ``_t2`` carries its own (possibly narrower)
-        #: entry whitelist and validates the snapshot itself; this set
-        #: only gates whether counting is worth doing at all.
-        self.osr_leaders = osr_leaders
-        self._tier2 = _TIER2_UNBUILT
-        self._tier2_args = tier2_args
-
-    def tier2(self, warm: bool = False):
-        """The whole-function tier-2 translation, built on first
-        request and cached with the predecode (so it rides the same
-        content-token invalidation).  ``None`` means the build failed
-        or was declined — callers stay on the block-threaded tier.
-        ``warm`` marks a build happening off the serving path (the
-        warm hooks), for the build-site stats."""
-        t2 = self._tier2
-        if t2 is _TIER2_UNBUILT:
-            func, binding = self._tier2_args
-            if func is None:
-                t2 = self._tier2 = None
-            else:
-                TIER2_BUILDS["warm" if warm else "request"] += 1
-                t2 = self._tier2 = _build_tier2(func, binding,
-                                                warm=warm)
-            self._tier2_args = (None, None)
-        return t2
+    #: ``tier2_hot``: did the binding module's hotness annotations
+    #: clear the adaptive threshold for this function?  (the default
+    #: engine's tier-2 promotion gate; ``engine="tier2"`` ignores it)
+    __slots__ = ("frame_size", "scalar_defaults", "vector_locals",
+                 "has_ret", "tier2_hot")
 
 
 def predecode(func: BytecodeFunction,
               module=None) -> PredecodedFunction:
-    """The (cached) predecoded form of ``func``.
-
-    With a *frozen* ``module`` supplied, ``call`` targets are resolved
-    once here — the callee function object, its arity and whether it
-    returns a value are bound directly into the handlers (per-call
-    inline caching) instead of being looked up per executed call.
-    The cache records the binding module, and in-place code edits
-    still invalidate via the existing content token.
-    """
-    binding = module if module is not None and \
-        getattr(module, "frozen", False) else None
-    token = func.content_token()
-    cached = func.cached_predecode(token, binding)
-    if cached is not None:
-        return cached
-    pre = _build(func, token, binding, module)
-    func.store_predecode(token, pre, binding)
-    return pre
-
-
-# ---------------------------------------------------------------------------
-# build
-# ---------------------------------------------------------------------------
-
-def _build(func: BytecodeFunction, token, binding=None,
-           module=None) -> PredecodedFunction:
-    code = func.code
-    n = len(code)
-    name = func.name
-    frame_offsets = func.frame_offsets()
-
-    def tail(s, lo, ar, fb, mem, vm):
-        raise TrapError(f"{name}: fell off code end")
-
-    raw: List[Handler] = [None] * (n + 1)
-    raw[n] = tail
-    for pc, instr in enumerate(code):
-        try:
-            raw[pc] = _make_raw_handler(pc, instr, frame_offsets, n,
-                                        binding)
-        except Exception as exc:        # malformed instruction: the
-            # reference engine only fails when it *executes* it, so
-            # defer the error to execution time
-            def deferred(s, lo, ar, fb, mem, vm, _exc=exc):
-                raise _exc
-            raw[pc] = deferred
-
-    handlers = list(raw)
-    blocks = fuel_blocks(code)
-    env = {"TrapError": TrapError, "MeterTrip": MeterTrip,
-           "_PE": PACK_COERCE_ERRORS}
-    sources = []
-    compiled = {}
-    for leader, length in blocks.items():
-        try:
-            sources.append(
-                _gen_block(code, leader, length, frame_offsets, env,
-                           binding))
-            compiled[leader] = f"_b{leader}"
-        except Exception:
-            handlers[leader] = _interp_block(raw, leader, length)
-    if sources:
-        try:
-            exec(compile("\n".join(sources), f"<pvi:{name}>", "exec"),
-                 env)
-            for leader, block_name in compiled.items():
-                handlers[leader] = env[block_name]
-        except Exception:       # defensive: a codegen bug must degrade
-            # to the interpreted blocks, never break execution
-            for leader in compiled:
-                handlers[leader] = _interp_block(raw, leader,
-                                                 blocks[leader])
-
-    scalar_defaults: List = []
-    vector_locals: List = []
-    for index, tag in enumerate(func.local_types):
-        if is_vector_local(tag):
-            scalar_defaults.append(None)
-            elem = type_of(vector_elem_tag(tag))
-            vector_locals.append((index, 16 // ty.sizeof(elem)))
-        elif tag in ("f32", "f64"):
-            scalar_defaults.append(0.0)
-        else:
-            scalar_defaults.append(0)
-
-    return PredecodedFunction(
-        token, handlers, raw, func.frame_size(), scalar_defaults,
-        vector_locals, func.ret_type is not None,
-        tier2_hot=_tier2_hot(func, module),
-        osr_leaders=backedge_targets(code, blocks),
-        tier2_args=(func, binding))
+    """The (cached) predecoded form of ``func`` — see
+    :meth:`repro.tiers.Lowering.predecode`: with a *frozen* ``module``
+    the callee function object, its arity and whether it returns a
+    value are bound directly into the handlers."""
+    return _BytecodeLowering.predecode(func, module)
 
 
 def warm_bytecode_module(module) -> None:
@@ -288,108 +149,37 @@ def _tier2_hot(func, module) -> bool:
     return weight >= ADAPTIVE_HOTNESS_THRESHOLD
 
 
-def _interp_block(raw, leader: int, length: int) -> Handler:
-    """Fallback block handler: fuel debit + the raw closures, for
-    blocks whose code generation bailed."""
-    def block(s, lo, ar, fb, mem, vm):
-        executed = vm.instructions_executed + length
-        vm.instructions_executed = executed
-        if executed > vm.fuel:
-            vm.instructions_executed = executed - length
-            raise MeterTrip(leader)
-        pc = leader
-        step = length - 1
-        try:
-            for step in range(length):
-                pc = raw[pc](s, lo, ar, fb, mem, vm)
-        except Exception:
-            # roll the debit back to the trapping instruction
-            vm.instructions_executed -= length - step - 1
-            raise
-        return pc
-    return block
-
-
 # ---------------------------------------------------------------------------
 # block code generation
 # ---------------------------------------------------------------------------
 
-def _resolved_callee(binding, name):
-    """The callee bound at predecode time, or ``None`` to fall back to
-    the dynamic per-call lookup (no frozen module, or a call to a
-    missing function — which must keep failing at execution time,
-    exactly like the reference engine)."""
-    if binding is None:
-        return None
-    return binding.functions.get(name)
-
-
-def _gen_block(code, leader: int, length: int, frame_offsets,
-               env_dict, binding=None) -> str:
-    env = CodegenEnv(env_dict)
-    lines = _gen_block_lines(code, leader, length, frame_offsets, env,
-                             binding)
-    body = "\n".join("        " + line for line in lines)
-    return (f"def _b{leader}(s, lo, ar, fb, mem, vm):\n"
-            f"    executed = vm.instructions_executed + {length}\n"
-            f"    vm.instructions_executed = executed\n"
-            f"    if executed > vm.fuel:\n"
-            f"        vm.instructions_executed = executed - {length}\n"
-            f"        raise MeterTrip({leader})\n"
-            f"    _i = {length - 1}\n"
-            f"    try:\n"
-            f"{body}\n"
-            f"    except Exception:\n"
-            f"        # roll the debit back to the trapping instruction\n"
-            f"        vm.instructions_executed -= {length} - _i - 1\n"
-            f"        raise\n")
-
-
-_EMPTY_DEPS = frozenset()
-_EMPTY_LANES: dict = {}
-
-#: vstack meta for a wrapped-u64 inline result — feeding one into an
-#: address slot skips the redundant 64-bit re-mask
-_MASKED64_META = {"masked64": True}
-
-
-def _scalar_meta(value_ty):
-    if isinstance(value_ty, ty.IntType) and value_ty.bits == 64 \
-            and not value_ty.signed:
-        return _MASKED64_META
-    return None
-
-
-def _gen_block_lines(code, leader: int, length: int, frame_offsets,
-                     env: CodegenEnv, binding=None,
-                     local_fmt: str = "lo[{0}]",
-                     goto_fmt: str = "return {0}",
-                     ret_lines=("return -1",),
-                     tier2: bool = False,
-                     safe_args: int = 0,
-                     tuple_locals: frozenset = _EMPTY_DEPS,
-                     lane_locals: dict = _EMPTY_LANES,
-                     info=None) -> List[str]:
+def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
+                     tier: Tier) -> BlockEmitter:
     """Emit one fuel block's body as source lines.
 
     The same per-op lowering serves two tiers: the block-threaded
-    engine (``local_fmt``/``goto_fmt`` defaults — locals stay in the
-    ``lo`` list, transfers return the next leader to the trampoline)
-    and the tier-2 whole-function compiler (locals lowered to Python
-    locals, transfers assign ``pc`` inside the generated dispatcher,
-    ``ret`` may need to flush a local fuel counter first).
+    engine (locals stay in the ``lo`` list, transfers return the next
+    leader to the trampoline) and the tier-2 whole-function compiler
+    (locals lowered to Python locals, transfers assign ``pc`` inside
+    the generated dispatcher, ``ret`` may need to flush a local fuel
+    counter first).
 
-    ``tier2`` additionally turns on the optimizations the trampoline
-    tier cannot use: kernel calls inlined as expressions (see
-    :func:`repro.engine.inline_binop`), pure values *deferred* on the
-    virtual stack so statements fuse, ``mem.data``/``mem.size`` read
-    from the dispatcher's hoisted ``_md``/``_ms`` locals, and the
-    per-instruction ``_i`` progress marker emitted only before
-    instructions that can actually raise (deferral tracks which local
-    each pending expression reads, so a ``stloc`` materializes the
-    values it would clobber).
+    ``tier.tier2`` additionally turns on the optimizations the
+    trampoline tier cannot use: kernel calls inlined as expressions
+    (see :func:`repro.engine.inline_binop`), pure values *deferred* on
+    the virtual stack so statements fuse, ``mem.data``/``mem.size``
+    read from the dispatcher's hoisted ``_md``/``_ms`` locals, and
+    progress marks only before instructions that can actually raise
+    (deferral tracks which local each pending expression reads, so a
+    ``stloc`` materializes the values it would clobber).
     """
-    lines: List[str] = []
+    code, env, info = low.code, low.env, low.info
+    frame_offsets = low.frame_offsets
+    tuple_locals, lane_locals = low.tuple_locals, low.lane_locals
+    tier2 = tier.tier2
+    local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
+    em = BlockEmitter(env, tier)
+    lines, emit, newt = em.lines, em.emit, em.newt
     vstack: List[str] = []          # expressions for virtual stack slots
     vdeps: List[frozenset] = []     # local indices each deferred
     #                                 expression reads (temps: empty)
@@ -398,21 +188,9 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
     #                                 "tuple": bool, "float": bool}
     local_meta: dict = {}           # tier-2: vector facts proven for a
     #                                 local by a ``stloc`` in this block
-    counter = [0]
-    impure = [False]                # current instruction emitted code
-    #                                 that can raise (forces its marker)
     proven_bounds: set = set()      # (addr name, width) pairs already
     #                                 range-checked in this block, valid
     #                                 until the name is reassigned
-    data = "_md" if tier2 else "mem.data"
-    size = "_ms" if tier2 else "mem.size"
-
-    def newt() -> str:
-        counter[0] += 1
-        return f"t{counter[0]}"
-
-    def emit(text: str, indent: str = "") -> None:
-        lines.append(indent + text)
 
     def push(expr: str, meta=None) -> None:
         """Materialize ``expr`` now (order/side-effect preserving)."""
@@ -436,7 +214,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
         engine-observable place must go through :func:`popd`."""
         if vstack:
             return vstack.pop(), vdeps.pop(), vmeta.pop()
-        impure[0] = True            # s.pop() can IndexError
+        em.impure = True            # s.pop() can IndexError
         t = newt()
         emit(f"{t} = s.pop()")
         return t, _EMPTY_DEPS, None
@@ -497,10 +275,10 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
         """The upper-bound operand for a ``size_bytes`` access: the
         tier-2 dispatcher hoists ``_ms - size`` into a local, so the
         per-check add disappears from hot loops."""
-        if tier2 and info is not None:
-            info.setdefault("bounds_sizes", set()).add(size_bytes)
-            return f"_ms{size_bytes}"
-        return None
+        if not tier2:
+            return None
+        info["bounds_sizes"].add(size_bytes)
+        return f"_ms{size_bytes}"
 
     def bounds(addr_var: str, size_bytes: int) -> None:
         if tier2 and (addr_var, size_bytes) in proven_bounds:
@@ -508,16 +286,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             # exact (address, width) pair and the address name has
             # not been reassigned since — re-checking is dead code.
             return
-        limit = bound_limit(size_bytes)
-        if limit is not None:
-            emit(f"if {addr_var} < {NULL_GUARD} or "
-                 f"{addr_var} > {limit}:")
-        else:
-            emit(f"if {addr_var} < {NULL_GUARD} or "
-                 f"{addr_var} + {size_bytes} > {size}:")
-        emit('raise TrapError(f"memory access out of bounds: '
-             'addr={' + addr_var + ':#x} size=' + str(size_bytes) + '")',
-             "    ")
+        em.bounds(addr_var, size_bytes, bound_limit(size_bytes))
         if tier2:
             proven_bounds.add((addr_var, size_bytes))
 
@@ -526,13 +295,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
     for pc in range(leader, exit_pc):
         instr = code[pc]
         op = instr.op
-        # Progress marker: if this instruction traps mid-block, the
-        # except clause rolls the block-entry fuel debit back to
-        # exactly the reference engine's per-instruction count.
-        # Tier-2 elides the marker for instructions whose generated
-        # code cannot raise.
-        marker_at = len(lines)
-        impure[0] = not tier2
+        em.begin()
 
         if op == "ldloc":
             if tier2:
@@ -547,8 +310,9 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                 elif instr.arg in lane_locals:
                     # Whole-function lane fact: the local starts as a
                     # fresh ``[0] * lanes`` vector and every ``stloc``
-                    # anywhere keeps the count (see the fixed point in
-                    # ``_gen_tier2``), so the length guard is proven.
+                    # anywhere keeps the count (the fixed point of
+                    # ``repro.analysis.passes.lane_fixpoint``), so the
+                    # length guard is proven.
                     meta = {"lanes": lane_locals[instr.arg],
                             "tuple": False, "float": False}
                 else:
@@ -558,19 +322,19 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             else:
                 push(local_fmt.format(instr.arg))
         elif op == "ldarg":
-            if instr.arg < safe_args:
+            if instr.arg < low.safe_args:
                 # The dispatcher's entry guard proved ``ar`` holds at
                 # least ``safe_args`` values, so the read cannot raise
                 # — and hoisted it into local ``a{k}`` (args have no
                 # store op, so the binding never goes stale).
                 push_atom(f"a{instr.arg}")
             else:
-                impure[0] = True    # short args IndexError here, like
+                em.impure = True    # short args IndexError here, like
                 push(f"ar[{instr.arg}]")    # the reference's args[i]
         elif op == "stloc":
             value, _, meta = popm()
             if meta is not None and meta.get("tuple"):
-                if tier2 and info is not None:
+                if tier2:
                     # Keep the tuple: the whole-function writeback
                     # normalizes tuple-bearing locals back to lists
                     # at every engine-observable boundary.
@@ -579,7 +343,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                     value = f"list({value})"
                     meta = dict(meta, tuple=False)
             if tier2:
-                if instr.arg in lane_locals and info is not None \
+                if instr.arg in lane_locals \
                         and (meta is None
                              or meta.get("lanes")
                              != lane_locals[instr.arg]):
@@ -621,10 +385,10 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                     push_atom(expr, adeps | bdeps,
                               meta=_scalar_meta(value_ty))
                 else:
-                    impure[0] = True
+                    em.impure = True
                     push(expr)
             else:
-                impure[0] = True    # div/rem trap; fallback kernels too
+                em.impure = True    # div/rem trap; fallback kernels too
                 kernel = env.bind(binop_kernel(op, value_ty), "k")
                 push(f"{kernel}({a}, {b})")
         elif op == "cmp":
@@ -635,7 +399,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             if tmpl is not None:
                 push_atom(tmpl.format(a=a, b=b), adeps | bdeps)
             else:
-                impure[0] = True    # undefined predicates trap
+                em.impure = True    # undefined predicates trap
                 kernel = env.bind(cmp_kernel(instr.arg, value_ty), "k")
                 push(f"{kernel}({a}, {b})")
         elif op in UN_OPS:
@@ -648,10 +412,10 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                 if pure:
                     push_atom(expr, adeps)
                 else:
-                    impure[0] = True
+                    em.impure = True
                     push(expr)
             else:
-                impure[0] = True
+                em.impure = True
                 kernel = env.bind(unop_kernel(op, value_ty), "k")
                 push(f"{kernel}({a})")
         elif op == "cast":
@@ -669,10 +433,10 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                         push_atom(expr, adeps,
                                   meta=_scalar_meta(to_ty))
                     else:
-                        impure[0] = True
+                        em.impure = True
                         push(expr)
                 else:
-                    impure[0] = True
+                    em.impure = True
                     push(f"{env.bind(kernel, 'k')}({a})")
         elif op == "select":
             b, bdeps = popd()
@@ -684,29 +448,19 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             else:
                 push(expr)
         elif op == "load":
-            impure[0] = True
+            em.impure = True
             packer = scalar_struct(type_of(instr.ty))
             unpack = env.bind(packer.unpack_from, "u")
             addr = pop_addr()
             bounds(addr, packer.size)
             push(f"{unpack}({data}, {addr})[0]")
         elif op == "store":
-            impure[0] = True
-            value_ty = type_of(instr.ty)
-            packer = scalar_struct(value_ty)
-            pack = env.bind(packer.pack_into, "p")
-            if isinstance(value_ty, ty.IntType):
-                coerce = env.bind(
-                    lambda v, _t=value_ty: ty.wrap_int(int(v), _t), "w")
-            else:
-                coerce = "float"
+            em.impure = True
+            packer, pack, coerce = em.store_kernels(type_of(instr.ty))
             value = pop()
             addr = pop_addr()
             bounds(addr, packer.size)
-            emit("try:")
-            emit(f"{pack}({data}, {addr}, {value})", "    ")
-            emit("except _PE:")
-            emit(f"{pack}({data}, {addr}, {coerce}({value}))", "    ")
+            em.store(pack, coerce, addr, value)
         elif op == "frame":
             push_atom(f"(fb + {frame_offsets[instr.arg]})")
         elif op == "br":
@@ -728,9 +482,9 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             emit(goto_fmt.format(
                 f"{target} if {test} else {exit_pc}"))
         elif op == "call":
-            impure[0] = True
+            em.impure = True
             flush()
-            resolved = _resolved_callee(binding, instr.arg)
+            resolved = low._resolved_callee(instr.arg)
             if resolved is not None:
                 # Inline cache: the frozen module pins the callee, so
                 # its identity, arity and return shape are constants.
@@ -762,7 +516,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                 emit(goto_fmt.format(exit_pc))
         elif op == "ret":
             flush()
-            for line in ret_lines:
+            for line in low.ret_lines:
                 emit(line)
         elif op == "pop":
             if vstack:
@@ -770,10 +524,10 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                 vdeps.pop()
                 vmeta.pop()
             else:
-                impure[0] = True
+                em.impure = True
                 emit("s.pop()")
         elif op == "vec.load":
-            impure[0] = True
+            em.impure = True
             elem = type_of(instr.ty)
             lanes = 16 // ty.sizeof(elem)
             packer = vector_struct(elem, lanes)
@@ -790,7 +544,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             else:
                 push(f"list({unpack}({data}, {addr}))")
         elif op == "vec.store":
-            impure[0] = True
+            em.impure = True
             elem = type_of(instr.ty)
             lanes = 16 // ty.sizeof(elem)
             packer = vector_struct(elem, lanes)
@@ -819,7 +573,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                     fused_rhs = f"{fold.group(1)}({fold.group(2)}" \
                         f"({cores}))"
                     lines.pop()
-                    marker_at = min(marker_at, len(lines))
+                    em.marker_at = min(em.marker_at, len(lines))
             addr = pop_addr()
             if tier2 and static4 \
                     and (addr, packer.size) in proven_bounds:
@@ -842,7 +596,7 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             else:
                 limit = bound_limit(packer.size)
                 upper = f"{addr} <= {limit}" if limit is not None \
-                    else f"{addr} + {packer.size} <= {size}"
+                    else f"{addr} + {packer.size} <= {tier.size}"
                 guard = "" if static4 \
                     else f"len({value}) == {lanes} and "
                 emit(f"if {guard}{addr} >= {NULL_GUARD} and {upper}:")
@@ -876,22 +630,18 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                     emit(f"mem.store_vec({elem_name}, {addr}, "
                          f"{value})", "    ")
         elif op.startswith("vec.") and op[4:] in BIN_OPS:
-            impure[0] = True            # lane-count mismatch traps
+            em.impure = True            # lane-count mismatch traps
             bop = op[4:]
             elem = type_of(instr.ty)
             kernel = env.bind(vec_binop_kernel(bop, elem), "v")
-            if not (tier2 and isinstance(elem, ty.FloatType)
-                    and elem.bits == 32
-                    and bop in ("add", "sub", "mul", "min", "max")):
+            quad = em.quad_kernels(bop, elem)
+            if quad is None:
                 b = pop()
                 a = pop()
                 push(f"{kernel}({a}, {b})")
             else:
-                # Inline the 4-lane f32 kernel: raw lane results, one
-                # <4f> pack/unpack round trip — exactly the quad
-                # kernel's arithmetic, minus the call.  Operands whose
-                # lane count the block hasn't proven guard into the
-                # kernel (generic lanes, exact mismatch trap).
+                # Inline the 4-lane f32 kernel; operands whose lane
+                # count the block hasn't proven guard into the kernel.
                 b, _, bm = popm()
                 a, _, am = popm()
                 # Fuse a just-materialized 4-lane temp (typically a
@@ -913,30 +663,12 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
                             b = fusedexpr
                         else:
                             a = fusedexpr
-                        marker_at -= 1
-                quad = env.bind(_F32_QUAD.pack, "qp"), \
-                    env.bind(_F32_QUAD.unpack, "qu")
-                sym = _ARITH_SYMS.get(bop)
-                if sym:
-                    cores = ", ".join(f"_a{i} {sym} _b{i}"
-                                      for i in range(4))
-                else:
-                    cores = ", ".join(f"{bop}(_a{i}, _b{i})"
-                                      for i in range(4))
+                        em.marker_at -= 1
                 guards = [f"len({operand}) == 4"
                           for operand, m in ((a, am), (b, bm))
                           if m is None or m.get("lanes") != 4]
                 result = newt()
-                pad = ""
-                if guards:
-                    emit(f"if {' and '.join(guards)}:")
-                    pad = "    "
-                emit(f"_a0, _a1, _a2, _a3 = {a}", pad)
-                emit(f"_b0, _b1, _b2, _b3 = {b}", pad)
-                emit(f"{result} = {quad[1]}({quad[0]}({cores}))", pad)
-                if guards:
-                    emit("else:")
-                    emit(f"{result} = {kernel}({a}, {b})", "    ")
+                em.quad(quad, a, b, guards, result, "{0}", kernel)
                 vstack.append(result)
                 vdeps.append(_EMPTY_DEPS)
                 # With a 4-lane operand the kernel fallback can only
@@ -957,450 +689,30 @@ def _gen_block_lines(code, leader: int, length: int, frame_offsets,
             else:
                 push(f"[{x}] * {lanes}")
         elif op == "vec.reduce":
-            impure[0] = True            # empty-vector trap
+            em.impure = True            # empty-vector trap
             reduce_op, acc_tag = instr.arg
-            if reduce_op not in ("add", "max", "min"):
-                raise ValueError("undefined reduce op")   # -> fallback
-            elem = type_of(instr.ty)
-            acc_ty = type_of(acc_tag)
-            widen_kernel = cast_kernel(elem, acc_ty)
-            widen_tpl = fold_tpl = None
-            if tier2:
-                if widen_kernel is identity_kernel:
-                    widen_tpl = ("{a}", True)
-                else:
-                    widen_tpl = inline_cast(elem, acc_ty, env)
-                fold_tpl = inline_binop(reduce_op, acc_ty, env)
-            vec = popm()[0]             # tuples index/iterate the same
-            acc, lane = newt(), newt()
-            emit(f"if not {vec}:")
-            emit("raise TrapError('reduce of empty vector')", "    ")
-            if widen_tpl is not None and widen_tpl[1] \
-                    and fold_tpl is not None and fold_tpl[1]:
-                # Inline the whole fold: no kernel call per lane.
-                wexpr = widen_tpl[0]
-                emit(f"{acc} = {wexpr.format(a=f'{vec}[0]')}")
-                emit(f"for {lane} in {vec}[1:]:")
-                emit(f"{acc} = "
-                     f"{fold_tpl[0].format(a=acc, b=wexpr.format(a=lane))}",
-                     "    ")
-            else:
-                widen = env.bind(widen_kernel, "k")
-                fold = env.bind(binop_kernel(reduce_op, acc_ty), "k")
-                emit(f"{acc} = {widen}({vec}[0])")
-                emit(f"for {lane} in {vec}[1:]:")
-                emit(f"{acc} = {fold}({acc}, {widen}({lane}))", "    ")
+            acc = em.reduce(
+                reduce_op, type_of(instr.ty), type_of(acc_tag),
+                lambda: popm()[0])      # tuples index/iterate the same
             push_atom(acc)
         else:
             raise ValueError(f"unknown opcode {op!r}")    # -> fallback
 
-        if len(lines) > marker_at and impure[0]:
-            if tier2 and info is not None:
-                # Tier-2 keeps the hot path marker-free: the caller
-                # builds a source-line -> instruction-offset table
-                # from these records and the except clause maps the
-                # trapping line back through the exception traceback.
-                info.setdefault("marks", []).append(
-                    (marker_at, pc - leader))
-            else:
-                lines.insert(marker_at, f"_i = {pc - leader}")
+        em.end(pc - leader)
 
     if code[exit_pc - 1].op not in ("br", "brif", "ret", "call"):
         # fall-through block: transfer to the next leader explicitly
         flush()
         emit(goto_fmt.format(exit_pc))
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# tier-2: whole-function translation
-# ---------------------------------------------------------------------------
-#
-# One generated Python function covers every fuel block of the
-# function: a ``while 1`` dispatcher over block leaders, VM locals
-# lowered to Python locals, and the same per-op lowering as the
-# block tier (shared via ``_gen_block_lines``).  The contract matches
-# a block handler exactly — ``_t2(s, lo, ar, fb, mem, vm) -> pc`` —
-# so the trampoline in ``VM._run_fast`` can treat its return value
-# like any block's:
-#
-# * ``-1``   — the function returned (result flushed onto ``s``);
-# * leader pc — a *deopt*: a fuel debit would cross the limit, or the
-#   block resisted translation.  The tier-2 code writes its lowered
-#   locals back into ``lo``, leaves the block **undebited** and hands
-#   the leader to the block-threaded trampoline, which re-debits and
-#   (on fuel exhaustion) meters per instruction — so instruction
-#   counts and trap messages stay byte-identical to the reference.
-#
-# Fuel accounting comes in two shapes: functions containing calls
-# keep ``vm.instructions_executed`` live at every block debit (the
-# callee's debits must interleave with the caller's exactly as
-# per-instruction accounting would), while call-free functions carry
-# the counter in a local and flush it on every exit path.
-
-def _build_tier2(func: BytecodeFunction, binding=None,
-                 warm: bool = False):
-    """Compile the whole-function tier-2 form of ``func``, or ``None``
-    when the translation fails to build — a build failure is never an
-    execution failure, callers just stay on the block-threaded tier.
-
-    The lane/tuple/bounds facts come from the dataflow plane
-    (:func:`repro.analysis.facts.bytecode_facts`); a function the
-    plane declines gets no tier-2 at all."""
-    facts, fresh = bytecode_facts(func, binding)
-    if fresh:
-        TIER2_BUILDS["facts_warm" if warm else "facts_request"] += 1
-    if facts is None:
-        return None
-    try:
-        source, env = _gen_tier2(func, binding, facts)
-        exec(compile(source, f"<pvi-t2:{func.name}>", "exec"), env)
-        t2 = env["_t2"]
-        #: the per-leader entry whitelist, for introspection/tests
-        t2.osr_entries = env.get("_OSR_ENTRIES", frozenset())
-        t2.guards_elided = env.get("_GUARDS_ELIDED", 0)
-        t2.guards_kept = env.get("_GUARDS_KEPT", 0)
-        TIER2_BUILDS["guards_elided"] += t2.guards_elided
-        TIER2_BUILDS["guards_kept"] += t2.guards_kept
-        return t2
-    except Exception:
-        return None
-
-
-def _gen_tier2(func: BytecodeFunction, binding=None, facts=None):
-    """Source + exec environment for the tier-2 translation, under the
-    proven facts of the dataflow plane (computed here when the caller
-    has none; raises if the plane declines the function)."""
-    code = func.code
-    n = len(code)
-    frame_offsets = func.frame_offsets()
-    env_dict = {"TrapError": TrapError, "_PE": PACK_COERCE_ERRORS}
-    env = CodegenEnv(env_dict)
-    blocks = fuel_blocks(code)
-    nlocals = len(func.local_types)
-    has_calls = any(instr.op == "call" for instr in code)
-
-    load_locals = "; ".join(f"l{i} = lo[{i}]" for i in range(nlocals))
-    writeback = ["; ".join(f"lo[{i}] = l{i}" for i in range(nlocals))] \
-        if nlocals else []
-    if has_calls:
-        counter_flush = []
-        ret_lines = ("return -1",)
-    else:
-        counter_flush = ["vm.instructions_executed = executed"]
-        ret_lines = ("vm.instructions_executed = executed", "return -1")
-
-    out: List[str] = []
-
-    def w(line: str, indent: int = 0) -> None:
-        out.append(" " * indent + line)
-
-    num_params = len(func.param_types)
-
-    # Loop blocks head the dispatch ladder: every block inside a
-    # back-edge span (the leaders a loop iterates over) is checked
-    # before the straight-line entry/exit blocks, so iterations match
-    # on the first arms instead of scanning the whole elif chain once
-    # per transfer (which made short-block loops slower than the
-    # trampoline's O(1) handler indexing).
-    hot = set()
-    for src, instr in enumerate(code):
-        if instr.op in ("br", "brif") and isinstance(instr.arg, int) \
-                and 0 <= instr.arg <= src:
-            hot.update(b for b in blocks if instr.arg <= b <= src)
-    ordered = [b for b in blocks if b in hot] \
-        + [b for b in blocks if b not in hot]
-
-    # Pre-translate every block; an untranslatable block keeps no
-    # dispatch arm — its leader falls through to the else arm, a
-    # per-block deopt point.  The two whole-function facts the blocks
-    # are generated under — locals that may ever hold a deferred vec
-    # *tuple*, and vector locals whose lane count every ``stloc``
-    # provably preserves — used to be re-discovered here by
-    # regenerating all blocks to a fixed point; they now come proven
-    # from the dataflow plane (``repro.analysis.passes.lane_fixpoint``
-    # runs the same abstract meta rules to the same fixpoint), so one
-    # generation pass suffices.  The pass still records what it sees,
-    # and any disagreement with the facts (a drift bug between emitter
-    # and analysis) aborts the build rather than risk a miscompile.
-    if facts is None:
-        facts, _ = bytecode_facts(func, binding)
-        if facts is None:
-            raise ValueError(
-                f"analysis declined {func.name!r}; no tier-2 facts")
-    tuple_locals = facts.tuple_locals
-    lane_locals = dict(facts.lane_locals)
-    bodies = {}
-    marks_by = {}
-    info = {"tuple_stores": set(), "lane_breaks": set()}
-    for leader in blocks:
-        try:
-            bodies[leader] = _gen_block_lines(
-                code, leader, blocks[leader], frame_offsets, env,
-                binding, local_fmt="l{0}", goto_fmt="pc = {0}",
-                ret_lines=ret_lines, tier2=True,
-                safe_args=num_params, tuple_locals=tuple_locals,
-                lane_locals=lane_locals, info=info)
-        except Exception:
-            bodies[leader] = None
-        marks_by[leader] = info.pop("marks", [])
-    if info["lane_breaks"] or not info["tuple_stores"] <= tuple_locals \
-            or not info.get("bounds_sizes", set()) <= facts.access_widths:
-        raise ValueError(
-            f"dataflow facts for {func.name!r} disagree with codegen")
-
-    # Deopt writeback: tuple-bearing locals normalize back to lists
-    # at every engine-observable boundary — the block tier and the
-    # reference only ever store lists in the frame.
-    if tuple_locals:
-        writeback = ["; ".join(
-            f"lo[{i}] = list(l{i}) if type(l{i}) is tuple else l{i}"
-            if i in tuple_locals else f"lo[{i}] = l{i}"
-            for i in range(nlocals))]
-
-    # Two-block natural loops — a header ending in ``brif`` and a
-    # lone latch ending in ``br header`` — run as a native ``while``
-    # inside the header's dispatch arm, so loop iterations pay no
-    # dispatch at all.  Fuel checks, debits and deopt returns stay
-    # per block, byte-identical to the ladder form.  (Any *other*
-    # entry into a fused latch lands in the else arm — a deopt,
-    # correct but slower; real loop latches have no such entries.)
-    loops = {}
-    dropped = set()
-    for src, instr in enumerate(code):
-        if instr.op != "br" or not isinstance(instr.arg, int):
-            continue
-        header = instr.arg
-        if header not in blocks or header > src:
-            continue
-        latch = max(b for b in blocks if b <= src)
-        if latch == header or src != latch + blocks[latch] - 1:
-            continue
-        hbody, lbody = bodies.get(header), bodies.get(latch)
-        if not hbody or not lbody or lbody[-1] != f"pc = {header}":
-            continue
-        branch = re.fullmatch(r"pc = (\d+) if (.+) else (\d+)",
-                              hbody[-1])
-        if branch is None:
-            continue
-        taken, fall = int(branch.group(1)), int(branch.group(3))
-        if taken == fall or latch not in (taken, fall):
-            continue
-        if header in loops:
-            dropped.add(header)     # two latches: keep the ladder form
-        loops[header] = (latch, branch.group(2), taken, fall)
-    for header in dropped:
-        del loops[header]
-    loops = {header: entry for header, entry in loops.items()
-             if header not in {e[0] for e in loops.values()}
-             and entry[0] not in loops}
-    fused_latches = {entry[0] for entry in loops.values()}
-
-    # On-stack replacement entry points: translated back-edge targets
-    # (loop headers) outside fused latches.  The trampoline may call
-    # ``_t2`` with ``pc`` at one of these, handing over the live
-    # block-tier frame mid-call; the prologue below re-establishes
-    # every entered-once fact from that snapshot or declines the
-    # entry by returning ``pc`` untouched (nothing debited, nothing
-    # written — the block tier just continues).
-    osr_entries = frozenset(
-        t for t in backedge_targets(code, blocks)
-        if bodies.get(t) and t not in fused_latches)
-    env_dict["_OSR_ENTRIES"] = osr_entries
-
-    w("def _t2(s, lo, ar, fb, mem, vm, pc=0):")
-    if num_params:
-        # Entry arity guard: deopt (undebited, before touching any
-        # state) when the caller passed fewer args than the signature
-        # names, so the block tier raises the reference's IndexError
-        # on exactly the right ``ldarg``.  Past the guard, every
-        # in-signature ``ar[k]`` read is provably safe, which lets the
-        # emitter defer them as pure expressions.
-        w(f"if len(ar) < {num_params}:", 4)
-        w("return pc", 8)
-        w("; ".join(f"a{k} = ar[{k}]" for k in range(num_params)), 4)
-    w("fuel = vm.fuel", 4)
-    w("_md = mem.data; _ms = mem.size", 4)
-    bounds_sizes = sorted(facts.access_widths)
-    if bounds_sizes:
-        # Bounds-check upper limits, hoisted: ``mem.size`` is already
-        # proven loop-invariant across ``_t2`` (``_ms``), so each
-        # access width's limit folds to one compare per check.  The
-        # widths are the analysis plane's ``access_widths`` fact — a
-        # superset of what this pass's checks reference (proven
-        # ``vec.store`` forms skip the re-check entirely).
-        w("; ".join(f"_ms{n} = _ms - {n}" for n in bounds_sizes), 4)
-    if load_locals:
-        w(load_locals, 4)
-    # OSR entry guard: only whitelisted leaders may enter mid-call.
-    # The lane facts are whole-function invariants over *every*
-    # ``stloc`` — the analysis proves them for any state the block
-    # tier can hand over (it only ever stores plain lists, and a
-    # partially executed block ends the call rather than reach a
-    # leader) — so the per-entry re-checks the prologue used to emit
-    # are always true and are elided.  ``PVI_OSR_GUARDS=1`` keeps
-    # them (differential escape hatch: both modes must observe
-    # byte-identical runs); either way the counts are surfaced in
-    # ``tier2_build_stats()``.
-    if osr_entries:
-        osr_name = env.bind(osr_entries, "osr")
-        lane_checks = " and ".join(
-            f"type(l{index}) is list and len(l{index}) == {lanes}"
-            for index, lanes in sorted(lane_locals.items()))
-        if lane_checks and keep_osr_guards():
-            env_dict["_GUARDS_KEPT"] = len(lane_locals)
-        elif lane_checks:
-            env_dict["_GUARDS_ELIDED"] = len(lane_locals)
-            lane_checks = ""
-        w("if pc:", 4)
-        if lane_checks:
-            w(f"if pc not in {osr_name} or not ({lane_checks}):", 8)
-        else:
-            w(f"if pc not in {osr_name}:", 8)
-        w("return pc", 12)
-    else:
-        w("if pc:", 4)
-        w("return pc", 8)
-    if not has_calls:
-        w("executed = vm.instructions_executed", 4)
-    w("while 1:", 4)
-
-    def emit_deopt(leader: int, base: int) -> None:
-        for line in writeback:
-            w(line, base)
-        if not has_calls:
-            w("vm.instructions_executed = executed", base)
-        w(f"return {leader}", base)
-
-    def emit_body(leader: int, base: int, body, marks) -> None:
-        """Block body at indent ``base``.  A block with no marks has
-        no instruction that can raise — no rollback handler at all.
-        Otherwise the body runs under one ``try`` whose except clause
-        maps the trapping *source line* (via the exception traceback)
-        back to the instruction offset whose progress marker would
-        have been active there — the hot path stays free of the
-        per-instruction ``_i`` stores the block tier pays."""
-        length = blocks[leader]
-        if not marks:
-            for line in body:
-                w(line, base)
-            return
-        owners = []
-        position, active = 0, length - 1
-        for index in range(len(body)):
-            while position < len(marks) and marks[position][0] <= index:
-                active = marks[position][1]
-                position += 1
-            owners.append(active)
-        table = {}
-        w("try:", base)
-        for index, line in enumerate(body):
-            table[len(out) + 1] = owners[index]
-            w(line, base + 4)
-        name = env.bind(table, "lm")
-        w("except Exception as _e:", base)
-        # roll the debit back to the trapping instruction, exactly
-        # like the block tier's except clause
-        w(f"_i = {name}.get(_e.__traceback__.tb_lineno, "
-          f"{length - 1})", base + 4)
-        if has_calls:
-            w(f"vm.instructions_executed -= {length} - _i - 1",
-              base + 4)
-        else:
-            w("vm.instructions_executed = "
-              f"executed - ({length} - _i - 1)", base + 4)
-        w("raise", base + 4)
-
-    def emit_block(leader: int, base: int, body, marks) -> None:
-        """Fuel check + (possibly trap-mapped) body at ``base``."""
-        length = blocks[leader]
-        if has_calls:
-            w(f"executed = vm.instructions_executed + {length}", base)
-            w("if executed > fuel:", base)
-            emit_deopt(leader, base + 4)
-            w("vm.instructions_executed = executed", base)
-        else:
-            w(f"executed += {length}", base)
-            w("if executed > fuel:", base)
-            w(f"executed -= {length}", base + 4)
-            emit_deopt(leader, base + 4)
-        emit_body(leader, base, body, marks)
-
-    keyword = "if"
-    for leader in ordered:
-        body = bodies[leader]
-        if body is None or leader in fused_latches:
-            continue
-        w(f"{keyword} pc == {leader}:", 8)
-        keyword = "elif"
-        if leader not in loops:
-            emit_block(leader, 12, body, marks_by[leader])
-            continue
-        latch, cond, taken, fall = loops[leader]
-        if latch == taken:
-            exit_test, exit_target = f"not ({cond})", fall
-        else:
-            exit_test, exit_target = cond, taken
-        header_len, latch_len = blocks[leader], blocks[latch]
-        w("while 1:", 12)
-        if not has_calls and len(body) == 1 and not marks_by[leader]:
-            # Empty-header loop (the condition is one pure deferred
-            # expression): both block debits merge into one charge at
-            # the loop top.  Exit refunds the latch's share, and when
-            # the merged charge crosses the fuel limit the loop falls
-            # back to the ladder's per-block debit order — so deopt
-            # pcs, fuel traps and final counts stay byte-identical.
-            w(f"executed += {header_len + latch_len}", 16)
-            w("if executed > fuel:", 16)
-            w(f"executed -= {header_len + latch_len}", 20)
-            w(f"executed += {header_len}", 20)
-            w("if executed > fuel:", 20)
-            w(f"executed -= {header_len}", 24)
-            emit_deopt(leader, 24)
-            w(f"if {exit_test}:", 20)
-            w(f"pc = {exit_target}", 24)
-            w("break", 24)
-            w(f"executed += {latch_len}", 20)
-            w("if executed > fuel:", 20)
-            w(f"executed -= {latch_len}", 24)
-            emit_deopt(latch, 24)
-            w(f"elif {exit_test}:", 16)
-            w(f"executed -= {latch_len}", 20)
-            w(f"pc = {exit_target}", 20)
-            w("break", 20)
-            emit_body(latch, 16, bodies[latch][:-1], marks_by[latch])
-        else:
-            # The header's terminal branch becomes the loop exit; the
-            # latch's terminal ``pc = header`` becomes the implicit
-            # back edge.
-            exits = [f"if {exit_test}:", f"    pc = {exit_target}",
-                     "    break"]
-            emit_block(leader, 16, body[:-1] + exits,
-                       marks_by[leader])
-            emit_block(latch, 16, bodies[latch][:-1],
-                       marks_by[latch])
-
-    fell = env.bind(f"{func.name}: fell off code end", "m")
-    w(f"{keyword} pc == {n}:", 8)
-    for line in counter_flush:
-        w(line, 12)
-    w(f"raise TrapError({fell})", 12)
-    w("else:", 8)
-    for line in writeback:
-        w(line, 12)
-    for line in counter_flush:
-        w(line, 12)
-    w("return pc", 12)
-
-    return "\n".join(out), env_dict
+    return em
 
 
 # ---------------------------------------------------------------------------
 # raw per-instruction handlers (metered path + codegen fallback)
 # ---------------------------------------------------------------------------
 
-def _make_raw_handler(pc: int, instr, frame_offsets,
-                      n: int, binding=None) -> Handler:
+def _make_raw_handler(low: _BytecodeLowering, pc: int,
+                      instr) -> Handler:
     op = instr.op
     nxt = pc + 1
 
@@ -1474,24 +786,24 @@ def _make_raw_handler(pc: int, instr, frame_offsets,
             mem.store(value_ty, s.pop(), value)
             return nxt
     elif op == "frame":
-        offset = frame_offsets[instr.arg]
+        offset = low.frame_offsets[instr.arg]
 
         def handler(s, lo, ar, fb, mem, vm):
             s.append(fb + offset)
             return nxt
     elif op == "br":
-        target = normalize_branch_target(instr.arg, n)
+        target = normalize_branch_target(instr.arg, len(low.code))
 
         def handler(s, lo, ar, fb, mem, vm):
             return target
     elif op == "brif":
-        target = normalize_branch_target(instr.arg, n)
+        target = normalize_branch_target(instr.arg, len(low.code))
 
         def handler(s, lo, ar, fb, mem, vm):
             return target if s.pop() != 0 else nxt
     elif op == "call":
         callee_name = instr.arg
-        resolved = _resolved_callee(binding, callee_name)
+        resolved = low._resolved_callee(callee_name)
         if resolved is not None:
             count = len(resolved.param_types)
             has_ret = resolved.ret_type is not None
@@ -1580,3 +892,138 @@ def _make_raw_handler(pc: int, instr, frame_offsets,
             raise TrapError(f"unknown opcode {op!r}")
 
     return handler
+
+
+# ---------------------------------------------------------------------------
+# the engine: the VM's hooks under the tier scaffold
+# ---------------------------------------------------------------------------
+
+class _BytecodeLowering(Lowering):
+    """The VM's operand model under the shared tier scaffold: a
+    virtual operand stack with deferral, locals in the ``lo`` list."""
+
+    signature = "s, lo, ar, fb, mem, vm"
+    machine = "vm"
+    executed = "instructions_executed"
+    tags = ("pvi", "pvi-t2")
+    rollback_note = (
+        "# roll the debit back to the trapping instruction",)
+    block_tier = block_tier("lo[{0}]")
+    tier2_tier = whole_tier("l{0}")
+    predecoded = PredecodedFunction
+    stats = TIER2_BUILDS
+
+    def __init__(self, func, binding=None):
+        super().__init__(func, binding)
+        self.frame_offsets = func.frame_offsets()
+        # The whole-function facts tier-2 blocks are generated under
+        # (``begin_tier2``); the block tier assumes none.
+        self.safe_args = 0
+        self.tuple_locals = _EMPTY_DEPS
+        self.lane_locals = {}
+        #: what the tier-2 lowering saw, cross-checked against the
+        #: facts by ``check_facts``
+        self.info = None
+
+    raw_handler = _make_raw_handler
+
+    def lower(self, leader, length, tier):
+        return _gen_block_lines(self, leader, length, tier)
+
+    def frame_data(self, module) -> dict:
+        func = self.func
+        scalar_defaults: List = []
+        vector_locals: List = []
+        for index, tag in enumerate(func.local_types):
+            if is_vector_local(tag):
+                scalar_defaults.append(None)
+                elem = type_of(vector_elem_tag(tag))
+                vector_locals.append((index, 16 // ty.sizeof(elem)))
+            elif tag in ("f32", "f64"):
+                scalar_defaults.append(0.0)
+            else:
+                scalar_defaults.append(0)
+        return dict(frame_size=func.frame_size(),
+                    scalar_defaults=scalar_defaults,
+                    vector_locals=vector_locals,
+                    has_ret=func.ret_type is not None,
+                    tier2_hot=_tier2_hot(func, module))
+
+    @staticmethod
+    def facts(func, binding):
+        return bytecode_facts(func, binding)
+
+    def begin_tier2(self, facts):
+        # The two whole-function facts the blocks are generated under
+        # — locals that may ever hold a deferred vec *tuple*, and
+        # vector locals whose lane count every ``stloc`` provably
+        # preserves — come proven from the dataflow plane
+        # (``repro.analysis.passes.lane_fixpoint`` runs the emitter's
+        # abstract meta rules to a fixpoint), so one generation pass
+        # suffices.
+        func = self.func
+        nlocals = len(func.local_types)
+        tuple_locals = self.tuple_locals = facts.tuple_locals
+        self.lane_locals = dict(facts.lane_locals)
+        self.info = {"tuple_stores": set(), "lane_breaks": set(),
+                     "bounds_sizes": set()}
+        entry = []
+        num_params = self.safe_args = len(func.param_types)
+        if num_params:
+            # Entry arity guard: deopt (undebited, before touching any
+            # state) when the caller passed fewer args than the
+            # signature names, so the block tier raises the
+            # reference's IndexError on exactly the right ``ldarg``.
+            # Past the guard, every in-signature ``ar[k]`` read is
+            # provably safe, which lets the emitter defer them as pure
+            # expressions.
+            entry = [f"if len(ar) < {num_params}:", "    return pc",
+                     "; ".join(f"a{k} = ar[{k}]"
+                               for k in range(num_params))]
+        load = []
+        bounds_sizes = sorted(facts.access_widths)
+        if bounds_sizes:
+            # Bounds-check upper limits, hoisted: ``mem.size`` is
+            # already proven loop-invariant across ``_t2`` (``_ms``),
+            # so each access width's limit folds to one compare per
+            # check.  The widths are the analysis plane's
+            # ``access_widths`` fact — a superset of what this pass's
+            # checks reference (proven ``vec.store`` forms skip the
+            # re-check entirely).
+            load.append("; ".join(f"_ms{n} = _ms - {n}"
+                                  for n in bounds_sizes))
+        writeback = []
+        if nlocals:
+            load.append("; ".join(f"l{i} = lo[{i}]"
+                                  for i in range(nlocals)))
+            # Deopt writeback: tuple-bearing locals normalize back to
+            # lists at every engine-observable boundary — the block
+            # tier and the reference only ever store lists in the
+            # frame.
+            writeback = ["; ".join(
+                f"lo[{i}] = list(l{i}) if type(l{i}) is tuple else l{i}"
+                if i in tuple_locals else f"lo[{i}] = l{i}"
+                for i in range(nlocals))]
+        return entry, load, writeback
+
+    def check_facts(self, facts) -> None:
+        info = self.info
+        if info["lane_breaks"] \
+                or not info["tuple_stores"] <= facts.tuple_locals \
+                or not info["bounds_sizes"] <= facts.access_widths:
+            raise ValueError(f"dataflow facts for {self.name!r} "
+                             f"disagree with codegen")
+
+    def fact_guards(self, entries):
+        # The lane facts are whole-function invariants over *every*
+        # ``stloc`` (the block tier only ever stores plain lists, and
+        # a partially executed block ends the call rather than reach
+        # a leader), so one check covers every entry.
+        lane_locals = self.lane_locals
+        if not lane_locals:
+            return 0, []
+        lane_checks = " and ".join(
+            f"type(l{index}) is list and len(l{index}) == {lanes}"
+            for index, lanes in sorted(lane_locals.items()))
+        return len(lane_locals), [f"if not ({lane_checks}):",
+                                  "    return pc"]

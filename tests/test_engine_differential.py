@@ -1118,12 +1118,10 @@ class TestOSR:
         assert keep, "test program must have a loop header"
         real = threaded._gen_block_lines
 
-        def failing(code_, leader, length, frame_offsets, env,
-                    binding=None, **kwargs):
-            if kwargs.get("tier2") and leader not in keep:
+        def failing(low, leader, length, tier):
+            if tier.tier2 and leader not in keep:
                 raise RuntimeError("forced untranslatable (test)")
-            return real(code_, leader, length, frame_offsets, env,
-                        binding, **kwargs)
+            return real(low, leader, length, tier)
 
         monkeypatch.setattr(threaded, "_gen_block_lines", failing)
         want = VM(bytecode, engine=REFERENCE)
@@ -1147,12 +1145,10 @@ class TestOSR:
         assert keep, "test program must have a loop header"
         real = dispatch._gen_block_lines
 
-        def failing(name, code_, leader, length, env, written_at_entry,
-                    binding=None, **kwargs):
-            if kwargs.get("tier2") and leader not in keep:
+        def failing(low, leader, length, tier):
+            if tier.tier2 and leader not in keep:
                 raise RuntimeError("forced untranslatable (test)")
-            return real(name, code_, leader, length, env,
-                        written_at_entry, binding, **kwargs)
+            return real(low, leader, length, tier)
 
         monkeypatch.setattr(dispatch, "_gen_block_lines", failing)
         want = Simulator(compiled, Memory(),
