@@ -223,11 +223,11 @@ class DeploymentPool:
     def _compile(artifact: OfflineArtifact, target: TargetDesc,
                  flow: Flow):
         # Dispatches through the target's registered backend.  No
-        # eager predecode here: the fast engine predecodes lazily
-        # and caches on the function object, so the first simulation
-        # of a memoized image pays decode exactly once — warming
-        # eagerly would tax the latency-sensitive cold-deploy path
-        # instead (callers that want decode-free first dispatch can
-        # use the backend's `warm` hook).
+        # eager predecode here or in any executor: the fast engine
+        # predecodes lazily and caches on the function object, so
+        # the first simulation of a memoized image pays decode
+        # exactly once — warming eagerly would tax the
+        # latency-sensitive cold-deploy path instead (a caller that
+        # wants decode-free first dispatch calls `warm_module`).
         return compile_for_target(select_bytecode(artifact, flow),
                                   target, flow)

@@ -1,10 +1,11 @@
 """Adaptive executor routing: cold fan-outs to processes, warm to threads.
 
-The executor redesign (PR 5) proved the two substrates' economics:
-worker *processes* win cold JIT fan-out (many distinct compiles
-scale past the GIL, at a pickle/decode toll per job), worker
-*threads* win warm traffic (no seam toll; the GIL is irrelevant for
-the rare single compile a warm artifact still needs).  A serving
+The executor redesign (PR 5) set out the two substrates' economics:
+worker *processes* for cold JIT fan-out (many distinct compiles can
+run past the GIL, at a serialize/pickle toll per job — a win no
+committed bench row shows yet, DESIGN.md §5), worker *threads* for
+warm traffic (no seam toll; the GIL is irrelevant for the rare
+single compile a warm artifact still needs).  A serving
 edge sees both mixes at once, so :class:`AdaptiveExecutor` routes per
 submission instead of making the operator pick one:
 

@@ -95,9 +95,8 @@ class EdgeConfig:
     #: concurrent serving tasks draining the queue
     workers: int = 8
     max_body_bytes: int = 1 << 20
-    #: executor routing: adaptive (cold/warm) unless ``adaptive=False``,
-    #: in which case ``cold_executor`` alone is the pool's executor
-    adaptive: bool = True
+    #: the two routes of the owned service's
+    #: :class:`AdaptiveExecutor` (cold fan-outs / warm residuals)
     cold_executor: Executorish = "process"
     warm_executor: Executorish = "thread"
     #: API-key table; ``None`` serves an open edge (anonymous tenant,
@@ -194,12 +193,10 @@ class EdgeServer:
         self.config = config or EdgeConfig()
         self._owns_core = service is None
         if service is None:
-            executor = (AdaptiveExecutor(self.config.cold_executor,
-                                         self.config.warm_executor)
-                        if self.config.adaptive
-                        else self.config.cold_executor)
             service = CompilationService(
-                executor=executor, **self.config.service_kwargs)
+                executor=AdaptiveExecutor(self.config.cold_executor,
+                                          self.config.warm_executor),
+                **self.config.service_kwargs)
         self.core = service
         self.router: Optional[AdaptiveExecutor] = \
             service.pool.executor if isinstance(
@@ -595,9 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(process/thread/inline)")
     parser.add_argument("--warm-executor", default="thread",
                         help="route for warm residual compiles")
-    parser.add_argument("--no-adaptive", action="store_true",
-                        help="disable routing; cold executor serves "
-                             "everything")
     parser.add_argument("--persist-dir", type=Path, default=None,
                         help="artifact cache directory (facts tables "
                              "persist with artifacts; a warm start "
@@ -619,7 +613,7 @@ def main(argv=None) -> int:
     config = EdgeConfig(
         host=args.host, port=args.port,
         queue_depth=args.queue_depth, max_wait_s=args.max_wait,
-        workers=args.workers, adaptive=not args.no_adaptive,
+        workers=args.workers,
         cold_executor=args.cold_executor,
         warm_executor=args.warm_executor,
         tenants=tenants, service_kwargs=service_kwargs)

@@ -12,11 +12,10 @@ became data in earlier redesigns.  Three implementations ship:
 * :class:`ProcessExecutor` — a :class:`~concurrent.futures.
   ProcessPoolExecutor` that ships the pickled artifact wire encoding
   plus the (frozen, picklable) ``TargetDesc`` and ``Flow`` across the
-  process seam, compiles in the worker, and re-warms the predecode
-  cache on return.  This is the one that parallelizes *cold* JIT
-  fan-out past the GIL — the process-level parallelism the roadmap
-  queued once ``Flow``/``PipelineSpec``/``JITOptions`` (PR 2) and
-  ``TargetDesc`` (PR 4) became picklable.
+  process seam and compiles in the worker.  This is the one that
+  parallelizes *cold* JIT fan-out past the GIL — the process-level
+  parallelism the roadmap queued once ``Flow``/``PipelineSpec``/
+  ``JITOptions`` (PR 2) and ``TargetDesc`` (PR 4) became picklable.
 * :class:`InlineExecutor` — runs the compile synchronously in the
   calling thread and returns an already-settled future.  Fully
   deterministic; the differential suite and unit tests use it to take
@@ -25,7 +24,10 @@ became data in earlier redesigns.  Three implementations ship:
 Every executor exposes the same ``submit(compile_fn, artifact,
 target, flow) -> Future`` surface plus per-executor
 :class:`ExecutorStats`, which the service aggregates into
-``ServiceStats.deploy_executors``.
+``ServiceStats.deploy_executors``.  The contract holds on all three:
+the future resolves to exactly the image ``compile_for_target`` built;
+predecode and tier-2 are built lazily by the engine that first runs
+the image, never by the service.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from collections import OrderedDict
 from concurrent.futures import (
     Future, ProcessPoolExecutor, ThreadPoolExecutor,
 )
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -64,10 +67,6 @@ class ExecutorStats:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
-    #: images re-warmed on return from a worker (predecode + tier-2
-    #: translation prepaid before the image is served), so a bench can
-    #: assert that served calls never compile in-request
-    warmed: int = 0
 
     @property
     def in_flight(self) -> int:
@@ -76,7 +75,7 @@ class ExecutorStats:
     def as_dict(self) -> Dict[str, object]:
         return {"name": self.name, "submitted": self.submitted,
                 "completed": self.completed, "failed": self.failed,
-                "warmed": self.warmed, "in_flight": self.in_flight}
+                "in_flight": self.in_flight}
 
 
 class DeployExecutor:
@@ -193,22 +192,6 @@ def _worker_init(flows, targets) -> None:
         register_target(target, replace=True)
 
 
-def _strip_predecode(image) -> None:
-    """Drop predecode caches before the image crosses back.
-
-    Predecode payloads are handler *closures* — unpicklable by design.
-    The parent re-warms through the target backend's ``warm`` hook, so
-    stripping costs nothing but the decode the parent prepays anyway.
-    """
-    for holder in (image, getattr(image, "module", None)):
-        functions = getattr(holder, "functions", None)
-        if not isinstance(functions, dict):
-            continue
-        for func in functions.values():
-            if hasattr(func, "_predecode_cache"):
-                del func._predecode_cache
-
-
 def _compile_in_worker(wire: bytes, fingerprint: str, target, flow):
     """The worker-side compile: bytes in, picklable image out."""
     from repro.core.online import select_bytecode
@@ -224,10 +207,8 @@ def _compile_in_worker(wire: bytes, fingerprint: str, target, flow):
             _WORKER_ARTIFACTS.popitem(last=False)
     else:
         _WORKER_ARTIFACTS.move_to_end(fingerprint)
-    image = compile_for_target(select_bytecode(artifact, flow), target,
-                               flow)
-    _strip_predecode(image)
-    return image
+    return compile_for_target(select_bytecode(artifact, flow), target,
+                              flow)
 
 
 #: parent-side wire-encoding cache bound (entries are full artifact
@@ -242,10 +223,8 @@ class ProcessExecutor(DeployExecutor):
     Flow)`` — all picklable by prior design — to a lazily created
     :class:`~concurrent.futures.ProcessPoolExecutor`; the worker
     decodes (once per artifact, cached), compiles through the target's
-    registered backend, strips the unpicklable predecode closures and
-    returns the image.  On return the parent re-warms predecode via
-    the backend's ``warm`` hook, so memoized images still dispatch
-    decode-free.
+    registered backend and returns the image.  The seam's toll is
+    serialize + pickle, nothing else.
 
     ``compile_fn`` is ignored: the compile must be the canonical
     module-level path (a monkeypatched or closure-bound compile cannot
@@ -255,11 +234,9 @@ class ProcessExecutor(DeployExecutor):
 
     name = "process"
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 warm_on_return: bool = True):
+    def __init__(self, max_workers: Optional[int] = None):
         super().__init__()
         self.max_workers = max_workers
-        self.warm_on_return = warm_on_return
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         #: fingerprint -> serialized artifact, bounded — one encoding
@@ -267,10 +244,6 @@ class ProcessExecutor(DeployExecutor):
         #: to, without pinning wire bytes onto long-lived artifacts
         self._wires: "OrderedDict[str, bytes]" = OrderedDict()
         self._wire_lock = threading.Lock()
-        #: warming runs here, NOT on the process pool's single
-        #: result-handler thread — a warm there would serialize all
-        #: warms and delay delivery of every other worker's result
-        self._warm_pool: Optional[ThreadPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -281,9 +254,21 @@ class ProcessExecutor(DeployExecutor):
                     max_workers=self.max_workers,
                     initializer=_worker_init,
                     initargs=(registered_flows(), registered_targets()))
-                self._warm_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="pvi-warm")
             return self._pool
+
+    def _discard_broken(self, pool: ProcessPoolExecutor) -> None:
+        """One dead worker breaks a ``ProcessPoolExecutor`` for good:
+        forget it, so the next submit starts a fresh pool and the loss
+        stays with the jobs that were in flight.
+
+        Only the reference is dropped.  A broken pool has already
+        terminated its workers and joined its queues, and this runs
+        inside a done callback that Python >= 3.12 invokes under the
+        pool's shutdown lock — ``pool.shutdown()`` here would
+        deadlock."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
 
     def _wire_for(self, artifact) -> Tuple[bytes, str]:
         from repro.service.cache import (
@@ -306,58 +291,28 @@ class ProcessExecutor(DeployExecutor):
                flow) -> Future:
         pool = self._ensure_pool()
         wire, fingerprint = self._wire_for(artifact)
-        inner = pool.submit(_compile_in_worker, wire, fingerprint,
-                            target, flow)
-        outer: Future = Future()
-        outer.set_running_or_notify_cancel()
+        try:
+            future = pool.submit(_compile_in_worker, wire, fingerprint,
+                                 target, flow)
+        except BrokenProcessPool:
+            self._discard_broken(pool)
+            raise
 
-        def _finish(done: Future) -> None:
-            try:
-                image = done.result()
-            except BaseException as exc:
-                outer.set_exception(exc)
-                return
-            if self.warm_on_return:
-                try:
-                    from repro.targets.registry import backend_for
-                    backend_for(target).warm(image)
-                except Exception:
-                    pass   # warming is an optimization, never correctness
-                else:
-                    with self._stats_lock:
-                        self.stats.warmed += 1
-            outer.set_result(image)
+        def _settled(done: Future) -> None:
+            if not done.cancelled() and \
+                    isinstance(done.exception(), BrokenProcessPool):
+                self._discard_broken(pool)
 
-        def _relay(done: Future) -> None:
-            # Runs on the process pool's single result-handler thread:
-            # do nothing heavy here — hand the (possibly expensive)
-            # warm-and-settle to the warm pool so other workers'
-            # results keep flowing.
-            warm_pool = self._warm_pool
-            if self.warm_on_return and warm_pool is not None:
-                try:
-                    warm_pool.submit(_finish, done)
-                    return
-                except RuntimeError:
-                    pass            # warm pool shut down mid-flight
-            _finish(done)
-
-        inner.add_done_callback(_relay)
-        return self._track(outer)
+        future.add_done_callback(_settled)
+        return self._track(future)
 
     def shutdown(self, wait: bool = True) -> None:
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            warm_pool, self._warm_pool = self._warm_pool, None
         with self._wire_lock:
             self._wires.clear()
-        # Process pool first: its result-handler callbacks are what
-        # feed the warm pool, so draining it before the warm pool
-        # closes keeps every in-flight future settling.
         if pool is not None:
             pool.shutdown(wait=wait)
-        if warm_pool is not None:
-            warm_pool.shutdown(wait=wait)
 
 
 # ---------------------------------------------------------------------------

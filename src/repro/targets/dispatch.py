@@ -102,15 +102,17 @@ def predecode_machine(func: CompiledFunction,
 
 
 def warm_module(module: CompiledModule) -> CompiledModule:
-    """Predecode every function of an image (JIT/service warm hook).
+    """Predecode every function of an image ahead of its first run —
+    a plain function for a caller that wants the build outside a timed
+    region; the service never calls it, the engine builds lazily.
 
     Functions the JIT hinted for tier-2 — and every on-stack
     replacement candidate (any function with a loop header, which a
     long-running call may promote mid-loop) — also get their
-    whole-function translation built here, so warmed deployments
-    dispatch straight into tier-2 code with no in-request compile
-    pause (:func:`tier2_build_stats` proves it: serving calls on a
-    warmed image leave the ``request`` bucket untouched)."""
+    whole-function translation built here, so later runs dispatch
+    straight into tier-2 code with no compile pause
+    (:func:`tier2_build_stats` proves it: runs of an image this
+    function has seen leave the ``request`` bucket untouched)."""
     for func in module.functions.values():
         pre = predecode_machine(func, module)
         if pre.tier2_hint or pre.osr_leaders:

@@ -112,8 +112,8 @@ class CompiledFunction:
     # Same contract as ``BytecodeFunction``: the fast simulator
     # (repro.targets.dispatch) parks its handler closures here, keyed
     # by a structural token of ``code`` so in-place edits invalidate
-    # by content.  The JIT warms this at compile time, so images
-    # served from the deployment memo dispatch with no decode cost.
+    # by content.  The engine fills it on the first run of the
+    # function; a memoized image keeps it for every later run.
 
     #: bumped whenever the predecode payload shape changes (e.g. the
     #: OSR entry-point set added alongside the handler table, or the

@@ -12,16 +12,17 @@ schedulable and cacheable, with no edits anywhere else.
 
 The second half is the :class:`Backend` protocol.  What used to be
 implicit convention — "compile with the JIT, execute with the
-simulator, warm with ``warm_module``, cost with ``target.costs``" —
-is now an object a target names by its ``backend`` field:
+simulator" — is now an object a target names by its ``backend``
+field, with two methods:
 
 * :meth:`Backend.compile` — the codegen entry point (bytecode +
   target + flow -> executable image);
 * :meth:`Backend.executor` — construct an executor for an image
-  (something with ``run(name, args) -> SimulationResult``);
-* :meth:`Backend.warm` — prepay the image's predecode caches;
-* :meth:`Backend.cost_model` / :meth:`Backend.size_model` — the
-  models the backend charges against.
+  (something with ``run(name, args) -> SimulationResult``).
+
+The models a backend charges against are the target's own
+``target.costs`` / ``target.sizes``, and the executor's engine builds
+its predecode lazily on the first run.
 
 The built-in :class:`NativeBackend` is the register-machine JIT +
 cycle simulator pipeline; :mod:`repro.targets.stackvm` registers a
@@ -35,7 +36,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.targets.machine import CostModel, SizeModel, TargetDesc
+from repro.targets.machine import TargetDesc
 
 Targetish = Union[str, TargetDesc]
 
@@ -81,8 +82,7 @@ class UnknownBackendError(KeyError, ValueError):
 class Backend:
     """What a target's toolchain must provide.
 
-    Subclass and override :meth:`compile` and :meth:`executor`; the
-    warm hook and the cost/size accessors have sensible defaults.  An
+    Subclass and override :meth:`compile` and :meth:`executor`.  An
     image returned by :meth:`compile` must expose the accounting
     surface the service and ``compare_flows`` read: ``target_name``,
     ``functions`` (values carrying ``jit_time``), ``total_code_bytes``,
@@ -104,16 +104,6 @@ class Backend:
                  engine: Optional[str] = None):
         """Construct an executor ready to ``run(name, args)``."""
         raise NotImplementedError
-
-    def warm(self, image):
-        """Prepay the image's predecode caches (default: no-op)."""
-        return image
-
-    def cost_model(self, target: TargetDesc) -> CostModel:
-        return target.costs
-
-    def size_model(self, target: TargetDesc) -> SizeModel:
-        return target.sizes
 
 
 class NativeBackend(Backend):
@@ -138,10 +128,6 @@ class NativeBackend(Backend):
         return Simulator(image, memory,
                          fuel=DEFAULT_FUEL if fuel is None else fuel,
                          engine=engine)
-
-    def warm(self, image):
-        from repro.targets.dispatch import warm_module
-        return warm_module(image)
 
 
 # ---------------------------------------------------------------------------

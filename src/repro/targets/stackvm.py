@@ -159,12 +159,6 @@ class StackBackend(Backend):
                  engine: Optional[str] = None) -> StackExecutor:
         return StackExecutor(image, memory, fuel=fuel, engine=engine)
 
-    def warm(self, image: StackImage) -> StackImage:
-        from repro.vm import threaded
-        for func in image.module:
-            threaded.predecode(func, image.module)
-        return image
-
 
 #: wasm32-class stack-machine target: SIMD128-capable (the VM executes
 #: PVI vector bytecode natively), no meaningful register file (the

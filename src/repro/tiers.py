@@ -54,10 +54,11 @@ from repro.semantics.memory import (
 class Tier2BuildStats:
     """Tier-2 build-site accounting, one instance per engine.
 
-    ``warm`` builds happen off the hot path (the ``warm`` hooks);
-    ``request`` builds happen inside a serving call.  A warmed image
-    keeps the request bucket at zero — the bench/CI stat that proves
-    warming prepays whole-function codegen.  ``facts_warm`` /
+    ``warm`` builds are the ones a caller asked for ahead of a run
+    (``warm_module`` / ``warm_bytecode_module``); ``request`` builds
+    happen inside a run.  An image built ahead keeps the request
+    bucket at zero — the bench/CI stat that proves the explicit call
+    prepays whole-function codegen.  ``facts_warm`` /
     ``facts_request`` count fresh dataflow-plane analyses by the same
     split (facts provenance), and ``guards_elided`` / ``guards_kept``
     count OSR prologue fact guards the analysis proved redundant (kept

@@ -11,17 +11,24 @@ numbers.
 from __future__ import annotations
 
 import asyncio
+import copy
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core import deploy
+from repro.core import deploy, offline_compile
+from repro.engine import osr_enabled
+from repro.flows import as_flow
 from repro.semantics import Memory
 from repro.service import (
     AsyncCompilationService, CompilationService, CompileRequest,
     DeploymentPool, InlineExecutor, ProcessExecutor, ThreadExecutor,
     UnknownExecutorError, as_executor, executor_names,
 )
-from repro.targets import Simulator, X86
+from repro.targets import X86, executor_for
 from repro.targets.catalog import TARGETS
 from repro.workloads import TABLE1
 
@@ -30,11 +37,13 @@ SUM_U8 = TABLE1["sum_u8"].source
 EXECUTOR_NAMES = ("inline", "thread", "process")
 
 
-def simulate(kernel_name: str, compiled, n: int = 48, seed: int = 7):
+def simulate(kernel_name: str, compiled, n: int = 48, seed: int = 7,
+             engine=None):
     kernel = TABLE1[kernel_name]
     memory = Memory(1 << 21)
     run = kernel.prepare(memory, n, seed)
-    result = Simulator(compiled, memory).run(kernel.entry, run.args)
+    result = executor_for(compiled, memory, engine=engine).run(
+        kernel.entry, run.args)
     outputs = [memory.read_array(t, addr, count)
                for t, addr, count in run.outputs]
     return (repr(result.value), [repr(o) for o in outputs],
@@ -44,6 +53,26 @@ def simulate(kernel_name: str, compiled, n: int = 48, seed: int = 7):
 def code_of(image):
     return [repr(inst) for f in image.functions.values()
             for inst in f.code]
+
+
+def predecoded(image):
+    """Names of the functions carrying an engine predecode (a stack
+    image runs its bytecode module's functions)."""
+    holder = getattr(image, "module", image)
+    return [func.name for func in holder.functions.values()
+            if getattr(func, "_predecode_cache", None) is not None]
+
+
+def first_run_builds(image):
+    """Run ``image`` once at an ``n`` long enough to promote the loop;
+    the tier-2 builds that run paid in-request, per engine."""
+    from repro.targets.dispatch import tier2_build_stats as machine
+    from repro.vm.threaded import tier2_build_stats as vm
+
+    before = machine()["request"], vm()["request"]
+    simulate("saxpy_fp", image, n=4096, engine="fast")
+    return (machine()["request"] - before[0],
+            vm()["request"] - before[1])
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +142,7 @@ class TestExecutorEquivalence:
             for name, image in images.items():
                 reference = baseline[name]
                 assert code_of(image) == code_of(reference)
+                assert predecoded(image) == []
                 assert image.total_code_bytes == \
                     reference.total_code_bytes
                 assert image.total_jit_work == reference.total_jit_work
@@ -139,10 +169,67 @@ class TestExecutorEquivalence:
         finally:
             svc.shutdown()
 
+    @pytest.mark.parametrize("target_name", ["x86", "wasm32"])
+    @pytest.mark.parametrize("executor_name", EXECUTOR_NAMES)
+    def test_engine_not_service_builds_predecode(self, executor_name,
+                                                 target_name):
+        """The executor contract: the future holds exactly what the
+        JIT built, so the first run of the image builds predecode and
+        tier-2 in-request — by the same amount on every substrate."""
+        svc = CompilationService(executor=executor_name)
+        try:
+            artifact = svc.artifact(SAXPY, "k")
+            # the serviceless JIT's oracle gets its own artifact: a
+            # stack image runs the artifact's own bytecode functions
+            fresh = copy.deepcopy(artifact)
+            image = svc.deploy(artifact, target_name, "split")
+            assert predecoded(image) == []
+            builds = first_run_builds(image)
+            assert predecoded(image) != []
+            assert builds == first_run_builds(
+                deploy(fresh, target_name, "split"))
+            # one loop, one OSR promotion (none under PVI_OSR=0)
+            assert sum(builds) == int(osr_enabled())
+        finally:
+            svc.shutdown()
+
+    @pytest.mark.parametrize("executor_name", EXECUTOR_NAMES)
+    def test_compile_error_is_the_futures_exception(self, executor_name):
+        """A compile that raises — in the caller, a thread or a worker
+        process — arrives through the future and counts as failed."""
+        from repro.jit.frontend import FrontendError
+
+        malformed = offline_compile(SUM_U8)
+        for module in (malformed.bytecode, malformed.scalar_bytecode):
+            for func in module.functions.values():
+                func.code.pop()                   # drop the final ret
+        executor = as_executor(executor_name)
+        try:
+            future = executor.submit(DeploymentPool._compile, malformed,
+                                     X86, as_flow("split"))
+            assert isinstance(future.exception(timeout=60),
+                              FrontendError)
+            assert executor.stats.failed == 1
+            assert executor.stats.in_flight == 0
+        finally:
+            executor.shutdown()
+
+    @pytest.mark.parametrize("executor_name", EXECUTOR_NAMES)
+    def test_shutdown_settles_the_job_in_flight(self, executor_name):
+        artifact = offline_compile(SAXPY)
+        executor = as_executor(executor_name)
+        future = executor.submit(DeploymentPool._compile, artifact, X86,
+                                 as_flow("split"))
+        executor.shutdown(wait=True)
+        assert future.done()
+        assert code_of(future.result()) == \
+            code_of(deploy(artifact, X86, "split"))
+        assert executor.stats.in_flight == 0
+
     def test_process_executor_reuses_decoded_artifact(self):
         """Fan-out through worker processes: one artifact, many
-        targets, every image correct (the worker-side artifact cache
-        and the predecode re-warm path)."""
+        targets, every image correct (the worker-side artifact
+        cache)."""
         svc = CompilationService(executor=ProcessExecutor(max_workers=1))
         try:
             artifact = svc.artifact(SAXPY, "k")
@@ -154,31 +241,32 @@ class TestExecutorEquivalence:
         finally:
             svc.shutdown()
 
-    def test_process_executor_warms_images_before_serving(self):
-        """Images returned from worker processes are re-warmed —
-        predecode plus tier-2 translation — *before* the future
-        settles: the ``warmed`` stat counts them, and serving the
-        image never builds tier-2 in-request."""
-        from repro.targets.dispatch import (
-            reset_tier2_build_stats, tier2_build_stats,
-        )
-
+    def test_process_executor_survives_a_killed_worker(self):
+        """One dead worker breaks a ``ProcessPoolExecutor`` for good;
+        the executor must drop it, so only the jobs that were in
+        flight are lost and the next deploy gets a fresh pool."""
         executor = ProcessExecutor(max_workers=1)
         svc = CompilationService(executor=executor)
         try:
             artifact = svc.artifact(SAXPY, "k")
-            reset_tier2_build_stats()
-            image = svc.deploy(artifact, X86, "split")
-            assert executor.stats.warmed == 1
-            assert executor.stats.as_dict()["warmed"] == 1
-            warmed = tier2_build_stats()
-            assert warmed["warm"] >= 1, \
-                "saxpy has a loop header: the warm hook must " \
-                "pre-translate the OSR candidate"
-            simulate("saxpy_fp", image)
-            assert tier2_build_stats()["request"] == \
-                warmed["request"], \
-                "a warmed image must never compile tier-2 in-request"
+            before = set(multiprocessing.active_children())
+            svc.deploy(artifact, X86, "split")       # starts the worker
+            (worker,) = set(multiprocessing.active_children()) - before
+            others = [t for t in TARGETS.values() if t is not X86]
+            pending = svc.pool.submit_many(artifact, others, "split")
+            os.kill(worker.pid, signal.SIGKILL)
+            lost = [name for name, (future, _) in pending.items()
+                    if isinstance(future.exception(timeout=60),
+                                  BrokenProcessPool)]
+            assert lost, "no queued job was lost to the kill"
+            assert executor.stats.failed == len(lost)
+            assert executor.stats.in_flight == 0
+            # a failure is never memoized: the same triple re-runs,
+            # on a fresh pool
+            image = svc.deploy(artifact, lost[0], "split")
+            assert code_of(image) == \
+                code_of(deploy(artifact, lost[0], "split"))
+            assert executor.stats.in_flight == 0
         finally:
             svc.shutdown()
 

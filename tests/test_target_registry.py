@@ -113,8 +113,6 @@ class TestRegistryBasics:
     def test_backend_for_resolves_protocol_object(self):
         assert isinstance(backend_for("x86"), Backend)
         assert backend_for("wasm32").name == "stack"
-        assert backend_for("x86").cost_model(X86) is X86.costs
-        assert backend_for("x86").size_model(X86) is X86.sizes
 
     def test_cache_key_separates_same_named_targets(self):
         a = make_custom_target()
@@ -287,14 +285,6 @@ class TestWasm32Differential:
                    for f in image.functions.values())
         assert image.total_jit_analysis_work == 0
         assert image.total_code_bytes > 0
-
-    def test_backend_warm_hook(self):
-        image = deploy(offline_compile(TABLE1["sum_u8"].source),
-                       "wasm32", "split")
-        warmed = backend_for("wasm32").warm(image)
-        assert warmed is image
-        for func in image.module:
-            assert getattr(func, "_predecode_cache", None) is not None
 
     def test_wasm32_through_service_and_kpn_mapper(self):
         """The stack backend rides the service memo and is schedulable
