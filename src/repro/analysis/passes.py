@@ -3,17 +3,17 @@
 Five passes feed the proven-facts table (:mod:`repro.analysis.facts`):
 
 * **Vector-lane/tuple fixpoint** (VM bytecode) — the whole-function
-  greatest fixpoint the tier-2 VM emitter used to re-derive inside its
-  codegen loop: which locals may ever hold a deferred vec *tuple*, and
-  which vector locals provably keep their lane count across every
-  ``stloc``.  The abstract interpreter below mirrors the emitter's
-  meta-stack rules (:func:`repro.vm.threaded._gen_block_lines`)
-  *call for call* — same validating helper calls in the same order, so
-  a block aborts analysis at exactly the instruction whose generated
-  (or raw) handler raises at execution time.  Facts recorded before
-  the abort therefore hold on every real execution prefix, which is
-  what makes OSR guard elision sound: stores past an abort point never
-  execute on any tier.
+  greatest fixpoint the tier-2 VM emitter generates its blocks under:
+  which locals may ever hold a deferred vec *tuple*, and which vector
+  locals provably keep their lane count across every ``stloc``.  The
+  abstract interpreter below mirrors the emitter's meta-stack rules
+  (:func:`repro.vm.threaded._gen_block_lines`) *call for call* — same
+  validating helper calls in the same order, so a block aborts
+  analysis at exactly the instruction whose lowering raises, which is
+  the instruction that raises when the block executes.  Facts recorded
+  before the abort therefore hold on every real execution prefix,
+  which is what makes OSR guard elision sound: stores past an abort
+  point never execute on any tier.
 * **Must-written registers** (machine code) — the forward must-
   dataflow previously private to ``targets.dispatch``: registers
   definitely written on every internal path reaching a leader.
@@ -74,9 +74,8 @@ def _scalar_meta(value_ty):
 
 
 def _abstract_block(code, leader: int, length: int, frame_offsets,
-                    env: CodegenEnv, binding, safe_args: int,
-                    tuple_locals: frozenset, lane_locals: dict,
-                    info: dict, widths: set) -> None:
+                    env: CodegenEnv, binding, tuple_locals: frozenset,
+                    lane_locals: dict, info: dict, widths: set) -> None:
     """One block of the emitter's meta dataflow, emission elided.
 
     Must stay in lockstep with ``repro.vm.threaded._gen_block_lines``
@@ -84,9 +83,10 @@ def _abstract_block(code, leader: int, length: int, frame_offsets,
     meta values, the same ``tuple_stores``/``lane_breaks`` recording,
     and — critically — the same raising helper calls in the same
     order, so an exception aborts this walk at exactly the instruction
-    whose handler raises when the block executes.  The tier-2 build cross-checks the final
-    codegen pass against these facts (``check_facts``) and declines on
-    any mismatch, so a drift bug degrades to the block tier instead of
+    whose lowering raises — the one that raises when the block
+    executes.  The tier-2 build cross-checks the final codegen pass
+    against these facts (``check_facts``) and declines on any
+    mismatch, so a drift bug degrades to the block tier instead of
     miscompiling.
     """
     vmeta: List = []
@@ -121,10 +121,7 @@ def _abstract_block(code, leader: int, length: int, frame_offsets,
                 meta = None
             push(meta)
         elif op == "ldarg":
-            if instr.arg < safe_args:   # same raise on non-int args
-                push()
-            else:
-                push()
+            push()
         elif op == "stloc":
             meta = popm()
             if meta is not None and meta.get("tuple"):
@@ -269,8 +266,7 @@ def _abstract_block(code, leader: int, length: int, frame_offsets,
 
 def lane_fixpoint(func, binding=None):
     """``(tuple_locals, lane_locals, access_widths)`` — the VM tier-2
-    whole-function facts, to the same fixed point the emitter's
-    in-codegen loop used to reach.
+    whole-function facts, at their fixed point.
 
     ``tuple_locals`` grows monotonically (a local that ever receives a
     deferred vec tuple taints every ``ldloc`` of it); ``lane_locals``
@@ -285,7 +281,6 @@ def lane_fixpoint(func, binding=None):
     blocks = BlockCFG(code).blocks
     frame_offsets = func.frame_offsets()
     env = CodegenEnv({})
-    safe_args = len(func.param_types)
     tuple_locals = frozenset()
     lane_locals: Dict[int, int] = {}
     for index, tag in enumerate(func.local_types):
@@ -298,7 +293,7 @@ def lane_fixpoint(func, binding=None):
         for leader in blocks:
             try:
                 _abstract_block(code, leader, blocks[leader],
-                                frame_offsets, env, binding, safe_args,
+                                frame_offsets, env, binding,
                                 tuple_locals, lane_locals, info, widths)
             except Exception:
                 pass                # partial facts up to the abort count

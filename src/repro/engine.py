@@ -126,9 +126,10 @@ def osr_threshold() -> int:
 
 class MeterTrip(Exception):
     """Internal to the fast engines: a block-entry fuel debit crossed
-    the limit.  The dispatch loop catches it and re-executes the block
-    instruction-by-instruction (the *metered* path), so the fuel trap
-    lands on exactly the instruction the reference engine would have
+    the limit.  The dispatch loop catches it and hands the block to
+    :func:`repro.tiers.replay_metered` (the *metered* path), which
+    steps the instructions the fuel still covers and raises the fuel
+    trap on exactly the instruction the reference engine would have
     trapped on — and an earlier non-fuel trap inside the block still
     wins, as it would per-instruction."""
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -625,12 +626,19 @@ def main(argv=None) -> int:
                   f"http://{config.host}:{edge.port} "
                   f"(queue={config.queue_depth}, "
                   f"workers={config.workers})", flush=True)
-            await asyncio.Event().wait()    # until cancelled
+            # SIGTERM (how a container runtime stops a service) leaves
+            # through the same ``async with`` unwind as SIGINT, so the
+            # process pool's workers are joined either way.
+            stop = asyncio.Event()
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, stop.set)
+            await stop.wait()
 
     try:
         asyncio.run(serve())
     except KeyboardInterrupt:
-        print("pvi-serve: shutting down")
+        pass
+    print("pvi-serve: shutting down")
     return 0
 
 

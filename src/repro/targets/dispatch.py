@@ -11,24 +11,26 @@ locations, semantics kernels and cycle costs resolved at decode time.
 
 The structure is the tier scaffold (:mod:`repro.tiers`) shared with
 :mod:`repro.vm.threaded`; this module supplies the machine operand
-model (the per-opcode lowering over register files, the raw closures,
-the ``_t2`` frame lines, the register layout) and the block *counter
-vector*.  Every *fuel block* (ending at a branch, ``ret`` or ``call``)
-compiles to one Python function that debits fuel **and all counters**
-(instructions, cycles, branches, spills, calls) on entry — blocks
-execute linearly to their terminator, so successful runs reproduce the
-reference engine's per-instruction totals exactly.  A debit crossing
-the fuel limit re-runs the block instruction-by-instruction via the
-raw closures (:class:`repro.engine.MeterTrip` ->
-``Simulator._run_metered``), so the fuel trap lands on precisely the
-reference engine's instruction.  Blocks whose code generation bails
-fall back to the raw closures with the same block-entry debit.
+model (the per-opcode lowering over register files — the only
+fast-engine statement of what an opcode does — the ``_t2`` frame
+lines, the register layout) and the block *counter vector*.  Every
+*fuel block* (ending at a branch, ``ret`` or ``call``) compiles to one
+Python function that debits fuel **and all counters** (instructions,
+cycles, branches, spills, calls) on entry — blocks execute linearly to
+their terminator, so successful runs reproduce the reference engine's
+per-instruction totals exactly.  A debit crossing the fuel limit
+(:class:`repro.engine.MeterTrip`) steps the instructions the fuel
+still covers one at a time (:func:`repro.tiers.replay_metered`), so
+the fuel trap lands on precisely the reference engine's instruction.
+A step is the same lowering applied to a one-instruction block, built
+on first use; a block whose code generation bails steps the same way,
+under the same block-entry debit.
 
 The predecoded form is cached on the function object
 (``CompiledFunction.cached_predecode``) keyed by a structural content
 token, so the first simulation of an image pays decode exactly once no
-matter how many Simulators run it.  Latency-sensitive deployments can
-prepay it with :func:`warm_module` (the backend's ``warm`` hook).
+matter how many Simulators run it.  A caller that wants that build
+outside a timed region prepays it with :func:`warm_module`.
 
 When the module is *frozen* (``CompiledModule.freeze()`` — the JIT
 freezes every image it emits), ``call`` targets resolve once at
@@ -42,7 +44,6 @@ unchanged.
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from repro.analysis.facts import machine_facts
 from repro.engine import (      # MeterTrip: caught by the trampolines
@@ -69,13 +70,8 @@ UNSET = object()
 _REG_FILES = {"int": "ri", "flt": "rf", "vec": "rv"}
 _CLS_INDEX = {"int": 0, "flt": 1, "vec": 2}
 
-#: handler signature:
-#: (ri, rf, rv, slots, fb, mem, sim, res) -> pc   (-1 = returned)
-Handler = Callable
-
 #: this engine's tier-2 build-site counters (``warm`` builds come from
-#: :func:`warm_module` — the backend ``warm`` hook, see the service
-#: executors' warm-on-return path)
+#: :func:`warm_module`)
 TIER2_BUILDS = Tier2BuildStats()
 tier2_build_stats = TIER2_BUILDS.tier2_build_stats
 reset_tier2_build_stats = TIER2_BUILDS.reset_tier2_build_stats
@@ -171,8 +167,16 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             if type(value) is int:
                 return f"({value!r})"
             return env.bind(value, "c")
-        if kind == "slot":
-            raise ValueError("raw slot operand")      # -> fallback
+        if kind not in _REG_FILES:
+            # Malformed operand: trap where the reference's ``read``
+            # does — when (and only if) this read is reached.
+            em.impure = True
+            message = env.bind(
+                "raw slot operand outside spill op" if kind == "slot"
+                else f"{name}: read of uninitialized register "
+                     f"{kind}{value}", "m")
+            emit(f"raise TrapError({message})", indent)
+            return "None"
         location = reg_fmt.format(_REG_FILES[kind], value)
         if (kind, value) in written:
             return location
@@ -319,13 +323,15 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             emit(f"slots[{instr.arg}] = {read(instr.srcs[0])}")
         elif op == "br":
             target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):
-                raise ValueError("non-integer branch target")  # -> raw
+            if not isinstance(target, int):     # the reference's
+                # ``pc`` comparison raises TypeError here too
+                raise TypeError("non-integer branch target")
             emit(goto_fmt.format(target))
         elif op == "brif":
             target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):
-                raise ValueError("non-integer branch target")  # -> raw
+            if not isinstance(target, int):     # the reference's
+                # ``pc`` comparison raises TypeError here too
+                raise TypeError("non-integer branch target")
             cond = read(instr.srcs[0])
             test = f"({cond}) != 0"
             if tier2 and lines:
@@ -425,7 +431,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                             lambda: read(instr.srcs[0]))
             emit(f"{dst_of(instr)} = {acc}")
         else:
-            raise ValueError(f"bad machine opcode {op!r}")  # fallback
+            raise TrapError(f"bad machine opcode {op!r}")
 
         em.end(pc - leader)
 
@@ -433,269 +439,6 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         emit(goto_fmt.format(exit_pc))
 
     return em
-
-
-# ---------------------------------------------------------------------------
-# raw per-instruction handlers (metered path + codegen fallback)
-# ---------------------------------------------------------------------------
-
-def _reader(operand, name: str) -> Callable:
-    """A closure reading one operand from the flat register files."""
-    kind, value = operand
-    if kind == "imm":
-        def r(ri, rf, rv, _v=value):
-            return _v
-        return r
-    if kind == "slot":
-        def r(ri, rf, rv):
-            raise TrapError("raw slot operand outside spill op")
-        return r
-    if kind not in _CLS_INDEX:
-        # The reference's regs[kind] KeyError funnels into its
-        # uninitialized-register trap; match that.
-        def r(ri, rf, rv):
-            raise TrapError(f"{name}: read of uninitialized register "
-                            f"{kind}{value}")
-        return r
-    cls = _CLS_INDEX[kind]
-
-    def r(ri, rf, rv, _c=cls, _i=value):
-        v = (ri, rf, rv)[_c][_i]
-        if v is UNSET:
-            raise TrapError(f"{name}: read of uninitialized register "
-                            f"{kind}{value}")
-        return v
-    return r
-
-
-def _make_raw_handler(low: _MachineLowering, pc: int,
-                      instr) -> Handler:
-    name = low.name
-    op = instr.op
-    nxt = pc + 1
-    dst = instr.dst
-    if dst is not None and dst[0] in _CLS_INDEX:
-        dst_cls = _CLS_INDEX[dst[0]]
-        dst_index = dst[1]
-    else:
-        dst_cls = dst_index = None
-
-    def write(ri, rf, rv, value):
-        (ri, rf, rv)[dst_cls][dst_index] = value
-
-    if op == "bin":
-        kernel = binop_kernel(instr.arg, instr.ty)
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, kernel(ra(ri, rf, rv), rb(ri, rf, rv)))
-            return nxt
-    elif op == "mov":
-        ra = _reader(instr.srcs[0], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, ra(ri, rf, rv))
-            return nxt
-    elif op == "cmp":
-        kernel = cmp_kernel(instr.arg, instr.ty)
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, kernel(ra(ri, rf, rv), rb(ri, rf, rv)))
-            return nxt
-    elif op == "un":
-        kernel = unop_kernel(instr.arg, instr.ty)
-        ra = _reader(instr.srcs[0], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, kernel(ra(ri, rf, rv)))
-            return nxt
-    elif op == "cast":
-        from_ty, to_ty = instr.arg
-        kernel = cast_kernel(from_ty, to_ty)
-        ra = _reader(instr.srcs[0], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, kernel(ra(ri, rf, rv)))
-            return nxt
-    elif op == "select":
-        rc = _reader(instr.srcs[0], name)
-        ra = _reader(instr.srcs[1], name)
-        rb = _reader(instr.srcs[2], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            value = ra(ri, rf, rv) if rc(ri, rf, rv) != 0 \
-                else rb(ri, rf, rv)
-            write(ri, rf, rv, value)
-            return nxt
-    elif op == "load":
-        value_ty = instr.ty
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name) if len(instr.srcs) > 1 \
-            else None
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            addr = ra(ri, rf, rv)
-            if rb is not None:
-                addr += rb(ri, rf, rv)
-            write(ri, rf, rv, mem.load(value_ty, addr))
-            return nxt
-    elif op == "store":
-        value_ty = instr.ty
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name) if len(instr.srcs) > 2 \
-            else None
-        rs = _reader(instr.srcs[-1], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            addr = ra(ri, rf, rv)
-            if rb is not None:
-                addr += rb(ri, rf, rv)
-            mem.store(value_ty, addr, rs(ri, rf, rv))
-            return nxt
-    elif op == "lea.frame":
-        offset = instr.arg
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, fb + offset)
-            return nxt
-    elif op == "spill.ld":
-        slot = instr.arg
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            try:
-                value = slots[slot]
-            except KeyError:
-                raise TrapError(f"{name}: reload of empty spill "
-                                f"slot {slot}")
-            write(ri, rf, rv, value)
-            return nxt
-    elif op == "spill.st":
-        slot = instr.arg
-        ra = _reader(instr.srcs[0], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            slots[slot] = ra(ri, rf, rv)
-            return nxt
-    elif op == "br":
-        target = normalize_branch_target(instr.arg, len(low.code))
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            return target
-    elif op == "brif":
-        target = normalize_branch_target(instr.arg, len(low.code))
-        rc = _reader(instr.srcs[0], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            return target if rc(ri, rf, rv) != 0 else nxt
-    elif op == "call":
-        callee_name = instr.arg
-        resolved = low._resolved_callee(callee_name)
-        getters = []
-        for operand in instr.srcs:
-            if operand[0] == "slot":
-                def getter(ri, rf, rv, slots, _index=operand[1]):
-                    return slots[_index]
-            else:
-                def getter(ri, rf, rv, slots,
-                           _r=_reader(operand, name)):
-                    return _r(ri, rf, rv)
-            getters.append(getter)
-
-        if resolved is not None:
-            def handler(ri, rf, rv, slots, fb, mem, sim, res,
-                        _callee=resolved):
-                values = [g(ri, rf, rv, slots) for g in getters]
-                result = sim._call_fast(_callee, values, res)
-                if dst_cls is not None:
-                    write(ri, rf, rv, result)
-                return nxt
-        else:
-            def handler(ri, rf, rv, slots, fb, mem, sim, res):
-                values = [g(ri, rf, rv, slots) for g in getters]
-                callee = sim.module.functions[callee_name]
-                result = sim._call_fast(callee, values, res)
-                if dst_cls is not None:
-                    write(ri, rf, rv, result)
-                return nxt
-    elif op == "ret":
-        if instr.srcs:
-            ra = _reader(instr.srcs[0], name)
-
-            def handler(ri, rf, rv, slots, fb, mem, sim, res):
-                sim._ret = ra(ri, rf, rv)
-                return -1
-        else:
-            def handler(ri, rf, rv, slots, fb, mem, sim, res):
-                sim._ret = None
-                return -1
-    elif op == "vload":
-        elem = instr.ty.elem
-        lanes = instr.ty.lanes
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name) if len(instr.srcs) > 1 \
-            else None
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            addr = ra(ri, rf, rv)
-            if rb is not None:
-                addr += rb(ri, rf, rv)
-            write(ri, rf, rv, mem.load_vec(elem, lanes, addr))
-            return nxt
-    elif op == "vstore":
-        elem = instr.ty.elem
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name) if len(instr.srcs) > 2 \
-            else None
-        rs = _reader(instr.srcs[-1], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            addr = ra(ri, rf, rv)
-            if rb is not None:
-                addr += rb(ri, rf, rv)
-            mem.store_vec(elem, addr, rs(ri, rf, rv))
-            return nxt
-    elif op == "vbin":
-        kernel = vec_binop_kernel(instr.arg, instr.ty.elem)
-        ra = _reader(instr.srcs[0], name)
-        rb = _reader(instr.srcs[1], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, kernel(ra(ri, rf, rv), rb(ri, rf, rv)))
-            return nxt
-    elif op == "vsplat":
-        lanes = instr.ty.lanes
-        ra = _reader(instr.srcs[0], name)
-
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            write(ri, rf, rv, [ra(ri, rf, rv)] * lanes)
-            return nxt
-    elif op == "vreduce":
-        reduce_op, acc_ty = instr.arg
-        widen = cast_kernel(instr.ty.elem, acc_ty)
-        ra = _reader(instr.srcs[0], name)
-        if reduce_op in ("add", "max", "min"):
-            fold = binop_kernel(reduce_op, acc_ty)
-
-            def handler(ri, rf, rv, slots, fb, mem, sim, res):
-                vec = ra(ri, rf, rv)
-                if not vec:
-                    raise TrapError("reduce of empty vector")
-                acc = widen(vec[0])
-                for lane in vec[1:]:
-                    acc = fold(acc, widen(lane))
-                write(ri, rf, rv, acc)
-                return nxt
-        else:
-            def handler(ri, rf, rv, slots, fb, mem, sim, res):
-                raise TrapError(f"reduce op {reduce_op!r} undefined")
-    else:
-        def handler(ri, rf, rv, slots, fb, mem, sim, res):
-            raise TrapError(f"bad machine opcode {op!r}")
-
-    return handler
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +453,7 @@ class _MachineLowering(Lowering):
     signature = "ri, rf, rv, slots, fb, mem, sim, res"
     machine = "sim"
     executed = "_executed"
+    fuel_trap = "simulation fuel exhausted"
     fields = ("instructions", "cycles", "branches", "spill_loads",
               "spill_stores", "calls")
     tags = ("pvi-sim", "pvi-sim-t2")
@@ -731,8 +475,6 @@ class _MachineLowering(Lowering):
         #: leader -> must-written registers (``begin_tier2``); the
         #: block tier only knows the parameters
         self.entry_written: dict = {}
-
-    raw_handler = _make_raw_handler
 
     def lower(self, leader, length, tier):
         return _gen_block_lines(self, leader, length, tier)

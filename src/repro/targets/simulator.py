@@ -32,6 +32,7 @@ from repro.semantics import (
 from repro.targets import dispatch
 from repro.targets.dispatch import UNSET
 from repro.targets.isa import CompiledFunction, CompiledModule, MInst
+from repro.tiers import replay_metered
 
 DEFAULT_FUEL = 200_000_000
 
@@ -165,8 +166,8 @@ class Simulator:
                     pc = handlers[pc](ri, rf, rv, slots, frame_base,
                                       memory, self, counters)
                 except dispatch.MeterTrip as trip:
-                    pc = self._run_metered(trip.pc, pre.raw, ri, rf, rv,
-                                           slots, frame_base, counters)
+                    replay_metered(pre, trip.pc, self, ri, rf, rv, slots,
+                                   frame_base, memory, self, counters)
         finally:
             if pre.frame_bytes:
                 memory.pop_frame(frame_base, pre.frame_bytes)
@@ -203,9 +204,8 @@ class Simulator:
                 new_pc = handlers[pc](ri, rf, rv, slots, frame_base,
                                       memory, self, counters)
             except dispatch.MeterTrip as trip:
-                new_pc = self._run_metered(trip.pc, pre.raw, ri, rf,
-                                           rv, slots, frame_base,
-                                           counters)
+                replay_metered(pre, trip.pc, self, ri, rf, rv, slots,
+                               frame_base, memory, self, counters)
             if 0 <= new_pc <= pc and new_pc in leaders:
                 count = counts.get(new_pc, 0) + 1
                 if count < threshold:
@@ -229,27 +229,6 @@ class Simulator:
                             self.deopt_reentries += 1
                         deopted = new_pc >= 0
             pc = new_pc
-        return pc
-
-    def _run_metered(self, pc: int, raw, ri, rf, rv, slots, frame_base,
-                     counters) -> int:
-        """Per-instruction execution with exact fuel accounting — the
-        fallback once a block-entry debit crosses the limit.  In
-        practice it always ends in a trap within the current block, so
-        the (then unobservable) per-instruction counters are skipped."""
-        memory = self.memory
-        end = len(raw) - 1
-        while pc >= 0:
-            if pc >= end:
-                # falling off the code end is not a counted instruction
-                raw[end](ri, rf, rv, slots, frame_base, memory, self,
-                         counters)
-            executed = self._executed + 1
-            self._executed = executed
-            if executed > self.fuel:
-                raise TrapError("simulation fuel exhausted")
-            pc = raw[pc](ri, rf, rv, slots, frame_base, memory, self,
-                         counters)
         return pc
 
     # -- reference engine ------------------------------------------------------

@@ -2,16 +2,21 @@
 
 :mod:`repro.vm.threaded` (PVI bytecode, a virtual operand stack) and
 :mod:`repro.targets.dispatch` (machine code, ``_UNSET`` register
-files) translate a function the same way: raw per-instruction
-closures, fuel blocks compiled to one Python function each, and a
-lazily built whole-function tier-2 translation.  Everything about
-that translation that is *not* the operand model lives here, once:
+files) translate a function the same way: fuel blocks compiled to one
+Python function each, a lazily built whole-function tier-2
+translation, and one-instruction handlers for the trap paths — all
+three generated from the engine's one per-opcode lowering.
+Everything about that translation that is *not* the operand model
+lives here, once:
 
 * the build-site statistics (:class:`Tier2BuildStats`) and the
   predecoded form with its lazy, thread-safe ``tier2()`` build
   (:class:`Predecoded`);
 * the content-token cache protocol and the block-tier build loop
   (:meth:`Lowering.predecode`, :meth:`Lowering.build`);
+* one-instruction stepping: the lazy table of length-1 blocks
+  (:class:`StepTable`) behind the bail-out fallback body and the
+  metered replay (:func:`replay_metered`);
 * the block line emitter (:class:`BlockEmitter`): temps, progress
   marks, and the bounds / store / reduce / quad templates both
   engines spell identically;
@@ -22,13 +27,15 @@ that translation that is *not* the operand model lives here, once:
   deopt arms (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
 
 An engine is a :class:`Lowering` subclass: class attributes carry its
-data (handler signature, counter names, source tags) and a handful of
-hooks carry its operand model.  Nothing here asks which engine is
-calling; the engines import this module, never the reverse.
+data (handler signature, counter names, fuel trap, source tags) and a
+handful of hooks carry its operand model.  Nothing here asks which
+engine is calling; the engines import this module, never the reverse.
 
-The runtime trampolines (``_run_fast`` / ``_call_fast``, ``_run_osr``,
-``_run_metered``) stay per engine: their handler arities differ, and
-sharing them would put a ``*frame`` splat on the hottest loop.
+The runtime trampolines (``_run_fast`` / ``_call_fast``, ``_run_osr``)
+stay per engine: their handler arities differ, and sharing them would
+put a ``*frame`` splat on the hottest loop.  The metered replay they
+hand a :class:`repro.engine.MeterTrip` to is shared: it always ends
+in a trap, so its splat is paid once per failed call.
 """
 
 from __future__ import annotations
@@ -82,27 +89,70 @@ class Tier2BuildStats:
 #: failed or declined; stay block-threaded")
 _TIER2_UNBUILT = object()
 
-#: serializes first-time tier-2 builds.  Predecodes ride shared images
-#: (the deploy memo hands one object to every caller); the builds are
-#: pure Python, so one process-wide lock costs nothing a per-function
-#: lock would save.
-_TIER2_BUILD_LOCK = threading.Lock()
+#: serializes first-time tier-2 and step builds.  Predecodes ride
+#: shared images (the deploy memo hands one object to every caller);
+#: the builds are pure Python, so one process-wide lock costs nothing
+#: a per-function lock would save.
+_BUILD_LOCK = threading.Lock()
+
+
+class StepTable(dict):
+    """``pc -> handler`` for one instruction at a time: the engine's
+    block-tier lowering of the one-instruction block ``(pc, 1)``,
+    compiled without the debit prologue and built on first use.  A
+    length-1 block pops every operand it did not produce from the
+    engine's storage and flushes every result back, so it is exactly
+    one step of the reference ladder — the per-opcode lowering stays
+    the only fast-engine statement of what an opcode does.
+
+    Only trap paths step: the metered replay (:func:`replay_metered`)
+    and the generated fallback body of a block whose lowering bailed.
+    A step that cannot be lowered raises the lowering's exception when
+    it is *executed*, as the reference ladder only fails on the
+    instruction it runs."""
+
+    def __init__(self, low: Lowering):
+        super().__init__()
+        #: the block-tier build's lowering, continued lazily
+        self.low = low
+
+    def __missing__(self, pc: int) -> Callable:
+        with _BUILD_LOCK:
+            if pc not in self:          # a racing thread may have won
+                self[pc] = self._build(pc)
+        return self[pc]
+
+    def _build(self, pc: int) -> Callable:
+        low = self.low
+        try:
+            body = low.lower(pc, 1, low.block_tier).lines
+            source = "\n".join([f"def _s{pc}({low.signature}):"]
+                               + ["    " + line for line in body])
+            env = low.env.env
+            exec(compile(source, f"<{low.tags[0]}-step:{low.name}@{pc}>",
+                         "exec"), env)
+            return env[f"_s{pc}"]
+        except Exception as exc:
+            def deferred(*frame, _exc=exc):
+                raise _exc
+            return deferred
 
 
 class Predecoded:
     """One function's decoded form: block-compiled handlers at fuel
-    block leaders, raw per-instruction handlers (the metered path),
-    the lazily built tier-2 whole-function translation, and — in the
-    engine's subclass — the per-call frame initialization data."""
+    block leaders, the lazy one-instruction :class:`StepTable` (the
+    trap paths), the lazily built tier-2 whole-function translation,
+    and — in the engine's subclass — the per-call frame
+    initialization data."""
 
-    __slots__ = ("token", "handlers", "raw", "osr_leaders", "_tier2",
-                 "_tier2_args", "_lowering")
+    __slots__ = ("token", "handlers", "steps", "osr_leaders", "_tier2",
+                 "_tier2_args")
 
-    def __init__(self, lowering, token, handlers, raw, osr_leaders,
-                 tier2_args, **frame):
+    def __init__(self, token, handlers, steps: StepTable, osr_leaders,
+                 **frame):
         self.token = token
         self.handlers = handlers
-        self.raw = raw
+        self.steps = steps
         #: back-edge target leaders — the candidate on-stack
         #: replacement entry points the trampoline counts visits at.
         #: The generated ``_t2`` carries its own (possibly narrower)
@@ -110,8 +160,7 @@ class Predecoded:
         #: only gates whether counting is worth doing at all.
         self.osr_leaders = osr_leaders
         self._tier2 = _TIER2_UNBUILT
-        self._tier2_args = tier2_args
-        self._lowering = lowering
+        self._tier2_args = (steps.low.func, steps.low.binding)
         for name, value in frame.items():
             setattr(self, name, value)
 
@@ -120,19 +169,41 @@ class Predecoded:
         request and cached with the predecode (so it rides the same
         content-token invalidation).  ``None`` means the build failed
         or was declined — callers stay on the block-threaded tier.
-        ``warm`` marks a build happening off the serving path (the
-        warm hooks), for the build-site stats."""
+        ``warm`` marks a build a caller asked for ahead of a run
+        (``warm_module`` / ``warm_bytecode_module``), for the
+        build-site stats."""
         t2 = self._tier2
         if t2 is _TIER2_UNBUILT:
-            with _TIER2_BUILD_LOCK:
+            with _BUILD_LOCK:
                 t2 = self._tier2        # a racing thread may have won
                 if t2 is _TIER2_UNBUILT:
-                    func, binding = self._tier2_args
-                    t2 = None if func is None else \
-                        self._lowering._build_tier2(func, binding, warm)
-                    self._tier2 = t2
-                    self._tier2_args = (None, None)
+                    t2 = self._tier2 = type(self.steps.low)._build_tier2(
+                        *self._tier2_args, warm)
         return t2
+
+
+def replay_metered(pre: Predecoded, leader: int, machine, *frame):
+    """The *metered* path: a block-entry debit crossed the fuel limit
+    (:class:`repro.engine.MeterTrip`, block undebited), so step the
+    instructions the remaining fuel still covers — fewer than the
+    block holds, hence never its terminator and never out of the
+    block — and raise the engine's fuel trap on exactly the
+    instruction the reference ladder raises it on; an earlier trap of
+    a stepped instruction still wins.  Never returns.  ``frame`` is
+    the tripped handler's argument list (``machine`` among it)."""
+    low = pre.steps.low
+    executed = getattr(machine, low.executed)
+    covered = machine.fuel - executed
+    if covered >= low.blocks[leader]:
+        raise RuntimeError(f"{low.name}: metered replay of block "
+                           f"{leader}, which the fuel covers")
+    pc = leader
+    for _ in range(covered):
+        executed += 1
+        setattr(machine, low.executed, executed)
+        pc = pre.steps[pc](*frame)
+    setattr(machine, low.executed, executed + 1)
+    raise TrapError(low.fuel_trap)
 
 
 class Tier(NamedTuple):
@@ -254,7 +325,7 @@ class BlockEmitter:
         """Fold a vector into an accumulator temp (returned).
         ``read_vec`` emits the operand read and names the vector."""
         if reduce_op not in ("add", "max", "min"):
-            raise ValueError("undefined reduce op")   # -> fallback
+            raise TrapError(f"reduce op {reduce_op!r} undefined")
         env = self.env
         widen_kernel = cast_kernel(elem, acc_ty)
         widen_tpl = fold_tpl = None
@@ -560,6 +631,8 @@ class Lowering:
     #: the machine object's name in it, and its fuel counter attribute
     machine: str
     executed: str
+    #: the reference ladder's fuel trap message
+    fuel_trap: str
     #: result counters (on ``res``) in debit order; a block's
     #: ``charges`` name a subset
     fields: Tuple[str, ...] = ()
@@ -627,29 +700,19 @@ class Lowering:
         def tail(*frame):
             raise TrapError(f"{name}: fell off code end")
 
-        raw: List[Callable] = [None] * (n + 1)
-        raw[n] = tail
-        for pc, instr in enumerate(code):
-            try:
-                raw[pc] = self.raw_handler(pc, instr)
-            except Exception as exc:    # malformed instruction: the
-                # reference engine only fails when it *executes* it, so
-                # defer the error to execution time
-                def deferred(*frame, _exc=exc):
-                    raise _exc
-                raw[pc] = deferred
-
-        handlers = list(raw)
+        # Control only ever lands on a block leader or on ``n``.
+        handlers: List[Callable] = [None] * n + [tail]
         env = {"TrapError": TrapError, "MeterTrip": MeterTrip,
                "_PE": PACK_COERCE_ERRORS, **self.env_extras}
         self.env = CodegenEnv(env)
+        steps = StepTable(self)
         lowered = {}
         for leader, length in blocks.items():
             try:
                 lowered[leader] = self.lower(
                     leader, length, self.block_tier).marked_lines()
             except Exception:
-                pass                    # -> the raw-closure fallback
+                pass                    # -> the stepping fallback
 
         def install(bodies: dict) -> None:
             source = "\n".join(
@@ -664,21 +727,25 @@ class Lowering:
             try:
                 install(lowered)
             except Exception:   # defensive: a codegen bug must degrade
-                lowered = {}    # to the raw closures, never break
+                lowered = {}    # to stepping, never break
         if len(lowered) < len(blocks):
-            # Blocks whose lowering bailed run the raw closures under
-            # the same block-entry debit and rollback.
-            env["_raw"] = raw
+            # A block whose lowering bailed (one malformed instruction
+            # among good ones) steps through its instructions under
+            # the same block-entry debit and rollback; the malformed
+            # one raises when it is reached, like the reference.
+            # (Bound only now: ``CodegenEnv.bind`` names by env size,
+            # so an earlier entry would rename every bound constant.)
+            env["_step"] = steps
             install({leader: [f"pc = {leader}",
                               f"for _i in range({length}):",
-                              f"    pc = _raw[pc]({self.signature})",
+                              f"    pc = _step[pc]({self.signature})",
                               "return pc"]
                      for leader, length in blocks.items()
                      if leader not in lowered})
 
-        return self.predecoded(
-            type(self), token, handlers, raw, self.osr_candidates(),
-            (self.func, self.binding), **self.frame_data(module))
+        return self.predecoded(token, handlers, steps,
+                               self.osr_candidates(),
+                               **self.frame_data(module))
 
     def block_source(self, leader: int, length: int,
                      body: List[str]) -> str:
@@ -860,13 +927,10 @@ class Lowering:
 
     # -- what an engine supplies ---------------------------------------------
 
-    def raw_handler(self, pc: int, instr) -> Callable:
-        """The raw closure for one instruction (metered path and
-        codegen fallback); may raise on a malformed instruction."""
-        raise NotImplementedError
-
     def lower(self, leader: int, length: int, tier: Tier) -> BlockEmitter:
-        """The engine's ``_gen_block_lines`` for one block."""
+        """The engine's ``_gen_block_lines`` for one block; raises on
+        a malformed instruction what the reference ladder raises when
+        it executes that instruction."""
         raise NotImplementedError
 
     def charges(self, leader: int, length: int) -> dict:

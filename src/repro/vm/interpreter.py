@@ -25,6 +25,7 @@ from repro.semantics import (
     round_float, vec_binop, vec_reduce, vec_splat,
 )
 from repro.lang import types as ty
+from repro.tiers import replay_metered
 from repro.vm import threaded
 
 DEFAULT_FUEL = 50_000_000
@@ -138,8 +139,8 @@ class VM:
                     pc = handlers[pc](stack, locals_, args, frame_base,
                                       memory, self)
                 except threaded.MeterTrip as trip:
-                    pc = self._run_metered(trip.pc, pre.raw, stack,
-                                           locals_, args, frame_base)
+                    replay_metered(pre, trip.pc, self, stack, locals_,
+                                   args, frame_base, memory, self)
         finally:
             if frame_size:
                 memory.pop_frame(frame_base, frame_size)
@@ -178,8 +179,8 @@ class VM:
                 new_pc = handlers[pc](stack, locals_, args, frame_base,
                                       memory, self)
             except threaded.MeterTrip as trip:
-                new_pc = self._run_metered(trip.pc, pre.raw, stack,
-                                           locals_, args, frame_base)
+                replay_metered(pre, trip.pc, self, stack, locals_,
+                               args, frame_base, memory, self)
             if 0 <= new_pc <= pc and new_pc in leaders:
                 count = counts.get(new_pc, 0) + 1
                 if count < threshold:
@@ -203,24 +204,6 @@ class VM:
                             self.deopt_reentries += 1
                         deopted = new_pc >= 0
             pc = new_pc
-        return pc
-
-    def _run_metered(self, pc: int, raw, stack, locals_, args,
-                     frame_base) -> int:
-        """Per-instruction execution with exact fuel accounting — the
-        fallback once a block-entry debit crosses the limit.  In
-        practice it always ends in a trap within the current block."""
-        memory = self.memory
-        end = len(raw) - 1
-        while pc >= 0:
-            if pc >= end:
-                # falling off the code end is not a counted instruction
-                raw[end](stack, locals_, args, frame_base, memory, self)
-            executed = self.instructions_executed + 1
-            self.instructions_executed = executed
-            if executed > self.fuel:
-                raise TrapError("VM fuel exhausted")
-            pc = raw[pc](stack, locals_, args, frame_base, memory, self)
         return pc
 
     # -- reference engine ------------------------------------------------------

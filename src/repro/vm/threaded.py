@@ -11,34 +11,33 @@ at decode time.  Execution is a tight trampoline::
     while pc >= 0:
         pc = handlers[pc](stack, locals_, args, frame_base, memory, vm)
 
-Two handler tiers exist:
-
-* **Compiled blocks** — every *fuel block* (a maximal straight-line
-  run ending at a branch, ``ret`` or ``call``) is compiled to one
-  Python function: stack traffic inside the block collapses onto
-  Python locals, and only kernel/memory operations remain as calls.
-  Control transfers only ever land on block leaders, so the whole
-  block executes (or traps) exactly as the reference would.
-* **Raw per-instruction closures** — one per pc.  They back the
-  *metered* fuel path and any block whose code generation bails
-  (malformed instructions defer their error to execution time, like
-  the reference engine).
+Every *fuel block* (a maximal straight-line run ending at a branch,
+``ret`` or ``call``) is compiled to one Python function: stack traffic
+inside the block collapses onto Python locals, and only kernel/memory
+operations remain as calls.  Control transfers only ever land on block
+leaders, so the whole block executes (or traps) exactly as the
+reference would.
 
 Fuel is debited per block on entry.  Blocks execute linearly to their
 terminator and calls end blocks, so successful runs produce exactly
 the reference engine's per-instruction totals.  When a debit crosses
-the limit the block re-runs instruction-by-instruction
-(:class:`repro.engine.MeterTrip` -> ``VM._run_metered``), so the fuel
-trap lands on precisely the instruction the reference engine traps on
-— and an earlier non-fuel trap inside the block still wins.
+the limit (:class:`repro.engine.MeterTrip`) the instructions the fuel
+still covers are stepped one at a time
+(:func:`repro.tiers.replay_metered`), so the fuel trap lands on
+precisely the instruction the reference engine traps on — and an
+earlier non-fuel trap inside the block still wins.  A step is the
+same lowering applied to a one-instruction block, built on first use;
+a block whose lowering bails (malformed instructions defer their error
+to execution time, like the reference engine) steps the same way.
 
 The protocol around the lowering — the build loop, the debit and
-rollback forms, the cache, the lazy tier-2 build and its dispatcher —
-is the tier scaffold (:mod:`repro.tiers`) shared with
+rollback forms, stepping, the cache, the lazy tier-2 build and its
+dispatcher — is the tier scaffold (:mod:`repro.tiers`) shared with
 :mod:`repro.targets.dispatch`.  This module supplies the VM's operand
 model: the per-opcode lowering over a virtual operand stack
-(``_gen_block_lines``), the raw closures, the ``_t2`` frame lines and
-the per-call initialization data.
+(``_gen_block_lines``, the only fast-engine statement of what an
+opcode does), the ``_t2`` frame lines and the per-call initialization
+data.
 
 The predecoded form is cached on the function object
 (``BytecodeFunction.cached_predecode``) keyed by a structural content
@@ -58,7 +57,7 @@ table, and content-token invalidation works unchanged.
 from __future__ import annotations
 
 import re
-from typing import Callable, List
+from typing import List
 
 from repro.analysis.facts import bytecode_facts
 from repro.analysis.passes import _scalar_meta
@@ -83,11 +82,6 @@ from repro.tiers import (
     _TIER2_UNBUILT, BlockEmitter, Lowering, Predecoded, Tier,
     Tier2BuildStats, block_tier, whole_tier,
 )
-
-#: handler-returned pc meaning "the function returned"
-RETURN = -1
-
-Handler = Callable
 
 _EMPTY_DEPS = frozenset()
 
@@ -465,14 +459,16 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             push_atom(f"(fb + {frame_offsets[instr.arg]})")
         elif op == "br":
             target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):
-                raise ValueError("non-integer branch target")  # -> raw
+            if not isinstance(target, int):     # the reference's
+                # ``pc`` comparison raises TypeError here too
+                raise TypeError("non-integer branch target")
             flush()
             emit(goto_fmt.format(target))
         elif op == "brif":
             target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):
-                raise ValueError("non-integer branch target")  # -> raw
+            if not isinstance(target, int):     # the reference's
+                # ``pc`` comparison raises TypeError here too
+                raise TypeError("non-integer branch target")
             cond = pop()
             flush()
             # An inlined comparison pushes ``(1 if X else 0)``; testing
@@ -696,7 +692,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 lambda: popm()[0])      # tuples index/iterate the same
             push_atom(acc)
         else:
-            raise ValueError(f"unknown opcode {op!r}")    # -> fallback
+            raise TrapError(f"unknown opcode {op!r}")
 
         em.end(pc - leader)
 
@@ -705,193 +701,6 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         flush()
         emit(goto_fmt.format(exit_pc))
     return em
-
-
-# ---------------------------------------------------------------------------
-# raw per-instruction handlers (metered path + codegen fallback)
-# ---------------------------------------------------------------------------
-
-def _make_raw_handler(low: _BytecodeLowering, pc: int,
-                      instr) -> Handler:
-    op = instr.op
-    nxt = pc + 1
-
-    if op == "ldloc":
-        index = instr.arg
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s.append(lo[index])
-            return nxt
-    elif op == "ldarg":
-        index = instr.arg
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s.append(ar[index])
-            return nxt
-    elif op == "stloc":
-        index = instr.arg
-
-        def handler(s, lo, ar, fb, mem, vm):
-            lo[index] = s.pop()
-            return nxt
-    elif op == "const":
-        value = instr.arg
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s.append(value)
-            return nxt
-    elif op in BIN_OPS:
-        kernel = binop_kernel(op, type_of(instr.ty))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            b = s.pop()
-            s[-1] = kernel(s[-1], b)
-            return nxt
-    elif op == "cmp":
-        kernel = cmp_kernel(instr.arg, type_of(instr.ty))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            b = s.pop()
-            s[-1] = kernel(s[-1], b)
-            return nxt
-    elif op in UN_OPS:
-        kernel = unop_kernel(op, type_of(instr.ty))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s[-1] = kernel(s[-1])
-            return nxt
-    elif op == "cast":
-        kernel = cast_kernel(type_of(instr.arg), type_of(instr.ty))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s[-1] = kernel(s[-1])
-            return nxt
-    elif op == "select":
-        def handler(s, lo, ar, fb, mem, vm):
-            b = s.pop()
-            a = s.pop()
-            s[-1] = a if s[-1] != 0 else b
-            return nxt
-    elif op == "load":
-        value_ty = type_of(instr.ty)
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s[-1] = mem.load(value_ty, s[-1])
-            return nxt
-    elif op == "store":
-        value_ty = type_of(instr.ty)
-
-        def handler(s, lo, ar, fb, mem, vm):
-            value = s.pop()
-            mem.store(value_ty, s.pop(), value)
-            return nxt
-    elif op == "frame":
-        offset = low.frame_offsets[instr.arg]
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s.append(fb + offset)
-            return nxt
-    elif op == "br":
-        target = normalize_branch_target(instr.arg, len(low.code))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            return target
-    elif op == "brif":
-        target = normalize_branch_target(instr.arg, len(low.code))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            return target if s.pop() != 0 else nxt
-    elif op == "call":
-        callee_name = instr.arg
-        resolved = low._resolved_callee(callee_name)
-        if resolved is not None:
-            count = len(resolved.param_types)
-            has_ret = resolved.ret_type is not None
-
-            def handler(s, lo, ar, fb, mem, vm, _callee=resolved,
-                        _count=count, _has_ret=has_ret):
-                if _count:
-                    call_args = s[-_count:]
-                    del s[-_count:]
-                else:
-                    call_args = []
-                result = vm._run_fast(_callee, call_args)
-                if _has_ret:
-                    s.append(result)
-                return nxt
-        else:
-            def handler(s, lo, ar, fb, mem, vm):
-                callee = vm.module.functions[callee_name]
-                count = len(callee.param_types)
-                if count:
-                    call_args = s[-count:]
-                    del s[-count:]
-                else:
-                    call_args = []
-                result = vm._run_fast(callee, call_args)
-                if callee.ret_type is not None:
-                    s.append(result)
-                return nxt
-    elif op == "ret":
-        def handler(s, lo, ar, fb, mem, vm):
-            return RETURN
-    elif op == "pop":
-        def handler(s, lo, ar, fb, mem, vm):
-            s.pop()
-            return nxt
-    elif op == "vec.load":
-        elem = type_of(instr.ty)
-        lanes = 16 // ty.sizeof(elem)
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s[-1] = mem.load_vec(elem, lanes, s[-1])
-            return nxt
-    elif op == "vec.store":
-        elem = type_of(instr.ty)
-
-        def handler(s, lo, ar, fb, mem, vm):
-            value = s.pop()
-            mem.store_vec(elem, s.pop(), value)
-            return nxt
-    elif op.startswith("vec.") and op[4:] in BIN_OPS:
-        kernel = vec_binop_kernel(op[4:], type_of(instr.ty))
-
-        def handler(s, lo, ar, fb, mem, vm):
-            b = s.pop()
-            s[-1] = kernel(s[-1], b)
-            return nxt
-    elif op == "vec.splat":
-        elem = type_of(instr.ty)
-        lanes = 16 // ty.sizeof(elem)
-
-        def handler(s, lo, ar, fb, mem, vm):
-            s[-1] = [s[-1]] * lanes
-            return nxt
-    elif op == "vec.reduce":
-        reduce_op, acc_tag = instr.arg
-        elem = type_of(instr.ty)
-        acc_ty = type_of(acc_tag)
-        widen = cast_kernel(elem, acc_ty)
-        if reduce_op in ("add", "max", "min"):
-            fold = binop_kernel(reduce_op, acc_ty)
-
-            def handler(s, lo, ar, fb, mem, vm):
-                vec = s[-1]
-                if not vec:
-                    raise TrapError("reduce of empty vector")
-                acc = widen(vec[0])
-                for lane in vec[1:]:
-                    acc = fold(acc, widen(lane))
-                s[-1] = acc
-                return nxt
-        else:
-            def handler(s, lo, ar, fb, mem, vm):
-                raise TrapError(f"reduce op {reduce_op!r} undefined")
-    else:
-        def handler(s, lo, ar, fb, mem, vm):
-            raise TrapError(f"unknown opcode {op!r}")
-
-    return handler
 
 
 # ---------------------------------------------------------------------------
@@ -905,6 +714,7 @@ class _BytecodeLowering(Lowering):
     signature = "s, lo, ar, fb, mem, vm"
     machine = "vm"
     executed = "instructions_executed"
+    fuel_trap = "VM fuel exhausted"
     tags = ("pvi", "pvi-t2")
     rollback_note = (
         "# roll the debit back to the trapping instruction",)
@@ -924,8 +734,6 @@ class _BytecodeLowering(Lowering):
         #: what the tier-2 lowering saw, cross-checked against the
         #: facts by ``check_facts``
         self.info = None
-
-    raw_handler = _make_raw_handler
 
     def lower(self, leader, length, tier):
         return _gen_block_lines(self, leader, length, tier)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend import lower_source
@@ -39,3 +40,68 @@ def run_ir(source: str, name: str, args: Sequence,
     interp = IRInterpreter(module, memory)
     result = interp.call(name, concrete)
     return result, memory, addresses
+
+
+#: the flows :func:`generated_sources` deploys under
+DIGEST_FLOWS = ("split", "online-only")
+
+
+def generated_sources() -> Dict[Tuple[str, str, str, str], str]:
+    """Every block-tier and tier-2 source the tier scaffold compiles
+    over ``ALL_KERNELS`` x :data:`DIGEST_FLOWS` x ``target_names()``,
+    both engines (the wasm32 stack image runs on the VM), keyed by
+    ``(kernel, flow, target, filename)``.  One-instruction step
+    sources (``-step:`` filename tags) are built on demand by traps,
+    not by predecode, and are left out."""
+    from repro import tiers
+    from repro.core import deploy, offline_compile
+    from repro.targets import dispatch, target_names
+    from repro.vm import threaded
+    from repro.workloads import ALL_KERNELS
+
+    captured: Dict[Tuple[str, str, str, str], str] = {}
+    where: List[str] = []
+
+    def spy(source, filename, mode):
+        if filename.startswith("<pvi") and "-step:" not in filename:
+            captured[(*where, filename)] = source
+        return compile(source, filename, mode)
+
+    tiers.compile = spy             # shadows the builtin in ``tiers``
+    try:
+        for name, kernel in ALL_KERNELS.items():
+            artifact = offline_compile(kernel.source, name)
+            for flow in DIGEST_FLOWS:
+                for target in target_names():
+                    where[:] = [name, flow, target]
+                    image = deploy(artifact, target, flow)
+                    module = getattr(image, "module", None)
+                    if module is not None:      # a stack image
+                        predecode, image = threaded.predecode, module
+                    else:
+                        predecode = dispatch.predecode_machine
+                    for func in image.functions.values():
+                        predecode(func, image).tier2()
+    finally:
+        del tiers.compile
+    return captured
+
+
+def sources_digest(sources: Dict[Tuple[str, str, str, str], str]):
+    """``(sha256, {filename tag: (sources, lines)}, prints)`` of a
+    :func:`generated_sources` capture, in key order.  ``prints`` holds
+    two hex digits per source: enough to name the first source that
+    moved, which the one digest cannot."""
+    digest = hashlib.sha256()
+    tags: Dict[str, List[int]] = {}
+    prints = []
+    for key in sorted(sources):
+        text = ("\0".join(key) + "\0" + sources[key] + "\0").encode()
+        digest.update(text)
+        prints.append(hashlib.sha256(text).hexdigest()[:2])
+        count = tags.setdefault(key[3][1:].split(":")[0], [0, 0])
+        count[0] += 1
+        count[1] += sources[key].count("\n") + 1
+    return (digest.hexdigest(),
+            {tag: tuple(count) for tag, count in sorted(tags.items())},
+            "".join(prints))

@@ -13,6 +13,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -615,3 +622,61 @@ class TestAdaptiveRouting:
         total = lambda c: (c["cold"]["submitted"] +
                            c["warm"]["submitted"])
         assert total(after) == total(before)
+
+
+# ---------------------------------------------------------------------------
+# the ``pvi-serve`` process
+# ---------------------------------------------------------------------------
+
+def group_members(pgid: int):
+    """Live (non-zombie) pids of process group ``pgid``, from /proc."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                fields = (entry / "stat").read_text() \
+                    .rsplit(")", 1)[1].split()
+            except OSError:
+                continue            # exited while we looked
+            if int(fields[2]) == pgid and fields[0] != "Z":
+                members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to list a process group")
+def test_sigterm_unwinds_like_sigint():
+    """SIGTERM is how a container runtime stops a service: the server
+    must exit 0 through the ``EdgeServer`` unwind and leave no pool
+    worker behind."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.service.edge.server",
+         "--port", "0"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        port = int(re.search(r":(\d+) ", server.stdout.readline())
+                   .group(1))
+
+        async def cold_deploy():
+            async with EdgeClient("127.0.0.1", port) as client:
+                return await client.deploy(SAXPY, ["x86", "arm"])
+
+        status, _, _ = asyncio.run(cold_deploy())
+        assert status == 200
+        assert len(group_members(server.pid)) > 1, \
+            "the cold route must have started pool workers"
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+        deadline = time.monotonic() + 5
+        while group_members(server.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert group_members(server.pid) == []
+    finally:
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.wait()
+        server.stdout.close()

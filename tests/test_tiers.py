@@ -1,7 +1,9 @@
 """The tier scaffold shared by both predecode engines
 (:mod:`repro.tiers`): loop fusion, the counter-vector debit protocol,
-the raw-closure fallback, trap rollback through the tier-2 line table,
-and the thread-safe lazy tier-2 build."""
+one-instruction stepping (the bail-out fallback and the metered
+replay), trap rollback through the tier-2 line table, the pinned
+digest of every generated source, and the thread-safe lazy tier-2
+build."""
 
 from __future__ import annotations
 
@@ -15,17 +17,21 @@ import pytest
 from repro import tiers
 from repro.bytecode import emit_module
 from repro.bytecode.module import BytecodeFunction, BytecodeModule
-from repro.bytecode.opcodes import BCInstr
-from repro.core import deploy, offline_compile
+from repro.bytecode.opcodes import BCInstr, type_of
+from repro.core import deploy, offline_compile, select_bytecode
 from repro.engine import (
     CodegenEnv, FAST, REFERENCE, TIER2, backedge_targets, fuel_blocks,
 )
+from repro.ir.values import VecType
 from repro.lang import types as ty
 from repro.semantics import Memory, TrapError
-from repro.targets import Simulator, X86, dispatch
+from repro.targets import SPARC, Simulator, X86, dispatch, simulator
 from repro.targets.isa import CompiledFunction, CompiledModule, MInst
-from repro.vm import VM, threaded
-from tests.support import lower_checked
+from repro.vm import VM, interpreter, threaded
+from repro.workloads import ALL_KERNELS
+from tests.support import (
+    DIGEST_FLOWS, generated_sources, lower_checked, sources_digest,
+)
 from tests.test_engine_differential import (
     ENGINES, assert_engines_agree as assert_agree,
 )
@@ -40,22 +46,27 @@ def machine_module(code, params=0):
     return module
 
 
-def sim_outcome(module, args, engine, memory=None, **kwargs):
+def sim_outcome(module, args, engine, memory=None, entry="f", **kwargs):
     sim = Simulator(module, memory or Memory(), engine=engine, **kwargs)
     try:
-        result = sim.run("f", list(args))
+        result = sim.run(entry, list(args))
         return ("ok", result.value, result.instructions, result.cycles,
                 result.branches, sim._executed)
     except TrapError as exc:
         return ("trap", str(exc), sim._executed)
+    except Exception as exc:    # malformed code: the ladder's own error
+        return (type(exc).__name__, str(exc), sim._executed)
 
 
-def vm_outcome(module, args, engine, **kwargs):
+def vm_outcome(module, args, engine, entry="f", **kwargs):
     vm = VM(module, engine=engine, **kwargs)
     try:
-        return ("ok", vm.call("f", list(args)), vm.instructions_executed)
+        return ("ok", vm.call(entry, list(args)),
+                vm.instructions_executed)
     except TrapError as exc:
         return ("trap", str(exc), vm.instructions_executed)
+    except Exception as exc:    # malformed code: the ladder's own error
+        return (type(exc).__name__, str(exc), vm.instructions_executed)
 
 
 @pytest.fixture
@@ -220,58 +231,133 @@ def test_merged_charge_equals_per_block_debits(seed):
 
 
 # ---------------------------------------------------------------------------
-# the raw-closure fallback
+# one-instruction stepping: the bail-out fallback and the metered replay
 # ---------------------------------------------------------------------------
+
+V4 = VecType(ty.I32, 4)
+
 
 class TestFallbackWrapper:
     """A block whose lowering raises (here: a malformed instruction)
-    runs through the raw closures under the same block-entry debit,
-    rolled back to the trapping instruction."""
+    steps through one-instruction handlers under the same block-entry
+    debit, rolled back to the trapping instruction."""
 
     STEPS = 4
 
+    #: (well-formed set-up, the malformed instruction, outcome kind,
+    #: message, does its block fall back to stepping?) — one per arm
+    #: of the VM lowering that raises on malformed code
+    VM_MALFORMED = [
+        ([], BCInstr("bogus"), "trap", "unknown opcode 'bogus'", True),
+        ([BCInstr("const", "i32", 3), BCInstr("vec.splat", "i32")],
+         BCInstr("vec.reduce", "i32", ("mul", "i32")),
+         "trap", "reduce op 'mul' undefined", True),
+        ([BCInstr("const", "i32", 1), BCInstr("const", "i32", 2)],
+         BCInstr("add", "q7"), "KeyError", "'q7'", True),
+        ([], BCInstr("frame", None, 5),
+         "IndexError", "list index out of range", True),
+    ]
+
+    #: the simulator's: a malformed *operand* traps inline, where the
+    #: reference reads it, so its block still compiles
+    SIM_MALFORMED = [
+        ([], MInst("bogus"), "trap", "bad machine opcode 'bogus'", True),
+        ([MInst("vsplat", V4, ("vec", 0), [("imm", 3)], None)],
+         MInst("vreduce", V4, ("int", 9), [("vec", 0)],
+               ("mul", ty.I32)),
+         "trap", "reduce op 'mul' undefined", True),
+        ([], MInst("mov", None, ("int", 9), [("slot", 0)], None),
+         "trap", "raw slot operand outside spill op", False),
+        ([], MInst("mov", None, ("int", 9), [("odd", 3)], None),
+         "trap", "f: read of uninitialized register odd3", False),
+        ([], MInst("bin", ty.I32, ("int", 9), [("imm", 1), ("imm", 2)],
+               "frob"),
+         "trap", "integer op 'frob' undefined", False),
+    ]
+
+    def sweep(self, outcome, module, handler, position, malformed):
+        """Run to the malformed instruction, then under every fuel
+        value up to the block's length: three-way, and the message and
+        executed count are the reference's."""
+        setup, bad, kind, message, steps = malformed
+        context = f"{bad!r} at {position}"
+        outcomes = {engine: outcome(module, engine) for engine in ENGINES}
+        assert_agree(outcomes, context)
+        assert outcomes[FAST][:2] == (kind, message), context
+        assert ("_step" in handler().__code__.co_names) == steps
+        for fuel in range(outcomes[REFERENCE][2] + 2):
+            assert_agree({engine: outcome(module, engine, fuel=fuel)
+                          for engine in ENGINES},
+                         f"{context} fuel={fuel}")
+
     @pytest.mark.parametrize("position", range(2 * STEPS + 1))
     def test_vm_unknown_opcode_at_every_position(self, position):
-        code = []
-        for step in range(self.STEPS):
-            code += [BCInstr("const", "i32", step), BCInstr("pop")]
-        code.insert(position, BCInstr("bogus"))
-        code += [BCInstr("const", "i32", 7), BCInstr("ret")]
-        module = BytecodeModule()
-        func = module.add(BytecodeFunction("f", [], "i32", code=code))
-        # the verifier would reject it; machine code has none
-        outcomes = {engine: vm_outcome(module, [], engine, verify=False)
-                    for engine in ENGINES}
-        assert_agree(outcomes, f"bogus at {position}")
-        assert outcomes[FAST][:2] == ("trap", "unknown opcode 'bogus'")
-        handler = threaded.predecode(func, module).handlers[0]
-        assert "_raw" in handler.__code__.co_names
+        for malformed in self.VM_MALFORMED:
+            code = []
+            for step in range(self.STEPS):
+                code += [BCInstr("const", "i32", step), BCInstr("pop")]
+            code[position:position] = malformed[0] + [malformed[1]]
+            code += [BCInstr("const", "i32", 7), BCInstr("ret")]
+            module = BytecodeModule()
+            func = module.add(BytecodeFunction("f", [], "i32", code=code))
+            # the verifier would reject it; machine code has none
+            self.sweep(
+                lambda module, engine, **kwargs: vm_outcome(
+                    module, [], engine, verify=False, **kwargs),
+                module,
+                lambda: threaded.predecode(func, module).handlers[0],
+                position, malformed)
 
     @pytest.mark.parametrize("position", range(STEPS + 1))
     def test_sim_bad_opcode_at_every_position(self, position):
-        code = [MInst("mov", None, ("int", step), [("imm", step)], None,
-                      cost=step + 1) for step in range(self.STEPS)]
-        code.insert(position, MInst("bogus"))
-        code.append(MInst("ret", None, None, [("imm", 0)], None))
-        module = machine_module(code)
-        outcomes = {engine: sim_outcome(module, [], engine)
+        for malformed in self.SIM_MALFORMED:
+            code = [MInst("mov", None, ("int", step), [("imm", step)],
+                          None, cost=step + 1)
+                    for step in range(self.STEPS)]
+            code[position:position] = malformed[0] + [malformed[1]]
+            code.append(MInst("ret", None, None, [("imm", 0)], None))
+            module = machine_module(code)
+            self.sweep(
+                lambda module, engine, **kwargs: sim_outcome(
+                    module, [], engine, **kwargs),
+                module,
+                lambda: dispatch.predecode_machine(
+                    module["f"], module).handlers[0],
+                position, malformed)
+
+    def test_sim_malformed_operand_is_read_lazily(self):
+        """Like the reference, only an operand that is *read* traps:
+        the untaken arm of a ``select`` may be malformed, and an
+        earlier operand's own trap wins."""
+        untaken = machine_module([
+            MInst("select", None, ("int", 0),
+                  [("imm", 1), ("imm", 42), ("slot", 0)], None),
+            MInst("ret", None, None, [("int", 0)], None)])
+        outcomes = {engine: sim_outcome(untaken, [], engine)
                     for engine in ENGINES}
-        assert_agree(outcomes, f"bogus at {position}")
+        assert_agree(outcomes)
+        assert outcomes[FAST][:2] == ("ok", 42)
+        earlier = machine_module([
+            MInst("bin", ty.I32, ("int", 0), [("int", 7), ("odd", 3)],
+                  "add"),
+            MInst("ret", None, None, [("int", 0)], None)])
+        outcomes = {engine: sim_outcome(earlier, [], engine)
+                    for engine in ENGINES}
+        assert_agree(outcomes)
         assert outcomes[FAST][:2] == \
-            ("trap", "bad machine opcode 'bogus'")
-        handler = dispatch.predecode_machine(
-            module["f"], module).handlers[0]
-        assert "_raw" in handler.__code__.co_names
+            ("trap", "f: read of uninitialized register int7")
 
     @pytest.mark.parametrize("engine_module", [threaded, dispatch])
     def test_fallback_runs_clean_blocks_to_completion(
             self, monkeypatch, engine_module):
-        """With *every* block-tier lowering failing, whole programs
-        (loops, fuel exhaustion mid-block) still match the reference."""
+        """A block-level bail with the instruction-level lowering
+        intact: with *every* multi-instruction block-tier lowering
+        failing, whole programs (loops, fuel exhaustion mid-block)
+        still match the reference, one step at a time."""
         real = engine_module._gen_block_lines
 
         def failing(low, leader, length, tier):
-            if not tier.tier2:
+            if not tier.tier2 and length > 1:
                 raise RuntimeError("forced untranslatable (test)")
             return real(low, leader, length, tier)
 
@@ -295,6 +381,178 @@ class TestFallbackWrapper:
                                                 **kwargs)
                             for engine in (FAST, REFERENCE)}
             assert_agree(outcomes, f"args={args} fuel={fuel}")
+
+
+TERMINATORS = {"br", "brif", "ret", "call"}
+
+RECURSIVE = "int f(int n) { if (n < 2) return n;" \
+            " return f(n - 1) + f(n - 2); }"
+
+
+def stepping_images():
+    """``(context, predecode, module, observe)`` per image: the VM and
+    one SIMD and one scalar target, over every kernel under both
+    digest flows, sized for one vector iteration plus one remainder
+    iteration — and one recursive program, for ``call``."""
+    def images(name, source, entry, prepare):
+        artifact = offline_compile(source, name)
+
+        def observer(outcome, module):
+            def observe(engine, fuel=None):
+                memory = Memory(1 << 21)
+                kwargs = {} if fuel is None else {"fuel": fuel}
+                return outcome(module, prepare(memory), engine,
+                               memory=memory, entry=entry, **kwargs)
+            return observe
+
+        for flow in DIGEST_FLOWS:
+            bytecode = select_bytecode(artifact, flow)
+            yield f"{name} VM {flow}", threaded.predecode, bytecode, \
+                observer(vm_outcome, bytecode)
+            for target in (X86, SPARC):
+                compiled = deploy(artifact, target, flow)
+                yield f"{name} {target.name} {flow}", \
+                    dispatch.predecode_machine, compiled, \
+                    observer(sim_outcome, compiled)
+
+    for name, kernel in sorted(ALL_KERNELS.items()):
+        n = 16 // ty.sizeof(type_of(kernel.elem)) + 1
+        yield from images(
+            name, kernel.source, kernel.entry,
+            lambda memory, _k=kernel, _n=n: _k.prepare(memory, _n).args)
+    yield from images("recursive", RECURSIVE, "f", lambda memory: [6])
+
+
+def opcodes(predecode, module):
+    """``(contained, stepped)`` opcode sets of an image."""
+    contained, stepped = set(), set()
+    for func in module.functions.values():
+        contained |= {instr.op for instr in func.code}
+        stepped |= {func.code[pc].op
+                    for pc in predecode(func, module).steps}
+    return contained, stepped
+
+
+class TestStepping:
+    def test_metered_replay_steps_every_opcode(self, monkeypatch):
+        """The fuel trap lands on every instruction offset of every
+        block the kernels execute, three-way; every opcode an image
+        contains has then been stepped as a one-instruction block —
+        bar the terminators, which the replay never reaches."""
+        trips = []
+
+        def spy(pre, leader, machine, *frame):
+            trips.append((pre, leader, getattr(
+                machine, pre.steps.low.executed)))
+            tiers.replay_metered(pre, leader, machine, *frame)
+
+        monkeypatch.setattr(interpreter, "replay_metered", spy)
+        monkeypatch.setattr(simulator, "replay_metered", spy)
+        for context, predecode, module, observe in stepping_images():
+            # Walk the run block by block: the trip that ends a run
+            # names the block the fuel ran out in and its entry count,
+            # hence a fuel value for each of its offsets.
+            landed, fuel, total = {}, 0, observe(REFERENCE)[-1]
+            while fuel < total:
+                trips.clear()
+                assert observe(FAST, fuel)[0] == "trap"
+                (pre, leader, entry), = trips
+                length = pre.steps.low.blocks[leader]
+                for offset in range(length):
+                    landed.setdefault((pre, leader, offset),
+                                      entry + offset)
+                fuel = entry + length
+            for fuel in sorted(set(landed.values())):
+                assert_agree({engine: observe(engine, fuel)
+                              for engine in ENGINES},
+                             f"{context} fuel={fuel}")
+            contained, stepped = opcodes(predecode, module)
+            assert stepped == contained - TERMINATORS, context
+
+    def test_block_bail_steps_every_opcode(self, monkeypatch):
+        """Terminators included: with every multi-instruction block
+        bailing, whole runs go one step at a time (a one-instruction
+        block still compiles as a block — it is the same lowering)."""
+        for engine_module in (threaded, dispatch):
+            real = engine_module._gen_block_lines
+
+            def failing(low, leader, length, tier, _real=real):
+                if not tier.tier2 and length > 1:
+                    raise RuntimeError("forced untranslatable (test)")
+                return _real(low, leader, length, tier)
+
+            monkeypatch.setattr(engine_module, "_gen_block_lines",
+                                failing)
+        every, seen = set(), set()
+        for context, predecode, module, observe in stepping_images():
+            assert_agree({engine: observe(engine)
+                          for engine in (FAST, REFERENCE)}, context)
+            contained, stepped = opcodes(predecode, module)
+            every |= contained
+            seen |= stepped
+        assert seen == every >= TERMINATORS
+
+    @pytest.mark.parametrize("engine_module", [threaded, dispatch])
+    def test_metered_replay_never_returns(self, engine_module):
+        """It runs after a :class:`MeterTrip` and ends in the fuel
+        trap; asked to replay a block the fuel covers, it refuses
+        rather than hand back a ``pc``."""
+        if engine_module is threaded:
+            module, _ = emit_module(lower_checked(LOOP))
+            pre = threaded.predecode(module.functions["f"], module)
+            machine = VM(module, fuel=1)
+            frame = ([], [0] * 8, [3], 0, machine.memory, machine)
+        else:
+            module = deploy(offline_compile(LOOP), X86, "split")
+            pre = dispatch.predecode_machine(module["f"], module)
+            machine = Simulator(module, Memory(), fuel=1)
+            frame = ([3] * 16, [], [], {}, 0, machine.memory, machine,
+                     SimpleNamespace())
+        assert pre.steps.low.blocks[0] > 1
+        with pytest.raises(TrapError, match="fuel exhausted"):
+            tiers.replay_metered(pre, 0, machine, *frame)
+        assert getattr(machine, pre.steps.low.executed) == 2
+        assert set(pre.steps) == {0}
+        machine.fuel = 1 << 20
+        with pytest.raises(RuntimeError, match="which the fuel covers"):
+            tiers.replay_metered(pre, 0, machine, *frame)
+
+
+#: ``tests.support.sources_digest`` of ``generated_sources()``: the
+#: sha256, the per-tag ``(sources, lines)`` and the per-source prints
+PINNED_SOURCES = (
+    "963c14649d4c5f9e570dafdd289f799856587067effe54d1d6fa781e29c72ba1",
+    {"pvi": (22, 4297), "pvi-sim": (132, 39319),
+     "pvi-sim-t2": (132, 24990), "pvi-t2": (22, 2643)},
+    ("3dbb1f65bf8d945b47d4b6f670280d261b13dd52aaa9972ec8f89d9c"
+     "757364ada7f80eca079aa7570a645767f1064a1b39b18b8a83b6de8a"
+     "9e00eb56bb94d7a5a7d54aa49b9cd552a917d15557bec61d36776108"
+     "02cd4c634ece414d426a54aad77f6cdecf0ae7b074eddbaf6e65dc04"
+     "a96b9d9e31ed70571ee0d820e907927e29e789069b8a183f8f635b92"
+     "d2e89fa187e6a0a4e577f94195a0fd8241ca50c1a8a67b8bdc852fb7"
+     "53162d2ac81fc7618337c825b0b82789332101d871dbd1b9fb919371"
+     "e4b45e70ef2121c0a736859587db80de7815734ff4a4c612d36cf1a9"
+     "c73ee2f7c94a3f52ecef53baabe4fa0f1a72b12d30de40dd260fac75"
+     "6cf3dd6531b096fe55ff7c614a3121b43c11d9e878f2056c9a108c80"
+     "f6b3e53f93c38ce93e4d90fcb480dea12042c801b6db8b55241755c2"))
+
+
+def test_generated_sources_digest():
+    """Every block-tier and tier-2 source both engines generate over
+    kernels x flows x targets, byte for byte.  A PR that means to move
+    generated code re-pins the three values and says so; CI also runs
+    this under two fixed ``PYTHONHASHSEED`` values, so a source that
+    depends on set order fails here and not in a later byte-compare."""
+    sources = generated_sources()
+    got = sources_digest(sources)
+    if got != PINNED_SOURCES:
+        prints, pinned = got[2], PINNED_SOURCES[2]
+        moved = next((key for index, key in enumerate(sorted(sources))
+                      if prints[2 * index:2 * index + 2]
+                      != pinned[2 * index:2 * index + 2]), None)
+        pytest.fail(f"generated sources moved, first at {moved}:\n"
+                    f"sha256 {got[0]}\ntags {got[1]}\n"
+                    f"prints {prints}")
 
 
 # ---------------------------------------------------------------------------
