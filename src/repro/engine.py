@@ -12,7 +12,10 @@ Three engines execute everything in this reproduction:
   tier-2 whole-function compiler below.  Independently of call-entry
   promotion, on-stack replacement (``PVI_OSR``, on by default) lets a
   call already spinning in the block tier enter the tier-2
-  translation at a hot loop header — see DESIGN.md §2c.
+  translation at a hot loop header — built once the function has
+  executed enough block-tier instructions to repay the build
+  (:data:`repro.tiers.TIER2_PAYBACK`), and entered at pc 0 by every
+  later call — see DESIGN.md §2c.
 * ``tier2`` — whole-function translation: the fuel blocks of a
   function are lowered into one generated Python function (virtual
   stack / register file in Python locals, block transfers as real
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 FAST = "fast"
 REFERENCE = "reference"
@@ -56,7 +59,11 @@ OSR_THRESHOLD_ENV = "PVI_OSR_THRESHOLD"
 #: per-entry fact guards the static analysis has proven redundant
 OSR_GUARDS_ENV = "PVI_OSR_GUARDS"
 
-#: back-edge visits at one leader before a call is promoted mid-loop
+#: back-edge visits at one loop header between two questions to the
+#: payback gate (:meth:`repro.tiers.Predecoded.tier2_repaid`), and
+#: between a tier-2 deopt and the re-entry attempt at that header.  It
+#: is the *stride* of the default policy, not its trigger: a crossing
+#: builds tier-2 only once the function has repaid the build.
 DEFAULT_OSR_THRESHOLD = 64
 
 
@@ -86,7 +93,10 @@ def osr_enabled() -> bool:
     default: a call spinning in the block-threaded tier promotes into
     the tier-2 translation at a hot loop header instead of finishing
     the whole call there (and a deopted call can re-enter the same
-    way).  ``PVI_OSR=0`` turns the policy off process-wide;
+    way), and a call of an unhinted function whose translation
+    already exists starts in it.  ``PVI_OSR=0`` turns the policy off
+    process-wide (no mid-call entry, no pc-0 entry of an unhinted
+    function);
     ``VM(..., osr=...)`` / ``Simulator(..., osr=...)`` override per
     instance.  Purely a speed policy — instruction/cycle counts and
     traps are identical either way."""
@@ -109,19 +119,30 @@ def keep_osr_guards() -> bool:
     return value in ("1", "true", "yes", "on", "keep")
 
 
-def osr_threshold() -> int:
-    """Back-edge visits at a single loop header before the running
-    call enters tier-2 there.  Counters reset on every entry, so a
+def osr_threshold(explicit: Optional[int] = None) -> Tuple[int, bool]:
+    """``(threshold, gated)``: back-edge visits at a single loop
+    header before the running call asks for tier-2 there, and whether
+    the answer goes through the payback gate.
+
+    An explicit value — the ``osr_threshold=`` constructor argument,
+    else ``PVI_OSR_THRESHOLD`` — means literally "enter at exactly
+    this back-edge count": the build is not gated (the differential
+    tests and CI force promotion in short loops this way).  With
+    neither set, the threshold is :data:`DEFAULT_OSR_THRESHOLD` and a
+    crossing only *asks* the gate, which builds once the function has
+    spent what the build costs.  Counters reset on every entry, so a
     loop that keeps deopting re-pays the threshold between attempts —
     bounding ping-pong overhead to ``1/threshold``."""
+    if explicit is not None:
+        return max(1, int(explicit)), False
     value = os.environ.get(OSR_THRESHOLD_ENV, "").strip()
     if not value:
-        return DEFAULT_OSR_THRESHOLD
+        return DEFAULT_OSR_THRESHOLD, True
     threshold = int(value)
     if threshold < 1:
         raise ValueError(f"{OSR_THRESHOLD_ENV} must be >= 1, "
                          f"got {threshold}")
-    return threshold
+    return threshold, False
 
 
 class MeterTrip(Exception):

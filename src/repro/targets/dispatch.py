@@ -103,12 +103,13 @@ def warm_module(module: CompiledModule) -> CompiledModule:
     region; the service never calls it, the engine builds lazily.
 
     Functions the JIT hinted for tier-2 — and every on-stack
-    replacement candidate (any function with a loop header, which a
-    long-running call may promote mid-loop) — also get their
-    whole-function translation built here, so later runs dispatch
-    straight into tier-2 code with no compile pause
-    (:func:`tier2_build_stats` proves it: runs of an image this
-    function has seen leave the ``request`` bucket untouched)."""
+    replacement candidate (any function with a loop header) — also
+    get their whole-function translation built here: the call prepays
+    the build the payback gate would otherwise defer until the loops
+    have run long enough to repay it, so later runs start in tier-2
+    at pc 0 with no compile pause (:func:`tier2_build_stats` proves
+    it: runs of an image this function has seen leave the ``request``
+    bucket untouched)."""
     for func in module.functions.values():
         pre = predecode_machine(func, module)
         if pre.tier2_hint or pre.osr_leaders:
@@ -151,8 +152,9 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
     local, where the uninitialized check tests the local directly
     instead of reading into a temp).  Under ``tier.tier2`` the
     arith/cmp/cast kernels are inlined as Python expressions where
-    provably identical, and progress marks are elided for instructions
-    that cannot raise.
+    provably identical.  In both tiers ``em.impure`` is set exactly
+    where the emitted code can raise: it is what puts the instruction
+    in the block's rollback table.
     """
     name, code, env = low.name, low.code, low.env
     tier2 = tier.tier2
@@ -457,10 +459,6 @@ class _MachineLowering(Lowering):
     fields = ("instructions", "cycles", "branches", "spill_loads",
               "spill_stores", "calls")
     tags = ("pvi-sim", "pvi-sim-t2")
-    rollback_note = (
-        "# roll the fuel debit back to the trapping",
-        "# instruction (res counters are unobservable",
-        "# after a trap)")
     env_extras = {"_UNSET": UNSET}
     block_tier = block_tier("{0}[{1}]")
     tier2_tier = whole_tier("{0}{1}")

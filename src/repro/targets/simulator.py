@@ -76,11 +76,14 @@ class Simulator:
         self._tier2_all = self.engine == TIER2
         #: on-stack replacement: a call spinning in the block tier
         #: enters tier-2 at a hot loop header (and a deopted call may
-        #: re-enter the same way).  ``None`` defers to ``PVI_OSR``.
+        #: re-enter the same way); a call whose translation already
+        #: exists starts in it.  ``None`` defers to ``PVI_OSR``.
         self._osr = self.engine != REFERENCE and \
             (osr_enabled() if osr is None else bool(osr))
-        self._osr_threshold = engine_osr_threshold() \
-            if osr_threshold is None else max(1, int(osr_threshold))
+        #: an explicit threshold enters at exactly that back-edge
+        #: count; the default one only asks the payback gate
+        self._osr_threshold, self._osr_gated = \
+            engine_osr_threshold(osr_threshold)
         #: tiering observability: calls entered via tier-2 at pc 0,
         #: successful mid-call OSR entries, and the subset of OSR
         #: entries that re-entered after an earlier tier-2 deopt in
@@ -144,21 +147,24 @@ class Simulator:
         handlers = pre.handlers
         pc = 0
         deopted = False
-        t2 = None
+        osr = self._osr and pre.osr_leaders
         try:
-            if self._tier2_all or pre.tier2_hint:
-                t2 = pre.tier2()
-                if t2 is not None:
-                    # Whole-function tier: runs to completion (-1) or
-                    # deopts by returning a block leader — undebited —
-                    # for the block-threaded trampoline below to
-                    # continue from (which re-debits and meters the
-                    # fuel trap exactly as usual).
-                    self.tier2_promotions += 1
-                    pc = t2(ri, rf, rv, slots, frame_base, memory,
-                            self, counters)
-                    deopted = pc >= 0
-            if pc >= 0 and self._osr and pre.osr_leaders:
+            # Hinted functions build before their first instruction;
+            # an OSR candidate starts in a translation that already
+            # exists (an earlier call or a warm hook built it).
+            t2 = pre.tier2() if self._tier2_all or pre.tier2_hint \
+                else pre.built_tier2() if osr else None
+            if t2 is not None:
+                # Whole-function tier: runs to completion (-1) or
+                # deopts by returning a block leader — undebited —
+                # for the block-threaded trampoline below to
+                # continue from (which re-debits and meters the
+                # fuel trap exactly as usual).
+                self.tier2_promotions += 1
+                pc = t2(ri, rf, rv, slots, frame_base, memory, self,
+                        counters)
+                deopted = pc >= 0
+            if pc >= 0 and osr:
                 pc = self._run_osr(pre, t2, pc, deopted, ri, rf, rv,
                                    slots, frame_base, counters)
             while pc >= 0:
@@ -186,19 +192,27 @@ class Simulator:
         every backward transfer to a candidate loop header is counted;
         at the threshold the live register files — plus the spill
         slots and the fuel/cycle counters — *are* the snapshot, and
-        ``_t2`` is entered at that leader (on-stack replacement).  The
-        tier-2 prologue revalidates its must-written facts from the
-        snapshot and declines by returning the entry pc untouched, in
-        which case that leader is retired for the rest of the call.  A
-        deopted call keeps counting, so hot deopt sites re-enter
-        ``_t2`` instead of finishing the call in the block tier.
-        Entries and deopts are undebited: instruction/cycle counts and
-        traps stay byte-identical to the plain loop."""
+        ``_t2`` is entered at that leader (on-stack replacement).
+        With no translation in hand a crossing under the default
+        threshold first asks the payback gate, handing it the
+        instructions executed since the last crossing — once per
+        ``threshold`` back edges, never per block; "not yet" just
+        keeps counting, a declined build stops the call counting at
+        all.  The tier-2 prologue revalidates its
+        must-written facts from the snapshot and declines by returning
+        the entry pc untouched, in which case that leader is retired
+        for the rest of the call.  A deopted call keeps counting, so
+        hot deopt sites re-enter ``_t2`` instead of finishing the call
+        in the block tier.  Entries and deopts are undebited:
+        instruction/cycle counts and traps stay byte-identical to the
+        plain loop."""
         memory = self.memory
         handlers = pre.handlers
         threshold = self._osr_threshold
+        gated = self._osr_gated
         leaders = pre.osr_leaders
         counts: Dict[int, int] = {}
+        asked_at = self._executed
         while pc >= 0:
             try:
                 new_pc = handlers[pc](ri, rf, rv, slots, frame_base,
@@ -213,9 +227,15 @@ class Simulator:
                 else:
                     counts[new_pc] = 0
                     if t2 is None:
-                        t2 = pre.tier2()
-                        if t2 is None:      # build declined: the call
-                            leaders = ()    # stops counting entirely
+                        if gated:
+                            now = self._executed
+                            t2 = pre.tier2_repaid(now - asked_at)
+                            asked_at = now
+                        else:
+                            t2 = pre.tier2()
+                        if t2 is None:      # not repaid yet; or the
+                            if pre.tier2_declined:  # build declined:
+                                leaders = ()        # stop counting
                             pc = new_pc
                             continue
                     entered = new_pc

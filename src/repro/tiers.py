@@ -10,18 +10,21 @@ Everything about that translation that is *not* the operand model
 lives here, once:
 
 * the build-site statistics (:class:`Tier2BuildStats`) and the
-  predecoded form with its lazy, thread-safe ``tier2()`` build
-  (:class:`Predecoded`);
+  predecoded form with its lazy, thread-safe ``tier2()`` build and
+  the promotion policy in front of it — build from OSR only what has
+  repaid the build (:class:`Predecoded`, :data:`TIER2_PAYBACK`);
 * the content-token cache protocol and the block-tier build loop
   (:meth:`Lowering.predecode`, :meth:`Lowering.build`);
 * one-instruction stepping: the lazy table of length-1 blocks
   (:class:`StepTable`) behind the bail-out fallback body and the
   metered replay (:func:`replay_metered`);
-* the block line emitter (:class:`BlockEmitter`): temps, progress
-  marks, and the bounds / store / reduce / quad templates both
-  engines spell identically;
-* the debit protocol over per-block *counter vectors* and the trap
-  rollback (:class:`Tier2Writer`, :meth:`Lowering.block_source`);
+* the block line emitter (:class:`BlockEmitter`): temps, the marks
+  of instructions that can raise, and the bounds / store / reduce /
+  quad templates both engines spell identically;
+* the debit protocol over per-block *counter vectors*
+  (:class:`Tier2Writer`, :meth:`Lowering.block_source`) and the one
+  trap rollback of both tiers, a source-line table per block
+  (:func:`body_under_rollback`);
 * the tier-2 dispatcher: hot-span ordering, two-block loop fusion,
   the OSR entry whitelist and prologue, the ``pc`` ladder and its
   deopt arms (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
@@ -33,7 +36,11 @@ engine is calling; the engines import this module, never the reverse.
 
 The runtime trampolines (``_run_fast`` / ``_call_fast``, ``_run_osr``)
 stay per engine: their handler arities differ, and sharing them would
-put a ``*frame`` splat on the hottest loop.  The metered replay they
+put a ``*frame`` splat on the hottest loop.  What they share is the
+policy: at an OSR threshold crossing they hand
+:meth:`Predecoded.tier2_repaid` the instructions executed since the
+last one, and a call starts in whatever :meth:`Predecoded.built_tier2`
+already holds.  The metered replay they
 hand a :class:`repro.engine.MeterTrip` to is shared: it always ends
 in a trap, so its splat is paid once per failed call.
 """
@@ -59,20 +66,29 @@ from repro.semantics.memory import (
 
 
 class Tier2BuildStats:
-    """Tier-2 build-site accounting, one instance per engine.
+    """Tier-2 build-site accounting, one instance per engine.  What
+    each bucket proves:
 
-    ``warm`` builds are the ones a caller asked for ahead of a run
-    (``warm_module`` / ``warm_bytecode_module``); ``request`` builds
-    happen inside a run.  An image built ahead keeps the request
-    bucket at zero — the bench/CI stat that proves the explicit call
-    prepays whole-function codegen.  ``facts_warm`` /
-    ``facts_request`` count fresh dataflow-plane analyses by the same
-    split (facts provenance), and ``guards_elided`` / ``guards_kept``
-    count OSR prologue fact guards the analysis proved redundant (kept
-    only under ``PVI_OSR_GUARDS=1``)."""
+    * ``warm`` — builds a caller asked for ahead of a run
+      (``warm_module`` / ``warm_bytecode_module``); ``request`` —
+      builds that happened inside a run (a hinted function's first
+      call, or an OSR crossing the payback gate let through).  An
+      image built ahead keeps ``request`` at zero: the explicit call
+      prepaid whole-function codegen.
+    * ``deferred`` — OSR threshold crossings where the payback gate
+      (:meth:`Predecoded.tier2_repaid`) said "not yet": the function
+      was hot enough to ask and had not yet spent what a build costs.
+      ``deferred > 0`` with ``request == 0`` answers "why did this
+      function never promote?" — it never ran long enough to repay
+      the build.
+    * ``facts_warm`` / ``facts_request`` — fresh dataflow-plane
+      analyses, by the same split (facts provenance).
+    * ``guards_elided`` / ``guards_kept`` — OSR prologue fact guards
+      the analysis proved redundant (kept only under
+      ``PVI_OSR_GUARDS=1``)."""
 
     def __init__(self) -> None:
-        self.counts = {"warm": 0, "request": 0,
+        self.counts = {"warm": 0, "request": 0, "deferred": 0,
                        "facts_warm": 0, "facts_request": 0,
                        "guards_elided": 0, "guards_kept": 0}
 
@@ -88,6 +104,18 @@ class Tier2BuildStats:
 #: "tier-2 code not built yet" sentinel (distinct from None = "build
 #: failed or declined; stay block-threaded")
 _TIER2_UNBUILT = object()
+
+#: block-tier instructions a function must execute, per instruction of
+#: its code, before OSR builds its tier-2 translation (ski rental: wait
+#: until the rent paid equals the price).  Sized by the ``break_even``
+#: table of ``benchmarks/results/BENCH_interp_throughput.json`` (11
+#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 45-176
+#: us per instruction of code, tier-2 then runs 1.04-2.60x the block
+#: tier, and the saving repays the build after a median of 1797
+#: executed instructions per instruction of code (quartiles 1265 /
+#: 2120).  2000 is the upper quartile in round figures; a full-size
+#: run of that bench fails when the constant leaves [q1, 2 x q3].
+TIER2_PAYBACK = 2000
 
 #: serializes first-time tier-2 and step builds.  Predecodes ride
 #: shared images (the deploy memo hands one object to every caller);
@@ -141,12 +169,27 @@ class StepTable(dict):
 class Predecoded:
     """One function's decoded form: block-compiled handlers at fuel
     block leaders, the lazy one-instruction :class:`StepTable` (the
-    trap paths), the lazily built tier-2 whole-function translation,
-    and — in the engine's subclass — the per-call frame
-    initialization data."""
+    trap paths), the lazily built tier-2 whole-function translation
+    with the payback gate in front of its OSR build, and — in the
+    engine's subclass — the per-call frame initialization data.
+
+    Promotion policy (ski rental): an unhinted function's translation
+    is built from OSR only once the function has *spent*, in
+    block-tier instructions executed in its counted loops and summed
+    over every call on this object, what the build costs
+    (:data:`TIER2_PAYBACK` per instruction of code).  The counter
+    lives here, not on the call, so short calls add up; once a
+    translation exists (:meth:`built_tier2`) every later call enters
+    it at pc 0.  ``spent`` is read off the machine's one executed
+    counter, so it *includes* what callees ran inside those loops
+    (whatever tier they ran in), and a recursive function counts the
+    same instructions once per active frame: a thin loop around a
+    heavy callee is promoted before its own instructions would repay
+    the build.  The overshoot is one build; telling the two apart
+    would put a second counter on every call."""
 
     __slots__ = ("token", "handlers", "steps", "osr_leaders", "_tier2",
-                 "_tier2_args")
+                 "_tier2_args", "_spent")
 
     def __init__(self, token, handlers, steps: StepTable, osr_leaders,
                  **frame):
@@ -161,8 +204,48 @@ class Predecoded:
         self.osr_leaders = osr_leaders
         self._tier2 = _TIER2_UNBUILT
         self._tier2_args = (steps.low.func, steps.low.binding)
+        self._spent = 0
         for name, value in frame.items():
             setattr(self, name, value)
+
+    @property
+    def spent(self) -> int:
+        """Block-tier instructions the gate has been told about."""
+        return self._spent
+
+    @property
+    def payback(self) -> int:
+        """What ``spent`` must reach before OSR builds tier-2."""
+        return TIER2_PAYBACK * len(self.steps.low.code)
+
+    def built_tier2(self):
+        """The translation if one exists (an earlier call, a warm
+        hook or a hint built it), else ``None`` — never builds."""
+        t2 = self._tier2
+        return None if t2 is _TIER2_UNBUILT else t2
+
+    @property
+    def tier2_declined(self) -> bool:
+        """The build was tried and failed or declined: nothing left to
+        ask for, the function stays block-threaded."""
+        return self._tier2 is None
+
+    def tier2_repaid(self, executed: int):
+        """The payback gate, asked by a trampoline at an OSR threshold
+        crossing with no translation in hand: ``executed`` instructions
+        ran since it last asked (callees included, see the class
+        docstring).  Returns the translation once the function has
+        repaid its build (building it then), and ``None`` while it has
+        not — or when the build declined (:attr:`tier2_declined`,
+        after which the trampoline stops asking).  A race on
+        ``_spent`` loses a few counts of a heuristic; the build itself
+        is serialized in :meth:`tier2`."""
+        if self._tier2 is _TIER2_UNBUILT:
+            self._spent += executed
+            if self._spent < self.payback:
+                self.steps.low.stats.counts["deferred"] += 1
+                return None
+        return self.tier2()
 
     def tier2(self, warm: bool = False):
         """The whole-function tier-2 translation, built on first
@@ -212,7 +295,7 @@ class Tier(NamedTuple):
     and ``_gen_block_lines`` is called with one of them."""
 
     #: whole-function tier: kernels inlined as expressions where
-    #: provably identical, progress marks only where code can raise
+    #: provably identical, pure values deferred so statements fuse
     tier2: bool
     #: the engine's storage lvalue format (list cell vs Python local)
     place: str
@@ -237,15 +320,14 @@ class BlockEmitter:
     say which instruction each line belongs to.
 
     A mark ``(line index, instruction offset)`` is recorded before the
-    first line of every instruction whose generated code can raise.
-    If that instruction traps mid-block, the rollback handler uses the
-    mark to roll the block-entry fuel debit back to exactly the
-    reference engine's per-instruction count.  The block tier
-    conservatively marks everything and materializes the marks as
-    ``_i = k`` stores (:meth:`marked_lines`); tier-2 marks only
-    instructions that can actually raise and keeps the hot path
-    store-free — the marks feed a source-line table instead
-    (:meth:`Tier2Writer.body`)."""
+    first line of every instruction whose generated code can raise —
+    in both tiers: the per-opcode lowering sets :attr:`impure` where
+    it emits a kernel call, a memory access or a ``raise``.  If that
+    instruction traps mid-block, the rollback handler maps the
+    trapping source line through the marks to roll the block-entry
+    fuel debit back to exactly the reference engine's per-instruction
+    count (:func:`body_under_rollback`); the hot path carries no
+    progress stores, and a block with no mark gets no handler."""
 
     def __init__(self, env: CodegenEnv, tier: Tier):
         self.env = env
@@ -268,22 +350,12 @@ class BlockEmitter:
     def begin(self) -> None:
         """Start lowering one instruction."""
         self.marker_at = len(self.lines)
-        self.impure = not self.tier.tier2
+        self.impure = False
 
     def end(self, offset: int) -> None:
         """Finish the instruction at block offset ``offset``."""
         if len(self.lines) > self.marker_at and self.impure:
             self.marks.append((self.marker_at, offset))
-
-    def marked_lines(self) -> List[str]:
-        """The body with every mark materialized as an ``_i = k``
-        progress store (the block tier's rollback mechanism)."""
-        lines, start = [], 0
-        for at, offset in self.marks:
-            lines += self.lines[start:at]
-            lines.append(f"_i = {offset}")
-            start = at
-        return lines + self.lines[start:]
 
     # -- templates both engines spell identically ----------------------------
 
@@ -448,6 +520,40 @@ def osr_entry_points(code, blocks, bodies, fused_latches) -> frozenset:
                      if bodies.get(t) and t not in fused_latches)
 
 
+def body_under_rollback(out: List[str], pad: str, lines: List[str],
+                        marks: List[Tuple[int, int]], length: int,
+                        env: CodegenEnv) -> bool:
+    """Append a block body to the source ``out`` at indent ``pad``:
+    the one trap-rollback mechanism of both tiers.
+
+    A block with no marks has no instruction that can raise — its
+    lines go out bare and the result is ``False``.  Otherwise the
+    body runs under one ``try`` whose ``except`` clause maps the
+    trapping *source line* (the traceback's, absolute in ``out``)
+    back to the instruction offset whose mark covers it and leaves it
+    in ``_i``; the caller appends, one level in, the statement that
+    rolls its fuel debit back to that instruction, and ``raise``.
+    The table is bound here, so a caller that must not disturb the
+    names of constants bound during lowering (``CodegenEnv.bind``
+    names by env size) calls this after every block is lowered."""
+    if not marks:
+        out += [pad + line for line in lines]
+        return False
+    table = {}
+    position, active = 0, length - 1
+    out.append(pad + "try:")
+    for index, line in enumerate(lines):
+        while position < len(marks) and marks[position][0] <= index:
+            active = marks[position][1]
+            position += 1
+        out.append(pad + "    " + line)
+        table[len(out)] = active
+    out.append(pad + "except Exception as _e:")
+    out.append(f"{pad}    _i = {env.bind(table, 'lm')}.get("
+               f"_e.__traceback__.tb_lineno, {length - 1})")
+    return True
+
+
 class Tier2Writer:
     """The source of one ``_t2`` and its debit protocol.
 
@@ -533,35 +639,12 @@ class Tier2Writer:
 
     def body(self, leader: int, base: int, lines: List[str],
              marks: List[Tuple[int, int]]) -> None:
-        """Block body at indent ``base``.  A block with no marks has
-        no instruction that can raise — no rollback handler at all.
-        Otherwise the body runs under one ``try`` whose except clause
-        maps the trapping *source line* (via the exception traceback)
-        back to the instruction offset whose mark covers it, and rolls
-        the fuel debit back to that instruction — the hot path stays
-        free of the per-instruction ``_i`` stores the block tier
-        pays."""
+        """Block body at indent ``base``, under the line-table
+        rollback (:func:`body_under_rollback`) when it can raise."""
         length = self.blocks[leader]
-        if not marks:
-            for line in lines:
-                self.w(line, base)
+        if not body_under_rollback(self.out, " " * base, lines, marks,
+                                   length, self.env):
             return
-        owners = []
-        position, active = 0, length - 1
-        for index in range(len(lines)):
-            while position < len(marks) and marks[position][0] <= index:
-                active = marks[position][1]
-                position += 1
-            owners.append(active)
-        table = {}
-        self.w("try:", base)
-        for index, line in enumerate(lines):
-            table[len(self.out) + 1] = owners[index]
-            self.w(line, base + 4)
-        name = self.env.bind(table, "lm")
-        self.w("except Exception as _e:", base)
-        self.w(f"_i = {name}.get(_e.__traceback__.tb_lineno, "
-               f"{length - 1})", base + 4)
         if self.live:
             self.w(f"{self.fuel} -= {length} - _i - 1", base + 4)
         else:
@@ -638,8 +721,6 @@ class Lowering:
     fields: Tuple[str, ...] = ()
     #: ``compile()`` filename tags: block tier, tier-2
     tags: Tuple[str, str]
-    #: comment lines of the block tier's rollback clause
-    rollback_note: Tuple[str, ...]
     #: extra names every generated function sees
     env_extras: dict = {}
     block_tier: Tier
@@ -709,20 +790,24 @@ class Lowering:
         lowered = {}
         for leader, length in blocks.items():
             try:
-                lowered[leader] = self.lower(
-                    leader, length, self.block_tier).marked_lines()
+                block = self.lower(leader, length, self.block_tier)
+                lowered[leader] = block.lines, block.marks
             except Exception:
                 pass                    # -> the stepping fallback
 
         def install(bodies: dict) -> None:
-            source = "\n".join(
-                self.block_source(leader, blocks[leader], body)
-                for leader, body in bodies.items())
-            exec(compile(source, f"<{self.tags[0]}:{name}>", "exec"),
-                 env)
+            source: List[str] = []
+            for leader, (body, marks) in bodies.items():
+                self.block_source(source, leader, blocks[leader], body,
+                                  marks)
+            exec(compile("\n".join(source), f"<{self.tags[0]}:{name}>",
+                         "exec"), env)
             for leader in bodies:
                 handlers[leader] = env[f"_b{leader}"]
 
+        # (Line tables and ``_step`` are bound only now, every block
+        # lowered: ``CodegenEnv.bind`` names by env size, so an earlier
+        # entry would rename every bound constant.)
         if lowered:
             try:
                 install(lowered)
@@ -733,13 +818,11 @@ class Lowering:
             # among good ones) steps through its instructions under
             # the same block-entry debit and rollback; the malformed
             # one raises when it is reached, like the reference.
-            # (Bound only now: ``CodegenEnv.bind`` names by env size,
-            # so an earlier entry would rename every bound constant.)
             env["_step"] = steps
-            install({leader: [f"pc = {leader}",
-                              f"for _i in range({length}):",
-                              f"    pc = _step[pc]({self.signature})",
-                              "return pc"]
+            install({leader: ([f"pc = {leader}",
+                               f"for _i in range({length}):",
+                               f"    pc = _step[pc]({self.signature})",
+                               "return pc"], None)
                      for leader, length in blocks.items()
                      if leader not in lowered})
 
@@ -747,29 +830,38 @@ class Lowering:
                                self.osr_candidates(),
                                **self.frame_data(module))
 
-    def block_source(self, leader: int, length: int,
-                     body: List[str]) -> str:
-        """One block handler: debit the whole counter vector on entry
+    def block_source(self, out: List[str], leader: int, length: int,
+                     body: List[str],
+                     marks: Optional[List[Tuple[int, int]]]) -> None:
+        """Append one block handler to the function's source ``out``
+        (one running list: the rollback's line numbers are absolute):
+        debit the whole counter vector on entry
         (:class:`repro.engine.MeterTrip` when the fuel debit crosses
         the limit, leaving the block undebited), then run ``body``
-        under the ``_i`` rollback."""
+        under the line-table rollback — fuel only: result counters
+        are unobservable after a trap.  ``marks=None`` is the stepping
+        fallback body, whose loop variable ``_i`` *is* the progress."""
         machine = self.machine
         fuel = f"{machine}.{self.executed}"
-        lines = [f"def _b{leader}({self.signature}):",
-                 f"    executed = {fuel} + {length}",
-                 f"    {fuel} = executed",
-                 f"    if executed > {machine}.fuel:",
-                 f"        {fuel} = executed - {length}",
-                 f"        raise MeterTrip({leader})"]
-        lines += [f"    res.{field} += {amount}" for field, amount
-                  in self.charges(leader, length).items()]
-        lines += [f"    _i = {length - 1}", "    try:"]
-        lines += ["        " + line for line in body]
-        lines += ["    except Exception:"]
-        lines += ["        " + note for note in self.rollback_note]
-        lines += [f"        {fuel} -= {length} - _i - 1",
-                  "        raise", ""]
-        return "\n".join(lines)
+        out += [f"def _b{leader}({self.signature}):",
+                f"    executed = {fuel} + {length}",
+                f"    {fuel} = executed",
+                f"    if executed > {machine}.fuel:",
+                f"        {fuel} = executed - {length}",
+                f"        raise MeterTrip({leader})"]
+        out += [f"    res.{field} += {amount}" for field, amount
+                in self.charges(leader, length).items()]
+        if marks is None:
+            out += ["    try:", *("        " + line for line in body),
+                    "    except Exception:"]
+            guarded = True
+        else:
+            guarded = body_under_rollback(out, "    ", body, marks,
+                                          length, self.env)
+        if guarded:
+            out += [f"        {fuel} -= {length} - _i - 1",
+                    "        raise"]
+        out.append("")
 
     # -- tier-2: whole-function translation ----------------------------------
     #

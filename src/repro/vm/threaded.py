@@ -117,8 +117,10 @@ def warm_bytecode_module(module) -> None:
     tier-2 translation wherever a serving call could want it — the
     hotness-promoted functions and every OSR candidate (any function
     with a loop header).  The VM twin of
-    :func:`repro.targets.dispatch.warm_module`: after this, calls
-    never run whole-function codegen in-request
+    :func:`repro.targets.dispatch.warm_module`: it prepays the build
+    the payback gate would otherwise defer until the loops have run
+    long enough to repay it, so every later call starts in tier-2 at
+    pc 0 and never runs whole-function codegen in-request
     (:func:`tier2_build_stats` proves it)."""
     for func in module.functions.values():
         pre = predecode(func, module)
@@ -161,14 +163,15 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     ``tier.tier2`` additionally turns on the optimizations the
     trampoline tier cannot use: kernel calls inlined as expressions
     (see :func:`repro.engine.inline_binop`), pure values *deferred* on
-    the virtual stack so statements fuse, ``mem.data``/``mem.size``
-    read from the dispatcher's hoisted ``_md``/``_ms`` locals, and
-    progress marks only before instructions that can actually raise
-    (deferral tracks which local each pending expression reads, so a
-    ``stloc`` materializes the values it would clobber).
+    the virtual stack so statements fuse (deferral tracks which local
+    each pending expression reads, so a ``stloc`` materializes the
+    values it would clobber), and ``mem.data``/``mem.size`` read from
+    the dispatcher's hoisted ``_md``/``_ms`` locals.  In both tiers
+    ``em.impure`` is set exactly where the emitted code can raise: it
+    is what puts the instruction in the block's rollback table.
     """
     code, env, info = low.code, low.env, low.info
-    frame_offsets = low.frame_offsets
+    frame_offsets, nlocals = low.frame_offsets, len(low.func.local_types)
     tuple_locals, lane_locals = low.tuple_locals, low.lane_locals
     tier2 = tier.tier2
     local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
@@ -246,6 +249,17 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 vstack[j] = t
                 vdeps[j] = _EMPTY_DEPS
 
+    def local(index: int) -> str:
+        """The place of local ``index``.  Unverified code may name one
+        the frame lacks: the block tier's subscript then raises the
+        reference's IndexError, so the instruction is marked; tier-2
+        has no such Python local and leaves the block untranslated."""
+        if not 0 <= index < nlocals:
+            if tier2:
+                raise IndexError(index)
+            em.impure = True
+        return local_fmt.format(index)
+
     def mask_addr(expr: str) -> str:
         t = newt()
         emit(f"{t} = ({expr}) & {MASK64_LITERAL}")
@@ -292,6 +306,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         em.begin()
 
         if op == "ldloc":
+            place = local(instr.arg)
             if tier2:
                 if instr.arg in local_meta:
                     meta = local_meta[instr.arg]
@@ -311,10 +326,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                             "tuple": False, "float": False}
                 else:
                     meta = None
-                push_atom(local_fmt.format(instr.arg),
-                          frozenset((instr.arg,)), meta=meta)
+                push_atom(place, frozenset((instr.arg,)), meta=meta)
             else:
-                push(local_fmt.format(instr.arg))
+                push(place)
         elif op == "ldarg":
             if instr.arg < low.safe_args:
                 # The dispatcher's entry guard proved ``ar`` holds at
@@ -326,6 +340,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 em.impure = True    # short args IndexError here, like
                 push(f"ar[{instr.arg}]")    # the reference's args[i]
         elif op == "stloc":
+            target = local(instr.arg)
             value, _, meta = popm()
             if meta is not None and meta.get("tuple"):
                 if tier2:
@@ -346,7 +361,6 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                     info["lane_breaks"].add(instr.arg)
                 spill_local(instr.arg)
                 local_meta[instr.arg] = meta
-            target = local_fmt.format(instr.arg)
             proven_bounds.difference_update(
                 {pb for pb in proven_bounds if pb[0] == target})
             if tier2 and lines and re.fullmatch(r"t\d+", value) \
@@ -716,8 +730,6 @@ class _BytecodeLowering(Lowering):
     executed = "instructions_executed"
     fuel_trap = "VM fuel exhausted"
     tags = ("pvi", "pvi-t2")
-    rollback_note = (
-        "# roll the debit back to the trapping instruction",)
     block_tier = block_tier("lo[{0}]")
     tier2_tier = whole_tier("l{0}")
     predecoded = PredecodedFunction

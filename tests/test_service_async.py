@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.core import deploy, offline_compile
-from repro.engine import osr_enabled
+from repro.engine import osr_enabled, osr_threshold
 from repro.flows import as_flow
 from repro.semantics import Memory
 from repro.service import (
@@ -63,9 +63,9 @@ def predecoded(image):
             if getattr(func, "_predecode_cache", None) is not None]
 
 
-def first_run_builds(image):
-    """Run ``image`` once at an ``n`` long enough to promote the loop;
-    the tier-2 builds that run paid in-request, per engine."""
+def run_builds(image):
+    """Run ``image`` once at ``n = 4096``; the tier-2 builds that run
+    paid in-request, per engine."""
     from repro.targets.dispatch import tier2_build_stats as machine
     from repro.vm.threaded import tier2_build_stats as vm
 
@@ -73,6 +73,18 @@ def first_run_builds(image):
     simulate("saxpy_fp", image, n=4096, engine="fast")
     return (machine()["request"] - before[0],
             vm()["request"] - before[1])
+
+
+def promoting_run(image, limit: int = 40):
+    """``(k, builds)``: which of the next runs of ``image`` (1-based)
+    pays a tier-2 build in-request, and what it built per engine —
+    the loop is promoted once its runs have added up to the build's
+    payback.  ``(None, (0, 0))`` when ``limit`` runs build nothing."""
+    for k in range(1, limit + 1):
+        builds = run_builds(image)
+        if any(builds):
+            return k, builds
+    return None, (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +186,10 @@ class TestExecutorEquivalence:
     def test_engine_not_service_builds_predecode(self, executor_name,
                                                  target_name):
         """The executor contract: the future holds exactly what the
-        JIT built, so the first run of the image builds predecode and
-        tier-2 in-request — by the same amount on every substrate."""
+        JIT built, so the first run of the image builds predecode
+        in-request and the k-th builds tier-2 (once the loop has
+        repaid it) — the same k, by the same amount, on every
+        substrate."""
         svc = CompilationService(executor=executor_name)
         try:
             artifact = svc.artifact(SAXPY, "k")
@@ -184,12 +198,19 @@ class TestExecutorEquivalence:
             fresh = copy.deepcopy(artifact)
             image = svc.deploy(artifact, target_name, "split")
             assert predecoded(image) == []
-            builds = first_run_builds(image)
+            first = run_builds(image)
             assert predecoded(image) != []
-            assert builds == first_run_builds(
-                deploy(fresh, target_name, "split"))
-            # one loop, one OSR promotion (none under PVI_OSR=0)
-            assert sum(builds) == int(osr_enabled())
+            oracle = deploy(fresh, target_name, "split")
+            assert first == run_builds(oracle)
+            k, later = promoting_run(image)
+            assert (k, later) == promoting_run(oracle)
+            # one loop, one OSR promotion (none under PVI_OSR=0), on
+            # one run: the runs after it enter what it built
+            assert sum(first) + sum(later) == int(osr_enabled())
+            if osr_enabled() and osr_threshold()[1]:
+                assert k is not None and not any(first), \
+                    "one n = 4096 run does not repay a build"
+            assert run_builds(image) == (0, 0)
         finally:
             svc.shutdown()
 

@@ -1,12 +1,13 @@
 """The tier scaffold shared by both predecode engines
 (:mod:`repro.tiers`): loop fusion, the counter-vector debit protocol,
 one-instruction stepping (the bail-out fallback and the metered
-replay), trap rollback through the tier-2 line table, the pinned
-digest of every generated source, and the thread-safe lazy tier-2
-build."""
+replay), trap rollback through the source-line table (both tiers),
+the pinned digest of every generated source, the payback-gated
+promotion policy, and the thread-safe lazy tier-2 build."""
 
 from __future__ import annotations
 
+import bisect
 import random
 import re
 import threading
@@ -20,7 +21,8 @@ from repro.bytecode.module import BytecodeFunction, BytecodeModule
 from repro.bytecode.opcodes import BCInstr, type_of
 from repro.core import deploy, offline_compile, select_bytecode
 from repro.engine import (
-    CodegenEnv, FAST, REFERENCE, TIER2, backedge_targets, fuel_blocks,
+    CodegenEnv, FAST, OSR_THRESHOLD_ENV, REFERENCE, TIER2,
+    backedge_targets, fuel_blocks,
 )
 from repro.ir.values import VecType
 from repro.lang import types as ty
@@ -246,7 +248,9 @@ class TestFallbackWrapper:
 
     #: (well-formed set-up, the malformed instruction, outcome kind,
     #: message, does its block fall back to stepping?) — one per arm
-    #: of the VM lowering that raises on malformed code
+    #: of the VM lowering that raises on malformed code, then the two
+    #: local accesses no frame has: their block compiles, and the
+    #: subscript raises (under a rollback mark) where the reference's
     VM_MALFORMED = [
         ([], BCInstr("bogus"), "trap", "unknown opcode 'bogus'", True),
         ([BCInstr("const", "i32", 3), BCInstr("vec.splat", "i32")],
@@ -256,6 +260,10 @@ class TestFallbackWrapper:
          BCInstr("add", "q7"), "KeyError", "'q7'", True),
         ([], BCInstr("frame", None, 5),
          "IndexError", "list index out of range", True),
+        ([], BCInstr("ldloc", "i32", 9),
+         "IndexError", "list index out of range", False),
+        ([BCInstr("const", "i32", 1)], BCInstr("stloc", "i32", 9),
+         "IndexError", "list assignment index out of range", False),
     ]
 
     #: the simulator's: a malformed *operand* traps inline, where the
@@ -521,20 +529,20 @@ class TestStepping:
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
 #: sha256, the per-tag ``(sources, lines)`` and the per-source prints
 PINNED_SOURCES = (
-    "963c14649d4c5f9e570dafdd289f799856587067effe54d1d6fa781e29c72ba1",
-    {"pvi": (22, 4297), "pvi-sim": (132, 39319),
+    "4f916e7ca01cb748b716734964a9ca774624f74144872307cc47fa1b7cc480af",
+    {"pvi": (22, 2770), "pvi-sim": (132, 27871),
      "pvi-sim-t2": (132, 24990), "pvi-t2": (22, 2643)},
-    ("3dbb1f65bf8d945b47d4b6f670280d261b13dd52aaa9972ec8f89d9c"
-     "757364ada7f80eca079aa7570a645767f1064a1b39b18b8a83b6de8a"
-     "9e00eb56bb94d7a5a7d54aa49b9cd552a917d15557bec61d36776108"
-     "02cd4c634ece414d426a54aad77f6cdecf0ae7b074eddbaf6e65dc04"
-     "a96b9d9e31ed70571ee0d820e907927e29e789069b8a183f8f635b92"
-     "d2e89fa187e6a0a4e577f94195a0fd8241ca50c1a8a67b8bdc852fb7"
-     "53162d2ac81fc7618337c825b0b82789332101d871dbd1b9fb919371"
-     "e4b45e70ef2121c0a736859587db80de7815734ff4a4c612d36cf1a9"
-     "c73ee2f7c94a3f52ecef53baabe4fa0f1a72b12d30de40dd260fac75"
-     "6cf3dd6531b096fe55ff7c614a3121b43c11d9e878f2056c9a108c80"
-     "f6b3e53f93c38ce93e4d90fcb480dea12042c801b6db8b55241755c2"))
+    ("3dc71f87bfaa94cd47cbb64d70ad0d5c1b2eddd0aa3497e7c8429d43"
+     "7572649ea71f0ee807d0a7d50a1c5791f1e14a3f39488baa8307de69"
+     "9e19ebfcbbc3d778a7684adb9bead5ada914d14a57e1c613363561d0"
+     "02614cbb4e5741bf425854f1d7886c51cf4de77c7479dbab6ea7dc21"
+     "a91b9d3a319970171e04d8fee9df9238290489f49b0118c78f165b43"
+     "d2999f298701a020e5aef947957dfdce41b85023a8747b0adc1b2f51"
+     "53bd2decc84ac71283acc8ddb02e273f33ad0196719dd116fb0393d7"
+     "e4505e4eef9e216da7938506877480b078b57356f4d5c64dd3ccf12e"
+     "c749e283c9463f9eecfa531dab54fa041a2bb16d300b40072684ac9f"
+     "6c42dda031c996aa55647c874a2d219d3c6bd91c785a05c49aa58c6d"
+     "f69fe50293208c493e3d90dfb4d4de4d206ec8b3b6b18b1b241a55e4"))
 
 
 def test_generated_sources_digest():
@@ -542,7 +550,17 @@ def test_generated_sources_digest():
     kernels x flows x targets, byte for byte.  A PR that means to move
     generated code re-pins the three values and says so; CI also runs
     this under two fixed ``PYTHONHASHSEED`` values, so a source that
-    depends on set order fails here and not in a later byte-compare."""
+    depends on set order fails here and not in a later byte-compare.
+
+    Last re-pin (ISSUE 16): the block tier adopted tier-2's
+    source-line rollback.  The ``pvi-t2`` (22 / 2643) and
+    ``pvi-sim-t2`` (132 / 24990) counts and every tier-2 print are
+    unchanged; ``pvi`` (4297 -> 2770 lines) and ``pvi-sim`` (39319 ->
+    27871) sources differ from the parent's only by the removed
+    ``_i = k`` stores (7161), the removed ``try`` / ``except`` of
+    mark-free blocks (1374 -> 696 handlers) and the new ``except``
+    clause — a scratch diff that strips exactly those leaves all 154
+    block-tier sources equal (CHANGES.md)."""
     sources = generated_sources()
     got = sources_digest(sources)
     if got != PINNED_SOURCES:
@@ -553,6 +571,63 @@ def test_generated_sources_digest():
         pytest.fail(f"generated sources moved, first at {moved}:\n"
                     f"sha256 {got[0]}\ntags {got[1]}\n"
                     f"prints {prints}")
+
+
+def test_block_tier_rollback_structure(monkeypatch):
+    """One rollback mechanism, both tiers — over the digest corpus:
+    a block-tier ``_b<leader>`` without a ``try:`` holds no ``raise``,
+    no call (bar ``s.append``, which cannot fail) and no subscript
+    but a constant cell of storage the frame set-up sized (locals,
+    register files) or a spill-slot store, and every ``raise`` line
+    sits under the mark of the instruction that emitted it, so the
+    line table names the trapping instruction."""
+    spans = {}      # block-tier emitter -> [(first line, end, offset)]
+    real_end = tiers.BlockEmitter.end
+
+    def end(self, offset):
+        if not self.tier.tier2:
+            spans.setdefault(self, []).append(
+                (self.marker_at, len(self.lines), offset))
+        real_end(self, offset)
+
+    monkeypatch.setattr(tiers.BlockEmitter, "end", end)
+    sources = generated_sources()
+    bare = guarded = 0
+    for key, source in sources.items():
+        if "-t2:" in key[3]:
+            continue
+        assert not re.search(r"^\s*_i = \d+$", source, re.M), key
+        for block in source.split("\ndef "):
+            lines = block.split("\n")
+            if "    try:" in lines:
+                guarded += 1
+                assert "__traceback__.tb_lineno" in block, key
+                continue
+            bare += 1
+            entry = next(index for index, line in enumerate(lines)
+                         if "raise MeterTrip" in line)
+            for line in lines[entry + 1:]:
+                assert "raise" not in line, (key, line)
+                assert set(re.findall(r"[\w.\]]+\(", line)) \
+                    <= {"s.append("}, (key, line)
+                for base, index in re.findall(r"(\w+)\[([^\]]*)\]", line):
+                    assert index.isdigit() and (
+                        base in ("lo", "ri", "rf", "rv")
+                        or line.startswith(f"    slots[{index}] = ")), \
+                        (key, line)
+    assert bare and guarded
+    raises = 0
+    for emitter, instructions in spans.items():
+        starts = [at for at, _ in emitter.marks]
+        for first, end_, offset in instructions:
+            for index in range(first, end_):
+                if "raise" in emitter.lines[index]:
+                    raises += 1
+                    mark = bisect.bisect_right(starts, index) - 1
+                    assert mark >= 0 and \
+                        emitter.marks[mark][1] == offset, \
+                        (emitter.lines[index], offset)
+    assert raises
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +750,184 @@ def test_engines_share_one_predecoded_protocol():
 
 LOOP = "int f(int n) { int s = 0;" \
        " for (int i = 0; i < n; i++) s += i; return s; }"
+
+
+NO_TIERING = {"tier2_promotions": 0, "osr_entries": 0,
+              "deopt_reentries": 0}
+
+
+@pytest.mark.parametrize("engine_module", [threaded, dispatch])
+class TestPaybackGate:
+    """The promotion policy: OSR builds a function's tier-2 only once
+    the function has spent, over all calls on its predecode, what the
+    build costs; what is built is entered at pc 0 from then on."""
+
+    #: back edges per call: seven gate questions each (stride 64)
+    N = 500
+
+    @pytest.fixture(autouse=True)
+    def default_policy(self, monkeypatch):
+        """CI's engine matrix sets ``PVI_OSR_THRESHOLD``; these tests
+        are about what happens when nobody does."""
+        monkeypatch.delenv(OSR_THRESHOLD_ENV, raising=False)
+
+    def fresh(self, engine_module, source=LOOP):
+        """``(module, predecode, call)`` over a never-run image of
+        ``source``; ``call(n, engine, **knobs)`` runs ``f(n)`` on a
+        new machine: ``(value and counts, tiering stats)``."""
+        if engine_module is threaded:
+            module, _ = emit_module(lower_checked(source))
+            pre = threaded.predecode(module.functions["f"], module)
+
+            def call(n, engine=FAST, **knobs):
+                vm = VM(module, engine=engine, **knobs)
+                value = vm.call("f", [n])
+                return (value, vm.instructions_executed), \
+                    vm.tiering_stats()
+        else:
+            module = deploy(offline_compile(source), X86, "split")
+            pre = dispatch.predecode_machine(module["f"], module)
+
+            def call(n, engine=FAST, **knobs):
+                sim = Simulator(module, Memory(), engine=engine, **knobs)
+                got = sim.run("f", [n])
+                return (got.value, got.instructions, got.cycles,
+                        got.branches, sim._executed), sim.tiering_stats()
+        engine_module.reset_tier2_build_stats()
+        return module, pre, call
+
+    def test_call_shorter_than_the_payback_builds_nothing(
+            self, engine_module):
+        _, pre, call = self.fresh(engine_module)
+        want, _ = call(self.N, REFERENCE)
+        got, tiering = call(self.N, osr=True)
+        assert got == want and tiering == NO_TIERING
+        stats = engine_module.tier2_build_stats()
+        assert stats["request"] == 0 and stats["deferred"] == 7
+        assert pre.built_tier2() is None
+        assert 0 < pre.spent < pre.payback == \
+            tiers.TIER2_PAYBACK * len(pre.steps.low.code)
+
+    def test_short_calls_add_up_to_one_promotion(self, engine_module):
+        """The counter lives on the predecode: the k-th short call
+        builds and enters mid-call, k fixed by the arithmetic; every
+        later call starts in tier-2.  Value, instruction and cycle
+        counts match the reference on every call across the build."""
+        _, pre, call = self.fresh(engine_module)
+        want, _ = call(self.N, REFERENCE)
+        got, tiering = call(self.N, osr=True)
+        assert got == want and tiering == NO_TIERING
+        per_call = pre.spent
+        building = -(-pre.payback // per_call)          # ceil
+        assert building > 2
+        for number in range(2, building):
+            got, tiering = call(self.N, osr=True)
+            assert got == want and tiering == NO_TIERING, number
+        assert pre.built_tier2() is None
+        got, tiering = call(self.N, osr=True)
+        assert got == want
+        assert tiering == dict(NO_TIERING, osr_entries=1), \
+            f"call {building} repays the build and enters mid-call"
+        spent = pre.spent
+        for _ in range(3):
+            got, tiering = call(self.N, osr=True)
+            assert got == want
+            assert tiering == dict(NO_TIERING, tier2_promotions=1)
+        stats = engine_module.tier2_build_stats()
+        assert stats["request"] == 1 and stats["warm"] == 0
+        assert pre.spent == spent, "nothing left to ask the gate"
+
+    def test_explicit_threshold_bypasses_the_gate(self, monkeypatch,
+                                                  engine_module):
+        """``osr_threshold=`` / ``PVI_OSR_THRESHOLD`` mean "enter at
+        exactly this back-edge count", whatever was spent."""
+        for knobs, env in (({"osr_threshold": 8}, None), ({}, "8")):
+            if env is not None:
+                monkeypatch.setenv(OSR_THRESHOLD_ENV, env)
+            _, pre, call = self.fresh(engine_module)
+            _, tiering = call(7, osr=True, **knobs)
+            assert tiering == NO_TIERING and pre.built_tier2() is None
+            want, _ = call(8, REFERENCE)
+            got, tiering = call(8, osr=True, **knobs)
+            assert got == want
+            assert tiering == dict(NO_TIERING, osr_entries=1)
+            assert pre.spent == 0
+            stats = engine_module.tier2_build_stats()
+            assert stats["request"] == 1 and stats["deferred"] == 0
+
+    def test_osr_off_never_enters_tier2_unhinted(self, engine_module):
+        _, pre, call = self.fresh(engine_module)
+        want, _ = call(50 * self.N, REFERENCE)
+        got, tiering = call(50 * self.N, osr=False)
+        assert got == want and tiering == NO_TIERING
+        assert pre.spent == 0 and pre.built_tier2() is None
+        assert callable(pre.tier2())    # even with a translation built
+        got, tiering = call(50 * self.N, osr=False)
+        assert got == want and tiering == NO_TIERING
+        assert engine_module.tier2_build_stats()["deferred"] == 0
+
+    def test_declined_build_stops_the_call_asking(self, monkeypatch,
+                                                  engine_module):
+        """"Not yet" keeps counting; a build that declined is asked
+        for once per call and the call stops counting back edges."""
+        _, pre, call = self.fresh(engine_module)
+        asked = []
+        real = tiers.Predecoded.tier2_repaid
+        monkeypatch.setattr(
+            tiers.Predecoded, "tier2_repaid",
+            lambda self, executed: asked.append(executed)
+            or real(self, executed))
+        want, _ = call(self.N, REFERENCE)
+        call(self.N, osr=True)
+        assert len(asked) == 7 and not pre.tier2_declined
+        pre._tier2 = None
+        del asked[:]
+        got, tiering = call(self.N, osr=True)
+        assert got == want and tiering == NO_TIERING
+        assert len(asked) == 1
+
+    def test_spent_includes_what_callees_ran(self, engine_module):
+        """The gate's clock is the machine's one executed counter: a
+        loop's spending counts the instructions its callees ran, and
+        a loop-free callee never asks."""
+        source = "int helper(int x) { int t = x * x; return t + 1; }" \
+                 + LOOP.replace("s += i;", "s += helper(i);")
+        module, pre, call = self.fresh(engine_module, source)
+
+        def executed(entry, n):
+            return (vm_outcome if engine_module is threaded
+                    else sim_outcome)(module, [n], REFERENCE,
+                                      entry=entry)[-1]
+
+        per_trip = executed("f", 2) - executed("f", 1)
+        assert per_trip > executed("helper", 1) > 0
+        want, _ = call(self.N, REFERENCE)
+        got, tiering = call(self.N, osr=True)
+        assert got == want and tiering == NO_TIERING
+        # seven crossings, 64 back edges apart
+        assert 448 * per_trip <= pre.spent < 449 * per_trip
+
+    def test_mid_call_entry_at_every_fuel_value(self, engine_module):
+        """A built translation is entered at pc 0, so a sweep over one
+        image would enter mid-call once: un-build it before every
+        run, and the fuel trap lands on the reference's instruction
+        whether the call is still in the block tier, just entered, or
+        long inside tier-2."""
+        module, pre, _ = self.fresh(engine_module)
+        outcome = vm_outcome if engine_module is threaded \
+            else sim_outcome
+        total = outcome(module, [9], REFERENCE)[-1]
+        entered = []
+        for fuel in range(total + 2):
+            want = outcome(module, [9], REFERENCE, fuel=fuel)
+            pre._tier2 = tiers._TIER2_UNBUILT
+            assert outcome(module, [9], FAST, fuel=fuel, osr=True,
+                           osr_threshold=3) == want, fuel
+            if pre.built_tier2() is not None:
+                entered.append(fuel)
+        # the third back edge is reached from some fuel value on
+        assert entered == list(range(entered[0], total + 2))
+        assert 0 < entered[0] < total - 10
 
 
 @pytest.mark.parametrize("engine_module", [threaded, dispatch])
