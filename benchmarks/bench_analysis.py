@@ -23,6 +23,7 @@ from repro.bench import format_table
 from repro.core import deploy, offline_compile
 from repro.semantics import Memory
 from repro.targets import X86, dispatch
+from repro.tiers import template_stats
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS
 
@@ -123,6 +124,7 @@ def analysis_data():
                         ("facts_warm", "guards_elided", "guards_kept")},
             },
             "throughput_ips": {"fast": fast_ips, "tier2": tier2_ips},
+            "templates": template_stats(),
         })
     return {"per_kernel": per_kernel, "vm": vm_stats, "sim": sim_stats,
             "fast_ips": fast_ips, "tier2_ips": tier2_ips}

@@ -25,6 +25,14 @@ what a call saves, as executed block-tier instructions per
 instruction of code.  ``repro.tiers.TIER2_PAYBACK`` cites its median
 and quartiles.
 
+The ``predecode`` table verifies the block tier's template traffic
+instead of guessing it: per kernel and machine, how many blocks a
+predecode instantiates from how many distinct shapes, what it costs
+with the template memo empty and with it resident, and what a
+never-seen kernel compiles when the other ten are resident on that
+machine.  Its floors assert on counts read off the memo's own
+counters (``repro.tiers.template_stats``), which repeat exactly.
+
 The machine-readable ``BENCH_interp_throughput.json`` anchors the perf
 trajectory per PR; the CI smoke job fails if the fast engine ever
 regresses below the reference engine, tier-2 below the block-threaded
@@ -44,7 +52,7 @@ from repro.core import deploy, offline_compile
 from repro.engine import FAST, REFERENCE, TIER2
 from repro.semantics import Memory
 from repro.targets import X86, Simulator, dispatch
-from repro.tiers import TIER2_PAYBACK
+from repro.tiers import TIER2_PAYBACK, block_template, template_stats
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS, TABLE1
 
@@ -298,6 +306,92 @@ def _break_even_table(break_even) -> str:
               f"TIER2_PAYBACK = {TIER2_PAYBACK}")
 
 
+def _predecode_image(image, machine):
+    """Predecode every function of a never-run copy of ``image``:
+    ``(predecoded forms, seconds, templates compiled)``."""
+    fresh = copy.deepcopy(image)
+    predecode = threaded.predecode if machine == "vm" \
+        else dispatch.predecode_machine
+    compiled = template_stats()["misses"]
+    start = time.perf_counter()
+    pres = [predecode(func, fresh) for func in fresh.functions.values()]
+    took = time.perf_counter() - start
+    return pres, took, template_stats()["misses"] - compiled
+
+
+def _block_texts(pres):
+    """The template text of every block of ``pres``, lowered again
+    (the memo is not consulted)."""
+    texts = []
+    for pre in pres:
+        low = pre.steps.low
+        texts += [low.block_source(leader, length,
+                                   low.lower_block(leader, length))[0]
+                  for leader, length in low.blocks.items()]
+    return texts
+
+
+def _predecode_rows(machine):
+    """One machine's rows of the predecode census.  Every count is
+    taken twice — from the memo's ``misses`` counter and from the
+    template texts themselves — and the two must agree."""
+    images = {}
+    for name, kernel in ALL_KERNELS.items():
+        artifact = offline_compile(kernel.source, name)
+        images[name] = artifact.bytecode if machine == "vm" \
+            else deploy(artifact, machine, "split")
+    rows, texts = [], {}
+    for name, image in images.items():
+        empty = resident = float("inf")
+        for _ in range(REPEATS):
+            block_template.cache_clear()
+            pres, took, compiled = _predecode_image(image, machine)
+            empty = min(empty, took)
+            _, took, again = _predecode_image(image, machine)
+            resident = min(resident, took)
+        texts[name] = _block_texts(pres)
+        assert compiled == len(set(texts[name])), (name, machine)
+        rows.append({
+            "kernel": name, "machine": machine,
+            "blocks": len(texts[name]), "shapes": compiled,
+            "chars": sum(map(len, texts[name])),
+            "empty_ms": empty * 1e3, "resident_ms": resident * 1e3,
+            "resident_compiled": again})
+    for row in rows:        # leave one kernel out: the other ten
+        block_template.cache_clear()        # resident on this machine
+        others = set()
+        for name, image in images.items():
+            if name != row["kernel"]:
+                _predecode_image(image, machine)
+                others.update(texts[name])
+        _, _, compiled = _predecode_image(images[row["kernel"]], machine)
+        unseen = set(texts[row["kernel"]]) - others
+        assert compiled == len(unseen), (row["kernel"], machine)
+        row["unseen_compiled"] = compiled
+        row["unseen_chars_compiled"] = sum(map(len, unseen))
+    return rows
+
+
+def _predecode_table(predecode) -> str:
+    return format_table(
+        ["kernel", "machine", "blocks", "shapes", "empty ms",
+         "resident ms", "unseen shapes", "unseen chars"],
+        [(row["kernel"], row["machine"], row["blocks"], row["shapes"],
+          f"{row['empty_ms']:.2f}", f"{row['resident_ms']:.2f}",
+          f"{row['unseen_compiled']} / {row['blocks']}",
+          f"{row['unseen_chars_compiled']} / {row['chars']} "
+          f"({100 * row['unseen_chars_compiled'] / row['chars']:.0f} %)")
+         for row in predecode["rows"]],
+        title=f"Block-tier predecode of every function of a kernel "
+              f"(best of {REPEATS}): template memo empty vs resident, "
+              f"and never-seen with the other "
+              f"{len(ALL_KERNELS) - 1} kernels resident on the machine "
+              f"(shapes compiled / blocks, characters compiled / "
+              f"characters); all rows: {predecode['blocks']} blocks, "
+              f"{predecode['empty_ms']:.1f} ms empty, "
+              f"{predecode['resident_ms']:.1f} ms resident")
+
+
 @pytest.fixture(scope="module")
 def measurements():
     rows = []
@@ -378,7 +472,20 @@ def break_even():
 
 
 @pytest.fixture(scope="module")
-def report(request, measurements, osr_measurement, osr_first_call):
+def predecode():
+    """The predecode census: every kernel on the break-even machines
+    (counts do not depend on the run size, so smoke runs it whole)."""
+    rows = [row for machine in BREAK_EVEN_MACHINES
+            for row in _predecode_rows(machine)]
+    return {"machines": list(BREAK_EVEN_MACHINES), "rows": rows,
+            "blocks": sum(row["blocks"] for row in rows),
+            "empty_ms": sum(row["empty_ms"] for row in rows),
+            "resident_ms": sum(row["resident_ms"] for row in rows)}
+
+
+@pytest.fixture(scope="module")
+def report(request, measurements, osr_measurement, osr_first_call,
+           predecode):
     table_rows = [
         (row["kernel"],
          f"{row['vm_tier2_mips']:.2f}", f"{row['vm_fast_mips']:.2f}",
@@ -410,7 +517,10 @@ def report(request, measurements, osr_measurement, osr_first_call):
         "kernels": measurements,
         "osr": osr_measurement,
         "osr_first_call": osr_first_call,
+        "predecode": predecode,
+        "templates": template_stats(),
     }
+    table += "\n\n" + _predecode_table(predecode)
     if not SMOKE:       # the census is a full-size measurement
         break_even = data["break_even"] = \
             request.getfixturevalue("break_even")
@@ -506,6 +616,20 @@ class TestThroughput:
             <= 2 * break_even["q3"], \
             f"TIER2_PAYBACK = {TIER2_PAYBACK} outside " \
             f"[{break_even['q1']:.0f}, 2 x {break_even['q3']:.0f}]"
+
+    def test_second_predecode_compiles_nothing(self, predecode):
+        """A fresh decode of a module this process has predecoded
+        once finds every block shape resident."""
+        for row in predecode["rows"]:
+            assert row["resident_compiled"] == 0, row
+
+    def test_never_seen_kernel_reuses_resident_shapes(self, predecode):
+        """The memo is keyed on block shape, not on the function: a
+        kernel the process has never seen, with the other kernels'
+        shapes resident, compiles fewer shapes than it has blocks on
+        every machine."""
+        for row in predecode["rows"]:
+            assert row["unseen_compiled"] < row["blocks"], row
 
     @pytest.mark.skipif(SMOKE, reason="full-size runs only")
     def test_saxpy_tier2_doubles_fast_mips(self, measurements):

@@ -210,7 +210,8 @@ def backedge_targets(code, blocks) -> frozenset:
 
 
 class CodegenEnv:
-    """Names codegen-time constants into an exec environment."""
+    """How codegen-time constants appear in generated source: objects
+    are named into an exec environment, integers are written out."""
 
     def __init__(self, env: dict):
         self.env = env
@@ -219,6 +220,10 @@ class CodegenEnv:
         name = f"{prefix}{len(self.env)}"
         self.env[name] = value
         return name
+
+    def lit(self, value) -> str:
+        """An integer operand (index, immediate, target, amount)."""
+        return repr(value)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ The structure is the tier scaffold (:mod:`repro.tiers`) shared with
 model (the per-opcode lowering over register files — the only
 fast-engine statement of what an opcode does — the ``_t2`` frame
 lines, the register layout) and the block *counter vector*.  Every
-*fuel block* (ending at a branch, ``ret`` or ``call``) compiles to one
-Python function that debits fuel **and all counters** (instructions,
-cycles, branches, spills, calls) on entry — blocks execute linearly to
-their terminator, so successful runs reproduce the reference engine's
-per-instruction totals exactly.  A debit crossing the fuel limit
-(:class:`repro.engine.MeterTrip`) steps the instructions the fuel
-still covers one at a time (:func:`repro.tiers.replay_metered`), so
-the fuel trap lands on precisely the reference engine's instruction.
+*fuel block* (ending at a branch, ``ret`` or ``call``) becomes one
+Python function (an instance of a memoized block template,
+:func:`repro.tiers.block_template`) that debits fuel **and all
+counters** (instructions, cycles, branches, spills, calls) on entry —
+blocks execute linearly to their terminator, so successful runs
+reproduce the reference engine's per-instruction totals exactly.  A
+debit crossing the fuel limit (:class:`repro.engine.MeterTrip`) steps
+the instructions the fuel still covers one at a time
+(:func:`repro.tiers.replay_metered`), so the fuel trap lands on
+precisely the reference engine's instruction.
 A step is the same lowering applied to a one-instruction block, built
 on first use; a block whose code generation bails steps the same way,
 under the same block-entry debit.
@@ -161,13 +163,13 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
     reg_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     written = set(low.entry_written.get(leader, low.param_regs))
     em = BlockEmitter(env, tier)
-    lines, emit, newt = em.lines, em.emit, em.newt
+    lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
 
     def read(operand, indent: str = "") -> str:
         kind, value = operand
         if kind == "imm":
             if type(value) is int:
-                return f"({value!r})"
+                return f"({lit(value)})"
             return env.bind(value, "c")
         if kind not in _REG_FILES:
             # Malformed operand: trap where the reference's ``read``
@@ -179,7 +181,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                      f"{kind}{value}", "m")
             emit(f"raise TrapError({message})", indent)
             return "None"
-        location = reg_fmt.format(_REG_FILES[kind], value)
+        location = reg_fmt.format(_REG_FILES[kind], lit(value))
         if (kind, value) in written:
             return location
         em.impure = True            # the uninitialized-register trap
@@ -198,7 +200,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
     def dst_of(instr) -> str:
         kind, index = instr.dst
         written.add((kind, index))
-        return reg_fmt.format(_REG_FILES[kind], index)
+        return reg_fmt.format(_REG_FILES[kind], lit(index))
 
     def addr_of(instr, srcs, indent: str = "") -> str:
         base = read(srcs[0], indent)
@@ -289,7 +291,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             # are generated, so a dst-aliasing operand still checks.
             cond = read(instr.srcs[0])
             kind, index = instr.dst
-            dst = reg_fmt.format(_REG_FILES[kind], index)
+            dst = reg_fmt.format(_REG_FILES[kind], lit(index))
             emit(f"if ({cond}) != 0:")
             taken = read(instr.srcs[1], "    ")
             emit(f"{dst} = {taken}", "    ")
@@ -312,23 +314,23 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             em.bounds(addr, packer.size)
             em.store(pack, coerce, addr, value)
         elif op == "lea.frame":
-            emit(f"{dst_of(instr)} = fb + {instr.arg}")
+            emit(f"{dst_of(instr)} = fb + {lit(instr.arg)}")
         elif op == "spill.ld":
             em.impure = True        # empty-slot trap
             message = env.bind(f"{name}: reload of empty spill slot "
                                f"{instr.arg}", "m")
             emit("try:")
-            emit(f"{dst_of(instr)} = slots[{instr.arg}]", "    ")
+            emit(f"{dst_of(instr)} = slots[{lit(instr.arg)}]", "    ")
             emit("except KeyError:")
             emit(f"raise TrapError({message})", "    ")
         elif op == "spill.st":
-            emit(f"slots[{instr.arg}] = {read(instr.srcs[0])}")
+            emit(f"slots[{lit(instr.arg)}] = {read(instr.srcs[0])}")
         elif op == "br":
             target = normalize_branch_target(instr.arg, len(code))
             if not isinstance(target, int):     # the reference's
                 # ``pc`` comparison raises TypeError here too
                 raise TypeError("non-integer branch target")
-            emit(goto_fmt.format(target))
+            emit(goto_fmt.format(lit(target)))
         elif op == "brif":
             target = normalize_branch_target(instr.arg, len(code))
             if not isinstance(target, int):     # the reference's
@@ -347,7 +349,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                     if not re.search(rf"\b{re.escape(cond)}\b", inner):
                         test = inner
             emit(goto_fmt.format(
-                f"{target} if {test} else {exit_pc}"))
+                f"{lit(target)} if {test} else {lit(exit_pc)}"))
         elif op == "call":
             em.impure = True
             resolved = low._resolved_callee(instr.arg)
@@ -358,7 +360,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                     # reference's direct slots[...] access; read into
                     # a temp so operand traps keep their source order
                     t = newt()
-                    emit(f"{t} = slots[{operand[1]}]")
+                    emit(f"{t} = slots[{lit(operand[1])}]")
                     values.append(t)
                 else:
                     values.append(read(operand))
@@ -374,7 +376,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                      f"[{callee}], [{', '.join(values)}], res)")
             if instr.dst is not None:
                 emit(f"{dst_of(instr)} = {result}")
-            emit(goto_fmt.format(exit_pc))
+            emit(goto_fmt.format(lit(exit_pc)))
         elif op == "ret":
             if instr.srcs:
                 emit(f"sim._ret = {read(instr.srcs[0])}")
@@ -397,9 +399,9 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             elem_name = env.bind(instr.ty.elem, "e")
             addr = addr_of(instr, instr.srcs[:-1])
             value = read(instr.srcs[-1])
-            emit(f"if len({value}) == {lanes} and "
+            emit(f"if len({value}) == {lit(lanes)} and "
                  f"{addr} >= {NULL_GUARD} and "
-                 f"{addr} + {packer.size} <= {tier.size}:")
+                 f"{addr} + {lit(packer.size)} <= {tier.size}:")
             emit("try:", "    ")
             emit(f"{pack}({data}, {addr}, *{value})", "        ")
             emit("except _PE:", "    ")
@@ -425,7 +427,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                 emit(f"{dst} = {kernel}({a}, {b})")
         elif op == "vsplat":
             source = read(instr.srcs[0])
-            emit(f"{dst_of(instr)} = [{source}] * {instr.ty.lanes}")
+            emit(f"{dst_of(instr)} = [{source}] * "
+                 f"{lit(instr.ty.lanes)}")
         elif op == "vreduce":
             em.impure = True        # empty-vector trap
             reduce_op, acc_ty = instr.arg
@@ -438,7 +441,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         em.end(pc - leader)
 
     if code[exit_pc - 1].op not in ("br", "brif", "ret", "call"):
-        emit(goto_fmt.format(exit_pc))
+        emit(goto_fmt.format(lit(exit_pc)))
 
     return em
 

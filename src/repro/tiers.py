@@ -2,10 +2,13 @@
 
 :mod:`repro.vm.threaded` (PVI bytecode, a virtual operand stack) and
 :mod:`repro.targets.dispatch` (machine code, ``_UNSET`` register
-files) translate a function the same way: fuel blocks compiled to one
-Python function each, a lazily built whole-function tier-2
-translation, and one-instruction handlers for the trap paths — all
-three generated from the engine's one per-opcode lowering.
+files) translate a function the same way: one Python function per
+fuel block, a lazily built whole-function tier-2 translation, and
+one-instruction handlers for the trap paths — all three generated
+from the engine's one per-opcode lowering.  The block tier compiles
+block *shapes*, not functions: a block is an instance of a memoized
+template with its constants as holes (:func:`block_template`), so a
+first call compiles only the shapes the process has never seen.
 Everything about that translation that is *not* the operand model
 lives here, once:
 
@@ -15,12 +18,16 @@ lives here, once:
   repaid the build (:class:`Predecoded`, :data:`TIER2_PAYBACK`);
 * the content-token cache protocol and the block-tier build loop
   (:meth:`Lowering.predecode`, :meth:`Lowering.build`);
+* the template memo and instantiation (:func:`block_template`,
+  :class:`Holes`, :meth:`Lowering.instance`), with its counters
+  (:func:`template_stats`);
 * one-instruction stepping: the lazy table of length-1 blocks
   (:class:`StepTable`) behind the bail-out fallback body and the
   metered replay (:func:`replay_metered`);
 * the block line emitter (:class:`BlockEmitter`): temps, the marks
-  of instructions that can raise, and the bounds / store / reduce /
-  quad templates both engines spell identically;
+  of instructions that can raise, how constants are spelled (a hole
+  or a literal), and the bounds / store / reduce / quad forms both
+  engines spell identically;
 * the debit protocol over per-block *counter vectors*
   (:class:`Tier2Writer`, :meth:`Lowering.block_source`) and the one
   trap rollback of both tiers, a source-line table per block
@@ -47,8 +54,10 @@ in a trap, so its splat is paid once per failed call.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine import (
@@ -109,12 +118,13 @@ _TIER2_UNBUILT = object()
 #: its code, before OSR builds its tier-2 translation (ski rental: wait
 #: until the rent paid equals the price).  Sized by the ``break_even``
 #: table of ``benchmarks/results/BENCH_interp_throughput.json`` (11
-#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 45-176
-#: us per instruction of code, tier-2 then runs 1.04-2.60x the block
-#: tier, and the saving repays the build after a median of 1797
-#: executed instructions per instruction of code (quartiles 1265 /
-#: 2120).  2000 is the upper quartile in round figures; a full-size
-#: run of that bench fails when the constant leaves [q1, 2 x q3].
+#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 37-122
+#: us per instruction of code, tier-2 then runs 1.21-2.57x the block
+#: tier, and the saving repays the build after a median of 1599
+#: executed instructions per instruction of code (quartiles 1233 /
+#: 1782; 1797 and 1265 / 2120 when the constant was chosen).  2000 is
+#: the upper quartile in round figures; a full-size run of that bench
+#: fails when the constant leaves [q1, 2 x q3].
 TIER2_PAYBACK = 2000
 
 #: serializes first-time tier-2 and step builds.  Predecodes ride
@@ -127,17 +137,21 @@ _BUILD_LOCK = threading.Lock()
 class StepTable(dict):
     """``pc -> handler`` for one instruction at a time: the engine's
     block-tier lowering of the one-instruction block ``(pc, 1)``,
-    compiled without the debit prologue and built on first use.  A
-    length-1 block pops every operand it did not produce from the
-    engine's storage and flushes every result back, so it is exactly
-    one step of the reference ladder — the per-opcode lowering stays
-    the only fast-engine statement of what an opcode does.
+    instantiated on first use from a template without the debit
+    prologue (same memo, same path as a block).  A length-1 block
+    pops every operand it did not produce from the engine's storage
+    and flushes every result back, so it is exactly one step of the
+    reference ladder — the per-opcode lowering stays the only
+    fast-engine statement of what an opcode does.
 
     Only trap paths step: the metered replay (:func:`replay_metered`)
     and the generated fallback body of a block whose lowering bailed.
     A step that cannot be lowered raises the lowering's exception when
     it is *executed*, as the reference ladder only fails on the
-    instruction it runs."""
+    instruction it runs: the look-up itself raises and stores nothing,
+    so every execution lowers again and fails afresh (a stored
+    exception would grow its traceback with every re-raise and pin
+    each failed call's frames)."""
 
     def __init__(self, low: Lowering):
         super().__init__()
@@ -147,23 +161,13 @@ class StepTable(dict):
     def __missing__(self, pc: int) -> Callable:
         with _BUILD_LOCK:
             if pc not in self:          # a racing thread may have won
-                self[pc] = self._build(pc)
+                low = self.low
+                em = low.lower_block(pc, 1)
+                text = "\n".join([f"def _b({low.signature}):",
+                                  *("    " + line for line in em.lines)])
+                self[pc] = low.instance(text, em.env.env,
+                                        f"{low.name}@{pc}")
         return self[pc]
-
-    def _build(self, pc: int) -> Callable:
-        low = self.low
-        try:
-            body = low.lower(pc, 1, low.block_tier).lines
-            source = "\n".join([f"def _s{pc}({low.signature}):"]
-                               + ["    " + line for line in body])
-            env = low.env.env
-            exec(compile(source, f"<{low.tags[0]}-step:{low.name}@{pc}>",
-                         "exec"), env)
-            return env[f"_s{pc}"]
-        except Exception as exc:
-            def deferred(*frame, _exc=exc):
-                raise _exc
-            return deferred
 
 
 class Predecoded:
@@ -315,6 +319,81 @@ def whole_tier(place: str) -> Tier:
     return Tier(True, place, "pc = {0}", "_md", "_ms")
 
 
+# ---------------------------------------------------------------------------
+# block templates: one compile() per block shape, per process
+# ---------------------------------------------------------------------------
+#
+# The block tier never compiles a function's source.  Every block (a
+# fuel block, its stepping fallback, a one-instruction step) is lowered
+# to a *template* — the text of one ``def _b(<signature>)`` — plus its
+# hole values, and runs as an instance of the template's memoized code.
+#
+# Shape and hole.  The template text is the block's shape: the
+# signature, which counters it debits, the statement structure,
+# whether it has a ``try``.  Every number and every object the
+# lowering formats is a hole, ``h<k>`` in order of occurrence (one per
+# occurrence, bar a value the text structurally repeats, like the
+# block length): register, local and slot indexes, immediates, branch
+# targets, debit and charge amounts, the leader, kernels, messages,
+# and the rollback line table (two blocks with one text may split
+# their lines between instructions differently).  Constants that never
+# vary (the 64-bit mask, the null guard, access sizes) stay literal; a
+# literal left in the text is still correct, only less shared.
+#
+# An instance is a ``FunctionType`` over a *private copy* of the
+# template's code and a small globals dict holding the holes: a hole
+# costs one ``LOAD_GLOBAL`` where it is used and nothing per call, and
+# CPython's inline caches are not shared between instances with
+# different dicts.  Closure cells and default arguments cost every
+# call in proportion to the hole count, cold-path holes included, and
+# measured dearer: DESIGN.md section 2 has the numbers, do not retry
+# them.
+
+class Holes(CodegenEnv):
+    """One block-tier block's constants: every object *and* every
+    integer becomes the next positional hole of the block's template
+    (``env``: hole name -> value, the instance's private globals)."""
+
+    def __init__(self) -> None:
+        super().__init__({})
+
+    def bind(self, value, prefix: str = "h") -> str:
+        return super().bind(value, "h")
+
+    lit = bind
+
+
+#: compiled templates the process keeps.  Measured populations: one
+#: ``device_first_call`` census cycle (77 first calls on 7 targets,
+#: 758 blocks) builds 89 shapes; the digest corpus (11 kernels x 2
+#: flows x 7 targets, 1374 blocks) 97; the whole tier-1 suite
+#: (fuzzers and malformed code included) 563 from 23536 blocks and
+#: steps.  An evicted template only costs a recompile; live
+#: instances hold their own code.
+TEMPLATE_SHAPES = 1024
+
+
+@functools.lru_cache(maxsize=TEMPLATE_SHAPES)
+def block_template(engine: type, text: str) -> CodeType:
+    """The compiled ``def`` of one template text, shared by every
+    block of that shape: in this function, another function, another
+    target, another module.  The key is the shape and nothing else (no
+    function, token or target), so never-seen code reuses what other
+    code compiled.  Two threads missing on one text compile it twice
+    and keep one."""
+    module = compile(text, f"<{engine.tags[0]}:block>", "exec")
+    return next(const for const in module.co_consts
+                if isinstance(const, CodeType))
+
+
+def template_stats() -> dict:
+    """The template memo's counters: shapes resident, instantiations
+    that found theirs (``hits``) and ``compile()`` calls (``misses``)."""
+    info = block_template.cache_info()
+    return {"resident": info.currsize, "hits": info.hits,
+            "misses": info.misses}
+
+
 class BlockEmitter:
     """Source lines of one fuel block's body, plus the *marks* that
     say which instruction each line belongs to.
@@ -327,10 +406,17 @@ class BlockEmitter:
     trapping source line through the marks to roll the block-entry
     fuel debit back to exactly the reference engine's per-instruction
     count (:func:`body_under_rollback`); the hot path carries no
-    progress stores, and a block with no mark gets no handler."""
+    progress stores, and a block with no mark gets no handler.
+
+    ``env`` decides how constants appear in the lines: ``env.bind``
+    for objects, :attr:`lit` for integers.  Tier-2 names objects into
+    the function's exec environment and writes integers out; in the
+    block tier both are the next hole of the block's template
+    (:class:`Holes`)."""
 
     def __init__(self, env: CodegenEnv, tier: Tier):
         self.env = env
+        self.lit = env.lit
         self.tier = tier
         self.lines: List[str] = []
         self.marks: List[Tuple[int, int]] = []
@@ -529,13 +615,11 @@ def body_under_rollback(out: List[str], pad: str, lines: List[str],
     A block with no marks has no instruction that can raise — its
     lines go out bare and the result is ``False``.  Otherwise the
     body runs under one ``try`` whose ``except`` clause maps the
-    trapping *source line* (the traceback's, absolute in ``out``)
-    back to the instruction offset whose mark covers it and leaves it
-    in ``_i``; the caller appends, one level in, the statement that
-    rolls its fuel debit back to that instruction, and ``raise``.
-    The table is bound here, so a caller that must not disturb the
-    names of constants bound during lowering (``CodegenEnv.bind``
-    names by env size) calls this after every block is lowered."""
+    trapping *source line* (the traceback's: its number in ``out``,
+    which must hold the compiled text from its first line) back to
+    the instruction offset whose mark covers it and leaves it in
+    ``_i``; the caller appends, one level in, the statement that
+    rolls its fuel debit back to that instruction, and ``raise``."""
     if not marks:
         out += [pad + line for line in lines]
         return False
@@ -550,7 +634,7 @@ def body_under_rollback(out: List[str], pad: str, lines: List[str],
         table[len(out)] = active
     out.append(pad + "except Exception as _e:")
     out.append(f"{pad}    _i = {env.bind(table, 'lm')}.get("
-               f"_e.__traceback__.tb_lineno, {length - 1})")
+               f"_e.__traceback__.tb_lineno, {env.lit(length - 1)})")
     return True
 
 
@@ -738,7 +822,10 @@ class Lowering:
         #: callee's fuel debits interleave with the caller's exactly
         #: as per-instruction accounting would.
         self.blocks = fuel_blocks(self.code)
+        #: how the lowering in progress spells its constants
         self.env: CodegenEnv = None
+        #: the fixed names every block-tier instance sees (``build``)
+        self.scope: dict = None
         #: what a ``ret`` lowers to after storing its value
         self.ret_lines: Tuple[str, ...] = ("return -1",)
 
@@ -775,93 +862,92 @@ class Lowering:
     # -- block tier ----------------------------------------------------------
 
     def build(self, token, module=None) -> Predecoded:
-        code, name, blocks = self.code, self.name, self.blocks
-        n = len(code)
+        """The block tier: one template instance per fuel block.  No
+        source is compiled here — :meth:`instance` finds the block's
+        shape in the process-wide memo (:func:`block_template`)."""
+        name, blocks = self.name, self.blocks
 
         def tail(*frame):
             raise TrapError(f"{name}: fell off code end")
 
         # Control only ever lands on a block leader or on ``n``.
-        handlers: List[Callable] = [None] * n + [tail]
-        env = {"TrapError": TrapError, "MeterTrip": MeterTrip,
-               "_PE": PACK_COERCE_ERRORS, **self.env_extras}
-        self.env = CodegenEnv(env)
+        handlers: List[Callable] = [None] * len(self.code) + [tail]
         steps = StepTable(self)
-        lowered = {}
+        self.scope = {"TrapError": TrapError, "MeterTrip": MeterTrip,
+                      "_PE": PACK_COERCE_ERRORS, "_step": steps,
+                      **self.env_extras}
         for leader, length in blocks.items():
+            label = f"{name}._b{leader}"
             try:
-                block = self.lower(leader, length, self.block_tier)
-                lowered[leader] = block.lines, block.marks
+                handlers[leader] = self.instance(*self.block_source(
+                    leader, length, self.lower_block(leader, length)),
+                    label)
             except Exception:
-                pass                    # -> the stepping fallback
-
-        def install(bodies: dict) -> None:
-            source: List[str] = []
-            for leader, (body, marks) in bodies.items():
-                self.block_source(source, leader, blocks[leader], body,
-                                  marks)
-            exec(compile("\n".join(source), f"<{self.tags[0]}:{name}>",
-                         "exec"), env)
-            for leader in bodies:
-                handlers[leader] = env[f"_b{leader}"]
-
-        # (Line tables and ``_step`` are bound only now, every block
-        # lowered: ``CodegenEnv.bind`` names by env size, so an earlier
-        # entry would rename every bound constant.)
-        if lowered:
-            try:
-                install(lowered)
-            except Exception:   # defensive: a codegen bug must degrade
-                lowered = {}    # to stepping, never break
-        if len(lowered) < len(blocks):
-            # A block whose lowering bailed (one malformed instruction
-            # among good ones) steps through its instructions under
-            # the same block-entry debit and rollback; the malformed
-            # one raises when it is reached, like the reference.
-            env["_step"] = steps
-            install({leader: ([f"pc = {leader}",
-                               f"for _i in range({length}):",
-                               f"    pc = _step[pc]({self.signature})",
-                               "return pc"], None)
-                     for leader, length in blocks.items()
-                     if leader not in lowered})
+                # A block whose lowering bailed (one malformed
+                # instruction among good ones; defensively, a codegen
+                # bug) steps through its instructions under the same
+                # block-entry debit and rollback; the malformed one
+                # raises when it is reached, like the reference.
+                handlers[leader] = self.instance(
+                    *self.block_source(leader, length), label)
 
         return self.predecoded(token, handlers, steps,
                                self.osr_candidates(),
                                **self.frame_data(module))
 
-    def block_source(self, out: List[str], leader: int, length: int,
-                     body: List[str],
-                     marks: Optional[List[Tuple[int, int]]]) -> None:
-        """Append one block handler to the function's source ``out``
-        (one running list: the rollback's line numbers are absolute):
-        debit the whole counter vector on entry
-        (:class:`repro.engine.MeterTrip` when the fuel debit crosses
-        the limit, leaving the block undebited), then run ``body``
-        under the line-table rollback — fuel only: result counters
-        are unobservable after a trap.  ``marks=None`` is the stepping
-        fallback body, whose loop variable ``_i`` *is* the progress."""
-        machine = self.machine
+    def lower_block(self, leader: int, length: int) -> BlockEmitter:
+        """The block-tier lowering of one block, its constants the
+        holes of a fresh :class:`Holes` (``.env`` of the result)."""
+        self.env = Holes()
+        return self.lower(leader, length, self.block_tier)
+
+    def block_source(self, leader: int, length: int,
+                     em: Optional[BlockEmitter] = None):
+        """``(template text, holes)`` of one block handler: debit the
+        whole counter vector on entry (:class:`repro.engine.MeterTrip`
+        when the fuel debit crosses the limit, leaving the block
+        undebited), then run the lowered body under the line-table
+        rollback — fuel only: result counters are unobservable after
+        a trap.  Without ``em`` the body is the stepping fallback,
+        whose loop variable ``_i`` *is* the progress."""
+        holes = em.env if em is not None else Holes()
+        machine, signature = self.machine, self.signature
         fuel = f"{machine}.{self.executed}"
-        out += [f"def _b{leader}({self.signature}):",
-                f"    executed = {fuel} + {length}",
-                f"    {fuel} = executed",
-                f"    if executed > {machine}.fuel:",
-                f"        {fuel} = executed - {length}",
-                f"        raise MeterTrip({leader})"]
-        out += [f"    res.{field} += {amount}" for field, amount
+        n, at = holes.lit(length), holes.lit(leader)
+        out = [f"def _b({signature}):",
+               f"    executed = {fuel} + {n}",
+               f"    {fuel} = executed",
+               f"    if executed > {machine}.fuel:",
+               f"        {fuel} = executed - {n}",
+               f"        raise MeterTrip({at})"]
+        out += [f"    res.{field} += {holes.lit(amount)}" for field, amount
                 in self.charges(leader, length).items()]
-        if marks is None:
-            out += ["    try:", *("        " + line for line in body),
+        if em is None:
+            out += ["    try:",
+                    f"        pc = {at}",
+                    f"        for _i in range({n}):",
+                    f"            pc = _step[pc]({signature})",
+                    "        return pc",
                     "    except Exception:"]
             guarded = True
         else:
-            guarded = body_under_rollback(out, "    ", body, marks,
-                                          length, self.env)
+            guarded = body_under_rollback(out, "    ", em.lines, em.marks,
+                                          length, holes)
         if guarded:
-            out += [f"        {fuel} -= {length} - _i - 1",
+            out += [f"        {fuel} -= {n} - _i - 1",
                     "        raise"]
-        out.append("")
+        return "\n".join(out), holes.env
+
+    def instance(self, text: str, holes: dict, label: str) -> Callable:
+        """The function of one template instance: a private copy of
+        the template's code (named ``label``, so a traceback through
+        shared code still says whose block it was) over globals
+        holding the engine's fixed names and this block's holes."""
+        code = block_template(type(self), text)
+        handler = FunctionType(code.replace(co_name=label),
+                               {**self.scope, **holes})
+        handler.__qualname__ = label
+        return handler
 
     # -- tier-2: whole-function translation ----------------------------------
     #

@@ -12,11 +12,12 @@ at decode time.  Execution is a tight trampoline::
         pc = handlers[pc](stack, locals_, args, frame_base, memory, vm)
 
 Every *fuel block* (a maximal straight-line run ending at a branch,
-``ret`` or ``call``) is compiled to one Python function: stack traffic
-inside the block collapses onto Python locals, and only kernel/memory
-operations remain as calls.  Control transfers only ever land on block
-leaders, so the whole block executes (or traps) exactly as the
-reference would.
+``ret`` or ``call``) becomes one Python function, an instance of a
+memoized block template (:func:`repro.tiers.block_template`): stack
+traffic inside the block collapses onto Python locals, and only
+kernel/memory operations remain as calls.  Control transfers only
+ever land on block leaders, so the whole block executes (or traps)
+exactly as the reference would.
 
 Fuel is debited per block on entry.  Blocks execute linearly to their
 terminator and calls end blocks, so successful runs produce exactly
@@ -176,7 +177,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     tier2 = tier.tier2
     local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     em = BlockEmitter(env, tier)
-    lines, emit, newt = em.lines, em.emit, em.newt
+    lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     vstack: List[str] = []          # expressions for virtual stack slots
     vdeps: List[frozenset] = []     # local indices each deferred
     #                                 expression reads (temps: empty)
@@ -258,7 +259,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             if tier2:
                 raise IndexError(index)
             em.impure = True
-        return local_fmt.format(index)
+        return local_fmt.format(lit(index))
 
     def mask_addr(expr: str) -> str:
         t = newt()
@@ -338,7 +339,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 push_atom(f"a{instr.arg}")
             else:
                 em.impure = True    # short args IndexError here, like
-                push(f"ar[{instr.arg}]")    # the reference's args[i]
+                push(f"ar[{lit(instr.arg)}]")   # the reference's args[i]
         elif op == "stloc":
             target = local(instr.arg)
             value, _, meta = popm()
@@ -378,7 +379,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         elif op == "const":
             value = instr.arg
             if type(value) is int:
-                push_atom(f"({value!r})")
+                push_atom(f"({lit(value)})")
             else:
                 push_atom(env.bind(value, "c"))
         elif op in BIN_OPS:
@@ -470,14 +471,14 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             bounds(addr, packer.size)
             em.store(pack, coerce, addr, value)
         elif op == "frame":
-            push_atom(f"(fb + {frame_offsets[instr.arg]})")
+            push_atom(f"(fb + {lit(frame_offsets[instr.arg])})")
         elif op == "br":
             target = normalize_branch_target(instr.arg, len(code))
             if not isinstance(target, int):     # the reference's
                 # ``pc`` comparison raises TypeError here too
                 raise TypeError("non-integer branch target")
             flush()
-            emit(goto_fmt.format(target))
+            emit(goto_fmt.format(lit(target)))
         elif op == "brif":
             target = normalize_branch_target(instr.arg, len(code))
             if not isinstance(target, int):     # the reference's
@@ -490,7 +491,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             folded = re.fullmatch(r"\(1 if (.+) else 0\)", cond)
             test = folded.group(1) if folded else f"({cond}) != 0"
             emit(goto_fmt.format(
-                f"{target} if {test} else {exit_pc}"))
+                f"{lit(target)} if {test} else {lit(exit_pc)}"))
         elif op == "call":
             em.impure = True
             flush()
@@ -499,9 +500,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 # Inline cache: the frozen module pins the callee, so
                 # its identity, arity and return shape are constants.
                 f = env.bind(resolved, "f")
-                count = len(resolved.param_types)
                 a, r = newt(), newt()
-                if count:
+                if resolved.param_types:
+                    count = lit(len(resolved.param_types))
                     emit(f"{a} = s[-{count}:]")
                     emit(f"del s[-{count}:]")
                 else:
@@ -509,7 +510,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 emit(f"{r} = vm._run_fast({f}, {a})")
                 if resolved.ret_type is not None:
                     emit(f"s.append({r})")
-                emit(goto_fmt.format(exit_pc))
+                emit(goto_fmt.format(lit(exit_pc)))
             else:
                 callee = env.bind(instr.arg, "n")
                 f, c, a, r = newt(), newt(), newt(), newt()
@@ -523,7 +524,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 emit(f"{r} = vm._run_fast({f}, {a})")
                 emit(f"if {f}.ret_type is not None:")
                 emit(f"s.append({r})", "    ")
-                emit(goto_fmt.format(exit_pc))
+                emit(goto_fmt.format(lit(exit_pc)))
         elif op == "ret":
             flush()
             for line in low.ret_lines:
@@ -606,9 +607,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             else:
                 limit = bound_limit(packer.size)
                 upper = f"{addr} <= {limit}" if limit is not None \
-                    else f"{addr} + {packer.size} <= {tier.size}"
+                    else f"{addr} + {lit(packer.size)} <= {tier.size}"
                 guard = "" if static4 \
-                    else f"len({value}) == {lanes} and "
+                    else f"len({value}) == {lit(lanes)} and "
                 emit(f"if {guard}{addr} >= {NULL_GUARD} and {upper}:")
                 if cores is not None:
                     emit(f"{pack}({data}, {addr}, {cores})", "    ")
@@ -693,11 +694,11 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             lanes = 16 // ty.sizeof(elem)
             x, xdeps = popd()
             if tier2:
-                push_atom(f"([{x}] * {lanes})", xdeps,
+                push_atom(f"([{x}] * {lit(lanes)})", xdeps,
                           meta={"lanes": lanes, "tuple": False,
                                 "float": False})
             else:
-                push(f"[{x}] * {lanes}")
+                push(f"[{x}] * {lit(lanes)}")
         elif op == "vec.reduce":
             em.impure = True            # empty-vector trap
             reduce_op, acc_tag = instr.arg
@@ -713,7 +714,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     if code[exit_pc - 1].op not in ("br", "brif", "ret", "call"):
         # fall-through block: transfer to the next leader explicitly
         flush()
-        emit(goto_fmt.format(exit_pc))
+        emit(goto_fmt.format(lit(exit_pc)))
     return em
 
 

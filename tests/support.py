@@ -46,13 +46,31 @@ def run_ir(source: str, name: str, args: Sequence,
 DIGEST_FLOWS = ("split", "online-only")
 
 
+def render_hole(value) -> str:
+    """A hole value as the digest sees it: numbers, strings and
+    rollback line tables by value; objects (kernels, struct methods,
+    callees) by type, as their reprs hold addresses."""
+    if isinstance(value, dict):
+        return repr(sorted(value.items()))
+    if isinstance(value, (int, float, str)):
+        return repr(value)
+    return f"<{type(value).__name__}>"
+
+
 def generated_sources() -> Dict[Tuple[str, str, str, str], str]:
-    """Every block-tier and tier-2 source the tier scaffold compiles
-    over ``ALL_KERNELS`` x :data:`DIGEST_FLOWS` x ``target_names()``,
-    both engines (the wasm32 stack image runs on the VM), keyed by
-    ``(kernel, flow, target, filename)``.  One-instruction step
-    sources (``-step:`` filename tags) are built on demand by traps,
-    not by predecode, and are left out."""
+    """Everything the tier scaffold generates over ``ALL_KERNELS`` x
+    :data:`DIGEST_FLOWS` x ``target_names()``, both engines (the
+    wasm32 stack image runs on the VM), keyed by ``(kernel, flow,
+    target, filename)``.  A tier-2 source is captured where it is
+    compiled.  The block tier compiles no per-function source: each
+    block is captured where it is *instantiated* — so the capture
+    holds every block whatever the template memo already held, in any
+    test order — as its label, its template text and one
+    ``# h<k> = value`` line per hole (:func:`render_hole`); a
+    function's blocks are joined in build order under the filename
+    its source used to carry.  One-instruction steps (``name@pc``
+    labels) are built on demand by traps, not by predecode, and are
+    left out."""
     from repro import tiers
     from repro.core import deploy, offline_compile
     from repro.targets import dispatch, target_names
@@ -63,11 +81,23 @@ def generated_sources() -> Dict[Tuple[str, str, str, str], str]:
     where: List[str] = []
 
     def spy(source, filename, mode):
-        if filename.startswith("<pvi") and "-step:" not in filename:
+        if filename.startswith("<pvi") and "-t2:" in filename:
             captured[(*where, filename)] = source
         return compile(source, filename, mode)
 
+    real_instance = tiers.Lowering.instance
+
+    def instance(low, text, holes, label):
+        if "@" not in label:
+            key = (*where, f"<{low.tags[0]}:{low.name}>")
+            captured[key] = captured.get(key, "") + "\n".join(
+                [f"# {label}", text,
+                 *(f"# {name} = {render_hole(value)}"
+                   for name, value in holes.items()), ""])
+        return real_instance(low, text, holes, label)
+
     tiers.compile = spy             # shadows the builtin in ``tiers``
+    tiers.Lowering.instance = instance
     try:
         for name, kernel in ALL_KERNELS.items():
             artifact = offline_compile(kernel.source, name)
@@ -84,6 +114,7 @@ def generated_sources() -> Dict[Tuple[str, str, str, str], str]:
                         predecode(func, image).tier2()
     finally:
         del tiers.compile
+        tiers.Lowering.instance = real_instance
     return captured
 
 

@@ -8,9 +8,13 @@ promotion policy, and the thread-safe lazy tier-2 build."""
 from __future__ import annotations
 
 import bisect
+import gc
 import random
 import re
+import sys
 import threading
+import traceback
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -39,10 +43,11 @@ from tests.test_engine_differential import (
 )
 
 
-def machine_module(code, params=0):
+def machine_module(code, params=0, param_locs=None):
     func = CompiledFunction(
         name="f", target_name="x86", code=code, frame_bytes=0,
-        param_locs=[("int", k) for k in range(params)], ret_void=False)
+        param_locs=param_locs or [("int", k) for k in range(params)],
+        ret_void=False)
     module = CompiledModule("x86")
     module.add(func)
     return module
@@ -529,38 +534,41 @@ class TestStepping:
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
 #: sha256, the per-tag ``(sources, lines)`` and the per-source prints
 PINNED_SOURCES = (
-    "4f916e7ca01cb748b716734964a9ca774624f74144872307cc47fa1b7cc480af",
-    {"pvi": (22, 2770), "pvi-sim": (132, 27871),
+    "80ea01e1598575d2a20040cf184bcd9d6a98dcaf9b11ecd4fe95a22b790da60b",
+    {"pvi": (22, 4391), "pvi-sim": (132, 50117),
      "pvi-sim-t2": (132, 24990), "pvi-t2": (22, 2643)},
-    ("3dc71f87bfaa94cd47cbb64d70ad0d5c1b2eddd0aa3497e7c8429d43"
-     "7572649ea71f0ee807d0a7d50a1c5791f1e14a3f39488baa8307de69"
-     "9e19ebfcbbc3d778a7684adb9bead5ada914d14a57e1c613363561d0"
-     "02614cbb4e5741bf425854f1d7886c51cf4de77c7479dbab6ea7dc21"
-     "a91b9d3a319970171e04d8fee9df9238290489f49b0118c78f165b43"
-     "d2999f298701a020e5aef947957dfdce41b85023a8747b0adc1b2f51"
-     "53bd2decc84ac71283acc8ddb02e273f33ad0196719dd116fb0393d7"
-     "e4505e4eef9e216da7938506877480b078b57356f4d5c64dd3ccf12e"
-     "c749e283c9463f9eecfa531dab54fa041a2bb16d300b40072684ac9f"
-     "6c42dda031c996aa55647c874a2d219d3c6bd91c785a05c49aa58c6d"
-     "f69fe50293208c493e3d90dfb4d4de4d206ec8b3b6b18b1b241a55e4"))
+    ("3d461fd9bf4b942147bcb64270e40dad1b75dd16aa5c970fc8049d22"
+     "75406418a7900e1e0787a7120a0257fef1034aba393d8b8b8304def9"
+     "9e72ebbdbb22d70fa7304af79bdbd517a9edd18a5765c6dc367161b5"
+     "02774cd14ea4412842165478d7a26ce7cf7de76774fbdbdb6e08dca4"
+     "a93e9da831ce70b31efed85fe9f89280298f89819bb018128f6e5bd7"
+     "d2a99feb87caa0a6e580f90a95e8fd2041175026a8d37b19dc342ffe"
+     "53ac2dddc8dec7b983a6c8feb0ab2762339e01357154d138fbfe93cf"
+     "e4045e59effc21c7a73f85cd87cd80e6781c73c9f455c63ad36df1d9"
+     "c75fe23fc9523f55ec8b5380abaafa531a3cb14a301c4038263cacc6"
+     "6ca4ddbb314f96cd55c97c094a27213a3cc6d909785305439acb8c4c"
+     "f6b6e5d993868cf43ef5908ab43bded2200bc843b6af8bbf241d55b6"))
 
 
 def test_generated_sources_digest():
-    """Every block-tier and tier-2 source both engines generate over
-    kernels x flows x targets, byte for byte.  A PR that means to move
-    generated code re-pins the three values and says so; CI also runs
-    this under two fixed ``PYTHONHASHSEED`` values, so a source that
-    depends on set order fails here and not in a later byte-compare.
+    """Everything both engines generate over kernels x flows x
+    targets, byte for byte: each tier-2 source, and each block-tier
+    block as template text plus hole values, captured where it is
+    instantiated (``tests.support.generated_sources``) so the digest
+    does not depend on what the template memo already held.  A PR
+    that means to move generated code re-pins the three values and
+    says so; CI also runs this under two fixed ``PYTHONHASHSEED``
+    values, and once after another test module in the same process.
 
-    Last re-pin (ISSUE 16): the block tier adopted tier-2's
-    source-line rollback.  The ``pvi-t2`` (22 / 2643) and
-    ``pvi-sim-t2`` (132 / 24990) counts and every tier-2 print are
-    unchanged; ``pvi`` (4297 -> 2770 lines) and ``pvi-sim`` (39319 ->
-    27871) sources differ from the parent's only by the removed
-    ``_i = k`` stores (7161), the removed ``try`` / ``except`` of
-    mark-free blocks (1374 -> 696 handlers) and the new ``except``
-    clause — a scratch diff that strips exactly those leaves all 154
-    block-tier sources equal (CHANGES.md)."""
+    Last re-pin (ISSUE 17): the block tier instantiates memoized
+    block templates.  The ``pvi-t2`` (22 / 2643) and ``pvi-sim-t2``
+    (132 / 24990) counts and every tier-2 print are unchanged.  The
+    ``pvi`` and ``pvi-sim`` entries are no longer compiled sources
+    but renderings (label, template, one line per hole), so their
+    line counts and prints all moved; substituting every hole value
+    back into its template reproduces the parent's 154 block-tier
+    sources line for line, rollback tables included (scratch diff,
+    CHANGES.md)."""
     sources = generated_sources()
     got = sources_digest(sources)
     if got != PINNED_SOURCES:
@@ -574,13 +582,14 @@ def test_generated_sources_digest():
 
 
 def test_block_tier_rollback_structure(monkeypatch):
-    """One rollback mechanism, both tiers — over the digest corpus:
-    a block-tier ``_b<leader>`` without a ``try:`` holds no ``raise``,
-    no call (bar ``s.append``, which cannot fail) and no subscript
-    but a constant cell of storage the frame set-up sized (locals,
-    register files) or a spill-slot store, and every ``raise`` line
-    sits under the mark of the instruction that emitted it, so the
-    line table names the trapping instruction."""
+    """One rollback mechanism, both tiers — over the digest corpus'
+    block templates: a template without a ``try:`` holds no ``raise``
+    after its debit, no call (bar ``s.append``, which cannot fail)
+    and no subscript but a cell of storage the frame set-up sized
+    (locals, register files) or a spill-slot store, indexed by a hole
+    whose value is a plain non-negative integer; and every ``raise``
+    line sits under the mark of the instruction that emitted it, so
+    the line table names the trapping instruction."""
     spans = {}      # block-tier emitter -> [(first line, end, offset)]
     real_end = tiers.BlockEmitter.end
 
@@ -596,9 +605,10 @@ def test_block_tier_rollback_structure(monkeypatch):
     for key, source in sources.items():
         if "-t2:" in key[3]:
             continue
-        assert not re.search(r"^\s*_i = \d+$", source, re.M), key
-        for block in source.split("\ndef "):
+        assert not re.search(r"^\s*_i = \w+$", source, re.M), key
+        for block in source.split("\ndef ")[1:]:
             lines = block.split("\n")
+            holes = dict(re.findall(r"^# (h\d+) = (.*)$", block, re.M))
             if "    try:" in lines:
                 guarded += 1
                 assert "__traceback__.tb_lineno" in block, key
@@ -607,11 +617,13 @@ def test_block_tier_rollback_structure(monkeypatch):
             entry = next(index for index, line in enumerate(lines)
                          if "raise MeterTrip" in line)
             for line in lines[entry + 1:]:
+                if line.startswith("#"):
+                    break               # the hole values: text is over
                 assert "raise" not in line, (key, line)
                 assert set(re.findall(r"[\w.\]]+\(", line)) \
                     <= {"s.append("}, (key, line)
                 for base, index in re.findall(r"(\w+)\[([^\]]*)\]", line):
-                    assert index.isdigit() and (
+                    assert holes[index].isdigit() and (
                         base in ("lo", "ri", "rf", "rv")
                         or line.startswith(f"    slots[{index}] = ")), \
                         (key, line)
@@ -628,6 +640,302 @@ def test_block_tier_rollback_structure(monkeypatch):
                         emitter.marks[mark][1] == offset, \
                         (emitter.lines[index], offset)
     assert raises
+
+
+# ---------------------------------------------------------------------------
+# block templates: one compile() per block shape
+# ---------------------------------------------------------------------------
+
+def vm_function(code, params=0, nlocals=0):
+    module = BytecodeModule()
+    module.add(BytecodeFunction("f", ["i32"] * params, "i32",
+                                local_types=["i32"] * nlocals,
+                                code=code))
+    return module
+
+
+def vm_counting_loop(acc, var, scale, step, swapped):
+    """``s = 0; while (i < n) { s += i * scale; i += step; }`` over
+    locals ``acc`` / ``var``; ``swapped`` lays the exit block out
+    before the loop body, so every branch target moves."""
+    body = [BCInstr("ldloc", "i32", acc), BCInstr("ldloc", "i32", var),
+            BCInstr("const", "i32", scale), BCInstr("mul", "i32"),
+            BCInstr("add", "i32"), BCInstr("stloc", "i32", acc),
+            BCInstr("ldloc", "i32", var), BCInstr("const", "i32", step),
+            BCInstr("add", "i32"), BCInstr("stloc", "i32", var),
+            BCInstr("br", None, 5)]
+    leave = [BCInstr("ldloc", "i32", acc), BCInstr("ret")]
+    at_body, at_leave = (12, 10) if swapped else (10, 21)
+    head = [BCInstr("const", "i32", 0), BCInstr("stloc", "i32", acc),
+            BCInstr("const", "i32", 0), BCInstr("stloc", "i32", var),
+            BCInstr("br", None, 5),
+            BCInstr("ldloc", "i32", var), BCInstr("ldarg", "i32", 0),
+            BCInstr("cmp", "i32", "lt"), BCInstr("brif", None, at_body),
+            BCInstr("br", None, at_leave)]
+    return vm_function(head + (leave + body if swapped else body + leave),
+                       params=1, nlocals=3)
+
+
+def sim_counting_loop(acc, count, step, costs, swapped):
+    """``while (n) { acc += step; n -= 1; }`` with ``n`` arriving in
+    register ``count``; ``swapped`` moves the exit block (and every
+    branch target), ``costs`` are the per-instruction cycle costs."""
+    cost = iter(costs)
+
+    def inst(op, value_ty, dst, srcs, arg):
+        return MInst(op, value_ty, dst, srcs, arg, cost=next(cost))
+
+    at_body, at_leave = (4, 3) if swapped else (3, 6)
+    head = [inst("mov", None, ("int", acc), [("imm", 0)], None),
+            inst("brif", None, None, [("int", count)], at_body),
+            inst("br", None, None, [], at_leave)]
+    body = [inst("bin", ty.I32, ("int", acc),
+                 [("int", acc), ("imm", step)], "add"),
+            inst("bin", ty.I32, ("int", count),
+                 [("int", count), ("imm", 1)], "sub"),
+            inst("br", None, None, [], 1)]
+    leave = [inst("ret", None, None, [("int", acc)], None)]
+    return machine_module(
+        head + (leave + body if swapped else body + leave),
+        param_locs=[("int", count)])
+
+
+def outcome_with(engine_module, args):
+    """``outcome(module, engine, **knobs)`` of ``f(*args)``."""
+    if engine_module is threaded:
+        return lambda module, engine, **knobs: vm_outcome(
+            module, args, engine, verify=False, **knobs)
+    return lambda module, engine, **knobs: sim_outcome(
+        module, args, engine, **knobs)
+
+
+#: per engine: two functions that differ only in what the templates
+#: leave as holes, the predecode entry point and ``f(6)``'s outcome
+SAME_SHAPES = {
+    threaded: SimpleNamespace(
+        first=lambda: vm_counting_loop(0, 1, 3, 1, False),
+        second=lambda: vm_counting_loop(2, 0, 5, 2, True),
+        predecode=lambda module: threaded.predecode(
+            module.functions["f"], module),
+        outcome=outcome_with(threaded, [6])),
+    dispatch: SimpleNamespace(
+        first=lambda: sim_counting_loop(1, 0, 2, range(1, 8), False),
+        second=lambda: sim_counting_loop(0, 3, 5, range(9, 2, -1), True),
+        predecode=lambda module: dispatch.predecode_machine(
+            module["f"], module),
+        outcome=outcome_with(dispatch, [6])),
+}
+
+
+@pytest.mark.parametrize("engine_module", [threaded, dispatch])
+class TestBlockTemplates:
+    """The block tier compiles block *shapes*, once per process, and
+    instantiates them (:func:`repro.tiers.block_template`)."""
+
+    def test_same_shapes_share_every_template(self, engine_module):
+        shapes = SAME_SHAPES[engine_module]
+        predecode, outcome = shapes.predecode, shapes.outcome
+        tiers.block_template.cache_clear()
+        one, two = shapes.first(), shapes.second()
+        predecode(one)
+        seen = tiers.template_stats()
+        assert 0 < seen["misses"] == seen["resident"] \
+            <= len(predecode(one).steps.low.blocks)
+        pre = predecode(two)
+        after = tiers.template_stats()
+        assert after["misses"] == seen["misses"], \
+            "indexes, immediates, targets and costs are holes"
+        assert after["hits"] - seen["hits"] == len(pre.steps.low.blocks)
+        for module in (one, two):
+            outcomes = {engine: outcome(module, engine)
+                        for engine in ENGINES}
+            assert_agree(outcomes)
+            assert outcomes[FAST][0] == "ok"
+        assert outcome(one, FAST)[1] != outcome(two, FAST)[1]
+
+    def test_line_table_is_a_hole(self, engine_module):
+        """Two instances of one template trap at different
+        instructions, each rolled back to the reference's count.  On
+        the VM an elided cast also shifts which instruction owns
+        which line, so the two instances' tables differ."""
+        if engine_module is threaded:
+            def module(addr, divisor, padding):
+                return vm_function(
+                    [BCInstr("const", "i32", addr), BCInstr("load", "i32")]
+                    + [BCInstr("cast", "i32", "i32")] * padding
+                    + [BCInstr("const", "i32", divisor),
+                       BCInstr("div", "i32"), BCInstr("ret")])
+            early, late = module(0, 3, 0), module(128, 0, 2)
+            expect = (("trap", 2), ("trap", 6))
+        else:
+            def module(addr, divisor, padding):
+                return machine_module([
+                    MInst("load", ty.I32, ("int", 4), [("imm", addr)],
+                          None, cost=3),
+                    MInst("bin", ty.I32, ("int", 5),
+                          [("int", 4), ("imm", divisor)], "div", cost=7),
+                    MInst("ret", None, None, [("int", 5)], None, cost=2)])
+            early, late = module(0, 3, 0), module(128, 0, 0)
+            expect = (("trap", 1), ("trap", 2))
+        predecode = SAME_SHAPES[engine_module].predecode
+        outcome = outcome_with(engine_module, [])
+        tiers.block_template.cache_clear()
+        handlers = [predecode(module).handlers[0]
+                    for module in (early, late)]
+        assert tiers.template_stats()["misses"] == 1
+        tables = [next(value for value in handler.__globals__.values()
+                       if type(value) is dict)      # not ``_step``
+                  for handler in handlers]
+        assert tables[0] is not tables[1]
+        if engine_module is threaded:
+            assert tables[0] != tables[1]
+        for module, (kind, executed) in zip((early, late), expect):
+            outcomes = {engine: outcome(module, engine)
+                        for engine in ENGINES}
+            assert_agree(outcomes)
+            assert (outcomes[FAST][0], outcomes[FAST][-1]) == \
+                (kind, executed)
+
+    def test_clearing_the_memo_changes_nothing_observable(
+            self, engine_module):
+        """Live instances hold their own code: a memo cleared (or a
+        template evicted) between predecode and execution only costs
+        the next predecode a recompile."""
+        shapes = SAME_SHAPES[engine_module]
+        predecode, outcome = shapes.predecode, shapes.outcome
+        module = shapes.first()
+        predecode(module)
+        tiers.block_template.cache_clear()
+        assert tiers.template_stats() == \
+            {"resident": 0, "hits": 0, "misses": 0}
+        want = outcome(module, REFERENCE)
+        total = want[-1]
+        for fuel in (None, total // 2, total - 1):
+            knobs = {} if fuel is None else {"fuel": fuel}
+            assert_agree({engine: outcome(module, engine, **knobs)
+                          for engine in (FAST, REFERENCE)}, f"{fuel}")
+        compiled = tiers.template_stats()["misses"]   # steps, if any
+        predecode(shapes.first())
+        assert tiers.template_stats()["misses"] > compiled
+
+    def test_memo_is_bounded(self, engine_module):
+        shapes = SAME_SHAPES[engine_module]
+        predecode, outcome = shapes.predecode, shapes.outcome
+        module = shapes.first()
+        predecode(module)
+        lowering = type(predecode(module).steps.low)
+        for number in range(tiers.TEMPLATE_SHAPES + 8):
+            tiers.block_template(lowering,
+                                 f"def _b():\n    return {number}")
+        stats = tiers.template_stats()
+        assert stats["resident"] == tiers.TEMPLATE_SHAPES
+        assert stats["misses"] >= tiers.TEMPLATE_SHAPES + 8
+        assert_agree({engine: outcome(module, engine)
+                      for engine in (FAST, REFERENCE)})
+        tiers.block_template.cache_clear()
+
+    def test_two_threads_predecode_one_never_seen_function(
+            self, engine_module):
+        """Both miss on every shape, both compile, the memo keeps
+        one; either thread's handlers agree with the reference."""
+        shapes = SAME_SHAPES[engine_module]
+        predecode, outcome = shapes.predecode, shapes.outcome
+        module = shapes.first()
+        func = next(iter(module.functions.values()))
+        tiers.block_template.cache_clear()
+        barrier = threading.Barrier(2)
+        built = []
+
+        def worker():
+            barrier.wait(10)
+            built.append(predecode(module))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(2)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 2
+        stats = tiers.template_stats()
+        assert stats["resident"] <= len(built[0].steps.low.blocks)
+        want = outcome(module, REFERENCE)
+        for pre in built:
+            func.store_predecode(pre.token, pre, None)
+            assert outcome(module, FAST) == want
+            assert predecode(module) is pre
+
+    def test_traceback_names_function_and_leader(self, engine_module):
+        """Shared code, private names: the frame of a trapping block
+        says whose block it was; a step says which instruction."""
+        if engine_module is threaded:
+            module = vm_function([
+                BCInstr("const", "i32", 1), BCInstr("br", None, 2),
+                BCInstr("const", "i32", 0), BCInstr("div", "i32"),
+                BCInstr("ret")])
+            machine = VM(module, verify=False, engine=FAST)
+            call, filename = machine.call, "<pvi:block>"
+        else:
+            module = machine_module([
+                MInst("br", None, None, [], 1),
+                MInst("mov", None, ("int", 1), [("imm", 1)], None),
+                MInst("bin", ty.I32, ("int", 2), [("int", 1), ("imm", 0)],
+                      "div"),
+                MInst("ret", None, None, [("int", 2)], None)])
+            machine = Simulator(module, Memory(), engine=FAST)
+            call, filename = machine.run, "<pvi-sim:block>"
+        predecode = SAME_SHAPES[engine_module].predecode
+        leader = 2 if engine_module is threaded else 1
+        with pytest.raises(TrapError, match="division by zero") as trap:
+            call("f", [])
+        frames = [(frame.filename, frame.name)
+                  for frame in traceback.extract_tb(trap.tb)]
+        assert (filename, f"f._b{leader}") in frames
+        handler = predecode(module).handlers[leader]
+        assert handler.__qualname__ == handler.__name__ == f"f._b{leader}"
+        step = predecode(module).steps[leader]
+        assert step.__qualname__ == f"f@{leader}"
+        assert step.__code__.co_filename == filename
+
+
+@pytest.mark.parametrize("engine_module", [threaded, dispatch])
+def test_malformed_step_fails_afresh_on_every_execution(engine_module):
+    """A step that cannot be lowered raises when it is executed, and
+    each execution raises anew: the traceback does not grow from call
+    to call and no failed call's machine stays referenced (a stored
+    exception instance did both: depths 8, 13, 18, 23 on four
+    calls)."""
+    if engine_module is threaded:
+        module = vm_function([BCInstr("const", "i32", 1), BCInstr("bogus"),
+                              BCInstr("ret")])
+
+        def run():
+            machine = VM(module, verify=False, engine=FAST)
+            return machine, lambda: machine.call("f", [])
+    else:
+        module = machine_module([
+            MInst("mov", None, ("int", 0), [("imm", 1)], None),
+            MInst("bogus"), MInst("ret", None, None, [("int", 0)], None)])
+
+        def run():
+            machine = Simulator(module, Memory(), engine=FAST)
+            return machine, lambda: machine.run("f", [])
+    depths, machines = [], []
+    for _ in range(3):
+        machine, call = run()
+        with pytest.raises(TrapError, match="bogus") as trap:
+            call()
+        depths.append(len(traceback.extract_tb(trap.tb)))
+        machines.append(weakref.ref(machine))
+        del machine, call, trap
+    assert len(set(depths)) == 1, depths
+    gc.collect()
+    assert [ref() for ref in machines] == [None] * 3
 
 
 # ---------------------------------------------------------------------------
