@@ -1,4 +1,41 @@
-"""Module / Function / BasicBlock containers for the IR."""
+"""Module / Function / BasicBlock containers for the IR.
+
+**Pass conventions** (stated here once; passes cite this docstring).
+
+:meth:`Function.new_reg` is the only constructor of a
+:class:`~repro.ir.values.VReg`, so the registers of a function are the
+dense integers ``0 .. func.reg_count - 1``, one object per id
+(:func:`repro.ir.verify.verify_function` checks both halves).  A pass
+on the always-on JIT path therefore hashes no register:
+
+1. a per-register fact (definition count, use count, replacement,
+   live copy, interval bounds) is a list of ``func.reg_count`` entries
+   indexed by ``reg.id``, built when the pass starts — a pass that
+   creates registers sizes its tables after it has;
+2. a set of registers is one ``int`` used as a bitmask (bit
+   ``reg.id``), so ``live_in = use | (out & ~defs)`` is three big-int
+   operations; tables and masks iterate in id order, so no result can
+   depend on hash order;
+3. a pass walks ``block.instrs`` and ``instr.srcs`` directly;
+   ``Function.instructions()`` and ``Instr.uses()`` / ``defs()`` /
+   ``replace_use()`` stay for callers off that path.  An operand is a
+   ``VReg`` or a ``Const`` and nothing else, and no value or
+   instruction class has a subclass except ``Load`` / ``Store`` /
+   ``VLoad`` / ``VStore`` (the indexed forms of
+   :mod:`repro.jit.addrfold`): test ``x.__class__ is VReg``, keep
+   ``isinstance`` for those four;
+4. work accounting adds ``len(block.instrs)`` per logical scan of a
+   block — the number it used to add one by one.
+
+The IR is **not SSA**: a variable's home register is redefined while
+values computed from it are still pending.  A rewrite that moves a
+*read* of a register from one instruction to a later one must show
+that no definition of that register lies in between: the operand is a
+constant; or both instructions sit in one block and a last-definition
+index kept in the same forward walk shows no definition after the
+first; or, across blocks, the register has a single definition (a
+parameter's entry value counts as one).
+"""
 
 from __future__ import annotations
 
@@ -57,6 +94,12 @@ class Function:
         self._next_label = 0
 
     # -- registers and labels -------------------------------------------------
+
+    @property
+    def reg_count(self) -> int:
+        """Registers created so far: every id is in ``[0, reg_count)``
+        (the size of a per-register table, see the module docstring)."""
+        return self._next_reg
 
     def new_reg(self, reg_ty: IRType, name: str = "") -> VReg:
         reg = VReg(self._next_reg, reg_ty, name)

@@ -1,13 +1,16 @@
 """Structural and type verifier for IR functions.
 
-Run after lowering and after every offline pass in tests: a pass that
-produces ill-formed IR is a bug in the pass, and catching it at the
-point of damage beats debugging a miscompile three stages later.
+Run after lowering and, by :class:`repro.opt.pass_manager.PassManager`
+under ``verify=True``, on the function entering a pipeline, after
+every pass that reports a change and once when the pipeline ends (a
+function that verified and has not changed still verifies): a pass
+that produces ill-formed IR is a bug in the pass, and catching it at
+the point of damage beats debugging a miscompile three stages later.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Optional, Set
 
 from repro.lang import types as ty
 from repro.ir import instructions as ins
@@ -46,6 +49,7 @@ def verify_function(func: Function) -> None:
         for instr in block.instrs:
             _check_instr(func, block.label, instr)
 
+    _check_registers(func)
     _check_defs_dominate_uses(func)
 
 
@@ -140,30 +144,59 @@ def _is_address(value) -> bool:
     return isinstance(value.ty, ty.IntType) and value.ty.bits == 64
 
 
+def _check_registers(func: Function) -> None:
+    """The invariant behind per-register tables (pass conventions,
+    :mod:`repro.ir.function`): every register id lies in
+    ``[0, reg_count)`` and belongs to one ``VReg`` object, so a table
+    indexed by id can neither overflow nor alias two registers."""
+    owner: List[Optional[VReg]] = [None] * func.reg_count
+
+    def check(reg: VReg, where: str) -> None:
+        if not 0 <= reg.id < func.reg_count:
+            _fail(func, f"register {reg!r} in {where} is outside the "
+                        f"function's {func.reg_count} registers")
+        if owner[reg.id] is None:
+            owner[reg.id] = reg
+        elif owner[reg.id] is not reg:
+            _fail(func, f"two registers share id {reg.id}: {reg!r} in "
+                        f"{where} and {owner[reg.id]!r}")
+
+    for param in func.params:
+        check(param, "the parameters")
+    for block in func.blocks:
+        for instr in block.instrs:
+            for value in (*instr.srcs, instr.dst):
+                if value.__class__ is VReg:
+                    check(value, block.label)
+
+
 def _check_defs_dominate_uses(func: Function) -> None:
     """Every use must be dominated by a definition (non-SSA: any def)."""
     dom = dominators(func)
     live_labels = reachable(func)
+    entry = func.entry.label
 
-    # Block of each definition (a reg may be defined in several blocks).
-    def_blocks: dict[VReg, Set[str]] = {}
+    # Blocks of each register's definitions (there may be several).
+    def_blocks: List[Set[str]] = [set() for _ in range(func.reg_count)]
+    params = 0
     for param in func.params:
-        def_blocks.setdefault(param, set()).add(func.entry.label)
+        def_blocks[param.id].add(entry)
+        params |= 1 << param.id
     for block in func.blocks:
         for instr in block.instrs:
-            for reg in instr.defs():
-                def_blocks.setdefault(reg, set()).add(block.label)
+            if instr.dst is not None:
+                def_blocks[instr.dst.id].add(block.label)
 
     for block in func.blocks:
         if block.label not in live_labels:
             continue
-        defined_here: Set[VReg] = set(
-            func.params) if block.label == func.entry.label else set()
+        defined_here = params if block.label == entry else 0
         for instr in block.instrs:
-            for reg in instr.uses():
-                if reg in defined_here:
+            for reg in instr.srcs:
+                if reg.__class__ is not VReg or \
+                        defined_here >> reg.id & 1:
                     continue
-                blocks_defining = def_blocks.get(reg, set())
+                blocks_defining = def_blocks[reg.id]
                 dominated = any(d in dom[block.label] and d != block.label
                                 for d in blocks_defining)
                 # Non-SSA IR with multi-block defs (e.g. loop-carried
@@ -184,5 +217,5 @@ def _check_defs_dominate_uses(func: Function) -> None:
                         # the first execution would read garbage.
                         _fail(func, f"use of {reg!r} before its def "
                                     f"in {block.label}")
-            for reg in instr.defs():
-                defined_here.add(reg)
+            if instr.dst is not None:
+                defined_here |= 1 << instr.dst.id

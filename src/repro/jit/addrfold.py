@@ -8,12 +8,13 @@ LIR *before* register allocation so liveness naturally extends the
 address components to the memory instruction.
 
 The folded forms are LIR-private subclasses; only the JIT code
-generator ever sees them.
+generator ever sees them.  Tables and walks follow the pass
+conventions of :mod:`repro.ir.function`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Optional
 
 from repro.lang import types as ty
 from repro.ir import instructions as ins
@@ -89,68 +90,75 @@ class VStoreIndexed(ins.VStore):
         return self.srcs[2]
 
 
+#: plain memory instruction -> ``make(instr, a, b)`` of its folded form
+_FOLDED = {
+    ins.Load: lambda i, a, b: LoadIndexed(i.dst, a, b, i.ty),
+    ins.Store: lambda i, a, b: StoreIndexed(a, b, i.value, i.ty),
+    ins.VLoad: lambda i, a, b: VLoadIndexed(i.dst, a, b, i.vty),
+    ins.VStore: lambda i, a, b: VStoreIndexed(a, b, i.value, i.vty),
+}
+
+
 def fold_addressing(func: Function) -> int:
-    """Fold single-use address adds into memory operations."""
+    """Fold single-use address adds into memory operations.
+
+    The fold reads the add's operands where the memory operation
+    stands, so no definition of either may lie between the two (the
+    non-SSA rule of :mod:`repro.ir.function`): ``ldloc 0; const 4;
+    add; ldloc 0; const 4; add; stloc 0; load`` keeps its first add.
+    """
     work = 0
-    use_counts: Dict[int, int] = {}
-    def_counts: Dict[int, int] = {}
-    for instr in func.instructions():
-        work += 1
-        for reg in instr.uses():
-            use_counts[reg.id] = use_counts.get(reg.id, 0) + 1
-        for reg in instr.defs():
-            def_counts[reg.id] = def_counts.get(reg.id, 0) + 1
+    count = func.reg_count
+    use_counts = [0] * count
+    def_counts = [0] * count
+    add_of: List[Optional[ins.BinOp]] = [None] * count
+    for block in func.blocks:
+        work += len(block.instrs)
+        for instr in block.instrs:
+            for src in instr.srcs:
+                if src.__class__ is VReg:
+                    use_counts[src.id] += 1
+            if instr.dst is not None:
+                def_counts[instr.dst.id] += 1
+                if instr.__class__ is ins.BinOp and instr.op == "add" \
+                        and instr.ty.__class__ is ty.IntType and \
+                        instr.ty.bits == 64:
+                    add_of[instr.dst.id] = instr
+
+    #: where each register was last defined, as this walk has seen it
+    last_def = [-1] * count
+    block_start = 0
+
+    def address_add(addr: Value) -> Optional[ins.BinOp]:
+        """The add that computes ``addr``, when the memory operation
+        the walk stands on may absorb it: the add is the one
+        definition, ``addr`` has no other use, the add stands earlier
+        in this block and both its operands still hold what it read."""
+        if addr.__class__ is not VReg or def_counts[addr.id] != 1 or \
+                use_counts[addr.id] != 1:
+            return None
+        add = add_of[addr.id]
+        add_at = last_def[addr.id]
+        if add is None or add_at < block_start:
+            return None
+        for operand in add.srcs:
+            if operand.__class__ is VReg and last_def[operand.id] > add_at:
+                return None
+        return add
 
     for block in func.blocks:
-        adds: Dict[int, Tuple[int, ins.BinOp]] = {}
-        for index, instr in enumerate(block.instrs):
-            if isinstance(instr, ins.BinOp) and instr.op == "add" and \
-                    isinstance(instr.ty, ty.IntType) and \
-                    instr.ty.bits == 64:
-                adds[instr.dst.id] = (index, instr)
-
-        # Two passes: the address add precedes its memory op, so decide
-        # all folds first, then rebuild the block without the dead adds.
-        skip: set = set()
-        replacements: Dict[int, ins.Instr] = {}
-        for index, instr in enumerate(block.instrs):
-            folded = _try_fold(instr, adds, use_counts, def_counts,
-                               index, skip)
-            if folded is not None:
-                replacements[index] = folded
+        instrs = block.instrs
+        dead: List[int] = []        # positions of the folded adds
+        for index, instr in enumerate(instrs):
+            make = _FOLDED.get(instr.__class__)
+            add = address_add(instr.srcs[0]) if make is not None else None
+            if add is not None:
+                instrs[index] = make(instr, *add.srcs)
+                dead.append(last_def[add.dst.id] - block_start)
                 work += 1
-        block.instrs = [replacements.get(i, instr)
-                        for i, instr in enumerate(block.instrs)
-                        if i not in skip]
+            if instr.dst is not None:
+                last_def[instr.dst.id] = block_start + index
+        block_start += len(instrs)
+        for index in sorted(dead, reverse=True):
+            del instrs[index]
     return work
-
-
-def _try_fold(instr: ins.Instr, adds, use_counts, def_counts,
-              index: int, skip: set):
-    if isinstance(instr, (LoadIndexed, StoreIndexed, VLoadIndexed,
-                          VStoreIndexed)):
-        return None
-    if isinstance(instr, (ins.Load, ins.VLoad)):
-        addr = instr.addr
-    elif isinstance(instr, (ins.Store, ins.VStore)):
-        addr = instr.addr
-    else:
-        return None
-    if not isinstance(addr, VReg):
-        return None
-    entry = adds.get(addr.id)
-    if entry is None:
-        return None
-    add_index, add = entry
-    if add_index >= index:
-        return None
-    if def_counts.get(addr.id, 0) != 1 or use_counts.get(addr.id, 0) != 1:
-        return None
-    skip.add(add_index)
-    if isinstance(instr, ins.VLoad):
-        return VLoadIndexed(instr.dst, add.a, add.b, instr.vty)
-    if isinstance(instr, ins.Load):
-        return LoadIndexed(instr.dst, add.a, add.b, instr.ty)
-    if isinstance(instr, ins.VStore):
-        return VStoreIndexed(add.a, add.b, instr.value, instr.vty)
-    return StoreIndexed(add.a, add.b, instr.value, instr.ty)

@@ -14,11 +14,11 @@ and reports its (linear) work so it still shows up in the budget.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List, Optional
 
 from repro.lang import types as ty
-from repro.ir import instructions as ins
 from repro.ir.function import Function
+from repro.ir.instructions import Cast
 from repro.ir.values import VReg
 from repro.opt.copyprop import copyprop
 from repro.opt.dce import dce
@@ -29,42 +29,74 @@ def fold_cast_chains(func: Function) -> int:
 
     Only when both steps are integer widenings (value-preserving in
     composition) and B has a single use; classic single-pass peephole.
+    The fold reads A where C stands instead of where B stood, so no
+    definition of A may lie in between (the non-SSA rule of
+    :mod:`repro.ir.function`, whose conventions the tables follow):
+    ``ldloc 0; cast; ldloc 0; const 1; add; stloc 0; cast`` keeps both
+    casts.
     """
     work = 0
-    def_of: Dict[int, ins.Cast] = {}
-    use_count: Dict[int, int] = {}
-    def_count: Dict[int, int] = {}
-    for instr in func.instructions():
-        work += 1
-        for reg in instr.uses():
-            use_count[reg.id] = use_count.get(reg.id, 0) + 1
-        for reg in instr.defs():
-            def_count[reg.id] = def_count.get(reg.id, 0) + 1
-            if isinstance(instr, ins.Cast) and _is_widening(instr):
-                def_of[reg.id] = instr
+    count = func.reg_count
+    def_of: List[Optional[Cast]] = [None] * count
+    use_count = [0] * count
+    def_count = [0] * count
+    for param in func.params:
+        def_count[param.id] = 1
+    for block in func.blocks:
+        work += len(block.instrs)
+        for instr in block.instrs:
+            for src in instr.srcs:
+                if src.__class__ is VReg:
+                    use_count[src.id] += 1
+            if instr.dst is not None:
+                def_count[instr.dst.id] += 1
+                if instr.__class__ is Cast and _is_widening(instr):
+                    def_of[instr.dst.id] = instr
 
+    #: where each register was last defined, as this walk has seen it
+    last_def = [-1] * count
+    block_start = 0
     for block in func.blocks:
         for index, instr in enumerate(block.instrs):
-            if not (isinstance(instr, ins.Cast) and _is_widening(instr)):
-                continue
-            source = instr.src
-            if not isinstance(source, VReg):
-                continue
-            inner = def_of.get(source.id)
-            if inner is None or def_count.get(source.id, 0) != 1 or \
-                    use_count.get(source.id, 0) != 1:
-                continue
-            if inner.to_ty != instr.from_ty:
-                continue
-            if not _composable(inner.from_ty, inner.to_ty, instr.to_ty):
-                continue
-            block.instrs[index] = ins.Cast(instr.dst, inner.src,
-                                           inner.from_ty, instr.to_ty)
-            work += 1
+            if instr.__class__ is Cast and _is_widening(instr):
+                folded = _fold_chain(instr, def_of, def_count, use_count,
+                                     last_def, block_start)
+                if folded is not None:
+                    block.instrs[index] = folded
+                    work += 1
+            if instr.dst is not None:
+                last_def[instr.dst.id] = block_start + index
+        block_start += len(block.instrs)
     return work
 
 
-def _is_widening(cast: ins.Cast) -> bool:
+def _fold_chain(outer: Cast, def_of, def_count, use_count, last_def,
+                block_start: int) -> Optional[Cast]:
+    source = outer.srcs[0]
+    if source.__class__ is not VReg:
+        return None
+    inner = def_of[source.id]
+    if inner is None or def_count[source.id] != 1 or \
+            use_count[source.id] != 1:
+        return None
+    if inner.to_ty != outer.from_ty:
+        return None
+    if not _composable(inner.from_ty, inner.to_ty, outer.to_ty):
+        return None
+    moved = inner.srcs[0]
+    if moved.__class__ is VReg:
+        inner_at = last_def[source.id]
+        if inner_at >= block_start:
+            # Both casts in this block: the walk has seen every
+            # definition between them.
+            if last_def[moved.id] > inner_at:
+                return None
+        elif def_count[moved.id] != 1:
+            return None     # across blocks: never-redefined only
+    return Cast(outer.dst, moved, inner.from_ty, outer.to_ty)
+
+
+def _is_widening(cast: Cast) -> bool:
     return (isinstance(cast.from_ty, ty.IntType) and
             isinstance(cast.to_ty, ty.IntType) and
             cast.to_ty.bits >= cast.from_ty.bits)

@@ -88,14 +88,13 @@ def allocate(func: Function, regs_per_class: Dict[str, int],
 
     intervals: List[_Interval] = []
     pinned: List[_Interval] = []
+    ranks = priorities or {}
+    pins = pin_to_memory or ()
     for reg, (start, end) in ranges.items():
-        interval = _Interval(
-            reg=reg, start=start, end=end, cls=reg_class(reg),
-            priority=(priorities or {}).get(reg.id, 1))
-        if pin_to_memory is not None and reg.id in pin_to_memory:
-            pinned.append(interval)
-        else:
-            intervals.append(interval)
+        interval = _Interval(reg, start, end, reg_class(reg),
+                             ranks.get(reg.id, 1))
+        (pinned if reg.id in pins else intervals).append(interval)
+    # Stable: ties keep the order of ``live_ranges``.
     intervals.sort(key=lambda iv: (iv.start, iv.end))
 
     free: Dict[str, List[int]] = {}
@@ -105,7 +104,8 @@ def allocate(func: Function, regs_per_class: Dict[str, int],
         limit[cls] = available
         free[cls] = list(range(available))
     active: Dict[str, List[_Interval]] = {"int": [], "flt": [], "vec": []}
-    assigned: Dict[int, int] = {}
+    #: register index per vreg id (pass conventions: repro.ir.function)
+    assigned: List[Optional[int]] = [None] * func.reg_count
     spill_offset = spill_base_offset
 
     def expire(cls: str, now: int) -> None:
@@ -165,7 +165,7 @@ def allocate(func: Function, regs_per_class: Dict[str, int],
             spill_slot(iv)
             continue
         # Evict the victim; the newcomer takes its register.
-        reg_index = assigned.pop(victim.reg.id)
+        reg_index = assigned[victim.reg.id]
         spill_slot(victim)
         active[cls].remove(victim)
         assigned[iv.reg.id] = reg_index

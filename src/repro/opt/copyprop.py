@@ -12,14 +12,18 @@ Two cooperating levels:
 
 Together with DCE this removes the snapshot ``mov``s the lowering pass
 inserts for every variable read.
+
+Tables and walks follow the pass conventions of
+:mod:`repro.ir.function`; an operand is rewritten in place in
+``instr.srcs``.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List, Optional
 
-from repro.ir import instructions as ins
 from repro.ir.function import Function
+from repro.ir.instructions import Move
 from repro.ir.values import Const, Value, VReg
 from repro.opt.pass_manager import PassResult
 
@@ -31,68 +35,82 @@ def copyprop(func: Function) -> PassResult:
     return result
 
 
-def _def_counts(func: Function) -> Dict[VReg, int]:
-    counts: Dict[VReg, int] = {p: 1 for p in func.params}
-    for instr in func.instructions():
-        for reg in instr.defs():
-            counts[reg] = counts.get(reg, 0) + 1
+def _def_counts(func: Function) -> List[int]:
+    """Definitions per register id; a parameter's entry value counts."""
+    counts = [0] * func.reg_count
+    for param in func.params:
+        counts[param.id] = 1
+    for block in func.blocks:
+        for instr in block.instrs:
+            if instr.dst is not None:
+                counts[instr.dst.id] += 1
     return counts
 
 
 def _global_single_def(func: Function) -> PassResult:
     result = PassResult()
     counts = _def_counts(func)
-    replacement: Dict[VReg, Value] = {}
-    for instr in func.instructions():
-        result.work += 1
-        if isinstance(instr, ins.Move) and counts.get(instr.dst, 0) == 1:
-            src = instr.src
-            if isinstance(src, Const):
-                replacement[instr.dst] = src
-            elif isinstance(src, VReg) and counts.get(src, 0) == 1:
-                replacement[instr.dst] = src
-    if not replacement:
+    replacement: List[Optional[Value]] = [None] * func.reg_count
+    found = False
+    for block in func.blocks:
+        result.work += len(block.instrs)
+        for instr in block.instrs:
+            if instr.__class__ is Move and counts[instr.dst.id] == 1:
+                src = instr.srcs[0]
+                if src.__class__ is Const or counts[src.id] == 1:
+                    replacement[instr.dst.id] = src
+                    found = True
+    if not found:
         return result
 
-    # Resolve chains (a -> b -> const) up front.
     def resolve(value: Value) -> Value:
-        seen = set()
-        while isinstance(value, VReg) and value in replacement:
-            if value in seen:       # defensive: cycles cannot happen
+        """Follow chains (a -> b -> const) to their end."""
+        seen = 0
+        while value.__class__ is VReg and \
+                replacement[value.id] is not None:
+            if seen >> value.id & 1:    # defensive: cycles cannot happen
                 break
-            seen.add(value)
-            value = replacement[value]
+            seen |= 1 << value.id
+            value = replacement[value.id]
         return value
 
-    for instr in func.instructions():
-        for reg in list(instr.uses()):
-            if reg in replacement:
-                instr.replace_use(reg, resolve(reg))
-                result.changed = True
+    for block in func.blocks:
+        for instr in block.instrs:
+            srcs = instr.srcs
+            for index, src in enumerate(srcs):
+                if src.__class__ is VReg and \
+                        replacement[src.id] is not None:
+                    srcs[index] = resolve(src)
+                    result.changed = True
     return result
 
 
 def _block_local(func: Function) -> PassResult:
     result = PassResult()
+    #: the live copy of each register, within the block being walked
+    copies: List[Optional[Value]] = [None] * func.reg_count
     for block in func.blocks:
-        copies: Dict[VReg, Value] = {}
+        result.work += len(block.instrs)
+        recorded: List[int] = []    # ids given a copy in this block
         for instr in block.instrs:
-            result.work += 1
             # Rewrite uses through the live copy table.
-            for reg in list(instr.uses()):
-                if reg in copies:
-                    instr.replace_use(reg, copies[reg])
+            srcs = instr.srcs
+            for index, src in enumerate(srcs):
+                if src.__class__ is VReg and copies[src.id] is not None:
+                    srcs[index] = copies[src.id]
                     result.changed = True
-            # Any definition invalidates entries involving the reg.
-            for reg in instr.defs():
-                copies.pop(reg, None)
-                stale = [k for k, v in copies.items() if v == reg]
-                for k in stale:
-                    del copies[k]
+            dst = instr.dst
+            if dst is None:
+                continue
+            # A definition invalidates entries involving the reg.
+            copies[dst.id] = None
+            for reg_id in recorded:
+                if copies[reg_id] is dst:
+                    copies[reg_id] = None
             # Record new copies (after invalidation).
-            if isinstance(instr, ins.Move):
-                src = instr.src
-                if isinstance(src, Const) or \
-                        (isinstance(src, VReg) and src != instr.dst):
-                    copies[instr.dst] = src
+            if instr.__class__ is Move and srcs[0] is not dst:
+                copies[dst.id] = srcs[0]
+                recorded.append(dst.id)
+        for reg_id in recorded:
+            copies[reg_id] = None
     return result

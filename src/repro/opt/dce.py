@@ -5,11 +5,12 @@ fixpoint so chains of dead computations disappear in one pass run.
 Instructions with side effects (stores, calls, terminators) are always
 kept — calls could be refined with purity analysis, which we leave to
 the inliner's caller-side knowledge.
+
+Tables and walks follow the pass conventions of
+:mod:`repro.ir.function`.
 """
 
 from __future__ import annotations
-
-from typing import Set
 
 from repro.ir.function import Function
 from repro.ir.values import VReg
@@ -19,23 +20,22 @@ from repro.opt.pass_manager import PassResult
 def dce(func: Function) -> PassResult:
     result = PassResult()
     while True:
-        used: Set[VReg] = set()
-        for instr in func.instructions():
-            result.work += 1
-            used.update(instr.uses())
+        used = [False] * func.reg_count
+        for block in func.blocks:
+            result.work += len(block.instrs)
+            for instr in block.instrs:
+                for src in instr.srcs:
+                    if src.__class__ is VReg:
+                        used[src.id] = True
 
         removed_any = False
         for block in func.blocks:
-            kept = []
-            for instr in block.instrs:
-                dead = (not instr.has_side_effects() and
-                        instr.dst is not None and
-                        instr.dst not in used)
-                if dead:
-                    removed_any = True
-                    result.changed = True
-                else:
-                    kept.append(instr)
-            block.instrs = kept
+            kept = [instr for instr in block.instrs
+                    if instr.dst is None or used[instr.dst.id]
+                    or instr.has_side_effects()]
+            if len(kept) != len(block.instrs):
+                block.instrs = kept
+                removed_any = True
         if not removed_any:
             return result
+        result.changed = True

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.ir.function import Function
+from repro.ir.verify import verify_function
 
 #: A pass is a callable ``(Function) -> PassResult``.
 PassFn = Callable[[Function], "PassResult"]
@@ -184,7 +185,14 @@ class PassStats:
 
 
 def _ir_size(func: Function) -> int:
-    return sum(1 for _ in func.instructions())
+    return sum(len(block.instrs) for block in func.blocks)
+
+
+def _verify(func: Function, blame: str) -> None:
+    try:
+        verify_function(func)
+    except Exception as exc:
+        raise AssertionError(f"{blame}: {exc}") from exc
 
 
 class PassManager:
@@ -195,8 +203,13 @@ class PassManager:
                  verify: bool = False):
         """``passes`` is a list of ``(name, fn)`` tuples.
 
-        With ``verify=True`` the IR verifier runs after every pass —
-        slow, but the default in the test suite.
+        With ``verify=True`` the IR verifier checks the function as it
+        enters :meth:`run` (a failure there is the input's, not a
+        pass's), after every pass that reports a change (blamed by
+        name) and once when ``run`` ends if a pass has run since the
+        last check (which catches a pass that mutates and reports no
+        change).  A function that verified and has not changed still
+        verifies, so nothing runs after an unchanged pass in between.
         """
         self.passes = passes
         self.max_iterations = max_iterations
@@ -204,8 +217,11 @@ class PassManager:
         self.stats = PassStats()
 
     def run(self, func: Function) -> PassStats:
-        from repro.ir.verify import verify_function
-
+        if self.verify:
+            _verify(func, f"{func.name!r} entered the pipeline "
+                          f"malformed, before any pass ran")
+        #: passes run since the function last verified
+        unverified: List[str] = []
         size = _ir_size(func)
         for _ in range(self.max_iterations):
             any_changed = False
@@ -218,14 +234,20 @@ class PassManager:
                                   result.changed, size, after)
                 size = after
                 if self.verify:
-                    try:
-                        verify_function(func)
-                    except Exception as exc:
-                        raise AssertionError(
-                            f"pass {name!r} broke {func.name!r}: {exc}"
-                        ) from exc
+                    if result.changed:
+                        quiet = f" (or {', '.join(unverified)}, run " \
+                                f"since the last check and reporting " \
+                                f"no change)" if unverified else ""
+                        _verify(func, f"pass {name!r}{quiet} broke "
+                                      f"{func.name!r}")
+                        unverified.clear()
+                    else:
+                        unverified.append(name)
                 any_changed = any_changed or result.changed
             self.stats.runs += 1
             if not any_changed:
                 break
+        if self.verify and unverified:
+            _verify(func, f"a pass that reported no change (one of "
+                          f"{', '.join(unverified)}) broke {func.name!r}")
         return self.stats

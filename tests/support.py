@@ -118,21 +118,95 @@ def generated_sources() -> Dict[Tuple[str, str, str, str], str]:
     return captured
 
 
-def sources_digest(sources: Dict[Tuple[str, str, str, str], str]):
-    """``(sha256, {filename tag: (sources, lines)}, prints)`` of a
-    :func:`generated_sources` capture, in key order.  ``prints`` holds
-    two hex digits per source: enough to name the first source that
-    moved, which the one digest cannot."""
+def keyed_digest(texts: Dict[Tuple[str, ...], str]) -> Tuple[str, str]:
+    """``(sha256, prints)`` of a ``{key tuple: text}`` capture, in key
+    order.  ``prints`` holds two hex digits per entry: enough to name
+    the first entry that moved, which the one digest cannot."""
     digest = hashlib.sha256()
-    tags: Dict[str, List[int]] = {}
     prints = []
-    for key in sorted(sources):
-        text = ("\0".join(key) + "\0" + sources[key] + "\0").encode()
+    for key in sorted(texts):
+        text = ("\0".join(key) + "\0" + texts[key] + "\0").encode()
         digest.update(text)
         prints.append(hashlib.sha256(text).hexdigest()[:2])
+    return digest.hexdigest(), "".join(prints)
+
+
+def first_moved(texts: Dict[Tuple[str, ...], str], prints: str,
+                pinned: str) -> Optional[Tuple[str, ...]]:
+    """The first key of ``texts`` whose print differs from ``pinned``."""
+    return next((key for index, key in enumerate(sorted(texts))
+                 if prints[2 * index:2 * index + 2]
+                 != pinned[2 * index:2 * index + 2]), None)
+
+
+def sources_digest(sources: Dict[Tuple[str, str, str, str], str]):
+    """``(sha256, {filename tag: (sources, lines)}, prints)`` of a
+    :func:`generated_sources` capture (:func:`keyed_digest`)."""
+    tags: Dict[str, List[int]] = {}
+    for key in sorted(sources):
         count = tags.setdefault(key[3][1:].split(":")[0], [0, 0])
         count[0] += 1
         count[1] += sources[key].count("\n") + 1
-    return (digest.hexdigest(),
+    sha, prints = keyed_digest(sources)
+    return (sha,
             {tag: tuple(count) for tag, count in sorted(tags.items())},
-            "".join(prints))
+            prints)
+
+
+def jit_outputs() -> Dict[Tuple[str, str, str], str]:
+    """Every modeled output of both compilers over ``ALL_KERNELS`` and
+    ``REGALLOC_CORPUS`` x every registered flow x ``target_names()``:
+    16 functions x 5 flows x 7 targets = 560 images, keyed ``(function,
+    flow, target)``, each rendered as its work and size totals and
+    every machine instruction ``(op, ty, dst, srcs, arg, cost, size)``
+    (a stack image has no machine code: totals only).  Each artifact
+    the images were deployed from (one per distinct pipeline of the
+    flows) is an entry ``(function, pipeline label, "offline")``:
+    ``offline_work``, the sha256 of both bytecode flavours' encoded
+    bytes, and per-pass ``PassStats.summary_dict()`` without times.
+    Nothing rendered depends on time, addresses or hash order."""
+    from repro.bytecode.encode import encode_module
+    from repro.core import deploy, offline_compile
+    from repro.flows import registered_flows
+    from repro.targets import target_names
+    from repro.workloads import ALL_KERNELS, REGALLOC_CORPUS
+
+    out: Dict[Tuple[str, str, str], str] = {}
+    sources = {name: kernel.source
+               for name, kernel in ALL_KERNELS.items()}
+    sources.update(REGALLOC_CORPUS)
+    for name, source in sources.items():
+        artifacts = {}
+        for flow in registered_flows():
+            artifact = artifacts.get(flow.pipeline)
+            if artifact is None:
+                artifact = artifacts[flow.pipeline] = offline_compile(
+                    source, name, pipeline=flow.pipeline)
+                lines = [f"offline_work {artifact.offline_work}"]
+                for flavour in (artifact.bytecode,
+                                artifact.scalar_bytecode):
+                    wire = encode_module(flavour)
+                    lines.append(f"{len(wire)} "
+                                 f"{hashlib.sha256(wire).hexdigest()}")
+                for row in artifact.pass_stats.summary_dict().items():
+                    row[1].pop("time")
+                    lines.append(repr(row))
+                out[name, flow.pipeline.label(), "offline"] = \
+                    "\n".join(lines)
+            for target in target_names():
+                image = deploy(artifact, target, flow)
+                lines = [f"jit_work {image.total_jit_work} analysis "
+                         f"{image.total_jit_analysis_work} code_bytes "
+                         f"{image.total_code_bytes} passes "
+                         f"{sorted(image.total_jit_pass_work.items())}"]
+                for func in image.functions.values():
+                    lines.append(
+                        f"{func.name}: spills {func.spill_slot_count} "
+                        f"frame {getattr(func, 'frame_bytes', None)} "
+                        f"params {getattr(func, 'param_locs', None)}")
+                    lines.extend(
+                        repr((i.op, i.ty, i.dst, i.srcs, i.arg, i.cost,
+                              i.size))
+                        for i in getattr(func, "code", ()))
+                out[name, flow.name, target] = "\n".join(lines)
+    return out

@@ -17,7 +17,9 @@ from repro.semantics import Memory
 from repro.targets import DSP, HOST, PPC, SPARC, X86, Simulator
 from repro.vm import VM
 from repro.workloads import ALL_KERNELS, TABLE1
-from tests.support import lower_checked
+from tests.support import (
+    first_moved, jit_outputs, keyed_digest, lower_checked,
+)
 
 ALL_TARGETS = [X86, SPARC, PPC, DSP, HOST]
 
@@ -230,3 +232,54 @@ class TestCodeSize:
         # there is "comparable", not "smaller" (see EXPERIMENTS.md).
         x86 = deploy(artifact, X86, "offline-only")
         assert bc_size < 1.5 * x86.total_code_bytes
+
+
+#: ``tests.support.keyed_digest`` of ``tests.support.jit_outputs()``
+PINNED_OUTPUTS = (
+    "cfbff4275d532914d9179a7c8f3e00a1cc28af5a7cdbeeb6a502cf2a3e8e6712",
+    "ac8e1896a8383d461eaa9a0993b4b6424bfcf41f02f86182cf71d568"
+    "85b772bc181cf3ac4550a32c9f03212927eeaab3996968d5f30b5d9c"
+    "649dbd0b5b5cd240f9bf4532515d22ddd590a0e88a7e3f5889a7fe3c"
+    "b6fb647925cc77f248de10741a7c4ecd32612ce335533463a742d3d9"
+    "45061f1c2169c10c3f1fd60ba646708a86f472806bf66c1eb0ec432f"
+    "01e99f9db1323b47df2474b2e271b8b87b658f1e654af31b8c29576e"
+    "a6244b8b154f8aa08ab7af5e05a56989780f005038462f86b1d2bc7e"
+    "47b00e97b38864d9f0bf29af7bf10e551a2051a8572eacde55830d49"
+    "80538345a82b8c0644fdab5758eb6343a2ccba54436b04779b433363"
+    "69ede79914feab2d7e5184e0ca6d8b9bee69f6b7310764d13ee57181"
+    "cd10ddbede37ea25e3bb7a0646ccf388f876f432bfd8d3014d97ea7b"
+    "5be0c37a802dd31484bf5fb7d27042f22fde8a6d6abd04bddfe6b92d"
+    "7d7edf1d95eff5067888af6ee91f0b9f7c4effa4446d664647c3b07f"
+    "4cfbc5ba19c1f1a478d30ff8b8beb329c09617b5701134d865a82fd7"
+    "8cb7252abf85b0279113684612cc5f4823eb36f9545ed64b8bcb2613"
+    "f97052f88c4cddf726ef128fc04723fc5c2aa9d624358fee9f920301"
+    "2cd0e6569b0981b2c7931f0c4c6293d58594ba65151de99899707790"
+    "73789cca4f04e359d97c3e78fda6eeedf8563be07f0a4ee53c13190b"
+    "57dec96e5c37f77b816d6c28e4f011fdce398f4a0fc321a4883c71a7"
+    "9eaad785471dad7edae2e4029540e00865baae1f250b3447708015b8"
+    "77a460d885ee414ebea4c96868fc363e74558ec17746a9d8ad1ebc3c"
+    "ac68eb46")
+
+
+def test_jit_output_digest():
+    """What both compilers emit, byte for byte: 560 images (16
+    functions x 5 flows x 7 targets: every machine instruction, JIT
+    work, analysis work, code bytes) and the 32 artifacts they were
+    deployed from (offline work, both encoded bytecode flavours,
+    per-pass work / runs / changed runs / IR delta).  A PR that means
+    to move a modeled number re-pins the two values and says which
+    number moved and why; CI also runs this under two fixed
+    ``PYTHONHASHSEED`` values.
+
+    Recorded at the parent of ISSUE 18 (LIR passes over dense register
+    tables and bitmask sets, two moved-read fixes in the JIT
+    peepholes, the verifier run only after a change) and unmoved by
+    it."""
+    outputs = jit_outputs()
+    assert len(outputs) == 560 + 32
+    got = keyed_digest(outputs)
+    if got != PINNED_OUTPUTS:
+        moved = first_moved(outputs, got[1], PINNED_OUTPUTS[1])
+        pytest.fail(f"JIT output moved, first at {moved}:\n"
+                    f"{outputs.get(moved)}\nsha256 {got[0]}\n"
+                    f"prints {got[1]}")

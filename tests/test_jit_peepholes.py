@@ -2,9 +2,12 @@
 scheduling, cast-chain folding, addressing folds, scalarization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bytecode import BCInstr, emit_module, verify_module
 from repro.bytecode.module import BytecodeFunction, BytecodeModule
+from repro.bytecode.opcodes import type_of
 from repro.bytecode.peep import compress_stack_traffic
 from repro.core import deploy, offline_compile
 from repro.ir import Load, Store, VLoad, verify_function
@@ -17,8 +20,10 @@ from repro.jit.scalarize import promotes_lanes, scalarize_vectors
 from repro.ir.values import vec_of
 from repro.lang import types as ty
 from repro.opt import PassManager, standard_passes
+from repro.jit import compile_for_target
 from repro.semantics import Memory
-from repro.targets import HOST, PPC, SPARC, X86, Simulator
+from repro.targets import HOST, PPC, SPARC, X86, Simulator, target_names
+from repro.targets.registry import executor_for
 from repro.vm import VM
 from tests.support import lower_checked
 
@@ -170,6 +175,124 @@ class TestAddressingFold:
             addr = memory.alloc_array(ty.I32, [5, 6, 7, 8])
             assert Simulator(compiled, memory).run(
                 "f", [addr, 2]).value == 70
+
+
+# ---------------------------------------------------------------------------
+# a peephole that moves a read must see no definition in between
+# ---------------------------------------------------------------------------
+#
+# The LIR is not SSA: ``stloc`` redefines a local's register while a
+# value computed from it still sits on the operand stack.  Both folds
+# move the *read* of the producer's operand down to the consumer.
+
+PAPER_FLOWS = ("split", "online-only", "offline-only")
+
+
+def agree_everywhere(code, params, ret, locals_, make_args):
+    """The VM's three engines and every target under the paper's three
+    flows return one value for ``f``; returns it."""
+    module = BytecodeModule("m")
+    module.add(BytecodeFunction("f", list(params), ret, list(locals_),
+                                code=[BCInstr(*i) for i in code]))
+    verify_module(module)
+    results = {}
+    for engine in ("reference", "fast", "tier2"):
+        memory = Memory()
+        results[engine] = VM(module, memory, engine=engine).call(
+            "f", make_args(memory))
+    for target in target_names():
+        for flow in PAPER_FLOWS:
+            memory = Memory()
+            image = compile_for_target(module, target, flow)
+            results[target, flow] = executor_for(image, memory).run(
+                "f", make_args(memory)).value
+    assert len(set(results.values())) == 1, results
+    return results["reference"]
+
+
+#: t1 -> t2 -> t3 integer widenings that ``fold_cast_chains`` composes
+CAST_CHAINS = [("i32", "i64", "u64"), ("i32", "i64", "i64"),
+               ("u8", "u32", "u64"), ("i16", "i32", "i64"),
+               ("u16", "u32", "i64"), ("i8", "i16", "i32")]
+
+
+class TestMovedReads:
+    def test_cast_chain_over_redefined_local(self):
+        """``C = cast B`` over ``B = cast loc0`` with ``loc0 += 1`` in
+        between: every native target returned 42."""
+        code = [("ldarg", None, 0), ("stloc", None, 0), ("br", None, 3),
+                ("ldloc", None, 0), ("cast", "i64", "i32"),
+                ("ldloc", None, 0), ("const", "i32", 1), ("add", "i32"),
+                ("stloc", None, 0), ("cast", "u64", "i64"), ("ret",)]
+        assert agree_everywhere(code, ["i32"], "u64", ["i32"],
+                                lambda memory: [41]) == 41
+
+    def test_address_add_over_redefined_local(self):
+        """``load [t]`` over ``t = add loc0, 4`` with ``loc0 += 4`` in
+        between: six native targets loaded the next element."""
+        code = [("ldarg", None, 0), ("stloc", None, 0), ("br", None, 3),
+                ("ldloc", None, 0), ("const", "u64", 4), ("add", "u64"),
+                ("ldloc", None, 0), ("const", "u64", 4), ("add", "u64"),
+                ("stloc", None, 0), ("load", "i32"), ("ret",)]
+        assert agree_everywhere(
+            code, ["u64"], "i32", ["u64"],
+            lambda memory: [memory.alloc_array(ty.I32, [10, 20, 30, 40])]
+        ) == 20
+
+    @settings(max_examples=30, deadline=None)
+    @given(chain=st.sampled_from(CAST_CHAINS),
+           value=st.integers(-2**31, 2**31 - 1),
+           step=st.integers(1, 100), redefine=st.booleans(),
+           across=st.booleans())
+    def test_cast_chain_property(self, chain, value, step, redefine,
+                                 across):
+        """The inner cast's operand is (or is not) redefined while the
+        inner result waits — on the stack in one block, or parked in a
+        local across a block boundary."""
+        t1, t2, t3 = chain
+        code = [("ldarg", None, 0), ("stloc", None, 0), ("br", None, 3),
+                ("ldloc", None, 0), ("cast", t2, t1)]
+        if across:
+            code.append(("stloc", None, 1))
+        if redefine:
+            code += [("ldloc", None, 0), ("const", t1, step),
+                     ("add", t1), ("stloc", None, 0)]
+        if across:
+            code += [("br", None, len(code) + 1), ("ldloc", None, 1)]
+        code += [("cast", t3, t2), ("ret",)]
+        value = ty.wrap_int(value, type_of(t1))
+        agree_everywhere(code, [t1], t3, [t1, t2],
+                         lambda memory: [value])
+
+    @settings(max_examples=30, deadline=None)
+    @given(first=st.integers(0, 3), step=st.integers(1, 4),
+           operand=st.sampled_from(("base", "index")),
+           redefine=st.booleans(), store=st.booleans(),
+           across=st.booleans())
+    def test_address_add_property(self, first, step, operand, redefine,
+                                  store, across):
+        """``base + index`` waits while one of the two is (or is not)
+        advanced, then addresses a load or a store."""
+        which = 0 if operand == "base" else 1
+        code = [("ldarg", None, 0), ("stloc", None, 0),
+                ("const", "u64", 4 * first), ("stloc", None, 1),
+                ("br", None, 5),
+                ("ldloc", None, 0), ("ldloc", None, 1), ("add", "u64")]
+        if across:
+            code.append(("stloc", None, 2))
+        if redefine:
+            code += [("ldloc", None, which), ("const", "u64", 4 * step),
+                     ("add", "u64"), ("stloc", None, which)]
+        if across:
+            code += [("br", None, len(code) + 1), ("ldloc", None, 2)]
+        if store:
+            code += [("const", "i32", -7), ("store", "i32"),
+                     ("ldarg", None, 0), ("const", "u64", 4 * first),
+                     ("add", "u64")]
+        code += [("load", "i32"), ("ret",)]
+        agree_everywhere(
+            code, ["u64"], "i32", ["u64"] * 3,
+            lambda memory: [memory.alloc_array(ty.I32, list(range(8)))])
 
 
 class TestScalarization:
