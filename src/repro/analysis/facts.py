@@ -24,10 +24,12 @@ tables from an older analysis plane never validate.  Unlike the
 predecode (whose closures must be stripped at process seams), facts
 are pure data and survive pickling through ``ProcessExecutor``.
 
-A function the analysis cannot finish (the abstract interpreter
-itself raising outside a block walk) caches ``None``: callers treat
-that as "no proofs available" — tier-2 declines and stays on the
-always-correct block tier.
+A function the analysis cannot finish (a pass raising outside a
+block walk) caches ``None``: callers treat that as "no proofs
+available" — tier-2 declines and stays on the always-correct block
+tier.  A table that reaches a function from outside (a sidecar
+revived from disk) is not trusted for being here: the tier-2 pass
+that consumes it validates it (:class:`repro.analysis.passes.LaneRules`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from repro.analysis.cfg import BlockCFG
 from repro.analysis import passes
 
 #: bumped whenever the facts payload shape or any producing analysis
-#: changes meaning, so stale cached tables never validate
-FACTS_SCHEMA = 1
+#: changes meaning, so stale cached tables never validate (2: the lane
+#: walk continues past an instruction whose lowering raises, so a
+#: malformed block's table may be a superset of schema 1's)
+FACTS_SCHEMA = 2
 
 
 @dataclass
@@ -91,14 +95,13 @@ def _cached(func, token):
     return None
 
 
-def analyze_bytecode_function(func, binding=None) -> Optional[FunctionFacts]:
+def analyze_bytecode_function(func) -> Optional[FunctionFacts]:
     """Run every bytecode-side analysis; ``None`` if the plane itself
     fails (never for ordinary malformed blocks — those just abort
     their own block walk and leave partial, still-sound facts)."""
     try:
         cfg = BlockCFG(func.code)
-        tuple_locals, lane_locals, widths = \
-            passes.lane_fixpoint(func, binding)
+        tuple_locals, lane_locals, widths = passes.lane_fixpoint(func)
         ranges = int_ranges_safe(func, cfg)
         stored = passes.must_stored_at_entry(func, cfg)
         live = passes.live_at_block_exit(func, cfg)
@@ -144,17 +147,16 @@ def analyze_machine_function(func) -> Optional[FunctionFacts]:
         return None
 
 
-def bytecode_facts(func, binding=None):
+def bytecode_facts(func):
     """``(facts_or_None, fresh)`` for a ``BytecodeFunction``, cached on
-    the function keyed by content token.  Facts are binding-
-    independent (``call`` terminates its fuel block, so resolution
-    affects nothing the analyses record), so one entry serves every
-    module the function appears in."""
+    the function keyed by content token.  No analysis looks at what a
+    ``call`` resolves to, so one entry serves every module the
+    function appears in."""
     token = _facts_token(func)
     cached = _cached(func, token)
     if cached is not None:
         return cached[1], False
-    facts = analyze_bytecode_function(func, binding)
+    facts = analyze_bytecode_function(func)
     func._pvi_facts_cache = (token, facts)
     return facts, True
 
@@ -170,12 +172,12 @@ def machine_facts(func):
     return facts, True
 
 
-def module_facts(module, binding=None) -> FactsTable:
+def module_facts(module) -> FactsTable:
     """Facts for every function of a ``BytecodeModule`` (the shape the
     admission gate and ``pvi-lint`` consume)."""
     table = FactsTable(kind="bytecode")
     for func in module.functions.values():
-        table.functions[func.name], _ = bytecode_facts(func, binding)
+        table.functions[func.name], _ = bytecode_facts(func)
     return table
 
 

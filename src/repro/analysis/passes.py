@@ -6,14 +6,10 @@ Five passes feed the proven-facts table (:mod:`repro.analysis.facts`):
   greatest fixpoint the tier-2 VM emitter generates its blocks under:
   which locals may ever hold a deferred vec *tuple*, and which vector
   locals provably keep their lane count across every ``stloc``.  The
-  abstract interpreter below mirrors the emitter's meta-stack rules
-  (:func:`repro.vm.threaded._gen_block_lines`) *call for call* — same
-  validating helper calls in the same order, so a block aborts
-  analysis at exactly the instruction whose lowering raises, which is
-  the instruction that raises when the block executes.  Facts recorded
-  before the abort therefore hold on every real execution prefix,
-  which is what makes OSR guard elision sound: stores past an abort
-  point never execute on any tier.
+  rules of that domain are stated once, in :class:`LaneRules`; the
+  fixpoint here and the emitter
+  (:func:`repro.vm.threaded._gen_block_lines`) both call them, and
+  the emitter's pass validates whatever table it is handed.
 * **Must-written registers** (machine code) — the forward must-
   dataflow previously private to ``targets.dispatch``: registers
   definitely written on every internal path reaching a leader.
@@ -32,22 +28,16 @@ Nothing here imports the engines — ``repro.vm.threaded`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import BlockCFG
 from repro.analysis.solver import solve_backward, solve_forward
 from repro.bytecode.module import is_vector_local, vector_elem_tag
 from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
-from repro.engine import (
-    CodegenEnv, inline_binop, inline_cast, inline_cmp, inline_unop,
-    normalize_branch_target,
-)
+from repro.engine import is_f32_quad
 from repro.lang import types as ty
-from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, unop_kernel,
-    vec_binop_kernel,
-)
-from repro.semantics.memory import NULL_GUARD, scalar_struct, vector_struct
+from repro.semantics.kernels import cast_kernel, identity_kernel
+from repro.semantics.memory import NULL_GUARD, scalar_struct
 
 _INT_TAGS = {"i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64"}
 
@@ -60,211 +50,185 @@ REG_CLASSES = ("int", "flt", "vec")
 # vector-lane / tuple fixpoint (VM bytecode)
 # ---------------------------------------------------------------------------
 
-#: vstack meta for a wrapped-u64 inline result — feeding one into an
-#: address slot skips the redundant 64-bit re-mask (shared with the
-#: emitter, ``repro.vm.threaded``)
-_MASKED64_META = {"masked64": True}
+#: bytes a ``vec.load`` / ``vec.store`` moves; a vector of ``elem``
+#: has ``VECTOR_BYTES // sizeof(elem)`` lanes (the value of
+#: ``repro.ir.values.VECTOR_BYTES``: this package imports no IR)
+VECTOR_BYTES = 16
 
 
-def _scalar_meta(value_ty):
-    if isinstance(value_ty, ty.IntType) and value_ty.bits == 64 \
-            and not value_ty.signed:
-        return _MASKED64_META
-    return None
+class LaneRules:
+    """The VM tier-2 vector domain, stated once.
 
+    A *meta* is what is statically known of one operand-stack slot or
+    local: ``None`` (nothing), or ``{"lanes": k or None, "tuple":
+    bool, "float": bool}`` — a vector of ``k`` lanes (``None``: count
+    unknown), possibly held as a deferred Python *tuple* instead of
+    the list every engine-observable place holds, its lanes known to
+    be in-range floats (fresh from an unpack or an f32 round trip, so
+    a pack of them cannot fail).  An instance is those rules under one
+    table ``(tuple_locals, lane_locals)``: the entry meta of an
+    ``ldloc``, what a ``stloc`` records and remembers for the rest of
+    its block, the metas ``vec.load``, ``vec.splat`` and the inlined
+    f32 quad produce, and the access widths whose ``_ms - width``
+    limit tier-2 hoists.  Two walks call them and neither restates
+    them: :func:`lane_fixpoint`, which iterates the table to its fixed
+    point, and the tier-2 emitter, which generates code under the
+    table in force and validates it as a by-product.
 
-def _abstract_block(code, leader: int, length: int, frame_offsets,
-                    env: CodegenEnv, binding, tuple_locals: frozenset,
-                    lane_locals: dict, info: dict, widths: set) -> None:
-    """One block of the emitter's meta dataflow, emission elided.
-
-    Must stay in lockstep with ``repro.vm.threaded._gen_block_lines``
-    under its tier-2 descriptor: the same pops/pushes per op, the same
-    meta values, the same ``tuple_stores``/``lane_breaks`` recording,
-    and — critically — the same raising helper calls in the same
-    order, so an exception aborts this walk at exactly the instruction
-    whose lowering raises — the one that raises when the block
-    executes.  The tier-2 build cross-checks the final codegen pass
-    against these facts (``check_facts``) and declines on any
-    mismatch, so a drift bug degrades to the block tier instead of
-    miscompiling.
+    **Soundness.**  The analysis walk may stop only where the emitter
+    also raises; anywhere else it continues.  A block whose tier-2
+    lowering raises gets no tier-2 arm at all, so what the walk
+    records past that point only *adds* tuple stores, lane breaks and
+    widths — the conservative direction of all three facts.  A table
+    is sound for a function iff the emitter's pass under it records no
+    lane break, no tuple store outside ``tuple_locals``
+    (:meth:`holds`) and no width outside ``access_widths``: the table
+    is then an inductive invariant of every ``stloc`` tier-2 can
+    execute, whoever computed it.
     """
-    vmeta: List = []
-    local_meta: dict = {}
 
-    def push(meta=None) -> None:
-        vmeta.append(meta)
+    def __init__(self, tuple_locals: frozenset, lane_locals: dict):
+        self.tuple_locals = tuple_locals
+        self.lane_locals = lane_locals
+        #: what the walk has seen the function do
+        self.tuple_stores: set = set()
+        self.lane_breaks: set = set()
+        self.widths: set = set()
+        #: metas proven for a local by a ``stloc`` of the block in hand
+        self.stored: dict = {}
 
-    def popm():
-        if vmeta:
-            return vmeta.pop()
-        return None                 # cross-block stack value: unknown
+    def enter_block(self) -> None:
+        self.stored = {}
 
-    def flush() -> None:
-        del vmeta[:]
+    def ldloc(self, index):
+        """The meta of local ``index``: what this block stored there,
+        else what the table knows at block entry — "possibly a tuple"
+        when some block keeps one there, plus the lane count when
+        every store anywhere preserves it (the local starts as a fresh
+        ``[0] * lanes`` list)."""
+        if index in self.stored:
+            return self.stored[index]
+        lanes = self.lane_locals.get(index)
+        held = index in self.tuple_locals
+        if held or lanes is not None:
+            return {"lanes": lanes, "tuple": held, "float": False}
+        return None
 
-    exit_pc = leader + length
-    for pc in range(leader, exit_pc):
-        instr = code[pc]
+    def stloc(self, index, meta) -> None:
+        """A store of a value with ``meta`` into local ``index``.  A
+        tuple stays a tuple (the tier-2 writeback re-lists
+        ``tuple_locals`` at every engine-observable boundary); a store
+        that may change the lane count breaks the local's lane fact."""
+        if meta is not None and meta.get("tuple"):
+            self.tuple_stores.add(index)
+        lanes = self.lane_locals.get(index)
+        if lanes is not None \
+                and (meta is None or meta.get("lanes") != lanes):
+            self.lane_breaks.add(index)
+        self.stored[index] = meta
+
+    def vec_load(self, elem):
+        """Tier-2 keeps the unpacked tuple."""
+        return {"lanes": VECTOR_BYTES // ty.sizeof(elem), "tuple": True,
+                "float": isinstance(elem, ty.FloatType)}
+
+    def vec_splat(self, elem):
+        return {"lanes": VECTOR_BYTES // ty.sizeof(elem), "tuple": False,
+                "float": False}
+
+    def vec_binop(self, bop: str, elem, am, bm):
+        """``None`` for a kernel call (a list of unknown length).  The
+        inlined f32 quad leaves a tuple: with one 4-lane operand the
+        kernel fallback can only trap on a mismatch, so whatever flows
+        on has 4 lanes; only two unproven operands can yield another
+        count."""
+        if not is_f32_quad(bop, elem):
+            return None
+        proven = any(m is not None and m.get("lanes") == 4
+                     for m in (am, bm))
+        return {"lanes": 4 if proven else None, "tuple": True,
+                "float": True}
+
+    def width(self, size: int) -> None:
+        """A ``size``-byte access checked against a hoisted limit."""
+        self.widths.add(size)
+
+    def holds(self) -> bool:
+        """Did the walk leave the table intact?"""
+        return not self.lane_breaks \
+            and self.tuple_stores <= self.tuple_locals
+
+
+def _lane_block(code, leader: int, length: int, rules: LaneRules) -> None:
+    """One block's operand-stack shape, each slot a :class:`LaneRules`
+    meta.  Raises on an instruction it cannot interpret (an unknown
+    opcode, a type tag ``type_of`` rejects), which the emitter cannot
+    lower either."""
+    rules.enter_block()
+    stack: List = []
+
+    def pop():
+        return stack.pop() if stack else None   # cross-block: unknown
+
+    for instr in code[leader:leader + length]:
         op = instr.op
-
         if op == "ldloc":
-            if instr.arg in local_meta:
-                meta = local_meta[instr.arg]
-            elif instr.arg in tuple_locals:
-                meta = {"lanes": lane_locals.get(instr.arg),
-                        "tuple": True, "float": False}
-            elif instr.arg in lane_locals:
-                meta = {"lanes": lane_locals[instr.arg],
-                        "tuple": False, "float": False}
-            else:
-                meta = None
-            push(meta)
-        elif op == "ldarg":
-            push()
+            stack.append(rules.ldloc(instr.arg))
         elif op == "stloc":
-            meta = popm()
-            if meta is not None and meta.get("tuple"):
-                info["tuple_stores"].add(instr.arg)
-            if instr.arg in lane_locals \
-                    and (meta is None
-                         or meta.get("lanes") != lane_locals[instr.arg]):
-                info["lane_breaks"].add(instr.arg)
-            local_meta[instr.arg] = meta
-        elif op == "const":
-            push()
-        elif op in BIN_OPS:
-            value_ty = type_of(instr.ty)
-            tmpl = inline_binop(op, value_ty, env)
-            popm()
-            popm()
-            if tmpl is not None:
-                push(_scalar_meta(value_ty) if tmpl[1] else None)
-            else:
-                binop_kernel(op, value_ty)
-                push()
-        elif op == "cmp":
-            value_ty = type_of(instr.ty)
-            tmpl = inline_cmp(instr.arg, value_ty)
-            popm()
-            popm()
-            if tmpl is None:
-                cmp_kernel(instr.arg, value_ty)
-            push()
+            rules.stloc(instr.arg, pop())
+        elif op in ("const", "ldarg", "frame"):
+            stack.append(None)
+        elif op in BIN_OPS or op == "cmp":
+            pop()
+            pop()
+            stack.append(None)
         elif op in UN_OPS:
-            value_ty = type_of(instr.ty)
-            tmpl = inline_unop(op, value_ty, env)
-            popm()
-            if tmpl is None:
-                unop_kernel(op, value_ty)
-            push()
+            pop()
+            stack.append(None)
         elif op == "cast":
-            from_ty = type_of(instr.arg)
-            to_ty = type_of(instr.ty)
-            kernel = cast_kernel(from_ty, to_ty)
-            if kernel is not identity_kernel:   # identity: slot untouched
-                tmpl = inline_cast(from_ty, to_ty, env)
-                popm()
-                if tmpl is not None:
-                    push(_scalar_meta(to_ty) if tmpl[1] else None)
-                else:
-                    push()
+            # an identity cast leaves the slot, meta included, alone
+            if cast_kernel(type_of(instr.arg), type_of(instr.ty)) \
+                    is not identity_kernel:
+                pop()
+                stack.append(None)
         elif op == "select":
-            popm()
-            popm()
-            popm()
-            push()
+            pop()
+            pop()
+            pop()
+            stack.append(None)
         elif op == "load":
-            packer = scalar_struct(type_of(instr.ty))
-            popm()                              # address
-            widths.add(packer.size)
-            push()
+            rules.width(scalar_struct(type_of(instr.ty)).size)
+            pop()
+            stack.append(None)
         elif op == "store":
-            packer = scalar_struct(type_of(instr.ty))
-            popm()                              # value
-            popm()                              # address
-            widths.add(packer.size)
-        elif op == "frame":
-            frame_offsets[instr.arg]            # same IndexError
-            push()
-        elif op == "br":
-            target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):
-                raise ValueError("non-integer branch target")
-            flush()
-        elif op == "brif":
-            target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):
-                raise ValueError("non-integer branch target")
-            popm()                              # condition
-            flush()
-        elif op == "call":
-            flush()
-            if binding is not None:
-                binding.functions.get(instr.arg)
-        elif op == "ret":
-            flush()
-        elif op == "pop":
-            if vmeta:
-                vmeta.pop()
+            rules.width(scalar_struct(type_of(instr.ty)).size)
+            pop()
+            pop()
         elif op == "vec.load":
-            elem = type_of(instr.ty)
-            lanes = 16 // ty.sizeof(elem)
-            packer = vector_struct(elem, lanes)
-            popm()                              # address
-            widths.add(packer.size)
-            push({"lanes": lanes, "tuple": True,
-                  "float": isinstance(elem, ty.FloatType)})
+            rules.width(VECTOR_BYTES)
+            pop()
+            stack.append(rules.vec_load(type_of(instr.ty)))
         elif op == "vec.store":
-            elem = type_of(instr.ty)
-            lanes = 16 // ty.sizeof(elem)
-            packer = vector_struct(elem, lanes)
-            popm()                              # value
-            popm()                              # address
-            widths.add(packer.size)
-        elif op.startswith("vec.") and op[4:] in BIN_OPS:
-            bop = op[4:]
-            elem = type_of(instr.ty)
-            vec_binop_kernel(bop, elem)
-            if not (isinstance(elem, ty.FloatType) and elem.bits == 32
-                    and bop in ("add", "sub", "mul", "min", "max")):
-                popm()
-                popm()
-                push()
-            else:
-                bm = popm()
-                am = popm()
-                guards = sum(1 for m in (am, bm)
-                             if m is None or m.get("lanes") != 4)
-                push({"lanes": 4 if guards < 2 else None,
-                      "tuple": True, "float": True})
+            rules.width(VECTOR_BYTES)
+            pop()
+            pop()
         elif op == "vec.splat":
-            elem = type_of(instr.ty)
-            lanes = 16 // ty.sizeof(elem)
-            popm()                              # scalar
-            push({"lanes": lanes, "tuple": False, "float": False})
+            pop()
+            stack.append(rules.vec_splat(type_of(instr.ty)))
         elif op == "vec.reduce":
-            reduce_op, acc_tag = instr.arg
-            if reduce_op not in ("add", "max", "min"):
-                raise ValueError("undefined reduce op")
-            elem = type_of(instr.ty)
-            acc_ty = type_of(acc_tag)
-            widen_kernel = cast_kernel(elem, acc_ty)
-            if widen_kernel is identity_kernel:
-                widen_tpl = ("{a}", True)
-            else:
-                widen_tpl = inline_cast(elem, acc_ty, env)
-            fold_tpl = inline_binop(reduce_op, acc_ty, env)
-            popm()                              # vector
-            if not (widen_tpl is not None and widen_tpl[1]
-                    and fold_tpl is not None and fold_tpl[1]):
-                binop_kernel(reduce_op, acc_ty)
-            push()
-        else:
+            pop()
+            stack.append(None)
+        elif op.startswith("vec.") and op[4:] in BIN_OPS:
+            bm, am = pop(), pop()
+            stack.append(rules.vec_binop(op[4:], type_of(instr.ty),
+                                         am, bm))
+        elif op in ("brif", "pop"):
+            pop()
+        elif op not in ("br", "call", "ret"):   # these end the block
             raise ValueError(f"unknown opcode {op!r}")
 
 
-def lane_fixpoint(func, binding=None):
+def lane_fixpoint(func):
     """``(tuple_locals, lane_locals, access_widths)`` — the VM tier-2
     whole-function facts, at their fixed point.
 
@@ -273,36 +237,28 @@ def lane_fixpoint(func, binding=None):
     shrinks monotonically (one unproven ``stloc`` drops the local's
     lane fact); ``access_widths`` is the set of memory access sizes
     seen anywhere — a superset of the widths the final codegen pass
-    hoists ``_ms - width`` limits for.  ``binding`` only affects abort
-    fidelity inside ``call`` blocks; the facts themselves are
-    binding-independent (``call`` terminates its block).
+    hoists ``_ms - width`` limits for.
     """
     code = func.code
     blocks = BlockCFG(code).blocks
-    frame_offsets = func.frame_offsets()
-    env = CodegenEnv({})
     tuple_locals = frozenset()
     lane_locals: Dict[int, int] = {}
     for index, tag in enumerate(func.local_types):
         if is_vector_local(tag):
             elem = type_of(vector_elem_tag(tag))
-            lane_locals[index] = 16 // ty.sizeof(elem)
+            lane_locals[index] = VECTOR_BYTES // ty.sizeof(elem)
     while True:
-        info = {"tuple_stores": set(), "lane_breaks": set()}
-        widths: Set[int] = set()
-        for leader in blocks:
+        rules = LaneRules(tuple_locals, lane_locals)
+        for leader, length in blocks.items():
             try:
-                _abstract_block(code, leader, blocks[leader],
-                                frame_offsets, env, binding,
-                                tuple_locals, lane_locals, info, widths)
+                _lane_block(code, leader, length, rules)
             except Exception:
-                pass                # partial facts up to the abort count
-        grown = tuple_locals | info["tuple_stores"]
-        if grown == tuple_locals and not info["lane_breaks"]:
-            return tuple_locals, dict(lane_locals), frozenset(widths)
-        tuple_locals = frozenset(grown)
-        for index in info["lane_breaks"]:
-            lane_locals.pop(index, None)
+                pass        # the emitter raises there too: see LaneRules
+        if rules.holds():
+            return tuple_locals, lane_locals, frozenset(rules.widths)
+        tuple_locals = tuple_locals | rules.tuple_stores
+        lane_locals = {index: lanes for index, lanes in lane_locals.items()
+                       if index not in rules.lane_breaks}
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,16 @@ _F32_ROUND = struct.Struct("<f")
 #: the 4-lane batch round trip the quad vec kernels use
 _F32_QUAD = struct.Struct("<4f")
 
+
+def is_f32_quad(bop: str, elem) -> bool:
+    """Is ``vec.<bop>`` over ``elem`` a shape tier-2 inlines as the
+    4-lane f32 batch kernel?  The emitters ask before inlining, the
+    lane analysis before giving the result a tuple meta."""
+    from repro.lang import types as ty
+    return isinstance(elem, ty.FloatType) and elem.bits == 32 \
+        and bop in ("add", "sub", "mul", "min", "max")
+
+
 _ARITH_SYMS = {"add": "+", "sub": "-", "mul": "*"}
 _BIT_SYMS = {"and": "&", "or": "|", "xor": "^"}
 _CMP_SYMS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",

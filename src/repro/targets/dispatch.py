@@ -511,7 +511,7 @@ class _MachineLowering(Lowering):
                     tier2_hint=getattr(self.func, "tier2_hint", False))
 
     @staticmethod
-    def facts(func, binding):
+    def facts(func):
         return machine_facts(func)
 
     def begin_tier2(self, facts):

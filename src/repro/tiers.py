@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine import (
     CodegenEnv, MeterTrip, _ARITH_SYMS, _F32_QUAD, backedge_targets,
-    fuel_blocks, inline_binop, inline_cast, keep_osr_guards,
+    fuel_blocks, inline_binop, inline_cast, is_f32_quad, keep_osr_guards,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -521,9 +521,7 @@ class BlockEmitter:
         results, one <4f> pack/unpack round trip — exactly the quad
         kernel's arithmetic (including the left-to-right rounding
         order), minus the call.  ``None`` for every other shape."""
-        if not (self.tier.tier2 and isinstance(elem, ty.FloatType)
-                and elem.bits == 32
-                and bop in ("add", "sub", "mul", "min", "max")):
+        if not (self.tier.tier2 and is_f32_quad(bop, elem)):
             return None
         qp = self.env.bind(_F32_QUAD.pack, "qp")
         qu = self.env.bind(_F32_QUAD.unpack, "qu")
@@ -970,7 +968,7 @@ class Lowering:
         declines gets no tier-2 at all."""
         counts = cls.stats.counts
         counts["warm" if warm else "request"] += 1
-        facts, fresh = cls.facts(func, binding)
+        facts, fresh = cls.facts(func)
         if fresh:
             counts["facts_warm" if warm else "facts_request"] += 1
         if facts is None:
@@ -1023,9 +1021,9 @@ class Lowering:
 
         # Pre-translate every block; an untranslatable block keeps no
         # dispatch arm — its leader falls through to the else arm, a
-        # per-block deopt point.  The pass records what it sees, and
-        # any disagreement with the facts (a drift bug between emitter
-        # and analysis) aborts the build rather than risk a miscompile.
+        # per-block deopt point.  The pass records what it stores and
+        # checks under ``facts``; a table those records contradict (a
+        # foreign or corrupt sidecar) aborts the build, never the run.
         bodies: Dict[int, Optional[List[str]]] = {}
         marks: Dict[int, list] = {}
         for leader, length in blocks.items():
@@ -1124,7 +1122,7 @@ class Lowering:
         raise NotImplementedError
 
     @staticmethod
-    def facts(func, binding):
+    def facts(func):
         """``(facts | None, fresh)`` from the dataflow plane."""
         raise NotImplementedError
 
@@ -1135,7 +1133,9 @@ class Lowering:
         raise NotImplementedError
 
     def check_facts(self, facts) -> None:
-        """Raise when what the lowering saw disagrees with ``facts``."""
+        """Raise when ``facts`` is not an invariant of what the
+        tier-2 lowering just recorded (the table may be outside
+        input: a sidecar revived from disk)."""
 
     def fact_guards(self, entries: List[int]):
         """``(count, lines)``: the per-entry re-checks of ``facts`` an

@@ -38,7 +38,9 @@ dispatcher — is the tier scaffold (:mod:`repro.tiers`) shared with
 model: the per-opcode lowering over a virtual operand stack
 (``_gen_block_lines``, the only fast-engine statement of what an
 opcode does), the ``_t2`` frame lines and the per-call initialization
-data.
+data.  What tier-2 may assume of a vector value, and why a facts
+table from anywhere is safe to generate code under, is stated once in
+:class:`repro.analysis.passes.LaneRules`; the lowering calls it.
 
 The predecoded form is cached on the function object
 (``BytecodeFunction.cached_predecode``) keyed by a structural content
@@ -61,7 +63,7 @@ import re
 from typing import List
 
 from repro.analysis.facts import bytecode_facts
-from repro.analysis.passes import _scalar_meta
+from repro.analysis.passes import LaneRules
 from repro.bytecode.module import (
     BytecodeFunction, is_vector_local, vector_elem_tag,
 )
@@ -85,6 +87,20 @@ from repro.tiers import (
 )
 
 _EMPTY_DEPS = frozenset()
+
+#: vstack meta for a wrapped-u64 inline result — feeding one into an
+#: address slot skips the redundant 64-bit re-mask.  The emitter's
+#: own: every vector meta comes from :class:`LaneRules`, to which
+#: this one is as good as ``None``.
+_MASKED64_META = {"masked64": True}
+
+
+def _scalar_meta(value_ty):
+    if isinstance(value_ty, ty.IntType) and value_ty.bits == 64 \
+            and not value_ty.signed:
+        return _MASKED64_META
+    return None
+
 
 #: this engine's tier-2 build-site counters (``warm`` builds come from
 #: :func:`warm_bytecode_module`)
@@ -167,25 +183,28 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     the virtual stack so statements fuse (deferral tracks which local
     each pending expression reads, so a ``stloc`` materializes the
     values it would clobber), and ``mem.data``/``mem.size`` read from
-    the dispatcher's hoisted ``_md``/``_ms`` locals.  In both tiers
+    the dispatcher's hoisted ``_md``/``_ms`` locals.  What tier-2
+    statically knows of a vector value (its *meta*) is made and
+    recorded by ``low.rules``, the :class:`LaneRules` of the facts
+    table in force (see there for the rule that makes this sound);
+    the block tier has none.  In both tiers
     ``em.impure`` is set exactly where the emitted code can raise: it
     is what puts the instruction in the block's rollback table.
     """
-    code, env, info = low.code, low.env, low.info
+    code, env, rules = low.code, low.env, low.rules
     frame_offsets, nlocals = low.frame_offsets, len(low.func.local_types)
-    tuple_locals, lane_locals = low.tuple_locals, low.lane_locals
     tier2 = tier.tier2
+    if tier2:
+        rules.enter_block()
     local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     em = BlockEmitter(env, tier)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     vstack: List[str] = []          # expressions for virtual stack slots
     vdeps: List[frozenset] = []     # local indices each deferred
     #                                 expression reads (temps: empty)
-    vmeta: List = []                # static vector facts per slot, or
-    #                                 None: {"lanes": k or None,
-    #                                 "tuple": bool, "float": bool}
-    local_meta: dict = {}           # tier-2: vector facts proven for a
-    #                                 local by a ``stloc`` in this block
+    vmeta: List = []                # what is statically known of each
+    #                                 slot: a ``LaneRules`` meta, the
+    #                                 masked-u64 meta, or None
     proven_bounds: set = set()      # (addr name, width) pairs already
     #                                 range-checked in this block, valid
     #                                 until the name is reassigned
@@ -286,7 +305,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         per-check add disappears from hot loops."""
         if not tier2:
             return None
-        info["bounds_sizes"].add(size_bytes)
+        rules.width(size_bytes)
         return f"_ms{size_bytes}"
 
     def bounds(addr_var: str, size_bytes: int) -> None:
@@ -309,25 +328,8 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         if op == "ldloc":
             place = local(instr.arg)
             if tier2:
-                if instr.arg in local_meta:
-                    meta = local_meta[instr.arg]
-                elif instr.arg in tuple_locals:
-                    # Some block keeps a vec tuple in this local; at
-                    # entry we only know "possibly a tuple" — plus the
-                    # lane count when every store preserves it.
-                    meta = {"lanes": lane_locals.get(instr.arg),
-                            "tuple": True, "float": False}
-                elif instr.arg in lane_locals:
-                    # Whole-function lane fact: the local starts as a
-                    # fresh ``[0] * lanes`` vector and every ``stloc``
-                    # anywhere keeps the count (the fixed point of
-                    # ``repro.analysis.passes.lane_fixpoint``), so the
-                    # length guard is proven.
-                    meta = {"lanes": lane_locals[instr.arg],
-                            "tuple": False, "float": False}
-                else:
-                    meta = None
-                push_atom(place, frozenset((instr.arg,)), meta=meta)
+                push_atom(place, frozenset((instr.arg,)),
+                          meta=rules.ldloc(instr.arg))
             else:
                 push(place)
         elif op == "ldarg":
@@ -343,25 +345,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         elif op == "stloc":
             target = local(instr.arg)
             value, _, meta = popm()
-            if meta is not None and meta.get("tuple"):
-                if tier2:
-                    # Keep the tuple: the whole-function writeback
-                    # normalizes tuple-bearing locals back to lists
-                    # at every engine-observable boundary.
-                    info["tuple_stores"].add(instr.arg)
-                else:
-                    value = f"list({value})"
-                    meta = dict(meta, tuple=False)
             if tier2:
-                if instr.arg in lane_locals \
-                        and (meta is None
-                             or meta.get("lanes")
-                             != lane_locals[instr.arg]):
-                    # This store may change the lane count: the local
-                    # loses its whole-function lane fact.
-                    info["lane_breaks"].add(instr.arg)
+                rules.stloc(instr.arg, meta)
                 spill_local(instr.arg)
-                local_meta[instr.arg] = meta
             proven_bounds.difference_update(
                 {pb for pb in proven_bounds if pb[0] == target})
             if tier2 and lines and re.fullmatch(r"t\d+", value) \
@@ -550,8 +536,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 # consumers read it directly, and ``popd``/``flush``
                 # re-list it wherever the value becomes observable.
                 push(f"{unpack}({data}, {addr})",
-                     meta={"lanes": lanes, "tuple": True,
-                           "float": isinstance(elem, ty.FloatType)})
+                     meta=rules.vec_load(elem))
             else:
                 push(f"list({unpack}({data}, {addr}))")
         elif op == "vec.store":
@@ -682,21 +667,14 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 em.quad(quad, a, b, guards, result, "{0}", kernel)
                 vstack.append(result)
                 vdeps.append(_EMPTY_DEPS)
-                # With a 4-lane operand the kernel fallback can only
-                # trap (lane mismatch), so any value that flows past
-                # this op has 4 lanes; only when both operands are
-                # dynamic can the generic path yield other counts.
-                proven = len(guards) < 2
-                vmeta.append({"lanes": 4 if proven else None,
-                              "tuple": True, "float": True})
+                vmeta.append(rules.vec_binop(bop, elem, am, bm))
         elif op == "vec.splat":
             elem = type_of(instr.ty)
             lanes = 16 // ty.sizeof(elem)
             x, xdeps = popd()
             if tier2:
                 push_atom(f"([{x}] * {lit(lanes)})", xdeps,
-                          meta={"lanes": lanes, "tuple": False,
-                                "float": False})
+                          meta=rules.vec_splat(elem))
             else:
                 push(f"[{x}] * {lit(lanes)}")
         elif op == "vec.reduce":
@@ -739,14 +717,10 @@ class _BytecodeLowering(Lowering):
     def __init__(self, func, binding=None):
         super().__init__(func, binding)
         self.frame_offsets = func.frame_offsets()
-        # The whole-function facts tier-2 blocks are generated under
-        # (``begin_tier2``); the block tier assumes none.
         self.safe_args = 0
-        self.tuple_locals = _EMPTY_DEPS
-        self.lane_locals = {}
-        #: what the tier-2 lowering saw, cross-checked against the
-        #: facts by ``check_facts``
-        self.info = None
+        #: the lane rules under the facts table tier-2 blocks are
+        #: generated under (``begin_tier2``); the block tier has none
+        self.rules: LaneRules = None
 
     def lower(self, leader, length, tier):
         return _gen_block_lines(self, leader, length, tier)
@@ -771,23 +745,20 @@ class _BytecodeLowering(Lowering):
                     tier2_hot=_tier2_hot(func, module))
 
     @staticmethod
-    def facts(func, binding):
-        return bytecode_facts(func, binding)
+    def facts(func):
+        return bytecode_facts(func)
 
     def begin_tier2(self, facts):
         # The two whole-function facts the blocks are generated under
         # — locals that may ever hold a deferred vec *tuple*, and
         # vector locals whose lane count every ``stloc`` provably
-        # preserves — come proven from the dataflow plane
-        # (``repro.analysis.passes.lane_fixpoint`` runs the emitter's
-        # abstract meta rules to a fixpoint), so one generation pass
-        # suffices.
+        # preserves — come from the dataflow plane at their fixed
+        # point (``repro.analysis.passes.lane_fixpoint``), so one
+        # generation pass suffices.
         func = self.func
         nlocals = len(func.local_types)
-        tuple_locals = self.tuple_locals = facts.tuple_locals
-        self.lane_locals = dict(facts.lane_locals)
-        self.info = {"tuple_stores": set(), "lane_breaks": set(),
-                     "bounds_sizes": set()}
+        tuple_locals = facts.tuple_locals
+        self.rules = LaneRules(tuple_locals, facts.lane_locals)
         entry = []
         num_params = self.safe_args = len(func.param_types)
         if num_params:
@@ -828,19 +799,19 @@ class _BytecodeLowering(Lowering):
         return entry, load, writeback
 
     def check_facts(self, facts) -> None:
-        info = self.info
-        if info["lane_breaks"] \
-                or not info["tuple_stores"] <= facts.tuple_locals \
-                or not info["bounds_sizes"] <= facts.access_widths:
-            raise ValueError(f"dataflow facts for {self.name!r} "
-                             f"disagree with codegen")
+        # Free: the lowering recorded its stores and widths by calling
+        # the rules.  See ``LaneRules`` for why this is the whole check.
+        if not (self.rules.holds()
+                and self.rules.widths <= facts.access_widths):
+            raise ValueError(f"facts table for {self.name!r} is not an "
+                             f"invariant of its code")
 
     def fact_guards(self, entries):
         # The lane facts are whole-function invariants over *every*
         # ``stloc`` (the block tier only ever stores plain lists, and
         # a partially executed block ends the call rather than reach
         # a leader), so one check covers every entry.
-        lane_locals = self.lane_locals
+        lane_locals = self.rules.lane_locals
         if not lane_locals:
             return 0, []
         lane_checks = " and ".join(

@@ -171,7 +171,8 @@ class TestFactsTable:
 # ---------------------------------------------------------------------------
 
 class TestTier2Consumers:
-    def test_vm_warm_hook_prepays_facts(self):
+    def test_vm_warm_hook_prepays_facts(self, monkeypatch):
+        monkeypatch.delenv(OSR_GUARDS_ENV, raising=False)
         artifact = _fresh_artifact()
         threaded.reset_tier2_build_stats()
         threaded.warm_bytecode_module(artifact.bytecode)
@@ -187,7 +188,9 @@ class TestTier2Consumers:
         after = threaded.tier2_build_stats()
         assert after["request"] == 0 and after["facts_request"] == 0
 
-    def test_sim_warm_hook_prepays_facts_and_elides_guards(self):
+    def test_sim_warm_hook_prepays_facts_and_elides_guards(
+            self, monkeypatch):
+        monkeypatch.delenv(OSR_GUARDS_ENV, raising=False)
         compiled = deploy(_fresh_artifact(), X86, flow="split")
         dispatch.reset_tier2_build_stats()
         dispatch.warm_module(compiled)
@@ -199,6 +202,7 @@ class TestTier2Consumers:
 
     def test_osr_guard_env_keeps_guards_with_identical_observation(
             self, monkeypatch):
+        monkeypatch.delenv(OSR_GUARDS_ENV, raising=False)
         baseline = _vm_observation(_fresh_artifact().bytecode, SAXPY)
         monkeypatch.setenv(OSR_GUARDS_ENV, "1")
         artifact = _fresh_artifact()
@@ -218,6 +222,7 @@ class TestTier2Consumers:
                 SAXPY.entry, run.args)
             return repr(result.value), result.instructions, result.cycles
 
+        monkeypatch.delenv(OSR_GUARDS_ENV, raising=False)
         baseline = observe()
         monkeypatch.setenv(OSR_GUARDS_ENV, "1")
         dispatch.reset_tier2_build_stats()
