@@ -14,19 +14,22 @@ throughput floor check against the block-threaded tier (tier-2 with
 facts must never be slower than the tier it replaces).
 
 The split: "tier-2 facts" is the lane/tuple fixpoint
-(``passes.lane_fixpoint``), all a device-side tier-2 build reads of a
-bytecode table; "lint facts" is the rest of ``module_facts`` (value
-ranges, definite initialization, liveness, findings), read by the
-admission gate and ``pvi-lint`` only.  Both are timed from outside,
-around the functions the plane already has.
+(``passes.lane_fixpoint``), run by the offline compiler and shipped
+as a bytecode annotation (a VM tier-2 build over a module without one
+runs exactly this and nothing else); "lint facts" is ``module_facts``
+(value ranges, definite initialization, liveness, findings), read by
+the admission gate and ``pvi-lint`` only.  Neither calls the other;
+both are timed directly.
 """
 
 import time
 
 import pytest
 
-from repro.analysis import module_facts, passes
+from repro.analysis import module_facts
+from repro.analysis.passes import lane_fixpoint
 from repro.bench import format_table
+from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.core import deploy, offline_compile
 from repro.semantics import Memory
 from repro.targets import X86, dispatch
@@ -53,28 +56,15 @@ def _fresh_facts(module):
 
 
 def _timed_facts(module):
-    """``(table, tier-2 facts ms, lint facts ms)`` of one fresh
-    ``module_facts``: the lane fixpoint's share is timed around
-    ``passes.lane_fixpoint`` (looked up per call by ``facts.py``),
-    the lint share is the rest."""
-    lane_fixpoint = passes.lane_fixpoint
-    lane_s = 0.0
-
-    def timed(func):
-        nonlocal lane_s
-        start = time.perf_counter()
-        result = lane_fixpoint(func)
-        lane_s += time.perf_counter() - start
-        return result
-
-    passes.lane_fixpoint = timed
-    try:
-        start = time.perf_counter()
-        table = _fresh_facts(module)
-        total_s = time.perf_counter() - start
-    finally:
-        passes.lane_fixpoint = lane_fixpoint
-    return table, lane_s * 1e3, (total_s - lane_s) * 1e3
+    """``(table, tier-2 facts ms, lint facts ms)``: one lane walk per
+    function, one fresh ``module_facts``."""
+    start = time.perf_counter()
+    for func in module.functions.values():
+        lane_fixpoint(func)
+    lane_s = time.perf_counter() - start
+    start = time.perf_counter()
+    table = _fresh_facts(module)
+    return table, lane_s * 1e3, (time.perf_counter() - start) * 1e3
 
 
 def _analysis_row(name):
@@ -86,18 +76,19 @@ def _analysis_row(name):
         key=lambda timed: timed[1] + timed[2])
     blocks = sum(len(f.blocks) for f in table.functions.values()
                  if f is not None)
-    lanes = sum(len(f.lane_locals) for f in table.functions.values()
-                if f is not None)
-    widths = sorted({w for f in table.functions.values()
-                     if f is not None for w in f.access_widths})
+    shipped = [a for a in artifact.bytecode.annotations
+               if isinstance(a, LaneFactsAnnotation)]
+    assert len(shipped) == len(table.functions)
+    lanes = sum(len(a.lane_locals) for a in shipped)
+    widths = sorted({w for a in shipped for w in a.access_widths})
     return artifact, table, (name, len(table.functions), blocks,
                              lanes, widths, f"{tier2_ms:.2f}",
                              f"{lint_ms:.2f}")
 
 
 def _guard_counters(name):
-    """Warm both tier-2 engines on a *fresh* artifact (facts caches
-    live on the function objects, so a pre-analyzed artifact would
+    """Warm both tier-2 engines on a *fresh* artifact (machine facts
+    are cached on the function objects, so a pre-analyzed image would
     hide the warm-path provenance); return the build-site counters."""
     kernel = ALL_KERNELS[name]
     artifact = offline_compile(kernel.source, name)
@@ -149,7 +140,7 @@ def analysis_data():
         rows,
         title="Dataflow plane cost per workload kernel")
     guards = format_table(
-        ["engine", "facts warm", "guards elided", "guards kept"],
+        ["engine", "tables computed", "guards elided", "guards kept"],
         [("vm tier-2", vm_stats["facts_warm"],
           vm_stats["guards_elided"], vm_stats["guards_kept"]),
          ("sim tier-2", sim_stats["facts_warm"],
@@ -188,7 +179,9 @@ class TestAnalysisPlane:
         assert analysis_data["sim"]["guards_kept"] == 0
 
     def test_warming_prepays_facts(self, analysis_data):
-        assert analysis_data["vm"]["facts_warm"] > 0
+        # the VM's tables shipped with the bytecode: none computed
+        assert analysis_data["vm"]["warm"] > 0
+        assert analysis_data["vm"]["facts_warm"] == 0
         assert analysis_data["sim"]["facts_warm"] > 0
         assert analysis_data["vm"]["facts_request"] == 0
         assert analysis_data["sim"]["facts_request"] == 0

@@ -6,18 +6,50 @@ per-function prologue/epilogue) for the whole kernel corpus.  Expected
 shape: smaller than fixed-width RISC encodings, comparable to
 variable-length x86 (which is famously dense — the original study [15]
 compared against ARM-class embedded targets).
+
+A second table says what the shipped knowledge costs: the encoded
+bytes of every annotation kind the vectorized flavour carries, beside
+the instruction bytes they describe.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.bench import format_table
 from repro.bench.experiments import run_code_size
+from repro.bytecode.annotations import encode_annotation
+from repro.bytecode.encode import encode_module, encoded_code_size
+from repro.core import offline_compile
+from repro.workloads import ALL_KERNELS
 
 from conftest import register_report
 
+KINDS = ("RegAlloc", "HWRequirement", "LaneFacts")
+
 
 @pytest.fixture(scope="module")
-def size_rows():
+def annotation_rows():
+    """Per kernel, over the vectorized flavour: instruction bytes,
+    encoded bytes per annotation kind, whole encoded module."""
+    rows = []
+    for name, kernel in ALL_KERNELS.items():
+        module = offline_compile(kernel.source, name).bytecode
+        sizes = Counter()
+        for annotation in module.annotations:
+            out = bytearray()
+            encode_annotation(out, annotation)
+            kind = type(annotation).__name__.removesuffix("Annotation")
+            sizes[kind] += len(out)
+        assert set(sizes) <= set(KINDS), sizes
+        rows.append((name, sum(encoded_code_size(f) for f in module),
+                     *(sizes[kind] for kind in KINDS),
+                     len(encode_module(module))))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def size_rows(annotation_rows):
     rows = run_code_size()
     body = [(r.kernel, r.pvi_bytes, r.native.get("x86"),
              r.native.get("sparc"), r.native.get("ppc"))
@@ -31,8 +63,21 @@ def size_rows():
         ["kernel", "PVI bytes", "x86", "sparc", "ppc"],
         body + [totals],
         title="Code size — portable bytecode vs native (bytes)")
+    shipped_total = ("TOTAL", *(sum(column) for column
+                                in list(zip(*annotation_rows))[1:]))
+    table += "\n\n" + format_table(
+        ["kernel", "instructions", *KINDS, "module"],
+        annotation_rows + [shipped_total],
+        title="Shipped knowledge — annotation bytes per kind, "
+              "vectorized flavour (bytes)")
     register_report("code_size", table)
     return rows
+
+
+def test_annotations_cost_less_than_the_code_they_describe(
+        annotation_rows):
+    for name, instructions, *kinds, module in annotation_rows:
+        assert sum(kinds) < instructions < module, name
 
 
 class TestCompactness:

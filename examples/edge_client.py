@@ -95,9 +95,7 @@ async def main():
             {route: edge_stats["routes"][route]["submitted"]
              for route in ("cold", "warm")}))
         print(f"service: artifact stores="
-              f"{stats['service']['artifact']['stores']} "
-              f"facts_warm="
-              f"{stats['service']['artifact']['facts_warm']}")
+              f"{stats['service']['artifact']['stores']}")
 
 
 if __name__ == "__main__":

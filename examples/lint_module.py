@@ -42,7 +42,6 @@ def main():
     print("facts for 'dot':")
     print(f"  fuel blocks:        {len(facts.blocks)} "
           f"({len(facts.reachable)} reachable)")
-    print(f"  access widths seen: {sorted(facts.access_widths)}")
     print(f"  value ranges at entry of each block: "
           f"{len(facts.ranges)} states")
 

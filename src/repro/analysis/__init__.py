@@ -4,9 +4,10 @@ The offline half of the paper's split owns verification and expensive
 analysis; this package is that plane for the grown system.  It builds
 fuel-block CFGs (:mod:`~repro.analysis.cfg`), drives a generic
 worklist solver (:mod:`~repro.analysis.solver`) through the concrete
-passes (:mod:`~repro.analysis.passes`), and publishes the results as
-cacheable :class:`~repro.analysis.facts.FunctionFacts` that the tier-2
-code generators consume instead of re-deriving privately — plus a
+passes (:mod:`~repro.analysis.passes`), and publishes the results
+where their consumer finds them: the VM tier-2 lane table as a
+bytecode annotation, the simulator's and the lint plane's as
+cacheable :class:`~repro.analysis.facts.FunctionFacts` — plus a
 lint/admission layer (:mod:`~repro.analysis.lint`) the compilation
 service gates deployments through, with a ``pvi-lint`` CLI
 (:mod:`~repro.analysis.cli`) on top.

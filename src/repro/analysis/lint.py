@@ -63,8 +63,7 @@ def _function_findings(facts: Optional[FunctionFacts],
     if facts is None:
         return [LintFinding(
             "error", "analysis-failed", name, None,
-            "the dataflow plane could not analyze this function; "
-            "tier-2 compilation is disabled for it")]
+            "the dataflow plane could not analyze this function")]
     found: List[LintFinding] = []
     for leader in facts.dead_blocks():
         found.append(LintFinding(

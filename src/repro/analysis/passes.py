@@ -1,6 +1,9 @@
 """Concrete dataflow analyses over the fuel-block CFG.
 
-Five passes feed the proven-facts table (:mod:`repro.analysis.facts`):
+Five passes.  The first computes the table that ships *inside* the
+bytecode (:class:`~repro.bytecode.annotations.LaneFactsAnnotation`);
+the machine pass is asked for on the device, where the JIT's output
+is; the last three are the lint plane (:mod:`repro.analysis.facts`):
 
 * **Vector-lane/tuple fixpoint** (VM bytecode) — the whole-function
   greatest fixpoint the tier-2 VM emitter generates its blocks under:
@@ -32,6 +35,7 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import BlockCFG
 from repro.analysis.solver import solve_backward, solve_forward
+from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import is_vector_local, vector_elem_tag
 from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
 from repro.engine import is_f32_quad
@@ -84,7 +88,10 @@ class LaneRules:
     lane break, no tuple store outside ``tuple_locals``
     (:meth:`holds`) and no width outside ``access_widths``: the table
     is then an inductive invariant of every ``stloc`` tier-2 can
-    execute, whoever computed it.
+    execute, whoever computed it.  That is the inductive step; the
+    base case is what a local holds before any ``stloc``
+    (:func:`starts_declared`), which a table computed here has by
+    construction and a shipped one is asked for before it is adopted.
     """
 
     def __init__(self, tuple_locals: frozenset, lane_locals: dict):
@@ -228,25 +235,41 @@ def _lane_block(code, leader: int, length: int, rules: LaneRules) -> None:
             raise ValueError(f"unknown opcode {op!r}")
 
 
-def lane_fixpoint(func):
-    """``(tuple_locals, lane_locals, access_widths)`` — the VM tier-2
-    whole-function facts, at their fixed point.
+def declared_lanes(func) -> Dict[int, int]:
+    """The table's base case: vector local -> the lane count its
+    declared type starts it with (a fresh ``[0] * lanes`` list; a
+    scalar local starts as a number and is in no table)."""
+    return {index: VECTOR_BYTES // ty.sizeof(type_of(vector_elem_tag(tag)))
+            for index, tag in enumerate(func.local_types)
+            if is_vector_local(tag)}
+
+
+def starts_declared(func, table: LaneFactsAnnotation) -> bool:
+    """Does ``table`` hold at entry?  It may name only vector locals,
+    at their declared lane count.  :func:`lane_fixpoint` starts from
+    :func:`declared_lanes` and only shrinks it, so an honest table
+    passes; one shipped from elsewhere is adopted only if it does
+    (the inductive step is the emitter's: :meth:`LaneRules.holds`)."""
+    declared = declared_lanes(func)
+    return table.tuple_locals <= declared.keys() \
+        and table.lane_locals.items() <= declared.items()
+
+
+def lane_fixpoint(func) -> LaneFactsAnnotation:
+    """The VM tier-2 whole-function facts of ``func``, at their fixed
+    point, as the annotation that ships them.
 
     ``tuple_locals`` grows monotonically (a local that ever receives a
     deferred vec tuple taints every ``ldloc`` of it); ``lane_locals``
-    shrinks monotonically (one unproven ``stloc`` drops the local's
-    lane fact); ``access_widths`` is the set of memory access sizes
-    seen anywhere — a superset of the widths the final codegen pass
-    hoists ``_ms - width`` limits for.
+    shrinks monotonically from :func:`declared_lanes` (one unproven
+    ``stloc`` drops the local's lane fact); ``access_widths`` is the
+    set of memory access sizes seen anywhere — a superset of the
+    widths the final codegen pass hoists ``_ms - width`` limits for.
     """
     code = func.code
     blocks = BlockCFG(code).blocks
     tuple_locals = frozenset()
-    lane_locals: Dict[int, int] = {}
-    for index, tag in enumerate(func.local_types):
-        if is_vector_local(tag):
-            elem = type_of(vector_elem_tag(tag))
-            lane_locals[index] = VECTOR_BYTES // ty.sizeof(elem)
+    lane_locals = declared_lanes(func)
     while True:
         rules = LaneRules(tuple_locals, lane_locals)
         for leader, length in blocks.items():
@@ -255,7 +278,9 @@ def lane_fixpoint(func):
             except Exception:
                 pass        # the emitter raises there too: see LaneRules
         if rules.holds():
-            return tuple_locals, lane_locals, frozenset(rules.widths)
+            return LaneFactsAnnotation(func.name, tuple_locals,
+                                       lane_locals,
+                                       frozenset(rules.widths))
         tuple_locals = tuple_locals | rules.tuple_stores
         lane_locals = {index: lanes for index, lanes in lane_locals.items()
                        if index not in rules.lane_breaks}

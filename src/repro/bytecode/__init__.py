@@ -7,8 +7,8 @@ A CLI-flavored, processor-independent stack bytecode with:
   paper's vectorized bytecode [Rohou, GROW'10];
 * a side table of **annotations** — the split-compilation channel
   through which the offline compiler ships analysis results
-  (vectorized-loop descriptors, register-allocation hints, hotness,
-  hardware requirements) to the online JIT;
+  (register-allocation hints, hotness, hardware requirements, the VM
+  tier-2 lane table) to the online side;
 * a compact binary encoding (experiment S2a measures it), a structural
   + stack-type verifier, and a disassembler.
 """
@@ -19,7 +19,7 @@ from repro.bytecode.module import (
 )
 from repro.bytecode.annotations import (
     Annotation, HotnessAnnotation, HWRequirementAnnotation,
-    RegAllocAnnotation, VecLoopAnnotation,
+    LaneFactsAnnotation, RegAllocAnnotation,
 )
 from repro.bytecode.emit import emit_module
 from repro.bytecode.encode import decode_module, encode_module
@@ -29,8 +29,8 @@ from repro.bytecode.disasm import disassemble
 __all__ = [
     "BCInstr", "TYPE_TAGS", "tag_of", "type_of",
     "BytecodeFunction", "BytecodeModule", "FrameSlotInfo",
-    "Annotation", "VecLoopAnnotation", "RegAllocAnnotation",
-    "HotnessAnnotation", "HWRequirementAnnotation",
+    "Annotation", "RegAllocAnnotation", "HotnessAnnotation",
+    "HWRequirementAnnotation", "LaneFactsAnnotation",
     "emit_module", "encode_module", "decode_module",
     "verify_module", "BytecodeVerifyError", "disassemble",
 ]

@@ -1,36 +1,46 @@
 """Bytecode annotations — the split-compilation information channel.
 
 The paper's central mechanism: expensive offline analyses distill their
-results into compact annotations carried by the bytecode, and the JIT
-applies straightforward transformations instead of re-running the
-analysis.  Four kinds are modeled, mirroring §3/§4 of the paper:
+results into compact annotations carried by the bytecode, and the
+online step applies (or checks) them in one linear pass instead of
+re-running the analysis.  A module's shipped knowledge lives here and
+nowhere else, so it reaches every consumer the bytecode reaches: a
+memory hit, a disk hit, a process seam, a device.  Four kinds:
 
-* :class:`VecLoopAnnotation` — a loop was auto-vectorized offline; the
-  JIT may map the vector builtins to SIMD directly (it also tells a
-  scalarizing JIT how many lanes to expand).
 * :class:`RegAllocAnnotation` — portable spill-priority ranking from
-  the expensive offline allocation (Diouf et al. [18]); drives the
-  linear-time online assignment of experiment S4a.
+  the expensive offline allocation (Diouf et al. [18]); read by the
+  JIT (``jit/compiler.py``) to drive the linear-time online
+  assignment of experiment S4a.
 * :class:`HotnessAnnotation` — profile weight from previous runs (the
-  "idle time between different runs" step of the program lifetime).
+  "idle time between different runs" step of the program lifetime);
+  read by the JIT's adaptive gate and by the VM's tier-2 promotion
+  gate (``vm/threaded.py``).
 * :class:`HWRequirementAnnotation` — module-level hardware appetite
   ("benefits from hardware floating point or vector processing
-  support"), used by the deployment manager when mapping onto
-  heterogeneous cores.
+  support"); read by the deployment manager (``core/platform.py``)
+  when mapping onto heterogeneous cores.
+* :class:`LaneFactsAnnotation` — the VM tier-2 lane/tuple table of a
+  function at its fixed point; read by the VM's tier-2 build
+  (``vm/threaded.py``), which generates code under it.
 
-Annotations are *advisory by construction*: every consumer validates
-cheap local preconditions before trusting one, so a stale or hostile
-annotation can degrade performance but never correctness.
+No kind is trusted: every kind either cannot change a result
+(``RegAlloc`` orders spills, ``Hotness`` and ``HWRequirement`` choose
+when and where code runs) or is checked by the pass that consumes it
+(``LaneFacts``: the base case at adoption, the inductive step in
+``check_facts``; see :class:`repro.analysis.passes.LaneRules`).  A
+stale, foreign or hostile annotation can cost performance or make one
+function decline a tier, never change what it computes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bytecode.varint import (
-    read_bytes, read_str, read_uint, write_bytes, write_str, write_uint,
+    read_bytes, read_str, read_uint, read_uints, write_bytes, write_str,
+    write_uint, write_uints,
 )
 
 
@@ -50,47 +60,6 @@ class Annotation:
 
 
 @dataclass
-class VecLoopAnnotation(Annotation):
-    """A vectorized loop: where it is and what it assumes."""
-    vector_pc: int = 0          # pc of the vector loop head
-    scalar_pc: int = 0          # pc of the scalar epilogue head
-    lanes: int = 4
-    elem: str = "f32"
-    kind: str = "elementwise"   # or 'reduction'
-    reduce_op: Optional[str] = None
-    acc_type: Optional[str] = None
-    noalias_count: int = 0      # pointer bases assumed disjoint
-
-    KIND = 1
-
-    def payload(self) -> bytes:
-        out = bytearray()
-        write_uint(out, self.vector_pc)
-        write_uint(out, self.scalar_pc)
-        write_uint(out, self.lanes)
-        write_str(out, self.elem)
-        write_str(out, self.kind)
-        write_str(out, self.reduce_op or "")
-        write_str(out, self.acc_type or "")
-        write_uint(out, self.noalias_count)
-        return bytes(out)
-
-    @classmethod
-    def from_payload(cls, function: str, raw: bytes) -> "VecLoopAnnotation":
-        pos = 0
-        vector_pc, pos = read_uint(raw, pos)
-        scalar_pc, pos = read_uint(raw, pos)
-        lanes, pos = read_uint(raw, pos)
-        elem, pos = read_str(raw, pos)
-        kind, pos = read_str(raw, pos)
-        reduce_op, pos = read_str(raw, pos)
-        acc_type, pos = read_str(raw, pos)
-        noalias, pos = read_uint(raw, pos)
-        return cls(function, vector_pc, scalar_pc, lanes, elem, kind,
-                   reduce_op or None, acc_type or None, noalias)
-
-
-@dataclass
 class RegAllocAnnotation(Annotation):
     """Portable spill priorities: a rank per local, lower = keep in
     a register longer.  Independent of the target's register count —
@@ -103,20 +72,12 @@ class RegAllocAnnotation(Annotation):
 
     def payload(self) -> bytes:
         out = bytearray()
-        write_uint(out, len(self.priorities))
-        for rank in self.priorities:
-            write_uint(out, rank)
+        write_uints(out, self.priorities)
         return bytes(out)
 
     @classmethod
     def from_payload(cls, function: str, raw: bytes) -> "RegAllocAnnotation":
-        pos = 0
-        count, pos = read_uint(raw, pos)
-        priorities = []
-        for _ in range(count):
-            rank, pos = read_uint(raw, pos)
-            priorities.append(rank)
-        return cls(function, priorities)
+        return cls(function, read_uints(raw, 0)[0])
 
 
 @dataclass
@@ -160,10 +121,46 @@ class HWRequirementAnnotation(Annotation):
                    bool(bits & 4), bool(bits & 8))
 
 
+@dataclass
+class LaneFactsAnnotation(Annotation):
+    """What the VM's tier-2 may assume of a function's vector locals:
+    the table :func:`repro.analysis.passes.lane_fixpoint` computes and
+    the tier-2 build generates code under, shipped or computed (one
+    type either way).  The payload is three counted lists of varints,
+    so a decoded table holds nothing but non-negative integers; what
+    they *say* is outside input, checked by its consumer."""
+    #: locals that may ever hold a deferred vec tuple
+    tuple_locals: frozenset = frozenset()
+    #: vector local -> the lane count every ``stloc`` preserves
+    lane_locals: Dict[int, int] = field(default_factory=dict)
+    #: every memory access width (bytes) a limit is hoisted for
+    access_widths: frozenset = frozenset()
+
+    KIND = 5
+
+    def payload(self) -> bytes:
+        out = bytearray()
+        write_uints(out, sorted(self.tuple_locals))
+        write_uints(out, [n for pair in sorted(self.lane_locals.items())
+                          for n in pair])
+        write_uints(out, sorted(self.access_widths))
+        return bytes(out)
+
+    @classmethod
+    def from_payload(cls, function: str,
+                     raw: bytes) -> "LaneFactsAnnotation":
+        tuples, pos = read_uints(raw, 0)
+        lanes, pos = read_uints(raw, pos)
+        widths, pos = read_uints(raw, pos)
+        return cls(function, frozenset(tuples),
+                   dict(zip(lanes[::2], lanes[1::2], strict=True)),
+                   frozenset(widths))
+
+
 ANNOTATION_KINDS: Dict[int, type] = {
     cls.KIND: cls
-    for cls in (VecLoopAnnotation, RegAllocAnnotation, HotnessAnnotation,
-                HWRequirementAnnotation)
+    for cls in (RegAllocAnnotation, HotnessAnnotation,
+                HWRequirementAnnotation, LaneFactsAnnotation)
 }
 
 

@@ -7,9 +7,9 @@ front end rebuilds a register LIR by abstract interpretation of the
 stack (see :mod:`repro.jit.frontend`).
 
 Block labels become instruction indices; the emitter returns both the
-module and, per function, the label->pc map the offline driver uses to
-attach :class:`~repro.bytecode.annotations.VecLoopAnnotation` at the
-right program counters.
+module and, per function, the label->pc map (where each IR block
+landed).  The module comes back with no annotations: the offline
+driver attaches them (:mod:`repro.bytecode.annotations`).
 """
 
 from __future__ import annotations

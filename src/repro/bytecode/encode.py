@@ -29,7 +29,9 @@ from repro.bytecode.varint import (
 )
 
 MAGIC = b"PVI1"
-VERSION = 1
+#: the set of annotation kinds is part of the wire format (2: kind 5,
+#: the lane table, in; kind 1, the vector-loop descriptor, out)
+VERSION = 2
 
 _TAG_BYTES = {}
 _BYTE_TAGS = {}

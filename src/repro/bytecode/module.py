@@ -68,9 +68,9 @@ class BytecodeFunction:
     # into handler closures once and parks the result here, keyed by a
     # cheap structural token so in-place edits (peephole rewrites,
     # hand-mutation in tests) invalidate it by content.  The cache
-    # rides on the function object, so every VM over the same module —
-    # including ``strip_annotations`` copies, which share function
-    # objects — reuses one predecode.
+    # rides on the function object, so every VM over the same module
+    # (or over another unfrozen module sharing the function object)
+    # reuses one predecode.
     #
     # A *frozen* module's predecode additionally binds call targets
     # (the callee function objects) directly into the handlers, so the
@@ -160,13 +160,3 @@ class BytecodeModule:
         weights = [a.weight for a in self.annotations_for(
             func_name, HotnessAnnotation)]
         return max(weights) if weights else None
-
-    def strip_annotations(self) -> "BytecodeModule":
-        """A copy without annotations (the 'plain deferred' deployment).
-
-        The copy shares function objects, so it inherits the frozen
-        promise (nobody may edit those functions in place either way).
-        """
-        out = BytecodeModule(self.name, dict(self.functions), [])
-        out._frozen = self._frozen
-        return out

@@ -31,6 +31,22 @@ def read_uint(raw: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
+def write_uints(out: bytearray, values) -> None:
+    """A counted list of unsigned varints."""
+    write_uint(out, len(values))
+    for value in values:
+        write_uint(out, value)
+
+
+def read_uints(raw: bytes, pos: int) -> Tuple[list, int]:
+    count, pos = read_uint(raw, pos)
+    values = []
+    for _ in range(count):
+        value, pos = read_uint(raw, pos)
+        values.append(value)
+    return values, pos
+
+
 def write_sint(out: bytearray, value: int) -> None:
     """Width-independent zig-zag signed LEB128.
 

@@ -9,7 +9,10 @@ compilation:
 3. auto-vectorization to portable vector builtins;
 4. spill-priority analysis for split register allocation;
 5. hardware-requirement summarization;
-6. emission to PVI bytecode with all results attached as annotations.
+6. emission to PVI bytecode with all results attached as annotations
+   (:mod:`repro.bytecode.annotations`: the one channel shipped
+   knowledge travels in), the VM tier-2 lane table of the emitted
+   code among them.
 
 The pipeline is *data*: a :class:`repro.flows.PipelineSpec` (pass
 names + vectorize/annotation knobs) — pass one explicitly, or let the
@@ -31,8 +34,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.analysis.passes import lane_fixpoint
 from repro.bytecode.annotations import (
-    HotnessAnnotation, HWRequirementAnnotation, VecLoopAnnotation,
+    HotnessAnnotation, HWRequirementAnnotation,
 )
 from repro.bytecode.emit import emit_module
 from repro.bytecode.module import BytecodeModule
@@ -147,27 +151,18 @@ def offline_compile(source: str, name: str = "module", *,
         if spec.vectorize and getattr(func, "vector_loops", []):
             vectorized.append(func.name)
 
-    bytecode, label_maps = emit_module(module)
+    bytecode, _ = emit_module(module)
 
     for func in module:
-        labels = label_maps[func.name]
-        for info in getattr(func, "vector_loops", []):
-            bytecode.annotations.append(VecLoopAnnotation(
-                function=func.name,
-                vector_pc=labels[info.vector_header],
-                scalar_pc=labels[info.scalar_header],
-                lanes=info.lanes,
-                elem=info.elem,
-                kind=info.kind,
-                reduce_op=info.reduce_op,
-                acc_type=info.acc_type,
-                noalias_count=len(info.noalias_bases),
-            ))
         if spec.annotate_regalloc:
             bytecode.annotations.append(
                 regalloc_annotation(func, bytecode[func.name]))
         if spec.annotate_hw:
             bytecode.annotations.append(_hw_annotation(func))
+        # The table the VM's tier-2 generates code under, iterated
+        # here so a device only checks it.  Not an IR pass: it reads
+        # the emitted code and is not counted in ``offline_work``.
+        bytecode.annotations.append(lane_fixpoint(bytecode[func.name]))
         if hotness and func.name in hotness:
             # Profile data rides on both flavours: the adaptive flow
             # ships the scalar bytecode and gates its online analyses

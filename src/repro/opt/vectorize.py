@@ -22,7 +22,7 @@ Legality uses the affine model of :mod:`repro.opt.affine`; distinct
 pointer bases are *assumed not to alias* (the information a C front end
 has and bytecode loses — exactly what the paper proposes carrying as
 annotations).  The assumption is recorded in the produced
-:class:`VecLoopInfo` and surfaces as a bytecode annotation.
+:class:`VecLoopInfo`.
 
 Cost: this analysis is what the paper calls too expensive for a JIT;
 it runs here offline for free, or inside the JIT for the "online-only"
@@ -50,13 +50,11 @@ _REDUCE_OPS = {"add", "min", "max"}
 
 @dataclass
 class VecLoopInfo:
-    """What the offline step knows and the online step receives.
-
-    Serialized into a bytecode annotation by the offline driver; the
-    x86 JIT maps the vector ops directly, other JITs scalarize, and the
-    *absence* of the annotation tells the online-only flow it has to
-    redo the whole analysis itself.
-    """
+    """What the vectorizer did to one loop, kept on
+    ``func.vector_loops``.  What the online step receives is the
+    vector builtins themselves: a SIMD JIT maps them directly, other
+    JITs scalarize, and the online-only flow, handed scalar code, has
+    to redo the whole analysis itself."""
     function: str
     vector_header: str          # label of the vector loop header
     scalar_header: str          # label of the epilogue (original) loop

@@ -360,7 +360,6 @@ class CompilationService:
             artifact_evictions=cache.evictions,
             artifact_corrupt_entries=cache.corrupt_entries,
             artifact_io_errors=cache.io_errors,
-            artifact_facts_warm=cache.facts_warm,
             deploy_compiles=pool.compiles,
             deploy_memo_hits=pool.memo_hits,
             deploy_evictions=pool.evictions,

@@ -136,52 +136,17 @@ def artifact_fingerprint(artifact: OfflineArtifact) -> str:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _module_facts_wire(module) -> Dict[str, object]:
-    """Canonical wire form of one module's per-function facts.
-
-    Facts not yet computed are computed *here* — persisting an
-    artifact is exactly the offline moment the paper wants analysis
-    spent at, so the disk entry (and the process-executor wire) always
-    carries a full table and every consumer downstream of a revival
-    skips the analysis plane entirely."""
-    from repro.analysis.facts import bytecode_facts, facts_to_wire
-    wire = {}
-    for func in module.functions.values():
-        facts, _ = bytecode_facts(func)
-        wire[func.name] = facts_to_wire(facts)
-    return wire
-
-
-def _restore_module_facts(module, wire) -> int:
-    """Attach persisted facts to a decoded module's functions; returns
-    the number of functions whose analysis was skipped.  A function
-    whose wire entry is missing simply recomputes lazily."""
-    from repro.analysis.facts import _facts_token, facts_from_wire
-    restored = 0
-    for func in module.functions.values():
-        entry = wire.get(func.name, _MISSING)
-        if entry is _MISSING:
-            continue
-        func._pvi_facts_cache = (_facts_token(func),
-                                 facts_from_wire(entry))
-        restored += 1
-    return restored
-
-
-_MISSING = object()
-
-
 def serialize_artifact(artifact: OfflineArtifact) -> bytes:
     """Artifact -> bytes: magic, JSON metadata sidecar, both modules.
 
-    The sidecar records the schema version, the source text, the
-    pipeline spec that produced the artifact, the per-pass
-    instrumentation summary, and the dataflow plane's proven-facts
-    tables for both bytecode flavours — so a disk-revived artifact is
-    a faithful stand-in for the original (and an entry written under
-    any other schema self-invalidates on decode), and a warm service
-    start pays zero analysis before tier-2 compiles."""
-    from repro.analysis.facts import FACTS_SCHEMA
+    The sidecar records what the bytecode does not: the schema
+    version, the source text, the pipeline spec that produced the
+    artifact and the per-pass instrumentation summary — so a
+    disk-revived artifact is a faithful stand-in for the original
+    (and an entry written under any other schema self-invalidates on
+    decode).  Everything an engine consumes rides the two modules as
+    annotations; the sidecar carries no analysis result, and a key a
+    reader does not know is ignored."""
     meta = {
         "schema": SCHEMA_VERSION,
         "name": artifact.name,
@@ -193,11 +158,6 @@ def serialize_artifact(artifact: OfflineArtifact) -> bytes:
         if artifact.pipeline is not None else None,
         "hotness": artifact.hotness,
         "per_pass": artifact.pass_stats.summary_dict(),
-        "facts": {
-            "schema": FACTS_SCHEMA,
-            "bytecode": _module_facts_wire(artifact.bytecode),
-            "scalar": _module_facts_wire(artifact.scalar_bytecode),
-        },
     }
     out = bytearray()
     out.extend(ARTIFACT_MAGIC)
@@ -223,24 +183,10 @@ def deserialize_artifact(raw: bytes) -> OfflineArtifact:
     pipeline = meta.get("pipeline")
     # disk-revived modules are as immutable as freshly compiled
     # ones: freeze so the VM's call inline caching applies
-    bytecode = decode_module(bytecode_raw).freeze()
-    scalar = decode_module(scalar_raw).freeze()
-    facts_meta = meta.get("facts")
-    facts_restored = 0
-    if facts_meta is not None:
-        from repro.analysis.facts import FACTS_SCHEMA
-        # a table written by another analysis plane never validates;
-        # the facts just recompute lazily (never a decode failure)
-        if facts_meta.get("schema") == FACTS_SCHEMA:
-            facts_restored = (
-                _restore_module_facts(bytecode,
-                                      facts_meta.get("bytecode", {})) +
-                _restore_module_facts(scalar,
-                                      facts_meta.get("scalar", {})))
-    artifact = OfflineArtifact(
+    return OfflineArtifact(
         name=meta["name"],
-        bytecode=bytecode,
-        scalar_bytecode=scalar,
+        bytecode=decode_module(bytecode_raw).freeze(),
+        scalar_bytecode=decode_module(scalar_raw).freeze(),
         offline_work=int(meta["offline_work"]),
         offline_time=float(meta["offline_time"]),
         vectorized_functions=list(meta["vectorized_functions"]),
@@ -252,10 +198,6 @@ def deserialize_artifact(raw: bytes) -> OfflineArtifact:
         if meta.get("hotness") else None,
         pass_stats=PassStats.from_summary(meta.get("per_pass", {})),
     )
-    #: functions whose persisted facts made a later analysis request a
-    #: cache hit — the shard rolls this into ``CacheStats.facts_warm``
-    artifact._pvi_facts_revived = facts_restored
-    return artifact
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +219,6 @@ class CacheStats:
     #: unreadable/unwritable persist dir shows up instead of
     #: masquerading as an endless cache-miss recompile loop.
     io_errors: int = 0
-    #: functions revived from disk *with* their persisted dataflow
-    #: facts attached — each one is an analysis run a warm service
-    #: start skipped (surfaced as ``facts_warm`` in service stats)
-    facts_warm: int = 0
 
     @property
     def lookups(self) -> int:
@@ -302,7 +240,6 @@ class CacheStats:
         self.evictions += other.evictions
         self.corrupt_entries += other.corrupt_entries
         self.io_errors += other.io_errors
-        self.facts_warm += other.facts_warm
         return self
 
     def as_dict(self) -> Dict[str, object]:
@@ -311,7 +248,6 @@ class CacheStats:
                 "evictions": self.evictions,
                 "corrupt_entries": self.corrupt_entries,
                 "io_errors": self.io_errors,
-                "facts_warm": self.facts_warm,
                 "hit_rate": self.hit_rate}
 
 
@@ -365,8 +301,6 @@ class _CacheShard:
             artifact._pvi_fingerprint = key
             with self._lock:
                 self.stats.disk_hits += 1
-                self.stats.facts_warm += getattr(
-                    artifact, "_pvi_facts_revived", 0)
                 self._insert(key, artifact)
             return artifact
         with self._lock:

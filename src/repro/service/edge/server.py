@@ -16,8 +16,8 @@ Endpoints:
 
 * ``GET  /healthz`` — liveness, never authenticated, never queued;
 * ``GET  /stats``   — edge counters + full ``ServiceStats.as_dict()``
-  + tier-2 build provenance (``facts_warm`` shows warm starts
-  skipping analysis);
+  + tier-2 build provenance (``facts_warm`` / ``facts_request``
+  count the tables a build had to compute itself);
 * ``POST /compile`` — offline half only: body ``{source, name,
   options}`` -> artifact key and cache verdict;
 * ``POST /deploy``  — the whole request: body ``{source, name,
@@ -594,9 +594,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--warm-executor", default="thread",
                         help="route for warm residual compiles")
     parser.add_argument("--persist-dir", type=Path, default=None,
-                        help="artifact cache directory (facts tables "
-                             "persist with artifacts; a warm start "
-                             "skips analysis)")
+                        help="artifact cache directory (a warm "
+                             "start skips the offline compile)")
     parser.add_argument("--cache-capacity", type=int, default=256)
     return parser
 

@@ -136,9 +136,6 @@ class ServiceStats:
     #: distinct from decode corruption: the entry may be fine, the
     #: filesystem is not, so nothing is self-healed
     artifact_io_errors: int = 0
-    #: dataflow-facts tables revived from the disk cache alongside
-    #: their artifact — analysis runs a warm service start skipped
-    artifact_facts_warm: int = 0
     deploy_compiles: int = 0
     deploy_memo_hits: int = 0
     deploy_evictions: int = 0
@@ -200,7 +197,6 @@ class ServiceStats:
                 "evictions": self.artifact_evictions,
                 "corrupt_entries": self.artifact_corrupt_entries,
                 "io_errors": self.artifact_io_errors,
-                "facts_warm": self.artifact_facts_warm,
                 "hit_rate": self.artifact_hit_rate,
                 "shards": list(self.artifact_shards),
             },

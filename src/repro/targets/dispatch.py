@@ -511,7 +511,9 @@ class _MachineLowering(Lowering):
                     tier2_hint=getattr(self.func, "tier2_hint", False))
 
     @staticmethod
-    def facts(func):
+    def facts(func, shipped):
+        # Nothing ships: the must-written sets are a function of the
+        # JIT's output, which exists only on the device.
         return machine_facts(func)
 
     def begin_tier2(self, facts):

@@ -90,8 +90,10 @@ class Tier2BuildStats:
       ``deferred > 0`` with ``request == 0`` answers "why did this
       function never promote?" — it never ran long enough to repay
       the build.
-    * ``facts_warm`` / ``facts_request`` — fresh dataflow-plane
-      analyses, by the same split (facts provenance).
+    * ``facts_warm`` / ``facts_request`` — builds that computed the
+      table they generate code under, by the same split: fresh machine
+      analyses, and VM builds that found no table they could adopt
+      shipped in the bytecode.
     * ``guards_elided`` / ``guards_kept`` — OSR prologue fact guards
       the analysis proved redundant (kept only under
       ``PVI_OSR_GUARDS=1``)."""
@@ -196,7 +198,7 @@ class Predecoded:
                  "_tier2_args", "_spent")
 
     def __init__(self, token, handlers, steps: StepTable, osr_leaders,
-                 **frame):
+                 shipped=None, **frame):
         self.token = token
         self.handlers = handlers
         self.steps = steps
@@ -207,7 +209,9 @@ class Predecoded:
         #: only gates whether counting is worth doing at all.
         self.osr_leaders = osr_leaders
         self._tier2 = _TIER2_UNBUILT
-        self._tier2_args = (steps.low.func, steps.low.binding)
+        #: ``shipped``: the facts table the module carried for the
+        #: function, if any (outside input: :meth:`Lowering.facts`)
+        self._tier2_args = (steps.low.func, steps.low.binding, shipped)
         self._spent = 0
         for name, value in frame.items():
             setattr(self, name, value)
@@ -959,21 +963,23 @@ class Lowering:
     # *deopt* (see :class:`Tier2Writer`).
 
     @classmethod
-    def _build_tier2(cls, func, binding=None, warm: bool = False):
+    def _build_tier2(cls, func, binding=None, shipped=None,
+                     warm: bool = False):
         """Compile the whole-function tier-2 form of ``func``, or
         ``None`` when the translation fails to build — a build failure
         is never an execution failure, callers just stay on the
         block-threaded tier.  The facts the blocks are generated under
-        come proven from the dataflow plane; a function the plane
-        declines gets no tier-2 at all."""
+        were ``shipped`` with the code or are computed here
+        (:meth:`facts`) and are checked either way
+        (:meth:`check_facts`); no table, no tier-2."""
         counts = cls.stats.counts
         counts["warm" if warm else "request"] += 1
-        facts, fresh = cls.facts(func)
-        if fresh:
-            counts["facts_warm" if warm else "facts_request"] += 1
-        if facts is None:
-            return None
         try:
+            facts, fresh = cls.facts(func, shipped)
+            if fresh:
+                counts["facts_warm" if warm else "facts_request"] += 1
+            if facts is None:
+                return None
             source, env = cls(func, binding).tier2_source(facts)
             exec(compile(source, f"<{cls.tags[1]}:{func.name}>",
                          "exec"), env)
@@ -1023,7 +1029,7 @@ class Lowering:
         # dispatch arm — its leader falls through to the else arm, a
         # per-block deopt point.  The pass records what it stores and
         # checks under ``facts``; a table those records contradict (a
-        # foreign or corrupt sidecar) aborts the build, never the run.
+        # foreign or corrupt one) aborts the build, never the run.
         bodies: Dict[int, Optional[List[str]]] = {}
         marks: Dict[int, list] = {}
         for leader, length in blocks.items():
@@ -1118,12 +1124,14 @@ class Lowering:
 
     def frame_data(self, module) -> dict:
         """The engine's per-call frame initialization data, as the
-        extra attributes of its :class:`Predecoded` subclass."""
+        extra attributes of its :class:`Predecoded` subclass (and,
+        as ``shipped``, the facts table ``module`` carries, if any)."""
         raise NotImplementedError
 
     @staticmethod
-    def facts(func):
-        """``(facts | None, fresh)`` from the dataflow plane."""
+    def facts(func, shipped):
+        """``(facts | None, fresh)``: ``shipped`` if it can be
+        adopted (it is outside input), else computed (``fresh``)."""
         raise NotImplementedError
 
     def begin_tier2(self, facts):
@@ -1135,7 +1143,7 @@ class Lowering:
     def check_facts(self, facts) -> None:
         """Raise when ``facts`` is not an invariant of what the
         tier-2 lowering just recorded (the table may be outside
-        input: a sidecar revived from disk)."""
+        input: an annotation of the module)."""
 
     def fact_guards(self, entries: List[int]):
         """``(count, lines)``: the per-entry re-checks of ``facts`` an

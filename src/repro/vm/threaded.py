@@ -62,11 +62,11 @@ from __future__ import annotations
 import re
 from typing import List
 
-from repro.analysis.facts import bytecode_facts
-from repro.analysis.passes import LaneRules
-from repro.bytecode.module import (
-    BytecodeFunction, is_vector_local, vector_elem_tag,
+from repro.analysis.passes import (
+    LaneRules, declared_lanes, lane_fixpoint, starts_declared,
 )
+from repro.bytecode.annotations import LaneFactsAnnotation
+from repro.bytecode.module import BytecodeFunction
 from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
 from repro.engine import (      # MeterTrip: caught by the trampolines
     MASK64_LITERAL, MeterTrip, inline_binop, inline_cast, inline_cmp,
@@ -727,34 +727,39 @@ class _BytecodeLowering(Lowering):
 
     def frame_data(self, module) -> dict:
         func = self.func
-        scalar_defaults: List = []
-        vector_locals: List = []
-        for index, tag in enumerate(func.local_types):
-            if is_vector_local(tag):
-                scalar_defaults.append(None)
-                elem = type_of(vector_elem_tag(tag))
-                vector_locals.append((index, 16 // ty.sizeof(elem)))
-            elif tag in ("f32", "f64"):
-                scalar_defaults.append(0.0)
-            else:
-                scalar_defaults.append(0)
+        vector_locals = declared_lanes(func)
+        scalar_defaults = [None if index in vector_locals
+                           else 0.0 if tag in ("f32", "f64") else 0
+                           for index, tag in enumerate(func.local_types)]
+        # The lane table the module ships for this function, read
+        # beside its hotness: whatever module the function is
+        # predecoded against, frozen or not, a device's included.
+        shipped = module.annotations_for(func.name, LaneFactsAnnotation) \
+            if module is not None else ()
         return dict(frame_size=func.frame_size(),
                     scalar_defaults=scalar_defaults,
-                    vector_locals=vector_locals,
+                    vector_locals=list(vector_locals.items()),
                     has_ret=func.ret_type is not None,
-                    tier2_hot=_tier2_hot(func, module))
+                    tier2_hot=_tier2_hot(func, module),
+                    shipped=shipped[0] if shipped else None)
 
     @staticmethod
-    def facts(func):
-        return bytecode_facts(func)
+    def facts(func, shipped):
+        # A shipped table is outside input.  It is adopted only if it
+        # holds at entry (the base case); ``check_facts`` then asks
+        # the inductive step of whatever table the build ran under.
+        # No table, or one refused here: the lane walk alone, counted.
+        if shipped is not None and starts_declared(func, shipped):
+            return shipped, False
+        return lane_fixpoint(func), True
 
     def begin_tier2(self, facts):
         # The two whole-function facts the blocks are generated under
         # — locals that may ever hold a deferred vec *tuple*, and
         # vector locals whose lane count every ``stloc`` provably
-        # preserves — come from the dataflow plane at their fixed
-        # point (``repro.analysis.passes.lane_fixpoint``), so one
-        # generation pass suffices.
+        # preserves — arrive at their fixed point
+        # (``repro.analysis.passes.lane_fixpoint``, run offline and
+        # shipped, or here), so one generation pass suffices.
         func = self.func
         nlocals = len(func.local_types)
         tuple_locals = facts.tuple_locals

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend import lower_source
@@ -11,6 +12,13 @@ from repro.ir.interp import IRInterpreter
 from repro.ir.verify import verify_function
 from repro.lang import types as ty
 from repro.semantics import Memory
+
+
+#: the decoder's documented rejection surface — anything else leaking
+#: out of ``decode_module`` on corrupt bytes is a bug (the byte fuzzer
+#: and the hostile-annotation test both hold it to this)
+DECODE_REJECTIONS = (ValueError, KeyError, IndexError, OverflowError,
+                     struct.error, UnicodeDecodeError)
 
 
 def lower_checked(source: str) -> Module:

@@ -21,6 +21,8 @@ from repro.analysis import (
     lint_bytecode_module, machine_facts, module_facts, solve_backward,
     solve_forward,
 )
+from repro.analysis.passes import lane_fixpoint
+from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.opcodes import BCInstr
 from repro.core import deploy, offline_compile
 from repro.engine import OSR_GUARDS_ENV
@@ -127,25 +129,33 @@ class TestFactsTable:
         assert facts3 is not facts1
 
     def test_saxpy_facts_prove_what_tier2_needs(self):
-        facts, _ = bytecode_facts(
-            _fresh_artifact().bytecode.functions[SAXPY.entry])
+        module = _fresh_artifact().bytecode
+        func = module.functions[SAXPY.entry]
+        # what tier-2 needs ships with the code, and is what the lane
+        # walk computes: the vectorized loop carries lane-typed locals
+        # and accesses
+        shipped, = module.annotations_for(SAXPY.entry, LaneFactsAnnotation)
+        assert shipped == lane_fixpoint(func)
+        assert shipped.lane_locals, "vectorized saxpy must prove lanes"
+        assert shipped.access_widths
+        # the lint plane's table is about something else
+        facts, _ = bytecode_facts(func)
         assert facts is not None and facts.kind == "bytecode"
-        # the vectorized loop carries lane-typed locals and accesses
-        assert facts.lane_locals, "vectorized saxpy must prove lanes"
-        assert facts.access_widths
         assert facts.reachable <= frozenset(facts.blocks)
 
     def test_module_facts_pickle_roundtrip(self):
-        table = module_facts(_fresh_artifact().bytecode)
+        module = _fresh_artifact().bytecode
+        table = module_facts(module)
         clone = pickle.loads(pickle.dumps(table))
         assert isinstance(clone, FactsTable)
         assert set(clone.functions) == set(table.functions)
         for name, facts in table.functions.items():
-            other = clone.get(name)
-            assert other.tuple_locals == facts.tuple_locals
-            assert other.lane_locals == facts.lane_locals
-            assert other.access_widths == facts.access_widths
-            assert other.blocks == facts.blocks
+            assert clone.get(name) == facts     # every lint field
+            assert facts.blocks and facts.ranges
+        # the lane tables pickle with the module that carries them
+        shipped = module.annotations_for(SAXPY.entry, LaneFactsAnnotation)
+        assert pickle.loads(pickle.dumps(module)).annotations_for(
+            SAXPY.entry, LaneFactsAnnotation) == shipped != []
 
     def test_function_with_facts_cache_survives_pickling(self):
         # the ProcessExecutor pickles artifacts whole; a populated
@@ -174,10 +184,17 @@ class TestTier2Consumers:
     def test_vm_warm_hook_prepays_facts(self, monkeypatch):
         monkeypatch.delenv(OSR_GUARDS_ENV, raising=False)
         artifact = _fresh_artifact()
+        # the scalar flavour ships no table: every warm build computes
+        # its own, and that is what ``facts_warm`` counts
+        threaded.reset_tier2_build_stats()
+        threaded.warm_bytecode_module(artifact.scalar_bytecode)
+        stats = threaded.tier2_build_stats()
+        assert stats["warm"] > 0 and stats["facts_warm"] == stats["warm"]
+        # the annotated flavour's tables were computed offline
         threaded.reset_tier2_build_stats()
         threaded.warm_bytecode_module(artifact.bytecode)
         stats = threaded.tier2_build_stats()
-        assert stats["warm"] > 0 and stats["facts_warm"] > 0
+        assert stats["warm"] > 0 and stats["facts_warm"] == 0
         assert stats["request"] == 0 and stats["facts_request"] == 0
         # warmed builds elide OSR lane guards by default
         assert stats["guards_elided"] > 0

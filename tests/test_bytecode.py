@@ -10,7 +10,7 @@ from repro.bytecode import (
 )
 from repro.bytecode.annotations import (
     HotnessAnnotation, HWRequirementAnnotation, RegAllocAnnotation,
-    VecLoopAnnotation, decode_annotation, encode_annotation,
+    LaneFactsAnnotation, decode_annotation, encode_annotation,
 )
 from repro.bytecode.module import BytecodeFunction, BytecodeModule
 from repro.bytecode.varint import (
@@ -169,10 +169,9 @@ class TestEncoding:
 
     def test_annotations_roundtrip(self):
         bc, _, _ = self.roundtrip(GCD)
-        bc.annotations.append(VecLoopAnnotation(
-            function="gcd", vector_pc=3, scalar_pc=9, lanes=16,
-            elem="u8", kind="reduction", reduce_op="add",
-            acc_type="i32", noalias_count=2))
+        bc.annotations.append(LaneFactsAnnotation(
+            function="gcd", tuple_locals=frozenset({3, 200}),
+            lane_locals={3: 16, 1: 4}, access_widths=frozenset({16, 1})))
         bc.annotations.append(RegAllocAnnotation(
             function="gcd", priorities=[5, 1, 900, 3]))
         bc.annotations.append(HotnessAnnotation(function="gcd",
@@ -181,10 +180,11 @@ class TestEncoding:
             function="gcd", wants_simd=True, wants_fp64=True))
         decoded = decode_module(encode_module(bc))
         kinds = [type(a).__name__ for a in decoded.annotations]
-        assert kinds == ["VecLoopAnnotation", "RegAllocAnnotation",
+        assert kinds == ["LaneFactsAnnotation", "RegAllocAnnotation",
                          "HotnessAnnotation", "HWRequirementAnnotation"]
-        vec = decoded.annotations[0]
-        assert vec.lanes == 16 and vec.reduce_op == "add"
+        lanes = decoded.annotations[0]
+        assert lanes == bc.annotations[0]
+        assert lanes.lane_locals == {1: 4, 3: 16}
         assert decoded.annotations[1].priorities == [5, 1, 900, 3]
         assert decoded.annotations[2].weight == 12345
         assert decoded.annotations[3].wants_simd
@@ -193,12 +193,19 @@ class TestEncoding:
 
     @settings(max_examples=30, deadline=None)
     @given(priorities=st.lists(st.integers(0, 10**6), max_size=40),
-           weight=st.integers(0, 10**9))
-    def test_annotation_payload_roundtrip_property(self, priorities,
-                                                   weight):
+           weight=st.integers(0, 10**9),
+           tuples=st.frozensets(st.integers(0, 10**6), max_size=8),
+           lanes=st.dictionaries(st.integers(0, 10**6),
+                                 st.integers(0, 2**70), max_size=8),
+           widths=st.frozensets(st.integers(0, 2**70), max_size=8))
+    def test_annotation_payload_roundtrip_property(
+            self, priorities, weight, tuples, lanes, widths):
         for annotation in (
                 RegAllocAnnotation(function="f", priorities=priorities),
-                HotnessAnnotation(function="f", weight=weight)):
+                HotnessAnnotation(function="f", weight=weight),
+                LaneFactsAnnotation(function="f", tuple_locals=tuples,
+                                    lane_locals=lanes,
+                                    access_widths=widths)):
             out = bytearray()
             encode_annotation(out, annotation)
             decoded, pos = decode_annotation(bytes(out), 0)

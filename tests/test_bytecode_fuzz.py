@@ -12,8 +12,6 @@ mutations start from realistic, vectorized, multi-function modules.
 
 from __future__ import annotations
 
-import struct
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -27,15 +25,12 @@ from repro.engine import FAST, REFERENCE, TIER2
 from repro.semantics import Memory, TrapError
 from repro.vm import VM
 from repro.workloads import ALL_KERNELS
+from tests.support import DECODE_REJECTIONS
 
 ENGINES = (FAST, TIER2, REFERENCE)
 FUEL = 200
 MEMORY_BYTES = 1 << 16
 
-#: the decoder's documented rejection surface — anything else leaking
-#: out of ``decode_module`` on corrupt bytes is a bug this test catches
-DECODE_REJECTIONS = (ValueError, KeyError, IndexError, OverflowError,
-                     struct.error, UnicodeDecodeError)
 
 
 def _corpus():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bytecode.annotations import (
-    HotnessAnnotation, HWRequirementAnnotation, RegAllocAnnotation,
-    VecLoopAnnotation,
+    HotnessAnnotation, HWRequirementAnnotation, LaneFactsAnnotation,
+    RegAllocAnnotation,
 )
 from repro.core import (
     compare_flows, deploy, offline_compile, select_bytecode,
@@ -34,19 +34,9 @@ class TestOfflineCompile:
     def test_annotations_attached(self):
         artifact = offline_compile(SUM_U8)
         kinds = {type(a) for a in artifact.bytecode.annotations}
-        assert VecLoopAnnotation in kinds
+        assert LaneFactsAnnotation in kinds
         assert RegAllocAnnotation in kinds
         assert HWRequirementAnnotation in kinds
-
-    def test_vec_annotation_points_at_real_pcs(self):
-        artifact = offline_compile(SUM_U8)
-        func = artifact.bytecode["sum_u8"]
-        for ann in artifact.bytecode.annotations_for(
-                "sum_u8", VecLoopAnnotation):
-            assert 0 <= ann.vector_pc < len(func.code)
-            assert 0 <= ann.scalar_pc < len(func.code)
-            assert ann.lanes == 16
-            assert ann.kind == "reduction"
 
     def test_hw_annotation_reflects_code(self):
         artifact = offline_compile("""

@@ -1183,7 +1183,7 @@ class TestOSR:
             return pc                      # decline: state untouched
 
         pre._tier2 = declining
-        pre._tier2_args = (None, None)
+        pre._tier2_args = (None, None, None)
         assert vm.call("f", [1_000]) == want
         assert vm.tiering_stats()["osr_entries"] == 0
         assert attempts[0] == 0, "an existing translation starts the call"

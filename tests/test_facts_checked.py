@@ -15,32 +15,41 @@ that used to tie two hand-kept copies together:
 * past an instruction whose lowering raises, the table only grows in
   the conservative direction;
 * a table that is not an invariant of the code it is attached to (a
-  foreign sidecar) makes tier-2 decline, never changes a result.
+  foreign annotation) makes tier-2 decline, never changes a result;
+* a table that does not hold at entry, or whose payload is not a
+  table at all, is refused at the door: the function computes its
+  own, or the module does not decode.  Nothing is ever executed out
+  of a table.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.analysis.facts import (
-    FACTS_SCHEMA, FunctionFacts, bytecode_facts, facts_to_wire,
-)
 from repro.analysis.passes import lane_fixpoint
+from repro.bytecode.annotations import Annotation, LaneFactsAnnotation
 from repro.bytecode.encode import decode_module, encode_module
-from repro.bytecode.module import BytecodeFunction, BytecodeModule
+from repro.bytecode.module import (
+    BytecodeFunction, BytecodeModule, is_vector_local,
+)
 from repro.bytecode.opcodes import ALL_OPS, BCInstr, CMP_PREDS, TYPE_TAGS
 from repro.bytecode.varint import read_bytes, write_bytes
 from repro.bytecode.verifier import verify_module
 from repro.core import offline_compile
-from repro.engine import CodegenEnv, FAST, REFERENCE, TIER2
+from repro.engine import (
+    CodegenEnv, FAST, OSR_GUARDS_ENV, REFERENCE, TIER2,
+)
 from repro.semantics import Memory, TrapError
 from repro.service import deserialize_artifact, serialize_artifact
 from repro.service.cache import ARTIFACT_MAGIC
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS
+from repro.workloads.kernels import Kernel, KernelRun
+from tests.support import DECODE_REJECTIONS
 
 N = 16
 FUEL = 4000
@@ -88,16 +97,27 @@ PINNED_TABLES = {
 }
 
 
-def _table(func):
-    tuple_locals, lane_locals, widths = lane_fixpoint(func)
-    return (sorted(tuple_locals), sorted(lane_locals.items()),
-            sorted(widths))
+def _pin(table: LaneFactsAnnotation):
+    return (sorted(table.tuple_locals), sorted(table.lane_locals.items()),
+            sorted(table.access_widths))
+
+
+def _shipped(module, func_name):
+    """The lane tables ``module`` carries for one function."""
+    return module.annotations_for(func_name, LaneFactsAnnotation)
 
 
 def test_corpus_tables_are_the_parents():
-    computed = {f"{name}/{flavour}/{func.name}": _table(func)
+    computed = {f"{name}/{flavour}/{func.name}": _pin(lane_fixpoint(func))
                 for name, flavour, _, func in CORPUS}
     assert computed == PINNED_TABLES
+    # what ships is what was computed: one table per function of the
+    # vector flavour, none on the scalar one
+    shipped = {f"{name}/{flavour}/{func.name}":
+               [_pin(table) for table in _shipped(module, func.name)]
+               for name, flavour, module, func in CORPUS}
+    assert shipped == {key: [table] if "/bytecode/" in key else []
+                       for key, table in PINNED_TABLES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +171,23 @@ def _emitter_accepts(func, table) -> None:
     """Lower every block of ``func`` for tier-2 under ``table`` (a
     block that cannot be lowered keeps no arm) and let the pass judge
     the table: silent, or ``ValueError``."""
-    tuple_locals, lane_locals, widths = table
-    facts = FunctionFacts("bytecode", func.name,
-                          tuple_locals=tuple_locals,
-                          lane_locals=lane_locals, access_widths=widths)
     low = threaded._BytecodeLowering(func)
     low.env = CodegenEnv({})
-    low.begin_tier2(facts)
+    low.begin_tier2(table)
     for leader, length in low.blocks.items():
         try:
             low.lower(leader, length, low.tier2_tier)
         except Exception:       # malformed on purpose: any error is
             pass                # "this block stays in the block tier"
-    low.check_facts(facts)
+    low.check_facts(table)
 
 
-def _observe(module, kernel, engine):
+def _observe(module, kernel, engine, **options):
     """Everything an engine lets a caller see of one kernel run."""
     memory = Memory(MEMORY_BYTES)
     run = kernel.prepare(memory, N)
     vm = VM(module, memory=memory, engine=engine, fuel=FUEL,
-            verify=False)
+            verify=False, **options)
     try:
         outcome = ("ok", repr(vm.call(kernel.entry, run.args)))
     except TrapError as exc:
@@ -250,7 +266,7 @@ def test_table_past_a_raising_instruction_is_a_superset(case):
     code, (tuples, lanes, widths) = RAISING_BLOCKS[case]
     func = BytecodeFunction("f", ["u64"], None,
                             ["v128:f32", "v128:f32"], [], code)
-    now_tuples, now_lanes, now_widths = _table(func)
+    now_tuples, now_lanes, now_widths = _pin(lane_fixpoint(func))
     assert set(now_tuples) >= set(tuples)       # may-hold-a-tuple grows
     assert set(now_lanes) <= set(lanes)         # proven lanes shrink
     assert set(now_widths) >= set(widths)       # hoisted widths grow
@@ -261,12 +277,12 @@ def test_a_forgotten_store_is_caught_by_the_emitter():
     """``check_facts`` is the validator: drop one fact from a sound
     table and the pass that would consume it refuses."""
     func = ARTIFACTS["saxpy_fp"].bytecode.functions["saxpy"]
-    tuple_locals, lane_locals, widths = lane_fixpoint(func)
-    _emitter_accepts(func, (tuple_locals, lane_locals, widths))
+    table = lane_fixpoint(func)
+    _emitter_accepts(func, table)
     unsound = [
-        (tuple_locals - {10}, lane_locals, widths),
-        (tuple_locals, {**lane_locals, 0: 4}, widths),
-        (tuple_locals, lane_locals, widths - {16}),
+        replace(table, tuple_locals=table.tuple_locals - {10}),
+        replace(table, lane_locals={**table.lane_locals, 0: 4}),
+        replace(table, access_widths=table.access_widths - {16}),
     ]
     for table in unsound:
         with pytest.raises(ValueError, match="not an invariant"):
@@ -274,91 +290,233 @@ def test_a_forgotten_store_is_caught_by_the_emitter():
 
 
 # ---------------------------------------------------------------------------
-# a foreign sidecar declines
+# a table from elsewhere declines, is refused at the door, or does not decode
 # ---------------------------------------------------------------------------
 
-def _with_sidecar(blob: bytes, edit) -> bytes:
-    """``blob`` with ``edit(meta)`` applied to its JSON sidecar."""
-    assert blob[:4] == ARTIFACT_MAGIC
-    meta_raw, pos = read_bytes(blob, 4)
-    meta = json.loads(meta_raw.decode("utf-8"))
-    edit(meta)
-    out = bytearray(ARTIFACT_MAGIC)
-    write_bytes(out, json.dumps(meta, sort_keys=True).encode("utf-8"))
-    return bytes(out) + blob[pos:]
+def _delivered(module, tables) -> BytecodeModule:
+    """``module`` shipping ``tables`` in place of its own lane tables,
+    as a consumer receives it: through the real encoder and decoder
+    (fresh function objects, and nothing a payload cannot say)."""
+    kept = [a for a in module.annotations
+            if not isinstance(a, LaneFactsAnnotation)]
+    return decode_module(encode_module(
+        BytecodeModule(module.name, module.functions, kept + list(tables))))
 
 
-def _declined_or_agrees(artifact, kernel) -> int:
-    """Every function under a table from elsewhere: tier-2 declined
-    (counted), or built because the table *is* an invariant here; the
-    three engines agree either way and only ``TrapError`` may escape
+def _declined_or_agrees(module, kernels) -> int:
+    """Every function under whatever table arrived with it: tier-2
+    declined (counted), or built, because the table *is* an invariant
+    here or was refused at the door and computed afresh; the three
+    engines agree either way and only ``TrapError`` may escape
     (``_observe`` catches nothing else)."""
     declined = 0
-    for module in (artifact.bytecode, artifact.scalar_bytecode):
-        for func in module.functions.values():
-            pre = threaded.predecode(func, module)
-            if pre.tier2(warm=True) is None:
-                assert pre.tier2_declined
-                declined += 1
+    for func in module.functions.values():
+        pre = threaded.predecode(func, module)
+        if pre.tier2(warm=True) is None:
+            assert pre.tier2_declined
+            declined += 1
+    for kernel in kernels:
         oracle = _observe(module, kernel, REFERENCE)
         assert _observe(module, kernel, FAST) == oracle
         assert _observe(module, kernel, TIER2) == oracle
     return declined
 
 
-class TestForeignSidecar:
-    def test_swapped_flavours_decline(self):
-        """Same function names, different code: the scalar table
-        under the vectorized code and the reverse."""
-        def swap(meta):
-            facts = meta["facts"]
-            facts["bytecode"], facts["scalar"] = \
-                facts["scalar"], facts["bytecode"]
-
-        declined = 0
-        for name, artifact in ARTIFACTS.items():
-            revived = deserialize_artifact(
-                _with_sidecar(serialize_artifact(artifact), swap))
-            assert revived._pvi_facts_revived == 2      # accepted
-            declined += _declined_or_agrees(revived, ALL_KERNELS[name])
-        assert declined         # vectorized code under a scalar table
+class TestForeignAnnotation:
+    def test_swapped_functions_decline(self):
+        """Two functions of one module, each under the other's table.
+        ``fir``'s names no vector local: it holds at the entry of
+        anything, and the emitter refuses it under vectorized code.
+        ``saxpy``'s does not hold at the entry of ``fir``: refused at
+        the door, and ``fir`` computes its own."""
+        fir, saxpy = ALL_KERNELS["fir"], ALL_KERNELS["saxpy_fp"]
+        module = offline_compile(fir.source + saxpy.source, "two").bytecode
+        (of_fir,), (of_saxpy,) = (_shipped(module, name)
+                                  for name in ("fir", "saxpy"))
+        swapped = _delivered(module, [replace(of_fir, function="saxpy"),
+                                      replace(of_saxpy, function="fir")])
+        threaded.reset_tier2_build_stats()
+        assert _declined_or_agrees(swapped.freeze(), [fir, saxpy]) == 1
+        assert threaded.predecode(swapped["saxpy"], swapped).tier2_declined
+        assert threaded.tier2_build_stats()["facts_warm"] == 1
 
     def test_another_kernels_table_declines(self):
-        """Every kernel's vectorized table grafted under every other
-        kernel's function name, both flavours."""
-        wires = {name: facts_to_wire(bytecode_facts(func)[0])
-                 for name, artifact in ARTIFACTS.items()
-                 for func in artifact.bytecode.functions.values()}
+        """Every kernel's table grafted under every other kernel's
+        function name."""
+        tables = {name: _shipped(artifact.bytecode, func.name)[0]
+                  for name, artifact in ARTIFACTS.items()
+                  for func in artifact.bytecode.functions.values()}
         declined = grafts = 0
         for name, artifact in ARTIFACTS.items():
-            blob = serialize_artifact(artifact)
-            for donor in wires.keys() - {name}:
-                def graft(meta):
-                    for table in (meta["facts"]["bytecode"],
-                                  meta["facts"]["scalar"]):
-                        for func_name in table:
-                            table[func_name] = dict(wires[donor],
-                                                    name=func_name)
-
-                revived = deserialize_artifact(_with_sidecar(blob, graft))
-                assert revived._pvi_facts_revived == 2
-                declined += _declined_or_agrees(revived,
-                                                ALL_KERNELS[name])
-                grafts += 2
-        # most grafts contradict the code; some tables are invariants
-        # of other code too (two kernels with no vector local at all)
+            module = artifact.bytecode
+            for donor in tables.keys() - {name}:
+                grafted = _delivered(module, [
+                    replace(tables[donor], function=func_name)
+                    for func_name in module.functions])
+                declined += _declined_or_agrees(grafted,
+                                                [ALL_KERNELS[name]])
+                grafts += 1
+        # a graft that names no vector local holds at any entry and
+        # mostly contradicts the code; one that names some is mostly
+        # refused at the door; some tables are invariants of other
+        # code too (two kernels with no vector local at all)
         assert 0 < declined < grafts
 
-    def test_another_facts_schema_restores_nothing(self):
-        def restamp(meta):
-            meta["facts"]["schema"] = FACTS_SCHEMA - 1
+    def test_module_without_annotation_computes_its_table(self):
+        """No table shipped (the scalar flavour, ``emit_module``
+        output, a module stripped on the way): the build runs the lane
+        walk itself and counts it, and generates what the annotated
+        module's build generates."""
+        kernel, module = ALL_KERNELS["saxpy_fp"], ARTIFACTS["saxpy_fp"].bytecode
+        stats = {}
+        for ships, tables in (("none", []),
+                              ("own", _shipped(module, kernel.entry))):
+            delivered = _delivered(module, tables)
+            assert _shipped(delivered, kernel.entry) == tables
+            threaded.reset_tier2_build_stats()
+            assert _declined_or_agrees(delivered, [kernel]) == 0
+            stats[ships] = threaded.tier2_build_stats()
+        assert stats["none"]["warm"] == stats["none"]["facts_warm"] == 1
+        assert stats["own"] == {**stats["none"], "facts_warm": 0}
+        assert stats["own"]["guards_elided"] + stats["own"]["guards_kept"]
 
-        artifact = ARTIFACTS["saxpy_fp"]
-        revived = deserialize_artifact(
-            _with_sidecar(serialize_artifact(artifact), restamp))
-        assert revived._pvi_facts_revived == 0
-        for name, func in revived.bytecode.functions.items():
-            facts, fresh = bytecode_facts(func)
-            assert fresh        # recomputed on first use
-            assert facts == bytecode_facts(
-                artifact.bytecode.functions[name])[0]
+
+#: the smallest verified function with a loop: scalar locals only, no
+#: memory access (so *any* width set passes the emitter's check)
+INT_LOOP = Kernel(
+    "int_loop", "int f(int n) { int s = 0; "
+    "for (int i = 0; i < n; i++) s += i; return s; }", "f", "extra", "i32",
+    False, lambda memory, n, seed: KernelRun(args=[50]))
+
+#: subject -> (kernel, its verified and annotated module)
+SUBJECTS = {
+    "int loop": (INT_LOOP, offline_compile(INT_LOOP.source, "loop").bytecode),
+    "saxpy": (ALL_KERNELS["saxpy_fp"], ARTIFACTS["saxpy_fp"].bytecode),
+}
+
+
+@dataclass
+class _RawTable(Annotation):
+    """A lane-table annotation with whatever payload bytes it is told."""
+    raw: bytes = b""
+
+    KIND = LaneFactsAnnotation.KIND
+
+    def payload(self) -> bytes:
+        return self.raw
+
+
+def _hostile(func, honest: LaneFactsAnnotation, rng: random.Random):
+    """case -> deliveries, a delivery being the lane-table annotations
+    one module ships for ``func`` in place of ``honest``.  The first
+    seven say something false in well-formed payloads; the last three
+    are payload bytes: every proper prefix, a count larger than the
+    payload, and every byte position set to 0x00, to 0xFF, with its
+    continuation bit flipped and to one seeded value."""
+    scalars = [index for index, tag in enumerate(func.local_types)
+               if not is_vector_local(tag)]
+    tuples = replace(honest, tuple_locals=frozenset(scalars[:2]))
+    vector = next(iter(honest.lane_locals), scalars[0])
+    raw = honest.payload()
+    edits = {raw[:at] + bytes([byte]) + raw[at + 1:]
+             for at, old in enumerate(raw)
+             for byte in (0x00, 0xFF, old ^ 0x80, rng.randrange(256))}
+    return {
+        "tuple_locals naming scalar locals": [[tuples]],
+        "lane_locals naming a missing local": [[replace(
+            honest, lane_locals={**honest.lane_locals, 99: 4})]],
+        "lane_locals naming a scalar local": [[replace(
+            honest, lane_locals={**honest.lane_locals, scalars[0]: 4})]],
+        "lane_locals with a wrong lane count": [[replace(
+            honest, lane_locals={**honest.lane_locals, vector: 3})]],
+        "widths 0 and 2**70": [[replace(
+            honest, access_widths=frozenset({0, 2 ** 70}))]],
+        "two annotations for one function": [[tuples, honest],
+                                             [honest, tuples]],
+        "an annotation for a function the module lacks": [[
+            honest, replace(tuples, function="nobody")]],
+        "payload truncated": [[_RawTable(func.name, raw[:cut])]
+                              for cut in range(len(raw))],
+        "payload count past its end": [[_RawTable(
+            func.name, bytes([len(raw) + 1]) + raw[1:])]],
+        "payload byte edits": [[_RawTable(func.name, edit)]
+                               for edit in sorted(edits - {raw})],
+    }
+
+
+HOSTILE_CASES = list(_hostile(SUBJECTS["int loop"][1]["f"],
+                              LaneFactsAnnotation("f"), random.Random(0)))
+
+
+@pytest.mark.parametrize("guards", [None, "1"], ids=["elided", "kept"])
+@pytest.mark.parametrize("subject", sorted(SUBJECTS))
+@pytest.mark.parametrize("case", HOSTILE_CASES)
+def test_hostile_table_declines_or_agrees(case, subject, guards,
+                                          monkeypatch):
+    """A table that lies, or bytes that are no table, delivered
+    through the real decoder: the module does not decode (one of the
+    decoder's documented rejections), or reference, fast + OSR and
+    tier-2 see what the honest module's reference run sees: value or
+    trap text, memory, executed count.  With the OSR fact guards
+    elided and kept: a guard is generated from the table too."""
+    if guards is None:
+        monkeypatch.delenv(OSR_GUARDS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(OSR_GUARDS_ENV, guards)
+    kernel, module = SUBJECTS[subject]
+    honest, = _shipped(module, kernel.entry)
+    oracle = _observe(module, kernel, REFERENCE)
+    deliveries = _hostile(module[kernel.entry], honest,
+                          random.Random(f"{subject}/{case}"))[case]
+    decoded = 0
+    for tables in deliveries:
+        try:
+            delivered = _delivered(module, tables)
+        except DECODE_REJECTIONS:
+            continue
+        decoded += 1
+        assert _observe(delivered, kernel, REFERENCE) == oracle
+        assert _observe(delivered, kernel, FAST, osr=True,
+                        osr_threshold=2) == oracle
+        assert _observe(delivered, kernel, TIER2) == oracle
+    # well-formed payloads always arrive; so do some byte edits of a
+    # payload that has entries to edit
+    if not case.startswith("payload"):
+        assert decoded == len(deliveries)
+    elif case == "payload byte edits" and honest.lane_locals:
+        assert decoded
+
+
+def test_a_sidecar_facts_key_is_ignored(tmp_path):
+    """Regression, defect (a) of the channel the tables used to travel
+    in (the artifact cache's JSON sidecar): its ``access_widths``
+    reached ``f"_ms{n} = _ms - {n}"`` and ``exec`` uncoerced, so a
+    string there was a statement of ``_t2``.  A persisted entry that
+    still carries a ``facts`` key deserializes (a reader ignores a key
+    it does not know), runs, and the statement has not run."""
+    marker = tmp_path / "ran"
+    statement = f"0 = 0; open({str(marker)!r}, 'w').close()  #"
+    wire = {"kind": "bytecode", "name": "f", "blocks": [], "reachable": [],
+            "tuple_locals": [], "lane_locals": [],
+            "access_widths": [statement], "param_regs": [],
+            "written_at_entry": [], "ranges": [], "range_notes": [],
+            "maybe_uninit": [], "dead_stores": []}
+
+    blob = serialize_artifact(offline_compile(INT_LOOP.source, "m"))
+    meta_raw, pos = read_bytes(blob, len(ARTIFACT_MAGIC))
+    meta = json.loads(meta_raw.decode("utf-8"))
+    assert "facts" not in meta
+    #: schema 2: the last analysis plane that wrote such a block
+    meta["facts"] = {"schema": 2, "bytecode": {"f": wire},
+                     "scalar": {"f": wire}}
+    planted = bytearray(ARTIFACT_MAGIC)
+    write_bytes(planted, json.dumps(meta, sort_keys=True).encode("utf-8"))
+    revived = deserialize_artifact(bytes(planted) + blob[pos:])
+
+    for module in (revived.bytecode, revived.scalar_bytecode):
+        oracle = _observe(module, INT_LOOP, REFERENCE)
+        assert oracle[0] == ("ok", "1225")
+        assert _observe(module, INT_LOOP, FAST, osr=True,
+                        osr_threshold=2) == oracle
+        assert _observe(module, INT_LOOP, TIER2) == oracle
+    assert not marker.exists()

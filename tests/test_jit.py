@@ -236,28 +236,28 @@ class TestCodeSize:
 
 #: ``tests.support.keyed_digest`` of ``tests.support.jit_outputs()``
 PINNED_OUTPUTS = (
-    "cfbff4275d532914d9179a7c8f3e00a1cc28af5a7cdbeeb6a502cf2a3e8e6712",
-    "ac8e1896a8383d461eaa9a0993b4b6424bfcf41f02f86182cf71d568"
+    "522d22ca9e09b0a857664d23029aa8a3b0faf7ffc3f6abefa6280066bf8861b7",
+    "ac8e1896a8383d461eaa9a0993b4b6424bfcf41f02b8c182cf71d568"
     "85b772bc181cf3ac4550a32c9f03212927eeaab3996968d5f30b5d9c"
-    "649dbd0b5b5cd240f9bf4532515d22ddd590a0e88a7e3f5889a7fe3c"
-    "b6fb647925cc77f248de10741a7c4ecd32612ce335533463a742d3d9"
-    "45061f1c2169c10c3f1fd60ba646708a86f472806bf66c1eb0ec432f"
+    "649d71a75b5cd240f9bf4532515d22ddd590a0e88a7e3f5889a7fe3c"
+    "b6fb647925cc77f248de102fe37c4ecd32612ce335533463a742d3d9"
+    "45061f1c2169c10c3f1fd60ba646708a86f47280d6106c1eb0ec432f"
     "01e99f9db1323b47df2474b2e271b8b87b658f1e654af31b8c29576e"
-    "a6244b8b154f8aa08ab7af5e05a56989780f005038462f86b1d2bc7e"
-    "47b00e97b38864d9f0bf29af7bf10e551a2051a8572eacde55830d49"
-    "80538345a82b8c0644fdab5758eb6343a2ccba54436b04779b433363"
+    "a68ccc8b154f8aa08ab7af5e05a56989780f005038462f86b1d2bc7e"
+    "47b00e97b38864d9f0bfe13c7bf10e551a2051a8572eacde55830d49"
+    "80538345a82b8c0644fdab5758eb6343a2ccbafbe36b04779b433363"
     "69ede79914feab2d7e5184e0ca6d8b9bee69f6b7310764d13ee57181"
-    "cd10ddbede37ea25e3bb7a0646ccf388f876f432bfd8d3014d97ea7b"
-    "5be0c37a802dd31484bf5fb7d27042f22fde8a6d6abd04bddfe6b92d"
-    "7d7edf1d95eff5067888af6ee91f0b9f7c4effa4446d664647c3b07f"
-    "4cfbc5ba19c1f1a478d30ff8b8beb329c09617b5701134d865a82fd7"
-    "8cb7252abf85b0279113684612cc5f4823eb36f9545ed64b8bcb2613"
-    "f97052f88c4cddf726ef128fc04723fc5c2aa9d624358fee9f920301"
-    "2cd0e6569b0981b2c7931f0c4c6293d58594ba65151de99899707790"
-    "73789cca4f04e359d97c3e78fda6eeedf8563be07f0a4ee53c13190b"
+    "8d92ddbede37ea25e3bb7a0646ccf388f876f432bfd8d3014d97ea7b"
+    "5be0c37a802dd31484b874b7d27042f22fde8a6d6abd04bddfe6b92d"
+    "7d7edf1d95eff5067888af6ee91f0b9f7c4ed451446d664647c3b07f"
+    "4cfbc5ba19c1f1a478d30ff8b8beb329c09617b5701134d865a82f20"
+    "28b7252abf85b0279113684612cc5f4823eb36f9545ed64b8bcb2613"
+    "f97052f88c4cddf701d4128fc04723fc5c2aa9d624358fee9f920301"
+    "2cd0e6569b0981b2c7931f0c4c6293d5855f8a65151de99899707790"
+    "73789cca4f04e359d97c3e78fda6eeedf8563be07f0a4ee53c13560f"
     "57dec96e5c37f77b816d6c28e4f011fdce398f4a0fc321a4883c71a7"
-    "9eaad785471dad7edae2e4029540e00865baae1f250b3447708015b8"
-    "77a460d885ee414ebea4c96868fc363e74558ec17746a9d8ad1ebc3c"
+    "9eaad785471dad3284e2e4029540e00865baae1f250b3447708015b8"
+    "77a460d885ee414ebea4c96868fc363eda7a8ec17746a9d8ad1ebc3c"
     "ac68eb46")
 
 
@@ -271,10 +271,13 @@ def test_jit_output_digest():
     number moved and why; CI also runs this under two fixed
     ``PYTHONHASHSEED`` values.
 
-    Recorded at the parent of ISSUE 18 (LIR passes over dense register
-    tables and bitmask sets, two moved-read fixes in the JIT
-    peepholes, the verifier run only after a change) and unmoved by
-    it."""
+    Re-pinned by ISSUE 21 for bytes of bytecode only: PVI encoding
+    version 1 -> 2 (restamps both flavours; the scalar flavour's
+    length is unmoved) and, on the vector flavour, the vector-loop
+    descriptor's bytes out and the ``LaneFactsAnnotation`` bytes in.  Compared with the previous pin position by position:
+    all 560 image prints equal, the 32 ``offline`` entries differ in
+    their two ``len sha`` lines and nowhere else.  The images were
+    recorded at the parent of ISSUE 18 and have not moved since."""
     outputs = jit_outputs()
     assert len(outputs) == 560 + 32
     got = keyed_digest(outputs)

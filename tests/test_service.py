@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 import threading
@@ -10,6 +11,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.bytecode.varint import read_bytes
 from repro.core import deploy, offline_compile
 from repro.core.offline import OfflineArtifact
 from repro.semantics import Memory
@@ -17,10 +19,11 @@ from repro.service import (
     ArtifactCache, CompilationService, CompileRequest, artifact_key,
     canonical_options, deserialize_artifact, serialize_artifact,
 )
-from repro.service.cache import artifact_fingerprint
+from repro.service.cache import ARTIFACT_MAGIC, artifact_fingerprint
 from repro.service.singleflight import SingleFlight, run_settled
 from repro.targets import Simulator, X86
 from repro.targets.catalog import TARGETS
+from repro.vm import threaded
 from repro.workloads import TABLE1
 
 SAXPY = TABLE1["saxpy_fp"].source
@@ -129,50 +132,42 @@ class TestPersistence:
         assert serialize_artifact(revived) == serialize_artifact(artifact)
 
     def test_facts_tables_persist_with_the_artifact(self):
-        """Revived artifacts carry their dataflow facts: every
-        bytecode function answers ``fresh=False`` — the analysis ran
-        once, offline, and the wire carried its results."""
-        from repro.analysis.facts import bytecode_facts
+        """The tables tier-2 consumes ride the bytecode, so a revived
+        artifact has them where the original does: its annotations
+        are equal, and warming the revived module computes none."""
         artifact = offline_compile(SAXPY, "facts")
-        # populate the analysis caches, then roundtrip
-        for func in artifact.bytecode.functions.values():
-            bytecode_facts(func)
         revived = deserialize_artifact(serialize_artifact(artifact))
-        for func in revived.bytecode.functions.values():
-            facts, fresh = bytecode_facts(func)
-            assert not fresh
-        # and the restored tables match a from-scratch analysis
-        for name, func in revived.bytecode.functions.items():
-            restored, _ = bytecode_facts(func)
-            computed, _ = bytecode_facts(
-                artifact.bytecode.functions[name])
-            assert restored == computed
-
-    def test_facts_roundtrip_is_byte_identical(self):
-        """The facts sidecar must not break the byte-identity
-        contract (canonical JSON, not pickle: set order is pinned)."""
-        artifact = offline_compile(SAXPY, "facts-bytes")
-        blob = serialize_artifact(artifact)
-        revived = deserialize_artifact(blob)
-        assert serialize_artifact(revived) == blob
+        assert revived.bytecode.annotations == \
+            artifact.bytecode.annotations
+        assert revived.scalar_bytecode.annotations == []
+        threaded.reset_tier2_build_stats()
+        threaded.warm_bytecode_module(revived.bytecode)
+        stats = threaded.tier2_build_stats()
+        assert stats["warm"] > 0 and stats["facts_warm"] == 0
 
     def test_warm_start_counts_facts_warm(self, tmp_path):
-        """A second service over the same persist dir revives facts
-        from disk and surfaces the count in its stats."""
+        """A second service over the same persist dir revives the
+        artifact from disk and builds tier-2 with no table computed
+        (``facts_warm`` counts computed tables: zero).  The entry
+        itself carries no analysis result beside the bytecode."""
         cold = CompilationService(cache_capacity=4,
                                   persist_dir=tmp_path)
         try:
             cold.compile(SAXPY, "w")
         finally:
             cold.shutdown()
+        entry = next(tmp_path.rglob("*.pvia")).read_bytes()
+        meta_raw, _ = read_bytes(entry, len(ARTIFACT_MAGIC))
+        assert "facts" not in json.loads(meta_raw)
         warm = CompilationService(cache_capacity=4,
                                   persist_dir=tmp_path)
         try:
-            warm.compile(SAXPY, "w")
-            stats = warm.stats()
-            assert stats.artifact_disk_hits == 1
-            assert stats.artifact_facts_warm > 0
-            assert stats.as_dict()["artifact"]["facts_warm"] > 0
+            outcome = warm.compile(SAXPY, "w")
+            assert warm.stats().artifact_disk_hits == 1
+            threaded.reset_tier2_build_stats()
+            threaded.warm_bytecode_module(outcome.artifact.bytecode)
+            stats = threaded.tier2_build_stats()
+            assert stats["warm"] > 0 and stats["facts_warm"] == 0
         finally:
             warm.shutdown()
 

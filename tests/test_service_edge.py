@@ -535,7 +535,7 @@ class TestEdgeServer:
         assert edge_stats["latency"]["count"] == 1
         assert edge_stats["queue"]["capacity"] == 8
         assert edge_stats["routes"]["policy"] == "first-fanout-cold"
-        assert stats["service"]["artifact"]["facts_warm"] == 0
+        assert stats["service"]["artifact"]["disk_hits"] == 0
         assert "vm" in stats["tier2"] and "sim" in stats["tier2"]
 
     def test_malformed_json_and_bad_routes(self):
