@@ -22,9 +22,10 @@ from repro.ir.instructions import Cast
 from repro.ir.values import VReg
 from repro.opt.copyprop import copyprop
 from repro.opt.dce import dce
+from repro.opt.pass_manager import PassResult
 
 
-def fold_cast_chains(func: Function) -> int:
+def fold_cast_chains(func: Function) -> PassResult:
     """``B = cast A (t1->t2); C = cast B (t2->t3)`` -> one cast.
 
     Only when both steps are integer widenings (value-preserving in
@@ -34,8 +35,13 @@ def fold_cast_chains(func: Function) -> int:
     :mod:`repro.ir.function`, whose conventions the tables follow):
     ``ldloc 0; cast; ldloc 0; const 1; add; stloc 0; cast`` keeps both
     casts.
+
+    ``reopened``: a chain still stands (refused, maybe only for a use
+    count ``dce`` will lower or against an inner cast this walk folds;
+    or just made), or a read moved into another block, within reach of
+    its block-local copies.
     """
-    work = 0
+    result = PassResult()
     count = func.reg_count
     def_of: List[Optional[Cast]] = [None] * count
     use_count = [0] * count
@@ -43,7 +49,7 @@ def fold_cast_chains(func: Function) -> int:
     for param in func.params:
         def_count[param.id] = 1
     for block in func.blocks:
-        work += len(block.instrs)
+        result.work += len(block.instrs)
         for instr in block.instrs:
             for src in instr.srcs:
                 if src.__class__ is VReg:
@@ -59,19 +65,24 @@ def fold_cast_chains(func: Function) -> int:
     for block in func.blocks:
         for index, instr in enumerate(block.instrs):
             if instr.__class__ is Cast and _is_widening(instr):
-                folded = _fold_chain(instr, def_of, def_count, use_count,
-                                     last_def, block_start)
+                folded = _fold_chain(instr, result, def_of, def_count,
+                                     use_count, last_def, block_start)
                 if folded is not None:
-                    block.instrs[index] = folded
-                    work += 1
+                    block.instrs[index] = instr = folded
+                    result.work += 1
+                    result.changed = True
+                source = instr.srcs[0]
+                if source.__class__ is VReg and \
+                        def_of[source.id] is not None:
+                    result.reopened = True
             if instr.dst is not None:
                 last_def[instr.dst.id] = block_start + index
         block_start += len(block.instrs)
-    return work
+    return result
 
 
-def _fold_chain(outer: Cast, def_of, def_count, use_count, last_def,
-                block_start: int) -> Optional[Cast]:
+def _fold_chain(outer: Cast, result, def_of, def_count, use_count,
+                last_def, block_start: int) -> Optional[Cast]:
     source = outer.srcs[0]
     if source.__class__ is not VReg:
         return None
@@ -93,6 +104,8 @@ def _fold_chain(outer: Cast, def_of, def_count, use_count, last_def,
                 return None
         elif def_count[moved.id] != 1:
             return None     # across blocks: never-redefined only
+        else:
+            result.reopened = True  # in reach of this block's copies
     return Cast(outer.dst, moved, inner.from_ty, outer.to_ty)
 
 
@@ -118,14 +131,15 @@ def _composable(t1: ty.IntType, t2: ty.IntType, t3: ty.IntType) -> bool:
 
 
 def quick_cleanup(func: Function) -> int:
-    """Run the always-on local cleanup; returns work performed."""
+    """Run the always-on local cleanup; returns work performed.  No
+    round only confirms: the second (the cap) runs if a pass of the
+    first reports ``reopened`` (DESIGN.md §3a lists the cases)."""
     work = 0
     for _ in range(2):
         result = copyprop(func)
+        result += fold_cast_chains(func)
+        result += dce(func)
         work += result.work
-        work += fold_cast_chains(func)
-        result_dce = dce(func)
-        work += result_dce.work
-        if not (result.changed or result_dce.changed):
+        if not result.reopened:
             break
     return work

@@ -30,36 +30,34 @@ from repro.opt.pass_manager import PassResult
 
 def copyprop(func: Function) -> PassResult:
     result = PassResult()
-    result += _global_single_def(func)
-    result += _block_local(func)
+    counts = [0] * func.reg_count
+    result += _global_single_def(func, counts)
+    result += _block_local(func, counts)
     return result
 
 
-def _def_counts(func: Function) -> List[int]:
-    """Definitions per register id; a parameter's entry value counts."""
-    counts = [0] * func.reg_count
+def _global_single_def(func: Function, counts: List[int]) -> PassResult:
+    """``counts`` is filled with the definitions per register id (a
+    parameter's entry value counts): no phase adds or removes one."""
+    result = PassResult()
     for param in func.params:
         counts[param.id] = 1
-    for block in func.blocks:
-        for instr in block.instrs:
-            if instr.dst is not None:
-                counts[instr.dst.id] += 1
-    return counts
-
-
-def _global_single_def(func: Function) -> PassResult:
-    result = PassResult()
-    counts = _def_counts(func)
-    replacement: List[Optional[Value]] = [None] * func.reg_count
-    found = False
+    moves: List[Move] = []
     for block in func.blocks:
         result.work += len(block.instrs)
         for instr in block.instrs:
-            if instr.__class__ is Move and counts[instr.dst.id] == 1:
-                src = instr.srcs[0]
-                if src.__class__ is Const or counts[src.id] == 1:
-                    replacement[instr.dst.id] = src
-                    found = True
+            if instr.dst is not None:
+                counts[instr.dst.id] += 1
+                if instr.__class__ is Move:
+                    moves.append(instr)
+    replacement: List[Optional[Value]] = [None] * func.reg_count
+    found = False
+    for move in moves:
+        if counts[move.dst.id] == 1:
+            src = move.srcs[0]
+            if src.__class__ is Const or counts[src.id] == 1:
+                replacement[move.dst.id] = src
+                found = True
     if not found:
         return result
 
@@ -85,7 +83,7 @@ def _global_single_def(func: Function) -> PassResult:
     return result
 
 
-def _block_local(func: Function) -> PassResult:
+def _block_local(func: Function, counts: List[int]) -> PassResult:
     result = PassResult()
     #: the live copy of each register, within the block being walked
     copies: List[Optional[Value]] = [None] * func.reg_count
@@ -97,8 +95,13 @@ def _block_local(func: Function) -> PassResult:
             srcs = instr.srcs
             for index, src in enumerate(srcs):
                 if src.__class__ is VReg and copies[src.id] is not None:
-                    srcs[index] = copies[src.id]
+                    src = srcs[index] = copies[src.id]
                     result.changed = True
+                    if instr.__class__ is Move and \
+                            counts[instr.dst.id] == 1 and (
+                            src.__class__ is Const or
+                            counts[src.id] == 1):
+                        result.reopened = True
             dst = instr.dst
             if dst is None:
                 continue

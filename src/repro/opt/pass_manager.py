@@ -26,15 +26,22 @@ from repro.ir.verify import verify_function
 #: A pass is a callable ``(Function) -> PassResult``.
 PassFn = Callable[[Function], "PassResult"]
 
+#: Rounds a pipeline gets to reach its fixed point; the corpus takes
+#: at most three (``tests/test_pass_manager.py`` asserts fewer than this)
+MAX_ROUNDS = 4
+
 
 @dataclass
 class PassResult:
     """Outcome of one pass over one function."""
     changed: bool = False
     work: int = 0            # instructions visited (analysis effort proxy)
+    #: left an *earlier* pass something to do: ``quick_cleanup`` repeats
+    reopened: bool = False
 
     def __iadd__(self, other: "PassResult") -> "PassResult":
         self.changed = self.changed or other.changed
+        self.reopened = self.reopened or other.reopened
         self.work += other.work
         return self
 
@@ -119,15 +126,6 @@ class PassStats:
         for record in other.records:
             self.record(record.name, record.work, record.time,
                         record.changed, record.ir_before, record.ir_after)
-        # A legacy PassStats with neither records nor restored
-        # summaries still contributes its dicts.
-        if not other.records and not other.restored:
-            for name, work in other.work_by_pass.items():
-                self.work_by_pass[name] = \
-                    self.work_by_pass.get(name, 0) + work
-            for name, elapsed in other.time_by_pass.items():
-                self.time_by_pass[name] = \
-                    self.time_by_pass.get(name, 0.0) + elapsed
         self.runs += other.runs
         return self
 
@@ -196,11 +194,15 @@ def _verify(func: Function, blame: str) -> None:
 
 
 class PassManager:
-    """Runs a named pipeline of passes to a fixpoint (bounded)."""
+    """Runs a named pipeline of passes to a fixpoint (bounded).
 
-    def __init__(self, passes: List[tuple],
-                 max_iterations: int = 4,
-                 verify: bool = False):
+    No pass runs only to confirm: a pass is a function of the IR and
+    one reporting no change has mutated nothing, so a pass (by function:
+    ``cse.2`` covers ``cse``) is skipped, and records nothing, while the
+    function is unchanged since it last reported no change.
+    """
+
+    def __init__(self, passes: List[tuple], verify: bool = False):
         """``passes`` is a list of ``(name, fn)`` tuples.
 
         With ``verify=True`` the IR verifier checks the function as it
@@ -212,7 +214,6 @@ class PassManager:
         verifies, so nothing runs after an unchanged pass in between.
         """
         self.passes = passes
-        self.max_iterations = max_iterations
         self.verify = verify
         self.stats = PassStats()
 
@@ -223,9 +224,14 @@ class PassManager:
         #: passes run since the function last verified
         unverified: List[str] = []
         size = _ir_size(func)
-        for _ in range(self.max_iterations):
-            any_changed = False
+        changes = 0         # invocations that changed ``func`` so far
+        #: ``changes`` when each pass function last found nothing to do
+        clean_at: Dict[PassFn, int] = {}
+        for _ in range(MAX_ROUNDS):
+            before = changes
             for name, pass_fn in self.passes:
+                if clean_at.get(pass_fn) == changes:
+                    continue
                 start = time.perf_counter()
                 result = pass_fn(func)
                 elapsed = time.perf_counter() - start
@@ -233,6 +239,9 @@ class PassManager:
                 self.stats.record(name, result.work, elapsed,
                                   result.changed, size, after)
                 size = after
+                changes += result.changed
+                if not result.changed:
+                    clean_at[pass_fn] = changes
                 if self.verify:
                     if result.changed:
                         quiet = f" (or {', '.join(unverified)}, run " \
@@ -243,9 +252,8 @@ class PassManager:
                         unverified.clear()
                     else:
                         unverified.append(name)
-                any_changed = any_changed or result.changed
             self.stats.runs += 1
-            if not any_changed:
+            if changes == before:
                 break
         if self.verify and unverified:
             _verify(func, f"a pass that reported no change (one of "

@@ -162,8 +162,8 @@ class Memory:
         return list(packer.unpack_from(self.data, addr))
 
     def store_vec(self, elem_ty, addr: int, values: List) -> None:
-        if not values:
-            return
+        if not len(values):     # len(): a scalar raises here, as on
+            return              # the fast engines; only [] is a no-op
         addr &= _MASK64
         packer = vector_struct(elem_ty, len(values))
         self._check(addr, packer.size)

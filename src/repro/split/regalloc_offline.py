@@ -16,9 +16,9 @@ serves every core of a heterogeneous platform — which is the paper's
 portability argument in miniature.
 
 The companion :func:`optimal_spill_set` (scipy MILP) computes, for one
-given K, the provably cost-minimal set of values to keep; it is used by
-the benchmarks as the "offline optimal" reference point of experiment
-S4a and validates that the greedy ranking stays close to it.
+given K, the provably cost-minimal set of values to keep.  Only its
+tests call it: no benchmark does yet (ROADMAP item 5 plans it as the
+"offline optimal" column of experiment S4a's table).
 """
 
 from __future__ import annotations

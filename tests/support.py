@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bytecode.encode import decode_module, encode_module
+from repro.bytecode.module import BytecodeFunction
+from repro.bytecode.opcodes import ALL_OPS, BCInstr, CMP_PREDS, TYPE_TAGS
+from repro.bytecode.verifier import verify_module
 from repro.frontend import lower_source
 from repro.ir.function import Module
 from repro.ir.interp import IRInterpreter
@@ -48,6 +53,70 @@ def run_ir(source: str, name: str, args: Sequence,
     interp = IRInterpreter(module, memory)
     result = interp.call(name, concrete)
     return result, memory, addresses
+
+
+def corpus_sources() -> Dict[str, str]:
+    """name -> MiniC source of ``ALL_KERNELS`` and ``REGALLOC_CORPUS``:
+    the 16 programs the compiler tests and digests run over."""
+    from repro.workloads import ALL_KERNELS, REGALLOC_CORPUS
+    return {**{name: kernel.source
+               for name, kernel in ALL_KERNELS.items()},
+            **REGALLOC_CORPUS}
+
+
+#: what an edit draws from when it does not borrow from a neighbour:
+#: locals in and out of range, predicates, tags, a reduce pair, and
+#: values no operand, tag or opcode may be
+OPERANDS = [0, 1, 7, 99, -1, 2.5, None, "x", ("mul", "f32"),
+            *CMP_PREDS, *TYPE_TAGS]
+TAGS = [*TYPE_TAGS, None, "bogus"]
+OPS = [*ALL_OPS, "bogus"]
+
+
+def mutate(func: BytecodeFunction, rng: random.Random) -> BytecodeFunction:
+    """One or two instruction-level edits: opcode, type tag or
+    operand replaced (by another instruction's, three times in four,
+    so that some mutants still verify); two instructions swapped; one
+    deleted; one duplicated."""
+    code = [BCInstr(i.op, i.ty, i.arg) for i in func.code]
+
+    def draw(field, pool):
+        if rng.randrange(4):
+            return getattr(rng.choice(code), field)
+        return rng.choice(pool)
+
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(code))
+        edit = rng.randrange(6)
+        if edit == 0:
+            code[at].op = draw("op", OPS)
+        elif edit == 1:
+            code[at].ty = draw("ty", TAGS)
+        elif edit == 2:
+            code[at].arg = draw("arg", OPERANDS)
+        elif edit == 3:
+            other = rng.randrange(len(code))
+            code[at], code[other] = code[other], code[at]
+        elif edit == 4 and len(code) > 1:
+            del code[at]
+        else:
+            code.insert(at, BCInstr(code[at].op, code[at].ty,
+                                    code[at].arg))
+    return BytecodeFunction(func.name, list(func.param_types),
+                            func.ret_type, list(func.local_types),
+                            list(func.frame_slots), code)
+
+
+def admit(module):
+    """``module`` as a device would receive it (off the wire, then
+    verified), or ``None``: hand-built instructions can hold operands
+    no encoding has, which the verifier does not look at."""
+    try:
+        module = decode_module(encode_module(module))
+        verify_module(module)
+    except Exception:           # garbage in, any rejection out
+        return None
+    return module
 
 
 #: the flows :func:`generated_sources` deploys under
@@ -177,13 +246,9 @@ def jit_outputs() -> Dict[Tuple[str, str, str], str]:
     from repro.core import deploy, offline_compile
     from repro.flows import registered_flows
     from repro.targets import target_names
-    from repro.workloads import ALL_KERNELS, REGALLOC_CORPUS
 
     out: Dict[Tuple[str, str, str], str] = {}
-    sources = {name: kernel.source
-               for name, kernel in ALL_KERNELS.items()}
-    sources.update(REGALLOC_CORPUS)
-    for name, source in sources.items():
+    for name, source in corpus_sources().items():
         artifacts = {}
         for flow in registered_flows():
             artifact = artifacts.get(flow.pipeline)

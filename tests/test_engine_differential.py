@@ -236,6 +236,31 @@ class TestVMTrapParity:
         assert outcomes[FAST][0] == "ok"
 
 
+    @pytest.mark.parametrize("scalar", [0, 5])
+    def test_vec_store_of_a_scalar_is_one_outcome(self, scalar):
+        """Unverifiable bytecode (the verifier refuses the operand
+        type), run unverified: every engine stops on the store, the
+        same way.  ``Memory.store_vec`` used to return early on any
+        falsy value, so a scalar ``0`` was a silent no-op on the
+        reference engine only (``executed == 4``)."""
+        from repro.bytecode.module import BytecodeFunction, BytecodeModule
+        from repro.bytecode.opcodes import BCInstr
+        code = [BCInstr("const", "u64", 4096),
+                BCInstr("const", "i32", scalar),
+                BCInstr("vec.store", "f32"), BCInstr("ret")]
+        module = BytecodeModule("m", {"f": BytecodeFunction(
+            "f", [], None, [], [], code)})
+        outcomes = {}
+        for engine in ENGINES:
+            vm = VM(module, engine=engine, verify=False)
+            with pytest.raises(TypeError) as caught:
+                vm.call("f", [])
+            outcomes[engine] = (str(caught.value),
+                                vm.instructions_executed)
+        assert_engines_agree(outcomes)
+        assert outcomes[REFERENCE][1] == 3
+
+
 class TestSimulatorTrapParity:
     def _module(self, code, frame_bytes=0, ret=True):
         func = CompiledFunction(name="f", target_name="x86", code=code,

@@ -36,9 +36,8 @@ from repro.bytecode.encode import decode_module, encode_module
 from repro.bytecode.module import (
     BytecodeFunction, BytecodeModule, is_vector_local,
 )
-from repro.bytecode.opcodes import ALL_OPS, BCInstr, CMP_PREDS, TYPE_TAGS
+from repro.bytecode.opcodes import BCInstr
 from repro.bytecode.varint import read_bytes, write_bytes
-from repro.bytecode.verifier import verify_module
 from repro.core import offline_compile
 from repro.engine import (
     CodegenEnv, FAST, OSR_GUARDS_ENV, REFERENCE, TIER2,
@@ -49,7 +48,7 @@ from repro.service.cache import ARTIFACT_MAGIC
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS
 from repro.workloads.kernels import Kernel, KernelRun
-from tests.support import DECODE_REJECTIONS
+from tests.support import DECODE_REJECTIONS, admit, mutate
 
 N = 16
 FUEL = 4000
@@ -124,49 +123,6 @@ def test_corpus_tables_are_the_parents():
 # the emitter is the oracle of the analysis
 # ---------------------------------------------------------------------------
 
-#: what an edit draws from when it does not borrow from a neighbour:
-#: locals in and out of range, predicates, tags, a reduce pair, and
-#: values no operand, tag or opcode may be
-OPERANDS = [0, 1, 7, 99, -1, 2.5, None, "x", ("mul", "f32"),
-            *CMP_PREDS, *TYPE_TAGS]
-TAGS = [*TYPE_TAGS, None, "bogus"]
-OPS = [*ALL_OPS, "bogus"]
-
-
-def _mutate(func: BytecodeFunction, rng: random.Random) -> BytecodeFunction:
-    """One or two instruction-level edits: opcode, type tag or
-    operand replaced (by another instruction's, three times in four,
-    so that some mutants still verify); two instructions swapped; one
-    deleted; one duplicated."""
-    code = [BCInstr(i.op, i.ty, i.arg) for i in func.code]
-
-    def draw(field, pool):
-        if rng.randrange(4):
-            return getattr(rng.choice(code), field)
-        return rng.choice(pool)
-
-    for _ in range(rng.randint(1, 2)):
-        at = rng.randrange(len(code))
-        edit = rng.randrange(6)
-        if edit == 0:
-            code[at].op = draw("op", OPS)
-        elif edit == 1:
-            code[at].ty = draw("ty", TAGS)
-        elif edit == 2:
-            code[at].arg = draw("arg", OPERANDS)
-        elif edit == 3:
-            other = rng.randrange(len(code))
-            code[at], code[other] = code[other], code[at]
-        elif edit == 4 and len(code) > 1:
-            del code[at]
-        else:
-            code.insert(at, BCInstr(code[at].op, code[at].ty,
-                                    code[at].arg))
-    return BytecodeFunction(func.name, list(func.param_types),
-                            func.ret_type, list(func.local_types),
-                            list(func.frame_slots), code)
-
-
 def _emitter_accepts(func, table) -> None:
     """Lower every block of ``func`` for tier-2 under ``table`` (a
     block that cannot be lowered keeps no arm) and let the pass judge
@@ -195,31 +151,19 @@ def _observe(module, kernel, engine, **options):
     return outcome, bytes(memory.data), vm.instructions_executed
 
 
-def _admitted(module):
-    """``module`` as a device would receive it (off the wire, then
-    verified), or ``None``: hand-built instructions can hold operands
-    no encoding has, which the verifier does not look at."""
-    try:
-        module = decode_module(encode_module(module))
-        verify_module(module)
-    except Exception:           # garbage in, any rejection out
-        return None
-    return module
-
-
 def test_emitter_accepts_the_table_of_every_mutant():
     verified = 0
     for name, flavour, module, func in CORPUS:
         rng = random.Random(f"{name}/{flavour}")
         for _ in range(MUTANTS_PER_FUNCTION):
-            mutant = _mutate(func, rng)
+            mutant = mutate(func, rng)
             listing = (name, flavour, [repr(i) for i in mutant.code])
             try:
                 table = lane_fixpoint(mutant)
                 _emitter_accepts(mutant, table)
             except Exception as exc:
                 raise AssertionError(listing) from exc
-            admitted = _admitted(
+            admitted = admit(
                 BytecodeModule(module.name, {mutant.name: mutant}))
             if admitted is None:
                 continue

@@ -236,32 +236,64 @@ class TestCodeSize:
 
 #: ``tests.support.keyed_digest`` of ``tests.support.jit_outputs()``
 PINNED_OUTPUTS = (
-    "522d22ca9e09b0a857664d23029aa8a3b0faf7ffc3f6abefa6280066bf8861b7",
-    "ac8e1896a8383d461eaa9a0993b4b6424bfcf41f02b8c182cf71d568"
-    "85b772bc181cf3ac4550a32c9f03212927eeaab3996968d5f30b5d9c"
-    "649d71a75b5cd240f9bf4532515d22ddd590a0e88a7e3f5889a7fe3c"
-    "b6fb647925cc77f248de102fe37c4ecd32612ce335533463a742d3d9"
-    "45061f1c2169c10c3f1fd60ba646708a86f47280d6106c1eb0ec432f"
-    "01e99f9db1323b47df2474b2e271b8b87b658f1e654af31b8c29576e"
-    "a68ccc8b154f8aa08ab7af5e05a56989780f005038462f86b1d2bc7e"
-    "47b00e97b38864d9f0bfe13c7bf10e551a2051a8572eacde55830d49"
-    "80538345a82b8c0644fdab5758eb6343a2ccbafbe36b04779b433363"
-    "69ede79914feab2d7e5184e0ca6d8b9bee69f6b7310764d13ee57181"
-    "8d92ddbede37ea25e3bb7a0646ccf388f876f432bfd8d3014d97ea7b"
-    "5be0c37a802dd31484b874b7d27042f22fde8a6d6abd04bddfe6b92d"
-    "7d7edf1d95eff5067888af6ee91f0b9f7c4ed451446d664647c3b07f"
-    "4cfbc5ba19c1f1a478d30ff8b8beb329c09617b5701134d865a82f20"
-    "28b7252abf85b0279113684612cc5f4823eb36f9545ed64b8bcb2613"
-    "f97052f88c4cddf701d4128fc04723fc5c2aa9d624358fee9f920301"
-    "2cd0e6569b0981b2c7931f0c4c6293d5855f8a65151de99899707790"
-    "73789cca4f04e359d97c3e78fda6eeedf8563be07f0a4ee53c13560f"
-    "57dec96e5c37f77b816d6c28e4f011fdce398f4a0fc321a4883c71a7"
-    "9eaad785471dad3284e2e4029540e00865baae1f250b3447708015b8"
-    "77a460d885ee414ebea4c96868fc363eda7a8ec17746a9d8ad1ebc3c"
-    "ac68eb46")
+    "dad8716f980d65562dad4b8a5e22855f4c36a5fb07e89596a1907e54faf63064",
+    "c8d3d21a0a38dadde6ea35af93068116adac9a1f3b124d28f744812c"
+    "85e12c0237a649acc172df4ef9e621761b606a98c36930f1a2b46df4"
+    "64211d0fb5b84e1bacbf463b63d8048bd58c824c993817581851a533"
+    "39596449d5f73051c6de0d2d012f2b9afcd02cf4b81e7560ce42d0f8"
+    "e5cef9a92115be61fe39300b6506fcfeb7007293d42bd1198701242f"
+    "5d1f564780183bbdec9a70426b71e4de8f60083c6526490e1600726e"
+    "6d29e74af4ed9cf18a2ea1603bae7189c40188fa58752f4dbfc8837f"
+    "4cb0f987f67c50fcf0a882d79e9ec8b6b0207f00bd5a152b55adf1af"
+    "4b2053454bf80374e872abfab465ab9966cc270d80809e77ae2e3323"
+    "49575d0cebfebea4297cd23bcada77c30ea3e4b729d60d001082713a"
+    "1d624aded564e325786dd3cbe24ef3c18360b19b0bd8a3b391477b92"
+    "5b8bdb9cdc1489144c76abe5a8baa8452fc63c9f61be33bd9167e547"
+    "b3e2df0c2f35b97e1a88e3f7199a127c7c55658f452a4f2fecc31987"
+    "49d83fbb1927aefe26e352f81d54590ded1d17d02af046b14aa86846"
+    "94ba24c22abcb06e487e507164cc20a01037130f54cf3c247879e513"
+    "72151e11e2bbddc550fbbdc347f699fcb1266f596f0d8fdd3dc1fcd5"
+    "f7d0c00f79bfab58c705e6da143cd7d565092615a90c3fd29984b2ce"
+    "eef515ca493f285508e73ea85a903f7cbc56863929e0a3673ccc64e6"
+    "a61856eb5037220bf9c00d51e4868c1e1da7bd4a291717bd81977114"
+    "1972b891d21d3e7e9bdbb395c27be010496131bec30b6fdf42e6b226"
+    "7739528a5c3ed24e3f7d717140da3650b52dbf5fde838ad8e0167078"
+    "d4f5ebbc")
 
 
-def test_jit_output_digest():
+@pytest.fixture(scope="module")
+def corpus_run():
+    """``jit_outputs()``, once, with what the compilers did on the way
+    counted from outside: ``PassManager`` runs and the pass
+    invocations they recorded, always-on cleanups and their rounds."""
+    from repro.jit import compiler, peephole
+    counts = dict(manager_runs=0, invocations=0, cleanups=0, rounds=0)
+    real_run, real_cleanup, real_dce = \
+        PassManager.run, compiler.quick_cleanup, peephole.dce
+
+    def run(self, func):
+        before = len(self.stats.records)
+        stats = real_run(self, func)
+        counts["manager_runs"] += 1
+        counts["invocations"] += len(stats.records) - before
+        return stats
+
+    def cleanup(func):
+        counts["cleanups"] += 1
+        return real_cleanup(func)
+
+    def dce(func):              # one call per round of a cleanup
+        counts["rounds"] += 1
+        return real_dce(func)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PassManager, "run", run)
+        patch.setattr(compiler, "quick_cleanup", cleanup)
+        patch.setattr(peephole, "dce", dce)
+        return jit_outputs(), counts
+
+
+def test_jit_output_digest(corpus_run):
     """What both compilers emit, byte for byte: 560 images (16
     functions x 5 flows x 7 targets: every machine instruction, JIT
     work, analysis work, code bytes) and the 32 artifacts they were
@@ -274,11 +306,23 @@ def test_jit_output_digest():
     Re-pinned by ISSUE 21 for bytes of bytecode only: PVI encoding
     version 1 -> 2 (restamps both flavours; the scalar flavour's
     length is unmoved) and, on the vector flavour, the vector-loop
-    descriptor's bytes out and the ``LaneFactsAnnotation`` bytes in.  Compared with the previous pin position by position:
-    all 560 image prints equal, the 32 ``offline`` entries differ in
-    their two ``len sha`` lines and nowhere else.  The images were
-    recorded at the parent of ISSUE 18 and have not moved since."""
-    outputs = jit_outputs()
+    descriptor's bytes out and the ``LaneFactsAnnotation`` bytes in.
+    The image prints stood from the parent of ISSUE 18 until ISSUE 22.
+
+    Re-pinned by ISSUE 22 for work counters only (the pass manager
+    skips a pass that could only confirm, the always-on cleanup has
+    no confirming round, ``dce`` is one counting walk).  Compared with
+    the previous pin position by position and, where a print moved,
+    line by line: of the 560 images the 80 ``wasm32`` stack images
+    (no JIT) are equal and the other 480 differ in their header
+    line's ``jit_work`` / ``analysis`` / ``passes`` and nowhere else
+    (``code_bytes``, every ``spills / frame / params`` line and every
+    machine instruction equal); the 32 ``offline`` entries keep both
+    ``len sha`` lines and differ in ``offline_work`` and per-pass
+    ``work`` / ``runs``, never ``changed`` or ``ir_delta`` (78 rows
+    of passes that no longer run at all, ``post:cse.2`` and the like,
+    are gone: each had ``changed`` 0 and ``ir_delta`` 0)."""
+    outputs, _ = corpus_run
     assert len(outputs) == 560 + 32
     got = keyed_digest(outputs)
     if got != PINNED_OUTPUTS:
@@ -286,3 +330,17 @@ def test_jit_output_digest():
         pytest.fail(f"JIT output moved, first at {moved}:\n"
                     f"{outputs.get(moved)}\nsha256 {got[0]}\n"
                     f"prints {got[1]}")
+
+
+def test_no_confirmation_left(corpus_run):
+    """By count, over the same 560 images and 32 artifacts: the pass
+    manager invoked a pass 4 992 times at the parent of ISSUE 22 (186
+    runs, each ending in a round of passes that all report no change)
+    and the always-on cleanup ran a second round in 504 of its 720
+    calls, which changed nothing 504 times."""
+    _, counts = corpus_run
+    assert counts["manager_runs"] == 186
+    assert counts["invocations"] <= 2900
+    assert counts["cleanups"] == 720
+    # no compiled function leaves a first round anything to report
+    assert counts["rounds"] == counts["cleanups"]

@@ -183,7 +183,7 @@ class TestDegenerateFunctions:
         func = no_registers()
         assert func.reg_count == 0
         assert copyprop(func) == PassResult(changed=False, work=2)
-        assert fold_cast_chains(func) == 1
+        assert fold_cast_chains(func) == PassResult(changed=False, work=1)
         assert dce(func) == PassResult(changed=False, work=1)
         assert live_ranges(func) == {}
         verify_function(func)
@@ -192,7 +192,7 @@ class TestDegenerateFunctions:
         func = parameters_only()
         assert func.reg_count == 2
         assert copyprop(func) == PassResult(changed=False, work=2)
-        assert fold_cast_chains(func) == 1
+        assert fold_cast_chains(func) == PassResult(changed=False, work=1)
         assert dce(func) == PassResult(changed=False, work=1)
         a, b = func.params
         assert live_ranges(func) == {a: (-1, 0), b: (-1, -1)}
@@ -202,8 +202,12 @@ class TestDegenerateFunctions:
         func = defined_never_used()
         assert copyprop(func) == PassResult(changed=False, work=10)
         # The outer cast absorbs the inner one, which dies with it.
-        assert fold_cast_chains(func) == 5 + 1
-        assert dce(func) == PassResult(changed=True, work=5 + 1)
+        assert fold_cast_chains(func) == PassResult(changed=True,
+                                                    work=5 + 1)
+        # One counting walk over the five instructions, then one pop
+        # per instruction removed: both casts, the add and the move
+        # (it was 5 + 1: a second use scan to see nothing else died).
+        assert dce(func) == PassResult(changed=True, work=5 + 4)
         assert [type(i).__name__ for i in func.entry.instrs] == ["Ret"]
         verify_function(func)
 
@@ -300,8 +304,8 @@ class TestVerifyWhenChanged:
 
     def test_verifier_runs_once_per_change_plus_two(self, monkeypatch):
         """On entry, after each changing pass, once at the end — never
-        after an unchanged pass in between (26 or more runs per
-        function when it ran after every pass)."""
+        after an unchanged pass in between, and never for a pass the
+        manager skipped (a skipped pass leaves no record)."""
         calls = []
         real = pass_manager.verify_function
         monkeypatch.setattr(
@@ -317,5 +321,12 @@ class TestVerifyWhenChanged:
                                     verify=True).run(func)
                 changed = sum(r.changed for r in stats.records)
                 ends_on_change = stats.records[-1].changed
-                assert len(stats.records) >= 26
+                # Each of the pipeline's eight pass functions runs at
+                # least once; no more can be promised, as an invocation
+                # that could only confirm is skipped (it was 26: two
+                # full rounds of thirteen, the second to confirm).
+                assert len(stats.records) >= 8
+                assert {r.name.split(".")[0] for r in stats.records} \
+                    == {name.split(".")[0]
+                        for name, _ in standard_passes()}
                 assert len(calls) == changed + 2 - ends_on_change
