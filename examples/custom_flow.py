@@ -67,8 +67,8 @@ def per_pass_report_demo():
     artifact = offline_compile(kernel.source, pipeline=lean.pipeline)
     print("per-pass offline budget of 'lean-report' on saxpy_fp")
     print("(work units, wall ms, runs, runs that changed the IR, net "
-          "IR size delta; 'scalar:' rows are the portable baseline "
-          "flavour):\n")
+          "IR size delta; both bytecode flavours come out of this "
+          "one run):\n")
     print(artifact.pass_report())
     unregister_flow("lean-report")
     print()

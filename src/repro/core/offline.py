@@ -1,18 +1,19 @@
 """The offline compiler driver (µproc-independent step of Figure 1).
 
 ``offline_compile(source)`` runs the whole expensive side of split
-compilation:
+compilation, once:
 
 1. parse, type-check, lower to IR;
 2. the flow's declared pass pipeline (default: -O2-style scalar
    optimization), plus optional loop unrolling;
-3. auto-vectorization to portable vector builtins;
-4. spill-priority analysis for split register allocation;
-5. hardware-requirement summarization;
-6. emission to PVI bytecode with all results attached as annotations
-   (:mod:`repro.bytecode.annotations`: the one channel shipped
-   knowledge travels in), the VM tier-2 lane table of the emitted
-   code among them.
+3. emission of that IR to the plain scalar PVI bytecode;
+4. auto-vectorization of the same IR to portable vector builtins;
+5. spill-priority analysis for split register allocation;
+6. hardware-requirement summarization;
+7. emission to the vector PVI bytecode with all results attached as
+   annotations (:mod:`repro.bytecode.annotations`: the one channel
+   shipped knowledge travels in), the VM tier-2 lane table of the
+   emitted code among them.
 
 The pipeline is *data*: a :class:`repro.flows.PipelineSpec` (pass
 names + vectorize/annotation knobs) — pass one explicitly, or let the
@@ -21,11 +22,12 @@ instrumented (work, wall time, changed, IR size delta); the aggregate
 lands in ``OfflineArtifact.pass_stats`` and its total *is* the
 artifact's ``offline_work``.
 
-It also produces the plain scalar bytecode of the same program (no
-vector ops, no annotations) because the evaluation needs it twice:
-as the portable baseline ("offline-only" flow) and as the input the
-"online-only" flow must re-analyze at run time.  Scalar-side pass
-records are tagged with a ``scalar:`` prefix in the stats.
+The scalar flavour (no vector ops, no annotations) is what the
+evaluation needs twice: as the portable baseline ("offline-only" flow)
+and as the input the "online-only" flow must re-analyze at run time.
+The vectorizer is the pipeline's last stage and emission only reads
+the IR, so the two flavours fork there: every stage runs once, and the
+two modules share no object.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def offline_compile(source: str, name: str = "module", *,
                     annotate_hw: bool = True,
                     hotness: Optional[Dict[str, int]] = None,
                     verify: bool = True) -> OfflineArtifact:
-    from repro.flows import run_pipeline
+    from repro import flows
 
     spec = effective_pipeline(pipeline, optimize=optimize,
                               do_vectorize=do_vectorize,
@@ -131,25 +133,17 @@ def offline_compile(source: str, name: str = "module", *,
     start = time.perf_counter()
     stats = PassStats()
 
-    # The scalar variant is compiled from its own lowering so the two
-    # bytecode flavours are fully independent artifacts.
-    scalar_spec = replace(spec, vectorize=False)
-    scalar_module = lower_source(source, name)
-    for func in scalar_module:
-        func_stats = run_pipeline(func, scalar_spec, verify=verify)
-        for record in func_stats.records:
-            stats.record(f"scalar:{record.name}", record.work,
-                         record.time, record.changed,
-                         record.ir_before, record.ir_after)
-
-    scalar_bc, _ = emit_module(scalar_module)
-
     module = lower_source(source, name)
-    vectorized: List[str] = []
+    scalar_spec = replace(spec, vectorize=False)
     for func in module:
-        stats.merge(run_pipeline(func, spec, verify=verify))
-        if spec.vectorize and getattr(func, "vector_loops", []):
-            vectorized.append(func.name)
+        stats.merge(flows.run_pipeline(func, scalar_spec, verify=verify))
+
+    scalar_bc, _ = emit_module(module)
+
+    if spec.vectorize:
+        for func in module:
+            flows.vectorize_stage(func, stats)
+    vectorized = [func.name for func in module if func.vector_loops]
 
     bytecode, _ = emit_module(module)
 

@@ -104,18 +104,16 @@ def run_pipeline(func, spec: PipelineSpec,
     ``func``.
     """
     from repro.opt.unroll import unroll as unroll_pass
-    from repro.opt.vectorize import vectorize as vectorize_pass
 
     manager = PassManager(resolve_passes(spec.passes), verify=verify)
     stats = manager.run(func)
-    size = sum(1 for _ in func.instructions())
     if spec.unroll > 1:
+        size = sum(1 for _ in func.instructions())
         start = time.perf_counter()
         result = unroll_pass(func, spec.unroll)
         after = sum(1 for _ in func.instructions())
         stats.record("unroll", result.work, time.perf_counter() - start,
                      result.changed, size, after)
-        size = after
         if result.changed and spec.passes:
             # Rerun the pipeline over the unrolled body — this is the
             # point of unrolling offline: LICM/CSE/folding across what
@@ -126,15 +124,24 @@ def run_pipeline(func, spec: PipelineSpec,
                 stats.record(f"post:{record.name}", record.work,
                              record.time, record.changed,
                              record.ir_before, record.ir_after)
-            size = sum(1 for _ in func.instructions())
     if spec.vectorize:
-        start = time.perf_counter()
-        result = vectorize_pass(func)
-        after = sum(1 for _ in func.instructions())
-        stats.record("vectorize", result.work,
-                     time.perf_counter() - start, result.changed,
-                     size, after)
+        vectorize_stage(func, stats)
     return stats
+
+
+def vectorize_stage(func, stats: PassStats) -> None:
+    """The last stage of :func:`run_pipeline`, recorded in ``stats`` as
+    the pseudo-pass ``vectorize``.  The offline driver runs it apart
+    from the stages before it: the scalar bytecode flavour is emitted
+    in between."""
+    from repro.opt.vectorize import vectorize as vectorize_pass
+
+    size = sum(1 for _ in func.instructions())
+    start = time.perf_counter()
+    result = vectorize_pass(func)
+    stats.record("vectorize", result.work, time.perf_counter() - start,
+                 result.changed, size,
+                 sum(1 for _ in func.instructions()))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,7 @@ class Function:
         self.params: List[VReg] = []
         self.blocks: List[BasicBlock] = []
         self.frame_slots: Dict[str, FrameSlot] = {}
+        self.vector_loops: list = []     # opt.vectorize's VecLoopInfo
         self._next_reg = 0
         self._next_label = 0
 

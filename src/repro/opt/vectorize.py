@@ -82,8 +82,6 @@ class _Reject(Exception):
 
 def vectorize(func: Function, allow_fp_reassoc: bool = True) -> PassResult:
     result = PassResult()
-    if not hasattr(func, "vector_loops"):
-        func.vector_loops = []
     processed: Set[str] = set()
     for _ in range(8):            # re-discover after each transform
         loops = find_counted_loops(func)
