@@ -49,8 +49,8 @@ import re
 
 from repro.analysis.facts import machine_facts
 from repro.engine import (      # MeterTrip: caught by the trampolines
-    MASK64_LITERAL, MeterTrip, inline_binop, inline_cast, inline_cmp,
-    inline_unop, normalize_branch_target,
+    MeterTrip, inline_binop, inline_cast, inline_cmp, inline_unop,
+    normalize_branch_target,
 )
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
@@ -63,7 +63,7 @@ from repro.semantics.memory import (
 from repro.targets.isa import CompiledFunction, CompiledModule
 from repro.tiers import (
     _TIER2_UNBUILT, BlockEmitter, Lowering, Predecoded, Tier,
-    Tier2BuildStats, block_tier, whole_tier,
+    Tier2BuildStats, block_tier, whole_tier, wraps_u64,
 )
 
 #: "register never written" sentinel for the flat register files
@@ -162,7 +162,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
     tier2 = tier.tier2
     reg_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     written = set(low.entry_written.get(leader, low.param_regs))
-    em = BlockEmitter(env, tier)
+    em = BlockEmitter(env, tier, low.widths)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
 
     def read(operand, indent: str = "") -> str:
@@ -197,21 +197,24 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         emit(f"raise TrapError({message})", indent + "    ")
         return t
 
-    def dst_of(instr) -> str:
+    def dst_of(instr, masked: bool = False, lanes=None) -> str:
+        """The destination's place, marked written (``masked`` /
+        ``lanes``: what tier-2 knows of the value: ``em.rewrite``)."""
         kind, index = instr.dst
         written.add((kind, index))
-        return reg_fmt.format(_REG_FILES[kind], lit(index))
+        place = reg_fmt.format(_REG_FILES[kind], lit(index))
+        if tier2:
+            em.rewrite(place, masked, lanes)
+        return place
 
-    def addr_of(instr, srcs, indent: str = "") -> str:
-        base = read(srcs[0], indent)
+    def addr_of(instr, srcs) -> str:
+        base = read(srcs[0])
         if len(srcs) > 1:
-            offset = read(srcs[1], indent)
+            offset = read(srcs[1])
             t = newt()
-            emit(f"{t} = ({base}) + ({offset})", indent)
+            emit(f"{t} = ({base}) + ({offset})")
             base = t
-        t = newt()
-        emit(f"{t} = ({base}) & {MASK64_LITERAL}", indent)
-        return t
+        return em.address(base, base in em.masked)
 
     exit_pc = leader + length
 
@@ -232,7 +235,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                 expr, pure = template
                 if not pure:
                     em.impure = True
-                emit(f"{dst_of(instr)} = {expr.format(a=a, b=b)}")
+                emit(f"{dst_of(instr, wraps_u64(instr.ty))} = "
+                     f"{expr.format(a=a, b=b)}")
             else:
                 em.impure = True    # div/rem trap; kernel calls too
                 kernel = env.bind(binop_kernel(instr.arg, instr.ty),
@@ -279,7 +283,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                 expr, pure = template
                 if not pure:
                     em.impure = True
-                emit(f"{dst_of(instr)} = {expr.format(a=source)}")
+                emit(f"{dst_of(instr, wraps_u64(to_ty))} = "
+                     f"{expr.format(a=source)}")
             else:
                 em.impure = True    # float->int: NaN/inf trap
                 emit(f"{dst_of(instr)} = "
@@ -299,6 +304,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             untaken = read(instr.srcs[2], "    ")
             emit(f"{dst} = {untaken}", "    ")
             written.add((kind, index))
+            if tier2:
+                em.rewrite(dst)
         elif op == "load":
             em.impure = True
             packer = scalar_struct(instr.ty)
@@ -390,7 +397,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             unpack = env.bind(packer.unpack_from, "u")
             addr = addr_of(instr, instr.srcs)
             em.bounds(addr, packer.size)
-            emit(f"{dst_of(instr)} = list({unpack}({data}, {addr}))")
+            emit(f"{dst_of(instr, lanes=instr.ty.lanes)} = "
+                 f"list({unpack}({data}, {addr}))")
         elif op == "vstore":
             em.impure = True
             lanes = instr.ty.lanes
@@ -399,16 +407,26 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             elem_name = env.bind(instr.ty.elem, "e")
             addr = addr_of(instr, instr.srcs[:-1])
             value = read(instr.srcs[-1])
-            emit(f"if len({value}) == {lit(lanes)} and "
-                 f"{addr} >= {NULL_GUARD} and "
-                 f"{addr} + {lit(packer.size)} <= {tier.size}:")
-            emit("try:", "    ")
-            emit(f"{pack}({data}, {addr}, *{value})", "        ")
-            emit("except _PE:", "    ")
+            # Not re-checked: the lane count of a vector this block
+            # wrote, and with it a range it checked at this width.
+            pad = "    "
+            if em.lanes.get(value) != lanes:
+                emit(f"if len({value}) == {lit(lanes)} and "
+                     f"{addr} >= {NULL_GUARD} and "
+                     f"{addr} + {lit(packer.size)} <= {tier.size}:")
+            elif (addr, packer.size) not in em.proven:
+                emit(f"if {addr} >= {NULL_GUARD} and {addr} <= "
+                     f"{em.bound_limit(packer.size)}:")
+            else:
+                pad = ""
+            emit("try:", pad)
+            emit(f"{pack}({data}, {addr}, *{value})", pad + "    ")
+            emit("except _PE:", pad)
             emit(f"mem.store_vec({elem_name}, {addr}, {value})",
-                 "        ")
-            emit("else:")
-            emit(f"mem.store_vec({elem_name}, {addr}, {value})", "    ")
+                 pad + "    ")
+            if pad:
+                emit("else:")
+                emit(f"mem.store_vec({elem_name}, {addr}, {value})", pad)
         elif op == "vbin":
             em.impure = True        # lane-count mismatch traps, and
             a = read(instr.srcs[0])  # the f32 repack can overflow
@@ -417,17 +435,22 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             elem = instr.ty.elem
             quad = em.quad_kernels(bop, elem)
             kernel = env.bind(vec_binop_kernel(bop, elem), "v")
-            dst = dst_of(instr)
             if quad is not None:
                 # Any other shape than 4 x 4 lanes falls back to the
-                # kernel in the else arm.
-                em.quad(quad, a, b, [f"len({a}) == 4", f"len({b}) == 4"],
-                        dst, "list({0})", kernel)
+                # kernel in the else arm: only operands this block did
+                # not write as 4 lanes are asked.  With one proven
+                # operand the fallback can only trap on a mismatch, so
+                # whatever flows on has 4 lanes.
+                guards = [f"len({v}) == 4" for v in (a, b)
+                          if em.lanes.get(v) != 4]
+                em.quad(quad, a, b, guards,
+                        dst_of(instr, lanes=4 if len(guards) < 2 else None),
+                        "list({0})", kernel)
             else:
-                emit(f"{dst} = {kernel}({a}, {b})")
+                emit(f"{dst_of(instr)} = {kernel}({a}, {b})")
         elif op == "vsplat":
             source = read(instr.srcs[0])
-            emit(f"{dst_of(instr)} = [{source}] * "
+            emit(f"{dst_of(instr, lanes=instr.ty.lanes)} = [{source}] * "
                  f"{lit(instr.ty.lanes)}")
         elif op == "vreduce":
             em.impure = True        # empty-vector trap

@@ -60,9 +60,11 @@ import threading
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.analysis.cfg import BlockCFG
 from repro.engine import (
-    CodegenEnv, MeterTrip, _ARITH_SYMS, _F32_QUAD, backedge_targets,
-    fuel_blocks, inline_binop, inline_cast, is_f32_quad, keep_osr_guards,
+    CodegenEnv, MASK64_LITERAL, MeterTrip, _ARITH_SYMS, _F32_QUAD,
+    backedge_targets, fuel_blocks, inline_binop, inline_cast, is_f32_quad,
+    keep_osr_guards,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -96,12 +98,19 @@ class Tier2BuildStats:
       shipped in the bytecode.
     * ``guards_elided`` / ``guards_kept`` — OSR prologue fact guards
       the analysis proved redundant (kept only under
-      ``PVI_OSR_GUARDS=1``)."""
+      ``PVI_OSR_GUARDS=1``).
+    * ``loops_fused`` / ``loops_ladder`` — loops of the built
+      translations (:func:`loop_back_edges`) that run as a native
+      ``while`` (two blocks, either layout: :func:`fused_loops`) and
+      that go round the ``pc`` ladder.  ``loops_ladder > 0`` answers
+      "why is this loop slow in tier-2?": it has one block, three or
+      more, or two latches."""
 
     def __init__(self) -> None:
-        self.counts = {"warm": 0, "request": 0, "deferred": 0,
-                       "facts_warm": 0, "facts_request": 0,
-                       "guards_elided": 0, "guards_kept": 0}
+        self.counts = dict.fromkeys(
+            ("warm", "request", "deferred", "facts_warm", "facts_request",
+             "guards_elided", "guards_kept", "loops_fused",
+             "loops_ladder"), 0)
 
     def tier2_build_stats(self) -> dict:
         """Copy of the tier-2 build-site counters."""
@@ -120,13 +129,16 @@ _TIER2_UNBUILT = object()
 #: its code, before OSR builds its tier-2 translation (ski rental: wait
 #: until the rent paid equals the price).  Sized by the ``break_even``
 #: table of ``benchmarks/results/BENCH_interp_throughput.json`` (11
-#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 37-122
-#: us per instruction of code, tier-2 then runs 1.21-2.57x the block
-#: tier, and the saving repays the build after a median of 1599
-#: executed instructions per instruction of code (quartiles 1233 /
-#: 1782; 1797 and 1265 / 2120 when the constant was chosen).  2000 is
-#: the upper quartile in round figures; a full-size run of that bench
-#: fails when the constant leaves [q1, 2 x q3].
+#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 36-258
+#: us per instruction of code (on a box half as fast as when 37-122
+#: was read), tier-2 then runs 1.34-5.64x the block tier, and the
+#: saving repays the build after a median of 1334 executed
+#: instructions per instruction of code (quartiles 670 / 1593; 1599
+#: and 1233 / 1782 before tier-2 loops got cheaper, 1797 and 1265 /
+#: 2120 when the constant was chosen).  2000 was the upper quartile in
+#: round figures and now sits a quarter above it: late by less than
+#: one build, and what keeps ``device_first_call`` free of builds.  A
+#: full-size run of that bench fails when it leaves [q1, 2 x q3].
 TIER2_PAYBACK = 2000
 
 #: serializes first-time tier-2 and step builds.  Predecodes ride
@@ -398,6 +410,13 @@ def template_stats() -> dict:
             "misses": info.misses}
 
 
+def wraps_u64(value_ty) -> bool:
+    """Is a pure inline result of ``value_ty`` a wrapped u64: in range
+    as an address, whatever it is computed from?"""
+    return isinstance(value_ty, ty.IntType) and value_ty.bits == 64 \
+        and not value_ty.signed
+
+
 class BlockEmitter:
     """Source lines of one fuel block's body, plus the *marks* that
     say which instruction each line belongs to.
@@ -416,9 +435,20 @@ class BlockEmitter:
     for objects, :attr:`lit` for integers.  Tier-2 names objects into
     the function's exec environment and writes integers out; in the
     block tier both are the next hole of the block's template
-    (:class:`Holes`)."""
+    (:class:`Holes`).
 
-    def __init__(self, env: CodegenEnv, tier: Tier):
+    **In-block knowledge** (tier-2 only; the block tier's templates
+    must not move).  A block is entered only at its leader and runs
+    in program order, so what an earlier line established holds until
+    the name it is about is assigned again (:meth:`rewrite`) — no
+    fixpoint, no table: :attr:`proven` ``(address name, width)`` pairs
+    a bounds check already raised on, :attr:`masked` names holding a
+    wrapped-u64 inline result (no re-mask as an address), :attr:`lanes`
+    of vectors a load, a splat or an inlined quad wrote.  ``widths``
+    (the lowering's) collects the access widths checked against a
+    ``_ms<width>`` limit, which the dispatcher hoists."""
+
+    def __init__(self, env: CodegenEnv, tier: Tier, widths: set):
         self.env = env
         self.lit = env.lit
         self.tier = tier
@@ -429,6 +459,10 @@ class BlockEmitter:
         self.marker_at = 0
         self.impure = False
         self._temps = 0
+        self.proven: set = set()
+        self.masked: set = set()
+        self.lanes: dict = {}
+        self.widths = widths
 
     def newt(self) -> str:
         self._temps += 1
@@ -447,12 +481,46 @@ class BlockEmitter:
         if len(self.lines) > self.marker_at and self.impure:
             self.marks.append((self.marker_at, offset))
 
+    # -- in-block knowledge ---------------------------------------------------
+
+    def rewrite(self, name: str, masked: bool = False,
+                lanes: Optional[int] = None) -> None:
+        """``name`` (a lowered register or local) is assigned: forget
+        its old value, keep what is known of the new one."""
+        self.proven = {pair for pair in self.proven if pair[0] != name}
+        (self.masked.add if masked else self.masked.discard)(name)
+        self.lanes[name] = lanes
+
+    def address(self, expr: str, masked: bool) -> str:
+        """The name of the 64-bit address ``expr``: a wrapped-u64
+        inline result (``masked``) is in range already and is only
+        given a single-evaluation name if it lacks one."""
+        if masked and expr.isidentifier():
+            return expr
+        t = self.newt()
+        self.emit(f"{t} = {expr}" if masked
+                  else f"{t} = ({expr}) & {MASK64_LITERAL}")
+        return t
+
+    def bound_limit(self, size: int) -> Optional[str]:
+        """The upper-bound operand of a ``size``-byte access: tier-2
+        hoists ``_ms - size``, so hot loops pay no add per check."""
+        if not self.tier.tier2:
+            return None
+        self.widths.add(size)
+        return f"_ms{size}"
+
     # -- templates both engines spell identically ----------------------------
 
-    def bounds(self, addr: str, size: int,
-               limit: Optional[str] = None) -> None:
-        """Range-check a ``size``-byte access at ``addr`` (``limit``:
-        a hoisted ``mem.size - size`` local, when the tier has one)."""
+    def bounds(self, addr: str, size: int) -> None:
+        """Range-check a ``size``-byte access at ``addr`` — unless an
+        earlier check of this block raised on the same pair and the
+        name has not been assigned since (dead code)."""
+        if (addr, size) in self.proven:
+            return
+        limit = self.bound_limit(size)
+        if limit is not None:
+            self.proven.add((addr, size))
         upper = f"{addr} > {limit}" if limit is not None \
             else f"{addr} + {size} > {self.tier.size}"
         self.emit(f"if {addr} < {NULL_GUARD} or {upper}:")
@@ -485,7 +553,13 @@ class BlockEmitter:
     def reduce(self, reduce_op: str, elem, acc_ty,
                read_vec: Callable[[], str]) -> str:
         """Fold a vector into an accumulator temp (returned).
-        ``read_vec`` emits the operand read and names the vector."""
+        ``read_vec`` emits the operand read and names the vector.
+        Lanes hold values of ``elem``, so where widening is the
+        identity tier-2 folds in one builtin call: ``max`` / ``min``
+        are the same left fold as the loop (NaN order included) over
+        values no wrap changes, and two's-complement wrap distributes
+        over ``+``, so an integer sum wraps once.  Float ``add`` keeps
+        the loop: it rounds per lane."""
         if reduce_op not in ("add", "max", "min"):
             raise TrapError(f"reduce op {reduce_op!r} undefined")
         env = self.env
@@ -499,12 +573,21 @@ class BlockEmitter:
             fold_tpl = inline_binop(reduce_op, acc_ty, env)
         vec = read_vec()
         acc, lane = self.newt(), self.newt()
-        self.emit(f"if not {vec}:")
-        self.emit("raise TrapError('reduce of empty vector')", "    ")
+        if not self.lanes.get(vec):     # unless this block wrote lanes
+            self.emit(f"if not {vec}:")
+            self.emit("raise TrapError('reduce of empty vector')", "    ")
         if widen_tpl is not None and widen_tpl[1] \
                 and fold_tpl is not None and fold_tpl[1]:
             # Inline the whole fold: no kernel call per lane.
             wexpr = widen_tpl[0]
+            if widen_kernel is identity_kernel and reduce_op != "add":
+                self.emit(f"{acc} = {reduce_op}({vec})")
+                return acc
+            if widen_kernel is identity_kernel \
+                    and isinstance(acc_ty, ty.IntType):
+                wrap = inline_cast(acc_ty, acc_ty, env)[0]
+                self.emit(f"{acc} = {wrap.format(a=f'sum({vec})')}")
+                return acc
             self.emit(f"{acc} = {wexpr.format(a=f'{vec}[0]')}")
             self.emit(f"for {lane} in {vec}[1:]:")
             self.emit(
@@ -561,17 +644,23 @@ def fused_loops(code, blocks: Dict[int, int],
     two-block natural loop — a header ending in ``brif`` and a lone
     latch ending in ``br header`` — that tier-2 runs as a native
     ``while`` inside the header's dispatch arm, so iterations pay no
-    dispatch at all.  Debits and deopt returns stay per block,
-    byte-identical to the ladder form.  (Any *other* entry into a
-    fused latch lands in the else arm — a deopt, correct but slower;
-    real loop latches have no such entries.)"""
+    dispatch at all.  Layout does not matter: the header may precede
+    its latch (``while``: the ``br`` is the back edge) or follow it
+    (a rotated loop: the body ends in a forward ``br`` to the test
+    block, whose ``brif`` jumps back).  What an iteration is debited
+    and where a deopt returns is :meth:`Tier2Writer.loop`'s, counts
+    byte-identical to the ladder form.  A latch that is itself a
+    back-edge target (the rotated body always is) keeps a dispatch
+    arm of its own, so it stays an OSR entry; any *other* entry into
+    a fused latch lands in the else arm — a deopt, correct but
+    slower; real loop latches have no such entries."""
     loops: dict = {}
     dropped = set()
     for src, instr in enumerate(code):
         if instr.op != "br" or not isinstance(instr.arg, int):
             continue
         header = instr.arg
-        if header not in blocks or header > src:
+        if header not in blocks:
             continue
         latch = max(b for b in blocks if b <= src)
         if latch == header or src != latch + blocks[latch] - 1:
@@ -596,16 +685,40 @@ def fused_loops(code, blocks: Dict[int, int],
     return loops
 
 
-def osr_entry_points(code, blocks, bodies, fused_latches) -> frozenset:
-    """On-stack replacement entry points: translated back-edge targets
-    (loop headers) outside fused latches.  The trampoline may call
+def loop_back_edges(code) -> List[Tuple[int, int]]:
+    """``(block, target)`` for every edge of the block graph that
+    closes a loop: the back edges of a depth-first walk from the
+    entry, one per loop of any size.  (A jump back to a block laid
+    out earlier is layout, not a loop, unless it is one of these.)"""
+    succ = BlockCFG(code).successors
+    edges = []
+    walk, path = {0: iter(succ.get(0, ()))}, [0]    # iterator: on the path
+    while path:
+        for target in walk[path[-1]]:
+            if target not in succ:                  # leaves the function
+                continue
+            if target not in walk:
+                walk[target] = iter(succ[target])
+                path.append(target)
+                break
+            if walk[target] is not None:
+                edges.append((path[-1], target))
+        else:
+            walk[path.pop()] = None
+    return edges
+
+
+def osr_entry_points(code, blocks, bodies) -> frozenset:
+    """On-stack replacement entry points: the translated back-edge
+    targets, each of which has a dispatch arm (a fused latch keeps
+    its own only when it is one).  The trampoline may call
     ``_t2`` with ``pc`` at one of these, handing over the live
     block-tier frame mid-call; the prologue re-establishes every
     entered-once fact from that snapshot or declines the entry by
     returning ``pc`` untouched (nothing debited, nothing written — the
     block tier just continues)."""
     return frozenset(t for t in backedge_targets(code, blocks)
-                     if bodies.get(t) and t not in fused_latches)
+                     if bodies.get(t))
 
 
 def body_under_rollback(out: List[str], pad: str, lines: List[str],
@@ -653,7 +766,12 @@ class Tier2Writer:
     per-instruction accounting would); call-free functions carry them
     in locals (``executed``, ``_r_<field>``) and flush on every exit
     path — except the raise paths, which flush fuel only: result
-    counters are unobservable after a trap.
+    counters are unobservable after a trap.  A field charged the fuel
+    length in every block (the simulator's ``instructions``) is the
+    fuel counter under another name: it is not carried, the flush adds
+    the fuel delta to it.  Inside a fused loop of a call-free function
+    (:meth:`loop`) only fuel is debited; the carried counters are
+    settled from the fuel delta at each way out.
 
     A *deopt* writes the lowered state back, leaves the block
     **undebited** (every counter) and returns the leader to the
@@ -672,12 +790,20 @@ class Tier2Writer:
         self.charges = charges
         self.live = live
         self.writeback = writeback
-        #: result counters carried in locals, in debit order
-        self.carried = [] if live else \
+        used = [] if live else \
             [f for f in fields if any(f in c for c in charges.values())]
+        #: fields that are the fuel counter under another name
+        twins = [f for f in used
+                 if all(charges[b].get(f) == n for b, n in blocks.items())]
+        #: result counters carried in locals, in debit order
+        self.carried = [f for f in used if f not in twins]
+        #: inside a call-free loop, what its exits settle: the fuel of
+        #: one iteration, then ``(field, per iteration, header's share)``
+        self.settling: Optional[tuple] = None
         #: the carried counters' stores back to their objects
         self.flush: List[str] = []
         if not live:
+            self.flush = [f"res.{f} += executed - {fuel}" for f in twins]
             self.flush.append(f"{fuel} = executed")
             if self.carried:
                 self.flush.append("; ".join(
@@ -693,7 +819,23 @@ class Tier2Writer:
                 self.w("; ".join(f"_r_{f} = res.{f}"
                                  for f in self.carried), base)
 
+    def settle(self, base: int) -> None:
+        """Leaving the loop in hand: per iteration the counter vector
+        is a constant, so the fuel debited since loop entry
+        (``_e0``) says what the carried counters are owed — whole
+        iterations, plus the header's share when the remainder says
+        the header was charged."""
+        period, owed = self.settling
+        if owed:
+            self.w(f"_k, _h = divmod(executed - _e0, {period})", base)
+            self.w("; ".join(
+                f"_r_{f} += _k * {whole}"
+                + (f" + ({part} if _h else 0)" if part else "")
+                for f, whole, part in owed), base)
+
     def deopt(self, leader, base: int) -> None:
+        if self.settling is not None:
+            self.settle(base)
         for line in self.writeback + self.flush:
             self.w(line, base)
         self.w(f"return {leader}", base)
@@ -703,9 +845,11 @@ class Tier2Writer:
         if self.live:
             for field, amount in charge.items():
                 self.w(f"res.{field} += {amount}", base)
-        elif charge:
-            self.w("; ".join(f"_r_{field} += {amount}"
-                             for field, amount in charge.items()), base)
+        elif self.settling is None:
+            owed = [f"_r_{f} += {charge[f]}" for f in self.carried
+                    if f in charge]
+            if owed:
+                self.w("; ".join(owed), base)
 
     def charge(self, leader: int, base: int) -> None:
         """Fuel check (deopt when the debit would cross the limit),
@@ -746,44 +890,50 @@ class Tier2Writer:
              exit_target: int, base: int, hbody, hmarks, lbody,
              lmarks) -> None:
         """A fused two-block loop.  The header's terminal branch
-        becomes the loop exit; the latch's terminal ``pc = header``
-        becomes the implicit back edge."""
-        self.w("while 1:", base)
-        base += 4
+        becomes the loop exit; the latch's terminal transfer to the
+        header becomes the implicit back edge.
+
+        The plain form debits per block, as the ladder does: what a
+        function with calls and a header that can raise get.  A
+        call-free function's loop debits fuel only (:meth:`settle`),
+        and a header that cannot raise *merges* both fuel debits into
+        one charge and one compare at the loop top: the exit refunds
+        the latch's share, and when the merged debit crosses the limit
+        the iteration runs in the ladder's order — header debit,
+        header, exit, then the latch's debit, the one that crosses —
+        so deopt pcs, fuel traps and counts stay byte-identical."""
+        hlen, llen = self.blocks[header], self.blocks[latch]
         exits = [f"if {exit_test}:", f"    pc = {exit_target}",
                  "    break"]
-        if self.live or len(hbody) > 1 or hmarks:
-            self.block(header, base, hbody[:-1] + exits, hmarks)
-            self.block(latch, base, lbody[:-1], lmarks)
-            return
-        # Empty-header loop (the condition is one pure expression):
-        # both counter vectors merge into one charge at the loop top.
-        # Exit refunds the latch's share, and when the merged fuel
-        # debit crosses the limit the loop falls back to the ladder's
-        # per-block debit order — so deopt pcs, fuel traps and final
-        # counts stay byte-identical.
-        hlen, llen = self.blocks[header], self.blocks[latch]
-        hcharge, lcharge = self.charges[header], self.charges[latch]
-        merged = dict(hcharge)
-        for field, amount in lcharge.items():
-            merged[field] = merged.get(field, 0) + amount
-        merged = {f: merged[f] for f in self.carried if f in merged}
-        self.w(f"executed += {hlen + llen}", base)
-        self.w("if executed > fuel:", base)
-        self.w(f"executed -= {hlen + llen}", base + 4)
-        self.charge(header, base + 4)
-        for line in exits:
-            self.w(line, base + 4)
-        self.charge(latch, base + 4)
-        self.w(f"elif {exit_test}:", base)
-        self.w(f"executed -= {llen}", base + 4)
-        self.count(hcharge, base + 4)
-        self.w(f"pc = {exit_target}", base + 4)
-        self.w("break", base + 4)
-        if merged:
-            self.w("else:", base)
-            self.count(merged, base + 4)
-        self.body(latch, base, lbody[:-1], lmarks)
+        if not self.live:
+            hcharge, lcharge = self.charges[header], self.charges[latch]
+            owed = [(f, whole, hcharge.get(f, 0)) for f in self.carried
+                    if (whole := hcharge.get(f, 0) + lcharge.get(f, 0))]
+            self.settling = (hlen + llen, owed)
+            if owed:
+                self.w("_e0 = executed", base)
+        self.w("while 1:", base)
+        inner = base + 4
+        if self.live or hmarks:
+            self.block(header, inner, hbody[:-1] + exits, hmarks)
+            self.block(latch, inner, lbody[:-1], lmarks)
+        else:
+            self.w(f"executed += {hlen + llen}", inner)
+            self.w("if executed > fuel:", inner)
+            self.w(f"executed -= {llen}", inner + 4)
+            self.w("if executed > fuel:", inner + 4)
+            self.w(f"executed -= {hlen}", inner + 8)
+            self.deopt(header, inner + 8)
+            for line in hbody[:-1] + exits:
+                self.w(line, inner + 4)
+            self.deopt(latch, inner + 4)
+            for line in hbody[:-1] + [exits[0], f"    executed -= {llen}",
+                                      *exits[1:]]:
+                self.w(line, inner)
+            self.body(latch, inner, lbody[:-1], lmarks)
+        if self.settling is not None:
+            self.settle(base)
+            self.settling = None
 
 
 class Lowering:
@@ -830,6 +980,8 @@ class Lowering:
         self.scope: dict = None
         #: what a ``ret`` lowers to after storing its value
         self.ret_lines: Tuple[str, ...] = ("return -1",)
+        #: access widths the tier-2 blocks check against ``_ms<width>``
+        self.widths: set = set()
 
     # -- cache protocol ------------------------------------------------------
 
@@ -990,6 +1142,8 @@ class Lowering:
             t2.guards_kept = env.get("_GUARDS_KEPT", 0)
             counts["guards_elided"] += t2.guards_elided
             counts["guards_kept"] += t2.guards_kept
+            counts["loops_fused"] += env["_LOOPS"][0]
+            counts["loops_ladder"] += env["_LOOPS"][1]
             return t2
         except Exception:
             return None
@@ -1041,16 +1195,22 @@ class Lowering:
         self.check_facts(facts)
 
         loops = fused_loops(code, blocks, bodies)
-        fused_latches = {entry[0] for entry in loops.values()}
-        osr_entries = osr_entry_points(code, blocks, bodies,
-                                       fused_latches)
+        osr_entries = osr_entry_points(code, blocks, bodies)
+        armless = {entry[0] for entry in loops.values()} - osr_entries
         env_dict["_OSR_ENTRIES"] = osr_entries
+        pairs = [{header, loop[0]} for header, loop in loops.items()]
+        edges = [{block, target} in pairs
+                 for block, target in loop_back_edges(code)]
+        env_dict["_LOOPS"] = (sum(edges), len(edges) - sum(edges))
 
         w(f"def _t2({self.signature}, pc=0):")
         for line in entry:
             w(line, 4)
         w(f"fuel = {self.machine}.fuel", 4)
         w("_md = mem.data; _ms = mem.size", 4)
+        if self.widths:     # ``mem.size`` is invariant across ``_t2``
+            w("; ".join(f"_ms{n} = _ms - {n}"
+                        for n in sorted(self.widths)), 4)
         for line in load:
             w(line, 4)
         # OSR entry guard: only whitelisted leaders may enter mid-call.
@@ -1083,7 +1243,7 @@ class Lowering:
         keyword = "if"
         for leader in ordered:
             body = bodies[leader]
-            if body is None or leader in fused_latches:
+            if body is None or leader in armless:
                 continue
             w(f"{keyword} pc == {leader}:", 8)
             keyword = "elif"

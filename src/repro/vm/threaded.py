@@ -69,8 +69,8 @@ from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import BytecodeFunction
 from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
 from repro.engine import (      # MeterTrip: caught by the trampolines
-    MASK64_LITERAL, MeterTrip, inline_binop, inline_cast, inline_cmp,
-    inline_unop, normalize_branch_target,
+    MeterTrip, inline_binop, inline_cast, inline_cmp, inline_unop,
+    normalize_branch_target,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -83,23 +83,20 @@ from repro.semantics.memory import (
 )
 from repro.tiers import (
     _TIER2_UNBUILT, BlockEmitter, Lowering, Predecoded, Tier,
-    Tier2BuildStats, block_tier, whole_tier,
+    Tier2BuildStats, block_tier, whole_tier, wraps_u64,
 )
 
 _EMPTY_DEPS = frozenset()
 
-#: vstack meta for a wrapped-u64 inline result — feeding one into an
-#: address slot skips the redundant 64-bit re-mask.  The emitter's
-#: own: every vector meta comes from :class:`LaneRules`, to which
-#: this one is as good as ``None``.
+#: vstack meta for a wrapped-u64 inline result (``tiers.wraps_u64``)
+#: — feeding one into an address slot skips the redundant 64-bit
+#: re-mask.  Every vector meta comes from :class:`LaneRules`, to
+#: which this one is as good as ``None``.
 _MASKED64_META = {"masked64": True}
 
 
 def _scalar_meta(value_ty):
-    if isinstance(value_ty, ty.IntType) and value_ty.bits == 64 \
-            and not value_ty.signed:
-        return _MASKED64_META
-    return None
+    return _MASKED64_META if wraps_u64(value_ty) else None
 
 
 #: this engine's tier-2 build-site counters (``warm`` builds come from
@@ -197,7 +194,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     if tier2:
         rules.enter_block()
     local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
-    em = BlockEmitter(env, tier)
+    em = BlockEmitter(env, tier, low.widths)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     vstack: List[str] = []          # expressions for virtual stack slots
     vdeps: List[frozenset] = []     # local indices each deferred
@@ -205,9 +202,6 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     vmeta: List = []                # what is statically known of each
     #                                 slot: a ``LaneRules`` meta, the
     #                                 masked-u64 meta, or None
-    proven_bounds: set = set()      # (addr name, width) pairs already
-    #                                 range-checked in this block, valid
-    #                                 until the name is reassigned
 
     def push(expr: str, meta=None) -> None:
         """Materialize ``expr`` now (order/side-effect preserving)."""
@@ -280,43 +274,14 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             em.impure = True
         return local_fmt.format(lit(index))
 
-    def mask_addr(expr: str) -> str:
-        t = newt()
-        emit(f"{t} = ({expr}) & {MASK64_LITERAL}")
-        return t
-
     def pop_addr() -> str:
         """Pop an address, skipping the 64-bit re-mask when the
         expression is a wrapped-u64 inline result (already in range)."""
         expr, _, meta = popm()
-        if meta is not None and meta.get("masked64"):
-            if expr.isidentifier():     # already a single-eval name
-                return expr
-            t = newt()
-            emit(f"{t} = {expr}")
-            return t
+        masked = meta is not None and meta.get("masked64", False)
         if meta is not None and meta.get("tuple"):
             expr = f"list({expr})"      # same TypeError as the lists
-        return mask_addr(expr)
-
-    def bound_limit(size_bytes: int) -> str:
-        """The upper-bound operand for a ``size_bytes`` access: the
-        tier-2 dispatcher hoists ``_ms - size`` into a local, so the
-        per-check add disappears from hot loops."""
-        if not tier2:
-            return None
-        rules.width(size_bytes)
-        return f"_ms{size_bytes}"
-
-    def bounds(addr_var: str, size_bytes: int) -> None:
-        if tier2 and (addr_var, size_bytes) in proven_bounds:
-            # An earlier check in this block already raised on this
-            # exact (address, width) pair and the address name has
-            # not been reassigned since — re-checking is dead code.
-            return
-        em.bounds(addr_var, size_bytes, bound_limit(size_bytes))
-        if tier2:
-            proven_bounds.add((addr_var, size_bytes))
+        return em.address(expr, masked)
 
     exit_pc = leader + length
 
@@ -348,8 +313,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             if tier2:
                 rules.stloc(instr.arg, meta)
                 spill_local(instr.arg)
-            proven_bounds.difference_update(
-                {pb for pb in proven_bounds if pb[0] == target})
+                em.rewrite(target)
             if tier2 and lines and re.fullmatch(r"t\d+", value) \
                     and lines[-1].startswith(f"{value} = "):
                 # The value is a single-use temp defined on the line
@@ -447,14 +411,14 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             packer = scalar_struct(type_of(instr.ty))
             unpack = env.bind(packer.unpack_from, "u")
             addr = pop_addr()
-            bounds(addr, packer.size)
+            em.bounds(addr, packer.size)
             push(f"{unpack}({data}, {addr})[0]")
         elif op == "store":
             em.impure = True
             packer, pack, coerce = em.store_kernels(type_of(instr.ty))
             value = pop()
             addr = pop_addr()
-            bounds(addr, packer.size)
+            em.bounds(addr, packer.size)
             em.store(pack, coerce, addr, value)
         elif op == "frame":
             push_atom(f"(fb + {lit(frame_offsets[instr.arg])})")
@@ -530,7 +494,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             packer = vector_struct(elem, lanes)
             unpack = env.bind(packer.unpack_from, "u")
             addr = pop_addr()
-            bounds(addr, packer.size)
+            em.bounds(addr, packer.size)
             if tier2:
                 # Keep the unpacked tuple: downstream lane-wise
                 # consumers read it directly, and ``popd``/``flush``
@@ -571,60 +535,40 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                     lines.pop()
                     em.marker_at = min(em.marker_at, len(lines))
             addr = pop_addr()
-            if tier2 and static4 \
-                    and (addr, packer.size) in proven_bounds:
+            slow = f"mem.store_vec({elem_name}, {addr}, {value})"
+            pad = "    "
+            if static4 and (addr, packer.size) in em.proven:
                 # A raise-check in this block already proved this
                 # exact (address, width) in range: the store's guard
                 # is always true and its out-of-bounds arm is dead.
-                if cores is not None:
-                    emit(f"{pack}({data}, {addr}, {cores})")
-                    if re.fullmatch(r"l\d+", value):
-                        readback = env.bind(packer.unpack_from, "u")
-                        emit(f"{value} = {readback}({data}, {addr})")
-                elif proven_float:
-                    emit(f"{pack}({data}, {addr}, *{value})")
-                else:
-                    emit("try:")
-                    emit(f"{pack}({data}, {addr}, *{value})", "    ")
-                    emit("except _PE:")
-                    emit(f"mem.store_vec({elem_name}, {addr}, "
-                         f"{value})", "    ")
+                pad = ""
             else:
-                limit = bound_limit(packer.size)
+                limit = em.bound_limit(packer.size)
                 upper = f"{addr} <= {limit}" if limit is not None \
                     else f"{addr} + {lit(packer.size)} <= {tier.size}"
                 guard = "" if static4 \
                     else f"len({value}) == {lit(lanes)} and "
                 emit(f"if {guard}{addr} >= {NULL_GUARD} and {upper}:")
+            if cores is not None:
+                emit(f"{pack}({data}, {addr}, {cores})", pad)
+                if re.fullmatch(r"l\d+", value):
+                    readback = env.bind(packer.unpack_from, "u")
+                    emit(f"{value} = {readback}({data}, {addr})", pad)
+            elif proven_float:
+                # Lanes produced by the same pack/unpack round trip
+                # the store would apply — already genuine in-range
+                # floats, so the coercion fallback is unreachable.
+                emit(f"{pack}({data}, {addr}, *{value})", pad)
+            else:
+                emit("try:", pad)
+                emit(f"{pack}({data}, {addr}, *{value})", pad + "    ")
+                emit("except _PE:", pad)
+                emit(slow, pad + "    ")
+            if pad:
+                emit("else:")
                 if cores is not None:
-                    emit(f"{pack}({data}, {addr}, {cores})", "    ")
-                    if re.fullmatch(r"l\d+", value):
-                        readback = env.bind(packer.unpack_from, "u")
-                        emit(f"{value} = {readback}({data}, {addr})",
-                             "    ")
-                    emit("else:")
-                    emit(f"{value} = {fused_rhs}", "    ")
-                    emit(f"mem.store_vec({elem_name}, {addr}, "
-                         f"{value})", "    ")
-                elif proven_float:
-                    # Lanes produced by the same pack/unpack round
-                    # trip the store would apply — already genuine
-                    # in-range floats, so the coercion fallback is
-                    # unreachable.
-                    emit(f"{pack}({data}, {addr}, *{value})", "    ")
-                    emit("else:")
-                    emit(f"mem.store_vec({elem_name}, {addr}, "
-                         f"{value})", "    ")
-                else:
-                    emit("try:", "    ")
-                    emit(f"{pack}({data}, {addr}, *{value})",
-                         "        ")
-                    emit("except _PE:", "    ")
-                    emit(f"mem.store_vec({elem_name}, {addr}, "
-                         f"{value})", "        ")
-                    emit("else:")
-                    emit(f"mem.store_vec({elem_name}, {addr}, "
-                         f"{value})", "    ")
+                    emit(f"{value} = {fused_rhs}", pad)
+                emit(slow, pad)
         elif op.startswith("vec.") and op[4:] in BIN_OPS:
             em.impure = True            # lane-count mismatch traps
             bop = op[4:]
@@ -777,19 +721,7 @@ class _BytecodeLowering(Lowering):
             entry = [f"if len(ar) < {num_params}:", "    return pc",
                      "; ".join(f"a{k} = ar[{k}]"
                                for k in range(num_params))]
-        load = []
-        bounds_sizes = sorted(facts.access_widths)
-        if bounds_sizes:
-            # Bounds-check upper limits, hoisted: ``mem.size`` is
-            # already proven loop-invariant across ``_t2`` (``_ms``),
-            # so each access width's limit folds to one compare per
-            # check.  The widths are the analysis plane's
-            # ``access_widths`` fact — a superset of what this pass's
-            # checks reference (proven ``vec.store`` forms skip the
-            # re-check entirely).
-            load.append("; ".join(f"_ms{n} = _ms - {n}"
-                                  for n in bounds_sizes))
-        writeback = []
+        load, writeback = [], []
         if nlocals:
             load.append("; ".join(f"l{i} = lo[{i}]"
                                   for i in range(nlocals)))
@@ -807,7 +739,7 @@ class _BytecodeLowering(Lowering):
         # Free: the lowering recorded its stores and widths by calling
         # the rules.  See ``LaneRules`` for why this is the whole check.
         if not (self.rules.holds()
-                and self.rules.widths <= facts.access_widths):
+                and self.widths <= facts.access_widths):
             raise ValueError(f"facts table for {self.name!r} is not an "
                              f"invariant of its code")
 

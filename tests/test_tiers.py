@@ -102,8 +102,7 @@ class TestLoopDetection:
         blocks = fuel_blocks(code)
         assert set(blocks) == set(bodies)
         loops = tiers.fused_loops(code, blocks, bodies)
-        return loops, tiers.osr_entry_points(
-            code, blocks, bodies, {entry[0] for entry in loops.values()})
+        return loops, tiers.osr_entry_points(code, blocks, bodies)
 
     def test_header_and_lone_latch_fuse(self):
         code = instrs(("brif", 3), ("nop", None), ("br", 0),
@@ -149,10 +148,35 @@ class TestLoopDetection:
             0: None, 1: ["x = 1", "pc = 0"], 3: ["return -1"]})
         assert loops == {} and entries == frozenset()
 
-    def test_fused_latch_is_never_an_osr_entry(self):
-        """A later backward branch makes the latch itself a back-edge
-        target; fused into its header's arm it has no dispatch arm, so
-        it must not be whitelisted for mid-call entry."""
+    def test_rotated_loop_fuses_and_keeps_its_entry(self):
+        """Body first, test block last: the body's forward ``br``
+        closes the loop and the test's ``brif`` is the back edge, so
+        the *latch* is the OSR entry the loop has in the ladder form."""
+        code = instrs(("br", 3), ("nop", None), ("br", 3),
+                      ("brif", 1), ("ret", None))
+        loops, entries = self.detect(code, {
+            0: ["pc = 3"], 1: ["x = 1", "pc = 3"],
+            3: ["pc = 1 if c else 4"], 4: ["return -1"]})
+        assert loops == {3: (1, "c", 1, 4)}
+        assert entries == {1}
+
+    def test_rotated_header_with_two_latches_keeps_the_ladder(self):
+        """The test block branches back to a body above it or falls
+        into one below it, and both close the loop."""
+        code = instrs(("nop", None), ("br", 2), ("brif", 0),
+                      ("nop", None), ("br", 2))
+        loops, entries = self.detect(code, {
+            0: ["x = 1", "pc = 2"], 2: ["pc = 0 if c else 3"],
+            3: ["x = 2", "pc = 2"]})
+        assert loops == {}
+        assert entries == {0, 2}
+
+    def test_fused_latch_is_an_osr_entry_only_with_an_arm(self, sources):
+        """Whitelisted for mid-call entry means "has a dispatch arm".
+        A latch is fused into its header's arm and loses its own —
+        unless a backward branch makes it a back-edge target (a later
+        one here; the test's ``brif`` in a rotated loop), and then it
+        keeps both: the arm and the entry."""
         code = instrs(("brif", 3), ("nop", None), ("br", 0),
                       ("br", 1))
         blocks = fuel_blocks(code)
@@ -161,62 +185,95 @@ class TestLoopDetection:
             0: ["pc = 3 if c else 1"], 1: ["x = 1", "pc = 0"],
             3: ["pc = 1"]})
         assert loops == {0: (1, "c", 3, 1)}
-        assert entries == {0}
+        assert entries == {0, 1}
+        # ... over real translations, both layouts: every entry has an
+        # arm, and a latch has one only if it is an entry
+        standard = machine_module(TestEmptyHeaderLoop.SIM_CODE, params=1)
+        rotated = machine_module(ROTATED_SIM_CODE, params=1)
+        for module, latch, is_entry in ((standard, 3, False),
+                                        (rotated, 2, True)):
+            func = module.functions["f"]
+            t2 = dispatch.predecode_machine(func, module).tier2()
+            source = sources["<pvi-sim-t2:f>"]
+            arms = {int(pc) for pc
+                    in re.findall(r"^ +(?:el)?if pc == (\d+):", source,
+                                  re.M)}
+            assert t2.osr_entries <= arms
+            assert (latch in t2.osr_entries) == (latch in arms) \
+                == is_entry
 
 
 # ---------------------------------------------------------------------------
 # the debit protocol over a counter vector
 # ---------------------------------------------------------------------------
 
-FIELDS = ("instructions", "cycles", "branches", "calls")
+FIELDS = ("instructions", "cycles", "branches", "spill_loads", "calls")
 
 
-def counting_loop(header: dict, latch: dict, merged: bool):
+def counting_loop(header: dict, latch: dict, fused: bool, hlines=(),
+                  hmarks=()):
     """``_t2`` for ``while i < n: i += 1`` with the given counter
-    vectors, in the merged-charge or the plain per-block form."""
+    vectors: as the fused loop, or as the two ladder arms it stands
+    for (the per-block form, the oracle)."""
     blocks = {0: header.pop("executed"), 5: latch.pop("executed")}
     env = {}
     out = tiers.Tier2Writer(
         CodegenEnv(env), "vm.executed", blocks, {0: header, 5: latch},
-        FIELDS, live=False, writeback=["lo[0] = i"])
+        FIELDS, live=False, writeback=["lo[0] = i; lo[1] = j"])
     out.w("def _t2(vm, res, lo, fuel, n, pc=0):")
-    out.w("i = lo[0]", 4)
+    out.w("i, j = lo", 4)
     out.load_carried(4)
     out.w("while 1:", 4)
     out.w("if pc == 0:", 8)
-    # a second header line forces the plain form
-    hbody = ["pc = 9 if i >= n else 5"]
-    out.loop(0, 5, "i >= n", 9, 12, hbody if merged else ["pass"] + hbody,
-             [], ["i += 1", "pc = 0"], [])
+    hbody = [*hlines, "pc = 9 if i >= n else 5"]
+    lbody = ["i += 1", "pc = 0"]
+    if fused:
+        out.loop(0, 5, "i >= n", 9, 12, hbody, list(hmarks), lbody, [])
+    else:
+        out.block(0, 12, hbody, list(hmarks))
+        out.w("elif pc == 5:", 8)
+        out.block(5, 12, lbody, [])
     out.w("else:", 8)
     out.deopt("pc", 12)
     source = "\n".join(out.out)
-    assert ("elif i >= n:" in source) == merged
     exec(source, env)
-    return env["_t2"]
+    return env["_t2"], source
 
 
 def run_loop(t2, fuel: int, n: int):
     vm = SimpleNamespace(executed=3)
     res = SimpleNamespace(**{field: 10 + k for k, field
                              in enumerate(FIELDS)})
-    lo = [0]
+    lo = [0, 0]
     pc = t2(vm, res, lo, fuel, n)
     return pc, lo, vm.__dict__, res.__dict__
 
 
+#: header bodies beyond the lone exit test: ``(pure lines, marks)``;
+#: a marked header can raise as far as the writer knows, so its loop
+#: keeps the per-block debits (and still settles at the exits)
+HEADERS = {"empty": ((), ()),
+           "pure lines": (("j = i * 2", "j += 1"), ()),
+           "raising": (("j = i * 2",), ((0, 0),))}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_merged_charge_equals_per_block_debits(seed):
-    """Every fuel value from 0 to past the total: the merged charge
-    leaves the same counters, exit pc and deopt pc as the per-block
-    form it stands for."""
+    """Every fuel value from 0 to past the total, every header shape:
+    the fused loop — one merged fuel charge per iteration where the
+    header cannot raise, result counters settled at the exits from
+    the fuel delta — leaves the same ``executed``, result counters,
+    exit pc and deopt pc as the per-block ladder form it stands for,
+    with each counter present or absent in either vector."""
     rng = random.Random(seed)
+    twin = seed % 3 == 0        # ``instructions`` is the fuel's twin
 
     def vector():
         charge = {"executed": rng.randint(1, 4),
-                  "instructions": rng.randint(1, 4),
                   "cycles": rng.randint(0, 9)}
-        for field in ("branches", "calls"):
+        charge["instructions"] = charge["executed"] if twin \
+            else rng.randint(1, 4)
+        for field in ("branches", "spill_loads", "calls"):
             if rng.random() < 0.5:          # absent when zero
                 charge[field] = rng.randint(1, 3)
         return charge
@@ -225,16 +282,34 @@ def test_merged_charge_equals_per_block_debits(seed):
     n = rng.randint(0, 4)
     total = (header["executed"] + latch["executed"]) * n \
         + header["executed"]
-    merged = counting_loop(dict(header), dict(latch), merged=True)
-    plain = counting_loop(dict(header), dict(latch), merged=False)
-    exits = set()
-    for fuel in range(3, 3 + total + 2):
-        want = run_loop(plain, fuel, n)
-        assert run_loop(merged, fuel, n) == want, (fuel, header, latch)
-        exits.add(want[0])
-    assert 9 in exits and 0 in exits
-    if n:
-        assert 5 in exits
+    for hlines, hmarks in HEADERS.values():
+        fused, source = counting_loop(dict(header), dict(latch), True,
+                                      hlines, hmarks)
+        plain, _ = counting_loop(dict(header), dict(latch), False,
+                                 hlines, hmarks)
+        # inside the ``while`` the only counter arithmetic left is
+        # the settlement in front of a deopt's ``return``
+        loop = source[source.index("while 1:", source.index("pc == 0")):]
+        assert not re.search(r"_r_\w+ \+= \d", loop)
+        assert ("res.instructions +=" in source) == twin
+        assert ("_r_instructions" in source) != twin
+        merged = re.search(
+            r"^ +executed \+= (\d+)\n +if executed > fuel:\n"
+            r" +executed -= (\d+)\n +if executed > fuel:", source, re.M)
+        assert (merged is not None) == (not hmarks)
+        if merged:
+            assert [int(group) for group in merged.groups()] == [
+                header["executed"] + latch["executed"],
+                latch["executed"]]
+        exits = set()
+        for fuel in range(3, 3 + total + 2):
+            want = run_loop(plain, fuel, n)
+            assert run_loop(fused, fuel, n) == want, \
+                (fuel, header, latch, hlines)
+            exits.add(want[0])
+        assert 9 in exits and 0 in exits
+        if n:
+            assert 5 in exits
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +609,20 @@ class TestStepping:
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
 #: sha256, the per-tag ``(sources, lines)`` and the per-source prints
 PINNED_SOURCES = (
-    "80ea01e1598575d2a20040cf184bcd9d6a98dcaf9b11ecd4fe95a22b790da60b",
+    "566c8438fdddfb2d8e771606a7ebec4d623d30e052f27c001af5d76b6189eb57",
     {"pvi": (22, 4391), "pvi-sim": (132, 50117),
-     "pvi-sim-t2": (132, 24990), "pvi-t2": (22, 2643)},
-    ("3d461fd9bf4b942147bcb64270e40dad1b75dd16aa5c970fc8049d22"
-     "75406418a7900e1e0787a7120a0257fef1034aba393d8b8b8304def9"
-     "9e72ebbdbb22d70fa7304af79bdbd517a9edd18a5765c6dc367161b5"
-     "02774cd14ea4412842165478d7a26ce7cf7de76774fbdbdb6e08dca4"
-     "a93e9da831ce70b31efed85fe9f89280298f89819bb018128f6e5bd7"
-     "d2a99feb87caa0a6e580f90a95e8fd2041175026a8d37b19dc342ffe"
-     "53ac2dddc8dec7b983a6c8feb0ab2762339e01357154d138fbfe93cf"
-     "e4045e59effc21c7a73f85cd87cd80e6781c73c9f455c63ad36df1d9"
-     "c75fe23fc9523f55ec8b5380abaafa531a3cb14a301c4038263cacc6"
-     "6ca4ddbb314f96cd55c97c094a27213a3cc6d909785305439acb8c4c"
-     "f6b6e5d993868cf43ef5908ab43bded2200bc843b6af8bbf241d55b6"))
+     "pvi-sim-t2": (132, 28971), "pvi-t2": (22, 2501)},
+    ("3e4619d96d4bce2147bc31424ce4d7ad27757116525c190fb304a922"
+     "a140cc1814908c1e9987b712d902aefe8d0333ba663d888bd00430f9"
+     "ac7270bd3e222c0f073081f752db8e1752eda98a1b65f5dcf6717cb5"
+     "2d7782d15ba4a828f216a17820a2f4e79e7d826701fb99db5f08a2a4"
+     "bc3e6fa8f4ce44b339fe865fdaf8e980848ffe81a3b03012ae6ec8d7"
+     "9ea9cfeb99ca2ea68d80600af9e8cb20c917562611d38b193d345dfe"
+     "1aacadddcede61b9c5a6b9fe08ab4f62a29ea535df545f3806fedccf"
+     "240443599ffc3fc7d83f8ecdbecd6fe6921c68c9e755a93a276d66d9"
+     "035fd73f9252ef55198b80806daa2953ed3cf84a2f1c3d38283ca9c6"
+     "b9a481bb4e4fcccd62c9740988276a3af0c66f090e534f437bcb884c"
+     "efb6bbd92986c1f446f5778adb3b86d21e0b7c4397af93bf6a1d71b6"))
 
 
 def test_generated_sources_digest():
@@ -560,15 +635,17 @@ def test_generated_sources_digest():
     says so; CI also runs this under two fixed ``PYTHONHASHSEED``
     values, and once after another test module in the same process.
 
-    Last re-pin (ISSUE 17): the block tier instantiates memoized
-    block templates.  The ``pvi-t2`` (22 / 2643) and ``pvi-sim-t2``
-    (132 / 24990) counts and every tier-2 print are unchanged.  The
-    ``pvi`` and ``pvi-sim`` entries are no longer compiled sources
-    but renderings (label, template, one line per hole), so their
-    line counts and prints all moved; substituting every hole value
-    back into its template reproduces the parent's 154 block-tier
-    sources line for line, rollback tables included (scratch diff,
-    CHANGES.md)."""
+    Last re-pin (ISSUE 24): tier-2 loops debit fuel only and settle
+    their counters at the exits, headers that cannot raise merge the
+    two fuel debits, rotated loops fuse, and the simulator's blocks
+    use the emitter's in-block knowledge (hoisted limits, proven
+    pairs, masked registers, lanes); reductions fold in one builtin
+    call.  All 22 ``pvi-t2`` (2643 -> 2501 lines) and all 132
+    ``pvi-sim-t2`` (24990 -> 28971: a merged loop spells its header
+    twice and a rotated body keeps an arm) entries moved; all 154
+    ``pvi`` / ``pvi-sim`` block-tier entries are byte-identical to
+    the parent's and ``template_stats()`` after the corpus is
+    unchanged (97 resident, 1277 hits; scratch diff, CHANGES.md)."""
     sources = generated_sources()
     got = sources_digest(sources)
     if got != PINNED_SOURCES:
@@ -991,10 +1068,207 @@ class TestSimTier2Rollback:
             "tier-2 rolls back through the line table, not _i stores"
         assert "__traceback__.tb_lineno" in source
 
+    # -- what a block proved once is not asked again ------------------------
+
+    def elided(self, code, args, params, sources):
+        """Three-way outcome of ``code`` (``args`` index the elements
+        of one f32 array; ``None`` is an address below the null
+        guard), the final bytes compared too; plus the tier-2 text."""
+        module = machine_module(code, params=params)
+        observed = {}
+        for engine in ENGINES:
+            memory = Memory()
+            good = memory.alloc_array(ty.F32, [1.5, 2.5, -3.0, 4.0, 8.0,
+                                               0.5, 0.25, 16.0])
+            concrete = [1 if a is None else good + 4 * a for a in args]
+            observed[engine] = (sim_outcome(module, concrete, engine,
+                                            memory), bytes(memory.data))
+        assert_agree(observed, repr(args))
+        return observed[TIER2][0], sources["<pvi-sim-t2:f>"]
+
+    #: one address register, read twice, rewritten, read and written
+    REPEATED = [
+        MInst("bin", ty.U64, ("int", 4), [("int", 0), ("imm", 0)], "add",
+              cost=1),
+        MInst("load", ty.F32, ("flt", 0), [("int", 4)], None, cost=3),
+        MInst("load", ty.F32, ("flt", 1), [("int", 4)], None, cost=3),
+        MInst("bin", ty.U64, ("int", 4), [("int", 1), ("imm", 4)], "add",
+              cost=1),
+        MInst("load", ty.F32, ("flt", 2), [("int", 4)], None, cost=3),
+        MInst("bin", ty.F32, ("flt", 0), [("flt", 0), ("flt", 2)], "add",
+              cost=2),
+        MInst("store", ty.F32, None, [("int", 4), ("flt", 0)], None,
+              cost=3),
+        MInst("ret", None, None, [("flt", 1)], None, cost=2),
+    ]
+
+    def test_repeated_address_is_checked_once_per_value(self, sources):
+        (kind, value, *_), source = self.elided(self.REPEATED, [0, 2], 2,
+                                                sources)
+        assert (kind, value) == ("ok", 1.5)
+        # the first load checks, the second is covered; rewriting the
+        # register re-checks once for the load and the store after it
+        assert source.count("raise TrapError(f\"memory access") == 2
+        assert "& 0xFFFFFFFFFFFFFFFF" not in source, \
+            "a wrapped-u64 inline result is not masked again"
+        for offset, args in ((1, [None, 2]), (4, [0, None])):
+            (kind, text, executed), _ = self.elided(self.REPEATED, args,
+                                                    2, sources)
+            assert kind == "trap" and "out of bounds" in text
+            assert executed == offset + 1
+
+    @staticmethod
+    def chain(other):
+        """A ``vload`` / ``vbin`` / ``vstore`` chain on one address;
+        ``rv2`` comes from another block as a vector of type
+        ``other``."""
+        v4 = VecType(ty.F32, 4)
+        return [
+            MInst("vload", other, ("vec", 2), [("int", 1)], None, cost=3),
+            MInst("br", None, None, [], 2, cost=1),
+            MInst("bin", ty.U64, ("int", 4), [("int", 0), ("imm", 0)],
+                  "add", cost=1),
+            MInst("vload", v4, ("vec", 0), [("int", 4)], None, cost=3),
+            MInst("vbin", v4, ("vec", 1), [("vec", 0), ("vec", 0)], "add",
+                  cost=2),
+            MInst("vbin", v4, ("vec", 3), [("vec", 1), ("vec", 2)], "mul",
+                  cost=2),
+            MInst("vstore", v4, None, [("int", 4), ("vec", 3)], None,
+                  cost=3),
+            MInst("vstore", v4, None, [("int", 4), ("vec", 2)], None,
+                  cost=3),
+            MInst("load", ty.F32, ("flt", 0), [("int", 4)], None, cost=3),
+            MInst("ret", None, None, [("flt", 0)], None, cost=2),
+        ]
+
+    def test_vector_chain_on_one_address(self, sources):
+        code = self.chain(VecType(ty.F32, 4))
+        (kind, value, *_), source = self.elided(code, [0, 4], 2, sources)
+        assert (kind, value) == ("ok", 8.0)
+        block = source[source.index("pc == 2:"):]
+        block = block[:block.index("except Exception")]
+        # one range check for the vector load and both stores (the
+        # scalar read-back is another width: pairs, not intervals);
+        # lanes asked only of the other block's vector
+        assert block.count("out of bounds") == 2
+        assert block.count("size=16") == 1
+        assert set(re.findall(r"len\((\w+)\)", block)) == {"rv2"}
+        assert "and ri4 >= 64" in block     # ... whose store keeps
+        assert block.count("mem.store_vec") == 3    # the whole guard
+        # out of bounds: the first access traps, before any store
+        (kind, text, executed), _ = self.elided(code, [None, 4], 2,
+                                                sources)
+        assert kind == "trap" and "out of bounds" in text
+        assert executed == 4
+        # a two-lane operand from the other block fails the one guard
+        # left and reaches the kernel's mismatch trap
+        code = self.chain(VecType(ty.F64, 2))
+        (kind, text, executed), _ = self.elided(code, [0, 4], 2, sources)
+        assert kind == "trap" and "lane" in text and executed == 6
+
+
+# ---------------------------------------------------------------------------
+# tier-2 reductions: one builtin call where the fold needs no widening
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+#: ``elem tag -> lane rows``, at the wrap boundaries of the element
+#: and (summed) of every accumulator
+INT_ROWS = {
+    "i8": [[127] * 16, [-128] * 16, [127, -128] * 8,
+           [-1, 0, 1, 127, -128, 5, -7, 0] * 2],
+    "u8": [[255] * 16, [0] * 16, [255, 0, 128, 127] * 4],
+    "u16": [[65535] * 8, [0, 65535, 32768, 32767, 1, 2, 3, 4]],
+    "i32": [[2 ** 31 - 1] * 4, [-2 ** 31] * 4,
+            [2 ** 31 - 1, -2 ** 31, -1, 1], [3, 2 ** 31 - 1, 2, 1]],
+}
+FLOAT_ROWS = {
+    "f32": [[NAN, 1.0, 2.0, 3.0], [1.0, NAN, 3.0, 2.0],
+            [3.0, 1.0, 2.0, NAN], [0.0, -0.0, 0.0, -0.0],
+            [-0.0, 0.0, -0.0, 0.0], [1.5, 2.5, -3.0, 0.1]],
+    "f64": [[NAN, 1.0], [1.0, NAN], [0.0, -0.0], [-0.0, 0.0],
+            [1e308, 1e308], [0.1, 0.2]],
+}
+
+
+def reduce_outcomes(engine_module, elem, op, acc, lanes):
+    """``repr`` outcome of ``reduce(op, lanes)`` per engine (NaN does
+    not equal itself), and the tier-2 source of the last build."""
+    if engine_module is threaded:
+        module = BytecodeModule()
+        module.add(BytecodeFunction(
+            "f", [f"v128:{elem}"], acc,
+            code=[BCInstr("ldarg", None, 0),
+                  BCInstr("vec.reduce", elem, (op, acc)),
+                  BCInstr("ret")]))
+        run = vm_outcome
+    else:
+        elem_ty = type_of(elem)
+        module = machine_module(
+            [MInst("vreduce", VecType(elem_ty, 16 // ty.sizeof(elem_ty)),
+                   ("int", 0), [("vec", 0)], (op, type_of(acc)), cost=4),
+             MInst("ret", None, None, [("int", 0)], None, cost=2)],
+            param_locs=[("vec", 0)])
+        run = sim_outcome
+    return {engine: repr(run(module, [list(lanes)], engine))
+            for engine in ENGINES}
+
+
+@pytest.mark.parametrize("engine_module", [threaded, dispatch])
+@pytest.mark.parametrize("op", ["max", "min", "add"])
+def test_reduce_agrees_at_the_boundaries(engine_module, sources, op):
+    """``max`` / ``min`` as one builtin call and integer ``add`` as
+    one ``sum`` with a single wrap, against the per-lane fold of the
+    other two engines: integer lanes at the wrap boundaries into an
+    accumulator of the same or a wider type, float lanes with NaN
+    first, middle and last and with both zeros, the empty vector."""
+    tag = "<pvi-t2:f>" if engine_module is threaded else "<pvi-sim-t2:f>"
+    builtin = "sum" if op == "add" else op
+    for rows, accs in ((INT_ROWS, ("same", "i32", "i64")),
+                       (FLOAT_ROWS, ("same",))):
+        for elem, acc in ((e, e if a == "same" else a)
+                          for e in rows for a in accs):
+            for lanes in [*rows[elem], []]:
+                assert_agree(reduce_outcomes(engine_module, elem, op,
+                                             acc, lanes),
+                             f"{op} {elem}->{acc} {lanes}")
+            # f32 rounds through a pack that can raise: it keeps the
+            # loop, like every float sum
+            inlined = f" = {builtin}(" in sources[tag] \
+                or f"({builtin}(" in sources[tag]
+            assert inlined == (elem not in ("f32", "f64")
+                               or (elem == "f64" and op != "add")), \
+                (op, elem, acc, sources[tag])
+    assert "reduce of empty vector" in reduce_outcomes(
+        engine_module, "i32", op, "i32", [])[TIER2]
+
 
 # ---------------------------------------------------------------------------
 # empty-header loops: the merged charge end to end
 # ---------------------------------------------------------------------------
+
+#: ``while (n > 0)`` laid out body first: the body (leader 2) ends in
+#: a forward ``br`` to the test block (leader 5, ``cmp`` + ``brif``),
+#: whose ``brif`` is the back edge
+ROTATED_SIM_CODE = [
+    MInst("mov", None, ("int", 1), [("imm", 0)], None, cost=1),
+    MInst("br", None, None, [], 5, cost=3),
+    MInst("bin", ty.I32, ("int", 1), [("int", 1), ("imm", 2)], "add",
+          cost=1),
+    MInst("bin", ty.I32, ("int", 0), [("int", 0), ("imm", 1)], "sub",
+          cost=2),
+    MInst("br", None, None, [], 5, cost=3),
+    MInst("cmp", ty.I32, ("int", 2), [("int", 0), ("imm", 0)], "gt",
+          cost=1),
+    MInst("brif", None, None, [("int", 2)], 2, cost=2),
+    MInst("ret", None, None, [("int", 1)], None, cost=2),
+]
+
+#: the merged charge's exit: refund the latch's share and leave
+MERGED_EXIT = re.compile(r"^ +if .*:\n +executed -= \d+\n +pc = \d+\n"
+                         r" +break$", re.M)
+
 
 class TestEmptyHeaderLoop:
     def test_vm_fuel_sweep(self, sources):
@@ -1011,8 +1285,7 @@ class TestEmptyHeaderLoop:
             assert_agree({engine: vm_outcome(bytecode, [6], engine,
                                              fuel=fuel)
                           for engine in ENGINES}, f"fuel={fuel}")
-        assert re.search(r"^ +elif .*:\n +executed -= \d+$",
-                         sources["<pvi-t2:f>"], re.M)
+        assert MERGED_EXIT.search(sources["<pvi-t2:f>"])
 
     #: ``while (flag)``: the header is a lone ``brif`` on a parameter
     SIM_CODE = [
@@ -1040,9 +1313,94 @@ class TestEmptyHeaderLoop:
                                           osr=True, osr_threshold=2)
             assert_agree(outcomes, f"fuel={fuel}")
         source = sources["<pvi-sim-t2:f>"]
-        assert re.search(r"^ +elif .*:\n +executed -= \d+$", source,
-                         re.M), "the lone-brif header merges its charge"
-        assert "_r_spill_stores += 1" in source
+        assert MERGED_EXIT.search(source), \
+            "the lone-brif header merges its charge"
+        assert "_r_spill_stores += _k * 1" in source
+
+    #: the same loop under a ``cmp`` + ``brif`` header: two lines, the
+    #: first a register write that must survive every exit
+    CMP_CODE = SIM_CODE[:1] + [
+        MInst("cmp", ty.I32, ("int", 2), [("int", 0), ("imm", 0)], "ne",
+              cost=1),
+        MInst("brif", None, None, [("int", 2)], 4, cost=2),
+        SIM_CODE[2], *SIM_CODE[3:6],
+        MInst("br", None, None, [], 1, cost=3)]
+
+    @pytest.mark.parametrize("code, header", [
+        (CMP_CODE, 1), (ROTATED_SIM_CODE, 5)],
+        ids=["cmp-brif header", "rotated"])
+    def test_sim_pure_header_fuel_sweep(self, sources, code, header):
+        """Reference / fast / tier-2 at every fuel value, and entered
+        by on-stack replacement after 2, 3 and 4 back edges — in the
+        middle of the iteration count the exits settle from."""
+        module = machine_module(code, params=1)
+        pre = dispatch.predecode_machine(module.functions["f"], module)
+        want = sim_outcome(module, [6], REFERENCE)
+        assert want[:2] == ("ok", 12)
+        entered = 0
+        for fuel in range(want[-1] + 2):
+            outcomes = {engine: sim_outcome(module, [6], engine,
+                                            fuel=fuel)
+                        for engine in ENGINES}
+            for threshold in (2, 3, 4):
+                # (a built translation would be entered at pc 0)
+                pre._tier2 = tiers._TIER2_UNBUILT
+                sim = Simulator(module, Memory(), engine=FAST, fuel=fuel,
+                                osr=True, osr_threshold=threshold)
+                try:
+                    result = sim.run("f", [6])
+                    outcomes[f"osr{threshold}"] = (
+                        "ok", result.value, result.instructions,
+                        result.cycles, result.branches, sim._executed)
+                except TrapError as exc:
+                    outcomes[f"osr{threshold}"] = ("trap", str(exc),
+                                                   sim._executed)
+                entered += sim.osr_entries
+            assert_agree(outcomes, f"fuel={fuel}")
+        assert entered > want[-1] // 2     # every run with fuel for it
+        source = sources["<pvi-sim-t2:f>"]
+        assert f"if pc == {header}:\n" in source
+        assert MERGED_EXIT.search(source)
+        loop = source[source.index("\n            while 1:"):]
+        loop = loop[:loop.index("\n        elif pc ==")]
+        assert not re.search(r"_r_\w+ \+= \d", loop)
+
+
+def test_build_stats_say_which_loops_run_fused():
+    """``loops_fused`` / ``loops_ladder`` per build: both two-block
+    layouts fuse; a loop of three blocks (``fir``'s outer one) and a
+    one-block self loop go round the ladder; a backward jump that
+    closes no cycle is layout and counts as neither."""
+    def built(engine, predecode, func, module):
+        engine.reset_tier2_build_stats()
+        assert predecode(func, module).tier2(warm=True) is not None
+        stats = engine.tier2_build_stats()
+        return stats["loops_fused"], stats["loops_ladder"]
+
+    for code, want in ((TestEmptyHeaderLoop.SIM_CODE, (1, 0)),
+                       (ROTATED_SIM_CODE, (1, 0))):
+        module = machine_module(code, params=1)
+        assert built(dispatch, dispatch.predecode_machine,
+                     module.functions["f"], module) == want
+    self_loop = machine_module([
+        MInst("bin", ty.I32, ("int", 0), [("int", 0), ("imm", 1)], "sub",
+              cost=1),
+        MInst("brif", None, None, [("int", 0)], 0, cost=2),
+        MInst("br", None, None, [], 4, cost=1),
+        MInst("ret", None, None, [("int", 0)], None, cost=2),
+        MInst("br", None, None, [], 3, cost=1),     # back, but no loop
+    ], params=1)
+    assert built(dispatch, dispatch.predecode_machine,
+                 self_loop.functions["f"], self_loop) == (0, 1)
+    artifact = offline_compile(ALL_KERNELS["fir"].source, "fir")
+    for target in ("x86", "sparc", "arm"):
+        image = deploy(artifact, target, "split")
+        (func,) = image.functions.values()
+        assert built(dispatch, dispatch.predecode_machine, func,
+                     image) == (1, 1), target
+    bytecode = select_bytecode(artifact, "split")
+    (func,) = bytecode.functions.values()
+    assert built(threaded, threaded.predecode, func, bytecode) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
