@@ -65,12 +65,11 @@ async def batch_demo():
         print(f"  16 concurrent identical requests -> "
               f"{len(images)} distinct images over "
               f"{len(CATALOG)} targets")
-        print(f"  offline compiles (stores): {stats.artifact_stores}, "
-              f"JIT compiles: {stats.deploy_compiles}")
-        shards = stats.as_dict()["artifact"]["shards"]
-        busy = sum(1 for s in shards if s["stores"])
-        print(f"  artifact cache: {len(shards)} shards "
-              f"({busy} carrying traffic)")
+        print(f"  offline compiles (stores): "
+              f"{stats['artifact']['stores']}, "
+              f"JIT compiles: {stats['deploy']['compiles']}")
+        print(f"  artifact cache hit rate: "
+              f"{stats['artifact']['hit_rate']:.0%}")
 
 
 def executor_demo():
@@ -84,7 +83,7 @@ def executor_demo():
                 source=source, name="fir", targets=CATALOG))
             elapsed = time.perf_counter() - start
             executor_stats = \
-                service.stats().deploy_executors[name]
+                service.stats()["deploy"]["executors"][name]
             print(f"  {name:8s} cold fan-out over "
                   f"{len(result.deployments)} targets: "
                   f"{elapsed * 1e3:7.2f} ms "

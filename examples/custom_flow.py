@@ -88,7 +88,7 @@ def service_demo():
     print(f"  first:  artifact cache hit = {first.artifact_cache_hit}, "
           f"offline pass work = {sum(first.offline_pass_work.values())}")
     print(f"  second: fully cached = {second.fully_cached}")
-    print(f"  per-flow deploy stats: {stats.deploy_by_flow}")
+    print(f"  per-flow deploy stats: {stats['deploy']['by_flow']}")
     service.shutdown()
 
 

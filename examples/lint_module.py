@@ -73,8 +73,8 @@ def main():
         print("\nadmission gate refused deployment:")
         print(f"  {exc}")
     stats = service.stats()
-    print(f"  lint rejections counted in ServiceStats: "
-          f"{stats.lint_rejections}")
+    print(f"  lint rejections counted in the service stats: "
+          f"{stats['lint']['rejections']}")
     service.shutdown()
 
 

@@ -97,8 +97,8 @@ def main():
           f"(artifact cache hit, every image memoized: "
           f"{warm.fully_cached})")
     stats = service.stats()
-    print(f"  artifact hit rate {stats.artifact_hit_rate:.0%}, "
-          f"deploy memo hit rate {stats.deploy_hit_rate:.0%}")
+    print(f"  artifact hit rate {stats['artifact']['hit_rate']:.0%}, "
+          f"deploy memo hit rate {stats['deploy']['hit_rate']:.0%}")
     service.shutdown()
 
 

@@ -5,8 +5,9 @@ plain-data, picklable record.  Two kinds:
 
 * ``"bytecode"`` — the lint plane, read by the admission gate and
   ``pvi-lint``: the fuel-block map and which leaders are reachable,
-  integer value ranges, maybe-uninitialized reads, dead stores, and
-  range-derived findings (null-page accesses, constant branches).
+  integer value ranges, dead stores, and range-derived findings
+  (null-page accesses, constant branches).  Reads before assignment
+  need no fact: the verifier rejects them.
 * ``"machine"`` — what the simulator's tier-2 build reads: the
   must-written register sets per leader
   (``written_at_entry``/``param_regs``), a function of the JIT's
@@ -39,9 +40,10 @@ from repro.analysis import passes
 
 #: bumped whenever the facts payload shape or any producing analysis
 #: changes meaning (3: the VM tier-2 fields left for the bytecode's
-#: ``LaneFactsAnnotation``).  Nothing persists a table any more, so
-#: this only separates planes that could share a pickled function.
-FACTS_SCHEMA = 3
+#: ``LaneFactsAnnotation``; 4: ``maybe_uninit`` left for the
+#: verifier).  Nothing persists a table any more, so this only
+#: separates planes that could share a pickled function.
+FACTS_SCHEMA = 4
 
 
 @dataclass
@@ -57,7 +59,6 @@ class FunctionFacts:
     # -- lint-plane facts ---------------------------------------------------
     ranges: Dict[int, Dict[int, Tuple]] = field(default_factory=dict)
     range_notes: List[Tuple] = field(default_factory=list)
-    maybe_uninit: List[Tuple[int, int]] = field(default_factory=list)
     dead_stores: List[Tuple[int, int]] = field(default_factory=list)
 
     def dead_blocks(self) -> List[int]:
@@ -84,7 +85,6 @@ def analyze_bytecode_function(func) -> Optional[FunctionFacts]:
     try:
         cfg = BlockCFG(func.code)
         ranges = int_ranges_safe(func, cfg)
-        stored = passes.must_stored_at_entry(func, cfg)
         live = passes.live_at_block_exit(func, cfg)
         return FunctionFacts(
             kind="bytecode",
@@ -93,7 +93,6 @@ def analyze_bytecode_function(func) -> Optional[FunctionFacts]:
             reachable=cfg.reachable(),
             ranges=ranges,
             range_notes=passes.range_findings(func, cfg, ranges),
-            maybe_uninit=passes.maybe_uninit_reads(func, cfg, stored),
             dead_stores=passes.dead_stores(func, cfg, live),
         )
     except Exception:

@@ -9,8 +9,8 @@ The admission contract (used by ``CompilationService`` and the
 * ``warn`` — deployable but suspicious: unreachable blocks, memory
   accesses proven to land in the null guard page (they trap on every
   execution), branch conditions proven constant.
-* ``info`` — hygiene notes: reads of never-stored locals, dead
-  stores.  Never gates anything; surfaced only by the CLI.
+* ``info`` — hygiene notes: dead stores.  Never gates anything;
+  surfaced only by the CLI.
 
 Findings are plain data (picklable, ``as_dict`` for JSON) and carry
 the pc so the CLI can render them against ``disasm.py`` context.
@@ -72,11 +72,6 @@ def _function_findings(facts: Optional[FunctionFacts],
     for pc, kind, message in facts.range_notes:
         severity = "warn" if kind == "null-access" else "info"
         found.append(LintFinding(severity, kind, name, pc, message))
-    for pc, local in facts.maybe_uninit:
-        found.append(LintFinding(
-            "info", "read-before-store", name, pc,
-            f"local {local} may be read before any store "
-            "(reads its type default)"))
     for pc, local in facts.dead_stores:
         found.append(LintFinding(
             "info", "dead-store", name, pc,
@@ -84,18 +79,16 @@ def _function_findings(facts: Optional[FunctionFacts],
     return found
 
 
-def lint_bytecode_module(module, *, verify: bool = True,
-                         table: Optional[FactsTable] = None
+def lint_bytecode_module(module, *, table: Optional[FactsTable] = None
                          ) -> List[LintFinding]:
     """All findings for a ``BytecodeModule``, verifier first: an
     unverifiable module gets exactly one ``error`` finding and no
     dataflow findings (facts over ill-typed code prove nothing)."""
-    if verify:
-        try:
-            verify_module(module)
-        except BytecodeVerifyError as exc:
-            return [LintFinding("error", "verify", module.name, None,
-                                str(exc))]
+    try:
+        verify_module(module)
+    except BytecodeVerifyError as exc:
+        return [LintFinding("error", "verify", module.name, None,
+                            str(exc))]
     if table is None:
         table = module_facts(module)
     found: List[LintFinding] = []

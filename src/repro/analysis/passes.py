@@ -1,9 +1,9 @@
 """Concrete dataflow analyses over the fuel-block CFG.
 
-Five passes.  The first computes the table that ships *inside* the
+Four passes.  The first computes the table that ships *inside* the
 bytecode (:class:`~repro.bytecode.annotations.LaneFactsAnnotation`);
 the machine pass is asked for on the device, where the JIT's output
-is; the last three are the lint plane (:mod:`repro.analysis.facts`):
+is; the last two are the lint plane (:mod:`repro.analysis.facts`):
 
 * **Vector-lane/tuple fixpoint** (VM bytecode) — the whole-function
   greatest fixpoint the tier-2 VM emitter generates its blocks under:
@@ -19,9 +19,6 @@ is; the last three are the lint plane (:mod:`repro.analysis.facts`):
 * **Integer value ranges** — interval abstract interpretation with
   aggressive widening at joins; feeds the lint plane (provably
   null-page accesses, constant branch conditions).
-* **Definite initialization** — locals definitely stored before a
-  leader (must-meet), plus the ``ldloc`` sites that may read a
-  still-default local.
 * **Liveness / dead stores** (backward) — ``stloc`` sites whose value
   no path ever reads.
 
@@ -521,46 +518,6 @@ def range_findings(func, cfg: BlockCFG,
         except Exception:
             continue                # malformed block: verifier's problem
     return found
-
-
-# ---------------------------------------------------------------------------
-# definite initialization (locals)
-# ---------------------------------------------------------------------------
-
-def must_stored_at_entry(func, cfg: BlockCFG) -> Dict[int, frozenset]:
-    """leader -> locals definitely stored on every path reaching it."""
-    gen = {}
-    for leader, length in cfg.blocks.items():
-        gen[leader] = frozenset(
-            instr.arg for instr in func.code[leader:leader + length]
-            if instr.op == "stloc" and isinstance(instr.arg, int))
-
-    def transfer(leader, fact):
-        return fact | gen[leader]
-
-    def join(old, new):
-        met = old & new
-        return met, met != old
-
-    return solve_forward(cfg, frozenset(), transfer, join)
-
-
-def maybe_uninit_reads(func, cfg: BlockCFG,
-                       stored: Dict[int, frozenset]) -> List[Tuple[int, int]]:
-    """(pc, local) sites where a ``ldloc`` may read the local's
-    type-default value — legal (locals are zero-initialized) but worth
-    surfacing: it usually marks a lowering bug or dead parameter."""
-    sites: List[Tuple[int, int]] = []
-    for leader in sorted(stored):
-        seen = set(stored[leader])
-        for pc in range(leader, leader + cfg.blocks[leader]):
-            instr = func.code[pc]
-            if instr.op == "ldloc" and isinstance(instr.arg, int) \
-                    and instr.arg not in seen:
-                sites.append((pc, instr.arg))
-            elif instr.op == "stloc" and isinstance(instr.arg, int):
-                seen.add(instr.arg)
-    return sites
 
 
 # ---------------------------------------------------------------------------

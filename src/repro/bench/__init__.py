@@ -12,12 +12,12 @@ from repro.bench.paperdata import PAPER_TABLE1_RELATIVE
 from repro.bench.experiments import (
     default_kpn_platforms, run_code_size, run_iterative,
     run_jit_budget, run_kpn, run_split_flow, run_split_regalloc,
-    run_table1, service_stats_snapshot,
+    run_table1,
 )
 
 __all__ = [
     "format_table", "PAPER_TABLE1_RELATIVE",
     "run_table1", "run_split_flow", "run_split_regalloc",
     "run_code_size", "run_iterative", "run_kpn", "run_jit_budget",
-    "default_kpn_platforms", "service_stats_snapshot",
+    "default_kpn_platforms",
 ]

@@ -25,19 +25,6 @@ from repro.workloads.kernels import Kernel
 TABLE1_TARGETS = ("x86", "sparc", "ppc")
 
 
-def service_stats_snapshot(service=None) -> Dict[str, object]:
-    """The service counters in machine-readable form.
-
-    Benches attach this to their ``BENCH_*.json`` payloads so per-PR
-    trend tooling sees cache hit rates, per-shard traffic and
-    per-executor throughput alongside the timings.  Defaults to the
-    process-wide service every experiment routes through.
-    """
-    if service is None:
-        service = default_service()
-    return service.stats().as_dict()
-
-
 # ---------------------------------------------------------------------------
 # T1 — Table 1: split automatic vectorization
 # ---------------------------------------------------------------------------

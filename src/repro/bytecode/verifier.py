@@ -15,9 +15,19 @@ join can repair.  Conflicting tags instead flow onward as the union
 and fail only at an operation whose operand set they don't fit, so a
 diamond producing ``i64`` on one arm and ``u64`` on the other may
 still feed an address pop (both are address tags) — the old
-identical-states rule spuriously rejected that.  The join is monotone
-over a finite lattice (slot sets only grow, bounded by the tag
-universe), so the worklist terminates.
+identical-states rule spuriously rejected that.
+
+Next to the stack shape each state carries the locals definitely
+assigned on every path to it, as an int bitset: ``stloc i`` sets bit
+``i``, a merge ANDs the sets, and ``ldloc i`` of a clear bit is
+rejected.  A verified function therefore never reads a local's
+zero-initialized default — the engines would return that zero, while
+the JIT's decoded LIR has no definition for it and its optimizers may
+assume the local's one store reaches every read.
+
+The join is monotone over a finite lattice (slot sets only grow,
+bounded by the tag universe; assigned sets only shrink), so the
+worklist terminates.
 """
 
 from __future__ import annotations
@@ -48,6 +58,9 @@ def verify_module(module: BytecodeModule) -> None:
 #: one abstract stack slot: the set of tags the value may carry
 _Slot = FrozenSet[str]
 
+#: the state at one pc: stack shape, bitset of assigned locals
+_State = Tuple[Tuple[_Slot, ...], int]
+
 
 def _verify_function(module: BytecodeModule,
                      func: BytecodeFunction) -> None:
@@ -58,26 +71,27 @@ def _verify_function(module: BytecodeModule,
     if not code:
         raise BytecodeVerifyError(f"{func.name}: empty body")
 
-    states: Dict[int, Tuple[_Slot, ...]] = {0: ()}
+    states: Dict[int, _State] = {0: ((), 0)}
     worklist: List[int] = [0]
     seen_ret = False
 
     while worklist:
         pc = worklist.pop()
-        stack = list(states[pc])
+        shape, assigned = states[pc]
+        stack = list(shape)
         while True:
             if pc >= len(code):
                 fail(pc, "control falls off the end of the function")
             instr = code[pc]
-            next_pcs, stack, is_ret = _step(module, func, pc, instr,
-                                            stack, fail)
+            next_pcs, assigned, is_ret = _step(module, func, pc, instr,
+                                               stack, assigned, fail)
             seen_ret = seen_ret or is_ret
             if is_ret:
                 break
             if len(next_pcs) == 1 and next_pcs[0] == pc + 1:
                 pc += 1
                 if pc in states:
-                    if _join(states, pc, tuple(stack), func):
+                    if _join(states, pc, (tuple(stack), assigned), func):
                         worklist.append(pc)
                     break
                 continue
@@ -85,34 +99,41 @@ def _verify_function(module: BytecodeModule,
                 if not 0 <= target < len(code):
                     fail(pc, f"branch target {target} out of range")
                 if target in states:
-                    if _join(states, target, tuple(stack), func):
+                    if _join(states, target, (tuple(stack), assigned),
+                             func):
                         worklist.append(target)
                 else:
-                    states[target] = tuple(stack)
+                    states[target] = (tuple(stack), assigned)
                     worklist.append(target)
             break
     if not seen_ret:
         raise BytecodeVerifyError(f"{func.name}: no reachable ret")
 
 
-def _join(states: Dict[int, Tuple[_Slot, ...]], pc: int,
-          new: Tuple[_Slot, ...], func: BytecodeFunction) -> bool:
-    """Slot-wise union of ``new`` into ``states[pc]``; True when the
-    state grew (the verifier re-queues the target).  Depth mismatch is
-    the one unjoinable merge — the stack discipline itself differs."""
-    old = states[pc]
-    if len(old) != len(new):
+def _join(states: Dict[int, _State], pc: int, new: _State,
+          func: BytecodeFunction) -> bool:
+    """Slot-wise union of ``new``'s stack into ``states[pc]``, and the
+    intersection of the assigned sets; True when the state changed
+    (the verifier re-queues the target).  Depth mismatch is the one
+    unjoinable merge — the stack discipline itself differs."""
+    (old, old_assigned), (stack, assigned) = states[pc], new
+    if len(old) != len(stack):
         raise BytecodeVerifyError(
             f"{func.name}@{pc}: inconsistent stack at merge "
-            f"(depth {len(old)} vs {len(new)})")
-    joined = tuple(o | n for o, n in zip(old, new))
-    if joined != old:
+            f"(depth {len(old)} vs {len(stack)})")
+    joined = (tuple(o | n for o, n in zip(old, stack)),
+              old_assigned & assigned)
+    if joined != states[pc]:
         states[pc] = joined
         return True
     return False
 
 
-def _step(module, func, pc, instr: BCInstr, stack: List[_Slot], fail):
+def _step(module, func, pc, instr: BCInstr, stack: List[_Slot],
+          assigned: int, fail):
+    """Check one instruction against ``stack`` (popped and pushed in
+    place) and the ``assigned`` locals; returns the successor pcs, the
+    assigned set after it, and whether it returns."""
     op = instr.op
 
     def pop(expected: Optional[set] = None,
@@ -141,12 +162,15 @@ def _step(module, func, pc, instr: BCInstr, stack: List[_Slot], fail):
         index = instr.arg
         if not isinstance(index, int) or index >= len(func.local_types):
             fail(pc, f"ldloc index {index} out of range")
+        if not assigned >> index & 1:
+            fail(pc, f"local {index} read before assignment")
         push(func.local_types[index])
     elif op == "stloc":
         index = instr.arg
         if not isinstance(index, int) or index >= len(func.local_types):
             fail(pc, f"stloc index {index} out of range")
         pop({func.local_types[index]}, "stloc value")
+        assigned |= 1 << index
     elif op == "frame":
         if not isinstance(instr.arg, int) or \
                 instr.arg >= len(func.frame_slots):
@@ -209,12 +233,12 @@ def _step(module, func, pc, instr: BCInstr, stack: List[_Slot], fail):
             pop({func.ret_type}, "return value")
         if stack:
             fail(pc, f"stack not empty at ret: {stack}")
-        return [], stack, True
+        return [], assigned, True
     elif op == "br":
-        return [instr.arg], stack, False
+        return [instr.arg], assigned, False
     elif op == "brif":
         pop(_INT_TAGS, "branch condition")
-        return [instr.arg, pc + 1], stack, False
+        return [instr.arg, pc + 1], assigned, False
     elif op == "vec.load":
         pop(_ADDR_TAGS, "address")
         push(f"v128:{instr.ty}")
@@ -244,4 +268,4 @@ def _step(module, func, pc, instr: BCInstr, stack: List[_Slot], fail):
         push(acc_tag)
     else:
         fail(pc, f"unknown opcode {op!r}")
-    return [pc + 1], stack, False
+    return [pc + 1], assigned, False

@@ -6,8 +6,8 @@ actually *reused*.  :class:`CompilationService` is the facade that
 enforces the reuse:
 
 * :mod:`repro.service.cache` — content-addressed artifact cache keyed
-  by ``sha256(source, offline options)``, now N independently locked
-  shards (key-hash routing, per-shard LRU + disk directories);
+  by ``sha256(source, offline options)``: one LRU in memory, an
+  optional persistence directory on disk;
 * :mod:`repro.service.executors` — the pluggable
   :class:`DeployExecutor` substrates a deployment compiles on
   (threads, worker processes, inline);
@@ -15,8 +15,7 @@ enforces the reuse:
   with a per-``(artifact, target, flow)`` image memo;
 * :mod:`repro.service.singleflight` — the one in-flight dedup both
   once-only jobs (offline compile, image build) share;
-* :mod:`repro.service.requests` — the batch request/response API with
-  hit/miss/latency accounting;
+* :mod:`repro.service.requests` — the batch request/response API;
 * :mod:`repro.service.asyncio` — the :class:`AsyncCompilationService`
   front end: ``await service.deploy(request)`` and ``asyncio.gather``
   batch fan-out, each call one off-loop hop onto this facade.
@@ -44,33 +43,31 @@ from repro.analysis.lint import AdmissionError, check_admission
 from repro.core.offline import OfflineArtifact, offline_compile
 from repro.flows import DEFAULT_PIPELINE, Flow, as_flow
 from repro.service.cache import (
-    ArtifactCache, CacheStats, SCHEMA_VERSION, artifact_fingerprint,
-    artifact_key, canonical_options, deserialize_artifact,
-    serialize_artifact,
+    ArtifactCache, SCHEMA_VERSION, artifact_fingerprint, artifact_key,
+    canonical_options, deserialize_artifact, serialize_artifact,
 )
-from repro.service.deployment import DeploymentPool, DeployStats
+from repro.service.deployment import DeploymentPool
 from repro.service.executors import (
-    DeployExecutor, Executorish, ExecutorStats, InlineExecutor,
-    ProcessExecutor, ThreadExecutor, UnknownExecutorError, as_executor,
-    executor_names,
+    DeployExecutor, Executorish, InlineExecutor, ProcessExecutor,
+    ThreadExecutor, UnknownExecutorError, as_executor, executor_names,
 )
 from repro.service.requests import (
-    CompileOutcome, CompileRequest, DeployResult, ServiceStats,
-    TargetDeployment,
+    CompileOutcome, CompileRequest, DeployResult, TargetDeployment,
 )
 from repro.service.singleflight import SingleFlight, run_settled
 from repro.targets.registry import Targetish, as_target
+from repro.telemetry import Counters
 
 __all__ = [
-    "ArtifactCache", "CacheStats", "SCHEMA_VERSION",
+    "ArtifactCache", "SCHEMA_VERSION",
     "artifact_key", "artifact_fingerprint",
     "canonical_options", "serialize_artifact", "deserialize_artifact",
-    "DeploymentPool", "DeployStats",
-    "DeployExecutor", "ExecutorStats", "ThreadExecutor",
+    "DeploymentPool",
+    "DeployExecutor", "ThreadExecutor",
     "ProcessExecutor", "InlineExecutor", "UnknownExecutorError",
     "as_executor", "executor_names",
     "CompileRequest", "CompileOutcome", "DeployResult",
-    "TargetDeployment", "ServiceStats",
+    "TargetDeployment",
     "CompilationService", "AsyncCompilationService",
     "AdmissionError",
     "default_service", "reset_default_service",
@@ -92,31 +89,31 @@ class CompilationService:
                  cache_capacity: int = 64,
                  persist_dir: Optional[Path] = None,
                  executor: Executorish = None,
-                 cache_shards: Optional[int] = None,
                  lint: bool = True):
         """``executor`` picks the deployment substrate (name or
-        :class:`DeployExecutor` instance; default thread pool) and
-        ``cache_shards`` the artifact-cache shard count (default
-        ``min(8, capacity)``).  ``lint=False`` disables the
-        deploy-time admission gate (the dataflow-plane lint every
-        artifact passes before any target compiles; see
-        :mod:`repro.analysis.lint`)."""
+        :class:`DeployExecutor` instance; default thread pool).
+        ``lint=False`` disables the deploy-time admission gate (the
+        dataflow-plane lint every artifact passes before any target
+        compiles; see :mod:`repro.analysis.lint`)."""
         self.cache = cache if cache is not None else \
-            ArtifactCache(cache_capacity, persist_dir,
-                          shards=cache_shards)
+            ArtifactCache(cache_capacity, persist_dir)
         self.pool = DeploymentPool(executor=executor)
         self.lint = lint
+        #: ``requests`` served; ``coalesced_requests`` whose offline
+        #: half joined a compile another request had in flight;
+        #: deployments the admission gate refused (``lint_rejections``);
+        #: seconds of real offline (``offline_s``) and JIT
+        #: (``deploy_s``) work, and ``coalesced_wait_s`` — the wall
+        #: time requests spent waiting on work another request
+        #: triggered, kept apart so the two totals before it measure
+        #: compilation, not herd size
+        self.counts = Counters("requests", "coalesced_requests",
+                               "lint_rejections", "offline_s",
+                               "deploy_s", "coalesced_wait_s")
+        #: warn-severity lint findings, once per artifact
+        #: (``LintFinding.as_dict()`` form)
         self._lint_findings: List[Dict[str, object]] = []
-        self._lint_rejections = 0
-        self._counter_lock = threading.Lock()
-        self._requests = 0
-        self._coalesced = 0
-        self._offline_latency = 0.0
-        self._deploy_latency = 0.0
-        #: wall time coalesced requests spent *waiting* on work some
-        #: other request triggered — kept out of the latency totals
-        #: above so they measure real compilation, not herd size
-        self._coalesced_wait = 0.0
+        self._lint_lock = threading.Lock()
         #: in-flight offline compiles, keyed by artifact key — the
         #: offline-side twin of the pool's in-flight image builds
         self._compiling = SingleFlight()
@@ -148,11 +145,8 @@ class CompilationService:
         # request's compile, not work this request performed — charge
         # it to the coalesced-wait bucket so the offline latency total
         # scales with compilations, not with herd size.
-        with self._counter_lock:
-            if joined:
-                self._coalesced_wait += latency
-            else:
-                self._offline_latency += latency
+        self.counts.add("coalesced_wait_s" if joined else "offline_s",
+                        latency)
         return CompileOutcome(artifact=artifact, key=key, cache_hit=hit,
                               latency=latency)
 
@@ -178,8 +172,7 @@ class CompilationService:
             start=lambda: run_settled(build),
             store=lambda artifact: self.cache.put(key, artifact))
         if joined:
-            with self._counter_lock:
-                self._coalesced += 1
+            self.counts.add("coalesced_requests")
         return future.result(), joined
 
     def artifact(self, source: str, name: str = "module",
@@ -194,20 +187,19 @@ class CompilationService:
         before any target compiles.  ``error`` findings raise
         :class:`AdmissionError` (the structured diagnostic carries the
         findings); ``warn`` findings are surfaced once per artifact in
-        ``ServiceStats.lint_findings``.  Findings are memoized on the
+        ``stats()["lint"]["findings"]``.  Findings are memoized on the
         artifact, so repeat deployments re-check nothing."""
         if not self.lint:
             return
         try:
             findings = check_admission(artifact)
         except AdmissionError:
-            with self._counter_lock:
-                self._lint_rejections += 1
+            self.counts.add("lint_rejections")
             raise
         warns = [f.as_dict() for f in findings if f.severity == "warn"]
         if warns and not getattr(artifact, "_pvi_lint_surfaced", False):
             artifact._pvi_lint_surfaced = True
-            with self._counter_lock:
+            with self._lint_lock:
                 self._lint_findings.extend(warns)
 
     def deploy(self, artifact: OfflineArtifact, target: Targetish,
@@ -218,7 +210,7 @@ class CompilationService:
         self._admit(artifact)
         start = time.perf_counter()
         image = self.pool.deploy_one(artifact, target, flow)
-        self._add_deploy_latency(time.perf_counter() - start)
+        self.counts.add("deploy_s", time.perf_counter() - start)
         return image
 
     def deploy_many(self, artifact: OfflineArtifact,
@@ -229,7 +221,7 @@ class CompilationService:
         self._admit(artifact)
         start = time.perf_counter()
         images = self.pool.deploy_many(artifact, targets, flow)
-        self._add_deploy_latency(time.perf_counter() - start)
+        self.counts.add("deploy_s", time.perf_counter() - start)
         return images
 
     # -- batch API ----------------------------------------------------------
@@ -248,8 +240,7 @@ class CompilationService:
         """
         start = time.perf_counter()
         flow = as_flow(request.flow)
-        with self._counter_lock:
-            self._requests += 1
+        self.counts.add("requests")
         outcome = self.compile(request.source, request.name,
                                **self.request_options(request, flow))
         self._admit(outcome.artifact)
@@ -267,12 +258,10 @@ class CompilationService:
         # A request whose every target rode the memo or an in-flight
         # compile triggered no JIT work — its wait belongs to
         # ``coalesced_wait``, not the deploy latency total.
-        waited = time.perf_counter() - deploy_start
-        with self._counter_lock:
-            if info and all(reused for _c, reused, _e in info.values()):
-                self._coalesced_wait += waited
-            else:
-                self._deploy_latency += waited
+        memoized = bool(info) and all(
+            reused for _c, reused, _e in info.values())
+        self.counts.add("coalesced_wait_s" if memoized else "deploy_s",
+                        time.perf_counter() - deploy_start)
         return self._build_result(request, flow, outcome, info, start)
 
     def submit_batch(self, requests: Iterable[CompileRequest]) \
@@ -342,42 +331,26 @@ class CompilationService:
             offline_pass_work=dict(
                 outcome.artifact.pass_stats.work_by_pass))
 
-    def _add_deploy_latency(self, seconds: float) -> None:
-        with self._counter_lock:
-            self._deploy_latency += seconds
-
     # -- observability ------------------------------------------------------
 
-    def stats(self) -> ServiceStats:
-        cache = self.cache.stats
-        pool = self.pool.stats
-        executor = self.pool.executor
-        return ServiceStats(
-            artifact_hits=cache.hits,
-            artifact_disk_hits=cache.disk_hits,
-            artifact_misses=cache.misses,
-            artifact_stores=cache.stores,
-            artifact_evictions=cache.evictions,
-            artifact_corrupt_entries=cache.corrupt_entries,
-            artifact_io_errors=cache.io_errors,
-            deploy_compiles=pool.compiles,
-            deploy_memo_hits=pool.memo_hits,
-            deploy_evictions=pool.evictions,
-            requests=self._requests,
-            coalesced_requests=self._coalesced,
-            total_offline_latency=self._offline_latency,
-            total_deploy_latency=self._deploy_latency,
-            total_coalesced_wait=self._coalesced_wait,
-            lint_findings=list(self._lint_findings),
-            lint_rejections=self._lint_rejections,
-            deploy_by_flow={
-                name: {"compiles": entry.compiles,
-                       "memo_hits": entry.memo_hits}
-                for name, entry in self.pool.flow_stats().items()},
-            artifact_shards=[shard.as_dict()
-                             for shard in self.cache.shard_stats()],
-            deploy_executors={
-                executor.name: executor.stats.as_dict()})
+    def stats(self) -> Dict[str, object]:
+        """The whole service snapshot as plain JSON-able data (the
+        ``service`` section of the edge's ``/stats``, bench output):
+        the service's own counts, the cache's and the pool's views."""
+        counts = self.counts.snapshot()
+        with self._lint_lock:
+            findings = [dict(entry) for entry in self._lint_findings]
+        return {
+            "requests": counts["requests"],
+            "coalesced_requests": counts["coalesced_requests"],
+            "artifact": self.cache.stats(),
+            "deploy": self.pool.stats(),
+            "lint": {"findings": findings,
+                     "rejections": counts["lint_rejections"]},
+            "latency": {"offline_s": counts["offline_s"],
+                        "deploy_s": counts["deploy_s"],
+                        "coalesced_wait_s": counts["coalesced_wait_s"]},
+        }
 
 
 def __getattr__(name: str):

@@ -47,7 +47,7 @@ class AsyncCompilationService:
         """Wrap an existing service (shared caches) or construct a
         private core from ``service_kwargs`` (same keywords as
         :class:`CompilationService`: ``cache_capacity``,
-        ``persist_dir``, ``executor``, ``cache_shards``, ...)."""
+        ``persist_dir``, ``executor``, ...)."""
         self._owns_core = service is None
         self.service = service if service is not None \
             else CompilationService(**service_kwargs)

@@ -7,12 +7,6 @@ keyed by ``sha256(source, offline options)`` so any two requests for
 the same compilation share one artifact, across an in-memory LRU and
 (optionally) an on-disk store that survives the process.
 
-The LRU is *sharded*: N independently locked slices with key-hash
-routing, per-shard recency and per-shard disk directories, so
-concurrent lookups of different keys no longer serialize on one
-global lock (the hot path of a service absorbing deployment traffic
-for many cores at once).
-
 Persistence reuses the binary PVI serialization (`encode_module` /
 `decode_module`) for both bytecode flavours, plus a small JSON metadata
 sidecar carrying the fields of :class:`OfflineArtifact` that the
@@ -28,9 +22,8 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bytecode.encode import VERSION as PVI_ENCODER_VERSION
 from repro.bytecode.encode import decode_module, encode_module
@@ -39,6 +32,7 @@ from repro.core.offline import (
     OfflineArtifact, effective_pipeline, offline_compile,
 )
 from repro.opt import PassStats
+from repro.telemetry import Counters
 
 #: magic prefix of a persisted artifact file (PVI Artifact, container
 #: layout 2: metadata sidecar carries schema/source/pipeline/per-pass)
@@ -204,77 +198,41 @@ def deserialize_artifact(raw: bytes) -> OfflineArtifact:
 # the cache
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CacheStats:
-    hits: int = 0              # served from the in-memory LRU
-    disk_hits: int = 0         # revived from the persistence directory
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    corrupt_entries: int = 0   # undecodable disk entries (self-healed)
-    #: I/O failures against the persistence directory (permission
-    #: denied, disk full, ...).  Distinct from ``corrupt_entries``:
-    #: the entry bytes were never seen, so nothing is unlinked and the
-    #: lookup degrades to a miss — a climbing count here is how an
-    #: unreadable/unwritable persist dir shows up instead of
-    #: masquerading as an endless cache-miss recompile loop.
-    io_errors: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.disk_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        if lookups == 0:
-            return 0.0
-        return (self.hits + self.disk_hits) / lookups
-
-    def add(self, other: "CacheStats") -> "CacheStats":
-        """Accumulate another counter set (shard aggregation)."""
-        self.hits += other.hits
-        self.disk_hits += other.disk_hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.evictions += other.evictions
-        self.corrupt_entries += other.corrupt_entries
-        self.io_errors += other.io_errors
-        return self
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"hits": self.hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "stores": self.stores,
-                "evictions": self.evictions,
-                "corrupt_entries": self.corrupt_entries,
-                "io_errors": self.io_errors,
-                "hit_rate": self.hit_rate}
-
-
-#: shard-count ceiling when the caller does not choose one; the
-#: auto-pick never exceeds the capacity (a shard must hold >= 1 entry)
-DEFAULT_CACHE_SHARDS = 8
-
-#: disk-layout fan-out, *fixed* regardless of the in-memory shard
-#: count: a key's ``shard-NN/`` directory depends only on the key, so
-#: a persistence directory written under any shard/capacity
-#: configuration stays fully readable under any other
+#: disk-layout fan-out: a key's ``shard-NN/`` directory is
+#: ``crc32(key) % DISK_SHARDS``, a function of the key alone, so a
+#: persistence directory written under any capacity stays readable
+#: under any other
 DISK_SHARDS = 16
 
 
-class _CacheShard:
-    """One independently locked slice of the cache: its own LRU, its
-    own stats.  All the locking lives here — two lookups that route
-    to different shards never contend.  Disk paths come from the
-    owning cache (``path_for``), whose layout is shard-count
-    independent."""
+class ArtifactCache:
+    """In-memory LRU over content-addressed artifacts, with optional
+    on-disk persistence.
 
-    __slots__ = ("capacity", "path_for", "stats", "_entries", "_lock")
+    One ``OrderedDict`` under one lock: ``capacity`` is a hard bound
+    and recency is global.  The lock is never held across disk I/O or
+    serialization, so a disk revival or a persist does not stall other
+    lookups.  Disk entries outlive LRU eviction, so an evicted artifact
+    costs a decode instead of a full recompilation.
 
-    def __init__(self, capacity: int, path_for):
+    ``counts`` holds the cache's books (``hits`` from memory,
+    ``disk_hits`` revived from the persistence directory, ``misses``,
+    ``stores``, ``evictions``, ``corrupt_entries`` self-healed on
+    decode failure, ``io_errors`` against the persistence directory);
+    :meth:`stats` is their view.
+    """
+
+    def __init__(self, capacity: int = 64,
+                 persist_dir: Optional[Path] = None):
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.path_for = path_for
-        self.stats = CacheStats()
+        self.persist_dir = Path(persist_dir) if persist_dir else None
+        if self.persist_dir is not None:
+            self.persist_dir.mkdir(parents=True, exist_ok=True)
+        self.counts = Counters("hits", "disk_hits", "misses", "stores",
+                               "evictions", "corrupt_entries",
+                               "io_errors")
         self._entries: "OrderedDict[str, OfflineArtifact]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -291,35 +249,33 @@ class _CacheShard:
             artifact = self._entries.get(key)
             if artifact is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return artifact
+        if artifact is not None:
+            self.counts.add("hits")
+            return artifact
         artifact = self._load_persisted(key)
         if artifact is not None:
             # The cache key IS the content address; pin it so the
             # deployment memo sees the same identity as the in-memory
             # copy it replaces.
             artifact._pvi_fingerprint = key
-            with self._lock:
-                self.stats.disk_hits += 1
-                self._insert(key, artifact)
+            self._insert(key, artifact)
+            self.counts.add("disk_hits")
             return artifact
-        with self._lock:
-            self.stats.misses += 1
+        self.counts.add("misses")
         return None
 
     def peek(self, key: str) -> Optional[OfflineArtifact]:
-        """Stat-free, recency-free in-memory lookup (the in-flight
-        dedup's lost-race re-check)."""
+        """In-memory lookup with no counting and no recency update
+        (the in-flight dedup's lost-race re-check)."""
         with self._lock:
             return self._entries.get(key)
 
     def put(self, key: str, artifact: OfflineArtifact) -> None:
         if getattr(artifact, "_pvi_fingerprint", None) is None:
             artifact._pvi_fingerprint = key
-        with self._lock:
-            self.stats.stores += 1
-            self._insert(key, artifact)
-        path = self.path_for(key)
+        self._insert(key, artifact)
+        self.counts.add("stores")
+        path = self._disk_path(key)
         if path is not None and not path.exists():
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -334,24 +290,41 @@ class _CacheShard:
                 # Persistence is an optimization; a read-only persist
                 # dir must not fail the compile that produced the
                 # artifact.  Surface it instead of looping silently.
-                with self._lock:
-                    self.stats.io_errors += 1
+                self.counts.add("io_errors")
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
+    def stats(self) -> Dict[str, object]:
+        """The counts, plus the hit rate over all lookups."""
+        view: Dict[str, object] = self.counts.snapshot()
+        hits = view["hits"] + view["disk_hits"]
+        lookups = hits + view["misses"]
+        view["hit_rate"] = hits / lookups if lookups else 0.0
+        return view
+
     # -- internals ----------------------------------------------------------
 
     def _insert(self, key: str, artifact: OfflineArtifact) -> None:
-        self._entries[key] = artifact
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        evicted = 0
+        with self._lock:
+            self._entries[key] = artifact
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                evicted += 1
+        if evicted:
+            self.counts.add("evictions", evicted)
+
+    def _disk_path(self, key: str) -> Optional[Path]:
+        if self.persist_dir is None:
+            return None
+        index = zlib.crc32(key.encode("utf-8")) % DISK_SHARDS
+        return self.persist_dir / f"shard-{index:02d}" / f"{key}.pvia"
 
     def _load_persisted(self, key: str) -> Optional[OfflineArtifact]:
-        path = self.path_for(key)
+        path = self._disk_path(key)
         if path is None or not path.exists():
             return None
         try:
@@ -363,10 +336,9 @@ class _CacheShard:
             # error) — that says nothing about its content, so it
             # is neither corrupt nor healed by deletion.  Count it
             # where operators can see it (``io_errors``, surfaced
-            # through ``ServiceStats``) and degrade this lookup to
-            # a miss; recompilation keeps the service alive.
-            with self._lock:
-                self.stats.io_errors += 1
+            # through the service's stats) and degrade this lookup
+            # to a miss; recompilation keeps the service alive.
+            self.counts.add("io_errors")
             return None
         try:
             return deserialize_artifact(raw)
@@ -376,100 +348,9 @@ class _CacheShard:
             # the service down.  Self-heal by deleting the entry —
             # but a deletion *failure* is an I/O problem, not more
             # corruption.
-            with self._lock:
-                self.stats.corrupt_entries += 1
+            self.counts.add("corrupt_entries")
             try:
                 path.unlink(missing_ok=True)
             except OSError:
-                with self._lock:
-                    self.stats.io_errors += 1
+                self.counts.add("io_errors")
         return None
-
-
-class ArtifactCache:
-    """Sharded in-memory LRU over content-addressed artifacts, with
-    optional on-disk persistence.
-
-    The cache is split into ``shards`` independently locked
-    :class:`_CacheShard` slices; a key is routed by a stable hash of
-    its text (CRC32 — deterministic across processes, so disk entries
-    land in the same shard directory every run).  ``get``/``put`` are
-    thread-safe and, across shards, contention-free: the single global
-    lock the service's hot path used to funnel through is gone.
-
-    ``capacity`` is the *total* entry budget, divided evenly across
-    shards (per-shard LRU; the per-shard slice rounds *up*, so the
-    effective bound can exceed ``capacity`` by at most ``shards - 1``
-    entries).  Disk entries outlive LRU eviction, so an
-    evicted artifact costs a decode instead of a full recompilation.
-    The on-disk layout (``shard-NN/`` by ``crc32(key) % DISK_SHARDS``)
-    is deliberately *independent* of the in-memory shard count, so one
-    persistence directory serves every shard/capacity configuration.
-
-    ``shards=1`` restores the exact single-LRU behaviour (strict
-    global recency ordering), which a few tests rely on.
-    """
-
-    def __init__(self, capacity: int = 64,
-                 persist_dir: Optional[Path] = None,
-                 shards: Optional[int] = None):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        if shards is None:
-            shards = min(DEFAULT_CACHE_SHARDS, capacity)
-        if shards < 1:
-            raise ValueError("cache shard count must be >= 1")
-        self.capacity = capacity
-        self.shard_count = shards
-        self.persist_dir = Path(persist_dir) if persist_dir else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
-        per_shard = -(-capacity // shards)            # ceil division
-        self._shards = tuple(
-            _CacheShard(per_shard, self._disk_path)
-            for _ in range(shards))
-
-    def _disk_path(self, key: str) -> Optional[Path]:
-        if self.persist_dir is None:
-            return None
-        index = zlib.crc32(key.encode("utf-8")) % DISK_SHARDS
-        return self.persist_dir / f"shard-{index:02d}" / f"{key}.pvia"
-
-    def _shard_for(self, key: str) -> _CacheShard:
-        if self.shard_count == 1:
-            return self._shards[0]
-        return self._shards[
-            zlib.crc32(key.encode("utf-8")) % self.shard_count]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._shard_for(key)
-
-    def get(self, key: str) -> Optional[OfflineArtifact]:
-        return self._shard_for(key).get(key)
-
-    def peek(self, key: str) -> Optional[OfflineArtifact]:
-        """In-memory lookup with no stats and no recency update."""
-        return self._shard_for(key).peek(key)
-
-    def put(self, key: str, artifact: OfflineArtifact) -> None:
-        self._shard_for(key).put(key, artifact)
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregated counters across every shard (snapshot)."""
-        total = CacheStats()
-        for shard in self._shards:
-            total.add(shard.stats)
-        return total
-
-    def shard_stats(self) -> List[CacheStats]:
-        """Per-shard counter snapshots, in shard order."""
-        return [CacheStats().add(shard.stats)
-                for shard in self._shards]

@@ -15,7 +15,7 @@ under concurrency.
 *Where* a compile runs is a pluggable axis: the pool drives a
 :class:`~repro.service.executors.DeployExecutor` (thread pool by
 default; worker processes for cold fan-out past the GIL; inline for
-deterministic tests).  The memo, the in-flight dedup and the stats
+deterministic tests).  The memo, the in-flight dedup and the counts
 all sit above that seam, so every executor serves identical images.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.offline import OfflineArtifact
@@ -38,6 +37,7 @@ from repro.service.executors import (
 from repro.service.singleflight import SingleFlight
 from repro.targets.machine import TargetDesc
 from repro.targets.registry import Targetish, as_target
+from repro.telemetry import Counters
 
 #: memoization key of one compiled image: (artifact hash, schema +
 #: target cache key, flow cache key).  The target component is
@@ -51,35 +51,6 @@ from repro.targets.registry import Targetish, as_target
 DeployKey = Tuple[str, str, str]
 
 Flowish = Union[str, Flow]
-
-
-@dataclass
-class FlowDeployStats:
-    """Per-flow share of the pool's traffic."""
-    compiles: int = 0
-    memo_hits: int = 0
-
-
-@dataclass
-class DeployStats:
-    compiles: int = 0          # actual JIT invocations
-    memo_hits: int = 0         # served from the image memo
-    evictions: int = 0         # finished images dropped at capacity
-    #: traffic broken down by flow name (custom flows included)
-    by_flow: Dict[str, FlowDeployStats] = field(default_factory=dict)
-
-    @property
-    def requests(self) -> int:
-        return self.compiles + self.memo_hits
-
-    def _count(self, flow_name: str, hit: bool) -> None:
-        entry = self.by_flow.setdefault(flow_name, FlowDeployStats())
-        if hit:
-            self.memo_hits += 1
-            entry.memo_hits += 1
-        else:
-            self.compiles += 1
-            entry.compiles += 1
 
 
 class DeploymentPool:
@@ -105,11 +76,13 @@ class DeploymentPool:
             raise ValueError("max_images must be >= 1")
         self._images: "OrderedDict[DeployKey, object]" = OrderedDict()
         self._building = SingleFlight()
-        #: guards the memo and the stats, never held across a compile
+        #: guards the memo, never held across a compile
         self._lock = threading.Lock()
         self.executor: DeployExecutor = as_executor(executor)
         self.max_images = max_images
-        self.stats = DeployStats()
+        #: actual JIT ``compiles`` and image ``memo_hits``, both by
+        #: ``flow`` name; finished images ``evictions`` at capacity
+        self.counts = Counters("compiles", "memo_hits", "evictions")
 
     def shutdown(self) -> None:
         self.executor.shutdown(wait=True)
@@ -165,13 +138,18 @@ class DeploymentPool:
         with self._lock:
             return list(self._images)
 
-    def flow_stats(self) -> Dict[str, FlowDeployStats]:
-        """Snapshot of the per-flow counters (copied under the lock —
-        ``stats.by_flow`` itself is mutated by concurrent deploys)."""
-        with self._lock:
-            return {name: FlowDeployStats(entry.compiles,
-                                          entry.memo_hits)
-                    for name, entry in self.stats.by_flow.items()}
+    def stats(self) -> Dict[str, object]:
+        """The counts with the memo hit rate, the per-flow split and
+        the executor's own counts."""
+        view: Dict[str, object] = self.counts.snapshot()
+        served = view["compiles"] + view["memo_hits"]
+        view["hit_rate"] = view["memo_hits"] / served if served else 0.0
+        view["by_flow"] = {
+            flow: {"compiles": row["compiles"],
+                   "memo_hits": row["memo_hits"]}
+            for flow, row in self.counts.split("flow").items()}
+        view["executors"] = {self.executor.name: self.executor.stats()}
+        return view
 
     # -- internals ----------------------------------------------------------
 
@@ -199,8 +177,8 @@ class DeploymentPool:
             start=lambda: self.executor.submit(self._compile, artifact,
                                                target, flow),
             store=lambda image: self._remember(key, image))
-        with self._lock:
-            self.stats._count(flow.name, hit=reused)
+        self.counts.add("memo_hits" if reused else "compiles",
+                        flow=flow.name)
         return future, reused
 
     def _memoized(self, key: DeployKey) -> Optional[object]:
@@ -213,11 +191,14 @@ class DeploymentPool:
 
     def _remember(self, key: DeployKey, image) -> None:
         """Memoize a finished image; bound the memo."""
+        evicted = 0
         with self._lock:
             self._images[key] = image
             while len(self._images) > self.max_images:
                 self._images.popitem(last=False)
-                self.stats.evictions += 1
+                evicted += 1
+        if evicted:
+            self.counts.add("evictions", evicted)
 
     @staticmethod
     def _compile(artifact: OfflineArtifact, target: TargetDesc,

@@ -3,15 +3,14 @@
 The network boundary of the compilation service: stdlib-asyncio HTTP
 in front of :class:`~repro.service.asyncio.AsyncCompilationService`,
 with API-key tenancy and token-bucket quotas (:mod:`.auth`), bounded
-admission and latency histograms (:mod:`.admission`), adaptive
-cold/warm executor routing (:mod:`.routing`), a strict JSON wire
-schema (:mod:`.wire`), the server itself (:mod:`.server`, also the
-``pvi-serve`` console script) and a matching client (:mod:`.client`).
+admission (:mod:`.admission`), adaptive cold/warm executor routing
+(:mod:`.routing`), a strict JSON wire schema (:mod:`.wire`), the
+server itself (:mod:`.server`, also the ``pvi-serve`` console script)
+and a matching client (:mod:`.client`).
 """
 
 from repro.service.edge.admission import (
-    AdmissionController, AdmissionDecision, LatencyHistogram,
-)
+    AdmissionController, AdmissionDecision)
 from repro.service.edge.auth import (
     AuthError, Tenant, TenantTable, TokenBucket, anonymous_tenant,
 )
@@ -23,7 +22,7 @@ from repro.service.edge.wire import (
 )
 
 __all__ = [
-    "AdmissionController", "AdmissionDecision", "LatencyHistogram",
+    "AdmissionController", "AdmissionDecision",
     "AuthError", "Tenant", "TenantTable", "TokenBucket",
     "anonymous_tenant",
     "EdgeClient",

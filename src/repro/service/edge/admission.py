@@ -9,80 +9,15 @@ everything shed gets an immediate, structured 503 with a honest
 (fail loudly at the boundary, never degrade everyone a little).
 
 The controller is pure bookkeeping — the actual ``asyncio.Queue``
-lives in the server; this module decides and accounts.  Latency
-observability is a log-bucketed histogram good enough for p50/p99 at
-a few dozen buckets, cheap enough to keep per tenant.
+lives in the server; this module decides and accounts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["LatencyHistogram", "AdmissionDecision",
-           "AdmissionController"]
-
-
-class LatencyHistogram:
-    """Log-spaced latency histogram with percentile estimation.
-
-    Buckets double from 100 µs up to ~200 s (22 buckets), with an
-    overflow bucket above; percentiles interpolate linearly inside the
-    winning bucket, which is plenty for p50/p99 dashboards (the error
-    is bounded by the 2x bucket ratio).
-    """
-
-    BASE_S = 1e-4
-    BUCKETS = 22
-
-    def __init__(self):
-        self.counts: List[int] = [0] * (self.BUCKETS + 1)
-        self.total = 0
-        self.sum_s = 0.0
-        self.max_s = 0.0
-
-    def observe(self, seconds: float) -> None:
-        seconds = max(0.0, seconds)
-        index = 0
-        upper = self.BASE_S
-        while seconds > upper and index < self.BUCKETS:
-            upper *= 2.0
-            index += 1
-        self.counts[index] += 1
-        self.total += 1
-        self.sum_s += seconds
-        self.max_s = max(self.max_s, seconds)
-
-    def percentile(self, p: float) -> float:
-        """p in [0, 1] -> estimated seconds (0.0 when empty)."""
-        if self.total == 0:
-            return 0.0
-        threshold = p * self.total
-        seen = 0
-        lower, upper = 0.0, self.BASE_S
-        for index, count in enumerate(self.counts):
-            if seen + count >= threshold:
-                if count == 0:
-                    return upper
-                fraction = (threshold - seen) / count
-                return lower + fraction * (upper - lower)
-            seen += count
-            lower = upper
-            upper = upper * 2.0 if index < self.BUCKETS else upper
-        return self.max_s
-
-    @property
-    def mean_s(self) -> float:
-        return self.sum_s / self.total if self.total else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.total,
-            "mean_ms": round(self.mean_s * 1e3, 3),
-            "p50_ms": round(self.percentile(0.50) * 1e3, 3),
-            "p99_ms": round(self.percentile(0.99) * 1e3, 3),
-            "max_ms": round(self.max_s * 1e3, 3),
-        }
+__all__ = ["AdmissionDecision", "AdmissionController"]
 
 
 @dataclass

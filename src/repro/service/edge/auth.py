@@ -1,11 +1,12 @@
-"""Tenancy at the edge: API keys, token-bucket quotas, per-tenant stats.
+"""Tenancy at the edge: API keys and token-bucket quotas.
 
 The separation-kernel framing the edge borrows (Quest-V, PAPERS.md)
 is *partitioned capacity*: each tenant owns a slice of the edge's
 throughput, enforced before any shared resource is touched, so one
 misbehaving client saturates its own bucket and nothing else.  The
 admission queue downstream is the shared resource; the quota here is
-the per-partition gate in front of it.
+the per-partition gate in front of it.  What each tenant cost is
+counted by the edge, under a ``tenant`` label (``EdgeServer.counts``).
 
 Buckets take an injectable clock so refill timing is testable without
 sleeping; everything else is plain arithmetic on the event loop (one
@@ -15,10 +16,8 @@ thread — no locks needed).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional
 
-from repro.service.edge.admission import LatencyHistogram
 from repro.service.edge.wire import WireError
 
 __all__ = ["AuthError", "TokenBucket", "Tenant", "TenantTable"]
@@ -80,36 +79,6 @@ class TokenBucket:
         return self._tokens if self.rate is not None else float("inf")
 
 
-@dataclass
-class TenantStats:
-    """Per-tenant edge counters (live; ``as_dict`` snapshots)."""
-    requests: int = 0          # work requests that authenticated
-    accepted: int = 0          # admitted (or coalesced onto) work
-    coalesced: int = 0         # of accepted: joined an identical one
-    shed_quota: int = 0        # 429: token bucket empty
-    shed_queue: int = 0        # 503: admission queue full
-    shed_overload: int = 0     # 503: estimated wait over threshold
-    failed: int = 0            # served but errored (4xx/5xx outcome)
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-
-    @property
-    def shed(self) -> int:
-        return self.shed_quota + self.shed_queue + self.shed_overload
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "accepted": self.accepted,
-            "coalesced": self.coalesced,
-            "shed": {"quota": self.shed_quota,
-                     "queue_full": self.shed_queue,
-                     "overload": self.shed_overload,
-                     "total": self.shed},
-            "failed": self.failed,
-            "latency": self.latency.as_dict(),
-        }
-
-
 class Tenant:
     """One paying (or at least authenticated) consumer of the edge."""
 
@@ -123,12 +92,10 @@ class Tenant:
         self.enabled = enabled
         self.bucket = bucket if bucket is not None \
             else TokenBucket(rate, burst, clock)
-        self.stats = TenantStats()
 
     def charge(self) -> None:
         """Debit one request from the quota or raise the 429."""
         if not self.bucket.try_take():
-            self.stats.shed_quota += 1
             wait = self.bucket.retry_after()
             raise WireError(
                 429, "quota_exhausted",
@@ -219,6 +186,3 @@ class TenantTable:
                 enabled=bool(entry.get("enabled", True)),
                 clock=clock))
         return table
-
-    def stats_dict(self) -> Dict[str, object]:
-        return {tenant.name: tenant.stats.as_dict() for tenant in self}

@@ -48,10 +48,10 @@ class AdaptiveExecutor(DeployExecutor):
 
     ``cold``/``warm`` accept executor names or instances (default
     ``process`` / ``thread``); tests inject ``inline`` for both and
-    still get the routing counters.  The adaptive layer's own
-    :class:`ExecutorStats` aggregates both routes (that is what
-    ``ServiceStats.deploy_executors`` reports for the pool), and
-    :meth:`route_counters` breaks the traffic down per route.
+    still get the routing counters.  The adaptive layer counts each
+    job once, labelled by its ``route``: its ``stats()`` (what the
+    pool reports under ``deploy.executors``) is the total over both
+    routes, and :meth:`route_counters` is the split.
     """
 
     name = "adaptive"
@@ -62,11 +62,10 @@ class AdaptiveExecutor(DeployExecutor):
         self.cold = as_executor(cold)
         self.warm = as_executor(warm)
         #: fingerprints with >= 1 completed compile (bounded LRU);
-        #: guarded by ``_route_lock`` — submissions come from caller
-        #: threads, completions from executor worker threads
+        #: submissions come from caller threads, completions from
+        #: executor worker threads
         self._seen: "OrderedDict[str, bool]" = OrderedDict()
-        self._route_lock = threading.Lock()
-        self._route_submits = {"cold": 0, "warm": 0}
+        self._seen_lock = threading.Lock()
 
     # -- classification -----------------------------------------------------
 
@@ -76,14 +75,14 @@ class AdaptiveExecutor(DeployExecutor):
         target of the *first* fan-out classifies cold together — the
         fan-out is the unit the process pool wins on."""
         fingerprint = artifact_fingerprint(artifact)
-        with self._route_lock:
+        with self._seen_lock:
             if fingerprint in self._seen:
                 self._seen.move_to_end(fingerprint)
                 return "warm"
         return "cold"
 
     def _mark_seen(self, fingerprint: str) -> None:
-        with self._route_lock:
+        with self._seen_lock:
             self._seen[fingerprint] = True
             self._seen.move_to_end(fingerprint)
             while len(self._seen) > _SEEN_CAP:
@@ -95,8 +94,6 @@ class AdaptiveExecutor(DeployExecutor):
                flow) -> Future:
         route = self.classify(artifact)
         executor = self.cold if route == "cold" else self.warm
-        with self._route_lock:
-            self._route_submits[route] += 1
         fingerprint = artifact_fingerprint(artifact)
         future = executor.submit(compile_fn, artifact, target, flow)
 
@@ -106,7 +103,7 @@ class AdaptiveExecutor(DeployExecutor):
                 self._mark_seen(fingerprint)
 
         future.add_done_callback(_done)
-        return self._track(future)
+        return self._track(future, route=route)
 
     def shutdown(self, wait: bool = True) -> None:
         self.cold.shutdown(wait=wait)
@@ -117,17 +114,14 @@ class AdaptiveExecutor(DeployExecutor):
     def route_counters(self) -> Dict[str, object]:
         """The policy's proof: per-route submission counts plus each
         route's executor identity and live stats."""
-        with self._route_lock:
-            cold_n = self._route_submits["cold"]
-            warm_n = self._route_submits["warm"]
+        rows = self.counts.split("route")
+        with self._seen_lock:
             known = len(self._seen)
-        return {
-            "policy": "first-fanout-cold",
-            "cold": {"executor": self.cold.name,
-                     "submitted": cold_n,
-                     "stats": self.cold.stats.as_dict()},
-            "warm": {"executor": self.warm.name,
-                     "submitted": warm_n,
-                     "stats": self.warm.stats.as_dict()},
-            "known_artifacts": known,
-        }
+        counters: Dict[str, object] = {"policy": "first-fanout-cold",
+                                       "known_artifacts": known}
+        for route, executor in (("cold", self.cold), ("warm", self.warm)):
+            counters[route] = {
+                "executor": executor.name,
+                "submitted": rows.get(route, {}).get("submitted", 0),
+                "stats": executor.stats()}
+        return counters

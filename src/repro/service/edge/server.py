@@ -15,9 +15,11 @@ per-route, per-queue observability at ``GET /stats``.
 Endpoints:
 
 * ``GET  /healthz`` — liveness, never authenticated, never queued;
-* ``GET  /stats``   — edge counters + full ``ServiceStats.as_dict()``
-  + tier-2 build provenance (``facts_warm`` / ``facts_request``
-  count the tables a build had to compute itself);
+* ``GET  /stats``   — edge counters (totals and one row per tenant,
+  two reads of the same counts) + the full
+  ``CompilationService.stats()`` + tier-2 build provenance
+  (``facts_warm`` / ``facts_request`` count the tables a build had to
+  compute itself);
 * ``POST /compile`` — offline half only: body ``{source, name,
   options}`` -> artifact key and cache verdict;
 * ``POST /deploy``  — the whole request: body ``{source, name,
@@ -45,15 +47,14 @@ import asyncio
 import json
 import signal
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.service import CompilationService, artifact_key
 from repro.service.asyncio import AsyncCompilationService
-from repro.service.edge.admission import (
-    AdmissionController, LatencyHistogram,
-)
+from repro.service.edge.admission import AdmissionController
 from repro.service.edge.auth import Tenant, TenantTable, anonymous_tenant
 from repro.service.edge.routing import AdaptiveExecutor
 from repro.service.edge.wire import (
@@ -62,6 +63,7 @@ from repro.service.edge.wire import (
 )
 from repro.service.executors import Executorish
 from repro.service.requests import CompileRequest
+from repro.telemetry import Counters, LatencyHistogram
 
 __all__ = ["EdgeConfig", "EdgeServer", "main"]
 
@@ -104,7 +106,7 @@ class EdgeConfig:
     #: no quotas) — a dev/bench convenience, never the production shape
     tenants: Optional[TenantTable] = None
     #: keyword arguments for the owned :class:`CompilationService`
-    #: (``cache_capacity``, ``persist_dir``, ``cache_shards``, ...)
+    #: (``cache_capacity``, ``persist_dir``, ...)
     service_kwargs: Dict[str, object] = field(default_factory=dict)
 
 
@@ -112,8 +114,7 @@ class _Job:
     """One admitted unit of queue work, with every identical request
     that arrived while it was pending attached as a waiter."""
 
-    __slots__ = ("kind", "request", "payload", "key", "waiters",
-                 "tenants")
+    __slots__ = ("kind", "request", "payload", "key", "waiters")
 
     def __init__(self, kind: str, key, request=None, payload=None):
         self.kind = kind                  # "deploy" | "compile"
@@ -121,12 +122,10 @@ class _Job:
         self.request = request            # CompileRequest (deploy)
         self.payload = payload            # dict (compile)
         self.waiters: List[asyncio.Future] = []
-        self.tenants: List[Tenant] = []
 
-    def attach(self, tenant: Tenant) -> asyncio.Future:
+    def attach(self) -> asyncio.Future:
         future = asyncio.get_running_loop().create_future()
         self.waiters.append(future)
-        self.tenants.append(tenant)
         return future
 
     def resolve(self, result=None, error: Optional[BaseException] = None):
@@ -139,43 +138,25 @@ class _Job:
                 future.set_result(result)
 
 
-class EdgeStats:
-    """Edge-level counters (event-loop only — no locks)."""
+#: what each status of a refused request counts as
+_REFUSALS = {400: "bad_requests", 401: "auth_unauthorized",
+             403: "auth_forbidden", 429: "shed_quota"}
 
-    def __init__(self):
-        self.requests = 0            # work requests past auth parsing
-        self.accepted = 0
-        self.coalesced = 0
-        self.shed_quota = 0
-        self.shed_queue = 0
-        self.shed_overload = 0
-        self.auth_unauthorized = 0
-        self.auth_forbidden = 0
-        self.bad_requests = 0
-        self.failed = 0              # served but errored
-        self.latency = LatencyHistogram()
-        self.started_at = time.monotonic()
 
-    @property
-    def shed(self) -> int:
-        return self.shed_quota + self.shed_queue + self.shed_overload
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "requests": self.requests,
-            "accepted": self.accepted,
-            "coalesced": self.coalesced,
-            "shed": {"quota": self.shed_quota,
-                     "queue_full": self.shed_queue,
-                     "overload": self.shed_overload,
-                     "total": self.shed},
-            "auth_failures": {"unauthorized": self.auth_unauthorized,
-                              "forbidden": self.auth_forbidden},
-            "bad_requests": self.bad_requests,
-            "failed": self.failed,
-            "latency": self.latency.as_dict(),
-        }
+def _tally(counts: Dict[str, int],
+           latency: LatencyHistogram) -> Dict[str, object]:
+    """One ``/stats`` row (the edge's totals or one tenant's)."""
+    shed = {"quota": counts["shed_quota"],
+            "queue_full": counts["shed_queue"],
+            "overload": counts["shed_overload"]}
+    shed["total"] = sum(shed.values())
+    return {"requests": counts["requests"],
+            "accepted": counts["accepted"],
+            "coalesced": counts["coalesced"],
+            "shed": shed,
+            "bad_requests": counts["bad_requests"],
+            "failed": counts["failed"],
+            "latency": latency.as_dict()}
 
 
 class EdgeServer:
@@ -204,7 +185,21 @@ class EdgeServer:
                 service.pool.executor, AdaptiveExecutor) else None
         self.tenants = self.config.tenants
         self._anonymous = anonymous_tenant()
-        self.stats = EdgeStats()
+        #: the edge's books, one count per event.  Every event of a
+        #: work request carries its ``tenant`` label — ``requests``
+        #: (past auth and parsing), then ``shed_quota`` (429),
+        #: ``shed_queue`` / ``shed_overload`` (503) or ``accepted``,
+        #: of which ``coalesced`` joined a pending job and ``failed``
+        #: errored; ``bad_requests`` (400) failed parsing.  401 / 403
+        #: name no tenant and are counted without one.
+        self.counts = Counters("requests", "accepted", "coalesced",
+                               "shed_quota", "shed_queue",
+                               "shed_overload", "bad_requests", "failed",
+                               "auth_unauthorized", "auth_forbidden")
+        #: tenant name -> latency of its served requests
+        self._latency: Dict[str, LatencyHistogram] = \
+            defaultdict(LatencyHistogram)
+        self._started = time.monotonic()
         self.admission = AdmissionController(
             capacity=self.config.queue_depth,
             max_wait_s=self.config.max_wait_s,
@@ -382,23 +377,23 @@ class EdgeServer:
                 if method != "POST":
                     raise WireError(405, "method_not_allowed",
                                     f"{path} is POST")
-                return await self._serve_work(path, headers, body)
+                tenant = self._authenticate(headers)
+                try:
+                    return await self._serve_work(path, tenant, body)
+                except WireError as exc:
+                    self._count_refusal(exc, tenant=tenant.name)
+                    return exc.status, exc.body(), exc.retry_after
             raise WireError(404, "not_found",
                             f"no such endpoint {path!r}; have "
                             f"/healthz /stats /compile /deploy")
         except WireError as exc:
-            self._count_wire_error(exc)
+            self._count_refusal(exc)
             return exc.status, exc.body(), exc.retry_after
 
-    def _count_wire_error(self, exc: WireError) -> None:
-        if exc.status == 401:
-            self.stats.auth_unauthorized += 1
-        elif exc.status == 403:
-            self.stats.auth_forbidden += 1
-        elif exc.status == 429:
-            self.stats.shed_quota += 1
-        elif exc.status == 400:
-            self.stats.bad_requests += 1
+    def _count_refusal(self, exc: WireError, **labels) -> None:
+        name = _REFUSALS.get(exc.status)
+        if name is not None:
+            self.counts.add(name, **labels)
 
     def _authenticate(self, headers: Dict[str, str]) -> Tenant:
         key = headers.get("x-api-key")
@@ -412,10 +407,9 @@ class EdgeServer:
 
     # -- the work path ------------------------------------------------------
 
-    async def _serve_work(self, path: str, headers: Dict[str, str],
+    async def _serve_work(self, path: str, tenant: Tenant,
                           body: bytes) \
             -> Tuple[int, Dict[str, object], Optional[float]]:
-        tenant = self._authenticate(headers)
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (ValueError, UnicodeDecodeError):
@@ -434,8 +428,8 @@ class EdgeServer:
             except ValueError as exc:     # unknown offline options
                 raise WireError(400, "bad_request", str(exc))
             job_args = {"payload": fields}
-        tenant.stats.requests += 1
-        self.stats.requests += 1
+        who = tenant.name
+        self.counts.add("requests", tenant=who)
         tenant.charge()                   # 429 on an empty bucket
         arrived = time.monotonic()
         kind = path.lstrip("/")
@@ -446,40 +440,27 @@ class EdgeServer:
         if not coalesced:
             decision = self.admission.evaluate()
             if not decision.admitted:
-                return self._shed(tenant, decision)
+                return self._shed(who, decision)
             job = _Job(kind, key, **job_args)
             self._pending[key] = job
             self.admission.on_enqueue()
             self._queue.put_nowait(job)   # never full: gate == bound
-        future = job.attach(tenant)
-        tenant.stats.accepted += 1
-        self.stats.accepted += 1
+        future = job.attach()
+        self.counts.add("accepted", tenant=who)
         if coalesced:
-            tenant.stats.coalesced += 1
-            self.stats.coalesced += 1
+            self.counts.add("coalesced", tenant=who)
         try:
             result = await asyncio.shield(future)
-        except WireError as exc:
-            tenant.stats.failed += 1
-            self.stats.failed += 1
-            raise exc
         except Exception as exc:
-            tenant.stats.failed += 1
-            self.stats.failed += 1
+            self.counts.add("failed", tenant=who)
             return self._server_error(exc)
-        elapsed = time.monotonic() - arrived
-        self.stats.latency.observe(elapsed)
-        tenant.stats.latency.observe(elapsed)
+        self._latency[who].observe(time.monotonic() - arrived)
         return 200, result, None
 
-    def _shed(self, tenant: Tenant, decision) \
+    def _shed(self, who: str, decision) \
             -> Tuple[int, Dict[str, object], float]:
-        if decision.reason == "queue_full":
-            tenant.stats.shed_queue += 1
-            self.stats.shed_queue += 1
-        else:
-            tenant.stats.shed_overload += 1
-            self.stats.shed_overload += 1
+        self.counts.add("shed_queue" if decision.reason == "queue_full"
+                        else "shed_overload", tenant=who)
         wait = max(decision.estimated_wait_s,
                    self.admission.ewma_service_s, 0.05)
         body = error_wire(
@@ -496,6 +477,8 @@ class EdgeServer:
             -> Tuple[int, Dict[str, object], Optional[float]]:
         from repro.analysis.lint import AdmissionError
         from repro.lang.errors import CompilerError
+        if isinstance(exc, WireError):
+            return exc.status, exc.body(), exc.retry_after
         if isinstance(exc, CompilerError):
             return 422, error_wire(
                 "compile_error",
@@ -542,28 +525,38 @@ class EdgeServer:
     def _healthz(self) -> Dict[str, object]:
         return {
             "status": "ok",
-            "uptime_s": round(
-                time.monotonic() - self.stats.started_at, 3),
+            "uptime_s": round(time.monotonic() - self._started, 3),
             "queue_depth": self.admission.queued,
             "workers": self.config.workers,
         }
 
     def stats_snapshot(self) -> Dict[str, object]:
-        """The ``/stats`` payload: edge + queue + tenants + routing +
-        the full service-core snapshot + tier-2 build provenance."""
+        """The ``/stats`` payload: edge totals + queue + one row per
+        tenant + routing + the full service-core snapshot + tier-2
+        build provenance."""
         from repro.targets import dispatch
         from repro.vm import threaded
-        edge = self.stats.as_dict()
-        edge["queue"] = self.admission.as_dict()
-        edge["tenants"] = (self.tenants.stats_dict()
-                           if self.tenants is not None else
-                           {self._anonymous.name:
-                            self._anonymous.stats.as_dict()})
-        edge["routes"] = (self.router.route_counters()
-                          if self.router is not None else None)
+        totals = self.counts.snapshot()
+        rows = self.counts.split("tenant")
+        idle = dict.fromkeys(totals, 0)
+        tenants = self.tenants if self.tenants is not None \
+            else (self._anonymous,)
+        edge = _tally(totals, LatencyHistogram.merged(
+            self._latency.values()))
+        edge.update(
+            uptime_s=round(time.monotonic() - self._started, 3),
+            auth_failures={"unauthorized": totals["auth_unauthorized"],
+                           "forbidden": totals["auth_forbidden"]},
+            queue=self.admission.as_dict(),
+            tenants={tenant.name: _tally(
+                rows.get(tenant.name, idle),
+                self._latency.get(tenant.name) or LatencyHistogram())
+                for tenant in tenants},
+            routes=(self.router.route_counters()
+                    if self.router is not None else None))
         return {
             "edge": edge,
-            "service": self.core.stats().as_dict(),
+            "service": self.core.stats(),
             "tier2": {"vm": threaded.tier2_build_stats(),
                       "sim": dispatch.tier2_build_stats()},
         }

@@ -22,12 +22,11 @@ became data in earlier redesigns.  Three implementations ship:
   scheduling out of the picture.
 
 Every executor exposes the same ``submit(compile_fn, artifact,
-target, flow) -> Future`` surface plus per-executor
-:class:`ExecutorStats`, which the service aggregates into
-``ServiceStats.deploy_executors``.  The contract holds on all three:
-the future resolves to exactly the image ``compile_for_target`` built;
-predecode and tier-2 are built lazily by the engine that first runs
-the image, never by the service.
+target, flow) -> Future`` surface plus its own counts (``stats()``),
+which the pool reports under ``deploy.executors``.  The contract
+holds on all three: the future resolves to exactly the image
+``compile_for_target`` built; predecode and tier-2 are built lazily
+by the engine that first runs the image, never by the service.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ from concurrent.futures import (
     Future, ProcessPoolExecutor, ThreadPoolExecutor,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.service.singleflight import run_settled
+from repro.telemetry import Counters
 
 
 class UnknownExecutorError(KeyError, ValueError):
@@ -58,24 +57,6 @@ class UnknownExecutorError(KeyError, ValueError):
 
     def __str__(self) -> str:          # KeyError would repr() the args
         return self.args[0]
-
-
-@dataclass
-class ExecutorStats:
-    """Per-executor traffic counters (live object; copy to snapshot)."""
-    name: str = ""
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-
-    @property
-    def in_flight(self) -> int:
-        return self.submitted - self.completed - self.failed
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "submitted": self.submitted,
-                "completed": self.completed, "failed": self.failed,
-                "in_flight": self.in_flight}
 
 
 class DeployExecutor:
@@ -95,8 +76,8 @@ class DeployExecutor:
     name = "executor"
 
     def __init__(self):
-        self.stats = ExecutorStats(name=self.name)
-        self._stats_lock = threading.Lock()
+        #: jobs ``submitted``, and of those ``completed`` or ``failed``
+        self.counts = Counters("submitted", "completed", "failed")
 
     def submit(self, compile_fn: Callable, artifact, target,
                flow) -> Future:
@@ -105,19 +86,23 @@ class DeployExecutor:
     def shutdown(self, wait: bool = True) -> None:
         """Release worker resources (default: nothing to release)."""
 
-    def _track(self, future: Future) -> Future:
-        """Wire the per-executor counters onto one submitted future."""
-        with self._stats_lock:
-            self.stats.submitted += 1
+    def stats(self) -> Dict[str, object]:
+        """The counts, plus the jobs still in flight."""
+        view: Dict[str, object] = {"name": self.name,
+                                   **self.counts.snapshot()}
+        view["in_flight"] = \
+            view["submitted"] - view["completed"] - view["failed"]
+        return view
+
+    def _track(self, future: Future, **labels) -> Future:
+        """Count one submitted future, and its outcome when it
+        settles, under ``labels``."""
+        self.counts.add("submitted", **labels)
 
         def _done(settled: Future) -> None:
             failed = settled.cancelled() or \
                 settled.exception() is not None
-            with self._stats_lock:
-                if failed:
-                    self.stats.failed += 1
-                else:
-                    self.stats.completed += 1
+            self.counts.add("failed" if failed else "completed", **labels)
 
         future.add_done_callback(_done)
         return future

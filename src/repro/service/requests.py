@@ -115,109 +115,3 @@ class DeployResult:
         return self.artifact_cache_hit and \
             all(d.memo_hit and d.error is None
                 for d in self.deployments.values())
-
-
-@dataclass
-class ServiceStats:
-    """Aggregate service-level counters (snapshot, not live).
-
-    Aggregates roll up from the sharded artifact cache (per-shard
-    counters in ``artifact_shards``) and the deployment executor
-    (per-executor counters in ``deploy_executors``); ``as_dict()`` is
-    the machine-readable form the benches emit into ``BENCH_*.json``.
-    """
-    artifact_hits: int = 0
-    artifact_disk_hits: int = 0
-    artifact_misses: int = 0
-    artifact_stores: int = 0
-    artifact_evictions: int = 0
-    artifact_corrupt_entries: int = 0
-    #: persist-side I/O failures (unreadable or unwritable entries) —
-    #: distinct from decode corruption: the entry may be fine, the
-    #: filesystem is not, so nothing is self-healed
-    artifact_io_errors: int = 0
-    deploy_compiles: int = 0
-    deploy_memo_hits: int = 0
-    deploy_evictions: int = 0
-    requests: int = 0
-    #: requests whose offline half joined a compile another request
-    #: already had in flight (the offline single-flight's joiners)
-    coalesced_requests: int = 0
-    total_offline_latency: float = 0.0
-    total_deploy_latency: float = 0.0
-    #: wall clock spent by coalesced requests *waiting* on work some
-    #: other request was already doing — kept out of the latency
-    #: totals above so those reflect real compilation effort
-    total_coalesced_wait: float = 0.0
-    #: warn-severity admission-lint findings surfaced at deploy time
-    #: (one entry per finding, ``LintFinding.as_dict()`` form; each
-    #: artifact's findings are recorded once, however many targets it
-    #: fans out to).  ``error`` findings never appear here — they
-    #: reject the deployment with ``AdmissionError`` and are counted
-    #: in ``lint_rejections``.
-    lint_findings: List[Dict[str, object]] = field(default_factory=list)
-    #: deployments refused by the admission gate (error findings)
-    lint_rejections: int = 0
-    #: deployment traffic per flow name: {flow: {"compiles": n,
-    #: "memo_hits": m}} — registered custom flows appear here the
-    #: moment they are first deployed
-    deploy_by_flow: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: per-shard artifact cache counters, in shard order
-    artifact_shards: List[Dict[str, object]] = field(default_factory=list)
-    #: per-executor deployment counters: {executor name: counters}
-    deploy_executors: Dict[str, Dict[str, object]] = \
-        field(default_factory=dict)
-
-    @property
-    def artifact_hit_rate(self) -> float:
-        lookups = (self.artifact_hits + self.artifact_disk_hits +
-                   self.artifact_misses)
-        if lookups == 0:
-            return 0.0
-        return (self.artifact_hits + self.artifact_disk_hits) / lookups
-
-    @property
-    def deploy_hit_rate(self) -> float:
-        total = self.deploy_compiles + self.deploy_memo_hits
-        if total == 0:
-            return 0.0
-        return self.deploy_memo_hits / total
-
-    def as_dict(self) -> Dict[str, object]:
-        """The full snapshot as plain JSON-able data (bench output,
-        dashboards, log lines)."""
-        return {
-            "requests": self.requests,
-            "coalesced_requests": self.coalesced_requests,
-            "artifact": {
-                "hits": self.artifact_hits,
-                "disk_hits": self.artifact_disk_hits,
-                "misses": self.artifact_misses,
-                "stores": self.artifact_stores,
-                "evictions": self.artifact_evictions,
-                "corrupt_entries": self.artifact_corrupt_entries,
-                "io_errors": self.artifact_io_errors,
-                "hit_rate": self.artifact_hit_rate,
-                "shards": list(self.artifact_shards),
-            },
-            "deploy": {
-                "compiles": self.deploy_compiles,
-                "memo_hits": self.deploy_memo_hits,
-                "evictions": self.deploy_evictions,
-                "hit_rate": self.deploy_hit_rate,
-                "by_flow": {name: dict(entry) for name, entry
-                            in self.deploy_by_flow.items()},
-                "executors": {name: dict(entry) for name, entry
-                              in self.deploy_executors.items()},
-            },
-            "lint": {
-                "findings": [dict(entry) for entry in
-                             self.lint_findings],
-                "rejections": self.lint_rejections,
-            },
-            "latency": {
-                "offline_s": self.total_offline_latency,
-                "deploy_s": self.total_deploy_latency,
-                "coalesced_wait_s": self.total_coalesced_wait,
-            },
-        }

@@ -17,7 +17,7 @@ portability argument in miniature.
 
 The companion :func:`optimal_spill_set` (scipy MILP) computes, for one
 given K, the provably cost-minimal set of values to keep.  Only its
-tests call it: no benchmark does yet (ROADMAP item 5 plans it as the
+tests call it: no benchmark does yet (ROADMAP item 4 plans it as the
 "offline optimal" column of experiment S4a's table).
 """
 

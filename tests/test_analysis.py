@@ -276,8 +276,8 @@ class TestAdmissionGate:
         try:
             service.deploy(_fresh_artifact(), "x86")
             stats = service.stats()
-            assert stats.lint_rejections == 0
-            assert stats.lint_findings == []
+            assert stats["lint"]["rejections"] == 0
+            assert stats["lint"]["findings"] == []
         finally:
             service.shutdown()
 
@@ -288,11 +288,9 @@ class TestAdmissionGate:
             service.deploy(artifact, "x86")
             service.deploy(artifact, "sparc")
             stats = service.stats()
-            assert stats.lint_rejections == 0
-            codes = [f["code"] for f in stats.lint_findings]
+            assert stats["lint"]["rejections"] == 0
+            codes = [f["code"] for f in stats["lint"]["findings"]]
             assert codes.count("dead-block") == 1
-            assert stats.as_dict()["lint"]["findings"] == \
-                stats.lint_findings
         finally:
             service.shutdown()
 
@@ -303,7 +301,7 @@ class TestAdmissionGate:
             with pytest.raises(AdmissionError) as info:
                 service.deploy(artifact, "x86")
             assert any(f.severity == "error" for f in info.value.findings)
-            assert service.stats().lint_rejections == 1
+            assert service.stats()["lint"]["rejections"] == 1
         finally:
             service.shutdown()
 
@@ -315,8 +313,8 @@ class TestAdmissionGate:
             # lowering is malformed too — use the warn-only artifact
             service.deploy(_dead_block_artifact(), "x86")
             stats = service.stats()
-            assert stats.lint_findings == []
-            assert stats.lint_rejections == 0
+            assert stats["lint"]["findings"] == []
+            assert stats["lint"]["rejections"] == 0
         finally:
             service.shutdown()
 

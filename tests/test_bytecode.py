@@ -341,6 +341,40 @@ class TestVerifier:
                 BCInstr("const", "f32", 2.0),
                 BCInstr("and", "f32"), BCInstr("ret")], ret="f32"))
 
+    @pytest.mark.parametrize("code,error", [
+        # the engines read local 0's zero here, every native target
+        # read the argument: f(41) was 0 on one and 41 on the other
+        ([BCInstr("ldloc", None, 0), BCInstr("stloc", None, 1),
+          BCInstr("ldarg", None, 0), BCInstr("stloc", None, 0),
+          BCInstr("ldloc", None, 1), BCInstr("ret")],
+         "f@0: local 0 read before assignment"),
+        # stored on one arm of a diamond only
+        ([BCInstr("ldarg", None, 0), BCInstr("brif", None, 4),
+          BCInstr("ldarg", None, 0), BCInstr("stloc", None, 0),
+          BCInstr("ldloc", None, 0), BCInstr("ret")],
+         "f@4: local 0 read before assignment"),
+        # stored on both arms
+        ([BCInstr("ldarg", None, 0), BCInstr("brif", None, 5),
+          BCInstr("ldarg", None, 0), BCInstr("stloc", None, 0),
+          BCInstr("br", None, 7), BCInstr("const", "i32", 7),
+          BCInstr("stloc", None, 0), BCInstr("ldloc", None, 0),
+          BCInstr("ret")], None),
+        # stored before a loop, read at its header
+        ([BCInstr("ldarg", None, 0), BCInstr("stloc", None, 0),
+          BCInstr("ldloc", None, 0), BCInstr("brif", None, 5),
+          BCInstr("br", None, 2), BCInstr("ldloc", None, 0),
+          BCInstr("ret")], None),
+    ])
+    def test_definite_assignment(self, code, error):
+        func = self.make_func(code, params=["i32"],
+                              locals_=["i32", "i32"])
+        if error is None:
+            self.verify(func)
+            return
+        with pytest.raises(BytecodeVerifyError) as info:
+            self.verify(func)
+        assert str(info.value) == error
+
     def test_all_compiler_output_verifies(self):
         for source in (GCD, "double f(double x) { return -x; }"):
             emit(source)

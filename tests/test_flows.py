@@ -174,7 +174,7 @@ class TestCustomFlowEndToEnd:
         again = service.submit(request_custom)
         assert again.artifact_cache_hit and again.fully_cached
         # and the flow shows up in the service stats by name
-        by_flow = service.stats().deploy_by_flow
+        by_flow = service.stats()["deploy"]["by_flow"]
         assert by_flow["test-custom"]["compiles"] == 1
         assert by_flow["test-custom"]["memo_hits"] == 1
 
@@ -382,6 +382,6 @@ class TestSchemaVersion:
             svc.cache.clear()
             outcome = svc.compile(SUM_U8, "k")    # must recompile
             assert not outcome.cache_hit
-            assert svc.cache.stats.corrupt_entries == 1
+            assert svc.cache.stats()["corrupt_entries"] == 1
         finally:
             svc.shutdown()

@@ -7,6 +7,7 @@ import pathlib
 import sys
 import threading
 import time
+import zlib
 from concurrent.futures import Future
 
 import pytest
@@ -19,7 +20,9 @@ from repro.service import (
     ArtifactCache, CompilationService, CompileRequest, artifact_key,
     canonical_options, deserialize_artifact, serialize_artifact,
 )
-from repro.service.cache import ARTIFACT_MAGIC, artifact_fingerprint
+from repro.service.cache import (
+    ARTIFACT_MAGIC, DISK_SHARDS, artifact_fingerprint,
+)
 from repro.service.singleflight import SingleFlight, run_settled
 from repro.targets import Simulator, X86
 from repro.targets.catalog import TARGETS
@@ -84,17 +87,15 @@ class TestLRU:
                                optimize=False)
 
     def test_eviction_drops_least_recent(self):
-        # shards=1: strict global LRU ordering is the property under
-        # test (sharded recency is per-shard by design)
-        cache = ArtifactCache(capacity=2, shards=1)
+        cache = ArtifactCache(capacity=2)
         for key in ("k1", "k2", "k3"):
             cache.put(key, self.make(key))
         assert "k1" not in cache
         assert "k2" in cache and "k3" in cache
-        assert cache.stats.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_get_refreshes_recency(self):
-        cache = ArtifactCache(capacity=2, shards=1)
+        cache = ArtifactCache(capacity=2)
         cache.put("k1", self.make("k1"))
         cache.put("k2", self.make("k2"))
         assert cache.get("k1") is not None     # k2 is now least recent
@@ -106,10 +107,20 @@ class TestLRU:
         assert cache.get("missing") is None
         cache.put("k1", self.make("k1"))
         assert cache.get("k1") is not None
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
-        assert cache.stats.hit_rate == 0.5
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["hits"] == 1
+        assert cache.stats()["stores"] == 1
+        assert cache.stats()["hit_rate"] == 0.5
+
+    def test_capacity_is_a_hard_bound(self):
+        cache = ArtifactCache(capacity=3)
+        artifact = self.make("a")
+        keys = [artifact_key(SAXPY, f"k{i}") for i in range(8)]
+        for key in keys:
+            cache.put(key, artifact)
+            assert len(cache) <= 3
+        assert [key in cache for key in keys] == [False] * 5 + [True] * 3
+        assert cache.stats()["evictions"] == 5
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -163,7 +174,7 @@ class TestPersistence:
                                   persist_dir=tmp_path)
         try:
             outcome = warm.compile(SAXPY, "w")
-            assert warm.stats().artifact_disk_hits == 1
+            assert warm.stats()["artifact"]["disk_hits"] == 1
             threaded.reset_tier2_build_stats()
             threaded.warm_bytecode_module(outcome.artifact.bytecode)
             stats = threaded.tier2_build_stats()
@@ -184,7 +195,7 @@ class TestPersistence:
             svc.cache.clear()
             outcome = svc.compile(SAXPY, "one")          # must recompile
             assert not outcome.cache_hit
-            assert svc.cache.stats.corrupt_entries == 1
+            assert svc.cache.stats()["corrupt_entries"] == 1
             # the recompile re-persisted a healthy entry
             svc.cache.clear()
             assert svc.compile(SAXPY, "one").cache_hit
@@ -210,15 +221,13 @@ class TestPersistence:
                     PermissionError(13, "denied", str(self))))
             outcome = svc.compile(SAXPY, "one")     # recompiles
             assert not outcome.cache_hit
-            stats = svc.cache.stats
-            assert stats.io_errors >= 1
-            assert stats.corrupt_entries == 0
+            stats = svc.cache.stats()
+            assert stats["io_errors"] >= 1
+            assert stats["corrupt_entries"] == 0
             assert entry.exists(), "read failure must not unlink"
             # surfaced through the service snapshot too
-            snapshot = svc.stats()
-            assert snapshot.artifact_io_errors == stats.io_errors
-            assert snapshot.as_dict()["artifact"]["io_errors"] == \
-                stats.io_errors
+            assert svc.stats()["artifact"]["io_errors"] == \
+                stats["io_errors"]
         finally:
             svc.shutdown()
 
@@ -235,12 +244,12 @@ class TestPersistence:
         try:
             first = svc.compile(SAXPY, "ro")
             assert not first.cache_hit
-            assert svc.cache.stats.io_errors >= 1
-            assert svc.cache.stats.corrupt_entries == 0
+            assert svc.cache.stats()["io_errors"] >= 1
+            assert svc.cache.stats()["corrupt_entries"] == 0
             # the failed persist left the in-memory entry intact
             for _ in range(3):
                 assert svc.compile(SAXPY, "ro").cache_hit
-            assert svc.cache.stats.misses == 1
+            assert svc.cache.stats()["misses"] == 1
         finally:
             svc.shutdown()
 
@@ -251,7 +260,7 @@ class TestPersistence:
             svc.compile(SUM_U8, "two")     # evicts "one" from memory
             outcome = svc.compile(SAXPY, "one")
             assert outcome.cache_hit
-            assert svc.cache.stats.disk_hits == 1
+            assert svc.cache.stats()["disk_hits"] == 1
             # the revived artifact deploys identically to a fresh one
             fresh = deploy(offline_compile(SAXPY, "one"), X86, "split")
             revived = svc.deploy(outcome.artifact, X86, "split")
@@ -278,8 +287,8 @@ class TestService:
         assert service.deploy(artifact, X86, "split") is split
         assert service.deploy(artifact, X86, "offline-only") is not split
         stats = service.stats()
-        assert stats.deploy_compiles == 2
-        assert stats.deploy_memo_hits == 1
+        assert stats["deploy"]["compiles"] == 2
+        assert stats["deploy"]["memo_hits"] == 1
 
     def test_deploy_through_core_online(self, service):
         artifact = service.artifact(SAXPY)
@@ -468,7 +477,7 @@ class TestCoalescedWait:
             # joined the in-flight future, so each one's measured
             # latency covers a real wait.
             deadline = time.monotonic() + 5.0
-            while svc._coalesced < joiners and \
+            while svc.counts.total("coalesced_requests") < joiners and \
                     time.monotonic() < deadline:
                 time.sleep(0.002)
             return real(source, name, **options)
@@ -489,15 +498,13 @@ class TestCoalescedWait:
             for t in threads:
                 t.join()
             stats = svc.stats()
-            assert stats.coalesced_requests == joiners
+            assert stats["coalesced_requests"] == joiners
             assert sum(1 for o in outcomes if not o.cache_hit) == 1
             # every joiner waited for (most of) the compile, so the
             # wait bucket dwarfs the single compile charged to the
             # offline total
-            assert stats.total_coalesced_wait > \
-                stats.total_offline_latency
-            assert stats.as_dict()["latency"]["coalesced_wait_s"] == \
-                stats.total_coalesced_wait
+            assert stats["latency"]["coalesced_wait_s"] > \
+                stats["latency"]["offline_s"]
         finally:
             svc.shutdown()
 
@@ -512,8 +519,9 @@ class TestCoalescedWait:
         second = service.submit(request)
         assert second.fully_cached
         after = service.stats()
-        assert after.total_deploy_latency == before.total_deploy_latency
-        assert after.total_coalesced_wait > before.total_coalesced_wait
+        before, after = before["latency"], after["latency"]
+        assert after["deploy_s"] == before["deploy_s"]
+        assert after["coalesced_wait_s"] > before["coalesced_wait_s"]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +555,7 @@ class TestConcurrentDeployment:
         catalog = [X86, X86, X86]
         images = service.deploy_many(artifact, catalog, "split")
         assert len(images) == 1
-        assert service.stats().deploy_compiles == 1
+        assert service.stats()["deploy"]["compiles"] == 1
 
     def test_same_name_different_target_not_aliased(self, service):
         """Memo keys cover the whole TargetDesc, not just its name."""
@@ -557,7 +565,7 @@ class TestConcurrentDeployment:
         squeezed = service.deploy(artifact, replace(X86, int_regs=4),
                                   "split")
         assert squeezed is not full
-        assert service.stats().deploy_compiles == 2
+        assert service.stats()["deploy"]["compiles"] == 2
         assert squeezed["saxpy"].spill_slot_count > \
             full["saxpy"].spill_slot_count
 
@@ -589,7 +597,7 @@ class TestConcurrentDeployment:
             for target in ALL_TARGETS[:4]:
                 pool.deploy_one(artifact, target, "split")
             assert len(pool.known_keys()) <= 2
-            assert pool.stats.evictions >= 2
+            assert pool.stats()["evictions"] >= 2
         finally:
             pool.shutdown()
 
@@ -609,77 +617,37 @@ class TestConcurrentDeployment:
             t.join()
         assert len(images) == 8
         assert all(image is images[0] for image in images)
-        assert service.stats().deploy_compiles == 1
+        assert service.stats()["deploy"]["compiles"] == 1
 
 
 # ---------------------------------------------------------------------------
-# sharded cache
+# disk layout
 # ---------------------------------------------------------------------------
 
-class TestShardedCache:
-    def make(self, name: str) -> OfflineArtifact:
-        return offline_compile(SAXPY, name, do_vectorize=False,
-                               optimize=False)
-
-    def test_routing_is_deterministic_and_total(self):
-        cache = ArtifactCache(capacity=16, shards=4)
-        keys = [artifact_key(SAXPY, f"k{i}") for i in range(32)]
-        for key in keys:
-            assert cache._shard_for(key) is cache._shard_for(key)
-        owners = {id(cache._shard_for(key)) for key in keys}
-        assert len(owners) > 1, "sha256 keys must spread over shards"
-
-    def test_capacity_is_divided_across_shards(self):
-        cache = ArtifactCache(capacity=8, shards=4)
-        assert cache.shard_count == 4
-        assert all(shard.capacity == 2 for shard in cache._shards)
-
-    def test_aggregated_stats_sum_shards(self):
-        cache = ArtifactCache(capacity=8, shards=4)
-        artifact = self.make("a")
-        keys = [artifact_key(SAXPY, f"k{i}") for i in range(8)]
-        for key in keys:
-            cache.put(key, artifact)
-        # an unlucky hash spread may overflow one 2-entry shard; the
-        # survivors must all be served, the evicted ones are misses
-        present = [key for key in keys if key in cache]
-        assert present, "at least some keys must survive"
-        for key in present:
-            assert cache.get(key) is not None
-        assert cache.get("missing-key") is None
-        stats = cache.stats
-        assert stats.stores == 8
-        assert stats.hits == len(present)
-        assert stats.misses == 1
-        assert stats.evictions == 8 - len(present)
-        per_shard = cache.shard_stats()
-        assert len(per_shard) == 4
-        assert sum(s.stores for s in per_shard) == stats.stores
-        assert sum(s.hits for s in per_shard) == stats.hits
-
-    def test_shard_disk_dirs_and_legacy_fallback(self, tmp_path):
-        sharded = ArtifactCache(capacity=4, shards=4,
-                                persist_dir=tmp_path)
+class TestDiskShards:
+    def test_layout_is_fixed_by_key(self, tmp_path):
+        """An entry lives at ``shard-NN/<key>.pvia`` with ``NN =
+        crc32(key) % DISK_SHARDS``, whatever the cache's capacity: a
+        persist dir written by one configuration revives under any
+        other."""
+        writer = ArtifactCache(capacity=4, persist_dir=tmp_path)
         key = artifact_key(SAXPY, "persisted")
-        sharded.put(key, offline_compile(SAXPY, "persisted"))
-        shard_files = list(tmp_path.rglob("*.pvia"))
-        assert len(shard_files) == 1
-        assert shard_files[0].parent.name.startswith("shard-")
-        # a fresh cache (new process, same dir) revives from its shard
-        revived = ArtifactCache(capacity=4, shards=4,
-                                persist_dir=tmp_path)
+        writer.put(key, offline_compile(SAXPY, "persisted"))
+        index = zlib.crc32(key.encode("utf-8")) % DISK_SHARDS
+        assert list(tmp_path.rglob("*.pvia")) == \
+            [tmp_path / f"shard-{index:02d}" / f"{key}.pvia"]
+        revived = ArtifactCache(capacity=1, persist_dir=tmp_path)
         assert revived.get(key) is not None
-        assert revived.stats.disk_hits == 1
+        assert revived.stats()["disk_hits"] == 1
 
 
 class TestConcurrentEvictionRaces:
-    """Satellite: hammer a tiny sharded cache from 8 threads and
+    """Satellite: hammer a tiny cache from 8 threads and
     prove no lost updates, no compile work beyond dedup misses, and
     disk-entry self-healing."""
 
     def test_no_lost_updates_under_eviction_pressure(self, tmp_path):
-        cache = ArtifactCache(capacity=2, shards=2,
-                              persist_dir=tmp_path)
+        cache = ArtifactCache(capacity=2, persist_dir=tmp_path)
         artifacts = {f"w{i}": offline_compile(SAXPY, f"w{i}",
                                               optimize=False,
                                               do_vectorize=False)
@@ -712,20 +680,19 @@ class TestConcurrentEvictionRaces:
         for t in threads:
             t.join()
         assert not errors, errors
-        # in-memory cache is over capacity by at most nothing; every
-        # entry remains reachable through its disk shard (no lost
-        # updates even for evicted keys)
-        assert len(cache) <= 2 * cache.shard_count
+        # the in-memory cache is never over capacity; every entry
+        # remains reachable through its disk shard (no lost updates
+        # even for evicted keys)
+        assert len(cache) <= 2
         for name, key in keys.items():
             revived = cache.get(key)
             assert revived is not None and revived.name == name
-        stats = cache.stats
-        assert stats.stores == 8 * rounds
-        assert stats.corrupt_entries == 0
+        stats = cache.stats()
+        assert stats["stores"] == 8 * rounds
+        assert stats["corrupt_entries"] == 0
 
     def test_disk_entries_self_heal_after_corruption(self, tmp_path):
-        svc = CompilationService(cache_capacity=2, cache_shards=2,
-                                 persist_dir=tmp_path,
+        svc = CompilationService(cache_capacity=2, persist_dir=tmp_path,
                                  executor="inline")
         try:
             for i in range(4):
@@ -738,7 +705,7 @@ class TestConcurrentEvictionRaces:
             for i in range(4):
                 outcome = svc.compile(SAXPY, f"m{i}")    # recompiles
                 assert not outcome.cache_hit
-            assert svc.cache.stats.corrupt_entries == 4
+            assert svc.cache.stats()["corrupt_entries"] == 4
             # the recompiles re-persisted healthy entries
             svc.cache.clear()
             for i in range(4):
@@ -775,9 +742,9 @@ class TestConcurrentEvictionRaces:
             stats = svc.stats()
             # one offline compile total: 7 threads joined in flight
             # (coalesced) or hit the cache afterwards
-            assert stats.artifact_stores == 1
+            assert stats["artifact"]["stores"] == 1
             # one JIT total for the single (artifact, target, flow)
-            assert stats.deploy_compiles == 1
+            assert stats["deploy"]["compiles"] == 1
             images = {id(r.image_for("x86")) for r in results}
             assert len(images) == 1, "all callers must share one image"
         finally:
@@ -790,16 +757,18 @@ class TestConcurrentEvictionRaces:
 
 class TestServiceEncapsulationGuard:
     """Satellite: nothing outside ``repro.service`` may reach into the
-    cache's or pool's synchronization internals — the sharding and
-    executor redesign is only safe while every consumer stays behind
-    the public surface."""
+    cache's or pool's synchronization internals — the cache and
+    executor designs are only safe while every consumer stays behind
+    the public surface — and the service keeps one set of books: its
+    counters are :class:`repro.telemetry.Counters`, never another
+    hand-written ``*Stats`` class."""
 
     import re as _re
     BANNED = _re.compile(
         r"\.(?:cache|pool)\._\w+"               # svc.cache._lock, ...
         r"|ArtifactCache\._\w+"
-        r"|DeploymentPool\._\w+"
-        r"|_CacheShard\b")
+        r"|DeploymentPool\._\w+")
+    STATS_CLASS = _re.compile(r"^\s*class \w*Stats\b", _re.MULTILINE)
 
     def test_no_service_internal_access_outside_package(self):
         import pathlib
@@ -808,11 +777,19 @@ class TestServiceEncapsulationGuard:
         for base in (root / "src" / "repro", root / "examples",
                      root / "benchmarks"):
             for path in sorted(base.rglob("*.py")):
-                if "service" in path.parts and path.match(
-                        "*/repro/service/*"):
+                text = path.read_text()
+                in_service = (base.name == "repro"
+                              and path.relative_to(base).parts[0] == "service")
+                if in_service and self.STATS_CLASS.search(text):
+                    offenders.append(str(path.relative_to(root)))
+                # only the package's own modules may touch its internals;
+                # the edge subpackage is a consumer like any other
+                if in_service and path.match("*/repro/service/*"):
                     continue
-                if self.BANNED.search(path.read_text()):
+                if self.BANNED.search(text):
                     offenders.append(str(path.relative_to(root)))
         assert not offenders, (
             f"modules reaching into repro.service internals (use the "
-            f"public cache/pool/stats surface): {offenders}")
+            f"public cache/pool/stats surface), or a *Stats class back "
+            f"in repro.service (count on repro.telemetry.Counters): "
+            f"{offenders}")

@@ -25,9 +25,10 @@ import pytest
 
 from repro.service.edge import (
     AdaptiveExecutor, AdmissionController, EdgeClient, EdgeConfig,
-    EdgeServer, LatencyHistogram, Tenant, TenantTable, TokenBucket,
-    WireError, parse_compile_request, parse_deploy_request,
+    EdgeServer, Tenant, TenantTable, TokenBucket, WireError,
+    parse_compile_request, parse_deploy_request,
 )
+from repro.telemetry import LatencyHistogram
 from repro.workloads import TABLE1
 
 SAXPY = TABLE1["saxpy_fp"].source
@@ -241,7 +242,6 @@ class TestTenantTable:
             tenant.charge()
         assert exc_info.value.status == 429
         assert exc_info.value.retry_after == pytest.approx(0.5)
-        assert tenant.stats.shed_quota == 1
 
     def test_from_config_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
@@ -538,6 +538,84 @@ class TestEdgeServer:
         assert stats["service"]["artifact"]["disk_hits"] == 0
         assert "vm" in stats["tier2"] and "sim" in stats["tier2"]
 
+    def test_counters_are_conserved(self):
+        """A mixed run — quota 429s, queue-full 503s, a coalesced
+        herd, a compile error, an unauthenticated call — leaves books
+        that balance: every request is accepted or shed, every
+        accepted one is served or failed, the edge totals are the sum
+        of the tenant rows, and nothing is left in flight."""
+        table = TenantTable([
+            Tenant("tiny", api_key="k-tiny", rate=0.001, burst=1),
+            Tenant("big", api_key="k-big", rate=1000, burst=1000)])
+
+        async def scenario(edge):
+            real_submit = edge.service.submit
+
+            async def slow_submit(request):
+                await asyncio.sleep(0.2)
+                return await real_submit(request)
+            edge.service.submit = slow_submit
+
+            async def deploy(key, source, name):
+                async with EdgeClient("127.0.0.1", edge.port,
+                                      api_key=key) as client:
+                    return (await client.deploy(source, ["x86"],
+                                                name=name))[0]
+
+            statuses = [await deploy("k-tiny", SAXPY, "t")
+                        for _ in range(3)]
+            herd = [asyncio.create_task(deploy("k-big", SAXPY, "herd"))
+                    for _ in range(4)]
+            await asyncio.sleep(0.05)       # the herd holds the worker
+            distinct = [asyncio.create_task(
+                deploy("k-big", SUM_U8, f"d{index}"))
+                for index in range(3)]
+            statuses += await asyncio.gather(*herd, *distinct)
+            statuses.append(await deploy("k-big", "this is ( not dsl",
+                                         "bad"))
+            statuses.append(await deploy(None, SAXPY, "anon"))
+            return statuses, edge.stats_snapshot(), edge
+
+        statuses, stats, edge = run_edge(
+            edge_config(tenants=table, workers=1, queue_depth=1,
+                        max_wait_s=None), scenario)
+        assert sorted(set(statuses)) == [200, 401, 422, 429, 503]
+        totals, tenants = stats["edge"], stats["edge"]["tenants"]
+        assert totals["shed"]["quota"] == 2
+        assert totals["shed"]["queue_full"] >= 1
+        assert totals["coalesced"] == 3
+        assert totals["failed"] == 1
+        assert totals["auth_failures"]["unauthorized"] == 1
+
+        for row in (totals, *tenants.values()):
+            assert row["requests"] == row["accepted"] + \
+                row["shed"]["total"]
+            assert row["accepted"] == row["latency"]["count"] + \
+                row["failed"]
+
+        def counts(row, prefix=()):
+            """Every count of a row, by key path (latencies left out:
+            a percentile does not sum)."""
+            flat = {}
+            for key, value in row.items():
+                if isinstance(value, dict):
+                    flat.update(counts(value, prefix + (key,)))
+                elif not key.endswith("_ms"):
+                    flat[prefix + (key,)] = value
+            return flat
+
+        edge_counts = counts(totals)
+        rows = [counts(row) for row in tenants.values()]
+        for path in rows[0]:
+            assert edge_counts[path] == sum(row[path] for row in rows), \
+                path
+        assert edge._pending == {}
+        assert edge.admission.queued == edge.admission.in_service == 0
+        router = stats["edge"]["routes"]
+        executors = [stats["service"]["deploy"]["executors"]["adaptive"],
+                     router["cold"]["stats"], router["warm"]["stats"]]
+        assert [e["in_flight"] for e in executors] == [0, 0, 0]
+
     def test_malformed_json_and_bad_routes(self):
         async def scenario(edge):
             async with EdgeClient("127.0.0.1", edge.port) as client:
@@ -622,6 +700,98 @@ class TestAdaptiveRouting:
         total = lambda c: (c["cold"]["submitted"] +
                            c["warm"]["submitted"])
         assert total(after) == total(before)
+
+
+# ---------------------------------------------------------------------------
+# the contract with the benchmark harness
+# ---------------------------------------------------------------------------
+
+E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+
+#: every ``/stats`` key path the harness and its siblings read: a
+#: rename fails here, not in the benchmark gate
+STATS_READS = {
+    "benchmarks/e2e/layers.py::_edge_stats": [
+        ("edge", "requests"), ("edge", "coalesced"),
+        ("edge", "shed", "total"), ("edge", "queue", "ewma_service_ms"),
+        ("edge", "routes", "cold", "submitted"),
+        ("edge", "routes", "warm", "submitted"),
+        ("service", "artifact", "hit_rate"),
+        ("service", "deploy", "hit_rate"),
+        ("service", "coalesced_requests"), ("service", "requests")],
+    "benchmarks/bench_service_edge.py": [
+        ("edge", "shed", "total"), ("edge", "shed", "queue_full"),
+        ("edge", "shed", "overload"), ("edge", "coalesced"),
+        ("edge", "queue", "ewma_service_ms"),
+        ("service", "coalesced_requests"), ("edge", "routes", "policy"),
+        ("edge", "routes", "cold", "executor"),
+        ("edge", "routes", "warm", "executor"),
+        ("edge", "routes", "cold", "submitted"),
+        ("edge", "routes", "warm", "submitted")],
+    "examples/edge_client.py": [
+        ("edge", "accepted"), ("edge", "coalesced"), ("edge", "shed"),
+        ("edge", "tenants", "acme", "accepted"),
+        ("edge", "tenants", "acme", "shed", "total"),
+        ("edge", "routes", "cold", "submitted"),
+        ("edge", "routes", "warm", "submitted"),
+        ("service", "artifact", "stores")],
+}
+
+
+def _load_e2e(name: str):
+    """One harness module by file (``trace`` would otherwise be the
+    standard library's)."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        f"e2e_{name}", E2E / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_harness_contract():
+    """The e2e harness cannot change with the code it measures, so
+    what it reads must keep resolving: the ``/stats`` key paths, the
+    callables its tracer wraps (methods on the class itself — it
+    replaces ``cls.__dict__`` entries) and the ``repro`` names the
+    harness modules import."""
+    import ast
+    import importlib
+
+    table = TenantTable([Tenant("acme", api_key="k")])
+
+    async def scenario(edge):
+        async with EdgeClient("127.0.0.1", edge.port,
+                              api_key="k") as client:
+            status, _, _ = await client.deploy(SAXPY, ["x86"])
+            return status, (await client.stats())[2]
+    status, stats = run_edge(edge_config(tenants=table), scenario)
+    assert status == 200
+    for reader, reads in STATS_READS.items():
+        for path in reads:
+            node = stats
+            for key in path:
+                assert isinstance(node, dict) and key in node, \
+                    f"{reader} reads /stats {'.'.join(path)}"
+                node = node[key]
+
+    for point in _load_e2e("trace").TRACE_POINTS:
+        module = importlib.import_module(point.module)
+        owner, _, method = point.attr.rpartition(".")
+        if owner:
+            assert method in vars(getattr(module, owner)), point
+        else:
+            assert callable(getattr(module, point.attr)), point
+    assert importlib.import_module("repro.service.edge.server").json
+
+    for path in sorted(E2E.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), \
+                        f"{path.name}: {node.module}.{alias.name}"
 
 
 # ---------------------------------------------------------------------------
