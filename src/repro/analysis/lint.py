@@ -99,10 +99,16 @@ def lint_bytecode_module(module, *, table: Optional[FactsTable] = None
     return found
 
 
+def linted(artifact) -> Optional[List[LintFinding]]:
+    """The findings :func:`lint_artifact` memoized on ``artifact``, or
+    ``None`` if it was never linted (looks, never lints)."""
+    return getattr(artifact, "_pvi_lint_findings", None)
+
+
 def lint_artifact(artifact) -> List[LintFinding]:
     """Findings for an ``OfflineArtifact``, memoized on the artifact
     (the gate may see the same artifact once per deploy target)."""
-    cached = getattr(artifact, "_pvi_lint_findings", None)
+    cached = linted(artifact)
     if cached is not None:
         return cached
     findings = lint_bytecode_module(artifact.bytecode)

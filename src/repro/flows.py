@@ -170,10 +170,19 @@ class Flow:
     def cache_key(self) -> str:
         """Stable identity for service memo keys: the name plus a
         digest of the full configuration, so re-registering a name
-        with different knobs can never alias a cached image."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return f"{self.name}#{digest[:12]}"
+        with different knobs can never alias a cached image.
+
+        Memoized on the (frozen, therefore immutable) flow, as
+        ``TargetDesc.cache_key`` is: the edge's coalescing key and the
+        deployment memo compute it on every request, and the digest
+        walk (``asdict`` + JSON + sha256) is not free."""
+        cached = self.__dict__.get("_cache_key")
+        if cached is None:
+            payload = json.dumps(self.to_dict(), sort_keys=True)
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            cached = f"{self.name}#{digest[:12]}"
+            object.__setattr__(self, "_cache_key", cached)
+        return cached
 
     def validate(self) -> "Flow":
         if self.bytecode not in BYTECODE_FLAVOURS:

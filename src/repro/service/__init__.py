@@ -18,16 +18,18 @@ enforces the reuse:
 * :mod:`repro.service.requests` — the batch request/response API;
 * :mod:`repro.service.asyncio` — the :class:`AsyncCompilationService`
   front end: ``await service.deploy(request)`` and ``asyncio.gather``
-  batch fan-out, each call one off-loop hop onto this facade.
+  batch fan-out; a request served from memory is answered on the
+  event loop, anything else is one off-loop hop onto this facade.
 
 Every higher layer (``core.online.deploy``, the platform
 ``DeploymentManager``, the KPN mapper, the experiment harness) can
 route through one service instance so repeated flows hit the cache.
 
-There is one request path: :meth:`CompilationService.submit` below.
-The async front end hands it to a thread and awaits it; the serving
-edge (:mod:`repro.service.edge`) queues in front of that.  The pool's
-execution substrate is chosen by handing it an executor
+There is one request path: :meth:`CompilationService.submit` below,
+split where it could first block.  The async front end runs its
+lookup half on the loop and hands only the rest to a thread; the
+serving edge (:mod:`repro.service.edge`) queues in front of that.  The
+pool's execution substrate is chosen by handing it an executor
 (``executor="thread" | "process" | "inline"`` or a configured
 :class:`~repro.service.executors.DeployExecutor` instance).
 """
@@ -39,9 +41,9 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.lint import AdmissionError, check_admission
+from repro.analysis.lint import AdmissionError, check_admission, linted
 from repro.core.offline import OfflineArtifact, offline_compile
-from repro.flows import DEFAULT_PIPELINE, Flow, as_flow
+from repro.flows import Flow, as_flow
 from repro.service.cache import (
     ArtifactCache, SCHEMA_VERSION, artifact_fingerprint, artifact_key,
     canonical_options, deserialize_artifact, serialize_artifact,
@@ -131,21 +133,26 @@ class CompilationService:
         the compiler, the rest block on its in-flight future and
         report a cache hit (they triggered no work).
         """
+        return self._compile_keyed(artifact_key(source, name,
+                                                options or None),
+                                   source, name, options)
+
+    def _compile_keyed(self, key: str, source: str, name: str,
+                       options) -> CompileOutcome:
+        """:meth:`compile` with the artifact key already hashed."""
         start = time.perf_counter()
-        key = artifact_key(source, name, options or None)
         artifact = self.cache.get(key)
         hit = artifact is not None
-        joined = False
         if artifact is None:
-            artifact, joined = self._compile_deduped(
+            artifact, hit = self._compile_deduped(
                 key, source, name, options)
-            hit = joined
         latency = time.perf_counter() - start
-        # A joiner's wall clock is time spent *waiting* on another
-        # request's compile, not work this request performed — charge
-        # it to the coalesced-wait bucket so the offline latency total
-        # scales with compilations, not with herd size.
-        self.counts.add("coalesced_wait_s" if joined else "offline_s",
+        # Only a call that ran the compiler did offline work.  A cache
+        # hit's or a joiner's wall clock is time spent on work another
+        # request triggered: charge it to the coalesced-wait bucket so
+        # the offline latency total scales with compilations, not with
+        # traffic.
+        self.counts.add("coalesced_wait_s" if hit else "offline_s",
                         latency)
         return CompileOutcome(artifact=artifact, key=key, cache_hit=hit,
                               latency=latency)
@@ -196,6 +203,10 @@ class CompilationService:
         except AdmissionError:
             self.counts.add("lint_rejections")
             raise
+        self._surface(artifact, findings)
+
+    def _surface(self, artifact: OfflineArtifact, findings) -> None:
+        """Record an admitted artifact's warn findings, once."""
         warns = [f.as_dict() for f in findings if f.severity == "warn"]
         if warns and not getattr(artifact, "_pvi_lint_surfaced", False):
             artifact._pvi_lint_surfaced = True
@@ -229,20 +240,72 @@ class CompilationService:
     def submit(self, request: CompileRequest) -> DeployResult:
         """Serve one request end to end: cache, then fan-out.
 
-        This is the only implementation of "serve one request" — the
-        async facade and the serving edge both arrive here.  The flow
-        is resolved through the registry up front (raising
-        ``UnknownFlowError`` before any work happens), and its offline
-        pipeline spec joins the artifact cache key, so flows with
-        distinct pipelines get distinct cached artifacts.  With
+        This is the only implementation of "serve one request", in two
+        halves: :meth:`serve_resident` answers a request that costs
+        only lookups, and :meth:`serve_blocking` everything else.  The
+        async facade runs the first on its event loop and hops to a
+        thread only for the second; the serving edge arrives through
+        that facade.  The flow, the targets and the artifact key are
+        resolved up front (an unknown flow, target or offline option
+        raises before anything is counted or compiled), and the flow's
+        offline pipeline spec joins the artifact cache key, so flows
+        with distinct pipelines get distinct cached artifacts.  With
         ``request.tolerate_failures`` a raising target is recorded on
         its :class:`TargetDeployment` instead of failing the request.
         """
+        result = self.serve_resident(request)
+        return result if result is not None else \
+            self.serve_blocking(request)
+
+    def serve_resident(self, request: CompileRequest) \
+            -> Optional[DeployResult]:
+        """The half of :meth:`submit` that cannot block: the finished
+        result when the artifact is in the memory LRU, has passed the
+        admission gate before and every target's image is memoized;
+        otherwise ``None``, having counted nothing.
+
+        It never compiles, never reads disk, never waits on a future
+        and takes no lock that is held across work, so the async
+        facade runs it on the event loop.  An artifact whose memoized
+        findings hold an error, one only the disk still has, and a
+        missing image all answer ``None``: :meth:`serve_blocking`
+        raises, revives or compiles, with its books."""
+        start = time.perf_counter()
+        flow = as_flow(request.flow)
+        targets = [as_target(target) for target in request.targets]
+        key = request.artifact_key(flow)
+        artifact = self.cache.peek(key)
+        if artifact is None:
+            return None
+        offline = time.perf_counter() - start
+        findings = linted(artifact) if self.lint else ()
+        if findings is None or \
+                any(f.severity == "error" for f in findings):
+            return None
+        images = self.pool.resident(artifact, targets, flow)
+        if images is None:
+            return None
+        self.counts.add("requests")
+        self.cache.hit(key)
+        self._surface(artifact, findings)
+        self.counts.add("coalesced_wait_s", time.perf_counter() - start)
+        outcome = CompileOutcome(artifact=artifact, key=key,
+                                 cache_hit=True, latency=offline)
+        return self._build_result(
+            request, flow, outcome,
+            {name: (image, True, None) for name, image in images.items()},
+            start)
+
+    def serve_blocking(self, request: CompileRequest) -> DeployResult:
+        """The half of :meth:`submit` that may compile, read disk or
+        wait on another request's work (it also serves what
+        :meth:`serve_resident` would have)."""
         start = time.perf_counter()
         flow = as_flow(request.flow)
         self.counts.add("requests")
-        outcome = self.compile(request.source, request.name,
-                               **self.request_options(request, flow))
+        outcome = self._compile_keyed(request.artifact_key(flow),
+                                      request.source, request.name,
+                                      request.offline_options(flow))
         self._admit(outcome.artifact)
         deploy_start = time.perf_counter()
         futures = self.pool.submit_many(outcome.artifact,
@@ -269,19 +332,6 @@ class CompilationService:
         return [self.submit(request) for request in requests]
 
     @staticmethod
-    def request_options(request: CompileRequest,
-                        flow: Flow) -> Dict[str, object]:
-        """The offline options a request actually compiles under: the
-        request's own options, with the flow's pipeline spec filled in
-        when it differs from the default (this is what joins the
-        artifact cache key)."""
-        options = dict(request.options or {})
-        if "pipeline" not in options and \
-                flow.pipeline != DEFAULT_PIPELINE:
-            options["pipeline"] = flow.pipeline
-        return options
-
-    @staticmethod
     def request_key(request: CompileRequest) \
             -> Tuple[str, str, Tuple[str, ...], bool]:
         """The request's identity: artifact cache key x flow identity
@@ -293,9 +343,8 @@ class CompilationService:
         the first failing target, a tolerant one is owed a partial
         result, so one served job cannot answer both."""
         flow = as_flow(request.flow)
-        options = CompilationService.request_options(request, flow)
         return (
-            artifact_key(request.source, request.name, options or None),
+            request.artifact_key(flow),
             flow.cache_key(),
             tuple(sorted(as_target(target).cache_key()
                          for target in request.targets)),

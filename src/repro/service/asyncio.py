@@ -3,13 +3,17 @@
 A serving layer absorbing deployment traffic for many heterogeneous
 cores wants an *async* front door: requests arrive concurrently, most
 of them are cache hits, and none of them may stall the event loop.
-:class:`AsyncCompilationService` is that front door and nothing more:
-every method hands the matching :class:`CompilationService` method to
-a thread (:func:`asyncio.to_thread`) and awaits it.  There is one
-request path — the synchronous one — so both facades serve the same
-results with the same accounting, and everything that makes a herd
-cheap (the artifact cache, the image memo, the single-flight in front
-of each) is the core's and is shared by threads and coroutines alike.
+:class:`AsyncCompilationService` is that front door and nothing more.
+``submit`` runs :meth:`CompilationService.serve_resident` — lookups
+only — on the loop, so a request whose artifact and images are all in
+memory never leaves it; only the rest of the request
+(:meth:`CompilationService.serve_blocking`) and the other methods are
+handed to a thread (:func:`asyncio.to_thread`) and awaited.  There is
+one request path — the synchronous one, split where it could first
+block — so both facades serve the same results with the same
+accounting, and everything that makes a herd cheap (the artifact
+cache, the image memo, the single-flight in front of each) is the
+core's and is shared by threads and coroutines alike.
 Batch fan-out is one ``asyncio.gather`` away::
 
     async with AsyncCompilationService() as service:
@@ -108,11 +112,16 @@ class AsyncCompilationService:
     # -- batch API ----------------------------------------------------------
 
     async def submit(self, request: CompileRequest) -> DeployResult:
-        """Serve one request (:meth:`CompilationService.submit`), off
-        the event loop.  Concurrent identical requests each take a
-        thread, and the core makes the herd cheap: one of them
-        compiles and JITs, the rest join it or hit the caches."""
-        return await asyncio.to_thread(self.service.submit, request)
+        """Serve one request (:meth:`CompilationService.submit`): from
+        memory on the event loop, otherwise off it.  Concurrent
+        identical requests that miss each take a thread, and the core
+        makes the herd cheap: one of them compiles and JITs, the rest
+        join it or hit the caches."""
+        result = self.service.serve_resident(request)
+        if result is None:
+            result = await asyncio.to_thread(self.service.serve_blocking,
+                                             request)
+        return result
 
     #: ``await service.deploy(request)`` — request-level alias of
     #: :meth:`submit`, the verb the redesign's API contract names

@@ -245,12 +245,9 @@ class ArtifactCache:
             return key in self._entries
 
     def get(self, key: str) -> Optional[OfflineArtifact]:
-        with self._lock:
-            artifact = self._entries.get(key)
-            if artifact is not None:
-                self._entries.move_to_end(key)
+        artifact = self.peek(key)
         if artifact is not None:
-            self.counts.add("hits")
+            self.hit(key)
             return artifact
         artifact = self._load_persisted(key)
         if artifact is not None:
@@ -266,9 +263,19 @@ class ArtifactCache:
 
     def peek(self, key: str) -> Optional[OfflineArtifact]:
         """In-memory lookup with no counting and no recency update
-        (the in-flight dedup's lost-race re-check)."""
+        (the in-flight dedup's lost-race re-check, and the first look
+        of a request that may turn out not to be resident)."""
         with self._lock:
             return self._entries.get(key)
+
+    def hit(self, key: str) -> None:
+        """Book a memory hit on ``key``, found by :meth:`peek`: count
+        it and refresh its recency (if a concurrent insert evicted it
+        meanwhile, it was still served from memory)."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+        self.counts.add("hits")
 
     def put(self, key: str, artifact: OfflineArtifact) -> None:
         if getattr(artifact, "_pvi_fingerprint", None) is None:

@@ -60,7 +60,8 @@ class DeploymentPool:
     fans one artifact out over N targets through the pool's
     :class:`~repro.service.executors.DeployExecutor`;
     ``submit_many`` schedules the same fan-out without blocking and
-    hands back the futures.  The memo is bounded (LRU over finished
+    hands back the futures; ``resident`` serves it from the memo
+    alone, or not at all.  The memo is bounded (LRU over finished
     images, ``max_images``) and only ever holds finished images — a
     raising deploy re-runs on the next request instead of poisoning
     the triple.
@@ -127,12 +128,27 @@ class DeploymentPool:
             futures[target.name] = (future, reused)
         return futures
 
-    def cached_image(self, artifact: OfflineArtifact, target: Targetish,
-                     flow: Flowish = "split") -> Optional[object]:
-        """The memoized image if it is already built, else ``None``
-        (never triggers a compilation, never raises)."""
-        return self._memoized(
-            self._key(artifact, as_target(target), as_flow(flow)))
+    def resident(self, artifact: OfflineArtifact,
+                 targets: Sequence[Targetish],
+                 flow: Flowish = "split") -> Optional[Dict[str, object]]:
+        """name -> image when the memo already holds every target's
+        image, counting one memo hit per target as
+        :meth:`submit_many` would; else ``None``, counting nothing.
+        Never compiles, never waits: safe on an event loop."""
+        flow = as_flow(flow)
+        keys = [(target.name, self._key(artifact, target, flow))
+                for target in map(as_target, targets)]
+        images = {}
+        with self._lock:
+            for name, key in keys:
+                image = self._images.get(key)
+                if image is None:
+                    return None
+                self._images.move_to_end(key)
+                images[name] = image
+        if keys:
+            self.counts.add("memo_hits", len(keys), flow=flow.name)
+        return images
 
     def known_keys(self) -> List[DeployKey]:
         with self._lock:
@@ -171,12 +187,19 @@ class DeploymentPool:
         must never run (or re-enter the pool) under the non-reentrant
         lock."""
         key = self._key(artifact, target, flow)
-        future, reused = self._building.fly(
-            key,
-            peek=lambda: self._memoized(key),
-            start=lambda: self.executor.submit(self._compile, artifact,
-                                               target, flow),
-            store=lambda image: self._remember(key, image))
+        image = self._memoized(key)
+        if image is not None:
+            # a memo hit needs no flight; the flight's own peek only
+            # covers a build that lands between this look and the fly
+            future, reused = Future(), True
+            future.set_result(image)
+        else:
+            future, reused = self._building.fly(
+                key,
+                peek=lambda: self._memoized(key),
+                start=lambda: self.executor.submit(
+                    self._compile, artifact, target, flow),
+                store=lambda image: self._remember(key, image))
         self.counts.add("memo_hits" if reused else "compiles",
                         flow=flow.name)
         return future, reused

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.offline import OfflineArtifact
-from repro.flows import Flow
+from repro.flows import DEFAULT_PIPELINE, Flow
+from repro.service.cache import artifact_key
 from repro.targets.registry import Targetish
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompileRequest:
     """One program headed for one or more targets under one flow.
 
@@ -28,6 +29,9 @@ class CompileRequest:
     pipelines never share an artifact entry.  Unknown target or flow
     names fail the request up front with the unified
     ``UnknownTargetError`` / ``UnknownFlowError``.
+
+    Frozen, so the artifact key hashed from its source can be
+    memoized on it (:meth:`artifact_key`).
     """
     source: str
     name: str = "module"
@@ -41,6 +45,29 @@ class CompileRequest:
     #: instead of failing the whole request — partial fan-out
     #: semantics for a serving layer that should degrade, not drop
     tolerate_failures: bool = False
+
+    def offline_options(self, flow: Flow) -> Dict[str, object]:
+        """The offline options this request actually compiles under
+        (``flow`` is its resolved flow): its own options, with the
+        flow's pipeline spec filled in when it differs from the
+        default (this is what joins the artifact cache key)."""
+        options = dict(self.options or {})
+        if "pipeline" not in options and \
+                flow.pipeline != DEFAULT_PIPELINE:
+            options["pipeline"] = flow.pipeline
+        return options
+
+    def artifact_key(self, flow: Flow) -> str:
+        """The artifact cache key of this request under ``flow`` (its
+        resolved flow).  Memoized for that flow object, so the edge's
+        coalescing key and the service's cache lookup share one hash
+        of the source; raises ``ValueError`` on unknown options."""
+        cached = self.__dict__.get("_artifact_key")
+        if cached is None or cached[0] is not flow:
+            cached = (flow, artifact_key(
+                self.source, self.name, self.offline_options(flow) or None))
+            object.__setattr__(self, "_artifact_key", cached)
+        return cached[1]
 
 
 @dataclass

@@ -11,7 +11,10 @@ point raises the one ``UnknownFlowError`` listing what is registered.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -349,6 +352,23 @@ class TestPickling:
         revived = pickle.loads(pickle.dumps(custom_flow))
         assert revived == custom_flow
         assert revived.pipeline.passes == CUSTOM_PIPELINE.passes
+
+    def test_memoized_cache_key_is_the_digest(self, custom_flow):
+        """``cache_key`` is memoized on the frozen flow: the memo is
+        the digest a fresh computation gives, it crosses the process
+        seam (pickle) intact, and a ``replace``d flow is keyed anew."""
+        def digest(flow):
+            payload = json.dumps(flow.to_dict(), sort_keys=True)
+            return f"{flow.name}#" + hashlib.sha256(
+                payload.encode("utf-8")).hexdigest()[:12]
+
+        key = custom_flow.cache_key()
+        assert key == digest(custom_flow)
+        assert custom_flow.cache_key() is key           # memoized
+        revived = pickle.loads(pickle.dumps(custom_flow))
+        assert revived.cache_key() == key == digest(revived)
+        other = replace(custom_flow, bytecode="scalar")
+        assert other.cache_key() == digest(other) != key
 
 
 # ---------------------------------------------------------------------------

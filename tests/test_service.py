@@ -523,6 +523,21 @@ class TestCoalescedWait:
         assert after["deploy_s"] == before["deploy_s"]
         assert after["coalesced_wait_s"] > before["coalesced_wait_s"]
 
+    def test_cached_compile_charges_wait(self, service):
+        """The offline mirror: an artifact-cache hit ran no compiler,
+        so a repeat submit or compile leaves ``offline_s`` where the
+        one real compile put it."""
+        request = CompileRequest(source=SAXPY, name="m",
+                                 targets=[X86], flow="split")
+        service.submit(request)
+        before = service.stats()["latency"]
+        assert before["offline_s"] > 0
+        assert service.submit(request).artifact_cache_hit
+        assert service.compile(SAXPY, "m").cache_hit
+        after = service.stats()["latency"]
+        assert after["offline_s"] == before["offline_s"]
+        assert after["coalesced_wait_s"] > before["coalesced_wait_s"]
+
 
 # ---------------------------------------------------------------------------
 # concurrency
@@ -584,7 +599,7 @@ class TestConcurrentDeployment:
         service.pool._compile = flaky
         with pytest.raises(MemoryError):
             service.deploy(artifact, X86, "split")
-        assert service.pool.cached_image(artifact, X86, "split") is None
+        assert service.pool.resident(artifact, [X86], "split") is None
         image = service.deploy(artifact, X86, "split")   # retried
         assert image["saxpy"].code
         assert len(calls) == 2

@@ -11,6 +11,7 @@ numbers.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import copy
 import multiprocessing
 import os
@@ -28,9 +29,11 @@ from repro.service import (
     DeploymentPool, InlineExecutor, ProcessExecutor, ThreadExecutor,
     UnknownExecutorError, as_executor, executor_names,
 )
+from repro.service.edge.wire import deploy_result_wire
 from repro.targets import X86, executor_for
 from repro.targets.catalog import TARGETS
 from repro.workloads import TABLE1
+from tests.support import timeless
 
 SAXPY = TABLE1["saxpy_fp"].source
 SUM_U8 = TABLE1["sum_u8"].source
@@ -433,12 +436,16 @@ class TestAsyncFacade:
         for target in TARGETS:
             assert len({id(r.image_for(target)) for r in results}) == 1
 
-    def test_facade_parity(self):
-        """One request path: the same request sequence through the
-        sync facade and through the async one yields the same results
-        and moves the same counters."""
-        def flaky_core():
-            core = CompilationService(executor="inline")
+    def test_facade_parity(self, tmp_path):
+        """One request path, the same books however it is entered: a
+        sequence through the async facade (whose resident requests
+        never leave the loop), through sync ``submit`` on a thread and
+        through ``serve_blocking`` alone (every request on the full
+        path) yields the same results, the same wire bodies and the
+        same ``stats()`` after every step — wall clocks aside."""
+        def flaky_core(persist_dir):
+            core = CompilationService(executor="inline",
+                                      persist_dir=persist_dir)
             original = core.pool._compile
 
             def flaky(artifact, target, flow):
@@ -449,14 +456,23 @@ class TestAsyncFacade:
             core.pool._compile = flaky
             return core
 
+        warm = CompileRequest(source=SAXPY, name="m",
+                              targets=["x86", "arm", "dsp"])
+        tolerant = CompileRequest(source=SAXPY, name="bad",
+                                  targets=CATALOG, tolerate_failures=True)
         sequence = [
-            CompileRequest(source=SAXPY, name="m", targets=CATALOG),
-            CompileRequest(source=SAXPY, name="m", targets=CATALOG),
+            warm,                                               # cold
+            warm,                                               # warm
+            CompileRequest(source=SAXPY, name="m",              # + ppc
+                           targets=["x86", "arm", "dsp", "ppc"]),
             CompileRequest(source=SUM_U8, name="m2", targets=[X86],
                            flow="online-only"),
-            CompileRequest(source=SAXPY, name="bad", targets=CATALOG,
-                           tolerate_failures=True),
+            tolerant,
+            tolerant,               # resident artifact, missing image
             CompileRequest(source=SAXPY, name="bad", targets=CATALOG),
+            "evict",
+            warm,                                       # disk revival
+            warm,
             CompileRequest(source=SAXPY, name="m", targets=[X86],
                            flow="no-such-flow"),
         ]
@@ -466,25 +482,20 @@ class TestAsyncFacade:
             del stats["latency"]            # wall clock, not behaviour
             if isinstance(outcome, BaseException):
                 return type(outcome), stats
-            return ({
-                "name": outcome.name,
-                "artifact_key": outcome.artifact_key,
-                "artifact_cache_hit": outcome.artifact_cache_hit,
-                "fully_cached": outcome.fully_cached,
-                "flow": outcome.flow,
-                "offline_pass_work": outcome.offline_pass_work,
-                "deployments": {
-                    name: (d.memo_hit, type(d.error),
-                           d.compiled and code_of(d.compiled))
-                    for name, d in outcome.deployments.items()},
-            }, stats)
+            return (timeless(deploy_result_wire(outcome)),
+                    {name: d.compiled and code_of(d.compiled)
+                     for name, d in outcome.deployments.items()}, stats)
 
-        def run_sync():
-            core = flaky_core()
+        def run_sync(method):
+            core = flaky_core(tmp_path / method)
+            serve = getattr(core, method)
             seen = []
             for request in sequence:
+                if request == "evict":
+                    core.cache.clear()
+                    continue
                 try:
-                    outcome = core.submit(request)
+                    outcome = serve(request)
                 except Exception as exc:
                     outcome = exc
                 seen.append(observe(core, outcome))
@@ -492,10 +503,13 @@ class TestAsyncFacade:
             return seen
 
         async def run_async():
-            core = flaky_core()
+            core = flaky_core(tmp_path / "async")
             seen = []
             async with AsyncCompilationService(core) as service:
                 for request in sequence:
+                    if request == "evict":
+                        core.cache.clear()
+                        continue
                     try:
                         outcome = await service.submit(request)
                     except Exception as exc:
@@ -504,13 +518,23 @@ class TestAsyncFacade:
             core.shutdown()
             return seen
 
-        sync_seen = run_sync()
-        assert asyncio.run(run_async()) == sync_seen
+        with concurrent.futures.ThreadPoolExecutor(1) as thread:
+            full_seen = thread.submit(run_sync, "serve_blocking") \
+                .result(timeout=300)
+            sync_seen = thread.submit(run_sync, "submit").result(timeout=300)
+        assert asyncio.run(run_async()) == sync_seen == full_seen
         # the sequence did exercise every outcome kind
-        assert sync_seen[1][0]["fully_cached"]
-        assert sync_seen[3][0]["deployments"]["arm"][1] is MemoryError
-        assert sync_seen[4][0] is MemoryError
-        assert issubclass(sync_seen[5][0], ValueError)
+        wire = [entry[0] for entry in sync_seen]
+        assert not wire[0]["fully_cached"] and wire[1]["fully_cached"]
+        assert [wire[2]["deployments"][t]["memo_hit"]
+                for t in ("x86", "ppc")] == [True, False]
+        for tolerated in wire[4:6]:
+            assert tolerated["deployments"]["arm"]["error"]["type"] == \
+                "MemoryError"
+        assert wire[6] is MemoryError
+        assert wire[7]["fully_cached"] and wire[8]["fully_cached"]
+        assert sync_seen[7][2]["artifact"]["disk_hits"] == 1
+        assert issubclass(wire[9], ValueError)
 
     def test_deploy_one_and_many_await_pool_futures(self):
         async def main():

@@ -18,6 +18,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from repro.service.edge import (
 )
 from repro.telemetry import LatencyHistogram
 from repro.workloads import TABLE1
+from tests.support import timeless
 
 SAXPY = TABLE1["saxpy_fp"].source
 SUM_U8 = TABLE1["sum_u8"].source
@@ -700,6 +702,110 @@ class TestAdaptiveRouting:
         total = lambda c: (c["cold"]["submitted"] +
                            c["warm"]["submitted"])
         assert total(after) == total(before)
+
+
+# ---------------------------------------------------------------------------
+# the resident path: a request served from memory stays on the loop
+# ---------------------------------------------------------------------------
+
+class TestResidentPath:
+    def test_loop_never_compiles_reads_disk_or_waits(self, tmp_path,
+                                                     monkeypatch):
+        """Cold, resident, evicted-then-revived-from-disk and resident
+        again: the compilers, the disk read and the single-flight run
+        only on threads, a resident ``/deploy`` makes no thread hop,
+        and the evicted artifact falls back to the thread path and
+        still answers what the resident request answered."""
+        import repro.service as service_mod
+        from repro.service import ArtifactCache, deployment
+        from repro.service.singleflight import SingleFlight
+
+        ran = []                            # (what, thread id)
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def spied(*args, **kwargs):
+                ran.append((name, threading.get_ident()))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spied)
+
+        spy(service_mod, "offline_compile")
+        spy(deployment, "compile_for_target")
+        spy(ArtifactCache, "_load_persisted")
+        spy(SingleFlight, "fly")
+        hops = []
+        to_thread = asyncio.to_thread
+
+        async def counted(fn, *args, **kwargs):
+            hops.append(fn.__name__)
+            return await to_thread(fn, *args, **kwargs)
+        monkeypatch.setattr(asyncio, "to_thread", counted)
+
+        async def scenario(edge):
+            replies, hop_counts = [], []
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                for evict in (False, False, True, False):
+                    if evict:
+                        edge.core.cache.clear()
+                    before = len(hops)
+                    replies.append(await client.deploy(
+                        SAXPY, ["x86", "arm"], name="m"))
+                    hop_counts.append(len(hops) - before)
+            return threading.get_ident(), replies, hop_counts, \
+                edge.stats_snapshot()
+
+        loop_thread, replies, hop_counts, stats = run_edge(
+            edge_config(service_kwargs={"persist_dir": tmp_path}),
+            scenario)
+        assert [status for status, _, _ in replies] == [200] * 4
+        cold, resident, revived, again = [body for _, _, body in replies]
+        assert hop_counts == [1, 0, 1, 0]
+        assert {name for name, _ in ran} == {
+            "offline_compile", "compile_for_target", "_load_persisted",
+            "fly"}
+        assert [name for name, thread in ran if thread == loop_thread] \
+            == []
+        assert not cold["fully_cached"] and resident["fully_cached"]
+        assert timeless(revived) == timeless(resident) == timeless(again)
+        assert stats["service"]["artifact"]["disk_hits"] == 1
+
+    def test_resident_deploy_hashes_the_source_once(self, monkeypatch):
+        """A resident ``/deploy`` hashes its source once (the edge's
+        coalescing key and the service's lookup share the digest) and
+        digests no flow (``Flow.cache_key`` is memoized)."""
+        from repro.flows import Flow
+        from repro.service import cache
+
+        calls = {"artifact_key": 0, "to_dict": 0}
+        original_key, original_to_dict = cache.artifact_key, Flow.to_dict
+
+        def artifact_key(*args, **kwargs):
+            calls["artifact_key"] += 1
+            return original_key(*args, **kwargs)
+
+        def to_dict(self):
+            calls["to_dict"] += 1
+            return original_to_dict(self)
+
+        # every module that imported the function holds its own name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and \
+                    vars(module).get("artifact_key") is original_key:
+                monkeypatch.setattr(module, "artifact_key", artifact_key)
+        monkeypatch.setattr(Flow, "to_dict", to_dict)
+
+        async def scenario(edge):
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                await client.deploy(SAXPY, ["x86", "arm"], name="m")
+                calls.update(artifact_key=0, to_dict=0)
+                reply = await client.deploy(SAXPY, ["x86", "arm"],
+                                            name="m")
+            return reply, dict(calls)
+
+        (status, _, body), counted = run_edge(edge_config(), scenario)
+        assert status == 200 and body["fully_cached"]
+        assert counted == {"artifact_key": 1, "to_dict": 0}
 
 
 # ---------------------------------------------------------------------------
