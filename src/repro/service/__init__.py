@@ -9,8 +9,8 @@ enforces the reuse:
   by ``sha256(source, offline options)``: one LRU in memory, an
   optional persistence directory on disk;
 * :mod:`repro.service.executors` — the pluggable
-  :class:`DeployExecutor` substrates a deployment compiles on
-  (threads, worker processes, inline);
+  :class:`DeployExecutor` substrates the offline compile and the
+  deployment JIT run on (threads, worker processes, inline);
 * :mod:`repro.service.deployment` — concurrent multi-target deployment
   with a per-``(artifact, target, flow)`` image memo;
 * :mod:`repro.service.singleflight` — the one in-flight dedup both
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.lint import AdmissionError, check_admission, linted
-from repro.core.offline import OfflineArtifact, offline_compile
+from repro.core.offline import OfflineArtifact
 from repro.flows import Flow, as_flow
 from repro.service.cache import (
     ArtifactCache, SCHEMA_VERSION, artifact_fingerprint, artifact_key,
@@ -56,7 +56,7 @@ from repro.service.executors import (
 from repro.service.requests import (
     CompileOutcome, CompileRequest, DeployResult, TargetDeployment,
 )
-from repro.service.singleflight import SingleFlight, run_settled
+from repro.service.singleflight import SingleFlight
 from repro.targets.registry import Targetish, as_target
 from repro.telemetry import Counters
 
@@ -163,20 +163,15 @@ class CompilationService:
 
         Returns ``(artifact, joined)`` — ``joined`` is True when this
         call rode another thread's compilation (it triggered no work
-        of its own).
+        of its own).  The compile runs wherever the pool's executor
+        runs offline jobs; the single-flight sits above that seam, so
+        a herd ships one job.
         """
-        def build() -> OfflineArtifact:
-            artifact = offline_compile(
-                source, name, **canonical_options(options or None))
-            # Remember the content address so deployment keys line up
-            # with the cache key without re-encoding the modules.
-            artifact._pvi_fingerprint = key
-            return artifact
-
         future, joined = self._compiling.fly(
             key,
             peek=lambda: self.cache.peek(key),
-            start=lambda: run_settled(build),
+            start=lambda: self.pool.executor.offline(source, name,
+                                                     options, key),
             store=lambda artifact: self.cache.put(key, artifact))
         if joined:
             self.counts.add("coalesced_requests")

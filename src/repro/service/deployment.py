@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.offline import OfflineArtifact
 from repro.core.online import select_bytecode
@@ -93,7 +93,8 @@ class DeploymentPool:
     def deploy_one(self, artifact: OfflineArtifact, target: Targetish,
                    flow: Flowish = "split"):
         return self._image_future(artifact, as_target(target),
-                                  as_flow(flow))[0].result()
+                                  as_flow(flow),
+                                  self.executor.submit)[0].result()
 
     def deploy_many(self, artifact: OfflineArtifact,
                     targets: Sequence[Targetish],
@@ -119,9 +120,11 @@ class DeploymentPool:
         flow = as_flow(flow)      # raises UnknownFlowError on a typo
         # ... and UnknownTargetError on a target typo, before any JIT
         targets = [as_target(target) for target in targets]
+        submit = self.executor.fan_out(artifact)
         futures: Dict[str, Tuple[Future, bool]] = {}
         for target in targets:
-            future, reused = self._image_future(artifact, target, flow)
+            future, reused = self._image_future(artifact, target, flow,
+                                                submit)
             if target.name in futures:
                 # a duplicate target joins this call's own build
                 reused = reused and futures[target.name][1]
@@ -177,10 +180,12 @@ class DeploymentPool:
                 flow.cache_key())
 
     def _image_future(self, artifact: OfflineArtifact, target: TargetDesc,
-                      flow: Flow) -> Tuple[Future, bool]:
+                      flow: Flow, submit: Callable[..., Future]) \
+            -> Tuple[Future, bool]:
         """(future, reused): ``reused`` is True when this call did not
         submit the compilation — the memo had the image, or it joined
-        a build already in flight.
+        a build already in flight.  ``submit`` is the executor's entry
+        for this call's fan-out.
 
         The executor is invoked with no pool lock held — an inline
         executor compiles synchronously right here, and a compile
@@ -197,8 +202,8 @@ class DeploymentPool:
             future, reused = self._building.fly(
                 key,
                 peek=lambda: self._memoized(key),
-                start=lambda: self.executor.submit(
-                    self._compile, artifact, target, flow),
+                start=lambda: submit(self._compile, artifact, target,
+                                     flow),
                 store=lambda image: self._remember(key, image))
         self.counts.add("memo_hits" if reused else "compiles",
                         flow=flow.name)

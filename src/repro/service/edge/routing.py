@@ -1,29 +1,36 @@
-"""Adaptive executor routing: cold fan-outs to processes, warm to threads.
+"""Adaptive executor routing: cold requests to processes, warm to threads.
 
-The executor redesign (PR 5) set out the two substrates' economics:
-worker *processes* for cold JIT fan-out (many distinct compiles can
-run past the GIL, at a serialize/pickle toll per job — a win no
-committed bench row shows yet, DESIGN.md §5), worker *threads* for
-warm traffic (no seam toll; the GIL is irrelevant for the rare
-single compile a warm artifact still needs).  A serving
-edge sees both mixes at once, so :class:`AdaptiveExecutor` routes per
-submission instead of making the operator pick one:
+The two substrates' economics (DESIGN.md §5): worker *processes* for
+cold requests, whose offline compile and JIT fan-out run past the
+serving process's GIL at a pickle toll per job — on the 2-core
+``edge_cold`` rows, +33 % throughput over keeping the offline compile
+in the serving process; worker *threads* for warm traffic (no seam
+toll; the GIL is irrelevant for the rare single compile a warm
+artifact still needs).  A serving edge sees both mixes at once, so
+:class:`AdaptiveExecutor` routes per fan-out instead of making the
+operator pick one:
 
+* an offline compile is **cold** by definition — the artifact does
+  not exist yet — and goes to the process route;
 * an artifact never compiled through this executor before is **cold**
   — its whole first fan-out goes to the process route;
 * an artifact with at least one *completed* compile is **warm** — a
   straggler target arriving later rides the thread route.
 
-Memoized images never reach any executor (the pool's memo sits above
-this seam), so "warm traffic" here is precisely the residual compile
-work warm artifacts still generate.  Per-route counters are the
-policy's proof — the edge surfaces them in ``/stats`` and the bench
-asserts cold traffic landed on the process route and warm traffic on
-the thread route.
+The temperature is decided once per fan-out, when the pool opens it
+(:meth:`AdaptiveExecutor.fan_out`), so a first fan-out whose first
+image lands before its last target is submitted still goes to one
+route.  Memoized images never reach any executor (the pool's memo
+sits above this seam), so "warm traffic" here is precisely the
+residual compile work warm artifacts still generate.  Per-route
+counters are the policy's proof — the edge surfaces them in
+``/stats`` and the bench asserts cold traffic landed on the process
+route and warm traffic on the thread route.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict
@@ -44,7 +51,8 @@ _SEEN_CAP = 1024
 
 
 class AdaptiveExecutor(DeployExecutor):
-    """Route each JIT compile to the substrate its temperature wants.
+    """Route each compile, offline or JIT, to the substrate its
+    temperature wants.
 
     ``cold``/``warm`` accept executor names or instances (default
     ``process`` / ``thread``); tests inject ``inline`` for both and
@@ -71,9 +79,9 @@ class AdaptiveExecutor(DeployExecutor):
 
     def classify(self, artifact) -> str:
         """``"warm"`` iff this artifact has completed a compile here
-        before.  Completion-based (not submission-based) so every
-        target of the *first* fan-out classifies cold together — the
-        fan-out is the unit the process pool wins on."""
+        before.  Completion-based (not submission-based) so a second
+        fan-out of an artifact whose first is still compiling is cold
+        too — the fan-out is the unit the process pool wins on."""
         fingerprint = artifact_fingerprint(artifact)
         with self._seen_lock:
             if fingerprint in self._seen:
@@ -92,7 +100,21 @@ class AdaptiveExecutor(DeployExecutor):
 
     def submit(self, compile_fn: Callable, artifact, target,
                flow) -> Future:
-        route = self.classify(artifact)
+        return self._submit_on(self.classify(artifact), compile_fn,
+                               artifact, target, flow)
+
+    def fan_out(self, artifact) -> Callable[..., Future]:
+        """Every job of the fan-out takes the route the artifact's
+        temperature picks now."""
+        return functools.partial(self._submit_on, self.classify(artifact))
+
+    def offline(self, source: str, name: str, options,
+                key: str) -> Future:
+        return self._track(self.cold.offline(source, name, options, key),
+                           "offline_", route="cold")
+
+    def _submit_on(self, route: str, compile_fn: Callable, artifact,
+                   target, flow) -> Future:
         executor = self.cold if route == "cold" else self.warm
         fingerprint = artifact_fingerprint(artifact)
         future = executor.submit(compile_fn, artifact, target, flow)

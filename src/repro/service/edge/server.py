@@ -8,8 +8,9 @@ through the full serving stack —
 ``auth (401/403) -> quota (429) -> coalesce -> admission (503)
 -> bounded queue -> worker pool -> AsyncCompilationService``
 
-with adaptive executor routing underneath (cold fan-outs on worker
-processes, warm residual compiles on threads) and per-tenant,
+with adaptive executor routing underneath (a cold request's offline
+compile and fan-out on worker processes, warm residual compiles on
+threads) and per-tenant,
 per-route, per-queue observability at ``GET /stats``.
 
 Endpoints:
@@ -99,7 +100,8 @@ class EdgeConfig:
     workers: int = 8
     max_body_bytes: int = 1 << 20
     #: the two routes of the owned service's
-    #: :class:`AdaptiveExecutor` (cold fan-outs / warm residuals)
+    #: :class:`AdaptiveExecutor` (cold offline compiles and fan-outs /
+    #: warm residuals)
     cold_executor: Executorish = "process"
     warm_executor: Executorish = "thread"
     #: API-key table; ``None`` serves an open edge (anonymous tenant,
@@ -415,19 +417,21 @@ class EdgeServer:
         except (ValueError, UnicodeDecodeError):
             raise WireError(400, "bad_request",
                             "request body is not valid JSON")
-        if path == "/deploy":
-            request = parse_deploy_request(payload)
-            key = ("deploy", CompilationService.request_key(request))
-            job_args = {"request": request}
-        else:
-            fields = parse_compile_request(payload)
-            try:
+        # Keying a request validates its offline options, so a bad one
+        # is a 400 here, before anything is queued or shipped.
+        try:
+            if path == "/deploy":
+                request = parse_deploy_request(payload)
+                key = ("deploy", CompilationService.request_key(request))
+                job_args = {"request": request}
+            else:
+                fields = parse_compile_request(payload)
                 key = ("compile",
                        artifact_key(fields["source"], fields["name"],
                                     fields["options"]))
-            except ValueError as exc:     # unknown offline options
-                raise WireError(400, "bad_request", str(exc))
-            job_args = {"payload": fields}
+                job_args = {"payload": fields}
+        except ValueError as exc:         # unknown offline options
+            raise WireError(400, "bad_request", str(exc))
         who = tenant.name
         self.counts.add("requests", tenant=who)
         tenant.charge()                   # 429 on an empty bucket
@@ -582,8 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="estimated-wait shed threshold, seconds")
     parser.add_argument("--workers", type=int, default=8)
     parser.add_argument("--cold-executor", default="process",
-                        help="route for cold fan-outs "
-                             "(process/thread/inline)")
+                        help="route for offline compiles and cold "
+                             "fan-outs (process/thread/inline)")
     parser.add_argument("--warm-executor", default="thread",
                         help="route for warm residual compiles")
     parser.add_argument("--persist-dir", type=Path, default=None,

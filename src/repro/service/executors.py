@@ -1,32 +1,38 @@
-"""Pluggable deployment executors: where a JIT compile actually runs.
+"""Pluggable deployment executors: where the compilers actually run.
 
 The deployment pool used to *be* a thread pool; this module makes the
 execution substrate a first-class, swappable axis — the
 :class:`DeployExecutor` protocol — mirroring how flows and targets
-became data in earlier redesigns.  Three implementations ship:
+became data in earlier redesigns.  An executor runs both halves of a
+request's compilation: the offline compile of an artifact
+(``offline``) and the JIT of each of its images (``submit``).  Three
+implementations ship:
 
-* :class:`ThreadExecutor` — today's behaviour and the default: a
-  shared :class:`~concurrent.futures.ThreadPoolExecutor`.  Wins by
-  memoization and by overlapping the non-Python parts; cold compiles
-  of *distinct* triples still serialize on the GIL.
+* :class:`ThreadExecutor` — the default: JIT jobs on a shared
+  :class:`~concurrent.futures.ThreadPoolExecutor`, the offline compile
+  in the calling thread.  Wins by memoization and by overlapping the
+  non-Python parts; cold compiles of *distinct* work still serialize
+  on the GIL.
 * :class:`ProcessExecutor` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor` that ships the pickled artifact wire encoding
-  plus the (frozen, picklable) ``TargetDesc`` and ``Flow`` across the
-  process seam and compiles in the worker.  This is the one that
-  parallelizes *cold* JIT fan-out past the GIL — the process-level
-  parallelism the roadmap queued once ``Flow``/``PipelineSpec``/
-  ``JITOptions`` (PR 2) and ``TargetDesc`` (PR 4) became picklable.
-* :class:`InlineExecutor` — runs the compile synchronously in the
-  calling thread and returns an already-settled future.  Fully
+  ProcessPoolExecutor`.  The offline compile ships ``(source, name,
+  options, key)`` and comes back as the artifact's wire encoding; a
+  JIT job ships that encoding plus the (frozen, picklable)
+  ``TargetDesc`` and ``Flow`` and comes back as the image.  Both
+  expensive halves of a cold request run past the serving process's
+  GIL, which keeps lookups, the admission gate and the reply.
+* :class:`InlineExecutor` — runs everything synchronously in the
+  calling thread and returns already-settled futures.  Fully
   deterministic; the differential suite and unit tests use it to take
   scheduling out of the picture.
 
-Every executor exposes the same ``submit(compile_fn, artifact,
-target, flow) -> Future`` surface plus its own counts (``stats()``),
-which the pool reports under ``deploy.executors``.  The contract
-holds on all three: the future resolves to exactly the image
-``compile_for_target`` built; predecode and tier-2 are built lazily
-by the engine that first runs the image, never by the service.
+Every executor exposes the same ``offline(source, name, options, key)
+-> Future`` and ``submit(compile_fn, artifact, target, flow) ->
+Future`` surface plus its own counts (``stats()``), which the pool
+reports under ``deploy.executors``.  The contract holds on all three:
+``offline`` resolves to an artifact whose wire encoding is the one
+``offline_compile`` would give, and ``submit`` to exactly the image
+``compile_for_target`` built; predecode and tier-2 are built lazily by
+the engine that first runs the image, never by the service.
 """
 
 from __future__ import annotations
@@ -39,6 +45,11 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from repro.core.offline import OfflineArtifact, offline_compile
+from repro.service.cache import (
+    artifact_fingerprint, canonical_options, deserialize_artifact,
+    serialize_artifact,
+)
 from repro.service.singleflight import run_settled
 from repro.telemetry import Counters
 
@@ -59,50 +70,83 @@ class UnknownExecutorError(KeyError, ValueError):
         return self.args[0]
 
 
+def _build_artifact(source: str, name: str, options,
+                    key: str) -> OfflineArtifact:
+    """The offline compile of one artifact-cache key."""
+    artifact = offline_compile(source, name,
+                               **canonical_options(options or None))
+    # Remember the content address so deployment keys line up with the
+    # cache key without re-encoding the modules.
+    artifact._pvi_fingerprint = key
+    return artifact
+
+
 class DeployExecutor:
     """The protocol a deployment execution substrate must satisfy.
 
     ``submit`` schedules one JIT compilation and returns a
     :class:`concurrent.futures.Future` resolving to the compiled
     image; ``compile_fn(artifact, target, flow)`` is the pool's
-    canonical compile entry point.  Implementations may run it
-    anywhere (caller thread, worker thread, worker process) — the
-    deployment pool's in-flight dedup and memoization sit *above*
-    this seam, so an executor never sees the same triple twice while
-    a compile is in flight.
+    canonical compile entry point.  ``offline`` schedules one offline
+    compile the same way.  Implementations may run either anywhere
+    (caller thread, worker thread, worker process) — the service's and
+    the deployment pool's in-flight dedup and memoization sit *above*
+    this seam, so an executor never sees the same job twice while it
+    is in flight.
     """
 
     #: the name ``as_executor`` resolves (and stats report)
     name = "executor"
 
     def __init__(self):
-        #: jobs ``submitted``, and of those ``completed`` or ``failed``
-        self.counts = Counters("submitted", "completed", "failed")
+        #: JIT jobs ``submitted``, and of those ``completed`` or
+        #: ``failed``; the same three for offline jobs, prefixed
+        self.counts = Counters(
+            "submitted", "completed", "failed", "offline_submitted",
+            "offline_completed", "offline_failed")
 
     def submit(self, compile_fn: Callable, artifact, target,
                flow) -> Future:
         raise NotImplementedError
 
+    def fan_out(self, artifact) -> Callable[..., Future]:
+        """The ``submit`` every job of one fan-out of ``artifact``
+        goes through (an executor that routes decides once here)."""
+        return self.submit
+
+    def offline(self, source: str, name: str, options,
+                key: str) -> Future:
+        """A future of the artifact ``offline_compile`` builds for
+        artifact-cache key ``key``; by default compiled in the calling
+        thread."""
+        return self._track(
+            run_settled(_build_artifact, source, name, options, key),
+            "offline_")
+
     def shutdown(self, wait: bool = True) -> None:
         """Release worker resources (default: nothing to release)."""
 
     def stats(self) -> Dict[str, object]:
-        """The counts, plus the jobs still in flight."""
+        """The counts, plus the jobs of either kind still in flight."""
         view: Dict[str, object] = {"name": self.name,
                                    **self.counts.snapshot()}
+        settled = view["completed"] + view["failed"] + \
+            view["offline_completed"] + view["offline_failed"]
         view["in_flight"] = \
-            view["submitted"] - view["completed"] - view["failed"]
+            view["submitted"] + view["offline_submitted"] - settled
         return view
 
-    def _track(self, future: Future, **labels) -> Future:
-        """Count one submitted future, and its outcome when it
-        settles, under ``labels``."""
-        self.counts.add("submitted", **labels)
+    def _track(self, future: Future, kind: str = "", **labels) -> Future:
+        """Count one submitted future of ``kind`` (``""`` for a JIT
+        job, ``"offline_"``), and its outcome when it settles, under
+        ``labels``."""
+        self.counts.add(kind + "submitted", **labels)
 
         def _done(settled: Future) -> None:
             failed = settled.cancelled() or \
                 settled.exception() is not None
-            self.counts.add("failed" if failed else "completed", **labels)
+            self.counts.add(kind + ("failed" if failed else "completed"),
+                            **labels)
 
         future.add_done_callback(_done)
         return future
@@ -177,21 +221,33 @@ def _worker_init(flows, targets) -> None:
         register_target(target, replace=True)
 
 
+def _keep_in_worker(fingerprint: str, artifact) -> None:
+    _WORKER_ARTIFACTS[fingerprint] = artifact
+    _WORKER_ARTIFACTS.move_to_end(fingerprint)
+    while len(_WORKER_ARTIFACTS) > _WORKER_ARTIFACT_CAP:
+        _WORKER_ARTIFACTS.popitem(last=False)
+
+
+def _offline_in_worker(source: str, name: str, options,
+                       key: str) -> bytes:
+    """The worker-side offline compile: plain data in, the artifact's
+    wire encoding out.  The worker keeps the artifact, so a fan-out
+    job that lands on the same worker decodes nothing."""
+    artifact = _build_artifact(source, name, options, key)
+    _keep_in_worker(key, artifact)
+    return serialize_artifact(artifact)
+
+
 def _compile_in_worker(wire: bytes, fingerprint: str, target, flow):
     """The worker-side compile: bytes in, picklable image out."""
     from repro.core.online import select_bytecode
     from repro.jit import compile_for_target
-    from repro.service.cache import deserialize_artifact
 
     artifact = _WORKER_ARTIFACTS.get(fingerprint)
     if artifact is None:
         artifact = deserialize_artifact(wire)
         artifact._pvi_fingerprint = fingerprint
-        _WORKER_ARTIFACTS[fingerprint] = artifact
-        while len(_WORKER_ARTIFACTS) > _WORKER_ARTIFACT_CAP:
-            _WORKER_ARTIFACTS.popitem(last=False)
-    else:
-        _WORKER_ARTIFACTS.move_to_end(fingerprint)
+    _keep_in_worker(fingerprint, artifact)
     return compile_for_target(select_bytecode(artifact, flow), target,
                               flow)
 
@@ -202,14 +258,19 @@ _WIRE_CACHE_CAP = 8
 
 
 class ProcessExecutor(DeployExecutor):
-    """Compile in worker *processes*: cold fan-out past the GIL.
+    """Compile in worker *processes*: cold requests past the GIL.
 
-    Each job ships ``(artifact wire bytes, fingerprint, TargetDesc,
-    Flow)`` — all picklable by prior design — to a lazily created
-    :class:`~concurrent.futures.ProcessPoolExecutor`; the worker
-    decodes (once per artifact, cached), compiles through the target's
-    registered backend and returns the image.  The seam's toll is
-    serialize + pickle, nothing else.
+    Jobs go to a lazily created
+    :class:`~concurrent.futures.ProcessPoolExecutor`.  An offline job
+    ships ``(source, name, options, key)``; the worker compiles, keeps
+    the artifact and returns its wire encoding, which the parent
+    decodes — the same round trip a disk-revived artifact makes — and
+    keeps, so the fan-out that follows ships those bytes without
+    encoding again.  A JIT job ships ``(artifact wire bytes,
+    fingerprint, TargetDesc, Flow)`` — all picklable by prior design;
+    the worker decodes (once per artifact, cached), compiles through
+    the target's registered backend and returns the image.  What the
+    serving process pays is one decode per artifact and the pickles.
 
     ``compile_fn`` is ignored: the compile must be the canonical
     module-level path (a monkeypatched or closure-bound compile cannot
@@ -243,7 +304,7 @@ class ProcessExecutor(DeployExecutor):
 
     def _discard_broken(self, pool: ProcessPoolExecutor) -> None:
         """One dead worker breaks a ``ProcessPoolExecutor`` for good:
-        forget it, so the next submit starts a fresh pool and the loss
+        forget it, so the next job starts a fresh pool and the loss
         stays with the jobs that were in flight.
 
         Only the reference is dropped.  A broken pool has already
@@ -256,9 +317,6 @@ class ProcessExecutor(DeployExecutor):
                 self._pool = None
 
     def _wire_for(self, artifact) -> Tuple[bytes, str]:
-        from repro.service.cache import (
-            artifact_fingerprint, serialize_artifact,
-        )
         fingerprint = artifact_fingerprint(artifact)
         with self._wire_lock:
             wire = self._wires.get(fingerprint)
@@ -266,19 +324,22 @@ class ProcessExecutor(DeployExecutor):
                 self._wires.move_to_end(fingerprint)
                 return wire, fingerprint
         wire = serialize_artifact(artifact)
-        with self._wire_lock:
-            self._wires[fingerprint] = wire
-            while len(self._wires) > _WIRE_CACHE_CAP:
-                self._wires.popitem(last=False)
+        self._keep_wire(fingerprint, wire)
         return wire, fingerprint
 
-    def submit(self, compile_fn: Callable, artifact, target,
-               flow) -> Future:
+    def _keep_wire(self, fingerprint: str, wire: bytes) -> None:
+        with self._wire_lock:
+            self._wires[fingerprint] = wire
+            self._wires.move_to_end(fingerprint)
+            while len(self._wires) > _WIRE_CACHE_CAP:
+                self._wires.popitem(last=False)
+
+    def _run(self, fn: Callable, *args) -> Future:
+        """``fn(*args)`` in a worker; a pool a dead worker broke is
+        dropped as soon as a job reports it."""
         pool = self._ensure_pool()
-        wire, fingerprint = self._wire_for(artifact)
         try:
-            future = pool.submit(_compile_in_worker, wire, fingerprint,
-                                 target, flow)
+            future = pool.submit(fn, *args)
         except BrokenProcessPool:
             self._discard_broken(pool)
             raise
@@ -289,7 +350,37 @@ class ProcessExecutor(DeployExecutor):
                 self._discard_broken(pool)
 
         future.add_done_callback(_settled)
-        return self._track(future)
+        return future
+
+    def submit(self, compile_fn: Callable, artifact, target,
+               flow) -> Future:
+        wire, fingerprint = self._wire_for(artifact)
+        return self._track(self._run(_compile_in_worker, wire,
+                                     fingerprint, target, flow))
+
+    def offline(self, source: str, name: str, options,
+                key: str) -> Future:
+        shipped = self._run(_offline_in_worker, source, name, options,
+                            key)
+        future: Future = Future()
+        future.set_running_or_notify_cancel()
+
+        def _landed(done: Future) -> None:
+            # Runs on the pool's result thread, after ``_settled``.  The
+            # caller's future settles whatever happened, a cancelled
+            # job (``CancelledError``, a BaseException) included.
+            try:
+                wire = done.result()
+                artifact = deserialize_artifact(wire)
+            except BaseException as exc:
+                future.set_exception(exc)
+                return
+            artifact._pvi_fingerprint = key
+            self._keep_wire(key, wire)
+            future.set_result(artifact)
+
+        shipped.add_done_callback(_landed)
+        return self._track(future, "offline_")
 
     def shutdown(self, wait: bool = True) -> None:
         with self._pool_lock:

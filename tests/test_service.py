@@ -467,8 +467,9 @@ class TestCoalescedWait:
         """N requests coalescing onto one in-flight compile must leave
         the offline latency total at ~one compile's worth; the
         joiners' wall clock lands in ``coalesced_wait`` instead."""
-        import repro.service as service_mod
-        real = service_mod.offline_compile
+        # the default executor runs the offline compile in the caller
+        from repro.service import executors
+        real = executors.offline_compile
         svc = CompilationService(cache_capacity=4)
         joiners = 4
 
@@ -482,7 +483,7 @@ class TestCoalescedWait:
                 time.sleep(0.002)
             return real(source, name, **options)
 
-        monkeypatch.setattr(service_mod, "offline_compile", slow)
+        monkeypatch.setattr(executors, "offline_compile", slow)
         try:
             outcomes = []
             barrier = threading.Barrier(joiners + 1)

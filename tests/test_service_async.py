@@ -13,13 +13,17 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import copy
+import json
 import multiprocessing
 import os
 import signal
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.bytecode.varint import read_bytes
 from repro.core import deploy, offline_compile
 from repro.engine import osr_enabled, osr_threshold
 from repro.flows import as_flow
@@ -27,12 +31,14 @@ from repro.semantics import Memory
 from repro.service import (
     AsyncCompilationService, CompilationService, CompileRequest,
     DeploymentPool, InlineExecutor, ProcessExecutor, ThreadExecutor,
-    UnknownExecutorError, as_executor, executor_names,
+    UnknownExecutorError, as_executor, executor_names, serialize_artifact,
 )
+from repro.service.cache import ARTIFACT_MAGIC
+from repro.service.edge.routing import AdaptiveExecutor
 from repro.service.edge.wire import deploy_result_wire
 from repro.targets import X86, executor_for
 from repro.targets.catalog import TARGETS
-from repro.workloads import TABLE1
+from repro.workloads import REGALLOC_CORPUS, TABLE1
 from tests.support import timeless
 
 SAXPY = TABLE1["saxpy_fp"].source
@@ -272,10 +278,11 @@ class TestExecutorEquivalence:
         executor = ProcessExecutor(max_workers=1)
         svc = CompilationService(executor=executor)
         try:
-            artifact = svc.artifact(SAXPY, "k")
             before = set(multiprocessing.active_children())
-            svc.deploy(artifact, X86, "split")       # starts the worker
+            # the offline compile is the worker's first job
+            artifact = svc.artifact(SAXPY, "k")
             (worker,) = set(multiprocessing.active_children()) - before
+            svc.deploy(artifact, X86, "split")
             others = [t for t in TARGETS.values() if t is not X86]
             pending = svc.pool.submit_many(artifact, others, "split")
             os.kill(worker.pid, signal.SIGKILL)
@@ -290,6 +297,143 @@ class TestExecutorEquivalence:
             image = svc.deploy(artifact, lost[0], "split")
             assert code_of(image) == \
                 code_of(deploy(artifact, lost[0], "split"))
+            assert executor.stats()["in_flight"] == 0
+        finally:
+            svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# the offline compile as an executor job
+# ---------------------------------------------------------------------------
+
+OFFLINE_CORPUS = {"saxpy": SAXPY, **REGALLOC_CORPUS}
+
+
+def _timeless_wire(artifact):
+    """The artifact's wire encoding, with the sidecar's wall-clock
+    fields (the one thing two compiles of a source differ in) zeroed:
+    (sidecar, module bytes)."""
+    raw = serialize_artifact(artifact)
+    sidecar, pos = read_bytes(raw, len(ARTIFACT_MAGIC))
+    meta = json.loads(sidecar)
+    meta["offline_time"] = 0.0
+    for row in meta["per_pass"].values():
+        row["time"] = 0.0
+    return meta, raw[pos:]
+
+
+def _books(stats):
+    """``stats()`` without the latency floats and with the one
+    executor's counts under a name that does not depend on it."""
+    stats = copy.deepcopy(stats)
+    del stats["latency"]
+    (executor,) = stats["deploy"].pop("executors").values()
+    del executor["name"]
+    stats["deploy"]["executor"] = executor
+    return stats
+
+
+class TestOfflineSeam:
+    def _serve_corpus(self, executor):
+        svc = CompilationService(executor=executor)
+        try:
+            served = {}
+            for name, source in OFFLINE_CORPUS.items():
+                result = svc.submit(CompileRequest(
+                    source=source, name=name,
+                    targets=["x86", "arm", "dsp"]))
+                artifact = svc.cache.peek(result.artifact_key)
+                served[name] = (
+                    _timeless_wire(artifact),
+                    result.offline_pass_work,
+                    {target: code_of(deployment.compiled)
+                     for target, deployment in
+                     result.deployments.items()})
+            return served, _books(svc.stats())
+        finally:
+            svc.shutdown()
+
+    def test_process_route_serves_what_inline_serves(self):
+        """The artifact a worker compiled and the parent decoded is
+        the one the calling thread compiles: same wire bytes, same
+        per-pass work, same images, same books."""
+        inline = self._serve_corpus("inline")
+        routed = self._serve_corpus(AdaptiveExecutor("process", "thread"))
+        assert routed == inline
+        executor = routed[1]["deploy"]["executor"]
+        assert executor["offline_submitted"] == len(OFFLINE_CORPUS)
+        assert executor["in_flight"] == 0
+
+    def test_a_herd_ships_one_offline_job(self):
+        """N identical concurrent cold requests: the single-flight sits
+        above the seam, so one offline job crosses it."""
+        executor = ProcessExecutor(max_workers=1)
+        svc = CompilationService(executor=executor)
+        request = CompileRequest(source=SAXPY, name="herd",
+                                 targets=[X86])
+        herd = 6
+        barrier = threading.Barrier(herd)
+
+        def one(_):
+            barrier.wait()
+            return svc.submit(request)
+
+        try:
+            with concurrent.futures.ThreadPoolExecutor(herd) as callers:
+                results = list(callers.map(one, range(herd)))
+            stats = executor.stats()
+            assert stats["offline_submitted"] == 1
+            assert stats["offline_completed"] == 1
+            assert stats["submitted"] == 1
+            assert sum(not r.artifact_cache_hit for r in results) == 1
+            assert len({tuple(code_of(r.image_for("x86")))
+                        for r in results}) == 1
+            assert svc.stats()["artifact"]["stores"] == 1
+        finally:
+            svc.shutdown()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stalled compile is patched in before "
+                               "the worker forks")
+    def test_a_worker_killed_mid_offline_fails_only_that_request(
+            self, tmp_path, monkeypatch):
+        """Kill the worker while it runs an offline compile: that
+        request fails with the broken pool, no flight is left behind,
+        and the same request then succeeds on a fresh pool."""
+        from repro.service import executors
+
+        started = tmp_path / "started"
+        real = executors.offline_compile
+
+        def stall(source, name="module", **options):
+            started.touch()
+            time.sleep(60)
+
+        monkeypatch.setattr(executors, "offline_compile", stall)
+        executor = ProcessExecutor(max_workers=1)
+        svc = CompilationService(executor=executor)
+        request = CompileRequest(source=SAXPY, name="k", targets=[X86])
+        try:
+            before = set(multiprocessing.active_children())
+            with concurrent.futures.ThreadPoolExecutor(1) as caller:
+                doomed = caller.submit(svc.submit, request)
+                deadline = time.monotonic() + 60
+                while not started.exists():
+                    assert time.monotonic() < deadline, "never started"
+                    time.sleep(0.01)
+                (worker,) = set(multiprocessing.active_children()) - before
+                os.kill(worker.pid, signal.SIGKILL)
+                with pytest.raises(BrokenProcessPool):
+                    doomed.result(timeout=60)
+            assert svc._compiling._flights == {}
+            assert executor.stats()["offline_failed"] == 1
+            assert executor.stats()["in_flight"] == 0
+            # the fresh pool forks with the real compiler
+            monkeypatch.setattr(executors, "offline_compile", real)
+            result = svc.submit(request)
+            assert not result.artifact_cache_hit
+            assert code_of(result.image_for("x86")) == \
+                code_of(deploy(offline_compile(SAXPY, "k"), X86, "split"))
             assert executor.stats()["in_flight"] == 0
         finally:
             svc.shutdown()

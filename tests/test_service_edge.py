@@ -650,6 +650,49 @@ class TestEdgeServer:
         assert status == 422
         assert body["error"]["code"] == "compile_error"
 
+    @pytest.mark.parametrize("source", [
+        "this is ( not dsl",                        # parse error
+        "int f(int a) { return b; }",               # semantic error
+    ])
+    def test_source_errors_read_the_same_on_both_routes(self, source):
+        """A compile error raised in a worker process answers what the
+        same error raised in the serving process answers."""
+        def reply(cold: str):
+            async def scenario(edge):
+                async with EdgeClient("127.0.0.1", edge.port) as client:
+                    return await client.deploy(source, ["x86"])
+            status, _, body = run_edge(
+                edge_config(cold_executor=cold, warm_executor="thread"),
+                scenario)
+            return status, body
+
+        inline = reply("inline")
+        assert inline[0] == 422
+        assert inline[1]["error"]["code"] == "compile_error"
+        assert reply("process") == inline
+
+    def test_unknown_offline_option_is_400_on_both_paths(self):
+        """Keying a request validates its offline options: an unknown
+        one is a 400 on ``/deploy`` as on ``/compile``, before anything
+        is queued or compiled."""
+        bogus = {"bogus": 1}
+
+        async def scenario(edge):
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                replies = [
+                    await client.deploy(SAXPY, ["x86"], options=bogus),
+                    await client.compile(SAXPY, options=bogus)]
+            return replies, edge.stats_snapshot()
+
+        replies, stats = run_edge(edge_config(), scenario)
+        for status, _, body in replies:
+            assert status == 400
+            assert body["error"]["code"] == "bad_request"
+            assert "bogus" in body["error"]["message"]
+        assert stats["edge"]["bad_requests"] == 2
+        assert stats["edge"]["accepted"] == 0
+        assert stats["service"]["requests"] == 0
+
 
 # ---------------------------------------------------------------------------
 # adaptive routing
@@ -657,6 +700,9 @@ class TestEdgeServer:
 
 class TestAdaptiveRouting:
     def test_first_fanout_cold_then_warm(self):
+        """The whole first fan-out is cold, even on settled routes
+        where its first image lands before its second target is
+        submitted; the offline compile before it is cold too."""
         from repro.service import CompilationService
         executor = AdaptiveExecutor(cold="inline", warm="inline")
         service = CompilationService(executor=executor)
@@ -669,9 +715,10 @@ class TestAdaptiveRouting:
             after_second = executor.route_counters()
         finally:
             service.shutdown()
-        assert after_first["cold"]["submitted"] >= 1
-        assert after_second["warm"]["submitted"] - \
-            after_first["warm"]["submitted"] == 2
+        assert after_first["cold"]["submitted"] == 3
+        assert after_first["warm"]["submitted"] == 0
+        assert after_first["cold"]["stats"]["offline_submitted"] == 1
+        assert after_second["warm"]["submitted"] == 2
         assert after_second["known_artifacts"] == 1
 
     def test_distinct_artifacts_classify_independently(self):
@@ -716,8 +763,7 @@ class TestResidentPath:
         only on threads, a resident ``/deploy`` makes no thread hop,
         and the evicted artifact falls back to the thread path and
         still answers what the resident request answered."""
-        import repro.service as service_mod
-        from repro.service import ArtifactCache, deployment
+        from repro.service import ArtifactCache, deployment, executors
         from repro.service.singleflight import SingleFlight
 
         ran = []                            # (what, thread id)
@@ -730,7 +776,7 @@ class TestResidentPath:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, spied)
 
-        spy(service_mod, "offline_compile")
+        spy(executors, "offline_compile")     # inline offline jobs
         spy(deployment, "compile_for_target")
         spy(ArtifactCache, "_load_persisted")
         spy(SingleFlight, "fly")
