@@ -264,9 +264,14 @@ _CMP_SYMS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
              "gt": ">", "ge": ">="}
 
 
-def _int_wrap(core: str, int_ty) -> str:
+def _int_wrap(core: str, int_ty, exact: bool = False) -> str:
     """Wrap ``core`` into ``int_ty``'s range exactly like the kernels:
-    mask, then sign-decode via the xor trick for signed types."""
+    mask, then sign-decode via the xor trick for signed types.
+    ``exact``: the caller proved ``core`` already in range (interval
+    knowledge, :meth:`repro.tiers.BlockEmitter.fits`), so the wrap is
+    the identity and is left out."""
+    if exact:
+        return f"({core})"
     mask = (1 << int_ty.bits) - 1
     if int_ty.signed:
         sign = 1 << (int_ty.bits - 1)
@@ -274,23 +279,27 @@ def _int_wrap(core: str, int_ty) -> str:
     return f"(({core}) & {mask})"
 
 
-def inline_binop(op: str, value_ty, env: "CodegenEnv"):
+def inline_binop(op: str, value_ty, env: "CodegenEnv",
+                 exact: bool = False):
     """``(template, pure)`` inlining the binop kernel for
-    ``value_ty``, or ``None`` when the op must stay a kernel call."""
+    ``value_ty``, or ``None`` when the op must stay a kernel call.
+    ``exact``: an integer ``add`` / ``sub`` / ``mul`` / ``shl`` whose
+    unwrapped result is proven in range (see :func:`_int_wrap`)."""
     from repro.lang import types as ty
     if isinstance(value_ty, ty.IntType):
         mask = (1 << value_ty.bits) - 1
         sm = value_ty.bits - 1
         if op in _ARITH_SYMS:
             return _int_wrap(f"{{a}} {_ARITH_SYMS[op]} {{b}}",
-                             value_ty), True
+                             value_ty, exact), True
         if op in _BIT_SYMS:
             core = f"({{a}} & {mask}) {_BIT_SYMS[op]} ({{b}} & {mask})"
             if value_ty.signed:
                 return _int_wrap(core, value_ty), True
             return f"({core})", True       # masked operands: in range
         if op == "shl":
-            return _int_wrap(f"{{a}} << ({{b}} & {sm})", value_ty), True
+            return _int_wrap(f"{{a}} << ({{b}} & {sm})", value_ty,
+                             exact), True
         if op == "shr":
             if value_ty.signed:
                 return _int_wrap(f"{{a}} >> ({{b}} & {sm})",
@@ -331,13 +340,15 @@ def inline_cmp(pred: str, value_ty):
     return f"(1 if ({{a}}) {sym} ({{b}}) else 0)"
 
 
-def inline_cast(from_ty, to_ty, env: "CodegenEnv"):
+def inline_cast(from_ty, to_ty, env: "CodegenEnv", exact: bool = False):
     """``(template, pure)`` inlining a non-identity cast kernel, or
-    ``None`` (float->int keeps the kernel: NaN/inf special cases)."""
+    ``None`` (float->int keeps the kernel: NaN/inf special cases).
+    ``exact``: an int->int cast of a value proven in ``to_ty``'s range
+    (see :func:`_int_wrap`)."""
     from repro.lang import types as ty
     if isinstance(to_ty, ty.IntType):
         if isinstance(from_ty, ty.IntType):
-            return _int_wrap("{a}", to_ty), True
+            return _int_wrap("{a}", to_ty, exact), True
         return None
     if not isinstance(to_ty, ty.FloatType):
         return None

@@ -22,6 +22,7 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -63,7 +64,11 @@ def canonical_options(options: Optional[Dict[str, object]] = None) \
 
     A ``pipeline`` option (a :class:`~repro.flows.PipelineSpec` or its
     dict form) is normalized to a validated spec; it overrides the
-    legacy boolean knobs exactly as ``offline_compile`` would.
+    legacy boolean knobs exactly as ``offline_compile`` would.  Every
+    rejection is a ``ValueError`` (the edge answers it with a 400):
+    an unknown option, a ``hotness`` that is not a mapping of names to
+    integer weights, a ``pipeline`` that is neither a spec nor a dict
+    of well-typed spec fields.
     """
     merged = dict(DEFAULT_OFFLINE_OPTIONS)
     if options:
@@ -74,10 +79,23 @@ def canonical_options(options: Optional[Dict[str, object]] = None) \
         merged.update(options)
     hotness = merged["hotness"]
     if hotness is not None:
+        if not isinstance(hotness, Mapping) or not all(
+                isinstance(name, str) and isinstance(weight, int)
+                for name, weight in hotness.items()):
+            raise ValueError("offline option 'hotness' must map function "
+                             "names to integer weights")
         merged["hotness"] = {name: int(w)
                              for name, w in sorted(hotness.items())}
-    if merged.get("pipeline") is not None:
-        merged["pipeline"] = effective_pipeline(merged["pipeline"])
+    pipeline = merged.get("pipeline")
+    if pipeline is not None:
+        from repro.flows import PipelineSpec
+        if not isinstance(pipeline, (PipelineSpec, dict)):
+            raise ValueError("offline option 'pipeline' must be a "
+                             "pipeline spec or its dict form")
+        try:
+            merged["pipeline"] = effective_pipeline(pipeline)
+        except TypeError as exc:        # a dict field of the wrong type
+            raise ValueError(f"offline option 'pipeline': {exc}") from None
     return merged
 
 

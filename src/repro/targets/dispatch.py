@@ -52,6 +52,7 @@ from repro.engine import (
     inline_binop, inline_cast, inline_cmp, inline_unop,
     normalize_branch_target,
 )
+from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
     binop_kernel, cast_kernel, cmp_kernel, identity_kernel, unop_kernel,
@@ -62,8 +63,8 @@ from repro.semantics.memory import (
 )
 from repro.targets.isa import CompiledFunction, CompiledModule
 from repro.tiers import (
-    BlockEmitter, Lowering, Predecoded, Tier, Tier2BuildStats, block_tier,
-    warm, whole_tier, wraps_u64,
+    BlockEmitter, Induction, Interval, Lowering, Predecoded, Tier,
+    Tier2BuildStats, block_tier, warm, whole_tier, wraps_u64,
 )
 
 #: "register never written" sentinel for the flat register files
@@ -153,8 +154,18 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
     tier2 = tier.tier2
     reg_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     written = set(low.entry_written.get(leader, low.param_regs))
-    em = BlockEmitter(env, tier, low.widths)
+    em = BlockEmitter(env, tier, low.widths,
+                      low.counting if tier2 else None)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
+    ranges = em.ranges
+
+    def span(operand):
+        """The interval an operand is known to hold (``ranges`` is
+        empty outside a counted loop's blocks)."""
+        kind, value = operand
+        if kind == "imm":
+            return Interval(value, value) if type(value) is int else None
+        return ranges.get(reg_fmt.format(_REG_FILES.get(kind), value))
 
     def read(operand, indent: str = "") -> str:
         kind, value = operand
@@ -188,28 +199,34 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         emit(f"raise TrapError({message})", indent + "    ")
         return t
 
-    def dst_of(instr, masked: bool = False, lanes=None) -> str:
+    def dst_of(instr, masked: bool = False, lanes=None, rng=None) -> str:
         """The destination's place, marked written (``masked`` /
-        ``lanes``: what tier-2 knows of the value: ``em.rewrite``)."""
+        ``lanes`` / ``rng``: what tier-2 knows of the value:
+        ``em.rewrite``)."""
         kind, index = instr.dst
         written.add((kind, index))
         place = reg_fmt.format(_REG_FILES[kind], lit(index))
         if tier2:
-            em.rewrite(place, masked, lanes)
+            em.rewrite(place, masked, lanes, rng)
         return place
 
     def addr_of(instr, srcs) -> str:
         base = read(srcs[0])
         if len(srcs) > 1:
+            exact = em.exact_binop("add", ty.U64, span(srcs[0]),
+                                   span(srcs[1])) if ranges else None
             offset = read(srcs[1])
             t = newt()
             emit(f"{t} = ({base}) + ({offset})")
-            base = t
+            return em.address(t, exact is not None)
         return em.address(base, base in em.masked)
 
     exit_pc = leader + length
+    skip = em.skip
 
     for pc in range(leader, exit_pc):
+        if pc in skip:
+            continue
         instr = code[pc]
         op = instr.op
         em.begin()
@@ -218,15 +235,17 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         # *before* dst_of marks the destination written — a dst that
         # aliases an unwritten source must still trap.
         if op == "bin":
-            template = inline_binop(instr.arg, instr.ty, env) \
-                if tier2 else None
+            rng = em.exact_binop(instr.arg, instr.ty, span(instr.srcs[0]),
+                                 span(instr.srcs[1])) if ranges else None
+            template = inline_binop(instr.arg, instr.ty, env,
+                                    rng is not None) if tier2 else None
             a = read(instr.srcs[0])
             b = read(instr.srcs[1])
             if template is not None:
                 expr, pure = template
                 if not pure:
                     em.impure = True
-                emit(f"{dst_of(instr, wraps_u64(instr.ty))} = "
+                emit(f"{dst_of(instr, wraps_u64(instr.ty), rng=rng)} = "
                      f"{expr.format(a=a, b=b)}")
             else:
                 em.impure = True    # div/rem trap; kernel calls too
@@ -234,8 +253,11 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                                   "k")
                 emit(f"{dst_of(instr)} = {kernel}({a}, {b})")
         elif op == "mov":
+            rng = span(instr.srcs[0]) if ranges else None
             source = read(instr.srcs[0])
-            emit(f"{dst_of(instr)} = {source}")
+            emit(f"{dst_of(instr, rng=rng)} = {source}")
+        elif op == "cmp" and pc == em.flag:     # a counted loop's test
+            emit(f"{dst_of(instr)} = (1)")
         elif op == "cmp":
             template = inline_cmp(instr.arg, instr.ty) \
                 if tier2 else None
@@ -265,16 +287,19 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         elif op == "cast":
             from_ty, to_ty = instr.arg
             kernel = cast_kernel(from_ty, to_ty)
-            template = inline_cast(from_ty, to_ty, env) \
+            rng = span(instr.srcs[0]) if ranges else None
+            if kernel is not identity_kernel:
+                rng = em.fits(rng, to_ty)
+            template = inline_cast(from_ty, to_ty, env, rng is not None) \
                 if tier2 and kernel is not identity_kernel else None
             source = read(instr.srcs[0])
             if kernel is identity_kernel:
-                emit(f"{dst_of(instr)} = {source}")
+                emit(f"{dst_of(instr, rng=rng)} = {source}")
             elif template is not None:
                 expr, pure = template
                 if not pure:
                     em.impure = True
-                emit(f"{dst_of(instr, wraps_u64(to_ty))} = "
+                emit(f"{dst_of(instr, wraps_u64(to_ty), rng=rng)} = "
                      f"{expr.format(a=source)}")
             else:
                 em.impure = True    # float->int: NaN/inf trap
@@ -517,6 +542,65 @@ class _MachineLowering(Lowering):
         if not getattr(self.func, "osr_hint", True):
             return frozenset()
         return super().osr_candidates()
+
+    def induction(self, header, latch):
+        # Header ``cmp.lt flag, iv, bound; brif flag, latch``; latch
+        # ending ``add iv, iv, #c`` or ``add t, iv, #c; mov iv, t``,
+        # then ``br header``; no other write of ``iv`` or of a
+        # register ``bound``, and no read of ``t`` the dropped
+        # increment would have fed.
+        code, blocks = self.code, self.blocks
+        head = code[header:header + blocks[header]]
+        body = code[latch:latch + blocks[latch]]
+        if len(head) < 2 or len(body) < 3:
+            return None
+        test, branch = head[-2:]
+        copy = body[-2] if body[-2].op == "mov" else None
+        add = body[-3] if copy is not None else body[-2]
+        if not (branch.op == "brif" and branch.arg == latch
+                and test.op == "cmp" and test.arg == "lt"
+                and isinstance(test.ty, ty.IntType) and test.ty.signed
+                and test.dst is not None and branch.srcs == [test.dst]
+                and test.srcs[0][0] == "int"
+                and add.op == "bin" and add.arg == "add"
+                and add.ty == ty.I32 and add.srcs[0] == test.srcs[0]
+                and add.srcs[1][0] == "imm"):
+            return None
+        iv, limit = test.srcs
+        step = add.srcs[1][1]
+        if type(step) is not int or not 0 < step < 1 << 31:
+            return None
+        temp, skip = None, frozenset((latch + len(body) - 2,))
+        if copy is None:
+            if add.dst != iv:
+                return None
+        else:
+            temp = add.dst
+            if copy.dst != iv or copy.srcs != [temp] or temp == iv \
+                    or temp[0] != "int":
+                return None
+            for instr in head + body[:-3]:      # an iteration, in order
+                if temp in instr.srcs:
+                    return None         # read before the loop wrote it
+                if instr.dst == temp:
+                    break
+            skip |= {latch + len(body) - 3}
+            temp = f"ri{temp[1]}"
+        writes = [instr.dst for instr in head + body
+                  if instr.dst is not None]
+        if writes.count(iv) != 1 or limit in writes:
+            return None
+        if limit[0] == "int":
+            bound = f"ri{limit[1]}"
+        elif limit[0] == "imm" and type(limit[1]) is int:
+            bound = f"({limit[1]})"
+        else:
+            return None
+        (ints, _, _), _ = _register_layout(self.func)
+        invariants = frozenset(f"ri{k}" for k in range(ints)
+                               if ("int", k) not in writes)
+        return Induction(f"ri{iv[1]}", bound, step, temp, skip,
+                         header + len(head) - 2, invariants)
 
     def frame_data(self, module) -> dict:
         reg_counts, param_locs = _register_layout(self.func)

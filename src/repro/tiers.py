@@ -26,15 +26,21 @@ lives here, once:
   metered replay (:func:`replay_metered`);
 * the block line emitter (:class:`BlockEmitter`): temps, the marks
   of instructions that can raise, how constants are spelled (a hole
-  or a literal), and the bounds / store / reduce / quad forms both
-  engines spell identically;
+  or a literal), the bounds / store / reduce / quad forms both
+  engines spell identically, and tier-2's in-block and interval
+  knowledge (:class:`Interval`);
 * the debit protocol over per-block *counter vectors*
   (:class:`Tier2Writer`, :meth:`Lowering.block_source`) and the one
   trap rollback of both tiers, a source-line table per block
   (:func:`body_under_rollback`);
 * the tier-2 dispatcher: hot-span ordering, two-block loop fusion,
-  the OSR entry whitelist and prologue, the ``pc`` ladder and its
-  deopt arms (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
+  counted loops — a fused loop whose induction the engine's hook
+  finds (:meth:`Lowering.induction`, :class:`Induction`) also runs as
+  a ``for ... in range`` picked by one guard at loop entry, with no
+  fuel compare, exit test or i32 / u64 wrap per iteration
+  (:meth:`Tier2Writer.counted`) — the OSR entry whitelist and
+  prologue, the ``pc`` ladder and its deopt arms
+  (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
 
 An engine is a :class:`Lowering` subclass: class attributes carry its
 data (handler signature, counter names, fuel trap, source tags) and a
@@ -106,18 +112,23 @@ class Tier2BuildStats:
     * ``guards_elided`` / ``guards_kept`` — OSR prologue fact guards
       the analysis proved redundant (kept only under
       ``PVI_OSR_GUARDS=1``).
-    * ``loops_fused`` / ``loops_ladder`` — loops of the built
-      translations (:func:`loop_back_edges`) that run as a native
-      ``while`` (two blocks, either layout: :func:`fused_loops`) and
-      that go round the ``pc`` ladder.  ``loops_ladder > 0`` answers
-      "why is this loop slow in tier-2?": it has one block, three or
-      more, or two latches."""
+    * ``loops_fused`` / ``loops_ladder`` / ``loops_counted`` — loops
+      of the built translations (:func:`loop_back_edges`) that run as
+      a native ``while`` (two blocks, either layout: :func:`fused_loops`),
+      that go round the ``pc`` ladder, and the fused ones that also
+      got a *counted* version, a ``for`` over ``range`` picked by one
+      guard at loop entry (:meth:`Tier2Writer.counted`).  They answer
+      "why is this loop slow in tier-2?": ``loops_ladder > 0`` — it has
+      one block, three or more, or two latches; fused but not counted
+      — its function calls, its header can raise, or it is not
+      ``for (iv < bound; iv += c)`` as far as the engine's induction
+      hook (:meth:`Lowering.induction`) can tell."""
 
     def __init__(self) -> None:
         self.counts = dict.fromkeys(
             ("warm", "request", "deferred", "facts_warm", "facts_request",
              "guards_elided", "guards_kept", "loops_fused",
-             "loops_ladder"), 0)
+             "loops_ladder", "loops_counted"), 0)
 
     def tier2_build_stats(self) -> dict:
         """Copy of the tier-2 build-site counters."""
@@ -136,16 +147,18 @@ _TIER2_UNBUILT = object()
 #: its code, before OSR builds its tier-2 translation (ski rental: wait
 #: until the rent paid equals the price).  Sized by the ``break_even``
 #: table of ``benchmarks/results/BENCH_interp_throughput.json`` (11
-#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 36-258
-#: us per instruction of code (on a box half as fast as when 37-122
-#: was read), tier-2 then runs 1.34-5.64x the block tier, and the
-#: saving repays the build after a median of 1334 executed
-#: instructions per instruction of code (quartiles 670 / 1593; 1599
-#: and 1233 / 1782 before tier-2 loops got cheaper, 1797 and 1265 /
-#: 2120 when the constant was chosen).  2000 was the upper quartile in
-#: round figures and now sits a quarter above it: late by less than
-#: one build, and what keeps ``device_first_call`` free of builds.  A
-#: full-size run of that bench fails when it leaves [q1, 2 x q3].
+#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 54-268
+#: us per instruction of code (36-258 before counted loops lowered
+#: their blocks twice; 37-122 on a box twice as fast), tier-2 then
+#: runs 1.30-6.88x the block tier, and the saving repays the build
+#: after a median of 1388 executed instructions per instruction of
+#: code (quartiles 862 / 1676; 1334 and 670 / 1593 before counted
+#: loops, 1599 and 1233 / 1782 before tier-2 loops got cheaper, 1797
+#: and 1265 / 2120 when the constant was chosen).  2000 was the upper
+#: quartile in round figures and now sits a fifth above it: late by
+#: less than one build, and what keeps ``device_first_call`` free of
+#: builds.  A full-size run of that bench fails when it leaves
+#: [q1, 2 x q3].
 TIER2_PAYBACK = 2000
 
 #: serializes first-time tier-2 and step builds.  Predecodes ride
@@ -589,6 +602,57 @@ def template_stats() -> dict:
             "misses": info.misses}
 
 
+#: what a counted loop's guard admits: the induction variable stays
+#: below ``I32_LIMIT`` (so ``iv + c`` never wraps), and a loop-invariant
+#: base the lowering leaned on is below ``BASE_LIMIT`` (so a base plus
+#: an offset derived from the induction variable is a u64 as it is)
+I32_LIMIT = 1 << 31
+BASE_LIMIT = 1 << 62
+
+
+class Interval(NamedTuple):
+    """What a lowered integer name or operand is known to hold:
+    ``lo <= value <= hi``.  ``deps`` names the loop-invariant values
+    whose *assumed* range it rests on; a wrap dropped on its strength
+    makes the counted loop's guard check them (:meth:`BlockEmitter.fits`)."""
+
+    lo: int
+    hi: int
+    deps: frozenset = frozenset()
+
+
+def int_interval(int_ty) -> Interval:
+    """Every value of ``int_ty``."""
+    if int_ty.signed:
+        return Interval(-(1 << (int_ty.bits - 1)),
+                        (1 << (int_ty.bits - 1)) - 1)
+    return Interval(0, (1 << int_ty.bits) - 1)
+
+
+class Induction(NamedTuple):
+    """A fused loop that can run counted, as the engine's hook
+    (:meth:`Lowering.induction`) reads it off the instructions: the
+    header tests ``iv < bound`` (a signed compare, its ``brif`` taken
+    into the latch), the latch ends in the only write of ``iv``, one
+    i32 ``iv + step``, and nothing in the loop writes ``bound``.
+    Names are the lowered (tier-2) ones."""
+
+    iv: str
+    #: a lowered name or an integer literal
+    bound: str
+    step: int
+    #: the increment's destination when it is not ``iv`` (then copied
+    #: into ``iv``); no instruction of the loop reads the value the
+    #: increment leaves there, so the counted latch drops both
+    temp: Optional[str]
+    #: pcs of the increment (and the copy) the counted latch drops
+    skip: frozenset
+    #: pc of the header's compare: 1 on every counted iteration
+    flag: int
+    #: integer names no instruction of the loop writes
+    invariants: frozenset
+
+
 def wraps_u64(value_ty) -> bool:
     """Is a pure inline result of ``value_ty`` a wrapped u64: in range
     as an address, whatever it is computed from?"""
@@ -625,9 +689,24 @@ class BlockEmitter:
     wrapped-u64 inline result (no re-mask as an address), :attr:`lanes`
     of vectors a load, a splat or an inlined quad wrote.  ``widths``
     (the lowering's) collects the access widths checked against a
-    ``_ms<width>`` limit, which the dispatcher hoists."""
+    ``_ms<width>`` limit, which the dispatcher hoists.
 
-    def __init__(self, env: CodegenEnv, tier: Tier, widths: set):
+    **Interval knowledge** (the blocks of a counted loop only:
+    ``induction``).  :attr:`ranges` holds an :class:`Interval` per
+    name, seeded with what the loop's guard establishes — the
+    induction variable in ``[0, I32_LIMIT - 1 - step]``, every
+    loop-invariant integer *assumed* in ``[0, BASE_LIMIT)`` — and
+    carried through the adds, subtracts, multiplies, constant shifts
+    and integer casts the engine asks about (:meth:`exact_binop`,
+    :meth:`fits`); the dict is empty in every other lowering.  Where
+    a result provably needs no wrap the
+    engine leaves the wrap out, and the assumptions that proved it
+    land in :attr:`leaned`, which the guard then checks.  The engine
+    also drops the pcs in :attr:`skip` and writes 1 for the compare
+    at :attr:`flag`."""
+
+    def __init__(self, env: CodegenEnv, tier: Tier, widths: set,
+                 induction: Optional[Induction] = None):
         self.env = env
         self.lit = env.lit
         self.tier = tier
@@ -642,6 +721,17 @@ class BlockEmitter:
         self.masked: set = set()
         self.lanes: dict = {}
         self.widths = widths
+        self.ranges: dict = {}
+        self.leaned: set = set()
+        self.skip: frozenset = frozenset()
+        self.flag: Optional[int] = None
+        if induction is not None:
+            self.skip, self.flag = induction.skip, induction.flag
+            for name in induction.invariants:
+                self.ranges[name] = Interval(0, BASE_LIMIT - 1,
+                                             frozenset((name,)))
+            self.ranges[induction.iv] = Interval(
+                0, I32_LIMIT - 1 - induction.step)
 
     def newt(self) -> str:
         self._temps += 1
@@ -663,12 +753,50 @@ class BlockEmitter:
     # -- in-block knowledge ---------------------------------------------------
 
     def rewrite(self, name: str, masked: bool = False,
-                lanes: Optional[int] = None) -> None:
+                lanes: Optional[int] = None,
+                rng: Optional[Interval] = None) -> None:
         """``name`` (a lowered register or local) is assigned: forget
         its old value, keep what is known of the new one."""
         self.proven = {pair for pair in self.proven if pair[0] != name}
         (self.masked.add if masked else self.masked.discard)(name)
         self.lanes[name] = lanes
+        if rng is None:
+            self.ranges.pop(name, None)
+        else:
+            self.ranges[name] = rng
+
+    def fits(self, rng: Optional[Interval],
+             int_ty) -> Optional[Interval]:
+        """``rng`` if every value in it is a value of ``int_ty`` — a
+        wrap into ``int_ty`` is then the identity, and the assumptions
+        ``rng`` rests on are leaned on — else ``None``."""
+        if rng is None or not isinstance(int_ty, ty.IntType):
+            return None
+        whole = int_interval(int_ty)
+        if not whole.lo <= rng.lo <= rng.hi <= whole.hi:
+            return None
+        self.leaned |= rng.deps
+        return rng
+
+    def exact_binop(self, op: str, int_ty, a: Optional[Interval],
+                    b: Optional[Interval]) -> Optional[Interval]:
+        """The interval of ``a op b`` when the unwrapped result is a
+        value of ``int_ty`` (:meth:`fits`), else ``None``."""
+        if a is None or b is None or not isinstance(int_ty, ty.IntType):
+            return None
+        if op == "add":
+            lo, hi = a.lo + b.lo, a.hi + b.hi
+        elif op == "sub":
+            lo, hi = a.lo - b.hi, a.hi - b.lo
+        elif op == "mul":
+            ends = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+            lo, hi = min(ends), max(ends)
+        elif op == "shl" and b.lo == b.hi:
+            shift = b.lo & (int_ty.bits - 1)
+            lo, hi = a.lo << shift, a.hi << shift
+        else:
+            return None
+        return self.fits(Interval(lo, hi, a.deps | b.deps), int_ty)
 
     def address(self, expr: str, masked: bool) -> str:
         """The name of the 64-bit address ``expr``: a wrapped-u64
@@ -1047,13 +1175,18 @@ class Tier2Writer:
         self.count(self.charges[leader], base)
 
     def body(self, leader: int, base: int, lines: List[str],
-             marks: List[Tuple[int, int]]) -> None:
+             marks: List[Tuple[int, int]],
+             debited: Optional[str] = None) -> None:
         """Block body at indent ``base``, under the line-table
-        rollback (:func:`body_under_rollback`) when it can raise."""
+        rollback (:func:`body_under_rollback`) when it can raise.
+        ``debited``: the statement that first brings ``executed`` up
+        to the block's debit (a counted loop debits nothing inside)."""
         length = self.blocks[leader]
         if not body_under_rollback(self.out, " " * base, lines, marks,
                                    length, self.env):
             return
+        if debited is not None:
+            self.w(debited, base + 4)
         if self.live:
             self.w(f"{self.fuel} -= {length} - _i - 1", base + 4)
         else:
@@ -1067,7 +1200,7 @@ class Tier2Writer:
 
     def loop(self, header: int, latch: int, exit_test: str,
              exit_target: int, base: int, hbody, hmarks, lbody,
-             lmarks) -> None:
+             lmarks, counted: Optional[CountedLoop] = None) -> None:
         """A fused two-block loop.  The header's terminal branch
         becomes the loop exit; the latch's terminal transfer to the
         header becomes the implicit back edge.
@@ -1080,10 +1213,14 @@ class Tier2Writer:
         the latch's share, and when the merged debit crosses the limit
         the iteration runs in the ladder's order — header debit,
         header, exit, then the latch's debit, the one that crosses —
-        so deopt pcs, fuel traps and counts stay byte-identical."""
+        so deopt pcs, fuel traps and counts stay byte-identical.
+
+        A ``counted`` loop (merged form only) runs that ``while`` as
+        the ``else`` arm of its counted version (:meth:`counted`)."""
         hlen, llen = self.blocks[header], self.blocks[latch]
         exits = [f"if {exit_test}:", f"    pc = {exit_target}",
                  "    break"]
+        outer = base
         if not self.live:
             hcharge, lcharge = self.charges[header], self.charges[latch]
             owed = [(f, whole, hcharge.get(f, 0)) for f in self.carried
@@ -1091,6 +1228,11 @@ class Tier2Writer:
             self.settling = (hlen + llen, owed)
             if owed:
                 self.w("_e0 = executed", base)
+        if counted is not None:
+            self.counted(counted, header, latch, exit_target, base,
+                         hbody[:-1])
+            self.w("else:", base)
+            base += 4
         self.w("while 1:", base)
         inner = base + 4
         if self.live or hmarks:
@@ -1111,8 +1253,68 @@ class Tier2Writer:
                 self.w(line, inner)
             self.body(latch, inner, lbody[:-1], lmarks)
         if self.settling is not None:
-            self.settle(base)
+            self.settle(outer)
             self.settling = None
+
+    def counted(self, loop: CountedLoop, header: int, latch: int,
+                exit_target: int, base: int, hlines: List[str]) -> None:
+        """The counted version of a merged loop, under one guard at
+        loop entry: ``iv`` and ``bound`` are ints with ``0 <= iv`` and
+        ``bound <= I32_LIMIT - step`` (so no ``iv + step`` of the loop
+        wraps), every base the lowering leaned on is an int in
+        ``[0, BASE_LIMIT)``, and the fuel covers every trip plus the
+        header's last run.  Then the loop is a ``for iv in range``
+        with no fuel compare and no exit test, its blocks lowered
+        under those facts (``loop.hlines`` / ``loop.llines``), and the
+        exit does at once what the last test would have left: ``iv``
+        past the bound, the increment's temp, the header's lines (its
+        flag register 0) and the fuel debit of every trip.  A trap in
+        the body first debits the trips up to its own, then rolls back
+        through the latch's line table like the ``while`` form.  Any
+        other state runs the ``while`` form, the ``else`` arm."""
+        ind = loop.induction
+        hlen, llen = self.blocks[header], self.blocks[latch]
+        period, iv, bound, step = hlen + llen, ind.iv, ind.bound, ind.step
+        leaned = sorted(loop.leaned)
+        checks = [f"type({name}) is int"
+                  for name in (iv, bound, *leaned) if name.isidentifier()]
+        checks += [f"0 <= {iv}", f"{bound} <= {I32_LIMIT - step}"]
+        checks += [f"0 <= {name} < {BASE_LIMIT}" for name in leaned]
+        trips = f"{bound} - {iv}" if step == 1 \
+            else f"({bound} - {iv} + {step - 1}) // {step}"
+        checks.append(f"executed + (_n := {trips} if {bound} > {iv} "
+                      f"else 0) * {period} + {hlen} <= fuel")
+        self.w(f"if {' and '.join(checks)}:", base)
+        inner = base + 4
+        stride = "" if step == 1 else f", {step}"
+        self.w(f"_v0 = {iv}", inner)
+        self.w(f"for {iv} in range({iv}, {bound}{stride}):", inner)
+        for line in loop.hlines:
+            self.w(line, inner + 4)
+        scale = "" if step == 1 else f" * {step}"
+        trip = f"{iv} - _v0" if step == 1 else f"({iv} - _v0) // {step}"
+        self.body(latch, inner + 4, loop.llines, loop.lmarks,
+                  f"executed += ({trip} + 1) * {period}")
+        self.w(f"{iv} = _v0 + _n{scale}", inner)
+        if ind.temp is not None:
+            self.w(f"if _n: {ind.temp} = {iv}", inner)
+        for line in hlines:
+            self.w(line, inner)
+        self.w(f"executed += _n * {period} + {hlen}", inner)
+        self.w(f"pc = {exit_target}", inner)
+
+
+class CountedLoop(NamedTuple):
+    """A fused loop's counted version (:meth:`Tier2Writer.counted`):
+    its induction and its two blocks lowered under the guard's facts,
+    terminal branches dropped."""
+
+    induction: Induction
+    hlines: List[str]
+    llines: List[str]
+    lmarks: List[Tuple[int, int]]
+    #: loop-invariant names whose assumed range a dropped wrap needed
+    leaned: frozenset
 
 
 class Lowering:
@@ -1161,6 +1363,9 @@ class Lowering:
         self.ret_lines: Tuple[str, ...] = ("return -1",)
         #: access widths the tier-2 blocks check against ``_ms<width>``
         self.widths: set = set()
+        #: the induction a counted loop's blocks are being lowered
+        #: under (:meth:`counted_loop`), for the engine's emitter
+        self.counting: Optional[Induction] = None
 
     # -- cache protocol ------------------------------------------------------
 
@@ -1323,6 +1528,7 @@ class Lowering:
             counts["guards_kept"] += t2.guards_kept
             counts["loops_fused"] += env["_LOOPS"][0]
             counts["loops_ladder"] += env["_LOOPS"][1]
+            counts["loops_counted"] += env["_LOOPS"][2]
             return t2
         except Exception:
             return None
@@ -1371,16 +1577,24 @@ class Lowering:
                 bodies[leader], marks[leader] = block.lines, block.marks
             except Exception:
                 bodies[leader] = None
+        loops = fused_loops(code, blocks, bodies)
+        # Counted versions only where the merged form would run (no
+        # calls, a header that cannot raise); lowered before the facts
+        # are checked, so the check covers them too.
+        counted = {} if live else {
+            header: loop for header, (latch, *_) in loops.items()
+            if not marks[header]
+            and (loop := self.counted_loop(header, latch)) is not None}
         self.check_facts(facts)
 
-        loops = fused_loops(code, blocks, bodies)
         osr_entries = osr_entry_points(code, blocks, bodies)
         armless = {entry[0] for entry in loops.values()} - osr_entries
         env_dict["_OSR_ENTRIES"] = osr_entries
         pairs = [{header, loop[0]} for header, loop in loops.items()]
         edges = [{block, target} in pairs
                  for block, target in loop_back_edges(code)]
-        env_dict["_LOOPS"] = (sum(edges), len(edges) - sum(edges))
+        env_dict["_LOOPS"] = (sum(edges), len(edges) - sum(edges),
+                              len(counted))
 
         w(f"def _t2({self.signature}, pc=0):")
         for line in entry:
@@ -1435,7 +1649,8 @@ class Lowering:
             else:
                 exit_test, exit_target = cond, taken
             out.loop(leader, latch, exit_test, exit_target, 12, body,
-                     marks[leader], bodies[latch], marks[latch])
+                     marks[leader], bodies[latch], marks[latch],
+                     counted.get(leader))
 
         fell = env.bind(f"{self.name}: fell off code end", "m")
         w(f"{keyword} pc == {len(code)}:", 8)
@@ -1445,6 +1660,30 @@ class Lowering:
         w("else:", 8)
         out.deopt("pc", 12)
         return "\n".join(out.out), env_dict
+
+    def counted_loop(self, header: int,
+                     latch: int) -> Optional[CountedLoop]:
+        """The counted version of the fused loop ``header`` /
+        ``latch``, or ``None``: the engine finds no induction
+        (:meth:`induction`), or a block does not lower under it the
+        way the counted form needs (a header that can raise, a latch
+        that does not end in its back edge)."""
+        try:
+            induction = self.induction(header, latch)
+            if induction is None:
+                return None
+            self.counting = induction
+            head = self.lower(header, self.blocks[header], self.tier2_tier)
+            body = self.lower(latch, self.blocks[latch], self.tier2_tier)
+        except Exception:
+            return None
+        finally:
+            self.counting = None
+        if head.marks or not head.lines[-1].startswith("pc = ") \
+                or body.lines[-1] != f"pc = {header}":
+            return None
+        return CountedLoop(induction, head.lines[:-1], body.lines[:-1],
+                           body.marks, frozenset(head.leaned | body.leaned))
 
     # -- what an engine supplies ---------------------------------------------
 
@@ -1460,6 +1699,12 @@ class Lowering:
 
     def osr_candidates(self) -> frozenset:
         return backedge_targets(self.code, self.blocks)
+
+    def induction(self, header: int, latch: int) -> Optional[Induction]:
+        """The fused loop's induction, read off its instructions
+        (see :class:`Induction` for the shape), or ``None`` to keep
+        it on the ``while`` form alone."""
+        return None
 
     def frame_data(self, module) -> dict:
         """The engine's per-call frame initialization data, as the

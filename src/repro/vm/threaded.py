@@ -70,7 +70,7 @@ from repro.analysis.passes import (
 )
 from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import BytecodeFunction
-from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
+from repro.bytecode.opcodes import BIN_OPS, TYPE_TAGS, UN_OPS, type_of
 from repro.engine import (
     inline_binop, inline_cast, inline_cmp, inline_unop,
     normalize_branch_target,
@@ -85,8 +85,8 @@ from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,
 )
 from repro.tiers import (
-    BlockEmitter, Lowering, Predecoded, Tier, Tier2BuildStats, block_tier,
-    warm, whole_tier, wraps_u64,
+    BlockEmitter, Induction, Interval, Lowering, Predecoded, Tier,
+    Tier2BuildStats, block_tier, warm, whole_tier, wraps_u64,
 )
 
 _EMPTY_DEPS = frozenset()
@@ -98,8 +98,16 @@ _EMPTY_DEPS = frozenset()
 _MASKED64_META = {"masked64": True}
 
 
-def _scalar_meta(value_ty):
-    return _MASKED64_META if wraps_u64(value_ty) else None
+def _scalar_meta(value_ty, rng=None):
+    return _ranged(_MASKED64_META if wraps_u64(value_ty) else None, rng)
+
+
+def _ranged(meta, rng):
+    """``meta`` of a scalar slot, plus the interval it is known to
+    hold (counted loops only: ``BlockEmitter.ranges``)."""
+    if rng is None or (meta is not None and "lanes" in meta):
+        return meta
+    return {**(meta or {}), "range": rng}
 
 
 #: this engine's tier-2 build-site counters (``warm`` builds come from
@@ -188,8 +196,10 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     if tier2:
         rules.enter_block()
     local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
-    em = BlockEmitter(env, tier, low.widths)
+    em = BlockEmitter(env, tier, low.widths,
+                      low.counting if tier2 else None)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
+    ranges = em.ranges      # empty outside a counted loop's blocks
     vstack: List[str] = []          # expressions for virtual stack slots
     vdeps: List[frozenset] = []     # local indices each deferred
     #                                 expression reads (temps: empty)
@@ -225,13 +235,16 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         return t, _EMPTY_DEPS, None
 
     def popd():
-        """(expr, deps) with vector values normalized to lists —
-        tier-2 keeps vec temporaries as tuples internally, but every
-        value the reference engine could observe must be a list."""
+        """(expr, deps, interval) with vector values normalized to
+        lists — tier-2 keeps vec temporaries as tuples internally, but
+        every value the reference engine could observe must be a
+        list."""
         expr, deps, meta = popm()
-        if meta is not None and meta.get("tuple"):
+        if meta is None:
+            return expr, deps, None
+        if meta.get("tuple"):
             expr = f"list({expr})"
-        return expr, deps
+        return expr, deps, meta.get("range")
 
     def pop() -> str:
         return popd()[0]
@@ -278,8 +291,11 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         return em.address(expr, masked)
 
     exit_pc = leader + length
+    skip = em.skip
 
     for pc in range(leader, exit_pc):
+        if pc in skip:
+            continue
         instr = code[pc]
         op = instr.op
         em.begin()
@@ -288,7 +304,8 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             place = local(instr.arg)
             if tier2:
                 push_atom(place, frozenset((instr.arg,)),
-                          meta=rules.ldloc(instr.arg))
+                          meta=_ranged(rules.ldloc(instr.arg),
+                                       ranges.get(place)))
             else:
                 push(place)
         elif op == "ldarg":
@@ -297,7 +314,8 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 # least ``safe_args`` values, so the read cannot raise
                 # — and hoisted it into local ``a{k}`` (args have no
                 # store op, so the binding never goes stale).
-                push_atom(f"a{instr.arg}")
+                name = f"a{instr.arg}"
+                push_atom(name, meta=_ranged(None, ranges.get(name)))
             else:
                 em.impure = True    # short args IndexError here, like
                 push(f"ar[{lit(instr.arg)}]")   # the reference's args[i]
@@ -307,7 +325,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             if tier2:
                 rules.stloc(instr.arg, meta)
                 spill_local(instr.arg)
-                em.rewrite(target)
+                em.rewrite(target, rng=meta.get("range") if meta else None)
             if tier2 and lines and re.fullmatch(r"t\d+", value) \
                     and lines[-1].startswith(f"{value} = "):
                 # The value is a single-use temp defined on the line
@@ -323,20 +341,24 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         elif op == "const":
             value = instr.arg
             if type(value) is int:
-                push_atom(f"({lit(value)})")
+                push_atom(f"({lit(value)})", meta=_ranged(
+                    None, Interval(value, value)) if ranges else None)
             else:
                 push_atom(env.bind(value, "c"))
         elif op in BIN_OPS:
             value_ty = type_of(instr.ty)
-            tmpl = inline_binop(op, value_ty, env) if tier2 else None
-            b, bdeps = popd()
-            a, adeps = popd()
+            b, bdeps, brng = popd()
+            a, adeps, arng = popd()
+            rng = em.exact_binop(op, value_ty, arng, brng) if ranges \
+                else None
+            tmpl = inline_binop(op, value_ty, env, rng is not None) \
+                if tier2 else None
             if tmpl is not None:
                 expr, pure = tmpl
                 expr = expr.format(a=a, b=b)
                 if pure:
                     push_atom(expr, adeps | bdeps,
-                              meta=_scalar_meta(value_ty))
+                              meta=_scalar_meta(value_ty, rng))
                 else:
                     em.impure = True
                     push(expr)
@@ -347,9 +369,11 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         elif op == "cmp":
             value_ty = type_of(instr.ty)
             tmpl = inline_cmp(instr.arg, value_ty) if tier2 else None
-            b, bdeps = popd()
-            a, adeps = popd()
-            if tmpl is not None:
+            b, bdeps, _ = popd()
+            a, adeps, _ = popd()
+            if pc == em.flag:           # a counted loop's header test
+                push_atom("(1)")
+            elif tmpl is not None:
                 push_atom(tmpl.format(a=a, b=b), adeps | bdeps)
             else:
                 em.impure = True    # undefined predicates trap
@@ -358,7 +382,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         elif op in UN_OPS:
             value_ty = type_of(instr.ty)
             tmpl = inline_unop(op, value_ty, env) if tier2 else None
-            a, adeps = popd()
+            a, adeps, _ = popd()
             if tmpl is not None:
                 expr, pure = tmpl
                 expr = expr.format(a=a)
@@ -376,15 +400,16 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             to_ty = type_of(instr.ty)
             kernel = cast_kernel(from_ty, to_ty)
             if kernel is not identity_kernel:    # elide no-op widenings
-                tmpl = inline_cast(from_ty, to_ty, env) if tier2 \
-                    else None
-                a, adeps = popd()
+                a, adeps, arng = popd()
+                rng = em.fits(arng, to_ty)
+                tmpl = inline_cast(from_ty, to_ty, env, rng is not None) \
+                    if tier2 else None
                 if tmpl is not None:
                     expr, pure = tmpl
                     expr = expr.format(a=a)
                     if pure:
                         push_atom(expr, adeps,
-                                  meta=_scalar_meta(to_ty))
+                                  meta=_scalar_meta(to_ty, rng))
                     else:
                         em.impure = True
                         push(expr)
@@ -392,9 +417,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                     em.impure = True
                     push(f"{env.bind(kernel, 'k')}({a})")
         elif op == "select":
-            b, bdeps = popd()
-            a, adeps = popd()
-            cond, cdeps = popd()
+            b, bdeps, _ = popd()
+            a, adeps, _ = popd()
+            cond, cdeps, _ = popd()
             expr = f"({a}) if ({cond}) != 0 else ({b})"
             if tier2:
                 push_atom(expr, adeps | bdeps | cdeps)
@@ -609,7 +634,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         elif op == "vec.splat":
             elem = type_of(instr.ty)
             lanes = 16 // ty.sizeof(elem)
-            x, xdeps = popd()
+            x, xdeps, _ = popd()
             if tier2:
                 push_atom(f"([{x}] * {lit(lanes)})", xdeps,
                           meta=rules.vec_splat(elem))
@@ -728,6 +753,50 @@ class _BytecodeLowering(Lowering):
                 if i in tuple_locals else f"lo[{i}] = l{i}"
                 for i in range(nlocals))]
         return entry, load, writeback
+
+    def induction(self, header, latch):
+        # Header ``ldloc iv; <bound>; cmp.lt; brif latch``, latch ending
+        # ``ldloc iv; const c; add.i32; stloc iv; br header``, and no
+        # other ``stloc`` of ``iv`` or of a local ``bound``.
+        code, blocks = self.code, self.blocks
+        head = code[header:header + blocks[header]]
+        end = latch + blocks[latch]
+        if len(head) < 4 or end - latch < 5:
+            return None
+        load, limit, test, branch = head[-4:]
+        get, const, add, put = code[end - 5:end - 1]
+        iv, step = load.arg, const.arg
+        test_ty = type_of(test.ty) if test.op == "cmp" else None
+        if not (branch.op == "brif" and branch.arg == latch
+                and test.arg == "lt" and isinstance(test_ty, ty.IntType)
+                and test_ty.signed and load.op == "ldloc"
+                and (get.op, get.arg) == ("ldloc", iv)
+                and const.op == "const" and type(step) is int
+                and 0 < step < 1 << 31
+                and add.op == "add" and type_of(add.ty) == ty.I32
+                and (put.op, put.arg) == ("stloc", iv)):
+            return None
+        stored = [instr.arg for instr in head + code[latch:end]
+                  if instr.op == "stloc"]
+        if stored.count(iv) != 1:
+            return None
+        if limit.op == "ldloc" and limit.arg not in stored:
+            bound = f"l{limit.arg}"
+        elif limit.op == "ldarg" and limit.arg < self.safe_args:
+            bound = f"a{limit.arg}"
+        elif limit.op == "const" and type(limit.arg) is int:
+            bound = f"({limit.arg})"
+        else:
+            return None
+        func = self.func
+        invariants = {f"a{k}" for k, tag in enumerate(func.param_types)
+                      if isinstance(TYPE_TAGS.get(tag), ty.IntType)}
+        invariants |= {f"l{k}" for k, tag in enumerate(func.local_types)
+                       if k not in stored
+                       and isinstance(TYPE_TAGS.get(tag), ty.IntType)}
+        return Induction(f"l{iv}", bound, step, None,
+                         frozenset(range(end - 5, end - 1)),
+                         header + len(head) - 2, frozenset(invariants))
 
     def check_facts(self, facts) -> None:
         # Free: the lowering recorded its stores and widths by calling

@@ -673,23 +673,30 @@ class TestEdgeServer:
 
     def test_unknown_offline_option_is_400_on_both_paths(self):
         """Keying a request validates its offline options: an unknown
-        one is a 400 on ``/deploy`` as on ``/compile``, before anything
-        is queued or compiled."""
-        bogus = {"bogus": 1}
+        one, or one of the wrong type, is a 400 on ``/deploy`` as on
+        ``/compile``, before anything is queued or compiled."""
+        rows = [({"bogus": 1}, "bogus"), ({"hotness": "x"}, "hotness"),
+                ({"hotness": {"saxpy": "hot"}}, "hotness"),
+                ({"pipeline": 5}, "pipeline"),
+                ({"pipeline": {"passes": 5}}, "pipeline")]
 
         async def scenario(edge):
+            replies = []
             async with EdgeClient("127.0.0.1", edge.port) as client:
-                replies = [
-                    await client.deploy(SAXPY, ["x86"], options=bogus),
-                    await client.compile(SAXPY, options=bogus)]
+                for bogus, named in rows:
+                    for reply in (
+                            await client.deploy(SAXPY, ["x86"],
+                                                options=bogus),
+                            await client.compile(SAXPY, options=bogus)):
+                        replies.append((named, reply))
             return replies, edge.stats_snapshot()
 
         replies, stats = run_edge(edge_config(), scenario)
-        for status, _, body in replies:
-            assert status == 400
+        for named, (status, _, body) in replies:
+            assert status == 400, named
             assert body["error"]["code"] == "bad_request"
-            assert "bogus" in body["error"]["message"]
-        assert stats["edge"]["bad_requests"] == 2
+            assert named in body["error"]["message"]
+        assert stats["edge"]["bad_requests"] == 2 * len(rows)
         assert stats["edge"]["accepted"] == 0
         assert stats["service"]["requests"] == 0
 

@@ -610,20 +610,20 @@ class TestStepping:
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
 #: sha256, the per-tag ``(sources, lines)`` and the per-source prints
 PINNED_SOURCES = (
-    "566c8438fdddfb2d8e771606a7ebec4d623d30e052f27c001af5d76b6189eb57",
+    "bd53e581fe24515b938ba3e098ea128a94082f666ab125a241cf4b0d266908ba",
     {"pvi": (22, 4391), "pvi-sim": (132, 50117),
-     "pvi-sim-t2": (132, 28971), "pvi-t2": (22, 2501)},
-    ("3e4619d96d4bce2147bc31424ce4d7ad27757116525c190fb304a922"
-     "a140cc1814908c1e9987b712d902aefe8d0333ba663d888bd00430f9"
-     "ac7270bd3e222c0f073081f752db8e1752eda98a1b65f5dcf6717cb5"
-     "2d7782d15ba4a828f216a17820a2f4e79e7d826701fb99db5f08a2a4"
-     "bc3e6fa8f4ce44b339fe865fdaf8e980848ffe81a3b03012ae6ec8d7"
-     "9ea9cfeb99ca2ea68d80600af9e8cb20c917562611d38b193d345dfe"
-     "1aacadddcede61b9c5a6b9fe08ab4f62a29ea535df545f3806fedccf"
-     "240443599ffc3fc7d83f8ecdbecd6fe6921c68c9e755a93a276d66d9"
-     "035fd73f9252ef55198b80806daa2953ed3cf84a2f1c3d38283ca9c6"
-     "b9a481bb4e4fcccd62c9740988276a3af0c66f090e534f437bcb884c"
-     "efb6bbd92986c1f446f5778adb3b86d21e0b7c4397af93bf6a1d71b6"))
+     "pvi-sim-t2": (132, 36421), "pvi-t2": (22, 3256)},
+    ("df46edd9a84b8b21cebc7742d7e4e5ad2b753116405c2a0f97046022"
+     "2e40ed18c690531e3c8705123102d6fec5033bba253d108bc204eaf9"
+     "cf72cfbd5922d70f06300bf769db5f1765ed758a4d6521dca4715bb5"
+     "5b7723d112a47e284716317852a250e7aa7d82674dfb99dba10899a4"
+     "893e57a8f2cefab3f6fee75f7af81a80428ffe81fcb0d1125c6e55d7"
+     "c9a945eb6ccaeaa6da80060ad8e88420291799267bd37219f5347efe"
+     "cfacb2dd1bde21b9a5a6dafea0ab0662e29ee9359f54c538f0febfcf"
+     "5e04ac59dcfcacc7ee3f17cd9ecd3ee6c51c7dc959553c3ad56d01d9"
+     "375f4f3fd6529f55b38bd280d0aad853233cf84a0b1c8438883c12c6"
+     "45a493bbe64f52cd1cc92a091227a93aa7c66f09a5534f43b0cbf04c"
+     "23b697d9e08673f422f5d68ab93b3bd25e0bd343b6aff6bfe71d26b6"))
 
 
 def test_generated_sources_digest():
@@ -636,17 +636,15 @@ def test_generated_sources_digest():
     says so; CI also runs this under two fixed ``PYTHONHASHSEED``
     values, and once after another test module in the same process.
 
-    Last re-pin (ISSUE 24): tier-2 loops debit fuel only and settle
-    their counters at the exits, headers that cannot raise merge the
-    two fuel debits, rotated loops fuse, and the simulator's blocks
-    use the emitter's in-block knowledge (hoisted limits, proven
-    pairs, masked registers, lanes); reductions fold in one builtin
-    call.  All 22 ``pvi-t2`` (2643 -> 2501 lines) and all 132
-    ``pvi-sim-t2`` (24990 -> 28971: a merged loop spells its header
-    twice and a rotated body keeps an arm) entries moved; all 154
-    ``pvi`` / ``pvi-sim`` block-tier entries are byte-identical to
-    the parent's and ``template_stats()`` after the corpus is
-    unchanged (97 resident, 1277 hits; scratch diff, CHANGES.md)."""
+    Last re-pin: fused loops of the ``for (iv < bound; iv += c)``
+    shape gain a counted version (a ``for ... in range`` under one
+    guard at loop entry) in front of their unchanged ``while`` form.
+    148 of the 154 tier-2 entries moved (``pvi-t2`` 2501 -> 3256
+    lines, ``pvi-sim-t2`` 28971 -> 36421); with each counted arm
+    removed and the ``while`` dedented, every one equals the parent's
+    up to the numbering of bound names.  All 154 ``pvi`` /
+    ``pvi-sim`` block-tier entries are byte-identical to the
+    parent's."""
     sources = generated_sources()
     got = sources_digest(sources)
     if got != PINNED_SOURCES:
