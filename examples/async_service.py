@@ -5,7 +5,7 @@ The compilation service is the serving layer of the paper's split
 story: offline artifacts cached by content, JIT images memoized per
 (artifact, target, flow).  This demo shows the three API-v2 axes:
 
-1. **async facade** — ``await service.deploy(request)`` and
+1. **async facade** — ``await service.submit(request)`` and
    ``asyncio.gather`` batch fan-out over the whole target catalog;
 2. **herd economics** — a thundering herd of identical concurrent
    requests costs one offline compile and one JIT per target;

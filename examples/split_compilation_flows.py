@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from repro.bench import format_table
 from repro.bytecode.annotations import RegAllocAnnotation
-from repro.core import compare_flows, offline_compile
+from repro.core import PipelineSpec, compare_flows, offline_compile
 from repro.jit import JITCompiler, JITOptions
 from repro.semantics import Memory
 from repro.targets import X86, Simulator
@@ -50,7 +50,8 @@ def flows_demo():
 
 def regalloc_demo():
     source = REGALLOC_CORPUS["stats"]
-    artifact = offline_compile(source, do_vectorize=False)
+    artifact = offline_compile(source,
+                               pipeline=PipelineSpec(vectorize=False))
     starved = replace(X86, name="x86-k10", int_regs=10)
 
     rows = []

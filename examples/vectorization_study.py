@@ -18,7 +18,7 @@ Run:  python examples/vectorization_study.py
 
 from repro.bench import format_table, run_table1
 from repro.bytecode import disassemble
-from repro.core import deploy, offline_compile
+from repro.core import as_target, deploy, offline_compile
 from repro.workloads import TABLE1
 
 
@@ -40,8 +40,7 @@ def main():
     for target_name, flow_note in (("x86", "vector builtins -> SIMD"),
                                    ("sparc", "memory-temp emulation"),
                                    ("ppc", "memory-temp emulation")):
-        from repro.targets import target_by_name
-        target = target_by_name(target_name)
+        target = as_target(target_name)
         compiled = deploy(artifact, target, "split")
         func = compiled[kernel.entry]
         print(f"\n===== {target_name} native code ({flow_note}; "

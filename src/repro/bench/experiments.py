@@ -11,6 +11,7 @@ from repro.bytecode.encode import encoded_code_size
 from repro.core import (
     Core, DeploymentManager, Platform, compare_flows, deploy,
 )
+from repro.flows import PipelineSpec
 from repro.lang import types as ty
 from repro.service import default_service
 from repro.semantics import Memory
@@ -206,7 +207,8 @@ def run_split_regalloc(k_values: Sequence[int] = (6, 8, 10, 12, 16),
     }
     rows: List[RegAllocRow] = []
     for name, source in REGALLOC_CORPUS.items():
-        artifact = default_service().artifact(source, do_vectorize=False)
+        artifact = default_service().artifact(
+            source, pipeline=PipelineSpec(vectorize=False))
         for k in k_values:
             target = replace(as_target("x86"), name=f"x86k{k}",
                              int_regs=k)
@@ -251,7 +253,8 @@ def run_code_size(targets: Sequence[Targetish] = TABLE1_TARGETS) \
     targets = [as_target(t) for t in targets]
     rows: List[CodeSizeRow] = []
     for name, kernel in ALL_KERNELS.items():
-        artifact = service.artifact(kernel.source, do_vectorize=False)
+        artifact = service.artifact(
+            kernel.source, pipeline=PipelineSpec(vectorize=False))
         pvi = sum(encoded_code_size(f) for f in artifact.scalar_bytecode)
         row = CodeSizeRow(kernel=name, pvi_bytes=pvi)
         for target in targets:

@@ -19,11 +19,11 @@ from repro.core.online import deploy, deploy_async, select_bytecode
 from repro.core.budget import FlowReport, compare_flows
 from repro.core.platform import Core, DeploymentManager, Platform
 from repro.flows import (
-    Flow, FlowRegistry, PipelineSpec, UnknownFlowError, flow_names,
-    get_flow, register_flow,
+    Flow, FlowRegistry, PipelineSpec, UnknownFlowError, as_flow,
+    flow_names, register_flow,
 )
 from repro.targets.registry import (
-    Backend, TargetRegistry, UnknownTargetError, get_target,
+    Backend, TargetRegistry, UnknownTargetError, as_target,
     register_target, target_names,
 )
 
@@ -33,7 +33,7 @@ __all__ = [
     "FlowReport", "compare_flows",
     "Core", "Platform", "DeploymentManager",
     "Flow", "FlowRegistry", "PipelineSpec", "UnknownFlowError",
-    "register_flow", "get_flow", "flow_names",
+    "register_flow", "as_flow", "flow_names",
     "Backend", "TargetRegistry", "UnknownTargetError",
-    "register_target", "get_target", "target_names",
+    "register_target", "as_target", "target_names",
 ]

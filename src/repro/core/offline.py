@@ -16,8 +16,10 @@ compilation, once:
    emitted code among them.
 
 The pipeline is *data*: a :class:`repro.flows.PipelineSpec` (pass
-names + vectorize/annotation knobs) — pass one explicitly, or let the
-legacy boolean knobs build the default spec.  Every pass invocation is
+names + vectorize/annotation knobs), ``DEFAULT_PIPELINE`` unless one is
+passed; with the hotness map it is the whole of what an artifact
+depends on besides the source.  The IR is verified after every pass
+and both bytecode flavours before they ship.  Every pass invocation is
 instrumented (work, wall time, changed, IR size delta); the aggregate
 lands in ``OfflineArtifact.pass_stats`` and its total *is* the
 artifact's ``offline_work``.
@@ -43,6 +45,7 @@ from repro.bytecode.annotations import (
 from repro.bytecode.emit import emit_module
 from repro.bytecode.module import BytecodeModule
 from repro.bytecode.verifier import verify_module
+from repro import flows
 from repro.frontend import lower_source
 from repro.ir import instructions as ins
 from repro.ir.function import Function, Module
@@ -63,7 +66,7 @@ class OfflineArtifact:
     #: the program text (lets a flow with a different pipeline recompile)
     source: Optional[str] = None
     #: the pipeline spec this artifact was compiled under
-    pipeline: Optional["PipelineSpec"] = None
+    pipeline: Optional[flows.PipelineSpec] = None
     #: the hotness profile it was annotated with (recompiles keep it)
     hotness: Optional[Dict[str, int]] = None
     #: per-pass instrumentation; ``pass_stats.total_work == offline_work``
@@ -74,69 +77,20 @@ class OfflineArtifact:
         return self.pass_stats.report()
 
 
-def effective_pipeline(pipeline=None, *, optimize: bool = True,
-                       do_vectorize: bool = True,
-                       annotate_regalloc: bool = True,
-                       annotate_hw: bool = True) -> "PipelineSpec":
-    """The spec ``offline_compile`` will actually run.
-
-    An explicit ``pipeline`` (spec or its dict form) wins outright;
-    otherwise the legacy boolean knobs are folded into the default
-    spec.  The artifact cache canonicalizes keys through this same
-    function, so the key always reflects the pipeline that ran.
-    """
-    from repro.flows import PipelineSpec
-
-    if pipeline is not None:
-        if isinstance(pipeline, dict):
-            defaults = PipelineSpec()
-            unknown = set(pipeline) - {
-                "passes", "unroll", "vectorize", "annotate_regalloc",
-                "annotate_hw"}
-            if unknown:
-                raise ValueError(
-                    f"unknown pipeline fields {sorted(unknown)}")
-            spec = PipelineSpec(
-                passes=tuple(pipeline.get("passes", defaults.passes)),
-                unroll=int(pipeline.get("unroll", defaults.unroll)),
-                vectorize=bool(pipeline.get("vectorize",
-                                            defaults.vectorize)),
-                annotate_regalloc=bool(
-                    pipeline.get("annotate_regalloc",
-                                 defaults.annotate_regalloc)),
-                annotate_hw=bool(pipeline.get("annotate_hw",
-                                              defaults.annotate_hw)))
-        else:
-            spec = pipeline
-        return spec.validate()
-    return PipelineSpec(
-        passes=PipelineSpec().passes if optimize else (),
-        vectorize=do_vectorize,
-        annotate_regalloc=annotate_regalloc,
-        annotate_hw=annotate_hw)
-
-
 def offline_compile(source: str, name: str = "module", *,
-                    pipeline=None,
-                    optimize: bool = True,
-                    do_vectorize: bool = True,
-                    annotate_regalloc: bool = True,
-                    annotate_hw: bool = True,
-                    hotness: Optional[Dict[str, int]] = None,
-                    verify: bool = True) -> OfflineArtifact:
-    from repro import flows
-
-    spec = effective_pipeline(pipeline, optimize=optimize,
-                              do_vectorize=do_vectorize,
-                              annotate_regalloc=annotate_regalloc,
-                              annotate_hw=annotate_hw)
+                    pipeline: Optional[flows.PipelineSpec] = None,
+                    hotness: Optional[Dict[str, int]] = None) \
+        -> OfflineArtifact:
+    """Compile ``source`` under ``pipeline`` (``None``: the default
+    spec), annotating the functions ``hotness`` weighs."""
+    spec = flows.DEFAULT_PIPELINE if pipeline is None else pipeline
     start = time.perf_counter()
     stats = PassStats()
 
     module = lower_source(source, name)
     scalar_spec = replace(spec, vectorize=False)
     for func in module:
-        stats.merge(flows.run_pipeline(func, scalar_spec, verify=verify))
+        stats.merge(flows.run_pipeline(func, scalar_spec, verify=True))
 
     scalar_bc, _ = emit_module(module)
 
@@ -167,9 +121,8 @@ def offline_compile(source: str, name: str = "module", *,
             scalar_bc.annotations.append(HotnessAnnotation(
                 function=func.name, weight=weight))
 
-    if verify:
-        verify_module(bytecode)
-        verify_module(scalar_bc)
+    verify_module(bytecode)
+    verify_module(scalar_bc)
 
     # Offline output is immutable from here on; freezing lets the fast
     # VM bind call targets at predecode time (per-call inline caching).

@@ -27,7 +27,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.jit import JITOptions
@@ -60,6 +60,12 @@ class PipelineSpec:
     ``vectorize`` run after the pass pipeline, exactly as the iterative
     search orders them.  The annotation knobs decide what the offline
     compiler attaches to the vector bytecode.
+
+    A spec validates when it is built, so one that exists is valid:
+    every pass name resolves (else :class:`~repro.opt.UnknownPassError`),
+    ``unroll`` is an int >= 1 and the flags are bools (else
+    ``ValueError``; nothing is coerced).  :meth:`from_dict` is the one
+    parser of the JSON form :meth:`to_dict` writes.
     """
     passes: Tuple[str, ...] = STANDARD_PASS_NAMES
     unroll: int = 1
@@ -67,11 +73,49 @@ class PipelineSpec:
     annotate_regalloc: bool = True
     annotate_hw: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.passes, tuple) or \
+                not all(isinstance(name, str) for name in self.passes):
+            raise ValueError(f"pipeline field 'passes' must be a tuple of "
+                             f"pass names (a list in the dict form), "
+                             f"got {self.passes!r}")
+        resolve_passes(self.passes)
+        if type(self.unroll) is not int or self.unroll < 1:
+            raise ValueError(f"pipeline field 'unroll' must be an int "
+                             f">= 1, got {self.unroll!r}")
+        for flag in ("vectorize", "annotate_regalloc", "annotate_hw"):
+            if type(getattr(self, flag)) is not bool:
+                raise ValueError(f"pipeline field {flag!r} must be a "
+                                 f"bool, got {getattr(self, flag)!r}")
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "PipelineSpec":
+        """The spec of a :meth:`to_dict` form; an absent field takes
+        its default.  ``ValueError`` on a field the spec does not have
+        or a value of the wrong type."""
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown pipeline fields {sorted(unknown)}")
+        data = dict(data)
+        if isinstance(data.get("passes"), list):
+            data["passes"] = tuple(data["passes"])
+        return cls(**data)
+
     def to_dict(self) -> Dict[str, object]:
         return {"passes": list(self.passes), "unroll": self.unroll,
                 "vectorize": self.vectorize,
                 "annotate_regalloc": self.annotate_regalloc,
                 "annotate_hw": self.annotate_hw}
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON, which every artifact key
+        hashes.  Memoized on the (frozen) spec, as
+        :meth:`Flow.cache_key` is."""
+        cached = self.__dict__.get("_json")
+        if cached is None:
+            cached = json.dumps(self.to_dict(), sort_keys=True)
+            object.__setattr__(self, "_json", cached)
+        return cached
 
     def label(self) -> str:
         """Compact tag for search histories and reports."""
@@ -81,13 +125,6 @@ class PipelineSpec:
         if self.vectorize:
             bits.append("V")
         return "".join(bits)
-
-    def validate(self) -> "PipelineSpec":
-        resolve_passes(self.passes)       # raises KeyError on a typo
-        if self.unroll < 1:
-            raise ValueError(f"unroll factor must be >= 1, "
-                             f"got {self.unroll}")
-        return self
 
 
 #: the -O2-like default the paper flows share
@@ -189,7 +226,6 @@ class Flow:
             raise ValueError(
                 f"flow {self.name!r}: bytecode flavour must be one of "
                 f"{BYTECODE_FLAVOURS}, got {self.bytecode!r}")
-        self.pipeline.validate()
         return self
 
 
@@ -255,10 +291,6 @@ def register_flow(flow: Flow, replace: bool = False) -> Flow:
 
 def unregister_flow(name: str) -> None:
     REGISTRY.unregister(name)
-
-
-def get_flow(name: Union[str, Flow]) -> Flow:
-    return REGISTRY.get(name)
 
 
 def as_flow(flow: Union[str, Flow]) -> Flow:

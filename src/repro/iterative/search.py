@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.bytecode.emit import emit_module
 from repro.flows import (
-    Flow, PipelineSpec, get_flow, registered_flows, run_pipeline,
+    Flow, PipelineSpec, as_flow, registered_flows, run_pipeline,
 )
 from repro.frontend import lower_source
 from repro.jit import compile_for_target
@@ -126,12 +126,12 @@ def pipeline_of(candidate: Candidate) -> PipelineSpec:
         return candidate.pipeline()
     if isinstance(candidate, PipelineSpec):
         return candidate
-    return get_flow(candidate).pipeline
+    return as_flow(candidate).pipeline
 
 
 def label_of(candidate: Candidate) -> str:
     if isinstance(candidate, str):
-        candidate = get_flow(candidate)
+        candidate = as_flow(candidate)
     if isinstance(candidate, Flow):
         return f"flow:{candidate.name}"
     return candidate.label()

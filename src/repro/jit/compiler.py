@@ -74,8 +74,8 @@ class JITOptions:
     def flow(cls, name: str) -> "JITOptions":
         """The online options of a *registered* flow (see
         :mod:`repro.flows`); raises ``UnknownFlowError`` otherwise."""
-        from repro.flows import get_flow
-        return get_flow(name).jit
+        from repro.flows import as_flow
+        return as_flow(name).jit
 
 
 class JITCompiler:

@@ -29,7 +29,7 @@ __all__ = [
     "constfold", "copyprop", "dce", "simplify_cfg", "cse",
     "strength_reduce",
     "cleanup_passes", "standard_passes", "run_cleanup", "run_standard",
-    "pass_table", "resolve_passes",
+    "pass_table", "resolve_passes", "UnknownPassError",
     "CLEANUP_PASS_NAMES", "STANDARD_PASS_NAMES",
 ]
 
@@ -63,6 +63,20 @@ def pass_table():
     }
 
 
+class UnknownPassError(KeyError, ValueError):
+    """Raised for a pass name :func:`resolve_passes` does not know;
+    the message lists what it does.  A ``KeyError`` like any name
+    lookup, and a ``ValueError`` like ``UnknownTargetError``, so the
+    serving edge answers it as a bad request."""
+
+    def __init__(self, name: object, known: List[str]):
+        ValueError.__init__(
+            self, f"unknown pass {name!r}; known passes: {known}")
+
+    def __str__(self) -> str:          # KeyError would repr() the args
+        return self.args[0]
+
+
 def resolve_passes(names: Iterable[str]) -> List[tuple]:
     """Turn pass names into the ``[(name, fn)]`` list PassManager runs.
 
@@ -74,8 +88,7 @@ def resolve_passes(names: Iterable[str]) -> List[tuple]:
     for name in names:
         base = name.rsplit(".", 1)[0] if "." in name else name
         if base not in table:
-            raise KeyError(f"unknown pass {name!r}; "
-                           f"known passes: {sorted(table)}")
+            raise UnknownPassError(name, sorted(table))
         resolved.append((name, table[base]))
     return resolved
 

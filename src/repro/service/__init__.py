@@ -17,7 +17,7 @@ enforces the reuse:
   once-only jobs (offline compile, image build) share;
 * :mod:`repro.service.requests` — the batch request/response API;
 * :mod:`repro.service.asyncio` — the :class:`AsyncCompilationService`
-  front end: ``await service.deploy(request)`` and ``asyncio.gather``
+  front end: ``await service.submit(request)`` and ``asyncio.gather``
   batch fan-out; a request served from memory is answered on the
   event loop, anything else is one off-loop hop onto this facade.
 
@@ -133,8 +133,7 @@ class CompilationService:
         the compiler, the rest block on its in-flight future and
         report a cache hit (they triggered no work).
         """
-        return self._compile_keyed(artifact_key(source, name,
-                                                options or None),
+        return self._compile_keyed(artifact_key(source, name, options),
                                    source, name, options)
 
     def _compile_keyed(self, key: str, source: str, name: str,

@@ -123,10 +123,6 @@ class AsyncCompilationService:
                                              request)
         return result
 
-    #: ``await service.deploy(request)`` — request-level alias of
-    #: :meth:`submit`, the verb the redesign's API contract names
-    deploy = submit
-
     async def submit_batch(self, requests: Iterable[CompileRequest]) \
             -> List[DeployResult]:
         """The batch front door: gather over :meth:`submit`, so the

@@ -16,7 +16,6 @@ bytecode itself does not record (analysis work, vectorized functions).
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
 import threading
@@ -29,9 +28,8 @@ from typing import Dict, Optional
 from repro.bytecode.encode import VERSION as PVI_ENCODER_VERSION
 from repro.bytecode.encode import decode_module, encode_module
 from repro.bytecode.varint import read_bytes, write_bytes
-from repro.core.offline import (
-    OfflineArtifact, effective_pipeline, offline_compile,
-)
+from repro.core.offline import OfflineArtifact
+from repro.flows import DEFAULT_PIPELINE, PipelineSpec
 from repro.opt import PassStats
 from repro.telemetry import Counters
 
@@ -39,73 +37,54 @@ from repro.telemetry import Counters
 #: layout 2: metadata sidecar carries schema/source/pipeline/per-pass)
 ARTIFACT_MAGIC = b"PVA2"
 
-#: full schema identity of anything this module writes or keys:
-#: the artifact container layout plus the PVI wire-format version.
-#: It is embedded in every cache key and persisted entry, so artifacts
-#: written by an older encoding self-invalidate (key miss on lookup,
-#: rejection on decode) instead of decoding garbage.
-SCHEMA_VERSION = f"pva2+pvi{PVI_ENCODER_VERSION}"
-
-#: default options of :func:`repro.core.offline.offline_compile` — the
-#: key canonicalization fills these in so explicit-default and implicit
-#: calls hash identically.  Derived from the signature (its options are
-#: exactly the keyword-only parameters) so adding or re-defaulting an
-#: offline option can never silently desynchronize the cache key.
-DEFAULT_OFFLINE_OPTIONS: Dict[str, object] = {
-    param.name: param.default
-    for param in inspect.signature(offline_compile).parameters.values()
-    if param.kind == inspect.Parameter.KEYWORD_ONLY
-}
+#: full schema identity of anything this module writes or keys: the
+#: artifact container layout, the PVI wire-format version and the form
+#: of the options a key hashes (``k2``: one pipeline spec and one
+#: hotness map, see :func:`canonical_options`).  It is embedded in
+#: every cache key and persisted entry, so artifacts written by an
+#: older encoding self-invalidate (key miss on lookup, rejection on
+#: decode) instead of decoding garbage.
+SCHEMA_VERSION = f"pva2+pvi{PVI_ENCODER_VERSION}+k2"
 
 
 def canonical_options(options: Optional[Dict[str, object]] = None) \
         -> Dict[str, object]:
-    """Fill defaults and reject unknown offline options.
+    """The one form of a set of offline options, which is also the
+    keyword arguments of ``offline_compile``: ``{"pipeline": spec,
+    "hotness": map or None}``.
 
-    A ``pipeline`` option (a :class:`~repro.flows.PipelineSpec` or its
-    dict form) is normalized to a validated spec; it overrides the
-    legacy boolean knobs exactly as ``offline_compile`` would.  Every
-    rejection is a ``ValueError`` (the edge answers it with a 400):
-    an unknown option, a ``hotness`` that is not a mapping of names to
-    integer weights, a ``pipeline`` that is neither a spec nor a dict
-    of well-typed spec fields.
+    A missing ``pipeline`` is ``DEFAULT_PIPELINE`` and a dict one is
+    parsed by :meth:`PipelineSpec.from_dict`; a missing or empty
+    ``hotness`` is ``None``, and a map is sorted by name.  So every
+    spelling of one compilation has one form, hence one key.  Every
+    rejection is a ``ValueError`` (the edge answers it with a 400): an
+    unknown option, a ``hotness`` that is not a mapping of names to
+    integer weights, a ``pipeline`` that is neither a spec nor a valid
+    dict form of one.
     """
-    merged = dict(DEFAULT_OFFLINE_OPTIONS)
-    if options:
-        unknown = set(options) - set(DEFAULT_OFFLINE_OPTIONS)
-        if unknown:
-            raise ValueError(f"unknown offline options {sorted(unknown)}; "
-                             f"have {sorted(DEFAULT_OFFLINE_OPTIONS)}")
-        merged.update(options)
-    hotness = merged["hotness"]
+    options = options or {}
+    unknown = set(options) - {"pipeline", "hotness"}
+    if unknown:
+        raise ValueError(f"unknown offline options {sorted(unknown)}; "
+                         "have ['hotness', 'pipeline']")
+    pipeline = options.get("pipeline")
+    if pipeline is None:
+        pipeline = DEFAULT_PIPELINE
+    elif isinstance(pipeline, dict):
+        pipeline = PipelineSpec.from_dict(pipeline)
+    elif not isinstance(pipeline, PipelineSpec):
+        raise ValueError("offline option 'pipeline' must be a "
+                         "pipeline spec or its dict form")
+    hotness = options.get("hotness")
     if hotness is not None:
         if not isinstance(hotness, Mapping) or not all(
                 isinstance(name, str) and isinstance(weight, int)
                 for name, weight in hotness.items()):
             raise ValueError("offline option 'hotness' must map function "
                              "names to integer weights")
-        merged["hotness"] = {name: int(w)
-                             for name, w in sorted(hotness.items())}
-    pipeline = merged.get("pipeline")
-    if pipeline is not None:
-        from repro.flows import PipelineSpec
-        if not isinstance(pipeline, (PipelineSpec, dict)):
-            raise ValueError("offline option 'pipeline' must be a "
-                             "pipeline spec or its dict form")
-        try:
-            merged["pipeline"] = effective_pipeline(pipeline)
-        except TypeError as exc:        # a dict field of the wrong type
-            raise ValueError(f"offline option 'pipeline': {exc}") from None
-    return merged
-
-
-def _json_options(merged: Dict[str, object]) -> Dict[str, object]:
-    """Canonicalized options in JSON-able form (for key hashing)."""
-    out = dict(merged)
-    pipeline = out.get("pipeline")
-    if pipeline is not None:
-        out["pipeline"] = pipeline.to_dict()
-    return out
+        hotness = {name: int(w) for name, w in sorted(hotness.items())} \
+            or None
+    return {"pipeline": pipeline, "hotness": hotness}
 
 
 def artifact_key(source: str, name: str = "module",
@@ -113,16 +92,16 @@ def artifact_key(source: str, name: str = "module",
     """Content address of one offline compilation.
 
     Covers everything that determines the artifact: the program text,
-    the module name (it is embedded in the bytecode), the full
-    canonicalized option set — including the pipeline spec, so every
-    flow with its own offline pipeline gets its own entry — and the
+    the module name (it is embedded in the bytecode), the canonical
+    options — the pipeline spec, so every flow with its own offline
+    pipeline gets its own entry, and the hotness map — and the
     encoder schema version, so entries persisted by an older encoding
     can never be served to a newer decoder.
     """
-    payload = json.dumps(
-        {"schema": SCHEMA_VERSION, "source": source, "name": name,
-         "options": _json_options(canonical_options(options))},
-        sort_keys=True)
+    canonical = canonical_options(options)
+    payload = json.dumps([SCHEMA_VERSION, source, name,
+                          canonical["pipeline"].to_json(),
+                          canonical["hotness"]])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -203,7 +182,7 @@ def deserialize_artifact(raw: bytes) -> OfflineArtifact:
         offline_time=float(meta["offline_time"]),
         vectorized_functions=list(meta["vectorized_functions"]),
         source=meta.get("source"),
-        pipeline=effective_pipeline(pipeline)
+        pipeline=PipelineSpec.from_dict(pipeline)
         if pipeline is not None else None,
         hotness={name: int(w)
                  for name, w in meta["hotness"].items()}

@@ -430,7 +430,7 @@ class EdgeServer:
                        artifact_key(fields["source"], fields["name"],
                                     fields["options"]))
                 job_args = {"payload": fields}
-        except ValueError as exc:         # unknown offline options
+        except ValueError as exc:         # a bad offline option
             raise WireError(400, "bad_request", str(exc))
         who = tenant.name
         self.counts.add("requests", tenant=who)

@@ -73,8 +73,7 @@ class UnknownExecutorError(KeyError, ValueError):
 def _build_artifact(source: str, name: str, options,
                     key: str) -> OfflineArtifact:
     """The offline compile of one artifact-cache key."""
-    artifact = offline_compile(source, name,
-                               **canonical_options(options or None))
+    artifact = offline_compile(source, name, **canonical_options(options))
     # Remember the content address so deployment keys line up with the
     # cache key without re-encoding the modules.
     artifact._pvi_fingerprint = key

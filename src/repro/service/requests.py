@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.offline import OfflineArtifact
-from repro.flows import DEFAULT_PIPELINE, Flow
+from repro.flows import Flow
 from repro.service.cache import artifact_key
 from repro.targets.registry import Targetish
 
@@ -37,8 +37,9 @@ class CompileRequest:
     name: str = "module"
     targets: Sequence[Targetish] = ()
     flow: Union[str, Flow] = "split"
-    #: offline_compile keyword options (see DEFAULT_OFFLINE_OPTIONS);
-    #: a 'pipeline' entry here overrides the flow's own pipeline spec
+    #: offline options, keyed as ``offline_compile``'s keywords:
+    #: 'pipeline' (a spec or its dict form; overrides the flow's own
+    #: spec) and 'hotness' (function name -> integer weight)
     options: Optional[Dict[str, object]] = None
     #: when True, a target whose JIT raises is *recorded* (its
     #: :class:`TargetDeployment` carries the error and no image)
@@ -49,12 +50,10 @@ class CompileRequest:
     def offline_options(self, flow: Flow) -> Dict[str, object]:
         """The offline options this request actually compiles under
         (``flow`` is its resolved flow): its own options, with the
-        flow's pipeline spec filled in when it differs from the
-        default (this is what joins the artifact cache key)."""
+        flow's pipeline spec filled in unless they name one (this is
+        what joins the artifact cache key)."""
         options = dict(self.options or {})
-        if "pipeline" not in options and \
-                flow.pipeline != DEFAULT_PIPELINE:
-            options["pipeline"] = flow.pipeline
+        options.setdefault("pipeline", flow.pipeline)
         return options
 
     def artifact_key(self, flow: Flow) -> str:
@@ -65,7 +64,7 @@ class CompileRequest:
         cached = self.__dict__.get("_artifact_key")
         if cached is None or cached[0] is not flow:
             cached = (flow, artifact_key(
-                self.source, self.name, self.offline_options(flow) or None))
+                self.source, self.name, self.offline_options(flow)))
             object.__setattr__(self, "_artifact_key", cached)
         return cached[1]
 

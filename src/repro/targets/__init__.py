@@ -34,12 +34,12 @@ from repro.targets.isa import MInst, Reg
 from repro.targets.simulator import SimulationResult, Simulator
 from repro.targets.dispatch import warm_module
 from repro.targets.catalog import (
-    ARM, DSP, HOST, PPC, SPARC, X86, TARGETS, target_by_name,
+    ARM, DSP, HOST, PPC, SPARC, X86, TARGETS,
 )
 from repro.targets.registry import (
     Backend, NativeBackend, TargetRegistry, UnknownBackendError,
     UnknownTargetError, as_target, backend_for, backend_names,
-    executor_for, get_backend, get_target, register_backend,
+    executor_for, get_backend, register_backend,
     register_target, registered_targets, target_names,
     unregister_target,
 )
@@ -51,10 +51,10 @@ __all__ = [
     "CostModel", "SizeModel", "TargetDesc", "MInst", "Reg",
     "Simulator", "SimulationResult", "warm_module",
     "X86", "SPARC", "PPC", "DSP", "HOST", "ARM", "WASM32",
-    "TARGETS", "target_by_name",
+    "TARGETS",
     "Backend", "NativeBackend", "TargetRegistry",
     "UnknownTargetError", "UnknownBackendError",
-    "register_target", "unregister_target", "get_target", "as_target",
+    "register_target", "unregister_target", "as_target",
     "target_names", "registered_targets",
     "register_backend", "get_backend", "backend_names", "backend_for",
     "executor_for",

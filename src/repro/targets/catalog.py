@@ -144,12 +144,3 @@ ARM = TargetDesc(
 #: lives in :mod:`repro.targets.registry` (which also holds targets on
 #: other backends, e.g. the ``wasm32`` stack machine).
 TARGETS = {t.name: t for t in (X86, SPARC, PPC, DSP, HOST, ARM)}
-
-
-def target_by_name(name: str) -> TargetDesc:
-    """Legacy lookup, now registry-backed: resolves any *registered*
-    target (built-in or user-registered) and raises the unified
-    :class:`~repro.targets.registry.UnknownTargetError` (a
-    ``KeyError`` subclass, so old call sites keep working)."""
-    from repro.targets.registry import get_target
-    return get_target(name)

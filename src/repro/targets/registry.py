@@ -248,10 +248,6 @@ def unregister_target(name: str) -> None:
     REGISTRY.unregister(name)
 
 
-def get_target(name: Targetish) -> TargetDesc:
-    return REGISTRY.get(name)
-
-
 def as_target(target: Targetish) -> TargetDesc:
     """Accept either a registered name or a TargetDesc object (every
     public entry point's contract)."""

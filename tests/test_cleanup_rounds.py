@@ -31,7 +31,7 @@ from repro.jit.peephole import fold_cast_chains, quick_cleanup
 from repro.jit.scalarize import scalarize_vectors
 from repro.lang import types as ty
 from repro.opt import copyprop, dce
-from repro.targets import get_target, target_names
+from repro.targets import as_target, target_names
 from repro.workloads import ALL_KERNELS
 from tests.support import admit, corpus_sources, lower_checked, mutate
 from tests.test_property_programs import statement_list
@@ -39,7 +39,7 @@ from tests.test_property_programs import statement_list
 SOURCES = corpus_sources()
 
 #: the targets whose images are scalarized and cleaned a second time
-SCALAR_TARGETS = [target for target in map(get_target, target_names())
+SCALAR_TARGETS = [target for target in map(as_target, target_names())
                   if not target.has_simd]
 
 MUTANTS_PER_FUNCTION = 40

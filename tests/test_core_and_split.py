@@ -7,7 +7,7 @@ from repro.bytecode.annotations import (
     RegAllocAnnotation,
 )
 from repro.core import (
-    compare_flows, deploy, offline_compile, select_bytecode,
+    PipelineSpec, compare_flows, deploy, offline_compile, select_bytecode,
 )
 from repro.lang import types as ty
 from repro.semantics import Memory
@@ -65,7 +65,8 @@ class TestOfflineCompile:
         assert artifact.scalar_bytecode.annotations == []
 
     def test_vectorization_can_be_disabled(self):
-        artifact = offline_compile(SUM_U8, do_vectorize=False)
+        artifact = offline_compile(SUM_U8,
+                                   pipeline=PipelineSpec(vectorize=False))
         assert artifact.vectorized_functions == []
 
     def test_select_bytecode_per_flow(self):

@@ -22,7 +22,7 @@ from repro.core import compare_flows, deploy, offline_compile
 from repro.core.online import select_bytecode
 from repro.flows import (
     Flow, PipelineSpec, UnknownFlowError, as_flow, flow_names,
-    get_flow, register_flow, registered_flows, unregister_flow,
+    register_flow, registered_flows, unregister_flow,
 )
 from repro.iterative.search import label_of, search_space
 from repro.jit import JITOptions
@@ -78,7 +78,7 @@ class TestRegistry:
     def test_replace_allows_redefinition(self, custom_flow):
         redefined = register_flow(
             Flow("test-custom", bytecode="scalar"), replace=True)
-        assert get_flow("test-custom") is redefined
+        assert as_flow("test-custom") is redefined
         assert redefined.cache_key() != custom_flow.cache_key()
 
     def test_bad_flavour_rejected(self):
@@ -89,6 +89,9 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown pass"):
             register_flow(Flow(
                 "bad", pipeline=PipelineSpec(passes=("frobnicate",))))
+        # a ValueError too, so the edge answers it with a 400
+        with pytest.raises(ValueError, match="frobnicate"):
+            PipelineSpec.from_dict({"passes": ["frobnicate"]})
 
     def test_as_flow_accepts_objects_and_names(self, custom_flow):
         assert as_flow(custom_flow) is custom_flow
@@ -183,13 +186,25 @@ class TestCustomFlowEndToEnd:
 
     def test_dict_pipeline_keeps_default_passes(self):
         # a partial dict must default like PipelineSpec, not to ()
-        artifact = offline_compile(SUM_U8, pipeline={"unroll": 2})
+        spec = PipelineSpec.from_dict({"unroll": 2})
+        assert spec == PipelineSpec(unroll=2)
+        artifact = offline_compile(SUM_U8, pipeline=spec)
         assert artifact.pipeline.passes == PipelineSpec().passes
         assert artifact.pipeline.unroll == 2
 
     def test_dict_pipeline_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown pipeline"):
-            offline_compile(SUM_U8, pipeline={"vectorise": False})
+            PipelineSpec.from_dict({"vectorise": False})
+
+    @pytest.mark.parametrize("fields", [
+        {"vectorize": "false"}, {"annotate_hw": 1}, {"unroll": 2.7},
+        {"unroll": True}, {"unroll": 0}, {"passes": "cse"},
+        {"passes": ["cse", 3]}])
+    def test_dict_pipeline_rejects_wrong_types(self, fields):
+        """Nothing is coerced: ``bool("false")`` would vectorize and
+        ``int(2.7)`` would unroll by 2."""
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            PipelineSpec.from_dict(fields)
 
     def test_per_flow_recompile_keeps_hotness(self):
         kernel = TABLE1["sum_u8"]
@@ -204,7 +219,7 @@ class TestCustomFlowEndToEnd:
         assert reports[0].flow == "split-O3"
         # the recompiled split-O3 artifact kept the profile
         from repro.core.budget import artifact_for_flow
-        recompiled = artifact_for_flow(artifact, get_flow("split-O3"))
+        recompiled = artifact_for_flow(artifact, as_flow("split-O3"))
         assert recompiled is not artifact
         assert recompiled.hotness == {kernel.entry: 7}
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
 import sys
@@ -15,6 +16,7 @@ import pytest
 from repro.bytecode.varint import read_bytes
 from repro.core import deploy, offline_compile
 from repro.core.offline import OfflineArtifact
+from repro.flows import DEFAULT_PIPELINE, PipelineSpec
 from repro.semantics import Memory
 from repro.service import (
     ArtifactCache, CompilationService, CompileRequest, artifact_key,
@@ -32,6 +34,8 @@ from repro.workloads import TABLE1
 SAXPY = TABLE1["saxpy_fp"].source
 SUM_U8 = TABLE1["sum_u8"].source
 ALL_TARGETS = list(TARGETS.values())
+#: the cheapest offline compile: no passes, no vectorizer
+BARE = PipelineSpec(passes=(), vectorize=False)
 
 
 @pytest.fixture
@@ -50,8 +54,35 @@ class TestCacheKey:
         assert artifact_key(SAXPY) == artifact_key(SAXPY)
 
     def test_explicit_defaults_hash_like_implicit(self):
-        assert artifact_key(SAXPY) == artifact_key(
-            SAXPY, options={"optimize": True, "do_vectorize": True})
+        """Every spelling of the default compilation is one key."""
+        spellings = [{}, {"pipeline": {}}, {"pipeline": DEFAULT_PIPELINE},
+                     {"pipeline": DEFAULT_PIPELINE.to_dict()},
+                     {"hotness": {}}, {"pipeline": None, "hotness": None}]
+        assert {artifact_key(SAXPY, options=options)
+                for options in spellings} == {artifact_key(SAXPY)}
+
+    def test_one_spelling_one_compile(self):
+        """Five spellings of two compilations cost two offline
+        compiles, each stored once."""
+        service = CompilationService(executor="inline")
+        try:
+            for options in ({}, {"pipeline": {}},
+                            {"pipeline": PipelineSpec()},
+                            {"pipeline": PipelineSpec(vectorize=False)},
+                            {"pipeline": {"vectorize": False}}):
+                service.compile(SAXPY, **options)
+            assert service.cache.stats()["stores"] == 2
+        finally:
+            service.shutdown()
+
+    def test_canonical_options_are_offline_compile_keywords(self):
+        keywords = [param.name for param in
+                    inspect.signature(offline_compile).parameters.values()
+                    if param.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert sorted(canonical_options()) == sorted(keywords) == \
+            ["hotness", "pipeline"]
+        assert canonical_options() == {"pipeline": DEFAULT_PIPELINE,
+                                       "hotness": None}
 
     def test_source_changes_key(self):
         assert artifact_key(SAXPY) != artifact_key(SUM_U8)
@@ -60,8 +91,8 @@ class TestCacheKey:
         assert artifact_key(SAXPY, "a") != artifact_key(SAXPY, "b")
 
     def test_options_change_key(self):
-        assert artifact_key(SAXPY) != \
-            artifact_key(SAXPY, options={"do_vectorize": False})
+        assert artifact_key(SAXPY) != artifact_key(
+            SAXPY, options={"pipeline": PipelineSpec(vectorize=False)})
 
     def test_hotness_is_order_insensitive(self):
         assert artifact_key(SAXPY, options={"hotness": {"a": 1, "b": 2}}) \
@@ -83,8 +114,7 @@ class TestCacheKey:
 
 class TestLRU:
     def make(self, name: str) -> OfflineArtifact:
-        return offline_compile(SAXPY, name, do_vectorize=False,
-                               optimize=False)
+        return offline_compile(SAXPY, name, pipeline=BARE)
 
     def test_eviction_drops_least_recent(self):
         cache = ArtifactCache(capacity=2)
@@ -665,8 +695,7 @@ class TestConcurrentEvictionRaces:
     def test_no_lost_updates_under_eviction_pressure(self, tmp_path):
         cache = ArtifactCache(capacity=2, persist_dir=tmp_path)
         artifacts = {f"w{i}": offline_compile(SAXPY, f"w{i}",
-                                              optimize=False,
-                                              do_vectorize=False)
+                                              pipeline=BARE)
                      for i in range(6)}
         keys = {name: artifact_key(SAXPY, name)
                 for name in artifacts}

@@ -531,16 +531,20 @@ class TestAsyncFacade:
             assert simulate("saxpy_fp", async_result.image_for(name)) \
                 == simulate("saxpy_fp", sync_result.image_for(name))
 
-    def test_deploy_is_the_request_verb(self):
+    def test_submit_is_the_request_verb(self):
+        """``submit`` serves a request on both facades; ``deploy``
+        builds one image on the sync one and is not a second name for
+        ``submit`` on the async one."""
         async def main():
             async with AsyncCompilationService(executor="inline") \
                     as service:
-                result = await service.deploy(CompileRequest(
+                result = await service.submit(CompileRequest(
                     source=SUM_U8, name="m", targets=[X86]))
                 return result
 
         result = asyncio.run(main())
         assert result.target_names == ["x86"]
+        assert not hasattr(AsyncCompilationService, "deploy")
 
     def test_batch_gather_and_full_caching(self):
         requests = [CompileRequest(source=SAXPY, name="m",

@@ -678,7 +678,11 @@ class TestEdgeServer:
         rows = [({"bogus": 1}, "bogus"), ({"hotness": "x"}, "hotness"),
                 ({"hotness": {"saxpy": "hot"}}, "hotness"),
                 ({"pipeline": 5}, "pipeline"),
-                ({"pipeline": {"passes": 5}}, "pipeline")]
+                ({"pipeline": {"passes": 5}}, "pipeline"),
+                ({"pipeline": {"passes": ["nope"]}}, "nope"),
+                ({"pipeline": {"vectorize": "false"}}, "vectorize"),
+                ({"pipeline": {"unroll": 2.7}}, "unroll"),
+                ({"do_vectorize": False}, "do_vectorize")]
 
         async def scenario(edge):
             replies = []

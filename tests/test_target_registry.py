@@ -32,7 +32,7 @@ from repro.service.deployment import DeploymentPool
 from repro.targets import (
     ARM, WASM32, X86, Backend, CostModel, SizeModel, Simulator,
     StackImage, TargetDesc, UnknownBackendError, UnknownTargetError,
-    as_target, backend_for, executor_for, get_target, register_target,
+    as_target, backend_for, executor_for, register_target,
     target_names, unregister_target,
 )
 from repro.vm.interpreter import VM
@@ -70,8 +70,8 @@ def custom_target():
 
 
 class TestRegistryBasics:
-    def test_get_and_as_target_resolve_names(self):
-        assert get_target("x86") is as_target("x86")
+    def test_as_target_resolves_names_and_descriptors(self):
+        assert as_target("x86") is X86
         assert as_target(X86) is X86
 
     def test_as_target_passes_unregistered_descriptors_through(self):
@@ -80,7 +80,7 @@ class TestRegistryBasics:
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(UnknownTargetError) as info:
-            get_target("z80")
+            as_target("z80")
         assert "x86" in str(info.value)
         assert "wasm32" in str(info.value)
         assert info.value.target_name == "z80"
@@ -99,7 +99,7 @@ class TestRegistryBasics:
         # replace=True swaps the entry in place
         bigger = register_target(
             make_custom_target(int_regs=30), replace=True)
-        assert get_target(custom_target.name) is bigger
+        assert as_target(custom_target.name) is bigger
 
     def test_register_rejects_non_descriptor(self):
         with pytest.raises(TypeError):

@@ -7,7 +7,7 @@ from repro.lang import types as ty
 from repro.semantics import Memory, TrapError
 from repro.targets import (
     ARM, DSP, HOST, PPC, SPARC, TARGETS, WASM32, X86, Simulator,
-    UnknownTargetError, target_by_name, target_names,
+    UnknownTargetError, as_target, target_names,
 )
 from repro.targets.isa import CompiledFunction, CompiledModule, MInst
 from repro.workloads import TABLE1
@@ -21,15 +21,15 @@ class TestCatalog:
         assert set(target_names()) >= set(TARGETS) | {"wasm32"}
 
     def test_lookup_by_name(self):
-        assert target_by_name("x86") is X86
-        assert target_by_name("arm") is ARM
-        assert target_by_name("wasm32") is WASM32
-        # The unified error is a KeyError subclass (legacy contract)
-        # and lists the registered names (UnknownFlowError ergonomics).
+        assert as_target("x86") is X86
+        assert as_target("arm") is ARM
+        assert as_target("wasm32") is WASM32
+        # The unified error is a KeyError subclass and lists the
+        # registered names (UnknownFlowError ergonomics).
         with pytest.raises(KeyError):
-            target_by_name("z80")
+            as_target("z80")
         with pytest.raises(UnknownTargetError, match="x86"):
-            target_by_name("z80")
+            as_target("z80")
 
     def test_simd_capabilities(self):
         assert X86.has_simd and DSP.has_simd and ARM.has_simd

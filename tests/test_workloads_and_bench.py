@@ -5,7 +5,7 @@ import pytest
 from repro.bench import format_table
 from repro.bench.experiments import run_table1
 from repro.bench.paperdata import PAPER_TABLE1_RELATIVE
-from repro.core import offline_compile
+from repro.core import PipelineSpec, offline_compile
 from repro.semantics import Memory
 from repro.vm import VM
 from repro.workloads import (
@@ -56,7 +56,7 @@ class TestCorpus:
     @pytest.mark.parametrize("name", sorted(REGALLOC_CORPUS))
     def test_regalloc_corpus_compiles(self, name):
         artifact = offline_compile(REGALLOC_CORPUS[name],
-                                   do_vectorize=False)
+                                   pipeline=PipelineSpec(vectorize=False))
         assert name in artifact.bytecode.functions
 
 
