@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.facts import FactsTable, FunctionFacts, module_facts
+from repro.analysis.facts import FunctionFacts, module_facts
 from repro.bytecode.verifier import BytecodeVerifyError, verify_module
 
 SEVERITIES = ("error", "warn", "info")
@@ -79,8 +79,7 @@ def _function_findings(facts: Optional[FunctionFacts],
     return found
 
 
-def lint_bytecode_module(module, *, table: Optional[FactsTable] = None
-                         ) -> List[LintFinding]:
+def lint_bytecode_module(module) -> List[LintFinding]:
     """All findings for a ``BytecodeModule``, verifier first: an
     unverifiable module gets exactly one ``error`` finding and no
     dataflow findings (facts over ill-typed code prove nothing)."""
@@ -89,8 +88,7 @@ def lint_bytecode_module(module, *, table: Optional[FactsTable] = None
     except BytecodeVerifyError as exc:
         return [LintFinding("error", "verify", module.name, None,
                             str(exc))]
-    if table is None:
-        table = module_facts(module)
+    table = module_facts(module)
     found: List[LintFinding] = []
     for name in module.functions:
         found.extend(_function_findings(table.get(name), name))

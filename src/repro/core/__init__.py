@@ -19,12 +19,13 @@ from repro.core.online import deploy, deploy_async, select_bytecode
 from repro.core.budget import FlowReport, compare_flows
 from repro.core.platform import Core, DeploymentManager, Platform
 from repro.flows import (
-    Flow, FlowRegistry, PipelineSpec, UnknownFlowError, as_flow,
-    flow_names, register_flow,
+    Flow, PipelineSpec, UnknownFlowError, as_flow, flow_names,
+    register_flow,
 )
+from repro.registry import Registry, UnknownNameError
 from repro.targets.registry import (
-    Backend, TargetRegistry, UnknownTargetError, as_target,
-    register_target, target_names,
+    Backend, UnknownTargetError, as_target, register_target,
+    target_names,
 )
 
 __all__ = [
@@ -32,8 +33,9 @@ __all__ = [
     "deploy", "deploy_async", "select_bytecode",
     "FlowReport", "compare_flows",
     "Core", "Platform", "DeploymentManager",
-    "Flow", "FlowRegistry", "PipelineSpec", "UnknownFlowError",
+    "Registry", "UnknownNameError",
+    "Flow", "PipelineSpec", "UnknownFlowError",
     "register_flow", "as_flow", "flow_names",
-    "Backend", "TargetRegistry", "UnknownTargetError",
+    "Backend", "UnknownTargetError",
     "register_target", "as_target", "target_names",
 ]

@@ -7,15 +7,15 @@ Three engines execute everything in this reproduction:
   handler closures (opcode, types and operand locations resolved at
   decode time), fed by the type-specialized semantics kernels of
   :mod:`repro.semantics.kernels`.  Functions carrying a hotness
-  annotation that clears the adaptive threshold (or an explicit
-  ``JITOptions(tier2=True)`` hint) are additionally promoted to the
-  tier-2 whole-function compiler below.  Independently of call-entry
-  promotion, on-stack replacement (``PVI_OSR``, on by default) lets a
-  call already spinning in the block tier enter the tier-2
-  translation at a hot loop header — built once the function has
-  executed enough block-tier instructions to repay the build
-  (:data:`repro.tiers.TIER2_PAYBACK`), and entered at pc 0 by every
-  later call — see DESIGN.md §2c.
+  annotation that clears the adaptive threshold (one rule for both
+  engines: :func:`repro.flows.promotes_to_tier2`) are additionally
+  promoted to the tier-2 whole-function compiler below.
+  Independently of call-entry promotion, on-stack replacement
+  (``PVI_OSR``, on by default) lets a call already spinning in the
+  block tier enter the tier-2 translation at a hot loop header —
+  built once the function has executed enough block-tier
+  instructions to repay the build (:data:`repro.tiers.TIER2_PAYBACK`),
+  and entered at pc 0 by every later call — see DESIGN.md §2c.
 * ``tier2`` — whole-function translation: the fuel blocks of a
   function are lowered into one generated Python function (virtual
   stack / register file in Python locals, block transfers as real

@@ -4,9 +4,9 @@ The paper's claim is that one portable artifact serves many deployment
 flows on heterogeneous targets.  A :class:`Flow` makes a deployment
 configuration *data* instead of code: the offline pipeline spec (pass
 names plus vectorize/annotation knobs), the online :class:`JITOptions`,
-and which bytecode flavour ships to the device.  The global
-:class:`FlowRegistry` holds the three paper flows plus two extended
-ones, and every layer — ``core.offline`` / ``core.online``,
+and which bytecode flavour ships to the device.  The global flow
+:class:`~repro.registry.Registry` holds the three paper flows plus two
+extended ones, and every layer — ``core.offline`` / ``core.online``,
 ``compare_flows``, the JIT facade, the iterative search and the
 compilation service — resolves flows through it.  Adding a flow is one
 :func:`register_flow` call; it immediately appears in flow comparisons,
@@ -25,30 +25,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.jit import JITOptions
 from repro.opt import (
     PassManager, PassStats, STANDARD_PASS_NAMES, resolve_passes,
 )
+from repro.registry import Registry, UnknownNameError
 
 #: bytecode flavours a flow may ship (see ``OfflineArtifact``)
 BYTECODE_FLAVOURS = ("vector", "scalar")
 
 
-class UnknownFlowError(ValueError):
-    """Raised by every entry point handed a flow name that is not
-    registered; the message lists what *is* registered."""
-
-    def __init__(self, name: object, known: Tuple[str, ...]):
-        self.flow_name = name
-        self.known = known
-        super().__init__(
-            f"unknown flow {name!r}; registered flows: "
-            f"{', '.join(known) if known else '(none)'}")
+class UnknownFlowError(UnknownNameError):
+    """A flow name that is not registered."""
+    what = "flow"
 
 
 @dataclass(frozen=True)
@@ -229,57 +222,8 @@ class Flow:
         return self
 
 
-class FlowRegistry:
-    """Thread-safe name -> :class:`Flow` map (insertion-ordered)."""
-
-    def __init__(self):
-        self._flows: Dict[str, Flow] = {}
-        self._lock = threading.Lock()
-
-    def register(self, flow: Flow, replace: bool = False) -> Flow:
-        flow.validate()
-        with self._lock:
-            if not replace and flow.name in self._flows:
-                raise ValueError(f"flow {flow.name!r} is already "
-                                 f"registered (pass replace=True)")
-            self._flows[flow.name] = flow
-        return flow
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._flows.pop(name, None)
-
-    def get(self, name: Union[str, Flow]) -> Flow:
-        if isinstance(name, Flow):
-            return name
-        with self._lock:
-            flow = self._flows.get(name)
-        if flow is None:
-            raise UnknownFlowError(name, self.names())
-        return flow
-
-    def names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._flows)
-
-    def flows(self) -> Tuple[Flow, ...]:
-        with self._lock:
-            return tuple(self._flows.values())
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._flows
-
-    def __iter__(self) -> Iterator[Flow]:
-        return iter(self.flows())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._flows)
-
-
 #: the process-wide registry every layer resolves flows through
-REGISTRY = FlowRegistry()
+REGISTRY = Registry(Flow, UnknownFlowError, Flow.validate)
 
 
 def register_flow(flow: Flow, replace: bool = False) -> Flow:
@@ -304,7 +248,7 @@ def flow_names() -> Tuple[str, ...]:
 
 
 def registered_flows() -> Tuple[Flow, ...]:
-    return REGISTRY.flows()
+    return REGISTRY.values()
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +256,23 @@ def registered_flows() -> Tuple[Flow, ...]:
 # ---------------------------------------------------------------------------
 
 #: hotness weight at or above which the adaptive flow spends online
-#: analysis on a function (unannotated functions count as hot).  The
-#: execution engines reuse the same threshold as the tier-2 promotion
-#: gate (see :mod:`repro.engine`): functions whose hotness annotation
-#: clears it get whole-function translation, though there *unprofiled*
-#: functions stay on the block tier — promotion wants positive
-#: evidence, analysis gating only an absence of contrary evidence.
+#: analysis on a function (unannotated functions count as hot), and
+#: at or above which both engines promote a function to tier 2 (see
+#: :func:`promotes_to_tier2`).
 ADAPTIVE_HOTNESS_THRESHOLD = 1
+
+
+def promotes_to_tier2(module, name: str) -> bool:
+    """The tier-2 hint of function ``name``: its hotness annotation in
+    ``module`` clears :data:`ADAPTIVE_HOTNESS_THRESHOLD`.  The JIT
+    stamps it on machine code and the VM reads it off the bytecode.
+    Unlike the analysis gate, an *unprofiled* function is not
+    promoted: tier-2 spends host memory per function, so it wants
+    positive evidence.  Advisory only: results are identical either
+    way."""
+    weight = module.max_hotness(name)
+    return weight is not None and weight >= ADAPTIVE_HOTNESS_THRESHOLD
+
 
 register_flow(Flow(
     "offline-only",
@@ -355,13 +309,9 @@ register_flow(Flow(
 register_flow(Flow(
     "adaptive",
     jit=JITOptions(use_annotations=True, online_vectorize=True,
-                   hotness_threshold=ADAPTIVE_HOTNESS_THRESHOLD,
-                   osr=True),
+                   hotness_threshold=ADAPTIVE_HOTNESS_THRESHOLD),
     bytecode="scalar",
     description="hotness-gated online vectorization: the JIT spends "
                 "its analysis budget only on functions profiled hot; "
                 "the same hotness annotations drive the engines' "
-                "tier-2 whole-function promotion, and long-running "
-                "loops enter tier-2 mid-call via on-stack replacement "
-                "(osr=True makes the default engine policy explicit "
-                "for the flow that exists to tier adaptively)"))
+                "tier-2 whole-function promotion"))

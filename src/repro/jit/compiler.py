@@ -26,9 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.bytecode.annotations import (
-    HotnessAnnotation, RegAllocAnnotation,
-)
+from repro.bytecode.annotations import RegAllocAnnotation
 from repro.bytecode.module import BytecodeModule
 from repro.jit.addrfold import fold_addressing
 from repro.jit.codegen import generate
@@ -54,28 +52,6 @@ class JITOptions:
     #: HotnessAnnotation weight reaches the threshold (functions with
     #: no profile count as hot) — the 'adaptive' flow's gate
     hotness_threshold: Optional[int] = None
-    #: tier-2 whole-function translation hint: ``True`` marks every
-    #: emitted function for promotion, ``False`` none, and ``None``
-    #: (default) promotes functions whose HotnessAnnotation weight
-    #: clears ADAPTIVE_HOTNESS_THRESHOLD — *unprofiled functions are
-    #: not promoted* (unlike the analysis gate above, tier-2 spends
-    #: host memory per promoted function, so it wants positive
-    #: evidence).  Advisory only: execution results are byte-identical
-    #: either way.
-    tier2: Optional[bool] = None
-    #: on-stack replacement hint: ``False`` opts every emitted
-    #: function out of mid-call promotion (the execution tier never
-    #: counts its back edges), ``True``/``None`` (default) leave the
-    #: engine-level ``PVI_OSR`` policy in charge.  Advisory only, like
-    #: ``tier2``.
-    osr: Optional[bool] = None
-
-    @classmethod
-    def flow(cls, name: str) -> "JITOptions":
-        """The online options of a *registered* flow (see
-        :mod:`repro.flows`); raises ``UnknownFlowError`` otherwise."""
-        from repro.flows import as_flow
-        return as_flow(name).jit
 
 
 class JITCompiler:
@@ -153,22 +129,14 @@ class JITCompiler:
         compiled.jit_pass_work = pass_work
         compiled.jit_time = time.perf_counter() - start
         compiled.tier2_hint = self._wants_tier2(module, name)
-        compiled.osr_hint = (True if self.options.osr is None
-                             else bool(self.options.osr))
         return compiled
 
     def _wants_tier2(self, module: BytecodeModule, name: str) -> bool:
-        """The tier-2 promotion gate: an explicit ``JITOptions.tier2``
-        wins; otherwise promote exactly the functions whose hotness
-        annotation clears the adaptive threshold (unprofiled functions
-        stay on the block tier — promotion wants positive evidence)."""
-        if self.options.tier2 is not None:
-            return self.options.tier2
-        weight = module.max_hotness(name)
-        if weight is None:
-            return False
-        from repro.flows import ADAPTIVE_HOTNESS_THRESHOLD
-        return weight >= ADAPTIVE_HOTNESS_THRESHOLD
+        """The tier-2 hint the engines read off the image: the one
+        promotion rule, :func:`repro.flows.promotes_to_tier2`
+        (imported here: :mod:`repro.flows` imports this module)."""
+        from repro.flows import promotes_to_tier2
+        return promotes_to_tier2(module, name)
 
     def _wants_online_analysis(self, module: BytecodeModule,
                                name: str) -> bool:
@@ -179,10 +147,8 @@ class JITCompiler:
         threshold = self.options.hotness_threshold
         if threshold is None:
             return True
-        annotations = module.annotations_for(name, HotnessAnnotation)
-        if not annotations:
-            return True
-        return max(a.weight for a in annotations) >= threshold
+        weight = module.max_hotness(name)
+        return weight is None or weight >= threshold
 
     def _annotation_priorities(self, module: BytecodeModule, name: str,
                                lir) -> Optional[Dict[int, int]]:

@@ -69,7 +69,6 @@ class _Interval:
 
 def allocate(func: Function, regs_per_class: Dict[str, int],
              priorities: Optional[Dict[int, int]] = None,
-             spill_base_offset: int = 0,
              pin_to_memory: Optional[set] = None) -> Allocation:
     """Allocate registers for ``func``.
 
@@ -106,7 +105,7 @@ def allocate(func: Function, regs_per_class: Dict[str, int],
     active: Dict[str, List[_Interval]] = {"int": [], "flt": [], "vec": []}
     #: register index per vreg id (pass conventions: repro.ir.function)
     assigned: List[Optional[int]] = [None] * func.reg_count
-    spill_offset = spill_base_offset
+    spill_offset = 0
 
     def expire(cls: str, now: int) -> None:
         still = []
@@ -172,7 +171,7 @@ def allocate(func: Function, regs_per_class: Dict[str, int],
         allocation.homes[iv.reg.id] = ("reg", (cls, reg_index))
         active[cls].append(iv)
 
-    allocation.spill_bytes = spill_offset - spill_base_offset
+    allocation.spill_bytes = spill_offset
     for cls in ("int", "flt", "vec"):
         allocation.regs_used[cls] = limit[cls] - len([
             r for r in free[cls]])

@@ -14,6 +14,7 @@ artifact cache and the iterative search all share.  A ``.N`` suffix
 
 from typing import Iterable, List, Tuple
 
+from repro.registry import UnknownNameError
 from repro.opt.pass_manager import (
     PassManager, PassRecord, PassResult, PassStats, PassSummary,
 )
@@ -28,7 +29,7 @@ __all__ = [
     "PassManager", "PassResult", "PassStats", "PassRecord", "PassSummary",
     "constfold", "copyprop", "dce", "simplify_cfg", "cse",
     "strength_reduce",
-    "cleanup_passes", "standard_passes", "run_cleanup", "run_standard",
+    "cleanup_passes", "standard_passes",
     "pass_table", "resolve_passes", "UnknownPassError",
     "CLEANUP_PASS_NAMES", "STANDARD_PASS_NAMES",
 ]
@@ -63,18 +64,9 @@ def pass_table():
     }
 
 
-class UnknownPassError(KeyError, ValueError):
-    """Raised for a pass name :func:`resolve_passes` does not know;
-    the message lists what it does.  A ``KeyError`` like any name
-    lookup, and a ``ValueError`` like ``UnknownTargetError``, so the
-    serving edge answers it as a bad request."""
-
-    def __init__(self, name: object, known: List[str]):
-        ValueError.__init__(
-            self, f"unknown pass {name!r}; known passes: {known}")
-
-    def __str__(self) -> str:          # KeyError would repr() the args
-        return self.args[0]
+class UnknownPassError(UnknownNameError):
+    """A pass name :func:`resolve_passes` does not know."""
+    what = "pass"
 
 
 def resolve_passes(names: Iterable[str]) -> List[tuple]:
@@ -101,13 +93,3 @@ def cleanup_passes():
 def standard_passes():
     """The -O2-like scalar pipeline of the offline compiler."""
     return resolve_passes(STANDARD_PASS_NAMES)
-
-
-def run_cleanup(func, verify: bool = False) -> PassStats:
-    manager = PassManager(cleanup_passes(), verify=verify)
-    return manager.run(func)
-
-
-def run_standard(func, verify: bool = False) -> PassStats:
-    manager = PassManager(standard_passes(), verify=verify)
-    return manager.run(func)

@@ -17,6 +17,7 @@ the usual BLAS-1 style code:
 * **reduction**: a scalar accumulator combined with ``add``/``min``/
   ``max``, optionally widening (``sum u8/u16``, ``max u8`` after
   if-conversion) — emitted as ``vreduce`` into the accumulator type.
+  A float accumulator is reassociated (one partial sum per lane).
 
 Legality uses the affine model of :mod:`repro.opt.affine`; distinct
 pointer bases are *assumed not to alias* (the information a C front end
@@ -80,7 +81,7 @@ class _Reject(Exception):
     """Internal: loop cannot be vectorized (not an error)."""
 
 
-def vectorize(func: Function, allow_fp_reassoc: bool = True) -> PassResult:
+def vectorize(func: Function) -> PassResult:
     result = PassResult()
     processed: Set[str] = set()
     for _ in range(8):            # re-discover after each transform
@@ -92,7 +93,7 @@ def vectorize(func: Function, allow_fp_reassoc: bool = True) -> PassResult:
         processed.add(candidate.header)
         result.work += _loop_size(func, candidate)
         try:
-            info = _vectorize_loop(func, candidate, allow_fp_reassoc)
+            info = _vectorize_loop(func, candidate)
         except _Reject:
             continue
         func.vector_loops.append(info)
@@ -105,8 +106,7 @@ def _loop_size(func: Function, loop: CountedLoop) -> int:
                if b.label in loop.loop.body)
 
 
-def _vectorize_loop(func: Function, cl: CountedLoop,
-                    allow_fp_reassoc: bool) -> VecLoopInfo:
+def _vectorize_loop(func: Function, cl: CountedLoop) -> VecLoopInfo:
     if not cl.is_simple_forward:
         raise _Reject
     if isinstance(cl.bound, VReg) and not isinstance(cl.bound.ty, ty.IntType):
@@ -133,8 +133,6 @@ def _vectorize_loop(func: Function, cl: CountedLoop,
     vty = vec_of(elem_ty)
 
     for acc in accs:
-        if ty.is_float(acc.acc.ty) and not allow_fp_reassoc:
-            raise _Reject
         if acc.op not in _REDUCE_OPS:
             raise _Reject
         if ty.is_integer(acc.acc.ty) != ty.is_integer(elem_ty):

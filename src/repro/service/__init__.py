@@ -87,20 +87,13 @@ class CompilationService:
     request).
     """
 
-    def __init__(self, cache: Optional[ArtifactCache] = None,
-                 cache_capacity: int = 64,
+    def __init__(self, cache_capacity: int = 64,
                  persist_dir: Optional[Path] = None,
-                 executor: Executorish = None,
-                 lint: bool = True):
+                 executor: Executorish = None):
         """``executor`` picks the deployment substrate (name or
-        :class:`DeployExecutor` instance; default thread pool).
-        ``lint=False`` disables the deploy-time admission gate (the
-        dataflow-plane lint every artifact passes before any target
-        compiles; see :mod:`repro.analysis.lint`)."""
-        self.cache = cache if cache is not None else \
-            ArtifactCache(cache_capacity, persist_dir)
+        :class:`DeployExecutor` instance; default thread pool)."""
+        self.cache = ArtifactCache(cache_capacity, persist_dir)
         self.pool = DeploymentPool(executor=executor)
-        self.lint = lint
         #: ``requests`` served; ``coalesced_requests`` whose offline
         #: half joined a compile another request had in flight;
         #: deployments the admission gate refused (``lint_rejections``);
@@ -190,8 +183,6 @@ class CompilationService:
         findings); ``warn`` findings are surfaced once per artifact in
         ``stats()["lint"]["findings"]``.  Findings are memoized on the
         artifact, so repeat deployments re-check nothing."""
-        if not self.lint:
-            return
         try:
             findings = check_admission(artifact)
         except AdmissionError:
@@ -272,7 +263,7 @@ class CompilationService:
         if artifact is None:
             return None
         offline = time.perf_counter() - start
-        findings = linted(artifact) if self.lint else ()
+        findings = linted(artifact)
         if findings is None or \
                 any(f.severity == "error" for f in findings):
             return None

@@ -70,10 +70,11 @@ __all__ = ["EdgeConfig", "EdgeServer", "main"]
 
 SERVER_NAME = "pvi-edge"
 
-#: header caps — a parser this small refuses pathology instead of
+#: request caps — a parser this small refuses pathology instead of
 #: handling it gracefully
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
+MAX_BODY_BYTES = 1 << 20
 
 
 async def _readline(reader: asyncio.StreamReader) -> Optional[bytes]:
@@ -98,7 +99,6 @@ class EdgeConfig:
     max_wait_s: Optional[float] = 2.0
     #: concurrent serving tasks draining the queue
     workers: int = 8
-    max_body_bytes: int = 1 << 20
     #: the two routes of the owned service's
     #: :class:`AdaptiveExecutor` (cold offline compiles and fan-outs /
     #: warm residuals)
@@ -319,17 +319,18 @@ class EdgeServer:
         body = b""
         length = headers.get("content-length")
         if length is not None:
-            try:
-                n = int(length)
-            except ValueError:
+            # Plain ASCII digits only: ``int`` would also take a sign,
+            # underscores and non-ASCII digits, and refuses a string
+            # of thousands of digits.
+            if not (length.isascii() and length.isdigit()):
                 return (method, path, headers, b"",
                         WireError(400, "bad_request",
                                   "malformed Content-Length"))
-            if n > self.config.max_body_bytes:
+            n = int(length) if len(length) < 20 else MAX_BODY_BYTES + 1
+            if n > MAX_BODY_BYTES:
                 return (method, path, headers, b"",
                         WireError(413, "payload_too_large",
-                                  f"body exceeds "
-                                  f"{self.config.max_body_bytes} "
+                                  f"body exceeds {MAX_BODY_BYTES} "
                                   f"bytes"))
             body = await reader.readexactly(n)
         return method.upper(), path, headers, body, None

@@ -46,6 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.core.offline import OfflineArtifact, offline_compile
+from repro.registry import UnknownNameError
 from repro.service.cache import (
     artifact_fingerprint, canonical_options, deserialize_artifact,
     serialize_artifact,
@@ -54,20 +55,9 @@ from repro.service.singleflight import run_settled
 from repro.telemetry import Counters
 
 
-class UnknownExecutorError(KeyError, ValueError):
-    """Raised when a deployment executor name is not registered;
-    the message lists what *is* (matching ``UnknownFlowError`` /
-    ``UnknownTargetError`` ergonomics)."""
-
-    def __init__(self, name: object, known: Tuple[str, ...]):
-        self.executor_name = name
-        self.known = known
-        message = (f"unknown deploy executor {name!r}; available "
-                   f"executors: {', '.join(known) if known else '(none)'}")
-        ValueError.__init__(self, message)
-
-    def __str__(self) -> str:          # KeyError would repr() the args
-        return self.args[0]
+class UnknownExecutorError(UnknownNameError):
+    """A deploy executor name that is not known."""
+    what = "executor"
 
 
 def _build_artifact(source: str, name: str, options,

@@ -12,13 +12,13 @@ substitution table).  The ``stack`` backend
 (:mod:`repro.targets.stackvm`) runs the portable stack bytecode
 directly, wasm32-style.
 
-The catalog is *open*: the process-wide
-:class:`~repro.targets.registry.TargetRegistry` holds the built-in
-targets (Table 1's three, the heterogeneous-SoC extras, ``arm`` and
-``wasm32``) and anything user code adds with one
-:func:`register_target` call — runtime-registered targets deploy
-through the service, appear in ``compare_flows`` and are schedulable
-by the KPN mapper with no further plumbing.  Every public entry point
+The catalog is *open*: the process-wide target
+:class:`~repro.registry.Registry` holds the built-in targets (Table
+1's three, the heterogeneous-SoC extras, ``arm`` and ``wasm32``) and
+anything user code adds with one :func:`register_target` call —
+runtime-registered targets deploy through the service, appear in
+``compare_flows`` and are schedulable by the KPN mapper with no
+further plumbing.  Every public entry point
 accepts a registered name wherever it accepts a descriptor.
 
 The simulator has two engines (see :mod:`repro.engine` and DESIGN.md
@@ -37,11 +37,10 @@ from repro.targets.catalog import (
     ARM, DSP, HOST, PPC, SPARC, X86, TARGETS,
 )
 from repro.targets.registry import (
-    Backend, NativeBackend, TargetRegistry, UnknownBackendError,
-    UnknownTargetError, as_target, backend_for, backend_names,
-    executor_for, get_backend, register_backend,
-    register_target, registered_targets, target_names,
-    unregister_target,
+    Backend, NativeBackend, UnknownBackendError, UnknownTargetError,
+    as_target, backend_for, backend_names, executor_for, get_backend,
+    register_backend, register_target, registered_targets,
+    target_names, unregister_target,
 )
 from repro.targets.stackvm import (
     StackBackend, StackExecutor, StackImage, WASM32,
@@ -52,7 +51,7 @@ __all__ = [
     "Simulator", "SimulationResult", "warm_module",
     "X86", "SPARC", "PPC", "DSP", "HOST", "ARM", "WASM32",
     "TARGETS",
-    "Backend", "NativeBackend", "TargetRegistry",
+    "Backend", "NativeBackend",
     "UnknownTargetError", "UnknownBackendError",
     "register_target", "unregister_target", "as_target",
     "target_names", "registered_targets",

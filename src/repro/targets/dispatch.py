@@ -535,14 +535,6 @@ class _MachineLowering(Lowering):
         return {field: amount for field, amount in charge.items()
                 if amount or field in ("instructions", "cycles")}
 
-    def osr_candidates(self) -> frozenset:
-        # The JIT's ``osr_hint`` (JITOptions.osr) can opt a function
-        # out of mid-call promotion entirely; the candidate set stays
-        # empty and the trampoline never counts its back edges.
-        if not getattr(self.func, "osr_hint", True):
-            return frozenset()
-        return super().osr_candidates()
-
     def induction(self, header, latch):
         # Header ``cmp.lt flag, iv, bound; brif flag, latch``; latch
         # ending ``add iv, iv, #c`` or ``add t, iv, #c; mov iv, t``,

@@ -96,16 +96,10 @@ class CompiledFunction:
     #: analysis work by pass name, when the flow ran online analyses
     jit_pass_work: dict = field(default_factory=dict)
     #: the JIT marked this function for tier-2 whole-function
-    #: translation (hotness annotation cleared the adaptive threshold,
-    #: or an explicit ``JITOptions(tier2=True)``); advisory — not part
-    #: of the modeled image, so excluded from equality
+    #: translation (its hotness annotation cleared the adaptive
+    #: threshold: :func:`repro.flows.promotes_to_tier2`); advisory —
+    #: not part of the modeled image, so excluded from equality
     tier2_hint: bool = field(default=False, compare=False)
-    #: the JIT allows mid-call (on-stack) promotion of this function;
-    #: ``JITOptions(osr=False)`` clears it.  Advisory like
-    #: ``tier2_hint`` and likewise excluded from equality, but — unlike
-    #: ``tier2_hint`` — baked into the predecode (it decides the OSR
-    #: entry-point set), so it participates in ``content_token``.
-    osr_hint: bool = field(default=True, compare=False)
 
     @property
     def num_params(self) -> int:
@@ -130,10 +124,10 @@ class CompiledFunction:
     def content_token(self) -> List:
         """Structural identity of everything the predecode bakes in:
         the code plus the parameter homes and frame size it sizes the
-        register files and stack frame from, the OSR eligibility that
-        decides the entry-point set, and the payload schema version."""
-        return [self.PREDECODE_SCHEMA, self.osr_hint,
-                tuple(self.param_locs), self.frame_bytes, self.ret_void,
+        register files and stack frame from, and the payload schema
+        version."""
+        return [self.PREDECODE_SCHEMA, tuple(self.param_locs),
+                self.frame_bytes, self.ret_void,
                 [(i.op, i.ty, i.dst, tuple(i.srcs), i.arg, i.cost)
                  for i in self.code]]
 

@@ -2,9 +2,10 @@
 
 The paper's claim is that one virtualized bytecode deploys across a
 *heterogeneous* catalog of processors.  This module makes the catalog
-an open axis, mirroring :mod:`repro.flows`: a :class:`TargetRegistry`
-holds :class:`~repro.targets.machine.TargetDesc` entries by name, and
-every layer — ``core.online`` / ``core.platform``, ``compare_flows``,
+an open axis, mirroring :mod:`repro.flows`: a
+:class:`~repro.registry.Registry` holds
+:class:`~repro.targets.machine.TargetDesc` entries by name, and every
+layer — ``core.online`` / ``core.platform``, ``compare_flows``,
 the compilation service, the KPN mapper, the iterative search and the
 experiment harness — resolves targets through it.  Adding a processor
 is one :func:`register_target` call; it is immediately deployable,
@@ -33,46 +34,22 @@ can be added without touching ``repro`` internals.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
+from repro.registry import Registry, UnknownNameError
 from repro.targets.machine import TargetDesc
 
 Targetish = Union[str, TargetDesc]
 
 
-class UnknownTargetError(KeyError, ValueError):
-    """Raised by every entry point handed a target name that is not
-    registered; the message lists what *is* registered.
-
-    Subclasses both :class:`KeyError` (what raw catalog lookups used
-    to raise, so legacy ``except KeyError`` call sites keep working)
-    and :class:`ValueError` (matching ``UnknownFlowError`` ergonomics).
-    """
-
-    def __init__(self, name: object, known: Tuple[str, ...]):
-        self.target_name = name
-        self.known = known
-        message = (f"unknown target {name!r}; registered targets: "
-                   f"{', '.join(known) if known else '(none)'}")
-        ValueError.__init__(self, message)
-
-    def __str__(self) -> str:          # KeyError would repr() the args
-        return self.args[0]
+class UnknownTargetError(UnknownNameError):
+    """A target name that is not registered."""
+    what = "target"
 
 
-class UnknownBackendError(KeyError, ValueError):
-    """A target names a backend that is not registered."""
-
-    def __init__(self, name: object, known: Tuple[str, ...]):
-        self.backend_name = name
-        self.known = known
-        message = (f"unknown backend {name!r}; registered backends: "
-                   f"{', '.join(known) if known else '(none)'}")
-        ValueError.__init__(self, message)
-
-    def __str__(self) -> str:
-        return self.args[0]
+class UnknownBackendError(UnknownNameError):
+    """A backend name that is not registered."""
+    what = "backend"
 
 
 # ---------------------------------------------------------------------------
@@ -134,104 +111,15 @@ class NativeBackend(Backend):
 # the registries
 # ---------------------------------------------------------------------------
 
-class _Registry:
-    """Thread-safe name -> object map (insertion-ordered).
-
-    Shared machinery of the target and backend registries: subclasses
-    set ``kind`` (the registered type, passed through :meth:`get`
-    untouched) and ``what`` (for messages), and override
-    :meth:`_validate` / :meth:`_missing`.
-    """
-
-    kind: type = object
-    what: str = "entry"
-
-    def __init__(self):
-        self._entries: Dict[str, object] = {}
-        self._lock = threading.Lock()
-
-    def _validate(self, entry) -> None:
-        """Registration-time check; raise to reject the entry."""
-
-    def _missing(self, name) -> Exception:
-        raise NotImplementedError
-
-    def register(self, entry, replace: bool = False):
-        if not isinstance(entry, self.kind):
-            raise TypeError(f"expected a {self.kind.__name__}, "
-                            f"got {type(entry).__name__}")
-        self._validate(entry)
-        with self._lock:
-            if not replace and entry.name in self._entries:
-                raise ValueError(f"{self.what} {entry.name!r} is "
-                                 f"already registered "
-                                 f"(pass replace=True)")
-            self._entries[entry.name] = entry
-        return entry
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._entries.pop(name, None)
-
-    def get(self, name):
-        if isinstance(name, self.kind):
-            return name
-        with self._lock:
-            entry = self._entries.get(name)
-        if entry is None:
-            raise self._missing(name)
-        return entry
-
-    def names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._entries)
-
-    def values(self) -> Tuple:
-        with self._lock:
-            return tuple(self._entries.values())
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._entries
-
-    def __iter__(self) -> Iterator:
-        return iter(self.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class TargetRegistry(_Registry):
-    """Thread-safe name -> :class:`TargetDesc` map (insertion-ordered)."""
-
-    kind = TargetDesc
-    what = "target"
-
-    def _validate(self, target: TargetDesc) -> None:
-        if target.backend not in BACKENDS:
-            raise UnknownBackendError(target.backend, BACKENDS.names())
-
-    def _missing(self, name) -> Exception:
-        return UnknownTargetError(name, self.names())
-
-    def targets(self) -> Tuple[TargetDesc, ...]:
-        return self.values()
-
-
-class BackendRegistry(_Registry):
-    """Thread-safe name -> :class:`Backend` map."""
-
-    kind = Backend
-    what = "backend"
-
-    def _missing(self, name) -> Exception:
-        return UnknownBackendError(name, self.names())
+def _check_backend(target: TargetDesc) -> None:
+    """A target is registered only under a registered backend."""
+    if target.backend not in BACKENDS:
+        raise UnknownBackendError(target.backend, BACKENDS.names())
 
 
 #: the process-wide registries every layer resolves targets through
-REGISTRY = TargetRegistry()
-BACKENDS = BackendRegistry()
+REGISTRY = Registry(TargetDesc, UnknownTargetError, _check_backend)
+BACKENDS = Registry(Backend, UnknownBackendError)
 
 BACKENDS.register(NativeBackend())
 
@@ -259,7 +147,7 @@ def target_names() -> Tuple[str, ...]:
 
 
 def registered_targets() -> Tuple[TargetDesc, ...]:
-    return REGISTRY.targets()
+    return REGISTRY.values()
 
 
 def register_backend(backend: Backend, replace: bool = False) -> Backend:

@@ -227,9 +227,10 @@ class Predecoded:
     would put a second counter on every call.
 
     ``tier2_hint`` (filled by the engine's ``frame_data``) is the
-    offline evidence that a function is hot — a hotness annotation of
-    its module for the VM, the JIT's mark for the simulator: build
-    before its first instruction, and at :func:`warm`."""
+    offline evidence that a function is hot — its hotness annotation
+    clears :func:`repro.flows.promotes_to_tier2`, read off its module
+    by the VM and off the JIT's mark by the simulator: build before
+    its first instruction, and at :func:`warm`."""
 
     __slots__ = ("token", "handlers", "steps", "osr_leaders", "_tier2",
                  "_tier2_args", "_spent", "tier2_hint")

@@ -146,19 +146,10 @@ def warm_bytecode_module(module) -> None:
 
 def _hotness_hint(func, module) -> bool:
     """Does the module's hotness profile promote ``func`` to tier 2?
-
-    Unlike the online-analysis gate (where *unprofiled* counts as
-    hot), tier-2 promotion requires an explicit annotation: whole-
-    function translation is the one online stage expensive enough
-    that we only spend it where the offline profile says it pays.
-    """
-    if module is None:
-        return False
-    weight = getattr(module, "max_hotness", lambda _n: None)(func.name)
-    if weight is None:
-        return False
-    from repro.flows import ADAPTIVE_HOTNESS_THRESHOLD
-    return weight >= ADAPTIVE_HOTNESS_THRESHOLD
+    The JIT's rule (:func:`repro.flows.promotes_to_tier2`), read off
+    the module the function is predecoded against, if any."""
+    from repro.flows import promotes_to_tier2
+    return module is not None and promotes_to_tier2(module, func.name)
 
 
 # ---------------------------------------------------------------------------

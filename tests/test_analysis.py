@@ -305,19 +305,6 @@ class TestAdmissionGate:
         finally:
             service.shutdown()
 
-    def test_lint_false_disables_the_gate(self):
-        service = CompilationService(executor="inline", lint=False)
-        try:
-            # deploy itself still works: the JIT does not need the
-            # verifier, so an unverifiable module only fails if its
-            # lowering is malformed too — use the warn-only artifact
-            service.deploy(_dead_block_artifact(), "x86")
-            stats = service.stats()
-            assert stats["lint"]["findings"] == []
-            assert stats["lint"]["rejections"] == 0
-        finally:
-            service.shutdown()
-
     def test_check_admission_direct(self):
         findings = check_admission(_dead_block_artifact())
         assert any(f.code == "dead-block" and f.severity == "warn"

@@ -790,39 +790,54 @@ class TestTier2Promotion:
             assert pre._tier2 is not None
 
     def test_sim_promotion_follows_jit_hint(self):
-        from repro.flows import Flow
-        from repro.jit import JITOptions
         from repro.tiers import _TIER2_UNBUILT
 
-        artifact = offline_compile(HOT_LOOP)
-        # no hotness profile, default gate: nothing is hinted
-        plain = deploy(artifact, X86, "split")
+        # no hotness profile: nothing is hinted
+        plain = deploy(offline_compile(HOT_LOOP), X86, "split")
         assert not any(f.tier2_hint for f in plain.functions.values())
-        # explicit JITOptions(tier2=True) promotes every function
-        forced = deploy(artifact, X86,
-                        Flow("tier2-on", jit=JITOptions(tier2=True)))
-        assert all(f.tier2_hint for f in forced.functions.values())
-        sim = Simulator(forced, Memory(), engine=FAST)
+        # a profile that clears the threshold hints every function
+        hot = offline_compile(HOT_LOOP, hotness={"f": 5, "helper": 5})
+        hinted = deploy(hot, X86, "split")
+        assert all(f.tier2_hint for f in hinted.functions.values())
+        sim = Simulator(hinted, Memory(), engine=FAST)
         want = Simulator(plain, Memory(),
                          engine=REFERENCE).run("f", [9])
         got = sim.run("f", [9])
         assert (got.value, got.cycles, got.instructions) == \
             (want.value, want.cycles, want.instructions)
-        pre = forced.functions["f"]._predecode_cache[2]
+        pre = hinted.functions["f"]._predecode_cache[2]
         assert pre.tier2_hint and pre._tier2 is not _TIER2_UNBUILT
         assert pre._tier2 is not None
 
     def test_sim_hint_from_hotness_and_explicit_off(self):
-        from repro.flows import Flow
-        from repro.jit import JITOptions
-
         hot = offline_compile(HOT_LOOP, "hot", hotness={"f": 5})
         hinted = deploy(hot, X86, "split")
         assert hinted.functions["f"].tier2_hint
         assert not hinted.functions["helper"].tier2_hint
-        vetoed = deploy(hot, X86,
-                        Flow("tier2-off", jit=JITOptions(tier2=False)))
+        # a zero weight is the profile's explicit "cold"
+        cold = offline_compile(HOT_LOOP, "cold", hotness={"f": 0})
+        vetoed = deploy(cold, X86, "split")
         assert not any(f.tier2_hint for f in vetoed.functions.values())
+
+    @pytest.mark.parametrize("weight", [None, 0, 1, 5])
+    def test_vm_and_sim_share_the_promotion_rule(self, weight):
+        """The VM reads the hint off the bytecode's hotness profile,
+        the simulator off the JIT's mark on the image built from the
+        same artifact; one rule decides both (1 is the threshold)."""
+        from repro.targets.dispatch import predecode_machine
+        from repro.vm.threaded import predecode
+
+        hotness = None if weight is None else {"f": weight}
+        artifact = offline_compile(HOT_LOOP, "rule", hotness=hotness)
+        bytecode = select_bytecode(artifact, "split")
+        image = deploy(artifact, X86, "split")
+        for name in ("f", "helper"):
+            vm_hint = predecode(bytecode.functions[name],
+                                bytecode).tier2_hint
+            sim_hint = predecode_machine(image.functions[name],
+                                         image).tier2_hint
+            assert vm_hint == sim_hint == \
+                (name == "f" and weight is not None and weight >= 1)
 
     def test_warm_module_builds_hinted_tier2(self):
         from repro.targets import warm_module
@@ -1236,42 +1251,6 @@ class TestOSR:
         assert osr_attempts and set(osr_attempts) <= leaders
         assert len(osr_attempts) == len(set(osr_attempts)), \
             "a declined leader must be retired for the rest of the call"
-
-    # -- the JIT-level opt-out and its cache identity -----------------------
-
-    def test_jit_osr_hint_opt_out(self):
-        from repro.flows import Flow
-        from repro.jit import JITOptions
-
-        artifact = offline_compile(self.LONG_LOOP)
-        vetoed = deploy(artifact, X86,
-                        Flow("osr-off", jit=JITOptions(osr=False)))
-        assert not any(f.osr_hint for f in vetoed.functions.values())
-        want = Simulator(vetoed, Memory(),
-                         engine=REFERENCE).run("f", [1_000])
-        sim = Simulator(vetoed, Memory(), engine=FAST, osr=True,
-                        osr_threshold=8)
-        got = sim.run("f", [1_000])
-        assert (got.value, got.instructions) == (want.value,
-                                                 want.instructions)
-        assert sim.tiering_stats()["osr_entries"] == 0
-        pre = vetoed.functions["f"]._predecode_cache[2]
-        assert not pre.osr_leaders
-
-    def test_osr_hint_rides_the_content_token(self):
-        """Flipping ``osr_hint`` in place must invalidate the machine
-        predecode — the entry-point set is baked into the payload."""
-        from repro.targets.dispatch import predecode_machine
-
-        artifact = offline_compile(self.LONG_LOOP)
-        compiled = deploy(artifact, X86, "split")
-        func = compiled.functions["f"]
-        with_osr = predecode_machine(func, compiled)
-        assert with_osr.osr_leaders
-        func.osr_hint = False
-        without = predecode_machine(func, compiled)
-        assert without is not with_osr
-        assert not without.osr_leaders
 
     # -- warming: tier-2 is never built in-request --------------------------
 

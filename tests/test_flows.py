@@ -103,12 +103,6 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 class TestUnknownFlow:
-    def test_jit_options_entry_point(self):
-        with pytest.raises(UnknownFlowError) as err:
-            JITOptions.flow("warp-speed")
-        assert "registered flows" in str(err.value)
-        assert "split" in str(err.value)
-
     def test_select_bytecode_entry_point(self):
         artifact = offline_compile(SUM_U8)
         with pytest.raises(UnknownFlowError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bytecode import emit_module
 from repro.core import offline_compile, deploy
-from repro.jit import JITCompiler, JITOptions, compile_for_target
+from repro.jit import JITCompiler, compile_for_target
 from repro.jit.frontend import decode_function
 from repro.jit.regalloc import allocate, reg_class
 from repro.ir import verify_function
@@ -200,10 +200,6 @@ class TestFlows:
         assert split.total_jit_analysis_work == 0
         assert online.total_jit_analysis_work > 0
         assert split.total_jit_work < online.total_jit_work
-
-    def test_flow_names_validated(self):
-        with pytest.raises(ValueError):
-            JITOptions.flow("warp-speed")
 
 
 class TestCodeSize:

@@ -29,6 +29,7 @@ from repro.service.edge import (
     EdgeServer, Tenant, TenantTable, TokenBucket, WireError,
     parse_compile_request, parse_deploy_request,
 )
+from repro.service.edge.server import MAX_BODY_BYTES
 from repro.telemetry import LatencyHistogram
 from repro.workloads import TABLE1
 from tests.support import timeless
@@ -640,6 +641,31 @@ class TestEdgeServer:
         assert results["bad_json"] == 400
         assert results["not_found"] == 404
         assert results["bad_method"] == 405
+
+    def test_bad_content_length_is_answered(self):
+        """A length that is not plain ASCII digits is a 400 and one
+        past the cap a 413, each answered before the connection
+        closes; the next connection is served."""
+        rows = [(b"-5", 400), (b"abc", 400),
+                (str(MAX_BODY_BYTES + 1).encode(), 413)]
+
+        async def scenario(edge):
+            seen = []
+            for length, _ in rows:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", edge.port)
+                writer.write(b"POST /deploy HTTP/1.1\r\n"
+                             b"Content-Length: " + length + b"\r\n\r\n")
+                await writer.drain()
+                line = await reader.readline()
+                writer.close()
+                async with EdgeClient("127.0.0.1", edge.port) as client:
+                    health = (await client.request("GET", "/healthz"))[0]
+                seen.append((line.split(b" ")[1:2], health))
+            return seen
+        seen = run_edge(edge_config(), scenario)
+        assert seen == [([str(status).encode()], 200)
+                        for _, status in rows]
 
     def test_source_errors_are_422_not_500(self):
         async def scenario(edge):

@@ -83,7 +83,7 @@ class TestRegistryBasics:
             as_target("z80")
         assert "x86" in str(info.value)
         assert "wasm32" in str(info.value)
-        assert info.value.target_name == "z80"
+        assert info.value.name == "z80"
 
     def test_unknown_target_error_is_keyerror_and_valueerror(self):
         # KeyError keeps legacy `except KeyError` call sites working;
