@@ -35,9 +35,8 @@ from repro.analysis.solver import solve_backward, solve_forward
 from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import is_vector_local, vector_elem_tag
 from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
-from repro.engine import is_f32_quad
 from repro.lang import types as ty
-from repro.semantics.kernels import cast_kernel, identity_kernel
+from repro.semantics.kernels import cast_kernel, identity_kernel, is_f32_quad
 from repro.semantics.memory import NULL_GUARD, scalar_struct
 
 _INT_TAGS = {"i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64"}
@@ -333,10 +332,7 @@ TOP = (-INF, INF)
 def _tag_range(tag: str) -> Tuple:
     lang_ty = type_of(tag)
     if isinstance(lang_ty, ty.IntType):
-        if lang_ty.signed:
-            half = 1 << (lang_ty.bits - 1)
-            return (-half, half - 1)
-        return (0, (1 << lang_ty.bits) - 1)
+        return (ty.int_min(lang_ty), ty.int_max(lang_ty))
     return TOP
 
 

@@ -19,7 +19,9 @@ Three engines execute everything in this reproduction:
 * ``tier2`` — whole-function translation: the fuel blocks of a
   function are lowered into one generated Python function (virtual
   stack / register file in Python locals, block transfers as real
-  control flow), compiled once and cached on the predecoded form.
+  control flow, kernel calls replaced by the expression templates the
+  kernels are compiled from), compiled once and cached on the
+  predecoded form.
   Anything the emitter cannot prove deopts back to the block-threaded
   engine at the enclosing block leader, with identical instruction
   and cycle counts.  Selecting ``tier2`` as *the* engine forces the
@@ -33,12 +35,17 @@ Three engines execute everything in this reproduction:
 The process-wide default comes from the ``PVI_ENGINE`` environment
 variable; ``VM(..., engine=...)`` and ``Simulator(..., engine=...)``
 override it per instance.
+
+Besides engine selection this module holds what the two fast engines
+share below the tier scaffold: the fuel-block partition, the OSR
+candidate set, :class:`MeterTrip`, :class:`CodegenEnv` and branch
+target normalization.  What an op computes lives in
+:mod:`repro.semantics.kernels`.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from typing import Optional, Tuple
 
 FAST = "fast"
@@ -224,157 +231,6 @@ class CodegenEnv:
     def lit(self, value) -> str:
         """An integer operand (index, immediate, target, amount)."""
         return repr(value)
-
-
-# ---------------------------------------------------------------------------
-# tier-2 inline expression templates
-# ---------------------------------------------------------------------------
-#
-# The tier-2 whole-function compilers replace semantics-kernel *calls*
-# with the kernel's arithmetic inlined as a Python expression wherever
-# the result is provably identical for every input — including the
-# wrap/sign-decode of out-of-range operands, and IEEE unordered-NaN
-# comparison results, which Python's own comparison operators share.
-# Ops with trap semantics (integer div/rem, unknown predicates) and
-# float division (IEEE zero-divide special cases) keep the kernel
-# call.  Templates carry ``{a}``/``{b}`` operand slots; the second
-# element of each result marks expressions that cannot raise (f32
-# results round through the same struct pack as the kernel, which can
-# overflow on absurd inputs, so they stay marked impure).
-
-#: the f32 rounding round-trip the scalar kernels use
-_F32_ROUND = struct.Struct("<f")
-
-#: the 4-lane batch round trip the quad vec kernels use
-_F32_QUAD = struct.Struct("<4f")
-
-
-def is_f32_quad(bop: str, elem) -> bool:
-    """Is ``vec.<bop>`` over ``elem`` a shape tier-2 inlines as the
-    4-lane f32 batch kernel?  The emitters ask before inlining, the
-    lane analysis before giving the result a tuple meta."""
-    from repro.lang import types as ty
-    return isinstance(elem, ty.FloatType) and elem.bits == 32 \
-        and bop in ("add", "sub", "mul", "min", "max")
-
-
-_ARITH_SYMS = {"add": "+", "sub": "-", "mul": "*"}
-_BIT_SYMS = {"and": "&", "or": "|", "xor": "^"}
-_CMP_SYMS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-             "gt": ">", "ge": ">="}
-
-
-def _int_wrap(core: str, int_ty, exact: bool = False) -> str:
-    """Wrap ``core`` into ``int_ty``'s range exactly like the kernels:
-    mask, then sign-decode via the xor trick for signed types.
-    ``exact``: the caller proved ``core`` already in range (interval
-    knowledge, :meth:`repro.tiers.BlockEmitter.fits`), so the wrap is
-    the identity and is left out."""
-    if exact:
-        return f"({core})"
-    mask = (1 << int_ty.bits) - 1
-    if int_ty.signed:
-        sign = 1 << (int_ty.bits - 1)
-        return f"(((({core}) & {mask}) ^ {sign}) - {sign})"
-    return f"(({core}) & {mask})"
-
-
-def inline_binop(op: str, value_ty, env: "CodegenEnv",
-                 exact: bool = False):
-    """``(template, pure)`` inlining the binop kernel for
-    ``value_ty``, or ``None`` when the op must stay a kernel call.
-    ``exact``: an integer ``add`` / ``sub`` / ``mul`` / ``shl`` whose
-    unwrapped result is proven in range (see :func:`_int_wrap`)."""
-    from repro.lang import types as ty
-    if isinstance(value_ty, ty.IntType):
-        mask = (1 << value_ty.bits) - 1
-        sm = value_ty.bits - 1
-        if op in _ARITH_SYMS:
-            return _int_wrap(f"{{a}} {_ARITH_SYMS[op]} {{b}}",
-                             value_ty, exact), True
-        if op in _BIT_SYMS:
-            core = f"({{a}} & {mask}) {_BIT_SYMS[op]} ({{b}} & {mask})"
-            if value_ty.signed:
-                return _int_wrap(core, value_ty), True
-            return f"({core})", True       # masked operands: in range
-        if op == "shl":
-            return _int_wrap(f"{{a}} << ({{b}} & {sm})", value_ty,
-                             exact), True
-        if op == "shr":
-            if value_ty.signed:
-                return _int_wrap(f"{{a}} >> ({{b}} & {sm})",
-                                 value_ty), True
-            return f"(({{a}} & {mask}) >> ({{b}} & {sm}))", True
-        if op in ("min", "max"):
-            return _int_wrap(f"{op}({{a}}, {{b}})", value_ty), True
-        return None                        # div/rem trap on zero
-    if isinstance(value_ty, ty.FloatType):
-        if op in _ARITH_SYMS:
-            core = f"{{a}} {_ARITH_SYMS[op]} {{b}}"
-        elif op in ("min", "max"):
-            core = f"{op}({{a}}, {{b}})"
-        else:
-            return None                    # div: IEEE special cases
-        if value_ty.bits == 32:
-            p = env.bind(_F32_ROUND.pack, "p")
-            u = env.bind(_F32_ROUND.unpack, "u")
-            return f"{u}({p}({core}))[0]", False
-        return f"({core})", True
-    return None
-
-
-def inline_cmp(pred: str, value_ty):
-    """A pure template inlining the cmp kernel, or ``None`` for
-    predicates the kernel traps on."""
-    from repro.lang import types as ty
-    sym = _CMP_SYMS.get(pred)
-    if sym is None:
-        return None
-    if isinstance(value_ty, ty.IntType) and not value_ty.signed:
-        mask = (1 << value_ty.bits) - 1
-        return (f"(1 if (({{a}}) & {mask}) {sym} (({{b}}) & {mask}) "
-                f"else 0)")
-    # Signed ints compare directly; Python float comparisons share
-    # IEEE's unordered-NaN results (all False except ``!=``), exactly
-    # the kernel's NaN handling.
-    return f"(1 if ({{a}}) {sym} ({{b}}) else 0)"
-
-
-def inline_cast(from_ty, to_ty, env: "CodegenEnv", exact: bool = False):
-    """``(template, pure)`` inlining a non-identity cast kernel, or
-    ``None`` (float->int keeps the kernel: NaN/inf special cases).
-    ``exact``: an int->int cast of a value proven in ``to_ty``'s range
-    (see :func:`_int_wrap`)."""
-    from repro.lang import types as ty
-    if isinstance(to_ty, ty.IntType):
-        if isinstance(from_ty, ty.IntType):
-            return _int_wrap("{a}", to_ty, exact), True
-        return None
-    if not isinstance(to_ty, ty.FloatType):
-        return None
-    if to_ty.bits == 32:
-        p = env.bind(_F32_ROUND.pack, "p")
-        u = env.bind(_F32_ROUND.unpack, "u")
-        return f"{u}({p}(float({{a}})))[0]", False
-    return "(float({a}))", False       # float(huge int) can overflow
-
-
-def inline_unop(op: str, value_ty, env: "CodegenEnv"):
-    """``(template, pure)`` inlining the unop kernel, or ``None``."""
-    from repro.lang import types as ty
-    if isinstance(value_ty, ty.IntType):
-        if op == "neg":
-            return _int_wrap("-({a})", value_ty), True
-        if op == "not":
-            return _int_wrap("~({a})", value_ty), True
-        return None
-    if op != "neg" or not isinstance(value_ty, ty.FloatType):
-        return None
-    if value_ty.bits == 32:
-        p = env.bind(_F32_ROUND.pack, "p")
-        u = env.bind(_F32_ROUND.unpack, "u")
-        return f"{u}({p}(-({{a}})))[0]", False
-    return "(-({a}))", True
 
 
 def normalize_branch_target(target, n: int):

@@ -1,92 +1,275 @@
-"""Type-specialized semantics kernels.
+"""Type-specialized semantics kernels and the templates they are
+compiled from.
 
-Precomputed ``(op, type) -> callable`` tables that replace the
-per-call ``isinstance`` ladders of :mod:`repro.semantics.scalar` on
-the hot execution paths.  Each kernel is a closure with the type's
-constants — bit width, wrap mask, sign bit, IEEE rounding — resolved
-at table-build time, so an executing engine pays one dict lookup per
-*decoded* instruction instead of an isinstance ladder per *executed*
+``(op, type) -> callable`` tables that replace the per-call
+``isinstance`` ladders of :mod:`repro.semantics.scalar` on the hot
+execution paths, so an executing engine pays one lookup per *decoded*
+instruction instead of an isinstance ladder per *executed*
 instruction.
+
+What an op computes on the fast path is written once, as an
+expression *template* with ``{a}`` / ``{b}`` operand slots
+(:func:`inline_binop`, :func:`inline_cmp`, :func:`inline_unop`,
+:func:`inline_cast`).  The tier-2 compilers inline a template into
+the function they generate; the tables hold the same template,
+compiled on its first lookup into a function (filename
+``<pvi-kernel>``) over the names it bound.  So the block tier and
+tier-2 compute the same thing by construction.  The lane kernels come
+from the same text: a pure template mapped over the lanes, or for f32
+the 4-lane batch whose core :func:`quad_batch` returns to tier-2 as
+well.
+
+Kernels are written by hand only where no template exists, because
+the op needs a statement a single expression cannot make:
+
+* integer ``div`` / ``rem`` — trap on a zero divisor, truncate toward
+  zero;
+* float ``div`` — the IEEE zero-divisor cases (inf, -inf, NaN) that
+  Python's ``/`` raises on;
+* float -> int casts — NaN and the infinities convert to 0;
+* :func:`identity_kernel` — value-preserving casts, shared by object
+  so the engines can elide them;
+* the reference fallback for any other ``(op, type)``, which calls the
+  ladder itself.
 
 Parity with the reference ladder (``eval_binop`` / ``eval_unop`` /
 ``eval_cmp`` / ``eval_cast``) is non-negotiable, including trap
-messages; ``tests/test_semantics_kernels.py`` sweeps every (op, type)
-pair against the reference to enforce it.  Lookups for combinations
-outside the precomputed tables (exotic types, undefined ops) fall back
-to closures over the reference functions, so behaviour never diverges.
+messages and the wrap / sign-decode of out-of-range operands;
+``tests/test_semantics_kernels.py`` sweeps every (op, type) pair
+against the reference to enforce it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-from typing import Callable, Dict, Tuple
+from typing import Callable, Optional, Tuple
 
+from repro.engine import CodegenEnv
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
-from repro.semantics.scalar import (
-    _CMP_FUNCS, eval_binop, eval_cast, eval_cmp, eval_unop,
-)
+from repro.semantics.scalar import eval_binop, eval_cast, eval_cmp, eval_unop
 
 #: the scalar types the tables are built for
 SCALAR_TYPES = ty.INT_TYPES + ty.FLOAT_TYPES
 
-_F32 = struct.Struct("<f")
-_PACK32 = _F32.pack
-_UNPACK32 = _F32.unpack
+#: the filename every templated kernel is compiled under
+KERNEL_FILENAME = "<pvi-kernel>"
 
-_NAN = math.nan
-_INF = math.inf
-_COPYSIGN = math.copysign
+#: the f32 rounding round trip of every f32 result
+_F32_ROUND = struct.Struct("<f")
 
-
-def _round32(value: float) -> float:
-    return _UNPACK32(_PACK32(value))[0]
+#: the 4-lane batch round trip of the f32 quad kernels
+_F32_QUAD = struct.Struct("<4f")
 
 
 # ---------------------------------------------------------------------------
-# integer kernels
+# the templates
+# ---------------------------------------------------------------------------
+#
+# A template is inlined wherever its result is identical to the
+# kernel's for every input — which it is, being the kernel's text.
+# Ops with trap semantics (integer div/rem, unknown predicates) and
+# float division (IEEE zero-divide special cases) have none.  The
+# second element of each result marks expressions that cannot raise:
+# tier-2 defers and reorders pure values.  f32 results round through
+# a struct pack, which can overflow on absurd inputs, so they stay
+# marked impure.
+
+def is_f32_quad(bop: str, elem) -> bool:
+    """Is ``vec.<bop>`` over ``elem`` a shape tier-2 inlines as the
+    4-lane f32 batch kernel?  The emitters ask before inlining, the
+    lane analysis before giving the result a tuple meta."""
+    return isinstance(elem, ty.FloatType) and elem.bits == 32 \
+        and bop in ("add", "sub", "mul", "min", "max")
+
+
+_ARITH_SYMS = {"add": "+", "sub": "-", "mul": "*"}
+_BIT_SYMS = {"and": "&", "or": "|", "xor": "^"}
+_CMP_SYMS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
+             "gt": ">", "ge": ">="}
+
+
+def _int_wrap(core: str, int_ty, exact: bool = False) -> str:
+    """Wrap ``core`` into ``int_ty``'s range: mask, then sign-decode
+    via the xor trick for signed types.  ``exact``: the caller proved
+    ``core`` already in range (interval knowledge,
+    :meth:`repro.tiers.BlockEmitter.fits`), so the wrap is the
+    identity and is left out."""
+    if exact:
+        return f"({core})"
+    mask = (1 << int_ty.bits) - 1
+    if int_ty.signed:
+        sign = 1 << (int_ty.bits - 1)
+        return f"(((({core}) & {mask}) ^ {sign}) - {sign})"
+    return f"(({core}) & {mask})"
+
+
+def _float_core(op: str) -> Optional[str]:
+    """The unrounded float result of ``op``, or ``None`` (div)."""
+    if op in _ARITH_SYMS:
+        return f"{{a}} {_ARITH_SYMS[op]} {{b}}"
+    if op in ("min", "max"):
+        return f"{op}({{a}}, {{b}})"
+    return None
+
+
+def _round_f32(core: str, env: CodegenEnv) -> str:
+    p = env.bind(_F32_ROUND.pack, "p")
+    u = env.bind(_F32_ROUND.unpack, "u")
+    return f"{u}({p}({core}))[0]"
+
+
+def inline_binop(op: str, value_ty, env: CodegenEnv,
+                 exact: bool = False):
+    """``(template, pure)`` of the binop kernel for ``value_ty``, or
+    ``None`` when the op has a hand-written kernel.  ``exact``: an
+    integer ``add`` / ``sub`` / ``mul`` / ``shl`` whose unwrapped
+    result is proven in range (see :func:`_int_wrap`)."""
+    if isinstance(value_ty, ty.IntType):
+        mask = (1 << value_ty.bits) - 1
+        sm = value_ty.bits - 1
+        if op in _ARITH_SYMS:
+            return _int_wrap(f"{{a}} {_ARITH_SYMS[op]} {{b}}",
+                             value_ty, exact), True
+        if op in _BIT_SYMS:
+            core = f"({{a}} & {mask}) {_BIT_SYMS[op]} ({{b}} & {mask})"
+            if value_ty.signed:
+                return _int_wrap(core, value_ty), True
+            return f"({core})", True       # masked operands: in range
+        if op == "shl":
+            return _int_wrap(f"{{a}} << ({{b}} & {sm})", value_ty,
+                             exact), True
+        if op == "shr":
+            if value_ty.signed:
+                return _int_wrap(f"{{a}} >> ({{b}} & {sm})",
+                                 value_ty), True
+            return f"(({{a}} & {mask}) >> ({{b}} & {sm}))", True
+        if op in ("min", "max"):
+            return _int_wrap(f"{op}({{a}}, {{b}})", value_ty), True
+        return None                        # div/rem trap on zero
+    if isinstance(value_ty, ty.FloatType):
+        core = _float_core(op)
+        if core is None:
+            return None                    # div: IEEE special cases
+        if value_ty.bits == 32:
+            return _round_f32(core, env), False
+        return f"({core})", True
+    return None
+
+
+def inline_cmp(pred: str, value_ty):
+    """A pure template of the cmp kernel, or ``None`` for predicates
+    the reference traps on."""
+    sym = _CMP_SYMS.get(pred)
+    if sym is None:
+        return None
+    if isinstance(value_ty, ty.IntType) and not value_ty.signed:
+        mask = (1 << value_ty.bits) - 1
+        return (f"(1 if (({{a}}) & {mask}) {sym} (({{b}}) & {mask}) "
+                f"else 0)")
+    # Signed ints compare directly; Python float comparisons share
+    # IEEE's unordered-NaN results (all False except ``!=``).
+    return f"(1 if ({{a}}) {sym} ({{b}}) else 0)"
+
+
+def inline_cast(from_ty, to_ty, env: CodegenEnv, exact: bool = False):
+    """``(template, pure)`` of a non-identity cast kernel, or ``None``
+    (float->int is hand-written: NaN/inf special cases).  ``exact``:
+    an int->int cast of a value proven in ``to_ty``'s range (see
+    :func:`_int_wrap`)."""
+    if isinstance(to_ty, ty.IntType):
+        if isinstance(from_ty, ty.IntType):
+            return _int_wrap("{a}", to_ty, exact), True
+        return None
+    if not isinstance(to_ty, ty.FloatType):
+        return None
+    if to_ty.bits == 32:
+        return _round_f32("float({a})", env), False
+    return "(float({a}))", False       # float(huge int) can overflow
+
+
+def inline_unop(op: str, value_ty, env: CodegenEnv):
+    """``(template, pure)`` of the unop kernel, or ``None``."""
+    if isinstance(value_ty, ty.IntType):
+        if op == "neg":
+            return _int_wrap("-({a})", value_ty), True
+        if op == "not":
+            return _int_wrap("~({a})", value_ty), True
+        return None
+    if op != "neg" or not isinstance(value_ty, ty.FloatType):
+        return None
+    if value_ty.bits == 32:
+        return _round_f32("-({a})", env), False
+    return "(-({a}))", True
+
+
+def quad_batch(bop: str, env: CodegenEnv) -> Tuple[str, str, str]:
+    """``(pack name, unpack name, lane results)`` of the 4-lane f32
+    batch ``bop`` over ``_a0..3`` / ``_b0..3``: the four raw results,
+    rounded by one ``<4f>`` round trip — per lane, exactly the scalar
+    f32 kernel's rounding.  The quad kernel and tier-2's inlined
+    batch are both this text."""
+    qp = env.bind(_F32_QUAD.pack, "qp")
+    qu = env.bind(_F32_QUAD.unpack, "qu")
+    core = _float_core(bop)
+    cores = ", ".join(core.format(a=f"_a{i}", b=f"_b{i}")
+                      for i in range(4))
+    return qp, qu, cores
+
+
+# ---------------------------------------------------------------------------
+# compiling templates into kernels
 # ---------------------------------------------------------------------------
 
-def _int_binops(int_ty: ty.IntType) -> Dict[str, Callable]:
-    bits = int_ty.bits
-    mask = (1 << bits) - 1
-    sign = 1 << (bits - 1)
-    excess = 1 << bits
-    shift_mask = bits - 1
+def _compiled(env: CodegenEnv, params: str, body: str) -> Callable:
+    """``def kernel(params): body`` compiled over the names ``env``
+    bound: one function object per table entry."""
+    exec(compile(f"def kernel({params}):\n{body}", KERNEL_FILENAME,
+                 "exec"), env.env)
+    return env.env["kernel"]
 
-    if int_ty.signed:
-        def wrap(r):
-            r &= mask
-            return r - excess if r >= sign else r
-    else:
-        def wrap(r):
-            return r & mask
 
-    def add(a, b):
-        r = (a + b) & mask
-        return r
+def _scalar_kernel(template: str, env: CodegenEnv,
+                   params: str = "a, b") -> Callable:
+    return _compiled(env, params,
+                     f"    return {template.format(a='a', b='b')}\n")
 
-    def sub(a, b):
-        r = (a - b) & mask
-        return r
 
-    def mul(a, b):
-        r = (a * b) & mask
-        return r
+def _lane_kernel(template: str) -> Callable:
+    """A pure, binding-free scalar template mapped over the lanes."""
+    env = CodegenEnv({"TrapError": TrapError})
+    return _compiled(
+        env, "a, b",
+        "    if len(a) != len(b):\n"
+        "        raise TrapError('vector lane count mismatch')\n"
+        f"    return [{template.format(a='x', b='y')} "
+        f"for x, y in zip(a, b)]\n")
 
-    if int_ty.signed:
-        def add(a, b):                                    # noqa: F811
-            r = (a + b) & mask
-            return r - excess if r >= sign else r
 
-        def sub(a, b):                                    # noqa: F811
-            r = (a - b) & mask
-            return r - excess if r >= sign else r
+def _quad_kernel(op: str) -> Callable:
+    """The f32 4-lane batch; any other lane count goes per lane."""
+    env = CodegenEnv({})
+    qp, qu, cores = quad_batch(op, env)
+    generic = env.bind(_generic_vec_kernel(op, ty.F32), "g")
+    return _compiled(
+        env, "a, b",
+        "    if len(a) != 4 or len(b) != 4:\n"
+        f"        return {generic}(a, b)\n"
+        "    _a0, _a1, _a2, _a3 = a\n"
+        "    _b0, _b1, _b2, _b3 = b\n"
+        f"    return list({qu}({qp}({cores})))\n")
 
-        def mul(a, b):                                    # noqa: F811
-            r = (a * b) & mask
-            return r - excess if r >= sign else r
+
+# ---------------------------------------------------------------------------
+# the hand-written kernels
+# ---------------------------------------------------------------------------
+
+def _int_division(op: str, int_ty: ty.IntType) -> Callable:
+    """``div`` or ``rem``: trap on a zero divisor, truncate toward
+    zero, wrap the result."""
+    wrap = _scalar_kernel(_int_wrap("{a}", int_ty), CodegenEnv({}), "a")
 
     def div(a, b):
         if b == 0:
@@ -100,153 +283,38 @@ def _int_binops(int_ty: ty.IntType) -> Dict[str, Callable]:
         q = abs(a) // abs(b)
         q = q if (a >= 0) == (b >= 0) else -q
         return wrap(a - q * b)
-
-    def and_(a, b):
-        return wrap((a & mask) & (b & mask))
-
-    def or_(a, b):
-        return wrap((a & mask) | (b & mask))
-
-    def xor(a, b):
-        return wrap((a & mask) ^ (b & mask))
-
-    def shl(a, b):
-        return wrap(a << (b & shift_mask))
-
-    if int_ty.signed:
-        def shr(a, b):
-            return wrap(a >> (b & shift_mask))            # arithmetic
-    else:
-        def shr(a, b):
-            return wrap((a & mask) >> (b & shift_mask))
-
-    def min_(a, b):
-        return wrap(min(a, b))
-
-    def max_(a, b):
-        return wrap(max(a, b))
-
-    return {"add": add, "sub": sub, "mul": mul, "div": div, "rem": rem,
-            "and": and_, "or": or_, "xor": xor, "shl": shl, "shr": shr,
-            "min": min_, "max": max_}
+    return div if op == "div" else rem
 
 
-# ---------------------------------------------------------------------------
-# float kernels
-# ---------------------------------------------------------------------------
-
-def _float_binops(float_ty: ty.FloatType) -> Dict[str, Callable]:
-    single = float_ty.bits == 32
-
-    def _div_value(a, b):
+def _float_div(float_ty: ty.FloatType) -> Callable:
+    """IEEE division: a zero divisor gives inf, -inf or NaN."""
+    def div(a, b):
         if b == 0.0:
-            # IEEE semantics: inf/nan rather than a trap.
             if a == 0.0 or a != a:
-                return _NAN
-            return _INF if (a > 0) == (not _COPYSIGN(1, b) < 0) else -_INF
+                return math.nan
+            return math.inf if (a > 0) == (not math.copysign(1, b) < 0) \
+                else -math.inf
         return a / b
 
-    if single:
-        rnd = _round32
+    if float_ty.bits == 32:
+        pack, unpack = _F32_ROUND.pack, _F32_ROUND.unpack
 
-        def add(a, b):
-            return rnd(a + b)
-
-        def sub(a, b):
-            return rnd(a - b)
-
-        def mul(a, b):
-            return rnd(a * b)
-
-        def div(a, b):
-            return rnd(_div_value(a, b))
-
-        def min_(a, b):
-            return rnd(min(a, b))
-
-        def max_(a, b):
-            return rnd(max(a, b))
-    else:
-        def add(a, b):
-            return a + b
-
-        def sub(a, b):
-            return a - b
-
-        def mul(a, b):
-            return a * b
-
-        div = _div_value
-
-        def min_(a, b):
-            return min(a, b)
-
-        def max_(a, b):
-            return max(a, b)
-
-    return {"add": add, "sub": sub, "mul": mul, "div": div,
-            "min": min_, "max": max_}
+        def div32(a, b):
+            return unpack(pack(div(a, b)))[0]
+        return div32
+    return div
 
 
-# ---------------------------------------------------------------------------
-# comparisons
-# ---------------------------------------------------------------------------
+def _float_to_int(to_ty: ty.IntType) -> Callable:
+    """Truncate, then wrap; NaN and the infinities convert to 0
+    (defined here, undefined in C)."""
+    wrap = _scalar_kernel(_int_wrap("{a}", to_ty), CodegenEnv({}), "a")
 
-def _cmp_kernels(value_ty) -> Dict[str, Callable]:
-    out: Dict[str, Callable] = {}
-    if isinstance(value_ty, ty.IntType) and not value_ty.signed:
-        mask = (1 << value_ty.bits) - 1
-        for pred, fn in _CMP_FUNCS.items():
-            def k(a, b, _fn=fn, _mask=mask):
-                return 1 if _fn(a & _mask, b & _mask) else 0
-            out[pred] = k
-    elif isinstance(value_ty, ty.IntType):
-        for pred, fn in _CMP_FUNCS.items():
-            def k(a, b, _fn=fn):
-                return 1 if _fn(a, b) else 0
-            out[pred] = k
-    else:
-        for pred, fn in _CMP_FUNCS.items():
-            nan_result = 1 if pred == "ne" else 0
-            def k(a, b, _fn=fn, _nan=nan_result):
-                if a != a or b != b:        # unordered (NaN) operands
-                    return _nan
-                return 1 if _fn(a, b) else 0
-            out[pred] = k
-    return out
-
-
-# ---------------------------------------------------------------------------
-# unary ops and casts
-# ---------------------------------------------------------------------------
-
-def _unop_kernels(value_ty) -> Dict[str, Callable]:
-    if isinstance(value_ty, ty.FloatType):
-        if value_ty.bits == 32:
-            def neg(a):
-                return _round32(-a)
-        else:
-            def neg(a):
-                return -a
-        return {"neg": neg}
-    mask = (1 << value_ty.bits) - 1
-    sign = 1 << (value_ty.bits - 1)
-    excess = 1 << value_ty.bits
-    if value_ty.signed:
-        def _wrap(r):
-            r &= mask
-            return r - excess if r >= sign else r
-    else:
-        def _wrap(r):
-            return r & mask
-
-    def neg(a):                                           # noqa: F811
-        return _wrap(-a)
-
-    def not_(a):
-        return _wrap(~a)
-
-    return {"neg": neg, "not": not_}
+    def to_int(value):
+        if value != value or value == math.inf or value == -math.inf:
+            return 0
+        return wrap(int(value))
+    return to_int
 
 
 def identity_kernel(value):
@@ -265,94 +333,79 @@ def _int_cast_is_identity(from_ty: ty.IntType, to_ty: ty.IntType) -> bool:
         and from_ty.bits < to_ty.bits
 
 
-def _cast_kernel_for(from_ty, to_ty) -> Callable:
+# ---------------------------------------------------------------------------
+# the tables and their lookup API
+# ---------------------------------------------------------------------------
+#
+# Each entry is compiled on its first lookup and kept: a process pays
+# only for the kernels its code uses, and one that runs no code (the
+# compilation service) compiles none: building every entry at import
+# slowed the edge server's warm requests, which never run a kernel.
+# A combination with no entry (``None``) goes to the reference ladder,
+# or for lanes to the per-lane scalar kernel.
+
+@functools.lru_cache(maxsize=None)
+def _binop_entry(op: str, value_ty) -> Optional[Callable]:
+    if value_ty not in SCALAR_TYPES:
+        return None
+    if isinstance(value_ty, ty.IntType) and op in ("div", "rem"):
+        return _int_division(op, value_ty)
+    if op == "div":
+        return _float_div(value_ty)
+    env = CodegenEnv({})
+    template = inline_binop(op, value_ty, env)
+    return None if template is None else _scalar_kernel(template[0], env)
+
+
+@functools.lru_cache(maxsize=None)
+def _cmp_entry(pred: str, value_ty) -> Optional[Callable]:
+    if value_ty not in SCALAR_TYPES:
+        return None
+    template = inline_cmp(pred, value_ty)
+    if template is None:
+        return None
+    return _scalar_kernel(template, CodegenEnv({}))
+
+
+@functools.lru_cache(maxsize=None)
+def _unop_entry(op: str, value_ty) -> Optional[Callable]:
+    if value_ty not in SCALAR_TYPES:
+        return None
+    env = CodegenEnv({})
+    template = inline_unop(op, value_ty, env)
+    if template is None:
+        return None
+    return _scalar_kernel(template[0], env, "a")
+
+
+@functools.lru_cache(maxsize=None)
+def _cast_entry(from_ty, to_ty) -> Optional[Callable]:
+    if from_ty not in SCALAR_TYPES or to_ty not in SCALAR_TYPES:
+        return None
     if from_ty == to_ty:
         return identity_kernel
     if isinstance(from_ty, ty.IntType) and isinstance(to_ty, ty.IntType) \
             and _int_cast_is_identity(from_ty, to_ty):
         return identity_kernel
-    if isinstance(to_ty, ty.IntType):
-        mask = (1 << to_ty.bits) - 1
-        sign = 1 << (to_ty.bits - 1)
-        excess = 1 << to_ty.bits
-        signed = to_ty.signed
-        from_float = isinstance(from_ty, ty.FloatType)
-
-        def to_int(value):
-            if from_float:
-                if value != value or value == _INF or value == -_INF:
-                    return 0        # defined (C leaves it undefined)
-                value = int(value)
-            r = value & mask
-            if signed and r >= sign:
-                return r - excess
-            return r
-        return to_int
-    if to_ty.bits == 32:
-        def to_f32(value):
-            return _round32(float(value))
-        return to_f32
-
-    def to_f64(value):
-        return float(value)
-    return to_f64
+    env = CodegenEnv({})
+    template = inline_cast(from_ty, to_ty, env)
+    if template is None:
+        return _float_to_int(to_ty)
+    return _scalar_kernel(template[0], env, "a")
 
 
-# ---------------------------------------------------------------------------
-# the tables and their lookup API
-# ---------------------------------------------------------------------------
-
-BINOP_KERNELS: Dict[Tuple[str, object], Callable] = {}
-CMP_KERNELS: Dict[Tuple[str, object], Callable] = {}
-UNOP_KERNELS: Dict[Tuple[str, object], Callable] = {}
-CAST_KERNELS: Dict[Tuple[object, object], Callable] = {}
-
-for _t in SCALAR_TYPES:
-    _ops = _int_binops(_t) if isinstance(_t, ty.IntType) \
-        else _float_binops(_t)
-    for _op, _k in _ops.items():
-        BINOP_KERNELS[(_op, _t)] = _k
-    for _pred, _k in _cmp_kernels(_t).items():
-        CMP_KERNELS[(_pred, _t)] = _k
-    for _op, _k in _unop_kernels(_t).items():
-        UNOP_KERNELS[(_op, _t)] = _k
-    for _to in SCALAR_TYPES:
-        CAST_KERNELS[(_t, _to)] = _cast_kernel_for(_t, _to)
-
-
-def binop_kernel(op: str, value_ty) -> Callable:
-    """``a op b`` evaluator specialized to ``value_ty``.  Unknown
-    combinations defer to :func:`eval_binop` so traps and messages
-    stay byte-identical with the reference ladder."""
-    kernel = BINOP_KERNELS.get((op, value_ty))
-    if kernel is None:
-        def kernel(a, b, _op=op, _ty=value_ty):
-            return eval_binop(_op, _ty, a, b)
-    return kernel
-
-
-def cmp_kernel(pred: str, value_ty) -> Callable:
-    kernel = CMP_KERNELS.get((pred, value_ty))
-    if kernel is None:
-        def kernel(a, b, _pred=pred, _ty=value_ty):
-            return eval_cmp(_pred, _ty, a, b)
-    return kernel
-
-
-def unop_kernel(op: str, value_ty) -> Callable:
-    kernel = UNOP_KERNELS.get((op, value_ty))
-    if kernel is None:
-        def kernel(a, _op=op, _ty=value_ty):
-            return eval_unop(_op, _ty, a)
-    return kernel
-
-
-def cast_kernel(from_ty, to_ty) -> Callable:
-    kernel = CAST_KERNELS.get((from_ty, to_ty))
-    if kernel is None:
-        def kernel(value, _f=from_ty, _t=to_ty):
-            return eval_cast(value, _f, _t)
-    return kernel
+@functools.lru_cache(maxsize=None)
+def _vec_entry(op: str, elem_ty) -> Optional[Callable]:
+    """Lane-wise kernels with no per-lane call: a pure template's
+    comprehension or the f32 quad batch."""
+    if elem_ty not in SCALAR_TYPES:
+        return None
+    template = inline_binop(op, elem_ty, CodegenEnv({}))
+    if template is not None and template[1]:
+        return _lane_kernel(template[0])
+    if is_f32_quad(op, elem_ty):
+        return _quad_kernel(op)
+    return None
 
 
 def _generic_vec_kernel(op: str, elem_ty) -> Callable:
@@ -365,92 +418,46 @@ def _generic_vec_kernel(op: str, elem_ty) -> Callable:
     return vec_kernel
 
 
-def _f32_quad_vec_kernel(op: str) -> Callable:
-    """4-lane f32 binop: compute raw lane results, then round all four
-    through one ``<4f`` pack/unpack round trip (identical per-lane
-    rounding to the scalar kernel, two struct calls instead of eight)."""
-    quad = struct.Struct("<4f")
-    qpack, qunpack = quad.pack, quad.unpack
-    generic = _generic_vec_kernel(op, ty.F32)
-    fn = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
-          "mul": lambda x, y: x * y, "min": min, "max": max}[op]
-
-    if op == "add":
-        def vec_kernel(a, b):
-            if len(a) != 4 or len(b) != 4:
-                return generic(a, b)
-            x0, x1, x2, x3 = a
-            y0, y1, y2, y3 = b
-            return list(qunpack(qpack(x0 + y0, x1 + y1,
-                                      x2 + y2, x3 + y3)))
-    elif op == "mul":
-        def vec_kernel(a, b):
-            if len(a) != 4 or len(b) != 4:
-                return generic(a, b)
-            x0, x1, x2, x3 = a
-            y0, y1, y2, y3 = b
-            return list(qunpack(qpack(x0 * y0, x1 * y1,
-                                      x2 * y2, x3 * y3)))
-    else:
-        def vec_kernel(a, b):
-            if len(a) != 4 or len(b) != 4:
-                return generic(a, b)
-            return list(qunpack(qpack(fn(a[0], b[0]), fn(a[1], b[1]),
-                                      fn(a[2], b[2]), fn(a[3], b[3]))))
-    return vec_kernel
+def binop_kernel(op: str, value_ty) -> Callable:
+    """``a op b`` evaluator specialized to ``value_ty``.  Unknown
+    combinations defer to :func:`eval_binop` so traps and messages
+    stay byte-identical with the reference ladder."""
+    kernel = _binop_entry(op, value_ty)
+    if kernel is None:
+        def kernel(a, b, _op=op, _ty=value_ty):
+            return eval_binop(_op, _ty, a, b)
+    return kernel
 
 
-def _int_lane_vec_kernel(op: str, int_ty: ty.IntType) -> Callable:
-    """Lane-wise int binop with the wrap arithmetic inlined in the
-    comprehension — no per-lane kernel call."""
-    mask = (1 << int_ty.bits) - 1
-    sign = 1 << (int_ty.bits - 1)
-    excess = 1 << int_ty.bits
-    expr = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
-            "mul": lambda x, y: x * y, "min": min, "max": max,
-            "and": lambda x, y: (x & mask) & (y & mask),
-            "or": lambda x, y: (x & mask) | (y & mask),
-            "xor": lambda x, y: (x & mask) ^ (y & mask)}[op]
-
-    if int_ty.signed:
-        def vec_kernel(a, b, _f=expr):
-            if len(a) != len(b):
-                raise TrapError("vector lane count mismatch")
-            return [r - excess if r >= sign else r
-                    for r in [_f(x, y) & mask for x, y in zip(a, b)]]
-    else:
-        def vec_kernel(a, b, _f=expr):
-            if len(a) != len(b):
-                raise TrapError("vector lane count mismatch")
-            return [_f(x, y) & mask for x, y in zip(a, b)]
-    return vec_kernel
+def cmp_kernel(pred: str, value_ty) -> Callable:
+    kernel = _cmp_entry(pred, value_ty)
+    if kernel is None:
+        def kernel(a, b, _pred=pred, _ty=value_ty):
+            return eval_cmp(_pred, _ty, a, b)
+    return kernel
 
 
-def _f64_vec_kernel(op: str) -> Callable:
-    fn = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
-          "mul": lambda x, y: x * y, "min": min, "max": max}[op]
-
-    def vec_kernel(a, b, _f=fn):
-        if len(a) != len(b):
-            raise TrapError("vector lane count mismatch")
-        return [_f(x, y) for x, y in zip(a, b)]
-    return vec_kernel
+def unop_kernel(op: str, value_ty) -> Callable:
+    kernel = _unop_entry(op, value_ty)
+    if kernel is None:
+        def kernel(a, _op=op, _ty=value_ty):
+            return eval_unop(_op, _ty, a)
+    return kernel
 
 
-#: specialized lane-wise kernels for the hot (op, element) combos;
-#: everything else goes through the per-lane scalar kernel
-VEC_BINOP_KERNELS: Dict[Tuple[str, object], Callable] = {}
-for _op in ("add", "sub", "mul", "min", "max"):
-    VEC_BINOP_KERNELS[(_op, ty.F32)] = _f32_quad_vec_kernel(_op)
-    VEC_BINOP_KERNELS[(_op, ty.F64)] = _f64_vec_kernel(_op)
-for _t in ty.INT_TYPES:
-    for _op in ("add", "sub", "mul", "min", "max", "and", "or", "xor"):
-        VEC_BINOP_KERNELS[(_op, _t)] = _int_lane_vec_kernel(_op, _t)
+def cast_kernel(from_ty, to_ty) -> Callable:
+    kernel = _cast_entry(from_ty, to_ty)
+    if kernel is None:
+        def kernel(value, _f=from_ty, _t=to_ty):
+            return eval_cast(value, _f, _t)
+    return kernel
 
 
 def vec_binop_kernel(op: str, elem_ty) -> Callable:
-    """Lane-wise binop over list vectors, built on the scalar kernel."""
-    kernel = VEC_BINOP_KERNELS.get((op, elem_ty))
+    """Lane-wise binop over list vectors: a pure template's
+    comprehension, the f32 quad batch, or the per-lane scalar
+    kernel."""
+    kernel = _vec_entry(op, elem_ty)
     if kernel is None:
         kernel = _generic_vec_kernel(op, elem_ty)
     return kernel

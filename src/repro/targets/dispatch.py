@@ -48,15 +48,12 @@ from __future__ import annotations
 import re
 
 from repro.analysis.facts import machine_facts
-from repro.engine import (
-    inline_binop, inline_cast, inline_cmp, inline_unop,
-    normalize_branch_target,
-)
+from repro.engine import normalize_branch_target
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, unop_kernel,
-    vec_binop_kernel,
+    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, inline_binop,
+    inline_cast, inline_cmp, inline_unop, unop_kernel, vec_binop_kernel,
 )
 from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,

@@ -74,15 +74,15 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.cfg import BlockCFG
 from repro.engine import (
-    REFERENCE, TIER2, CodegenEnv, MASK64_LITERAL, MeterTrip, _ARITH_SYMS,
-    _F32_QUAD, backedge_targets, fuel_blocks, inline_binop, inline_cast,
-    is_f32_quad, keep_osr_guards, osr_enabled, osr_threshold,
-    resolve_engine,
+    REFERENCE, TIER2, CodegenEnv, MASK64_LITERAL, MeterTrip,
+    backedge_targets, fuel_blocks, keep_osr_guards, osr_enabled,
+    osr_threshold, resolve_engine,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, identity_kernel,
+    binop_kernel, cast_kernel, identity_kernel, inline_binop, inline_cast,
+    is_f32_quad, quad_batch,
 )
 from repro.semantics.memory import (
     NULL_GUARD, PACK_COERCE_ERRORS, scalar_struct,
@@ -624,10 +624,7 @@ class Interval(NamedTuple):
 
 def int_interval(int_ty) -> Interval:
     """Every value of ``int_ty``."""
-    if int_ty.signed:
-        return Interval(-(1 << (int_ty.bits - 1)),
-                        (1 << (int_ty.bits - 1)) - 1)
-    return Interval(0, (1 << int_ty.bits) - 1)
+    return Interval(ty.int_min(int_ty), ty.int_max(int_ty))
 
 
 class Induction(NamedTuple):
@@ -912,20 +909,13 @@ class BlockEmitter:
 
     def quad_kernels(self, bop: str, elem):
         """``(pack name, unpack name, lane expressions)`` when tier-2
-        can inline the 4-lane f32 batch kernel for ``bop``: raw lane
-        results, one <4f> pack/unpack round trip — exactly the quad
-        kernel's arithmetic (including the left-to-right rounding
-        order), minus the call.  ``None`` for every other shape."""
+        can inline the 4-lane f32 batch kernel for ``bop``: the text
+        the quad kernel is compiled from
+        (:func:`repro.semantics.kernels.quad_batch`), minus the call.
+        ``None`` for every other shape."""
         if not (self.tier.tier2 and is_f32_quad(bop, elem)):
             return None
-        qp = self.env.bind(_F32_QUAD.pack, "qp")
-        qu = self.env.bind(_F32_QUAD.unpack, "qu")
-        sym = _ARITH_SYMS.get(bop)
-        if sym is not None:
-            cores = ", ".join(f"_a{i} {sym} _b{i}" for i in range(4))
-        else:
-            cores = ", ".join(f"{bop}(_a{i}, _b{i})" for i in range(4))
-        return qp, qu, cores
+        return quad_batch(bop, self.env)
 
     def quad(self, kernels, a: str, b: str, guards: List[str],
              dst: str, value_fmt: str, kernel: str) -> None:

@@ -71,15 +71,12 @@ from repro.analysis.passes import (
 from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import BytecodeFunction
 from repro.bytecode.opcodes import BIN_OPS, TYPE_TAGS, UN_OPS, type_of
-from repro.engine import (
-    inline_binop, inline_cast, inline_cmp, inline_unop,
-    normalize_branch_target,
-)
+from repro.engine import normalize_branch_target
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, unop_kernel,
-    vec_binop_kernel,
+    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, inline_binop,
+    inline_cast, inline_cmp, inline_unop, unop_kernel, vec_binop_kernel,
 )
 from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,
@@ -168,11 +165,13 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     counter first).
 
     ``tier.tier2`` additionally turns on the optimizations the
-    trampoline tier cannot use: kernel calls inlined as expressions
-    (see :func:`repro.engine.inline_binop`), pure values *deferred* on
-    the virtual stack so statements fuse (deferral tracks which local
-    each pending expression reads, so a ``stloc`` materializes the
-    values it would clobber), and ``mem.data``/``mem.size`` read from
+    trampoline tier cannot use: kernel calls inlined as the templates
+    the kernels are compiled from (see
+    :func:`repro.semantics.kernels.inline_binop`), pure values
+    *deferred* on the virtual stack so statements fuse (deferral
+    tracks which local each pending expression reads, so a ``stloc``
+    materializes the values it would clobber), and
+    ``mem.data``/``mem.size`` read from
     the dispatcher's hoisted ``_md``/``_ms`` locals.  What tier-2
     statically knows of a vector value (its *meta*) is made and
     recorded by ``low.rules``, the :class:`LaneRules` of the facts

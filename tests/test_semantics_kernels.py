@@ -1,26 +1,34 @@
 """Kernel-table parity: every specialized kernel must behave exactly
 like the reference ladder in ``repro.semantics.scalar`` — values,
 traps and trap messages — across all (op, type) pairs and a value grid
-covering wrap-around, signedness and IEEE edge cases."""
+covering wrap-around, signedness, out-of-range operands and IEEE edge
+cases.  Every kernel that has a tier-2 template is compiled from it,
+so the sweep tests the templates too."""
 
 import math
 
 import pytest
 
 from repro.bytecode.opcodes import BIN_OPS, CMP_PREDS, UN_OPS
+from repro.engine import CodegenEnv
 from repro.lang import types as ty
 from repro.semantics import (
     TrapError, eval_binop, eval_cast, eval_cmp, eval_unop, vec_binop,
 )
 from repro.semantics.kernels import (
-    SCALAR_TYPES, binop_kernel, cast_kernel, cmp_kernel, identity_kernel,
-    unop_kernel, vec_binop_kernel,
+    KERNEL_FILENAME, SCALAR_TYPES, binop_kernel, cast_kernel, cmp_kernel,
+    identity_kernel, inline_binop, inline_cast, inline_cmp, inline_unop,
+    is_f32_quad, unop_kernel, vec_binop_kernel,
 )
 
 
 def _int_values(int_ty):
+    """In-range edges, then operands outside the type's range: the
+    kernels (and the templates they are compiled from) promise the
+    reference's wrap / sign-decode of those too."""
     lo, hi = ty.int_min(int_ty), ty.int_max(int_ty)
-    return [lo, lo + 1, -7, -1, 0, 1, 2, 3, 7, hi - 1, hi]
+    return [lo, lo + 1, -7, -1, 0, 1, 2, 3, 7, hi - 1, hi,
+            lo - 1, hi + 1, -2**70, 2**70 + 3]
 
 
 _FLOAT_VALUES = [0.0, -0.0, 1.0, -1.5, 3.25, -1e3, 1e3,
@@ -29,9 +37,29 @@ _FLOAT_VALUES = [0.0, -0.0, 1.0, -1.5, 3.25, -1e3, 1e3,
 
 def _values_for(value_ty):
     if isinstance(value_ty, ty.IntType):
-        return [v for v in _int_values(value_ty)
-                if ty.int_min(value_ty) <= v <= ty.int_max(value_ty)]
+        return _int_values(value_ty)
     return _FLOAT_VALUES
+
+
+def _in_range(value_ty):
+    """The grid an identity cast is swept over: its contract is
+    value preservation of in-range inputs only."""
+    return [v for v in _values_for(value_ty)
+            if not isinstance(value_ty, ty.IntType)
+            or ty.int_min(value_ty) <= v <= ty.int_max(value_ty)]
+
+
+def _template(kind, op, value_ty):
+    """``(template, pure)`` of a scalar kernel, or ``None``."""
+    env = CodegenEnv({})
+    if kind == "binop":
+        return inline_binop(op, value_ty, env)
+    if kind == "unop":
+        return inline_unop(op, value_ty, env)
+    if kind == "cast":
+        return inline_cast(op, value_ty, env)
+    template = inline_cmp(op, value_ty)
+    return None if template is None else (template, True)
 
 
 def _outcome(fn, *args):
@@ -113,7 +141,9 @@ class TestCastParity:
     @pytest.mark.parametrize("from_ty", SCALAR_TYPES, ids=str)
     def test_kernel_matches_reference(self, from_ty, to_ty):
         kernel = cast_kernel(from_ty, to_ty)
-        for value in _values_for(from_ty):
+        grid = _in_range(from_ty) if kernel is identity_kernel \
+            else _values_for(from_ty)
+        for value in grid:
             assert _outcome(kernel, value) == \
                 _outcome(eval_cast, value, from_ty, to_ty), \
                 (from_ty, to_ty, value)
@@ -137,18 +167,39 @@ class TestCastParity:
         assert kernel(-2.75) == -2
 
 
+def _lane_cases():
+    """``(element type, a, b)``: hand-picked lanes, then every int
+    type over its whole grid (out-of-range values included) against a
+    rotation of it — once with a zero lane, which ``div`` / ``rem``
+    trap on, once without — and f32 / f64 IEEE specials, four lanes
+    (the f32 quad batch) and eight (per lane)."""
+    cases = [
+        (ty.U8, [250, 1, 17, 255], [10, 2, 300 % 256, 1]),
+        (ty.I16, [32767, -32768, -5, 9], [1, -1, 5, 9]),
+        (ty.I32, [2**31 - 1, -2**31, 0, 42], [1, -1, 7, -42]),
+        (ty.F32, [1.5, -2.25, 1e30, 0.1], [2.5, 0.5, 1e30, 0.2]),
+        (ty.F64, [1.5, -2.25], [2.5, 0.5]),
+    ]
+    for int_ty in ty.INT_TYPES:
+        a = _int_values(int_ty)
+        rotated = a[5:] + a[:5]
+        cases.append((int_ty, a, rotated))
+        cases.append((int_ty, a, [v or 3 for v in rotated]))
+    specials = [math.nan, math.inf, -math.inf, -0.0]
+    others = [1.5, -0.0, math.inf, math.nan]
+    for float_ty in ty.FLOAT_TYPES:
+        cases.append((float_ty, specials, others))
+        cases.append((float_ty, others, specials))
+        cases.append((float_ty, specials + others, others + specials))
+    return cases
+
+
 class TestVectorKernelParity:
-    LANE_CASES = {
-        ty.U8: ([250, 1, 17, 255], [10, 2, 300 % 256, 1]),
-        ty.I16: ([32767, -32768, -5, 9], [1, -1, 5, 9]),
-        ty.I32: ([2**31 - 1, -2**31, 0, 42], [1, -1, 7, -42]),
-        ty.F32: ([1.5, -2.25, 1e30, 0.1], [2.5, 0.5, 1e30, 0.2]),
-        ty.F64: ([1.5, -2.25], [2.5, 0.5]),
-    }
+    LANE_CASES = _lane_cases()
 
     @pytest.mark.parametrize("op", BIN_OPS)
     def test_lane_kernels_match_reference(self, op):
-        for elem_ty, (a, b) in self.LANE_CASES.items():
+        for elem_ty, a, b in self.LANE_CASES:
             if isinstance(elem_ty, ty.FloatType) and \
                     op not in ("add", "sub", "mul", "div", "min", "max"):
                 continue
@@ -170,3 +221,77 @@ class TestVectorKernelParity:
         a = [1.1, -2.2, 3.3, 1e18]
         b = [7.7, 0.3, -9.9, 1e18]
         assert kernel(a, b) == [scalar(x, y) for x, y in zip(a, b)]
+
+
+_SCALAR_KERNELS = (
+    [("binop", op, t, binop_kernel(op, t)) for op in BIN_OPS
+     for t in SCALAR_TYPES]
+    + [("cmp", pred, t, cmp_kernel(pred, t)) for pred in CMP_PREDS
+       for t in SCALAR_TYPES]
+    + [("unop", op, t, unop_kernel(op, t)) for op in UN_OPS
+       for t in SCALAR_TYPES]
+    + [("cast", f, t, cast_kernel(f, t)) for f in SCALAR_TYPES
+       for t in SCALAR_TYPES])
+
+#: the kernels written by hand, each where no template exists
+_HAND_WRITTEN = {
+    "_int_division.<locals>.div", "_int_division.<locals>.rem",
+    "_float_div.<locals>.div", "_float_div.<locals>.div32",
+    "_float_to_int.<locals>.to_int", "identity_kernel",
+}
+
+#: the reference fallbacks, for combinations outside the tables
+_REFERENCE = {"binop_kernel.<locals>.kernel", "cmp_kernel.<locals>.kernel",
+              "unop_kernel.<locals>.kernel", "cast_kernel.<locals>.kernel"}
+
+
+def _ids(case):
+    return f"{case[0]}-{case[1]}-{case[2]}"
+
+
+class TestKernelsAreTheirTemplates:
+    """The fast path states an op once: a kernel that has a template
+    was compiled from it, and only the ops no template covers have a
+    hand-written kernel."""
+
+    @pytest.mark.parametrize("case", _SCALAR_KERNELS, ids=_ids)
+    def test_templated_kernel_is_compiled_from_its_template(self, case):
+        kind, op, value_ty, kernel = case
+        template = _template(kind, op, value_ty)
+        if kind == "cast" and kernel is identity_kernel:
+            return                      # elided, never templated
+        if template is not None:
+            assert kernel.__code__.co_filename == KERNEL_FILENAME, case
+        else:
+            assert kernel.__code__.co_filename != KERNEL_FILENAME, case
+            assert kernel.__qualname__ in _HAND_WRITTEN | _REFERENCE, \
+                (case, kernel.__qualname__)
+
+    @pytest.mark.parametrize("case", _SCALAR_KERNELS, ids=_ids)
+    def test_pure_template_raises_on_no_grid_value(self, case):
+        # tier-2 defers and reorders pure values: a pure template that
+        # raised would move a trap
+        kind, op, value_ty, kernel = case
+        template = _template(kind, op, value_ty)
+        if template is None or not template[1]:
+            return
+        grid = _values_for(op if kind == "cast" else value_ty)
+        if kind in ("unop", "cast"):
+            for a in grid:
+                kernel(a)
+        else:
+            for a in grid:
+                for b in grid:
+                    kernel(a, b)
+
+    @pytest.mark.parametrize("elem_ty", SCALAR_TYPES, ids=str)
+    @pytest.mark.parametrize("op", BIN_OPS)
+    def test_lane_kernel_comes_from_the_same_text(self, op, elem_ty):
+        kernel = vec_binop_kernel(op, elem_ty)
+        template = _template("binop", op, elem_ty)
+        if (template is not None and template[1]) \
+                or is_f32_quad(op, elem_ty):
+            assert kernel.__code__.co_filename == KERNEL_FILENAME
+        else:
+            assert kernel.__qualname__ == \
+                "_generic_vec_kernel.<locals>.vec_kernel"
