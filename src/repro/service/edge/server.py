@@ -316,6 +316,13 @@ class EdgeServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read: an unread chunked
+            # body would be parsed as the next request.
+            return (method, path, headers, b"",
+                    WireError(501, "not_implemented",
+                              "Transfer-Encoding is not supported; "
+                              "send a Content-Length body"))
         body = b""
         length = headers.get("content-length")
         if length is not None:
@@ -345,7 +352,7 @@ class EdgeServer:
                   405: "Method Not Allowed", 413: "Payload Too Large",
                   422: "Unprocessable Entity",
                   429: "Too Many Requests", 431: "Headers Too Large",
-                  500: "Internal Server Error",
+                  500: "Internal Server Error", 501: "Not Implemented",
                   503: "Service Unavailable"}.get(status, "Status")
         head = [f"HTTP/1.1 {status} {reason}",
                 f"Server: {SERVER_NAME}",

@@ -35,11 +35,11 @@ lives here, once:
   (:func:`body_under_rollback`);
 * the tier-2 dispatcher: hot-span ordering, two-block loop fusion,
   counted loops — a fused loop whose induction the engine's hook
-  finds (:meth:`Lowering.induction`, :class:`Induction`) also runs as
-  a ``for ... in range`` picked by one guard at loop entry, with no
-  fuel compare, exit test or i32 / u64 wrap per iteration
-  (:meth:`Tier2Writer.counted`) — the OSR entry whitelist and
-  prologue, the ``pc`` ladder and its deopt arms
+  finds (:meth:`Lowering.induction`, :class:`Induction`) runs as a
+  ``for ... in range`` with no fuel compare, exit test or i32 / u64
+  wrap per iteration, under one guard at loop entry whose refused
+  states deopt at the header (:meth:`Tier2Writer.counted`) — the OSR
+  entry whitelist and prologue, the ``pc`` ladder and its deopt arms
   (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
 
 An engine is a :class:`Lowering` subclass: class attributes carry its
@@ -115,9 +115,9 @@ class Tier2BuildStats:
     * ``loops_fused`` / ``loops_ladder`` / ``loops_counted`` — loops
       of the built translations (:func:`loop_back_edges`) that run as
       a native ``while`` (two blocks, either layout: :func:`fused_loops`),
-      that go round the ``pc`` ladder, and the fused ones that also
-      got a *counted* version, a ``for`` over ``range`` picked by one
-      guard at loop entry (:meth:`Tier2Writer.counted`).  They answer
+      that go round the ``pc`` ladder, and the fused ones that run
+      *counted* instead, a ``for`` over ``range`` under one guard at
+      loop entry (:meth:`Tier2Writer.counted`).  They answer
       "why is this loop slow in tier-2?": ``loops_ladder > 0`` — it has
       one block, three or more, or two latches; fused but not counted
       — its function calls, its header can raise, or it is not
@@ -1118,11 +1118,10 @@ class Tier2Writer:
                                  for f in self.carried), base)
 
     def settle(self, base: int) -> None:
-        """Leaving the loop in hand: per iteration the counter vector
-        is a constant, so the fuel debited since loop entry
-        (``_e0``) says what the carried counters are owed — whole
-        iterations, plus the header's share when the remainder says
-        the header was charged."""
+        """Leaving the loop in hand: per iteration the counter vector is
+        a constant, so the fuel debited since loop entry (``_e0``) says
+        what the carried counters are owed — whole iterations, plus the
+        header's share when the remainder says the header was charged."""
         period, owed = self.settling
         if owed:
             self.w(f"_k, _h = divmod(executed - _e0, {period})", base)
@@ -1189,9 +1188,17 @@ class Tier2Writer:
         self.charge(leader, base)
         self.body(leader, base, lines, marks)
 
+    def per_trip(self, header: int, latch: int) -> tuple:
+        """One iteration of a loop: its fuel, then what it charges each
+        carried counter, ``(field, per iteration, header's share)``."""
+        hcharge, lcharge = self.charges[header], self.charges[latch]
+        return (self.blocks[header] + self.blocks[latch],
+                [(f, whole, hcharge.get(f, 0)) for f in self.carried
+                 if (whole := hcharge.get(f, 0) + lcharge.get(f, 0))])
+
     def loop(self, header: int, latch: int, exit_test: str,
              exit_target: int, base: int, hbody, hmarks, lbody,
-             lmarks, counted: Optional[CountedLoop] = None) -> None:
+             lmarks) -> None:
         """A fused two-block loop.  The header's terminal branch
         becomes the loop exit; the latch's terminal transfer to the
         header becomes the implicit back edge.
@@ -1204,26 +1211,13 @@ class Tier2Writer:
         the latch's share, and when the merged debit crosses the limit
         the iteration runs in the ladder's order — header debit,
         header, exit, then the latch's debit, the one that crosses —
-        so deopt pcs, fuel traps and counts stay byte-identical.
-
-        A ``counted`` loop (merged form only) runs that ``while`` as
-        the ``else`` arm of its counted version (:meth:`counted`)."""
+        so deopt pcs, fuel traps and counts stay byte-identical."""
         hlen, llen = self.blocks[header], self.blocks[latch]
         exits = [f"if {exit_test}:", f"    pc = {exit_target}",
                  "    break"]
-        outer = base
-        if not self.live:
-            hcharge, lcharge = self.charges[header], self.charges[latch]
-            owed = [(f, whole, hcharge.get(f, 0)) for f in self.carried
-                    if (whole := hcharge.get(f, 0) + lcharge.get(f, 0))]
-            self.settling = (hlen + llen, owed)
-            if owed:
-                self.w("_e0 = executed", base)
-        if counted is not None:
-            self.counted(counted, header, latch, exit_target, base,
-                         hbody[:-1])
-            self.w("else:", base)
-            base += 4
+        self.settling = self.per_trip(header, latch)
+        if self.settling[1]:
+            self.w("_e0 = executed", base)
         self.w("while 1:", base)
         inner = base + 4
         if self.live or hmarks:
@@ -1243,29 +1237,28 @@ class Tier2Writer:
                                       *exits[1:]]:
                 self.w(line, inner)
             self.body(latch, inner, lbody[:-1], lmarks)
-        if self.settling is not None:
-            self.settle(outer)
-            self.settling = None
+        self.settle(base)
+        self.settling = None
 
     def counted(self, loop: CountedLoop, header: int, latch: int,
                 exit_target: int, base: int, hlines: List[str]) -> None:
-        """The counted version of a merged loop, under one guard at
-        loop entry: ``iv`` and ``bound`` are ints with ``0 <= iv`` and
-        ``bound <= I32_LIMIT - step`` (so no ``iv + step`` of the loop
-        wraps), every base the lowering leaned on is an int in
-        ``[0, BASE_LIMIT)``, and the fuel covers every trip plus the
-        header's last run.  Then the loop is a ``for iv in range``
-        with no fuel compare and no exit test, its blocks lowered
-        under those facts (``loop.hlines`` / ``loop.llines``), and the
-        exit does at once what the last test would have left: ``iv``
-        past the bound, the increment's temp, the header's lines (its
-        flag register 0) and the fuel debit of every trip.  A trap in
-        the body first debits the trips up to its own, then rolls back
-        through the latch's line table like the ``while`` form.  Any
-        other state runs the ``while`` form, the ``else`` arm."""
-        ind = loop.induction
-        hlen, llen = self.blocks[header], self.blocks[latch]
-        period, iv, bound, step = hlen + llen, ind.iv, ind.bound, ind.step
+        """A merged loop, counted, under one guard at entry: ``iv``
+        and ``bound`` are ints, ``0 <= iv`` and ``bound <= I32_LIMIT -
+        step`` (no ``iv + step`` of the loop wraps), every base the
+        lowering leaned on is an int in ``[0, BASE_LIMIT)``, and the
+        fuel covers every trip plus the header's last run.  Then the
+        loop is a ``for iv in range`` with no fuel compare and no exit
+        test, its blocks lowered under those facts, and the exit does
+        at once what the last test would have left: ``iv`` past the
+        bound, the increment's temp, the header's lines (its flag
+        register 0) and the debits of every trip.  A trap in the body
+        debits the trips up to its own, then rolls back through the
+        latch's line table.  A refused state deopts at the header: the
+        block tier runs it, and OSR re-enters once it heals (a refused
+        OSR entry returns its own pc, so it is retired for the call)."""
+        ind, hlen = loop.induction, self.blocks[header]
+        period, owed = self.per_trip(header, latch)
+        iv, bound, step = ind.iv, ind.bound, ind.step
         leaned = sorted(loop.leaned)
         checks = [f"type({name}) is int"
                   for name in (iv, bound, *leaned) if name.isidentifier()]
@@ -1275,30 +1268,34 @@ class Tier2Writer:
             else f"({bound} - {iv} + {step - 1}) // {step}"
         checks.append(f"executed + (_n := {trips} if {bound} > {iv} "
                       f"else 0) * {period} + {hlen} <= fuel")
-        self.w(f"if {' and '.join(checks)}:", base)
-        inner = base + 4
+        self.w(f"if not ({' and '.join(checks)}):", base)
+        self.deopt(header, base + 4)
         stride = "" if step == 1 else f", {step}"
-        self.w(f"_v0 = {iv}", inner)
-        self.w(f"for {iv} in range({iv}, {bound}{stride}):", inner)
+        self.w(f"_v0 = {iv}", base)
+        self.w(f"for {iv} in range({iv}, {bound}{stride}):", base)
         for line in loop.hlines:
-            self.w(line, inner + 4)
+            self.w(line, base + 4)
         scale = "" if step == 1 else f" * {step}"
         trip = f"{iv} - _v0" if step == 1 else f"({iv} - _v0) // {step}"
-        self.body(latch, inner + 4, loop.llines, loop.lmarks,
+        self.body(latch, base + 4, loop.llines, loop.lmarks,
                   f"executed += ({trip} + 1) * {period}")
-        self.w(f"{iv} = _v0 + _n{scale}", inner)
+        self.w(f"{iv} = _v0 + _n{scale}", base)
         if ind.temp is not None:
-            self.w(f"if _n: {ind.temp} = {iv}", inner)
+            self.w(f"if _n: {ind.temp} = {iv}", base)
         for line in hlines:
-            self.w(line, inner)
-        self.w(f"executed += _n * {period} + {hlen}", inner)
-        self.w(f"pc = {exit_target}", inner)
+            self.w(line, base)
+        self.w(f"executed += _n * {period} + {hlen}", base)
+        if owed:
+            self.w("; ".join(f"_r_{f} += _n * {whole}"
+                             + (f" + {part}" if part else "")
+                             for f, whole, part in owed), base)
+        self.w(f"pc = {exit_target}", base)
 
 
 class CountedLoop(NamedTuple):
-    """A fused loop's counted version (:meth:`Tier2Writer.counted`):
-    its induction and its two blocks lowered under the guard's facts,
-    terminal branches dropped."""
+    """A fused loop's counted form (:meth:`Tier2Writer.counted`), its
+    only compiled form: its induction and its two blocks lowered under
+    the guard's facts, terminal branches dropped."""
 
     induction: Induction
     hlines: List[str]
@@ -1569,7 +1566,7 @@ class Lowering:
             except Exception:
                 bodies[leader] = None
         loops = fused_loops(code, blocks, bodies)
-        # Counted versions only where the merged form would run (no
+        # Counted forms only where the merged ``while`` would run (no
         # calls, a header that cannot raise); lowered before the facts
         # are checked, so the check covers them too.
         counted = {} if live else {
@@ -1639,9 +1636,12 @@ class Lowering:
                 exit_test, exit_target = f"not ({cond})", fall
             else:
                 exit_test, exit_target = cond, taken
-            out.loop(leader, latch, exit_test, exit_target, 12, body,
-                     marks[leader], bodies[latch], marks[latch],
-                     counted.get(leader))
+            if leader in counted:
+                out.counted(counted[leader], leader, latch, exit_target,
+                            12, body[:-1])
+            else:
+                out.loop(leader, latch, exit_test, exit_target, 12, body,
+                         marks[leader], bodies[latch], marks[latch])
 
         fell = env.bind(f"{self.name}: fell off code end", "m")
         w(f"{keyword} pc == {len(code)}:", 8)
@@ -1694,7 +1694,7 @@ class Lowering:
     def induction(self, header: int, latch: int) -> Optional[Induction]:
         """The fused loop's induction, read off its instructions
         (see :class:`Induction` for the shape), or ``None`` to keep
-        it on the ``while`` form alone."""
+        it on the ``while`` form."""
         return None
 
     def frame_data(self, module) -> dict:

@@ -1,13 +1,15 @@
 """Counted tier-2 loops (:meth:`repro.tiers.Tier2Writer.counted`).
 
 A fused loop whose header tests ``iv < bound`` and whose latch steps
-``iv += c`` gets a second version, a ``for iv in range(iv, bound, c)``
-with no fuel compare and no exit test, picked by one guard at loop
-entry; any state the guard refuses runs the ``while`` form.  Either
-way every engine (reference, block tier, tier-2, and the block tier
-entering tier-2 mid-loop by OSR) observes the same value, memory,
-instruction and cycle counts and trap, on the VM and on x86.  The
-cases sit on both sides of each clause of the guard."""
+``iv += c`` is compiled as a ``for iv in range(iv, bound, c)`` with no
+fuel compare and no exit test, under one guard at loop entry; a state
+the guard refuses deopts at the header, the block tier runs it, and
+OSR re-enters the counted version once the state heals.  Either way
+every engine (reference, block tier, tier-2, the block tier entering
+tier-2 mid-loop by OSR, and tier-2 re-entered by OSR after a deopt)
+observes the same value, memory, instruction and cycle counts and
+trap, on the VM and on x86.  The hand-picked cases sit on both sides
+of each clause of the guard; a hypothesis generator draws more."""
 
 from __future__ import annotations
 
@@ -15,10 +17,12 @@ import functools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tiers
 from repro.core import deploy, offline_compile, select_bytecode
-from repro.engine import FAST, REFERENCE
+from repro.engine import FAST, REFERENCE, TIER2
 from repro.lang import types as ty
 from repro.semantics import Memory, TrapError
 from repro.targets import Simulator, dispatch
@@ -92,16 +96,21 @@ def predecoded(machine: str, image, name: str = "f"):
 
 
 def agree(machine: str, image, args, fuel=None) -> tuple:
-    """Reference / block tier / tier-2, and the block tier entering a
-    fresh translation at the loop header by OSR: one observation."""
+    """Reference / block tier / tier-2, tier-2 re-entered by OSR
+    after a deopt, and the block tier entering a fresh translation at
+    the loop header by OSR: one observation, and the ``osr_entries``
+    of the two OSR runs."""
     outcomes = {engine: run(machine, image, args, engine, fuel)[0]
                 for engine in ENGINES}
+    outcomes["reentry"], reentered = run(machine, image, args, TIER2,
+                                         fuel, osr=True, osr_threshold=2)
     pre = predecoded(machine, image)
     pre._tier2 = tiers._TIER2_UNBUILT       # else entered at pc 0
-    outcomes["osr"], runner = run(machine, image, args, FAST, fuel,
-                                  osr=True, osr_threshold=2)
+    outcomes["osr"], entered = run(machine, image, args, FAST, fuel,
+                                   osr=True, osr_threshold=2)
     assert_engines_agree(outcomes, f"{machine} fuel={fuel}")
-    return outcomes[REFERENCE], runner.osr_entries
+    return outcomes[REFERENCE], {"reentry": reentered.osr_entries,
+                                 "osr": entered.osr_entries}
 
 
 @pytest.fixture(params=["vm", "x86"])
@@ -110,8 +119,8 @@ def machine(request):
 
 
 def test_both_machines_count_the_loop(machine):
-    """The shapes under test do get a counted version (else this file
-    would test the ``while`` form twice)."""
+    """The shapes under test do run counted (else this file would
+    test the ``while`` form)."""
     engine = threaded if machine == "vm" else dispatch
     for source in (ARRAY, SUM):
         for step in (1, 2, 4):
@@ -131,18 +140,42 @@ def test_steps_and_trip_counts(machine, step, start, n):
     got, entries = agree(machine, images(ARRAY, step)[machine],
                          lambda base: [base, start, n])
     assert got[0] == "ok"
-    assert entries == (1 if n - start >= 4 * step else entries)
+    assert entries["reentry"] == 0          # the guard admitted it
+    if n - start >= 4 * step:
+        assert entries["osr"] == 1
 
 
-@pytest.mark.parametrize("start, n, fuel", [
-    (-3, 10, None),                 # negative start: refused, runs
-    (2**31 - 5, 2**31 - 1, None),   # bound past 2**31 - c: refused
-    (2**31 - 4, 2**31 - 1, 900),    # ... and the while form's i wraps
-], ids=["negative start", "bound at the i32 edge", "i32 wrap"])
-def test_guard_refusals_on_the_induction(machine, start, n, fuel):
-    got, _ = agree(machine, images(SUM, 2)[machine],
-                   lambda base: [start, n], fuel)
+@pytest.mark.parametrize("start, n, fuel, heals", [
+    (-1, 10, None, True),           # negative start: refused, deopts,
+    (-3, 10, None, True),           # ... and OSR re-enters at iv >= 0
+    (2**31 - 5, 2**31 - 1, None, False),    # bound past 2**31 - c
+    (2**31 - 4, 2**31 - 1, 900, False),     # ... and i wraps
+], ids=["negative start -1", "negative start", "bound at the i32 edge",
+      "i32 wrap"])
+def test_guard_refusals_on_the_induction(machine, start, n, fuel, heals):
+    """A refused state deopts at the header and the block tier runs
+    it.  Tier-2 entered at pc 0 re-enters the counted version by OSR
+    where the state heals: by the second back edge a negative start
+    has counted up past 0, which the bound never does."""
+    got, entries = agree(machine, images(SUM, 2)[machine],
+                         lambda base: [start, n], fuel)
     assert got[0] == ("trap" if fuel else "ok")
+    assert (entries["reentry"] >= 1) == heals
+
+
+def test_refusal_that_does_not_heal_is_retired(machine):
+    """Fuel 50 short of the loop is refused at every entry: the block
+    tier traps on the reference's instruction, and the refused OSR
+    entry is retired for the call, never counted as an entry."""
+    image = images(SUM, 1)[machine]
+
+    def args(base):
+        return [0, 100]
+
+    want, _ = agree(machine, image, args)
+    got, entries = agree(machine, image, args, want[-2] - 50)
+    assert got[0] == "trap" and "fuel" in got[1]
+    assert entries == {"reentry": 0, "osr": 0}
 
 
 def test_negative_index_traps_alike(machine):
@@ -163,7 +196,7 @@ def test_out_of_bounds_at_iteration_k(machine):
 
 def test_base_pointer_past_2_62_wraps_like_the_ladder(machine):
     """A base near 2**64 whose sum with the offset wraps back into
-    memory: the guard refuses it, so the ``while`` form's 64-bit mask
+    memory: the guard refuses it, so the block tier's 64-bit mask
     keeps the access in bounds, as on the reference."""
     wrap = 2**64 - 16
 
@@ -177,7 +210,7 @@ def test_base_pointer_past_2_62_wraps_like_the_ladder(machine):
 
 def test_fuel_ending_mid_loop(machine):
     """Every fuel value up to past the total: where the fuel does not
-    cover every trip the guard refuses and the metered ``while`` form
+    cover every trip the guard refuses and the metered block tier
     traps on exactly the reference's instruction; where it does, the
     counted version runs and debits the same total."""
     image = images(ARRAY, 2)[machine]
@@ -190,6 +223,49 @@ def test_fuel_ending_mid_loop(machine):
     for fuel in range(total + 2):
         got, _ = agree(machine, image, args, fuel)
         assert (got[0] == "ok") == (fuel >= total)
+
+
+#: what each source's ``f`` takes, given the array and the loop
+ARGUMENTS = {SUM: lambda base, start, n: [start, n],
+             ARRAY: lambda base, start, n: [base, start, n]}
+
+
+@functools.lru_cache(maxsize=None)
+def period(machine: str, source: str, step: int) -> int:
+    """Instructions of one trip of the loop (its header plus latch),
+    from two reference runs a trip apart."""
+    image = images(source, step)[machine]
+    counts = [run(machine, image,
+                  lambda base: ARGUMENTS[source](base, 0, trips * step),
+                  REFERENCE)[0][-2] for trips in (1, 2)]
+    return counts[1] - counts[0]
+
+
+@pytest.mark.parametrize("machine", ["vm", "x86"])
+@pytest.mark.parametrize("source", [SUM, ARRAY], ids=["SUM", "ARRAY"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_guard_edges_generated(machine, source, data):
+    """Drawn across the guard's clauses: a step, a start near 0 or
+    within 3 of the i32 edge ``2**31 - step``, 0..40 trips (the bound
+    kept an i32, so a start at the edge may wrap), and a fuel within
+    two trips either side of what the call executes (a wrapping loop
+    runs until a cap of 50 trips)."""
+    step = data.draw(st.sampled_from([1, 2, 3, 4, 8]), "step")
+    edge = tiers.I32_LIMIT - step
+    start = data.draw(st.integers(-3, 3) | st.integers(
+        edge - 3, min(edge + 3, tiers.I32_LIMIT - 1)), "start")
+    n = min(start + data.draw(st.integers(0, 40), "trips") * step,
+            tiers.I32_LIMIT - 1)
+    image = images(source, step)[machine]
+    trip = period(machine, source, step)
+
+    def args(base):
+        return ARGUMENTS[source](base, start, n)
+
+    budget = run(machine, image, args, REFERENCE, 50 * trip)[0][-2]
+    agree(machine, image, args, max(0, budget + data.draw(
+        st.integers(-2 * trip, 2 * trip), "fuel slack")))
 
 
 def test_every_exec_steady_kernel_counts(monkeypatch):

@@ -667,6 +667,30 @@ class TestEdgeServer:
         assert seen == [([str(status).encode()], 200)
                         for _, status in rows]
 
+    def test_chunked_body_is_refused_in_one_response(self):
+        """A ``Transfer-Encoding`` body is not read: the request gets
+        one 501 and the connection closes, so the chunk bytes are
+        never parsed as a second request."""
+        async def scenario(edge):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", edge.port)
+            body = json.dumps({"source": SAXPY, "name": "m"}).encode()
+            writer.write(b"POST /compile HTTP/1.1\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"
+                         + b"%x\r\n" % len(body) + body
+                         + b"\r\n0\r\n\r\n")
+            await writer.drain()
+            reply = await reader.read()         # until the server closes
+            writer.close()
+            return reply
+        reply = run_edge(edge_config(), scenario)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        head = head.decode("latin-1")
+        assert head.startswith("HTTP/1.1 501 Not Implemented\r\n")
+        assert "Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "not_implemented"
+        assert b"HTTP/1.1" not in body      # exactly one response
+
     def test_source_errors_are_422_not_500(self):
         async def scenario(edge):
             async with EdgeClient("127.0.0.1", edge.port) as client:

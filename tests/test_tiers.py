@@ -610,20 +610,20 @@ class TestStepping:
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
 #: sha256, the per-tag ``(sources, lines)`` and the per-source prints
 PINNED_SOURCES = (
-    "bd53e581fe24515b938ba3e098ea128a94082f666ab125a241cf4b0d266908ba",
+    "60504350385a5e654d562df0f818f944ef3fc8a0a6d042ae94f33bbd62572969",
     {"pvi": (22, 4391), "pvi-sim": (132, 50117),
-     "pvi-sim-t2": (132, 36421), "pvi-t2": (22, 3256)},
-    ("df46edd9a84b8b21cebc7742d7e4e5ad2b753116405c2a0f97046022"
-     "2e40ed18c690531e3c8705123102d6fec5033bba253d108bc204eaf9"
-     "cf72cfbd5922d70f06300bf769db5f1765ed758a4d6521dca4715bb5"
-     "5b7723d112a47e284716317852a250e7aa7d82674dfb99dba10899a4"
-     "893e57a8f2cefab3f6fee75f7af81a80428ffe81fcb0d1125c6e55d7"
-     "c9a945eb6ccaeaa6da80060ad8e88420291799267bd37219f5347efe"
-     "cfacb2dd1bde21b9a5a6dafea0ab0662e29ee9359f54c538f0febfcf"
-     "5e04ac59dcfcacc7ee3f17cd9ecd3ee6c51c7dc959553c3ad56d01d9"
-     "375f4f3fd6529f55b38bd280d0aad853233cf84a0b1c8438883c12c6"
-     "45a493bbe64f52cd1cc92a091227a93aa7c66f09a5534f43b0cbf04c"
-     "23b697d9e08673f422f5d68ab93b3bd25e0bd343b6aff6bfe71d26b6"))
+     "pvi-sim-t2": (132, 24923), "pvi-t2": (22, 2171)},
+    ("9e467cd97f4bc62189bcb642a6e4deadf3751d16905c200f73046a22"
+     "b04003181390181e8187fc12030207fe0303c6baf73d6c8bca047ff9"
+     "6b72d2bdff22a70f05309bf739db811766ed4a8a766597dcfd713fb5"
+     "5877c0d163a4a2285f16fd78aba22ae7977d82676dfb99db72086ca4"
+     "b83ed9a887cee0b3c1fea65f1bf8ed80348ffe8169b05b12ba6e40d7"
+     "95a9efebd1ca68a67880110a74e89220f61751265cd3c019e934e8fe"
+     "b2ac0addecded3b9c4a691febbab5f620b9ebb35b654b338befe91cf"
+     "e104875944fc24c7d33fe5cd4fcd50e61f1c10c91755553ab76dfcd9"
+     "f05fe53f7c52ba55238bb980d1aa1353853cf84a7d1ce138373c56c6"
+     "23a484bb434fabcd08c9c409d027003aa4c66f0957534f4382cb234c"
+     "8fb6bad9858614f4bff5048a0b3b65d24c0b7443a2af58bfc31d2bb6"))
 
 
 def test_generated_sources_digest():
@@ -636,13 +636,12 @@ def test_generated_sources_digest():
     says so; CI also runs this under two fixed ``PYTHONHASHSEED``
     values, and once after another test module in the same process.
 
-    Last re-pin: fused loops of the ``for (iv < bound; iv += c)``
-    shape gain a counted version (a ``for ... in range`` under one
-    guard at loop entry) in front of their unchanged ``while`` form.
-    148 of the 154 tier-2 entries moved (``pvi-t2`` 2501 -> 3256
-    lines, ``pvi-sim-t2`` 28971 -> 36421); with each counted arm
-    removed and the ``while`` dedented, every one equals the parent's
-    up to the numbering of bound names.  All 154 ``pvi`` /
+    Last re-pin: a counted loop is compiled once.  A state its guard
+    refuses deopts at the header instead of running a second, ``while``
+    copy of the loop, and the counted exit settles the carried
+    counters from its trip count.  Tier-2 only: the 148 tier-2
+    entries with a counted loop moved (``pvi-t2`` 3256 -> 2171 lines,
+    ``pvi-sim-t2`` 36421 -> 24923), the other 6 and all 154 ``pvi`` /
     ``pvi-sim`` block-tier entries are byte-identical to the
     parent's."""
     sources = generated_sources()
