@@ -28,7 +28,8 @@ route through one service instance so repeated flows hit the cache.
 There is one request path: :meth:`CompilationService.submit` below,
 split where it could first block.  The async front end runs its
 lookup half on the loop and hands only the rest to a thread; the
-serving edge (:mod:`repro.service.edge`) queues in front of that.  The
+serving edge (:mod:`repro.service.edge`) answers the lookup half on
+the connection and queues only the rest in front of that.  The
 pool's execution substrate is chosen by handing it an executor
 (``executor="thread" | "process" | "inline"`` or a configured
 :class:`~repro.service.executors.DeployExecutor` instance).
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.lint import AdmissionError, check_admission, linted
 from repro.core.offline import OfflineArtifact
-from repro.flows import Flow, as_flow
+from repro.flows import Flow
 from repro.service.cache import (
     ArtifactCache, SCHEMA_VERSION, artifact_fingerprint, artifact_key,
     canonical_options, deserialize_artifact, serialize_artifact,
@@ -57,7 +58,7 @@ from repro.service.requests import (
     CompileOutcome, CompileRequest, DeployResult, TargetDeployment,
 )
 from repro.service.singleflight import SingleFlight
-from repro.targets.registry import Targetish, as_target
+from repro.targets.registry import Targetish
 from repro.telemetry import Counters
 
 __all__ = [
@@ -229,9 +230,10 @@ class CompilationService:
         halves: :meth:`serve_resident` answers a request that costs
         only lookups, and :meth:`serve_blocking` everything else.  The
         async facade runs the first on its event loop and hops to a
-        thread only for the second; the serving edge arrives through
-        that facade.  The flow, the targets and the artifact key are
-        resolved up front (an unknown flow, target or offline option
+        thread only for the second; the serving edge runs the first on
+        the connection and queues only a miss for that facade.  The
+        flow, the targets and the artifact key are resolved up front,
+        once per request (an unknown flow, target or offline option
         raises before anything is counted or compiled), and the flow's
         offline pipeline spec joins the artifact cache key, so flows
         with distinct pipelines get distinct cached artifacts.  With
@@ -251,14 +253,14 @@ class CompilationService:
 
         It never compiles, never reads disk, never waits on a future
         and takes no lock that is held across work, so the async
-        facade runs it on the event loop.  An artifact whose memoized
-        findings hold an error, one only the disk still has, and a
-        missing image all answer ``None``: :meth:`serve_blocking`
-        raises, revives or compiles, with its books."""
+        facade and the serving edge run it on the event loop.  An
+        artifact whose memoized findings hold an error, one only the
+        disk still has, and a missing image all answer ``None``:
+        :meth:`serve_blocking` raises, revives or compiles, with its
+        books."""
         start = time.perf_counter()
-        flow = as_flow(request.flow)
-        targets = [as_target(target) for target in request.targets]
-        key = request.artifact_key(flow)
+        flow, targets = request.resolved()
+        key = request.artifact_key()
         artifact = self.cache.peek(key)
         if artifact is None:
             return None
@@ -286,15 +288,14 @@ class CompilationService:
         wait on another request's work (it also serves what
         :meth:`serve_resident` would have)."""
         start = time.perf_counter()
-        flow = as_flow(request.flow)
+        flow, targets = request.resolved()
         self.counts.add("requests")
-        outcome = self._compile_keyed(request.artifact_key(flow),
+        outcome = self._compile_keyed(request.artifact_key(),
                                       request.source, request.name,
-                                      request.offline_options(flow))
+                                      request.offline_options())
         self._admit(outcome.artifact)
         deploy_start = time.perf_counter()
-        futures = self.pool.submit_many(outcome.artifact,
-                                        request.targets, flow)
+        futures = self.pool.submit_many(outcome.artifact, targets, flow)
         info = {}
         for name, (future, reused) in futures.items():
             try:
@@ -327,12 +328,11 @@ class CompilationService:
         settings promise different things: a strict request raises on
         the first failing target, a tolerant one is owed a partial
         result, so one served job cannot answer both."""
-        flow = as_flow(request.flow)
+        flow, targets = request.resolved()
         return (
-            request.artifact_key(flow),
+            request.artifact_key(),
             flow.cache_key(),
-            tuple(sorted(as_target(target).cache_key()
-                         for target in request.targets)),
+            tuple(sorted(target.cache_key() for target in targets)),
             request.tolerate_failures,
         )
 

@@ -3,10 +3,10 @@
 A serving tier absorbing "millions of users" protects its latency by
 bounding the work it lets in: a bounded queue in front of the worker
 pool, plus an estimated-wait gate derived from an EWMA of recent
-service times.  Everything past the gate gets predictable latency;
-everything shed gets an immediate, structured 503 with a honest
-``Retry-After`` — the overload story of the separation-kernel papers
-(fail loudly at the boundary, never degrade everyone a little).
+queued jobs' service times.  Everything past the gate gets predictable
+latency; everything shed gets an immediate, structured 503 with a
+honest ``Retry-After`` — the overload story of the separation-kernel
+papers (fail loudly at the boundary, never degrade everyone a little).
 
 The controller is pure bookkeeping — the actual ``asyncio.Queue``
 lives in the server; this module decides and accounts.
@@ -38,8 +38,10 @@ class AdmissionController:
     before service starts — ``(queued + in_service) * ewma / workers``
     — so under a sustained overload the edge sheds by latency promise,
     not just by memory bound.  The EWMA (``alpha=0.2``) tracks the
-    recent service-time mix; until the first completion it is 0 and
-    only the depth bound applies.
+    recent service-time mix of queued work only: a resident
+    ``/deploy`` is answered before the gate and never reaches it.
+    Until the first completion it is 0 and only the depth bound
+    applies.
     """
 
     def __init__(self, capacity: int, max_wait_s: float,

@@ -98,17 +98,14 @@ class EdgeClient:
                            .encode("latin-1") + payload)
         await self._writer.drain()
 
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionResetError("server closed the connection")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        status = int(parts[1])
+        # a closed connection raises IncompleteReadError: request()
+        # reconnects once
+        head = await self._reader.readuntil(b"\r\n\r\n")
+        lines = head[:-4].decode("latin-1").split("\r\n")
+        status = int(lines[0].split(" ", 2)[1])
         headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0"))
         raw = await self._reader.readexactly(length) if length else b""

@@ -5,13 +5,16 @@ needs: a stdlib-only (``asyncio.start_server``) HTTP/1.1 server that
 turns wire requests into :class:`CompileRequest`s and runs them
 through the full serving stack —
 
-``auth (401/403) -> quota (429) -> coalesce -> admission (503)
--> bounded queue -> worker pool -> AsyncCompilationService``
+``auth (401/403) -> quota (429) -> coalesce -> resident (200)
+-> admission (503) -> bounded queue -> worker pool
+-> AsyncCompilationService``
 
 with adaptive executor routing underneath (a cold request's offline
 compile and fan-out on worker processes, warm residual compiles on
-threads) and per-tenant,
-per-route, per-queue observability at ``GET /stats``.
+threads) and per-tenant, per-route, per-queue observability at
+``GET /stats``.  A ``/deploy`` whose artifact and images are all in
+memory is answered on its connection's task
+(``CompilationService.serve_resident``): it takes no queue slot.
 
 Endpoints:
 
@@ -46,6 +49,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import re
 import signal
 import time
 from collections import defaultdict
@@ -63,7 +67,6 @@ from repro.service.edge.wire import (
     parse_deploy_request, retry_after_header,
 )
 from repro.service.executors import Executorish
-from repro.service.requests import CompileRequest
 from repro.telemetry import Counters, LatencyHistogram
 
 __all__ = ["EdgeConfig", "EdgeServer", "main"]
@@ -77,15 +80,9 @@ MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 1 << 20
 
 
-async def _readline(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """One line, or ``None`` for a line longer than the stream reader
-    will buffer: ``readline`` reports that as ``ValueError`` (it
-    converts ``LimitOverrunError``), and the caller refuses it like a
-    line past the caps above."""
-    try:
-        return await reader.readline()
-    except ValueError:
-        return None
+#: a header field name: an RFC 9110 token, so no whitespace before
+#: the colon
+_FIELD_NAME = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
 
 
 @dataclass
@@ -114,15 +111,15 @@ class EdgeConfig:
 
 class _Job:
     """One admitted unit of queue work, with every identical request
-    that arrived while it was pending attached as a waiter."""
+    that arrived while it was pending attached as a waiter; each
+    waiter is handed the outcome, a result or an exception, as a
+    value."""
 
-    __slots__ = ("kind", "request", "payload", "key", "waiters")
+    __slots__ = ("key", "work", "waiters")
 
-    def __init__(self, kind: str, key, request=None, payload=None):
-        self.kind = kind                  # "deploy" | "compile"
-        self.key = key
-        self.request = request            # CompileRequest (deploy)
-        self.payload = payload            # dict (compile)
+    def __init__(self, key, work):
+        self.key = key                    # ("deploy" | "compile", ...)
+        self.work = work                  # CompileRequest | dict
         self.waiters: List[asyncio.Future] = []
 
     def attach(self) -> asyncio.Future:
@@ -130,14 +127,10 @@ class _Job:
         self.waiters.append(future)
         return future
 
-    def resolve(self, result=None, error: Optional[BaseException] = None):
+    def resolve(self, outcome) -> None:
         for future in self.waiters:
-            if future.done():
-                continue
-            if error is not None:
-                future.set_exception(error)
-            else:
-                future.set_result(result)
+            if not future.done():
+                future.set_result(outcome)
 
 
 #: what each status of a refused request counts as
@@ -253,19 +246,18 @@ class EdgeServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except WireError as exc:   # answered once, then closed
+                    await self._respond(writer, exc.status, exc.body(),
+                                        keep_alive=False,
+                                        retry_after=exc.retry_after)
+                    break
                 if parsed is None:
                     break
-                method, path, headers, body, parse_error = parsed
+                method, path, headers, body = parsed
                 keep_alive = headers.get(
                     "connection", "keep-alive").lower() != "close"
-                if parse_error is not None:
-                    await self._respond(writer, parse_error.status,
-                                        parse_error.body(),
-                                        keep_alive=False,
-                                        retry_after=parse_error
-                                        .retry_after)
-                    break
                 status, payload, retry_after = \
                     await self._dispatch(method, path, headers, body)
                 await self._respond(writer, status, payload,
@@ -284,63 +276,62 @@ class EdgeServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """One HTTP/1.1 request -> (method, path, headers, body,
-        error-or-None); ``None`` on a cleanly closed connection."""
+        """One HTTP/1.1 request -> ``(method, path, headers, body)``,
+        or ``None`` once the peer has closed (mid-head included).  The
+        head is one ``readuntil`` split in memory; a head this parser
+        refuses raises the :class:`WireError` to answer."""
         try:
-            line = await _readline(reader)
-        except ConnectionResetError:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, ConnectionResetError):
             return None
-        if line == b"":
-            return None
-        if line is None or len(line) > MAX_REQUEST_LINE:
-            return ("GET", "/", {}, b"",
-                    WireError(431, "request_too_large",
-                              "request line too long"))
+        except asyncio.LimitOverrunError:     # past the reader's limit
+            raise WireError(431, "request_too_large",
+                            "request head too large")
+        text = head[:-4].decode("latin-1")
+        lines = text.split("\r\n")
+        if len(lines[0]) + 2 > MAX_REQUEST_LINE:
+            raise WireError(431, "request_too_large",
+                            "request line too long")
         try:
-            method, path, _version = \
-                line.decode("latin-1").strip().split(" ", 2)
+            method, path, _version = lines[0].split(" ", 2)
         except ValueError:
-            return ("GET", "/", {}, b"",
-                    WireError(400, "bad_request",
-                              "malformed HTTP request line"))
+            raise WireError(400, "bad_request",
+                            "malformed HTTP request line")
+        if len(head) - len(lines[0]) - 2 > MAX_HEADER_BYTES:
+            raise WireError(431, "request_too_large", "headers too large")
+        # every CR and LF is one of the CRLFs split on: a bare one
+        # would end a line for one reader and not for another
+        if text.count("\r") + text.count("\n") != 2 * (len(lines) - 1):
+            raise WireError(400, "bad_request", "bare CR or LF in head")
         headers: Dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            line = await _readline(reader)
-            header_bytes += len(line or b"")
-            if line is None or header_bytes > MAX_HEADER_BYTES:
-                return (method, path, headers, b"",
-                        WireError(431, "request_too_large",
-                                  "headers too large"))
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon or not _FIELD_NAME.fullmatch(name):
+                raise WireError(400, "bad_request",
+                                "malformed header field")
+            name, value = name.lower(), value.strip(" \t")
+            if name == "content-length" and \
+                    headers.get(name, value) != value:
+                raise WireError(400, "bad_request",
+                                "conflicting Content-Length headers")
+            headers[name] = value
         if "transfer-encoding" in headers:
             # Only Content-Length framing is read: an unread chunked
             # body would be parsed as the next request.
-            return (method, path, headers, b"",
-                    WireError(501, "not_implemented",
-                              "Transfer-Encoding is not supported; "
-                              "send a Content-Length body"))
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            # Plain ASCII digits only: ``int`` would also take a sign,
-            # underscores and non-ASCII digits, and refuses a string
-            # of thousands of digits.
-            if not (length.isascii() and length.isdigit()):
-                return (method, path, headers, b"",
-                        WireError(400, "bad_request",
-                                  "malformed Content-Length"))
-            n = int(length) if len(length) < 20 else MAX_BODY_BYTES + 1
-            if n > MAX_BODY_BYTES:
-                return (method, path, headers, b"",
-                        WireError(413, "payload_too_large",
-                                  f"body exceeds {MAX_BODY_BYTES} "
-                                  f"bytes"))
-            body = await reader.readexactly(n)
-        return method.upper(), path, headers, body, None
+            raise WireError(501, "not_implemented",
+                            "Transfer-Encoding is not supported; "
+                            "send a Content-Length body")
+        length = headers.get("content-length", "0")
+        # Plain ASCII digits only: ``int`` would also take a sign,
+        # underscores and non-ASCII digits, and refuses a string of
+        # thousands of digits.
+        if not (length.isascii() and length.isdigit()):
+            raise WireError(400, "bad_request", "malformed Content-Length")
+        n = int(length) if len(length) < 20 else MAX_BODY_BYTES + 1
+        if n > MAX_BODY_BYTES:
+            raise WireError(413, "payload_too_large",
+                            f"body exceeds {MAX_BODY_BYTES} bytes")
+        return method.upper(), path, headers, await reader.readexactly(n)
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Dict[str, object], *,
@@ -429,43 +420,52 @@ class EdgeServer:
         # is a 400 here, before anything is queued or shipped.
         try:
             if path == "/deploy":
-                request = parse_deploy_request(payload)
-                key = ("deploy", CompilationService.request_key(request))
-                job_args = {"request": request}
+                work = parse_deploy_request(payload)
+                key = ("deploy", CompilationService.request_key(work))
             else:
-                fields = parse_compile_request(payload)
-                key = ("compile",
-                       artifact_key(fields["source"], fields["name"],
-                                    fields["options"]))
-                job_args = {"payload": fields}
+                work = parse_compile_request(payload)
+                key = ("compile", artifact_key(
+                    work["source"], work["name"], work["options"]))
         except ValueError as exc:         # a bad offline option
             raise WireError(400, "bad_request", str(exc))
         who = tenant.name
         self.counts.add("requests", tenant=who)
         tenant.charge()                   # 429 on an empty bucket
         arrived = time.monotonic()
-        kind = path.lstrip("/")
 
-        # -- coalesce: attach to an identical pending job ------------------
+        # -- a resident /deploy: answered here, never gated or queued -----
         job = self._pending.get(key)
-        coalesced = job is not None
-        if not coalesced:
+        if job is None and key[0] == "deploy":
+            try:
+                resident = self.core.serve_resident(work)
+                result = resident and deploy_result_wire(resident)
+            except Exception as exc:
+                result = exc
+            if result is not None:
+                self.counts.add("accepted", tenant=who)
+                return self._answer(who, arrived, result)
+
+        # -- coalesce onto an identical pending job, or queue one ----------
+        if job is None:
             decision = self.admission.evaluate()
             if not decision.admitted:
                 return self._shed(who, decision)
-            job = _Job(kind, key, **job_args)
-            self._pending[key] = job
+            job = self._pending[key] = _Job(key, work)
             self.admission.on_enqueue()
             self._queue.put_nowait(job)   # never full: gate == bound
+        else:
+            self.counts.add("coalesced", tenant=who)
         future = job.attach()
         self.counts.add("accepted", tenant=who)
-        if coalesced:
-            self.counts.add("coalesced", tenant=who)
-        try:
-            result = await asyncio.shield(future)
-        except Exception as exc:
+        return self._answer(who, arrived, await asyncio.shield(future))
+
+    def _answer(self, who: str, arrived: float, result) \
+            -> Tuple[int, Dict[str, object], Optional[float]]:
+        """An accepted request's reply: an exception is counted
+        ``failed``, a result's latency is observed."""
+        if isinstance(result, BaseException):
             self.counts.add("failed", tenant=who)
-            return self._server_error(exc)
+            return self._server_error(result)
         self._latency[who].observe(time.monotonic() - arrived)
         return 200, result, None
 
@@ -510,23 +510,23 @@ class EdgeServer:
             self.admission.on_start()
             started = time.monotonic()
             try:
-                if job.kind == "deploy":
+                if job.key[0] == "deploy":
                     result = deploy_result_wire(
-                        await self.service.submit(job.request))
+                        await self.service.submit(job.work))
                 else:
                     outcome = await self.service.compile(
-                        job.payload["source"], job.payload["name"],
-                        **(job.payload["options"] or {}))
+                        job.work["source"], job.work["name"],
+                        **(job.work["options"] or {}))
                     result = {"artifact_key": outcome.key,
-                              "name": job.payload["name"],
+                              "name": job.work["name"],
                               "cache_hit": outcome.cache_hit,
                               "latency_s": outcome.latency}
             except BaseException as exc:
-                job.resolve(error=exc)
+                job.resolve(exc)
                 if isinstance(exc, asyncio.CancelledError):
                     raise          # shutdown mid-job: really stop
             else:
-                job.resolve(result=result)
+                job.resolve(result)
             finally:
                 self._pending.pop(job.key, None)
                 self.admission.on_finish(time.monotonic() - started)

@@ -10,12 +10,13 @@ hits, and how long each took.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.offline import OfflineArtifact
-from repro.flows import Flow
+from repro.flows import Flow, as_flow
 from repro.service.cache import artifact_key
-from repro.targets.registry import Targetish
+from repro.targets.machine import TargetDesc
+from repro.targets.registry import Targetish, as_target
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,10 @@ class CompileRequest:
     names fail the request up front with the unified
     ``UnknownTargetError`` / ``UnknownFlowError``.
 
-    Frozen, so the artifact key hashed from its source can be
-    memoized on it (:meth:`artifact_key`).
+    Frozen, so what it resolves to (:meth:`resolved`) and the artifact
+    key hashed from its source (:meth:`artifact_key`) are memoized on
+    it: the edge's coalescing key and the service's lookups share one
+    registry lookup per name and one hash of the source.
     """
     source: str
     name: str = "module"
@@ -47,26 +50,36 @@ class CompileRequest:
     #: semantics for a serving layer that should degrade, not drop
     tolerate_failures: bool = False
 
-    def offline_options(self, flow: Flow) -> Dict[str, object]:
-        """The offline options this request actually compiles under
-        (``flow`` is its resolved flow): its own options, with the
-        flow's pipeline spec filled in unless they name one (this is
-        what joins the artifact cache key)."""
+    def resolved(self) -> Tuple[Flow, Tuple[TargetDesc, ...]]:
+        """The request's flow and targets as registered objects;
+        raises ``UnknownFlowError`` / ``UnknownTargetError`` on an
+        unknown name.  Memoized."""
+        cached = self.__dict__.get("_resolved")
+        if cached is None:
+            cached = (as_flow(self.flow),
+                      tuple(as_target(target) for target in self.targets))
+            object.__setattr__(self, "_resolved", cached)
+        return cached
+
+    def offline_options(self) -> Dict[str, object]:
+        """The offline options this request actually compiles under:
+        its own options, with its flow's pipeline spec filled in
+        unless they name one (this is what joins the artifact cache
+        key)."""
         options = dict(self.options or {})
-        options.setdefault("pipeline", flow.pipeline)
+        options.setdefault("pipeline", self.resolved()[0].pipeline)
         return options
 
-    def artifact_key(self, flow: Flow) -> str:
-        """The artifact cache key of this request under ``flow`` (its
-        resolved flow).  Memoized for that flow object, so the edge's
-        coalescing key and the service's cache lookup share one hash
-        of the source; raises ``ValueError`` on unknown options."""
+    def artifact_key(self) -> str:
+        """The artifact cache key of this request.  Memoized, so the
+        edge's coalescing key and the service's cache lookup share one
+        hash of the source; raises ``ValueError`` on unknown options."""
         cached = self.__dict__.get("_artifact_key")
-        if cached is None or cached[0] is not flow:
-            cached = (flow, artifact_key(
-                self.source, self.name, self.offline_options(flow)))
+        if cached is None:
+            cached = artifact_key(self.source, self.name,
+                                  self.offline_options())
             object.__setattr__(self, "_artifact_key", cached)
-        return cached[1]
+        return cached
 
 
 @dataclass

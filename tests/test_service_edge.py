@@ -667,6 +667,52 @@ class TestEdgeServer:
         assert seen == [([str(status).encode()], 200)
                         for _, status in rows]
 
+    @pytest.mark.parametrize("fields", [
+        b"NoColonHere\r\n",
+        b"Content-Length : 2\r\n",
+        b"Content-Length: 2\r\nContent-Length: 0\r\n",
+        b"X-One: a\nX-Two: b\r\n",
+    ], ids=["no-colon", "space-before-colon", "two-lengths",
+            "bare-lf-in-field"])
+    def test_malformed_header_fields_are_400(self, fields):
+        """RFC 9112 §5: a field line with no colon, whitespace between
+        a field name and its colon, two differing Content-Lengths (the
+        last one would frame the body) and a bare LF inside the head
+        are each one 400 and a close; the next connection is
+        served."""
+        async def scenario(edge):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", edge.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n" + fields +
+                         b"\r\n{}")
+            await writer.drain()
+            reply = await reader.read()         # until the server closes
+            writer.close()
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                return reply, (await client.healthz())[0]
+        reply, health = run_edge(edge_config(), scenario)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        head = head.decode("latin-1")
+        assert head.startswith("HTTP/1.1 400 Bad Request\r\n")
+        assert "Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert health == 200
+
+    def test_bare_lf_head_is_not_a_request(self):
+        """The head is read up to CRLF CRLF, so a head whose lines end
+        in bare LF never completes: the peer's close drops it with no
+        answer, and the server keeps serving."""
+        async def scenario(edge):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", edge.port)
+            writer.write(b"GET /healthz HTTP/1.1\nHost: x\n\n")
+            writer.write_eof()
+            reply = await reader.read()
+            writer.close()
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                return reply, (await client.healthz())[0]
+        assert run_edge(edge_config(), scenario) == (b"", 200)
+
     def test_chunked_body_is_refused_in_one_response(self):
         """A ``Transfer-Encoding`` body is not read: the request gets
         one 501 and the connection closes, so the chunk bytes are
@@ -877,15 +923,88 @@ class TestResidentPath:
         assert timeless(revived) == timeless(resident) == timeless(again)
         assert stats["service"]["artifact"]["disk_hits"] == 1
 
+    def test_resident_answer_takes_no_queue_slot(self):
+        """With the one worker held and the one queue slot taken, a
+        resident ``/deploy`` is still answered while a distinct cold
+        one is shed; resident answers feed no EWMA, a raising one is
+        counted failed, and the books balance afterwards."""
+        async def scenario(edge):
+            async def deploy(name):
+                async with EdgeClient("127.0.0.1",
+                                      edge.port) as client:
+                    return await client.deploy(SAXPY, ["x86"],
+                                               name=name)
+
+            async def until(ready):
+                deadline = time.monotonic() + 10
+                while not ready() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.005)
+
+            assert (await deploy("hot"))[0] == 200    # now resident
+            real_submit = edge.service.submit
+
+            async def slow_submit(request):
+                await asyncio.sleep(0.3)
+                return await real_submit(request)
+            edge.service.submit = slow_submit
+            admission = edge.admission
+            ewma = admission.ewma_service_s
+            held = asyncio.create_task(deploy("cold-a"))
+            await until(lambda: admission.in_service == 1)
+            queued = asyncio.create_task(deploy("cold-b"))
+            await until(lambda: admission.queued == 1)
+            burst = [await deploy("hot") for _ in range(3)]
+            shed = await deploy("cold-c")
+            during = (admission.in_service, admission.queued,
+                      admission.ewma_service_s)
+            burst += await asyncio.gather(held, queued)
+
+            def broken(request):
+                raise RuntimeError("resident lookup failed")
+            edge.core.serve_resident = broken
+            failed = await deploy("hot")
+            return burst, shed, during, ewma, failed, \
+                edge.stats_snapshot(), edge
+
+        burst, shed, during, ewma, failed, stats, edge = run_edge(
+            edge_config(workers=1, queue_depth=1, max_wait_s=None),
+            scenario)
+        assert [status for status, _, _ in burst] == [200] * 5
+        assert all(body["fully_cached"] for _, _, body in burst[:3])
+        assert (shed[0], shed[2]["error"]["code"]) == (503, "queue_full")
+        assert during == (1, 1, ewma) and ewma > 0
+        assert failed[0] == 500
+        assert "resident lookup failed" in \
+            failed[2]["error"]["message"]
+        totals = stats["edge"]
+        assert (totals["requests"], totals["accepted"],
+                totals["shed"]["queue_full"], totals["failed"]) == \
+            (8, 7, 1, 1)
+        for row in (totals, *totals["tenants"].values()):
+            assert row["requests"] == row["accepted"] + \
+                row["shed"]["total"]
+            assert row["accepted"] == row["latency"]["count"] + \
+                row["failed"]
+        assert edge._pending == {}
+        assert edge.admission.queued == edge.admission.in_service == 0
+
     def test_resident_deploy_hashes_the_source_once(self, monkeypatch):
         """A resident ``/deploy`` hashes its source once (the edge's
-        coalescing key and the service's lookup share the digest) and
-        digests no flow (``Flow.cache_key`` is memoized)."""
+        coalescing key and the service's lookup share the digest),
+        digests no flow (``Flow.cache_key`` is memoized) and resolves
+        each name twice: the wire's validation and
+        ``CompileRequest.resolved``, which the service reuses."""
         from repro.flows import Flow
+        from repro.registry import Registry
         from repro.service import cache
 
-        calls = {"artifact_key": 0, "to_dict": 0}
+        calls = {"artifact_key": 0, "to_dict": 0, "by_name": 0}
         original_key, original_to_dict = cache.artifact_key, Flow.to_dict
+        original_get = Registry.get
+
+        def get(self, name):
+            calls["by_name"] += isinstance(name, str)
+            return original_get(self, name)
 
         def artifact_key(*args, **kwargs):
             calls["artifact_key"] += 1
@@ -901,18 +1020,20 @@ class TestResidentPath:
                     vars(module).get("artifact_key") is original_key:
                 monkeypatch.setattr(module, "artifact_key", artifact_key)
         monkeypatch.setattr(Flow, "to_dict", to_dict)
+        monkeypatch.setattr(Registry, "get", get)
 
         async def scenario(edge):
             async with EdgeClient("127.0.0.1", edge.port) as client:
                 await client.deploy(SAXPY, ["x86", "arm"], name="m")
-                calls.update(artifact_key=0, to_dict=0)
+                calls.update(artifact_key=0, to_dict=0, by_name=0)
                 reply = await client.deploy(SAXPY, ["x86", "arm"],
                                             name="m")
             return reply, dict(calls)
 
         (status, _, body), counted = run_edge(edge_config(), scenario)
         assert status == 200 and body["fully_cached"]
-        assert counted == {"artifact_key": 1, "to_dict": 0}
+        assert counted == {"artifact_key": 1, "to_dict": 0,
+                           "by_name": 2 * (1 + 2)}    # flow + targets
 
 
 # ---------------------------------------------------------------------------
