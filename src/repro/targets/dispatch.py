@@ -152,7 +152,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
     reg_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     written = set(low.entry_written.get(leader, low.param_regs))
     em = BlockEmitter(env, tier, low.widths,
-                      low.counting if tier2 else None)
+                      low.counting if tier2 else None, low.hoisting)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     ranges = em.ranges
 
@@ -215,8 +215,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             offset = read(srcs[1])
             t = newt()
             emit(f"{t} = ({base}) + ({offset})")
-            return em.address(t, exact is not None)
-        return em.address(base, base in em.masked)
+            return em.address(t, exact is not None, exact)
+        return em.address(base, base in em.masked, span(srcs[0]))
 
     exit_pc = leader + length
     skip = em.skip
@@ -226,7 +226,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin()
+        em.begin(pc)
 
         # NB: sources must be read (and uninitialized-register checked)
         # *before* dst_of marks the destination written — a dst that
@@ -324,17 +324,18 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             packer = scalar_struct(instr.ty)
             unpack = env.bind(packer.unpack_from, "u")
             addr = addr_of(instr, instr.srcs)
-            em.bounds(addr, packer.size)
+            em.bounds(addr, packer)
             emit(f"{dst_of(instr)} = {unpack}({data}, {addr})[0]")
         elif op == "store":
             em.impure = True
             packer, pack, coerce = em.store_kernels(instr.ty)
             addr = addr_of(instr, instr.srcs[:-1])
             value = read(instr.srcs[-1])
-            em.bounds(addr, packer.size)
+            em.bounds(addr, packer)
             em.store(pack, coerce, addr, value)
         elif op == "lea.frame":
-            emit(f"{dst_of(instr)} = fb + {lit(instr.arg)}")
+            emit(f"{dst_of(instr, rng=em.frame(instr.arg))} = "
+                 f"fb + {lit(instr.arg)}")
         elif op == "spill.ld":
             em.impure = True        # empty-slot trap
             message = env.bind(f"{name}: reload of empty spill slot "
@@ -409,7 +410,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             packer = vector_struct(instr.ty.elem, instr.ty.lanes)
             unpack = env.bind(packer.unpack_from, "u")
             addr = addr_of(instr, instr.srcs)
-            em.bounds(addr, packer.size)
+            em.bounds(addr, packer)
             emit(f"{dst_of(instr, lanes=instr.ty.lanes)} = "
                  f"list({unpack}({data}, {addr}))")
         elif op == "vstore":
@@ -421,13 +422,14 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             addr = addr_of(instr, instr.srcs[:-1])
             value = read(instr.srcs[-1])
             # Not re-checked: the lane count of a vector this block
-            # wrote, and with it a range it checked at this width.
+            # wrote, and with it a range it checked at this width or a
+            # counted loop's guard proved.
             pad = "    "
             if em.lanes.get(value) != lanes:
                 emit(f"if len({value}) == {lit(lanes)} and "
                      f"{addr} >= {NULL_GUARD} and "
                      f"{addr} + {lit(packer.size)} <= {tier.size}:")
-            elif (addr, packer.size) not in em.proven:
+            elif not em.proved(addr, packer):
                 emit(f"if {addr} >= {NULL_GUARD} and {addr} <= "
                      f"{em.bound_limit(packer.size)}:")
             else:

@@ -36,10 +36,13 @@ lives here, once:
 * the tier-2 dispatcher: hot-span ordering, two-block loop fusion,
   counted loops — a fused loop whose induction the engine's hook
   finds (:meth:`Lowering.induction`, :class:`Induction`) runs as a
-  ``for ... in range`` with no fuel compare, exit test or i32 / u64
-  wrap per iteration, under one guard at loop entry whose refused
-  states deopt at the header (:meth:`Tier2Writer.counted`) — the OSR
-  entry whitelist and prologue, the ``pc`` ladder and its deopt arms
+  ``for ... in range`` with no fuel compare, exit test, i32 / u64
+  wrap or bounds check of an affine access per iteration, under one
+  guard at loop entry whose refused states deopt at the header
+  (:meth:`Tier2Writer.counted`; its latch's accesses as data,
+  :class:`Access`), and an integer reduction folds every trip but
+  the last into one builtin (:func:`fold_of`) — the OSR entry
+  whitelist and prologue, the ``pc`` ladder and its deopt arms
   (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
 
 An engine is a :class:`Lowering` subclass: class attributes carry its
@@ -66,8 +69,10 @@ pop around the call, and reading the result back.
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
+import struct
 import threading
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -122,13 +127,21 @@ class Tier2BuildStats:
       one block, three or more, or two latches; fused but not counted
       — its function calls, its header can raise, or it is not
       ``for (iv < bound; iv += c)`` as far as the engine's induction
-      hook (:meth:`Lowering.induction`) can tell."""
+      hook (:meth:`Lowering.induction`) can tell.
+    * ``accesses_hoisted`` / ``accesses_checked`` / ``loops_folded`` —
+      of the counted loops' latches: the memory accesses whose address
+      is affine in the induction variable, proven in range by the
+      guard and unchecked in the body; those that keep a per-trip
+      check (a loaded index, say); and the latches whose trips but the
+      last fold into one builtin (:func:`fold_of`).  "Why does this
+      loop still check?" — its ``accesses_checked``."""
 
     def __init__(self) -> None:
         self.counts = dict.fromkeys(
             ("warm", "request", "deferred", "facts_warm", "facts_request",
              "guards_elided", "guards_kept", "loops_fused",
-             "loops_ladder", "loops_counted"), 0)
+             "loops_ladder", "loops_counted", "loops_folded",
+             "accesses_hoisted", "accesses_checked"), 0)
 
     def tier2_build_stats(self) -> dict:
         """Copy of the tier-2 build-site counters."""
@@ -611,20 +624,88 @@ I32_LIMIT = 1 << 31
 BASE_LIMIT = 1 << 62
 
 
+class Affine(NamedTuple):
+    """A counted loop's value as a function of its trip: ``scale * iv
+    + offset + sum(k * name for name, k in terms)`` in exact integer
+    arithmetic, over loop-invariant ints ``terms`` (sorted)."""
+
+    scale: int
+    offset: int
+    terms: Tuple[Tuple[str, int], ...] = ()
+
+    def plus(self, other: "Affine", sign: int = 1) -> "Affine":
+        terms = dict(self.terms)
+        for name, k in other.terms:
+            terms[name] = terms.get(name, 0) + sign * k
+        return Affine(self.scale + sign * other.scale,
+                      self.offset + sign * other.offset,
+                      tuple(sorted((n, k) for n, k in terms.items() if k)))
+
+    def times(self, k: int) -> "Affine":
+        return Affine(self.scale * k, self.offset * k,
+                      tuple((n, c * k) for n, c in self.terms if c * k))
+
+    def at(self, iv: str) -> str:
+        """Python text of the value on the trip whose induction
+        variable is the expression ``iv``."""
+        parts = [] if not self.scale else \
+            [iv if self.scale == 1 else f"{self.scale} * {iv}"]
+        parts += [n if k == 1 else f"{k} * {n}" for n, k in self.terms]
+        text = " + ".join(parts) or "0"
+        if self.offset:
+            text += f" + {self.offset}" if self.offset > 0 \
+                else f" - {-self.offset}"
+        return text
+
+
 class Interval(NamedTuple):
     """What a lowered integer name or operand is known to hold:
     ``lo <= value <= hi``.  ``deps`` names the loop-invariant values
     whose *assumed* range it rests on; a wrap dropped on its strength
-    makes the counted loop's guard check them (:meth:`BlockEmitter.fits`)."""
+    makes the counted loop's guard check them (:meth:`BlockEmitter.fits`).
+    In a counted loop's latch, ``aff`` is the value's exact
+    :class:`Affine` form, when it has one, and ``masks`` the wraps
+    dropped on the way to it, each a guard clause ``(Affine, lo, hi)``."""
 
     lo: int
     hi: int
     deps: frozenset = frozenset()
+    aff: Optional[Affine] = None
+    masks: frozenset = frozenset()
 
 
 def int_interval(int_ty) -> Interval:
     """Every value of ``int_ty``."""
     return Interval(ty.int_min(int_ty), ty.int_max(int_ty))
+
+
+def affine_of(rng: Optional[Interval]) -> Optional[Affine]:
+    """The exact affine form of a value known to lie in ``rng``: its
+    own, or a constant's."""
+    if rng is None:
+        return None
+    if rng.aff is None and rng.lo == rng.hi and not rng.deps:
+        return Affine(0, rng.lo)
+    return rng.aff
+
+
+class Access(NamedTuple):
+    """One memory access of a counted loop's latch whose address is
+    affine in the induction variable: proven in range for every trip
+    by its guard, so the body carries no check
+    (:meth:`BlockEmitter.proved`)."""
+
+    #: the lowered name holding the address
+    addr: str
+    aff: Affine
+    width: int
+    #: the access's ``struct`` format (its element type and lane count)
+    fmt: str
+    pc: int
+    #: the wraps dropped on the way to the address (``Interval.masks``)
+    masks: frozenset
+    #: the index of the latch line the access's statement follows
+    line: int
 
 
 class Induction(NamedTuple):
@@ -701,10 +782,23 @@ class BlockEmitter:
     engine leaves the wrap out, and the assumptions that proved it
     land in :attr:`leaned`, which the guard then checks.  The engine
     also drops the pcs in :attr:`skip` and writes 1 for the compare
-    at :attr:`flag`."""
+    at :attr:`flag`.
+
+    **The loop as data** (a counted loop's latch only: ``hoist``).
+    Each interval also carries the value's exact :class:`Affine` form
+    in the induction variable, where it has one.  A wrap of an affine
+    value that the interval cannot prove the identity is dropped
+    anyway and recorded in :attr:`clauses` — the guard proves it the
+    identity on the first and the last trip, which covers every trip
+    between.  Every access whose address is affine is recorded in
+    :attr:`accesses` instead of checked (:meth:`proved`); the others
+    keep their check and are counted in :attr:`checked`.  Lane
+    reductions folded by one builtin are recorded in
+    :attr:`reductions`, for :func:`fold_of`."""
 
     def __init__(self, env: CodegenEnv, tier: Tier, widths: set,
-                 induction: Optional[Induction] = None):
+                 induction: Optional[Induction] = None,
+                 hoist: bool = False):
         self.env = env
         self.lit = env.lit
         self.tier = tier
@@ -723,13 +817,21 @@ class BlockEmitter:
         self.leaned: set = set()
         self.skip: frozenset = frozenset()
         self.flag: Optional[int] = None
+        #: the current instruction's pc
+        self.pc = 0
+        self.clauses: Optional[set] = set() if hoist else None
+        self.accesses: List[Access] = []
+        self.checked = 0
+        #: right-hand side text -> ``(reduce op, vector name, acc type)``
+        self.reductions: dict = {}
         if induction is not None:
             self.skip, self.flag = induction.skip, induction.flag
             for name in induction.invariants:
-                self.ranges[name] = Interval(0, BASE_LIMIT - 1,
-                                             frozenset((name,)))
+                self.ranges[name] = Interval(
+                    0, BASE_LIMIT - 1, frozenset((name,)),
+                    Affine(0, 0, ((name, 1),)))
             self.ranges[induction.iv] = Interval(
-                0, I32_LIMIT - 1 - induction.step)
+                0, I32_LIMIT - 1 - induction.step, aff=Affine(1, 0))
 
     def newt(self) -> str:
         self._temps += 1
@@ -738,8 +840,9 @@ class BlockEmitter:
     def emit(self, text: str, indent: str = "") -> None:
         self.lines.append(indent + text)
 
-    def begin(self) -> None:
-        """Start lowering one instruction."""
+    def begin(self, pc: int) -> None:
+        """Start lowering the instruction at ``pc``."""
+        self.pc = pc
         self.marker_at = len(self.lines)
         self.impure = False
 
@@ -771,10 +874,17 @@ class BlockEmitter:
         if rng is None or not isinstance(int_ty, ty.IntType):
             return None
         whole = int_interval(int_ty)
-        if not whole.lo <= rng.lo <= rng.hi <= whole.hi:
+        if whole.lo <= rng.lo <= rng.hi <= whole.hi:
+            self.leaned |= rng.deps
+            return rng
+        # An affine value in a latch: the guard makes the wrap the
+        # identity instead, by a clause on the first and last trip.
+        lo, hi = max(rng.lo, whole.lo), min(rng.hi, whole.hi)
+        if self.clauses is None or rng.aff is None or lo > hi:
             return None
-        self.leaned |= rng.deps
-        return rng
+        clause = (rng.aff, whole.lo, whole.hi)
+        self.clauses.add(clause)
+        return rng._replace(lo=lo, hi=hi, masks=rng.masks | {clause})
 
     def exact_binop(self, op: str, int_ty, a: Optional[Interval],
                     b: Optional[Interval]) -> Optional[Interval]:
@@ -782,30 +892,58 @@ class BlockEmitter:
         value of ``int_ty`` (:meth:`fits`), else ``None``."""
         if a is None or b is None or not isinstance(int_ty, ty.IntType):
             return None
+        x, y = affine_of(a), affine_of(b)
+        both = x is not None and y is not None
+        aff = None
         if op == "add":
             lo, hi = a.lo + b.lo, a.hi + b.hi
+            aff = x.plus(y) if both else None
         elif op == "sub":
             lo, hi = a.lo - b.hi, a.hi - b.lo
+            aff = x.plus(y, -1) if both else None
         elif op == "mul":
             ends = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
             lo, hi = min(ends), max(ends)
+            if both and not (x.scale or x.terms):
+                aff = y.times(x.offset)
+            elif both and not (y.scale or y.terms):
+                aff = x.times(y.offset)
         elif op == "shl" and b.lo == b.hi:
             shift = b.lo & (int_ty.bits - 1)
             lo, hi = a.lo << shift, a.hi << shift
+            aff = x.times(1 << shift) if x is not None else None
         else:
             return None
-        return self.fits(Interval(lo, hi, a.deps | b.deps), int_ty)
+        return self.fits(Interval(lo, hi, a.deps | b.deps, aff,
+                                  a.masks | b.masks), int_ty)
 
-    def address(self, expr: str, masked: bool) -> str:
+    def frame(self, offset: int) -> Optional[Interval]:
+        """What is known of the frame address ``fb + offset`` (``fb``,
+        the frame base, is an invariant of every loop)."""
+        if not self.ranges:
+            return None
+        return Interval(offset, BASE_LIMIT - 1 + offset,
+                        frozenset(("fb",)), Affine(0, offset, (("fb", 1),)))
+
+    def address(self, expr: str, masked: bool,
+                rng: Optional[Interval] = None) -> str:
         """The name of the 64-bit address ``expr``: a wrapped-u64
         inline result (``masked``) is in range already and is only
-        given a single-evaluation name if it lacks one."""
+        given a single-evaluation name if it lacks one.  ``rng``: what
+        is known of the unwrapped value (a counted loop's blocks), kept
+        under the name for :meth:`proved`."""
+        if not masked and rng is not None:
+            rng = self.fits(rng, ty.U64)
+            masked = rng is not None
         if masked and expr.isidentifier():
-            return expr
-        t = self.newt()
-        self.emit(f"{t} = {expr}" if masked
-                  else f"{t} = ({expr}) & {MASK64_LITERAL}")
-        return t
+            name = expr
+        else:
+            name = self.newt()
+            self.emit(f"{name} = {expr}" if masked
+                      else f"{name} = ({expr}) & {MASK64_LITERAL}")
+        if rng is not None:
+            self.ranges[name] = rng
+        return name
 
     def bound_limit(self, size: int) -> Optional[str]:
         """The upper-bound operand of a ``size``-byte access: tier-2
@@ -817,12 +955,33 @@ class BlockEmitter:
 
     # -- templates both engines spell identically ----------------------------
 
-    def bounds(self, addr: str, size: int) -> None:
-        """Range-check a ``size``-byte access at ``addr`` — unless an
-        earlier check of this block raised on the same pair and the
-        name has not been assigned since (dead code)."""
+    def proved(self, addr: str, packer) -> bool:
+        """Is the access ``packer`` describes at ``addr`` in range with
+        no check here?  It is when an earlier check of this block
+        raised on the same pair and the name has not been assigned
+        since, or — in a counted loop's latch — when the address is
+        affine: then it is recorded for the guard (:class:`Access`)."""
+        size = packer.size
         if (addr, size) in self.proven:
+            return True
+        if self.clauses is None:
+            return False
+        rng = self.ranges.get(addr)
+        if rng is None or rng.aff is None:
+            self.checked += 1
+            return False
+        self.accesses.append(Access(addr, rng.aff, size, packer.format,
+                                    self.pc, rng.masks, len(self.lines)))
+        self.proven.add((addr, size))
+        self.widths.add(size)
+        return True
+
+    def bounds(self, addr: str, packer) -> None:
+        """Range-check the access ``packer`` describes at ``addr``,
+        unless it is :meth:`proved`."""
+        if self.proved(addr, packer):
             return
+        size = packer.size
         limit = self.bound_limit(size)
         if limit is not None:
             self.proven.add((addr, size))
@@ -885,13 +1044,15 @@ class BlockEmitter:
                 and fold_tpl is not None and fold_tpl[1]:
             # Inline the whole fold: no kernel call per lane.
             wexpr = widen_tpl[0]
-            if widen_kernel is identity_kernel and reduce_op != "add":
-                self.emit(f"{acc} = {reduce_op}({vec})")
-                return acc
-            if widen_kernel is identity_kernel \
-                    and isinstance(acc_ty, ty.IntType):
-                wrap = inline_cast(acc_ty, acc_ty, env)[0]
-                self.emit(f"{acc} = {wrap.format(a=f'sum({vec})')}")
+            if widen_kernel is identity_kernel and (
+                    reduce_op != "add" or isinstance(acc_ty, ty.IntType)):
+                # One builtin; a sum wraps once.
+                folded = f"{reduce_op}({vec})" if reduce_op != "add" \
+                    else inline_cast(acc_ty, acc_ty, env)[0].format(
+                        a=f"sum({vec})")
+                self.emit(f"{acc} = {folded}")
+                if self.clauses is not None:
+                    self.reductions[folded] = (reduce_op, vec, acc_ty)
                 return acc
             self.emit(f"{acc} = {wexpr.format(a=f'{vec}[0]')}")
             self.emit(f"for {lane} in {vec}[1:]:")
@@ -1245,37 +1406,78 @@ class Tier2Writer:
         """A merged loop, counted, under one guard at entry: ``iv``
         and ``bound`` are ints, ``0 <= iv`` and ``bound <= I32_LIMIT -
         step`` (no ``iv + step`` of the loop wraps), every base the
-        lowering leaned on is an int in ``[0, BASE_LIMIT)``, and the
-        fuel covers every trip plus the header's last run.  Then the
-        loop is a ``for iv in range`` with no fuel compare and no exit
-        test, its blocks lowered under those facts, and the exit does
-        at once what the last test would have left: ``iv`` past the
+        lowering leaned on is an int in ``[0, BASE_LIMIT)``, the fuel
+        covers every trip plus the header's last run, and — when the
+        loop runs at all — two clauses per affine access and per
+        dropped wrap of the latch (:attr:`BlockEmitter.clauses`): the
+        exact value on the first trip and on the last lies in range (an
+        address in ``[NULL_GUARD, _ms - width]``), so on every trip
+        between.  Then the loop is a ``for iv in range`` with no fuel
+        compare, no exit test and no check or wrap the guard covers,
+        its blocks lowered under those facts, and the exit does at
+        once what the last test would have left: ``iv`` past the
         bound, the increment's temp, the header's lines (its flag
-        register 0) and the debits of every trip.  A trap in the body
-        debits the trips up to its own, then rolls back through the
-        latch's line table.  A refused state deopts at the header: the
-        block tier runs it, and OSR re-enters once it heals (a refused
-        OSR entry returns its own pc, so it is retired for the call)."""
-        ind, hlen = loop.induction, self.blocks[header]
+        register 0) and the debits of every trip.  A foldable latch
+        (:func:`fold_of`) runs every trip but the last as one builtin
+        over one ``struct.unpack_from`` of the whole run, then the
+        last through the body.  A trap in the body debits the trips up
+        to its own, then rolls back through the latch's line table.  A
+        refused state deopts at the header: the block tier runs it,
+        and OSR re-enters once it heals (a refused OSR entry returns
+        its own pc, so it is retired for the call)."""
+        ind, hlen, fold = loop.induction, self.blocks[header], loop.fold
         period, owed = self.per_trip(header, latch)
         iv, bound, step = ind.iv, ind.bound, ind.step
-        leaned = sorted(loop.leaned)
+        scale = "" if step == 1 else f" * {step}"
+        leaned, clauses = sorted(loop.leaned), sorted(loop.clauses, key=repr)
+        named = [iv, bound, *leaned]
+        for aff in [access.aff for access in loop.accesses] \
+                + [clause[0] for clause in clauses]:
+            named += [name for name, _ in aff.terms]
+        if fold is not None:
+            named += [*sorted(fold.reads), fold.acc]
         checks = [f"type({name}) is int"
-                  for name in (iv, bound, *leaned) if name.isidentifier()]
+                  for name in dict.fromkeys(named) if name.isidentifier()]
         checks += [f"0 <= {iv}", f"{bound} <= {I32_LIMIT - step}"]
         checks += [f"0 <= {name} < {BASE_LIMIT}" for name in leaned]
         trips = f"{bound} - {iv}" if step == 1 \
             else f"({bound} - {iv} + {step - 1}) // {step}"
         checks.append(f"executed + (_n := {trips} if {bound} > {iv} "
                       f"else 0) * {period} + {hlen} <= fuel")
+        last = f"({iv} + (_n - 1){scale})"
+
+        def ends(aff: Affine) -> Tuple[str, str]:
+            """The value on the trip where it is least, and greatest."""
+            first, final = aff.at(iv), aff.at(last)
+            return (final, first) if aff.scale < 0 else (first, final)
+
+        pairs = []
+        for aff, width in dict.fromkeys(
+                (access.aff, access.width) for access in loop.accesses):
+            low, high = ends(aff)
+            pairs += [f"{NULL_GUARD} <= {low}", f"{high} <= _ms{width}"]
+        covered = {access.aff for access in loop.accesses}
+        for aff, lo, hi in clauses:
+            if aff in covered and lo <= NULL_GUARD and hi >= BASE_LIMIT:
+                continue        # an address clause is stronger
+            low, high = ends(aff)
+            pairs += [f"{lo} <= {low}", f"{high} <= {hi}"]
+        if pairs:
+            checks.append(f"(not _n or {' and '.join(pairs)})")
+        if fold is not None and fold.op != "add":
+            checks.append(f"{ty.int_min(fold.acc_ty)} <= {fold.acc} <= "
+                          f"{ty.int_max(fold.acc_ty)}")
         self.w(f"if not ({' and '.join(checks)}):", base)
         self.deopt(header, base + 4)
         stride = "" if step == 1 else f", {step}"
         self.w(f"_v0 = {iv}", base)
+        if fold is not None:
+            self.w("if _n > 1:", base)
+            self.w(f"{fold.acc} = {fold.combine(self.env, iv)}", base + 4)
+            self.w(f"{iv} += (_n - 1){scale}", base + 4)
         self.w(f"for {iv} in range({iv}, {bound}{stride}):", base)
         for line in loop.hlines:
             self.w(line, base + 4)
-        scale = "" if step == 1 else f" * {step}"
         trip = f"{iv} - _v0" if step == 1 else f"({iv} - _v0) // {step}"
         self.body(latch, base + 4, loop.llines, loop.lmarks,
                   f"executed += ({trip} + 1) * {period}")
@@ -1295,7 +1497,8 @@ class Tier2Writer:
 class CountedLoop(NamedTuple):
     """A fused loop's counted form (:meth:`Tier2Writer.counted`), its
     only compiled form: its induction and its two blocks lowered under
-    the guard's facts, terminal branches dropped."""
+    the guard's facts, terminal branches dropped, and the latch's
+    records (:class:`BlockEmitter`)."""
 
     induction: Induction
     hlines: List[str]
@@ -1303,6 +1506,214 @@ class CountedLoop(NamedTuple):
     lmarks: List[Tuple[int, int]]
     #: loop-invariant names whose assumed range a dropped wrap needed
     leaned: frozenset
+    #: the latch's affine accesses, their checks proven by the guard
+    accesses: Tuple[Access, ...]
+    #: the latch's dropped wraps of affine values, ``(Affine, lo, hi)``
+    clauses: frozenset
+    #: the latch's accesses that keep their per-trip check
+    checked: int
+    fold: Optional["Fold"]
+
+
+#: the element type of each integer ``struct`` format character
+_INT_FORMATS = {"b": ty.I8, "B": ty.U8, "h": ty.I16, "H": ty.U16,
+                "i": ty.I32, "I": ty.U32, "q": ty.I64, "Q": ty.U64}
+
+#: the nodes of an expression no int operand makes raise (a shift's
+#: count is checked apart: a negative one raises)
+_PURE_NODES = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.IfExp,
+               ast.Compare, ast.BoolOp, ast.Load, ast.Add, ast.Sub,
+               ast.Mult, ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift,
+               ast.RShift, ast.USub, ast.Invert, ast.Not, ast.And, ast.Or,
+               ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+#: the text of an integer ``add`` / ``min`` / ``max`` template ->
+#: ``(op, type)``: what a latch's combine into its accumulator is
+_COMBINES = {inline_binop(op, int_ty, None)[0]: (op, int_ty)
+             for op in ("add", "min", "max") for int_ty in ty.INT_TYPES}
+
+
+class Fold(NamedTuple):
+    """A counted latch whose trips fold into one builtin
+    (:func:`fold_of`): ``acc = op(elements loaded at access, acc)``,
+    wrapped into ``acc_ty``."""
+
+    acc: str
+    op: str
+    acc_ty: ty.IntType
+    access: Access
+    #: loop-invariant names the trips read, which the guard type-checks
+    reads: frozenset
+
+    def combine(self, env: CodegenEnv, iv: str) -> str:
+        """The accumulator after the trips ``[iv, last)``: their
+        elements are one contiguous run from the access's first
+        address, folded by one builtin and wrapped once."""
+        char = self.access.fmt[-1]
+        lanes = self.access.width // struct.calcsize("<" + char)
+        count = "(_n - 1)" if lanes == 1 else f"(_n - 1) * {lanes}"
+        run = (f"{env.bind(struct.unpack_from, 'uf')}("
+               f'f"<{{{count}}}{char}", _md, {self.access.aff.at(iv)})')
+        builtin = "sum" if self.op == "add" else self.op
+        return inline_binop(self.op, self.acc_ty, env)[0].format(
+            a=f"{builtin}({run})", b=self.acc)
+
+
+def fold_of(hlines: List[str], latch: BlockEmitter, induction: Induction,
+            env: CodegenEnv) -> Optional[Fold]:
+    """The :class:`Fold` of a counted loop whose trip (the header's
+    ``hlines``, then the latch's) only loads at affine addresses,
+    lane-reduces with an integer ``add`` / ``min`` / ``max`` and
+    combines into one loop-carried accumulator, else ``None``.
+
+    Every trip but the last may then be skipped, so the test is an
+    abstract run of the trip's statements that admits only what
+    cannot raise and leaves nothing but the accumulator to the next
+    trip: copies, pure int arithmetic over the induction variable and
+    the invariants, the recorded loads (:attr:`BlockEmitter.accesses`)
+    and lane reductions (:attr:`BlockEmitter.reductions`), a vector's
+    empty check, and one combine — the engines' own template text.  A
+    name read before the trip writes it is the accumulator, in the
+    combine, or the loop is refused."""
+    accesses, heading = latch.accesses, len(hlines)
+    lines = hlines + latch.lines[:-1]
+    if not accesses:
+        return None
+    try:
+        tree = ast.parse("\n".join(lines))
+    except SyntaxError:
+        return None
+    known: dict = {induction.iv: ("int",)}
+    reads: set = set()
+    found: list = []
+
+    def name(node) -> Optional[tuple]:
+        if node.id in known:
+            return known[node.id]
+        if node.id in induction.invariants:
+            reads.add(node.id)
+            return ("int",)
+        return None
+
+    def load(node, at: int) -> Optional[tuple]:
+        # ``u(_md, addr)[0]`` a scalar; ``u(_md, addr)`` (a tuple) or
+        # ``list(u(_md, addr))`` a vector; ``at``: the statement's latch
+        # line, which follows the access's record.
+        vector = not isinstance(node, ast.Subscript)
+        if not vector:
+            if not (isinstance(node.slice, ast.Constant)
+                    and node.slice.value == 0):
+                return None
+            node = node.value
+        elif isinstance(node, ast.Call) and len(node.args) == 1 \
+                and isinstance(node.func, ast.Name) \
+                and node.func.id == "list":
+            node = node.args[0]
+        if not (isinstance(node, ast.Call) and len(node.args) == 2
+                and all(isinstance(a, ast.Name) for a in node.args)
+                and isinstance(node.func, ast.Name)
+                and node.args[0].id == "_md"):
+            return None
+        access = next((a for a in reversed(accesses) if a.line <= at
+                       and a.addr == node.args[1].id), None)
+        unpack = env.env.get(node.func.id)
+        if access is None or access.fmt[-1] not in _INT_FORMATS \
+                or getattr(unpack, "__name__", None) != "unpack_from" \
+                or getattr(getattr(unpack, "__self__", None), "format",
+                           None) != access.fmt \
+                or vector != (len(access.fmt) > 2):
+            return None
+        return ("vec" if vector else "elem", access)
+
+    def combine(text: str) -> Optional[tuple]:
+        names = sorted(set(re.findall(r"[A-Za-z_]\w*", text))
+                       - {"max", "min"})
+        if len(names) != 2:
+            return None
+        for x, acc in (names, names[::-1]):
+            shape = re.sub(rf"\b{acc}\b", "{b}",
+                           re.sub(rf"\b{x}\b", "{a}", text))
+            if shape in _COMBINES:
+                break
+        else:
+            return None
+        op, acc_ty = _COMBINES[shape]
+        value = known.get(x)
+        if found or acc in known or acc == induction.iv \
+                or acc in induction.invariants or value is None \
+                or value[0] in ("int", "vec", "acc") \
+                or value[0] == "red" and value[1] != op:
+            return None
+        elem = value[2] if value[0] == "red" \
+            else _INT_FORMATS[value[1].fmt[-1]]
+        if op == "add" and value[0] == "red" and elem != acc_ty:
+            return None         # the lanes wrap to another type
+        if op != "add" and not (ty.int_min(acc_ty) <= ty.int_min(elem)
+                                and ty.int_max(elem) <= ty.int_max(acc_ty)):
+            return None
+        found.append((acc, op, acc_ty, value[-1]))
+        return ("acc", acc)
+
+    def pure(node) -> Optional[tuple]:
+        for sub in ast.walk(node):
+            if not isinstance(sub, _PURE_NODES) or isinstance(
+                    sub, ast.Constant) and type(sub.value) is not int:
+                return None
+            if isinstance(sub, ast.BinOp) \
+                    and isinstance(sub.op, (ast.LShift, ast.RShift)):
+                count = sub.right
+                if isinstance(count, ast.BinOp) \
+                        and isinstance(count.op, ast.BitAnd):
+                    count = count.right
+                if not (isinstance(count, ast.Constant)
+                        and count.value >= 0):
+                    return None
+            if isinstance(sub, ast.Name) and (
+                    name(sub) or ("",))[0] not in ("int", "elem"):
+                return None
+        return ("int",)
+
+    def value(node, text: str, at: int) -> Optional[tuple]:
+        if isinstance(node, ast.Name):
+            return name(node)
+        if text in latch.reductions:
+            op, vec, acc_ty = latch.reductions[text]
+            got = known.get(vec)
+            if got is None or got[0] != "vec":
+                return None
+            return ("red", op, _INT_FORMATS[got[1].fmt[-1]]
+                    if op != "add" else acc_ty, got[1])
+        return load(node, at) or combine(text) or pure(node)
+
+    refused = False
+    for stmt in tree.body:
+        if isinstance(stmt, ast.If) and not stmt.orelse \
+                and isinstance(stmt.test, ast.UnaryOp) \
+                and isinstance(stmt.test.op, ast.Not) \
+                and isinstance(stmt.test.operand, ast.Name) \
+                and (known.get(stmt.test.operand.id) or ("",))[0] == "vec" \
+                and len(stmt.body) == 1 \
+                and isinstance(stmt.body[0], ast.Raise):
+            continue                        # a vector is never empty
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.lineno == stmt.end_lineno):
+            refused = True                  # a store, a check, a try
+            continue
+        # The right-hand side as the engine wrote it (a template's text)
+        got = value(stmt.value, lines[stmt.lineno - 1].partition(" = ")[2],
+                    stmt.lineno - 1 - heading)
+        refused = refused or got is None
+        known[stmt.targets[0].id] = got or ("int",)
+    if len(found) != 1:
+        return None                         # nothing, or two, to fold
+    acc, op, acc_ty, access = found[0]
+    eligible = not refused and known.get(acc) == ("acc", acc) \
+        and access.aff.scale * induction.step == access.width
+    if not eligible:
+        return None
+    return Fold(acc, op, acc_ty, access, frozenset(reads))
 
 
 class Lowering:
@@ -1352,8 +1763,10 @@ class Lowering:
         #: access widths the tier-2 blocks check against ``_ms<width>``
         self.widths: set = set()
         #: the induction a counted loop's blocks are being lowered
-        #: under (:meth:`counted_loop`), for the engine's emitter
+        #: under (:meth:`counted_loop`), for the engine's emitter, and
+        #: whether the block is its latch (hoisted accesses and wraps)
         self.counting: Optional[Induction] = None
+        self.hoisting = False
 
     # -- cache protocol ------------------------------------------------------
 
@@ -1514,9 +1927,8 @@ class Lowering:
             t2.guards_kept = env.get("_GUARDS_KEPT", 0)
             counts["guards_elided"] += t2.guards_elided
             counts["guards_kept"] += t2.guards_kept
-            counts["loops_fused"] += env["_LOOPS"][0]
-            counts["loops_ladder"] += env["_LOOPS"][1]
-            counts["loops_counted"] += env["_LOOPS"][2]
+            for key, count in env["_LOOPS"].items():
+                counts[key] += count
             return t2
         except Exception:
             return None
@@ -1581,8 +1993,16 @@ class Lowering:
         pairs = [{header, loop[0]} for header, loop in loops.items()]
         edges = [{block, target} in pairs
                  for block, target in loop_back_edges(code)]
-        env_dict["_LOOPS"] = (sum(edges), len(edges) - sum(edges),
-                              len(counted))
+        env_dict["_LOOPS"] = {
+            "loops_fused": sum(edges),
+            "loops_ladder": len(edges) - sum(edges),
+            "loops_counted": len(counted),
+            "loops_folded": sum(loop.fold is not None
+                                for loop in counted.values()),
+            "accesses_hoisted": sum(len(loop.accesses)
+                                    for loop in counted.values()),
+            "accesses_checked": sum(loop.checked
+                                    for loop in counted.values())}
 
         w(f"def _t2({self.signature}, pc=0):")
         for line in entry:
@@ -1665,16 +2085,21 @@ class Lowering:
                 return None
             self.counting = induction
             head = self.lower(header, self.blocks[header], self.tier2_tier)
+            self.hoisting = True
             body = self.lower(latch, self.blocks[latch], self.tier2_tier)
         except Exception:
             return None
         finally:
-            self.counting = None
+            self.counting, self.hoisting = None, False
         if head.marks or not head.lines[-1].startswith("pc = ") \
                 or body.lines[-1] != f"pc = {header}":
             return None
-        return CountedLoop(induction, head.lines[:-1], body.lines[:-1],
-                           body.marks, frozenset(head.leaned | body.leaned))
+        hlines, llines = head.lines[:-1], body.lines[:-1]
+        return CountedLoop(induction, hlines, llines, body.marks,
+                           frozenset(head.leaned | body.leaned),
+                           tuple(body.accesses), frozenset(body.clauses),
+                           body.checked,
+                           fold_of(hlines, body, induction, self.env))
 
     # -- what an engine supplies ---------------------------------------------
 

@@ -187,7 +187,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         rules.enter_block()
     local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
     em = BlockEmitter(env, tier, low.widths,
-                      low.counting if tier2 else None)
+                      low.counting if tier2 else None, low.hoisting)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     ranges = em.ranges      # empty outside a counted loop's blocks
     vstack: List[str] = []          # expressions for virtual stack slots
@@ -278,7 +278,8 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         masked = meta is not None and meta.get("masked64", False)
         if meta is not None and meta.get("tuple"):
             expr = f"list({expr})"      # same TypeError as the lists
-        return em.address(expr, masked)
+        return em.address(expr, masked,
+                          meta.get("range") if meta is not None else None)
 
     exit_pc = leader + length
     skip = em.skip
@@ -288,7 +289,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin()
+        em.begin(pc)
 
         if op == "ldloc":
             place = local(instr.arg)
@@ -420,17 +421,19 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             packer = scalar_struct(type_of(instr.ty))
             unpack = env.bind(packer.unpack_from, "u")
             addr = pop_addr()
-            em.bounds(addr, packer.size)
+            em.bounds(addr, packer)
             push(f"{unpack}({data}, {addr})[0]")
         elif op == "store":
             em.impure = True
             packer, pack, coerce = em.store_kernels(type_of(instr.ty))
             value = pop()
             addr = pop_addr()
-            em.bounds(addr, packer.size)
+            em.bounds(addr, packer)
             em.store(pack, coerce, addr, value)
         elif op == "frame":
-            push_atom(f"(fb + {lit(frame_offsets[instr.arg])})")
+            offset = frame_offsets[instr.arg]
+            push_atom(f"(fb + {lit(offset)})",
+                      meta=_ranged(None, em.frame(offset)))
         elif op == "br":
             target = normalize_branch_target(instr.arg, len(code))
             if not isinstance(target, int):     # the reference's
@@ -503,7 +506,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             packer = vector_struct(elem, lanes)
             unpack = env.bind(packer.unpack_from, "u")
             addr = pop_addr()
-            em.bounds(addr, packer.size)
+            em.bounds(addr, packer)
             if tier2:
                 # Keep the unpacked tuple: downstream lane-wise
                 # consumers read it directly, and ``popd``/``flush``
@@ -546,10 +549,11 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             addr = pop_addr()
             slow = f"mem.store_vec({elem_name}, {addr}, {value})"
             pad = "    "
-            if static4 and (addr, packer.size) in em.proven:
-                # A raise-check in this block already proved this
-                # exact (address, width) in range: the store's guard
-                # is always true and its out-of-bounds arm is dead.
+            if static4 and em.proved(addr, packer):
+                # A raise-check in this block, or a counted loop's
+                # guard, already proved this exact (address, width) in
+                # range: the store's guard is always true and its
+                # out-of-bounds arm is dead.
                 pad = ""
             else:
                 limit = em.bound_limit(packer.size)

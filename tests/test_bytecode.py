@@ -1,5 +1,7 @@
 """Bytecode emission, encoding, verification, disassembly tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from repro.bytecode.annotations import (
     HotnessAnnotation, HWRequirementAnnotation, RegAllocAnnotation,
     LaneFactsAnnotation, decode_annotation, encode_annotation,
 )
-from repro.bytecode.module import BytecodeFunction, BytecodeModule
+from repro.bytecode.module import (
+    BytecodeFunction, BytecodeModule, FrameSlotInfo,
+)
 from repro.bytecode.varint import (
     read_sint, read_str, read_uint, write_sint, write_str, write_uint,
 )
@@ -378,6 +382,112 @@ class TestVerifier:
     def test_all_compiler_output_verifies(self):
         for source in (GCD, "double f(double x) { return -x; }"):
             emit(source)
+
+
+def _code(*instrs):
+    return [BCInstr(*instr) for instr in instrs]
+
+
+#: one hostile function per rejection site of the verifier
+#: (``_verify_function`` and the ``_join`` / ``_step`` it drives), built
+#: in memory: ``(site, code, params, locals, message)``.  ``f`` returns
+#: ``i32`` and has one 8-byte frame slot.
+REJECTIONS = [
+    ("empty body", [], [], [], "f: empty body"),
+    ("falls off the end", _code(("const", "i32", 1)), [], [],
+     "f@1: control falls off the end of the function"),
+    ("branch target", _code(("br", None, 9), ("ret",)), [], [],
+     "f@0: branch target 9 out of range"),
+    ("no reachable ret", _code(("br", None, 0), ("ret",)), [], [],
+     "f: no reachable ret"),
+    ("inconsistent merge",
+     _code(("ldarg", None, 0), ("brif", None, 3), ("const", "i32", 1),
+           ("const", "i32", 2), ("ret",)), ["i32"], [],
+     "f@3: inconsistent stack at merge (depth 0 vs 1)"),
+    ("stack underflow", _code(("pop",), ("ret",)), [], [],
+     "f@0: stack underflow popping pop"),
+    ("operand type", _code(("const", "f32", 1.0), ("neg", "i32"),
+                           ("ret",)), [], [],
+     "f@1: operand has type ['f32'], expected one of ['i32']"),
+    ("bad const type", _code(("const", "bogus", 1), ("ret",)), [], [],
+     "f@0: bad const type bogus"),
+    ("ldarg index", _code(("ldarg", None, 2), ("ret",)), ["i32"], [],
+     "f@0: ldarg index 2 out of range"),
+    ("ldloc index", _code(("ldloc", None, 1), ("ret",)), [], ["i32"],
+     "f@0: ldloc index 1 out of range"),
+    ("read before assignment", _code(("ldloc", None, 0), ("ret",)), [],
+     ["i32"], "f@0: local 0 read before assignment"),
+    ("stloc index", _code(("const", "i32", 1), ("stloc", None, 3),
+                          ("const", "i32", 1), ("ret",)), [], ["i32"],
+     "f@1: stloc index 3 out of range"),
+    ("frame slot", _code(("frame", None, 1), ("load", "i32"), ("ret",)),
+     [], [], "f@0: frame slot 1 out of range"),
+    ("binop type", _code(("const", "i32", 1), ("const", "i32", 1),
+                         ("add", "bogus"), ("ret",)), [], [],
+     "f@2: bad operand type bogus"),
+    ("bitwise on float", _code(("const", "f64", 1.0), ("const", "f64", 1.0),
+                               ("xor", "f64"), ("ret",)), [], [],
+     "f@2: xor on float type f64"),
+    ("not on float", _code(("const", "f32", 1.0), ("not", "f32"),
+                           ("ret",)), [], [],
+     "f@1: bitwise not on float"),
+    ("bad predicate", _code(("const", "i32", 1), ("const", "i32", 1),
+                            ("cmp", "i32", "lt?"), ("ret",)), [], [],
+     "f@2: bad predicate lt?"),
+    ("bad cast", _code(("const", "i32", 1), ("cast", "i32", "i33"),
+                       ("ret",)), [], [],
+     "f@1: bad cast i33 -> i32"),
+    ("unknown callee", _code(("call", None, "ghost"), ("ret",)), [], [],
+     "f@0: call to unknown function 'ghost'"),
+    ("stack at ret", _code(("const", "i32", 1), ("const", "i32", 2),
+                           ("ret",)), [], [],
+     "f@2: stack not empty at ret: [frozenset({'i32'})]"),
+    ("float lanes", _code(("frame", None, 0), ("vec.load", "f32"),
+                          ("frame", None, 0), ("vec.load", "f32"),
+                          ("vec.shl", "f32"), ("pop",),
+                          ("const", "i32", 0), ("ret",)), [], [],
+     "f@4: vec.shl on float lanes"),
+    ("bad reduce op", _code(("frame", None, 0), ("vec.load", "i32"),
+                            ("vec.reduce", "i32", ("mul", "i32")),
+                            ("ret",)), [], [],
+     "f@2: bad reduce op mul"),
+    ("bad accumulator tag", _code(("frame", None, 0), ("vec.load", "i32"),
+                                  ("vec.reduce", "i32", ("add", "i31")),
+                                  ("ret",)), [], [],
+     "f@2: bad accumulator tag i31"),
+    ("accumulator class", _code(("frame", None, 0), ("vec.load", "i32"),
+                                ("vec.reduce", "i32", ("add", "f32")),
+                                ("ret",)), [], [],
+     "f@2: reduce accumulator class mismatch"),
+    ("unknown opcode", _code(("jmp", None, 0), ("ret",)), [], [],
+     "f@0: unknown opcode 'jmp'"),
+]
+
+
+class TestVerifierRejects:
+    """The verifier is tier-2's trust boundary: a guard may lean on
+    verified code.  Each rejection site is reached by a module built in
+    memory, and says what it rejected."""
+
+    @pytest.mark.parametrize("site, code, params, locals_, message",
+                             REJECTIONS, ids=[row[0] for row in REJECTIONS])
+    def test_rejects(self, site, code, params, locals_, message):
+        module = BytecodeModule("m")
+        module.add(BytecodeFunction(
+            "f", list(params), "i32", list(locals_),
+            [FrameSlotInfo("s", 8, 8)], code))
+        with pytest.raises(BytecodeVerifyError) as info:
+            verify_module(module)
+        assert str(info.value) == message
+
+    def test_every_site_has_a_row(self):
+        """A new rejection site in the verifier needs a row above."""
+        import inspect
+        from repro.bytecode import verifier
+        text = inspect.getsource(verifier)
+        sites = len(re.findall(r"\bfail\(pc, |raise BytecodeVerifyError\(",
+                               text)) - 1       # ``fail`` itself raises
+        assert sites == len(REJECTIONS)
 
 
 class TestDisassembler:

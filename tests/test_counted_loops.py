@@ -2,19 +2,27 @@
 
 A fused loop whose header tests ``iv < bound`` and whose latch steps
 ``iv += c`` is compiled as a ``for iv in range(iv, bound, c)`` with no
-fuel compare and no exit test, under one guard at loop entry; a state
-the guard refuses deopts at the header, the block tier runs it, and
-OSR re-enters the counted version once the state heals.  Either way
-every engine (reference, block tier, tier-2, the block tier entering
-tier-2 mid-loop by OSR, and tier-2 re-entered by OSR after a deopt)
-observes the same value, memory, instruction and cycle counts and
-trap, on the VM and on x86.  The hand-picked cases sit on both sides
-of each clause of the guard; a hypothesis generator draws more."""
+fuel compare, no exit test and no bounds check or wrap on a value
+affine in ``iv``, under one guard at loop entry that checks those
+values on the first and the last trip; an integer reduction folds
+every trip but the last into one builtin.  A state the guard refuses
+deopts at the header, the block tier runs it, and OSR re-enters the
+counted version once the state heals.  Either way every engine
+(reference, block tier, tier-2, the block tier entering tier-2
+mid-loop by OSR, and tier-2 re-entered by OSR after a deopt) observes
+the same value, memory, instruction and cycle counts and trap.  The
+hand-picked cases sit on both sides of each clause of the guard, on
+the VM and x86; two hypothesis generators draw more, the second over
+stores, ``a[i - 1]``, reductions and IV-derived values left behind,
+four element types, bases at the edges of memory, of the base range
+and of the address space, the VM and all six native targets, and the
+``split`` and ``online-only`` flows.  ``tests/guard_mutants.py``
+drops each clause of the guard in turn: this file must fail on every
+one."""
 
 from __future__ import annotations
 
 import functools
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +30,12 @@ from hypothesis import strategies as st
 
 from repro import tiers
 from repro.core import deploy, offline_compile, select_bytecode
+from repro.jit import compile_for_target
 from repro.engine import FAST, REFERENCE, TIER2
 from repro.lang import types as ty
 from repro.semantics import Memory, TrapError
-from repro.targets import Simulator, dispatch
+from repro.semantics.memory import NULL_GUARD
+from repro.targets import Simulator, dispatch, target_names
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS
 from tests.test_engine_differential import ENGINES, assert_engines_agree
@@ -65,11 +75,29 @@ def images(source: str, step: int):
             "x86": deploy(artifact, "x86", "split")}
 
 
-def run(machine: str, image, args, engine: str, fuel=None, **knobs):
-    """One call of ``f``: its outcome, counts and all of memory.
-    ``args`` maps the array's address to the argument list."""
+def array_memory():
+    """``(memory, base)``: ``ELEMENTS`` i32 at ``base`` of a fresh
+    ``MEMORY_BYTES`` memory."""
     memory = Memory(MEMORY_BYTES)
-    base = memory.alloc_array(ty.I32, range(3, 3 + ELEMENTS))
+    return memory, memory.alloc_array(ty.I32, range(3, 3 + ELEMENTS))
+
+
+def filled_memory():
+    """``(memory, None)``: every byte of a fresh memory holds data, so
+    a run that reads past an array reads the same bytes on every
+    engine, up to the last byte."""
+    memory = Memory(MEMORY_BYTES)
+    memory.data[:] = bytes((k * 37 + 11) & 0xFF
+                           for k in range(MEMORY_BYTES))
+    return memory, None
+
+
+def run(machine: str, image, args, engine: str, fuel=None,
+        fill=array_memory, **knobs):
+    """One call of ``f``: its outcome, counts and all of memory.
+    ``fill`` makes the memory and an array's address, which ``args``
+    maps to the argument list."""
+    memory, base = fill()
     fuel = {} if fuel is None else {"fuel": fuel}
     if machine == "vm":
         vm = VM(image, memory, engine=engine, **fuel, **knobs)
@@ -95,19 +123,21 @@ def predecoded(machine: str, image, name: str = "f"):
     return dispatch.predecode_machine(func, image)
 
 
-def agree(machine: str, image, args, fuel=None) -> tuple:
+def agree(machine: str, image, args, fuel=None,
+          fill=array_memory) -> tuple:
     """Reference / block tier / tier-2, tier-2 re-entered by OSR
     after a deopt, and the block tier entering a fresh translation at
     the loop header by OSR: one observation, and the ``osr_entries``
     of the two OSR runs."""
-    outcomes = {engine: run(machine, image, args, engine, fuel)[0]
+    outcomes = {engine: run(machine, image, args, engine, fuel, fill)[0]
                 for engine in ENGINES}
     outcomes["reentry"], reentered = run(machine, image, args, TIER2,
-                                         fuel, osr=True, osr_threshold=2)
+                                         fuel, fill, osr=True,
+                                         osr_threshold=2)
     pre = predecoded(machine, image)
     pre._tier2 = tiers._TIER2_UNBUILT       # else entered at pc 0
     outcomes["osr"], entered = run(machine, image, args, FAST, fuel,
-                                   osr=True, osr_threshold=2)
+                                   fill, osr=True, osr_threshold=2)
     assert_engines_agree(outcomes, f"{machine} fuel={fuel}")
     return outcomes[REFERENCE], {"reentry": reentered.osr_entries,
                                  "osr": entered.osr_entries}
@@ -268,23 +298,269 @@ def test_guard_edges_generated(machine, source, data):
         st.integers(-2 * trip, 2 * trip), "fuel slack")))
 
 
+#: the widened generator's loops over ``{T} *a``: a store, a read of
+#: ``a[i - 1]``, the add / min / max reductions the offline compiler
+#: vectorizes, three that look like them, and three that leave an
+#: IV-derived value behind; ``s0`` starts the accumulator
+SHAPES = {
+    "store": """
+int f({T} *a, int s0, int start, int n) {{
+    for (int i = start; i < n; i++)
+        a[i] = s0 + i;
+    return n;
+}}
+""",
+    "prev": """
+int f({T} *a, int s0, int start, int n) {{
+    for (int i = start; i < n; i++)
+        a[i] = a[i] + a[i - 1];
+    return n;
+}}
+""",
+    "add": """
+int f({T} *a, int s0, int start, int n) {{
+    int s = s0;
+    for (int i = start; i < n; i++)
+        s += a[i];
+    return s;
+}}
+""",
+    "max": """
+int f({T} *a, int s0, int start, int n) {{
+    int m = s0;
+    for (int i = start; i < n; i++)
+        if (a[i] > m)
+            m = a[i];
+    return m;
+}}
+""",
+    "min": """
+int f({T} *a, int s0, int start, int n) {{
+    int m = s0;
+    for (int i = start; i < n; i++)
+        if (a[i] < m)
+            m = a[i];
+    return m;
+}}
+""",
+    # a sum that also stores, one that walks down, and one over every
+    # other element: each reduces into one accumulator, none may fold
+    "scan": """
+int f({T} *a, int s0, int start, int n) {{
+    int s = s0;
+    for (int i = start; i < n; i++) {{
+        s += a[i];
+        a[i] = s;
+    }}
+    return s;
+}}
+""",
+    "reverse": """
+int f({T} *a, int s0, int start, int n) {{
+    int s = s0;
+    for (int i = start; i < n; i++)
+        s += a[start + n - 1 - i];
+    return s;
+}}
+""",
+    "stride": """
+int f({T} *a, int s0, int start, int n) {{
+    int s = s0;
+    for (int i = start; i < n; i++)
+        s += a[2 * i];
+    return s;
+}}
+""",
+    # what the loop leaves behind: the i32 ``i + s0`` (its wrap is a
+    # guard clause), and ``(long) s0 + i`` (no wrap while ``s0`` is in
+    # the base range), read through a division, which no wrap undoes
+    "offset": """
+int f({T} *a, int s0, int start, int n) {{
+    int k = 0;
+    for (int i = start; i < n; i++) {{
+        k = i + s0;
+        a[i] = k;
+    }}
+    return k;
+}}
+""",
+    "wide": """
+int f({T} *a, int s0, int start, int n) {{
+    long w = 0;
+    for (int i = start; i < n; i++) {{
+        w = (long) s0 + i;
+        a[i] = i;
+    }}
+    return (int) (w / ((long) 1048576 * 1048576));
+}}
+""",
+    # ``(unsigned long) i`` is the identity only while ``0 <= i``: a
+    # negative start leaves a u64 behind that a float conversion shows
+    "unsigned": """
+int f({T} *a, int s0, int start, int n) {{
+    unsigned long u = 0;
+    for (int i = start; i < n; i++) {{
+        u = i;
+        a[i] = s0;
+    }}
+    return (int) ((double) u / 1e18);
+}}
+""",
+}
+
+#: element type -> (MiniC spelling, bytes)
+ELEMENT_TYPES = {"u8": ("unsigned char", 1), "u16": ("unsigned short", 2),
+            "i32": ("int", 4), "f32": ("float", 4)}
+
+#: the VM, then every native target (the wasm32 stack image runs on the
+#: VM: its loops are the VM's)
+MACHINES = ("vm",) + tuple(t for t in target_names() if t != "wasm32")
+FLOWS = ("split", "online-only")
+
+
+@functools.lru_cache(maxsize=None)
+def shaped_artifact(shape: str, elem: str):
+    return offline_compile(
+        SHAPES[shape].format(T=ELEMENT_TYPES[elem][0]), "gen")
+
+
+@functools.lru_cache(maxsize=None)
+def shaped_image(shape: str, elem: str, machine: str, flow: str):
+    artifact = shaped_artifact(shape, elem)
+    if machine == "vm":
+        return select_bytecode(artifact, flow)
+    return deploy(artifact, machine, flow)
+
+
+#: where the array starts: inside memory; so that its last element
+#: sits at, or one element past, the end of memory; below the null
+#: guard; near ``2**62`` (the base range's edge); near ``2**64``, where
+#: ``a + size * start`` wraps back into memory; and below ``size *
+#: -start`` for a negative start, where the first address wraps below
+#: zero
+BASES = ("inside", "end", "null", "huge", "wrap", "low")
+
+#: accumulator starts: small, at either i32 edge, outside i32, and at
+#: the i64 edge
+STARTS = (0, 7, -5, 2**31 - 3, -2**31 - 5, 2**40, -2**40, 2**63 - 4)
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shapes_generated(machine, data):
+    """Drawn over the shapes, element types and flows, the bases above,
+    0..48 trips (now and then a float bound), an accumulator start in
+    or out of i32, and a fuel either unlimited or within a few trips of
+    what the call executes: every engine agrees three-way, with OSR at
+    the header."""
+    shape = data.draw(st.sampled_from(sorted(SHAPES)), "shape")
+    elem = data.draw(st.sampled_from(sorted(ELEMENT_TYPES)), "elem")
+    flow = data.draw(st.sampled_from(FLOWS), "flow")
+    where = data.draw(st.sampled_from(BASES), "base")
+    size = ELEMENT_TYPES[elem][1]
+    start = data.draw(st.integers(0, 3), "start")
+    trips = data.draw(st.integers(0, 48), "trips")
+    if where == "inside":
+        base = 256
+        start -= data.draw(st.sampled_from([0, 4]), "negative")
+    elif where == "end":
+        base = MEMORY_BYTES - (start + trips) * size \
+            + data.draw(st.integers(-1, 1), "past") * size
+    elif where == "null":
+        base = data.draw(st.integers(0, NULL_GUARD - 1), "null base")
+    elif where == "huge":
+        base = tiers.BASE_LIMIT + data.draw(st.integers(-2, 2)) * size
+    elif where == "wrap":
+        back = data.draw(st.integers(1, 8)) * size
+        base, start = 2**64 - back, (back + 128) // size
+    else:
+        start = data.draw(st.integers(-3, -1), "negative start")
+        base = data.draw(st.integers(0, size * -start - 1), "low base")
+    s0 = data.draw(st.sampled_from(STARTS), "s0")
+    n = start + trips
+    if shape != "reverse" and data.draw(st.integers(0, 9), "float") == 0:
+        n += 0.5    # refused by the type clause ("reverse" indexes by n)
+    image = shaped_image(shape, elem, machine, flow)
+
+    def args(_):
+        return [base, s0, start, n]
+
+    fuel = None
+    if data.draw(st.booleans(), "metered"):
+        total = run(machine, image, args, REFERENCE, 10**6,
+                    filled_memory)[0][-2]
+        fuel = max(0, total + data.draw(st.integers(-40, 40), "slack"))
+    agree(machine, image, args, fuel, filled_memory)
+
+
+@pytest.mark.parametrize("machine", ["vm", "x86"])
+@pytest.mark.parametrize("shape, elem, args, clause", [
+    ("add", "i32", [16, 0, 0, 8], "the first address below the null "
+     "guard"),
+    ("add", "i32", [256, 0, 0, 8.5], "a float bound"),
+    ("unsigned", "i32", [256, 0, -3, -1], "a negative start"),
+    ("offset", "i32", [256, 2**31 - 3, 0, 8], "i + s0 past the i32 top"),
+    ("offset", "i32", [256, -2**31 - 5, 0, 3], "i + s0 below the i32 "
+     "bottom"),
+    ("wide", "i32", [256, 2**63 - 4, 0, 8], "(long) s0 past the base "
+     "range"),
+    ("max", "i32", [256, 2**40, 0, 40], "a max accumulator outside i32"),
+    ("min", "i32", [256, -2**40, 0, 40], "a min accumulator outside i32"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_new_clauses_refuse(machine, shape, elem, args, clause):
+    """One state per clause the guard gained with hoisting and the
+    fold, refused by that clause alone: each runs in the block tier,
+    as the reference does, and gives the reference's answer."""
+    image = shaped_image(shape, elem, machine, "split")
+    got, _ = agree(machine, image, lambda _: args, fill=filled_memory)
+    assert (got[0] == "trap") == ("null" in clause), got[:2]
+
+
+#: the tier-2 build counters of ``exec_steady``'s 44 entry functions
+#: (every kernel on the VM, x86, sparc and arm, under ``split``): the
+#: 7 fused loops not counted are sparc headers that reload the IV from
+#: a spill slot; the 4 checked accesses are ``histogram``'s
+#: ``hist[data[i]]``, which is not affine, once per machine
+EXEC_STEADY_BUILDS = {"loops_fused": 84, "loops_ladder": 4,
+                      "loops_counted": 77, "loops_folded": 30,
+                      "accesses_hoisted": 172, "accesses_checked": 4}
+
+
 def test_every_exec_steady_kernel_counts(monkeypatch):
     """Every kernel the ``exec_steady`` workload runs has a counted
-    loop in its VM and its x86 tier-2 source."""
-    sources = {}
+    loop in its VM and its x86 tier-2 source, and no counted loop of
+    them keeps a per-trip check on an affine access; the build
+    counters of all 44 entry functions are pinned."""
+    loops = []
+    counted_loop = tiers.Lowering.counted_loop
 
-    def spy(source, filename, mode):
-        sources[filename] = source
-        return compile(source, filename, mode)
+    def spy(low, header, latch):
+        loop = counted_loop(low, header, latch)
+        if loop is not None:
+            loops.append(loop)
+        return loop
 
-    monkeypatch.setattr(tiers, "compile", spy, raising=False)
+    monkeypatch.setattr(tiers.Lowering, "counted_loop", spy)
+    for engine in (threaded, dispatch):
+        engine.reset_tier2_build_stats()
     for name, kernel in ALL_KERNELS.items():
         artifact = offline_compile(kernel.source, name)
-        for machine, image in (("vm", artifact.bytecode),
-                               ("x86", deploy(artifact, "x86", "split"))):
-            sources.clear()
+        for machine in ("vm", "x86", "sparc", "arm"):
+            image = artifact.bytecode if machine == "vm" else \
+                compile_for_target(artifact.bytecode, machine, "split")
+            loops.clear()
             for func in image.functions:
-                assert predecoded(machine, image, func).tier2(
-                    warm=True) is not None
-            assert any(re.search(r"^ +for \w+ in range\(", source, re.M)
-                       for source in sources.values()), (name, machine)
+                pre = predecoded(machine, image, func)
+                pre._tier2 = tiers._TIER2_UNBUILT
+                assert pre.tier2(warm=True) is not None
+            if machine not in ("vm", "x86"):
+                continue
+            assert loops, (name, machine)
+            # Every access of a counted latch is affine and hoisted,
+            # but histogram's bin, whose address is a loaded value.
+            assert sum(loop.checked for loop in loops) \
+                == (name == "histogram"), (name, machine)
+    stats = [engine.tier2_build_stats() for engine in (threaded, dispatch)]
+    assert {key: stats[0][key] + stats[1][key]
+            for key in EXEC_STEADY_BUILDS} == EXEC_STEADY_BUILDS

@@ -610,20 +610,20 @@ class TestStepping:
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
 #: sha256, the per-tag ``(sources, lines)`` and the per-source prints
 PINNED_SOURCES = (
-    "60504350385a5e654d562df0f818f944ef3fc8a0a6d042ae94f33bbd62572969",
+    "4082693273112d30c293ec7b7871ba1218826461cd36c2e335344aa1b696307d",
     {"pvi": (22, 4391), "pvi-sim": (132, 50117),
-     "pvi-sim-t2": (132, 24923), "pvi-t2": (22, 2171)},
-    ("9e467cd97f4bc62189bcb642a6e4deadf3751d16905c200f73046a22"
-     "b04003181390181e8187fc12030207fe0303c6baf73d6c8bca047ff9"
-     "6b72d2bdff22a70f05309bf739db811766ed4a8a766597dcfd713fb5"
-     "5877c0d163a4a2285f16fd78aba22ae7977d82676dfb99db72086ca4"
-     "b83ed9a887cee0b3c1fea65f1bf8ed80348ffe8169b05b12ba6e40d7"
-     "95a9efebd1ca68a67880110a74e89220f61751265cd3c019e934e8fe"
-     "b2ac0addecded3b9c4a691febbab5f620b9ebb35b654b338befe91cf"
-     "e104875944fc24c7d33fe5cd4fcd50e61f1c10c91755553ab76dfcd9"
-     "f05fe53f7c52ba55238bb980d1aa1353853cf84a7d1ce138373c56c6"
-     "23a484bb434fabcd08c9c409d027003aa4c66f0957534f4382cb234c"
-     "8fb6bad9858614f4bff5048a0b3b65d24c0b7443a2af58bfc31d2bb6"))
+     "pvi-sim-t2": (132, 23921), "pvi-t2": (22, 2116)},
+    ("0446aad9454b5521bebcda42ebe42badd2754816c25cc80feb045b22"
+     "f440c118b390f81eb4876712290221fed70344ba653da28bfd0477f9"
+     "c3724fbdbb223f0fd83004f72bdb4217eeeda58a6e65d4dc5271c4b5"
+     "5f7753d129a48a28cc1636780ca211e7877d82670ffb99dbe408e3a4"
+     "233e5ca887cef7b3f7fea65f96f81c80918ffe81f3b09812a76e36d7"
+     "10a925ebbccabca68a80770a79e87720da17f52664d33419563473fe"
+     "54ac5cddb4de0cb964a655feb6ab2662439ee335ce543738dcfec2cf"
+     "5704d259c6fc98c7263feecd35cdaae6cb1cb2c967551e3aff6dd2d9"
+     "8b5fca3f955224550c8b5d809caa4b53ee3cf84a721cfd38393c29c6"
+     "9ea4c4bb854f5dcd45c994093527503ae8c66f0980534f4350cb024c"
+     "02b69cd9828686f43bf5198aa83b8fd22d0b404359af17bf061d92b6"))
 
 
 def test_generated_sources_digest():
@@ -636,14 +636,14 @@ def test_generated_sources_digest():
     says so; CI also runs this under two fixed ``PYTHONHASHSEED``
     values, and once after another test module in the same process.
 
-    Last re-pin: a counted loop is compiled once.  A state its guard
-    refuses deopts at the header instead of running a second, ``while``
-    copy of the loop, and the counted exit settles the carried
-    counters from its trip count.  Tier-2 only: the 148 tier-2
-    entries with a counted loop moved (``pvi-t2`` 3256 -> 2171 lines,
-    ``pvi-sim-t2`` 36421 -> 24923), the other 6 and all 154 ``pvi`` /
-    ``pvi-sim`` block-tier entries are byte-identical to the
-    parent's."""
+    Last re-pin: a counted loop checks its bounds once.  Its latch's
+    affine accesses and the wraps on the way to them are clauses of
+    its guard instead of per-trip checks, and an integer reduction
+    folds every trip but the last into one builtin.  Tier-2 only: 147
+    of the 148 tier-2 entries with a counted loop moved (``pvi-t2``
+    2171 -> 2116 lines, ``pvi-sim-t2`` 24923 -> 23921), the other 7
+    and all 154 ``pvi`` / ``pvi-sim`` block-tier entries are
+    byte-identical to the parent's."""
     sources = generated_sources()
     got = sources_digest(sources)
     if got != PINNED_SOURCES:
