@@ -24,10 +24,14 @@ invalidate-by-content discipline as the predecode cache.  Unlike the
 predecode (whose closures must be stripped at process seams), facts
 are pure data and survive pickling.
 
-A function the analysis cannot finish (a pass raising outside a
-block walk) caches ``None``: callers treat that as "no proofs
-available" — the simulator's tier-2 declines and stays on the
-always-correct block tier, the lint reports the function unanalyzed.
+A bytecode function the analysis cannot finish (any pass raising)
+caches ``None``, and the lint reports it unanalyzed:
+:func:`analyze_bytecode_function` holds the plane's one handler,
+because the admission gate must answer for any module it is given.
+A machine function's analysis has none: the simulator's tier-2 build
+that asked for the table declines on the exception
+(``repro.tiers.Lowering._build_tier2``) and the function stays on the
+always-correct block tier.
 """
 
 from __future__ import annotations
@@ -79,12 +83,11 @@ class FactsTable:
 
 
 def analyze_bytecode_function(func) -> Optional[FunctionFacts]:
-    """Run every bytecode-side analysis; ``None`` if the plane itself
-    fails (never for ordinary malformed blocks — those just abort
-    their own block walk and leave partial, still-sound facts)."""
+    """Run every bytecode-side analysis; ``None`` if any of them
+    raises."""
     try:
         cfg = BlockCFG(func.code)
-        ranges = int_ranges_safe(func, cfg)
+        ranges = passes.int_value_ranges(func, cfg)
         live = passes.live_at_block_exit(func, cfg)
         return FunctionFacts(
             kind="bytecode",
@@ -99,33 +102,25 @@ def analyze_bytecode_function(func) -> Optional[FunctionFacts]:
         return None
 
 
-def int_ranges_safe(func, cfg) -> Dict[int, Dict[int, Tuple]]:
-    """Value ranges are lint-only; never let them sink the table."""
-    try:
-        return passes.int_value_ranges(func, cfg)
-    except Exception:
-        return {}
-
-
-def analyze_machine_function(func) -> Optional[FunctionFacts]:
-    try:
-        cfg = BlockCFG(func.code)
-        param_regs = passes.machine_param_regs(func)
-        return FunctionFacts(
-            kind="machine",
-            name=func.name,
-            blocks=dict(cfg.blocks),
-            reachable=cfg.reachable(),
-            param_regs=param_regs,
-            written_at_entry=passes.written_at_block_entry(
-                func.code, cfg, param_regs),
-        )
-    except Exception:
-        return None
+def analyze_machine_function(func) -> FunctionFacts:
+    """Run the simulator tier-2's analyses.  A failure raises: the
+    tier-2 build that asked declines on it and the function stays on
+    the block tier."""
+    cfg = BlockCFG(func.code)
+    param_regs = passes.machine_param_regs(func)
+    return FunctionFacts(
+        kind="machine",
+        name=func.name,
+        blocks=dict(cfg.blocks),
+        reachable=cfg.reachable(),
+        param_regs=param_regs,
+        written_at_entry=passes.written_at_block_entry(
+            func.code, cfg, param_regs),
+    )
 
 
 def _cached_facts(func, analyze):
-    """``(facts_or_None, fresh)``, cached on ``func`` keyed by content
+    """``(facts, fresh)``, cached on ``func`` keyed by content
     token."""
     token = [FACTS_SCHEMA] + func.content_token()
     cached = getattr(func, "_pvi_facts_cache", None)
@@ -144,7 +139,7 @@ def bytecode_facts(func):
 
 
 def machine_facts(func):
-    """``(facts_or_None, fresh)`` for a ``CompiledFunction``."""
+    """``(facts, fresh)`` for a ``CompiledFunction``."""
     return _cached_facts(func, analyze_machine_function)
 
 

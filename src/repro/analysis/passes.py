@@ -508,11 +508,8 @@ def range_findings(func, cfg: BlockCFG,
                           "this access always traps"))
 
     for leader in sorted(ranges):
-        try:
-            _range_block(func.code, leader, cfg.blocks[leader],
-                         ranges[leader], set(), sink=sink)
-        except Exception:
-            continue                # malformed block: verifier's problem
+        _range_block(func.code, leader, cfg.blocks[leader],
+                     ranges[leader], set(), sink=sink)
     return found
 
 

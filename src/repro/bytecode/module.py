@@ -97,16 +97,6 @@ class BytecodeFunction:
                 [(s.name, s.size, s.align) for s in self.frame_slots],
                 [(i.op, i.ty, i.arg) for i in self.code]]
 
-    def cached_predecode(self, token, module=None):
-        cached = getattr(self, "_predecode_cache", None)
-        if cached is not None and cached[0] == token and \
-                cached[1] is module:
-            return cached[2]
-        return None
-
-    def store_predecode(self, token, payload, module=None) -> None:
-        self._predecode_cache = (token, module, payload)
-
 
 @dataclass
 class BytecodeModule:

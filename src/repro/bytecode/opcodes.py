@@ -89,11 +89,3 @@ class BCInstr:
         if self.arg is not None:
             return f"{text} {self.arg}"
         return text
-
-
-def is_branch(instr: BCInstr) -> bool:
-    return instr.op in ("br", "brif")
-
-
-def is_terminator(instr: BCInstr) -> bool:
-    return instr.op in ("br", "ret")

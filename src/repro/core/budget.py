@@ -38,10 +38,6 @@ class FlowReport:
     #: optimizations in the JIT)
     online_pass_work: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_work(self) -> int:
-        return self.offline_work + self.online_work
-
 
 def artifact_for_flow(artifact: OfflineArtifact, flow: Flow,
                       service=None) -> OfflineArtifact:

@@ -52,9 +52,6 @@ class Platform:
     def kinds(self) -> List[TargetDesc]:
         return [core.target for core in self.cores]
 
-    def total_cores(self) -> int:
-        return sum(core.count for core in self.cores)
-
     def core_list(self) -> List[TargetDesc]:
         """One entry per physical core."""
         out: List[TargetDesc] = []

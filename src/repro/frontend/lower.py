@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.lang import ast
 from repro.lang import parse_and_check
@@ -29,9 +29,7 @@ from repro.ir.values import Const, Value, VReg
 
 def irtype(t: ty.Type) -> ty.Type:
     """Map a front-end type to its IR register type."""
-    if isinstance(t, ty.PointerType):
-        return ty.U64
-    if isinstance(t, ty.ArrayType):
+    if isinstance(t, (ty.PointerType, ty.ArrayType)):
         return ty.U64
     return t
 
@@ -48,7 +46,7 @@ LValue = Tuple[str, Union[VReg, Value], ty.Type]
 class _FuncLowerer:
     def __init__(self, ast_func: ast.FuncDef):
         self.ast_func = ast_func
-        self.func = Function(ast_func.name, ast_func.ret_type)
+        self.func = Function(ast_func.name, irtype(ast_func.ret_type))
         self.b = IRBuilder(self.func)
         self.homes: Dict[int, VReg] = {}       # decl uid -> home register
         self.slots: Dict[int, str] = {}        # decl uid -> frame slot name
@@ -91,12 +89,7 @@ class _FuncLowerer:
             if isinstance(self.func.ret_ty, ty.VoidType):
                 self.b.ret()
             else:
-                zero = Const(0, self.func.ret_ty) \
-                    if ty.is_integer(self.func.ret_ty) \
-                    else Const(0.0, self.func.ret_ty) \
-                    if ty.is_float(self.func.ret_ty) \
-                    else Const(0, ty.U64)
-                self.b.ret(zero)
+                self.b.ret(_zero(self.func.ret_ty))
 
     # -- statements ---------------------------------------------------------
 
@@ -244,10 +237,8 @@ class _FuncLowerer:
         if isinstance(expr, ast.Deref):
             addr = self.lower_expr(expr.operand)
             return ("mem", addr, expr.ty)
-        if isinstance(expr, ast.Index):
-            addr = self.index_address(expr)
-            return ("mem", addr, expr.ty)
-        raise AssertionError(f"not an lvalue: {expr}")
+        # an ast.Index: sema admits no other lvalue
+        return ("mem", self.index_address(expr), expr.ty)
 
     def read_lvalue(self, lvalue: LValue) -> Value:
         kind, place, decl_ty = lvalue
@@ -282,8 +273,7 @@ class _FuncLowerer:
         return self.b.binop("add", base_addr, scaled, ty.U64)
 
     def _to_u64(self, value: Value) -> Value:
-        if value.ty == ty.U64:
-            return value
+        # sema makes every offset and index an i64
         if isinstance(value, Const):
             return Const(value.value, ty.U64)
         return self.b.cast(value, value.ty, ty.U64)
@@ -330,11 +320,10 @@ class _FuncLowerer:
             return self.b.unop("neg", operand, irtype(expr.ty))
         if expr.op == "~":
             return self.b.unop("not", operand, irtype(expr.ty))
-        if expr.op == "!":
-            zero = Const(0.0, operand.ty) if ty.is_float(operand.ty) \
-                else Const(0, operand.ty)
-            return self.b.cmp("eq", operand, zero, operand.ty)
-        raise AssertionError(expr.op)
+        # "!", the last unary operator the parser makes
+        zero = Const(0.0, operand.ty) if ty.is_float(operand.ty) \
+            else Const(0, operand.ty)
+        return self.b.cmp("eq", operand, zero, operand.ty)
 
     _BINOP_MAP = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem",
                   "&": "and", "|": "or", "^": "xor",
@@ -380,8 +369,11 @@ class _FuncLowerer:
 
         left = self.lower_expr(expr.left)
         right = self.lower_expr(expr.right)
-        return self.b.binop(self._BINOP_MAP[op], left, right,
-                            irtype(expr.ty))
+        result_ty = irtype(expr.ty)
+        if op in ("<<", ">>"):
+            # the count is an int whatever the shifted type is
+            right = self._coerce(right, result_ty)
+        return self.b.binop(self._BINOP_MAP[op], left, right, result_ty)
 
     def _short_circuit(self, expr: ast.Binary) -> Value:
         result = self.func.new_reg(ty.I32, "sc")
@@ -430,13 +422,8 @@ class _FuncLowerer:
         if old.ty != compute_ty:
             lhs = self.b.cast(old, old.ty, compute_ty)
         if binop in ("<<", ">>"):
-            result = self.b.binop(self._BINOP_MAP[binop], lhs, rhs,
-                                  compute_ty) if rhs.ty == compute_ty else \
-                self.b.binop(self._BINOP_MAP[binop], lhs,
-                             self._coerce(rhs, compute_ty), compute_ty)
-        else:
-            result = self.b.binop(self._BINOP_MAP[binop], lhs, rhs,
-                                  compute_ty)
+            rhs = self._coerce(rhs, compute_ty)
+        result = self.b.binop(self._BINOP_MAP[binop], lhs, rhs, compute_ty)
         if compute_ty != target_ty:
             result = self.b.cast(result, compute_ty, target_ty)
         self.write_lvalue(lvalue, result)
@@ -512,9 +499,8 @@ class _FuncLowerer:
             return self.b.frame_addr(self.slots[uid])
         if isinstance(operand, ast.Index):
             return self.index_address(operand)
-        if isinstance(operand, ast.Deref):
-            return self.lower_expr(operand.operand)
-        raise AssertionError(f"cannot take address of {operand}")
+        # an ast.Deref: sema admits no other operand of '&'
+        return self.lower_expr(operand.operand)
 
     def _expr_Cast(self, expr: ast.Cast) -> Value:
         operand = self.lower_expr(expr.operand)

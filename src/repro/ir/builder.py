@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 from repro.lang import types as ty
 from repro.ir import instructions as ins
 from repro.ir.function import BasicBlock, Function
-from repro.ir.values import Const, IRType, Value, VecType, VReg
+from repro.ir.values import Value, VecType, VReg
 
 
 class IRBuilder:
@@ -53,19 +53,10 @@ class IRBuilder:
         self.emit(ins.Cast(dst, src, from_ty, to_ty))
         return dst
 
-    def select(self, cond: Value, a: Value, b: Value,
-               result_ty: ty.Type, name: str = "") -> VReg:
-        dst = self.func.new_reg(result_ty, name)
-        self.emit(ins.Select(dst, cond, a, b, result_ty))
-        return dst
-
     def move(self, src: Value, name: str = "") -> VReg:
         dst = self.func.new_reg(src.ty, name)
         self.emit(ins.Move(dst, src))
         return dst
-
-    def const(self, value, const_ty: ty.Type) -> Const:
-        return Const(value, const_ty)
 
     def load(self, addr: Value, mem_ty: ty.Type, name: str = "") -> VReg:
         dst = self.func.new_reg(mem_ty, name)

@@ -91,10 +91,6 @@ class Loop:
     body: Set[str] = field(default_factory=set)   # includes header and latch
     preheader: Optional[str] = None
 
-    @property
-    def blocks(self) -> Set[str]:
-        return self.body
-
     def __repr__(self) -> str:
         return f"Loop(header={self.header}, blocks={sorted(self.body)})"
 

@@ -17,8 +17,8 @@ on the always-on JIT path therefore hashes no register:
    operations; tables and masks iterate in id order, so no result can
    depend on hash order;
 3. a pass walks ``block.instrs`` and ``instr.srcs`` directly;
-   ``Function.instructions()`` and ``Instr.uses()`` / ``defs()`` /
-   ``replace_use()`` stay for callers off that path.  An operand is a
+   ``Function.instructions()`` and ``Instr.uses()`` / ``defs()``
+   stay for callers off that path.  An operand is a
    ``VReg`` or a ``Const`` and nothing else, and no value or
    instruction class has a subclass except ``Load`` / ``Store`` /
    ``VLoad`` / ``VStore`` (the indexed forms of

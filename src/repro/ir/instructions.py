@@ -12,10 +12,11 @@ Comparisons produce ``i32`` 0/1.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import copy
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.lang import types as ty
-from repro.ir.values import Const, IRType, Value, VecType, VReg
+from repro.ir.values import Value, VecType, VReg
 
 #: Binary opcodes (semantics selected by the operand type).
 BINOPS = ("add", "sub", "mul", "div", "rem",
@@ -52,9 +53,6 @@ class Instr:
     def defs(self) -> List[VReg]:
         """Registers written by this instruction."""
         return [self.dst] if self.dst is not None else []
-
-    def replace_use(self, old: VReg, new: Value) -> None:
-        self.srcs = [new if s == old else s for s in self.srcs]
 
     def has_side_effects(self) -> bool:
         """True if the instruction must not be removed even when dead."""
@@ -349,6 +347,19 @@ class VReduce(Instr):
 
 
 TERMINATORS: Tuple[type, ...] = (Ret, Jump, Branch)
+
+
+def clone(instr: Instr, src_of: Callable[[Value], Value],
+          dst_of: Callable[[VReg], VReg]) -> Instr:
+    """A copy of ``instr`` that reads ``src_of(s)`` for each source
+    ``s`` and, if it writes, writes ``dst_of(dst)``.  Every operand is
+    in ``srcs`` and every result in ``dst``, so this serves each class;
+    the sources are mapped before ``dst_of`` is asked."""
+    new = copy.copy(instr)
+    new.srcs = [src_of(s) for s in instr.srcs]
+    if instr.dst is not None:
+        new.dst = dst_of(instr.dst)
+    return new
 
 
 def branch_targets(instr: Instr) -> List[str]:

@@ -155,7 +155,5 @@ def _coerce_to(reg_ty, value):
         return list(value)
     if isinstance(reg_ty, ty.IntType):
         return ty.wrap_int(int(value), reg_ty)
-    if isinstance(reg_ty, ty.FloatType):
-        from repro.semantics import round_float
-        return round_float(float(value), reg_ty)
-    return value
+    from repro.semantics import round_float
+    return round_float(float(value), reg_ty)

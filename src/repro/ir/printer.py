@@ -4,16 +4,14 @@ from __future__ import annotations
 
 from repro.ir import instructions as ins
 from repro.ir.function import Function, Module
-from repro.ir.values import Const, VReg
+from repro.ir.values import VReg
 
 
 def _operand(value) -> str:
     if isinstance(value, VReg):
         hint = f".{value.name}" if value.name else ""
         return f"%{value.id}{hint}"
-    if isinstance(value, Const):
-        return f"{value.value}:{value.ty}"
-    return repr(value)
+    return f"{value.value}:{value.ty}"        # a Const
 
 
 def format_instr(instr: ins.Instr) -> str:

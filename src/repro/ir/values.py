@@ -80,7 +80,3 @@ class Const:
 
 
 Value = Union[VReg, Const]
-
-
-def value_type(value: Value) -> IRType:
-    return value.ty

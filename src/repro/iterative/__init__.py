@@ -10,11 +10,11 @@ per (kernel, target) and shipping the winner as bytecode.
 
 from repro.iterative.search import (
     Configuration, SearchResult, default_configuration, evaluate,
-    exhaustive_search, hill_climb, random_search, search_space,
+    hill_climb, random_search, search_space,
 )
 
 __all__ = [
     "Configuration", "SearchResult", "default_configuration",
-    "evaluate", "exhaustive_search", "random_search", "hill_climb",
+    "evaluate", "random_search", "hill_climb",
     "search_space",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.bytecode.emit import emit_module
 from repro.flows import (
@@ -196,11 +196,6 @@ def _search(kernel: Kernel, target: Targetish,
                         default_cycles=default_cycles,
                         evaluations=len(candidates) + 1,
                         history=history)
-
-
-def exhaustive_search(kernel: Kernel, target: Targetish,
-                      n: int = 256, seed: int = 13) -> SearchResult:
-    return _search(kernel, target, search_space(), n, seed)
 
 
 def random_search(kernel: Kernel, target: Targetish, budget: int = 24,

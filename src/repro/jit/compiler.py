@@ -129,6 +129,7 @@ class JITCompiler:
         compiled.jit_pass_work = pass_work
         compiled.jit_time = time.perf_counter() - start
         compiled.tier2_hint = self._wants_tier2(module, name)
+        compiled.param_types = list(bc_func.param_types)
         return compiled
 
     def _wants_tier2(self, module: BytecodeModule, name: str) -> bool:

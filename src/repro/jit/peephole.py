@@ -90,8 +90,7 @@ def _fold_chain(outer: Cast, result, def_of, def_count, use_count,
     if inner is None or def_count[source.id] != 1 or \
             use_count[source.id] != 1:
         return None
-    if inner.to_ty != outer.from_ty:
-        return None
+    # (inner.to_ty == outer.from_ty: the IR verifies)
     if not _composable(inner.from_ty, inner.to_ty, outer.to_ty):
         return None
     moved = inner.srcs[0]

@@ -54,9 +54,6 @@ class Allocation:
     def home(self, reg: VReg) -> Tuple[str, object]:
         return self.homes[reg.id]
 
-    def is_spilled(self, reg: VReg) -> bool:
-        return self.homes[reg.id][0] == "slot"
-
 
 @dataclass
 class _Interval:

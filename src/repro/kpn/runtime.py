@@ -62,10 +62,10 @@ class NetworkRuntime:
         progress = True
         while progress:
             progress = False
+            # a channel has one consumer (ProcessNetwork refuses a
+            # second), so an actor ready now stays ready until it fires
             for name in ready():
                 actor = network.actors[name]
-                if not all(fifos[c] for c in actor.inputs):
-                    continue
                 in_blocks = [fifos[c].popleft() for c in actor.inputs]
                 out_blocks = self._fire(actor, in_blocks, size)
                 for cname, block in zip(actor.outputs, out_blocks):

@@ -10,7 +10,7 @@ to IR never needs conversion logic of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.lang.types import Type
 
@@ -210,13 +210,6 @@ class FuncDef(Node):
 @dataclass
 class Program(Node):
     funcs: List[FuncDef] = field(default_factory=list)
-
-    def func(self, name: str) -> FuncDef:
-        """Look up a function definition by name (raises KeyError)."""
-        for f in self.funcs:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
 
 LVALUE_NODES = (Ident, Index, Deref)

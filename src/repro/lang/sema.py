@@ -45,9 +45,7 @@ class _Scope:
 def _decl_type(decl: ast.Node) -> ty.Type:
     if isinstance(decl, ast.VarDecl):
         return decl.var_type
-    if isinstance(decl, ast.Param):
-        return decl.param_type
-    raise AssertionError(f"not a declaration: {decl}")
+    return decl.param_type              # an ast.Param
 
 
 class _Checker:
@@ -171,11 +169,8 @@ class _Checker:
         elif isinstance(stmt, ast.Break):
             if self.loop_depth == 0:
                 raise self.error("break outside loop", stmt)
-        elif isinstance(stmt, ast.Continue):
-            if self.loop_depth == 0:
-                raise self.error("continue outside loop", stmt)
-        else:
-            raise AssertionError(f"unknown statement {stmt}")
+        elif self.loop_depth == 0:        # an ast.Continue
+            raise self.error("continue outside loop", stmt)
 
     def check_block(self, block: ast.Block, scope: _Scope) -> None:
         for stmt in block.stmts:
@@ -225,14 +220,13 @@ class _Checker:
             promoted = ty.promote(operand_ty)
             expr.operand = self.coerce(expr.operand, promoted)
             return promoted
-        if expr.op == "-":
-            if not ty.is_arithmetic(operand_ty):
-                raise self.error("operand of unary '-' must be arithmetic",
-                                 expr)
-            promoted = ty.promote(operand_ty)
-            expr.operand = self.coerce(expr.operand, promoted)
-            return promoted
-        raise AssertionError(f"unknown unary {expr.op}")
+        # unary '-', the parser's last unary operator
+        if not ty.is_arithmetic(operand_ty):
+            raise self.error("operand of unary '-' must be arithmetic",
+                             expr)
+        promoted = ty.promote(operand_ty)
+        expr.operand = self.coerce(expr.operand, promoted)
+        return promoted
 
     def _check_Binary(self, expr: ast.Binary, scope: _Scope) -> ty.Type:
         left_ty = ty.decay(self.check_expr(expr.left, scope))
@@ -287,16 +281,14 @@ class _Checker:
                                      expr)
                 return ty.I64
 
-        if op in ("+", "-", "*", "/"):
-            if not (ty.is_arithmetic(left_ty) and ty.is_arithmetic(right_ty)):
-                raise self.error(f"invalid operands to {op!r} "
-                                 f"({left_ty} and {right_ty})", expr)
-            common = ty.common_type(left_ty, right_ty)
-            expr.left = self.coerce(expr.left, common)
-            expr.right = self.coerce(expr.right, common)
-            return common
-
-        raise AssertionError(f"unknown binary {op}")
+        # "+", "-", "*" and "/", the parser's last binary operators
+        if not (ty.is_arithmetic(left_ty) and ty.is_arithmetic(right_ty)):
+            raise self.error(f"invalid operands to {op!r} "
+                             f"({left_ty} and {right_ty})", expr)
+        common = ty.common_type(left_ty, right_ty)
+        expr.left = self.coerce(expr.left, common)
+        expr.right = self.coerce(expr.right, common)
+        return common
 
     def _check_Assign(self, expr: ast.Assign, scope: _Scope) -> ty.Type:
         target_ty = self.check_expr(expr.target, scope)

@@ -15,8 +15,7 @@ Comparison results have type ``int`` (I32), as in C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,6 @@ class ArrayType(Type):
 
     def __str__(self) -> str:
         return f"{self.elem}[{self.count}]"
-
-
-@dataclass(frozen=True)
-class FunctionType(Type):
-    ret: Type
-    params: Tuple[Type, ...] = field(default_factory=tuple)
-
-    def __str__(self) -> str:
-        args = ", ".join(str(p) for p in self.params)
-        return f"{self.ret}({args})"
 
 
 VOID = VoidType()
@@ -175,16 +164,9 @@ def can_convert(src: Type, dst: Type) -> bool:
     """Implicit convertibility (assignments, argument passing)."""
     src = decay(src)
     dst = decay(dst)
-    if src == dst:
-        return True
-    if is_arithmetic(src) and is_arithmetic(dst):
-        return True
-    if is_pointer(src) and is_pointer(dst):
-        # C would warn; MiniC allows only void*-ish identical pointees.
-        return src == dst
-    if is_integer(src) and is_pointer(dst):
-        return False
-    return False
+    # distinct pointer types do not convert (C would warn), nor do an
+    # integer and a pointer
+    return src == dst or (is_arithmetic(src) and is_arithmetic(dst))
 
 
 def int_min(ty: IntType) -> int:

@@ -114,11 +114,3 @@ class AffineMap:
             if instr.op == "shl" and b.is_constant:
                 return a.scaled(1 << b.offset)
         return None
-
-
-def classify_body(instrs, ivar: VReg, invariant_regs) -> AffineMap:
-    """Run the affine analysis over a straight-line body."""
-    amap = AffineMap(ivar, invariant_regs)
-    for instr in instrs:
-        amap.visit(instr)
-    return amap

@@ -62,13 +62,11 @@ def _global_single_def(func: Function, counts: List[int]) -> PassResult:
         return result
 
     def resolve(value: Value) -> Value:
-        """Follow chains (a -> b -> const) to their end."""
-        seen = 0
+        """Follow chains (a -> b -> const) to their end (a chain has
+        no cycle: each link replaces a register by its single
+        definition's source)."""
         while value.__class__ is VReg and \
                 replacement[value.id] is not None:
-            if seen >> value.id & 1:    # defensive: cycles cannot happen
-                break
-            seen |= 1 << value.id
             value = replacement[value.id]
         return value
 

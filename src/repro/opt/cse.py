@@ -38,11 +38,9 @@ def _run_block(block, result: PassResult) -> None:
     memory_version = 0
 
     def resolve(value: Value) -> Value:
-        seen = set()
+        # no cycle: a copy of itself is never kept, and redefining a
+        # register drops every copy that names it
         while isinstance(value, VReg) and value.id in copies:
-            if value.id in seen:
-                break
-            seen.add(value.id)
             value = copies[value.id]
         return value
 

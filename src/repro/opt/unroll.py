@@ -18,7 +18,7 @@ unrolling effect from SIMD proper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.lang import types as ty
 from repro.ir import instructions as ins
@@ -32,9 +32,11 @@ from repro.opt.pass_manager import PassResult
 MAX_BODY = 40
 
 
-def clone_instr(func: Function, instr: ins.Instr,
-                reg_map: Dict[int, VReg], shared: Set[VReg]) -> ins.Instr:
-    """Clone one instruction, renaming non-shared destination registers."""
+def _renamer(func: Function, shared: Set[VReg]):
+    """``(src_of, dst_of)`` for one copy of the body: a destination
+    that is not shared gets a fresh register, which the copy's later
+    sources read."""
+    reg_map: Dict[int, VReg] = {}
 
     def src_of(value: Value) -> Value:
         if isinstance(value, VReg) and value.id in reg_map:
@@ -47,52 +49,7 @@ def clone_instr(func: Function, instr: ins.Instr,
         fresh = func.new_reg(reg.ty, reg.name)
         reg_map[reg.id] = fresh
         return fresh
-
-    if isinstance(instr, ins.BinOp):
-        a, b = src_of(instr.a), src_of(instr.b)
-        return ins.BinOp(instr.op, dst_of(instr.dst), a, b, instr.ty)
-    if isinstance(instr, ins.UnOp):
-        a = src_of(instr.a)
-        return ins.UnOp(instr.op, dst_of(instr.dst), a, instr.ty)
-    if isinstance(instr, ins.Cmp):
-        a, b = src_of(instr.a), src_of(instr.b)
-        return ins.Cmp(instr.pred, dst_of(instr.dst), a, b, instr.ty)
-    if isinstance(instr, ins.Cast):
-        s = src_of(instr.src)
-        return ins.Cast(dst_of(instr.dst), s, instr.from_ty, instr.to_ty)
-    if isinstance(instr, ins.Move):
-        s = src_of(instr.src)
-        return ins.Move(dst_of(instr.dst), s)
-    if isinstance(instr, ins.Select):
-        c, a, b = (src_of(instr.cond), src_of(instr.a), src_of(instr.b))
-        return ins.Select(dst_of(instr.dst), c, a, b, instr.ty)
-    if isinstance(instr, ins.Load):
-        addr = src_of(instr.addr)
-        return ins.Load(dst_of(instr.dst), addr, instr.ty)
-    if isinstance(instr, ins.Store):
-        return ins.Store(src_of(instr.addr), src_of(instr.value), instr.ty)
-    if isinstance(instr, ins.FrameAddr):
-        return ins.FrameAddr(dst_of(instr.dst), instr.slot)
-    if isinstance(instr, ins.Call):
-        args = [src_of(a) for a in instr.args]
-        dst = dst_of(instr.dst) if instr.dst is not None else None
-        return ins.Call(dst, instr.callee, args, instr.ret_ty)
-    if isinstance(instr, ins.VLoad):
-        return ins.VLoad(dst_of(instr.dst), src_of(instr.addr), instr.vty)
-    if isinstance(instr, ins.VStore):
-        return ins.VStore(src_of(instr.addr), src_of(instr.value),
-                          instr.vty)
-    if isinstance(instr, ins.VBinOp):
-        a, b = src_of(instr.a), src_of(instr.b)
-        return ins.VBinOp(instr.op, dst_of(instr.dst), a, b, instr.vty)
-    if isinstance(instr, ins.VSplat):
-        s = src_of(instr.scalar)
-        return ins.VSplat(dst_of(instr.dst), s, instr.vty)
-    if isinstance(instr, ins.VReduce):
-        s = src_of(instr.src)
-        return ins.VReduce(instr.op, dst_of(instr.dst), s, instr.vty,
-                           instr.acc_ty)
-    raise ValueError(f"cannot clone {type(instr).__name__}")
+    return src_of, dst_of
 
 
 def unroll(func: Function, factor: int = 4) -> PassResult:
@@ -141,9 +98,9 @@ def _unroll_loop(func: Function, cl: CountedLoop, factor: int) -> None:
     u_head.append(ins.Branch(cond, u_body.label, cl.header))
 
     for _ in range(factor):
-        reg_map: Dict[int, VReg] = {}
+        src_of, dst_of = _renamer(func, shared)
         for instr in body_and_incr:
-            u_body.append(clone_instr(func, instr, reg_map, shared))
+            u_body.append(ins.clone(instr, src_of, dst_of))
     u_body.append(ins.Jump(u_head.label))
 
     ins.retarget(preheader.terminator, cl.header, u_head.label)

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lang import types as ty
 from repro.ir import instructions as ins
-from repro.ir.function import BasicBlock, Function
+from repro.ir.function import Function
 from repro.ir.values import Const, Value, VecType, VReg, vec_of
 from repro.opt.affine import AffineMap
 from repro.opt.licm import _ensure_preheader
@@ -107,9 +107,9 @@ def _loop_size(func: Function, loop: CountedLoop) -> int:
 
 
 def _vectorize_loop(func: Function, cl: CountedLoop) -> VecLoopInfo:
+    # (the bound is an integer: the loop test compares it with the
+    # integer induction)
     if not cl.is_simple_forward:
-        raise _Reject
-    if isinstance(cl.bound, VReg) and not isinstance(cl.bound.ty, ty.IntType):
         raise _Reject
 
     work = func.block(cl.work)
@@ -132,9 +132,8 @@ def _vectorize_loop(func: Function, cl: CountedLoop) -> VecLoopInfo:
     lanes = 16 // ty.sizeof(elem_ty)
     vty = vec_of(elem_ty)
 
+    # (_find_accumulators admits only _REDUCE_OPS)
     for acc in accs:
-        if acc.op not in _REDUCE_OPS:
-            raise _Reject
         if ty.is_integer(acc.acc.ty) != ty.is_integer(elem_ty):
             raise _Reject
 
@@ -190,41 +189,32 @@ def _vectorize_loop(func: Function, cl: CountedLoop) -> VecLoopInfo:
                                         acc.acc.ty))
             vec_instrs.append(ins.Move(acc.acc, combined))
             continue
+        # _check_memory admitted every access: a store, or a load with
+        # a non-zero coefficient, is contiguous and of ``elem_ty``
         if isinstance(instr, ins.Load):
-            form = amap.of(instr.addr)
-            if form is None:
-                raise _Reject
-            if form.coeff == ty.sizeof(instr.ty) and form.base is not None:
-                if instr.ty != elem_ty:
-                    raise _Reject
+            if amap.of(instr.addr).coeff:
                 vdst = func.new_reg(vty)
                 vec_instrs.append(ins.VLoad(vdst, scalar_operand(instr.addr),
                                             vty))
                 vmap[instr.dst.id] = vdst
                 continue
-            if form.coeff == 0:
-                # Invariant load: hoist to the vector preheader and splat.
-                if isinstance(instr.addr, VReg) and \
-                        instr.addr.id in smap:
-                    raise _Reject      # address built from i: not invariant
-                if instr.ty != elem_ty:
-                    raise _Reject
-                invariant_loads.append(instr)
-                vmap[instr.dst.id] = splat_of(instr.dst)
-                continue
-            raise _Reject
-        if isinstance(instr, ins.Store):
-            form = amap.of(instr.addr)
-            if form is None or form.base is None or \
-                    form.coeff != ty.sizeof(instr.ty) or instr.ty != elem_ty:
+            # Invariant load: hoist to the vector preheader and splat.
+            if isinstance(instr.addr, VReg) and instr.addr.id in smap:
+                raise _Reject      # address built from i: not invariant
+            if instr.ty != elem_ty:
                 raise _Reject
+            invariant_loads.append(instr)
+            vmap[instr.dst.id] = splat_of(instr.dst)
+            continue
+        if isinstance(instr, ins.Store):
             vec_instrs.append(ins.VStore(scalar_operand(instr.addr),
                                          vec_operand(instr.value), vty))
             continue
         if isinstance(instr, (ins.BinOp, ins.Cast, ins.Move)) and \
                 instr.dst is not None and amap.of(instr.dst) is not None:
             # Address arithmetic: clone as scalar with fresh registers.
-            clone = _clone_scalar(func, instr, scalar_operand)
+            clone = ins.clone(instr, scalar_operand,
+                              lambda reg: func.new_reg(reg.ty))
             smap[instr.dst.id] = clone.dst
             vec_instrs.append(clone)
             continue
@@ -471,18 +461,3 @@ def _check_no_outside_uses(func: Function, cl: CountedLoop, body,
                 if reg in defined:
                     raise _Reject
 
-
-def _clone_scalar(func: Function, instr: ins.Instr, scalar_operand) \
-        -> ins.Instr:
-    if isinstance(instr, ins.BinOp):
-        dst = func.new_reg(instr.ty)
-        return ins.BinOp(instr.op, dst, scalar_operand(instr.a),
-                         scalar_operand(instr.b), instr.ty)
-    if isinstance(instr, ins.Cast):
-        dst = func.new_reg(instr.to_ty)
-        return ins.Cast(dst, scalar_operand(instr.src), instr.from_ty,
-                        instr.to_ty)
-    if isinstance(instr, ins.Move):
-        dst = func.new_reg(instr.dst.ty)
-        return ins.Move(dst, scalar_operand(instr.src))
-    raise _Reject

@@ -13,7 +13,7 @@ from repro.semantics.scalar import (
 )
 from repro.semantics.memory import Memory, scalar_struct, vector_struct
 from repro.semantics.vector import (
-    vec_binop, vec_splat, vec_reduce, vec_cmp_lanes,
+    vec_binop, vec_splat, vec_reduce,
 )
 from repro.semantics.kernels import (
     binop_kernel, cast_kernel, cmp_kernel, unop_kernel, vec_binop_kernel,
@@ -22,7 +22,7 @@ from repro.semantics.kernels import (
 __all__ = [
     "TrapError", "Memory", "scalar_struct", "vector_struct",
     "eval_binop", "eval_unop", "eval_cmp", "eval_cast", "round_float",
-    "vec_binop", "vec_splat", "vec_reduce", "vec_cmp_lanes",
+    "vec_binop", "vec_splat", "vec_reduce",
     "binop_kernel", "cast_kernel", "cmp_kernel", "unop_kernel",
     "vec_binop_kernel",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.semantics.scalar import eval_binop, eval_cmp
+from repro.semantics.scalar import eval_binop
 from repro.semantics.errors import TrapError
 
 
@@ -24,9 +24,6 @@ def vec_binop(op: str, elem_ty, a: List, b: List) -> List:
 def vec_splat(value, lanes: int) -> List:
     return [value] * lanes
 
-
-def vec_cmp_lanes(pred: str, elem_ty, a: List, b: List) -> List[int]:
-    return [eval_cmp(pred, elem_ty, x, y) for x, y in zip(a, b)]
 
 
 def vec_reduce(op: str, elem_ty, values: List):

@@ -73,7 +73,7 @@ __all__ = [
     "TargetDeployment",
     "CompilationService", "AsyncCompilationService",
     "AdmissionError",
-    "default_service", "reset_default_service",
+    "default_service",
 ]
 
 
@@ -409,12 +409,3 @@ def default_service() -> CompilationService:
         if _DEFAULT is None:
             _DEFAULT = CompilationService()
         return _DEFAULT
-
-
-def reset_default_service() -> None:
-    """Drop the process-wide instance (tests use this for isolation)."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is not None:
-            _DEFAULT.shutdown()
-        _DEFAULT = None

@@ -144,9 +144,6 @@ class TenantTable:
     def __iter__(self):
         return iter(self._by_name.values())
 
-    def tenant(self, name: str) -> Tenant:
-        return self._by_name[name]
-
     def authenticate(self, api_key: Optional[str]) -> Tenant:
         if api_key is None:
             raise AuthError(401, "unauthorized",

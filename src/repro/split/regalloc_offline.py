@@ -86,16 +86,13 @@ def optimal_spill_set(func: Function, k: int,
     """MILP reference: choose which values to keep in ``k`` registers
     minimizing total spill weight, subject to MAXLIVE constraints.
 
-    Returns the list of vreg ids to *spill*, or None when scipy's MILP
-    is unavailable or the instance is degenerate.  Exponential-ish in
+    Returns the list of vreg ids to *spill*, or None when the solver
+    finds no solution (scipy is required).  Exponential-ish in
     spirit but fine at our function sizes — exactly the kind of
     analysis the paper says belongs offline.
     """
-    try:
-        import numpy as np
-        from scipy.optimize import LinearConstraint, milp
-    except ImportError:      # pragma: no cover - scipy is installed
-        return None
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
 
     ranges = live_ranges(func)
     if not ranges:

@@ -29,7 +29,7 @@ on first use; a block whose code generation bails steps the same way,
 under the same block-entry debit.
 
 The predecoded form is cached on the function object
-(``CompiledFunction.cached_predecode``) keyed by a structural content
+(``repro.tiers.Lowering.predecode``) keyed by a structural content
 token, so the first simulation of an image pays decode exactly once no
 matter how many Simulators run it.  A caller that wants that build
 outside a timed region prepays it with :func:`warm_module`.
@@ -226,7 +226,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin(pc)
+        em.begin()
 
         # NB: sources must be read (and uninitialized-register checked)
         # *before* dst_of marks the destination written — a dst that

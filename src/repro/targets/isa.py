@@ -100,18 +100,14 @@ class CompiledFunction:
     #: threshold: :func:`repro.flows.promotes_to_tier2`); advisory —
     #: not part of the modeled image, so excluded from equality
     tier2_hint: bool = field(default=False, compare=False)
+    #: the bytecode's declared parameter type tags, which a call's
+    #: arguments are checked against (``TieredMachine._entry``); like
+    #: the hint, not part of the modeled image
+    param_types: List[str] = field(default_factory=list, compare=False)
 
     @property
     def num_params(self) -> int:
         return len(self.param_locs)
-
-    # -- predecode cache hook -------------------------------------------------
-    #
-    # Same contract as ``BytecodeFunction``: the fast simulator
-    # (repro.targets.dispatch) parks its handler closures here, keyed
-    # by a structural token of ``code`` so in-place edits invalidate
-    # by content.  The engine fills it on the first run of the
-    # function; a memoized image keeps it for every later run.
 
     #: bumped whenever the predecode payload shape changes (e.g. the
     #: OSR entry-point set added alongside the handler table, or the
@@ -130,16 +126,6 @@ class CompiledFunction:
                 self.frame_bytes, self.ret_void,
                 [(i.op, i.ty, i.dst, tuple(i.srcs), i.arg, i.cost)
                  for i in self.code]]
-
-    def cached_predecode(self, token, module=None):
-        cached = getattr(self, "_predecode_cache", None)
-        if cached is not None and cached[0] == token and \
-                cached[1] is module:
-            return cached[2]
-        return None
-
-    def store_predecode(self, token, payload, module=None) -> None:
-        self._predecode_cache = (token, module, payload)
 
 
 @dataclass

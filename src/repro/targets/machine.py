@@ -47,14 +47,12 @@ class CostModel:
 
     def scalar_op(self, op: str, value_ty) -> int:
         is_float = ty.is_float(value_ty)
-        if op in ("add", "sub", "and", "or", "xor", "shl", "shr",
-                  "min", "max"):
-            return self.fp_alu if is_float else self.alu
         if op == "mul":
             return self.fp_mul if is_float else self.mul
         if op in ("div", "rem"):
             return self.fp_div if is_float else self.div
-        return self.alu
+        # add, sub, the bitwise ops, the shifts, min and max
+        return self.fp_alu if is_float else self.alu
 
     def vector_op(self, op: str) -> int:
         if op == "mul":

@@ -23,18 +23,17 @@ frame — and reads the return value a ``ret`` left in ``_ret``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.engine import REFERENCE
-from repro.lang import types as ty
 from repro.semantics import (
     Memory, TrapError, eval_binop, eval_cast, eval_cmp, eval_unop,
     vec_binop, vec_reduce, vec_splat,
 )
 from repro.targets import dispatch
 from repro.targets.dispatch import UNSET
-from repro.targets.isa import CompiledFunction, CompiledModule, MInst
+from repro.targets.isa import CompiledFunction, CompiledModule
 from repro.tiers import TieredMachine, run_tiered
 
 DEFAULT_FUEL = 200_000_000
@@ -49,14 +48,6 @@ class SimulationResult:
     spill_stores: int = 0
     branches: int = 0
     calls: int = 0
-
-    def merge_counts(self, other: "SimulationResult") -> None:
-        self.cycles += other.cycles
-        self.instructions += other.instructions
-        self.spill_loads += other.spill_loads
-        self.spill_stores += other.spill_stores
-        self.branches += other.branches
-        self.calls += other.calls
 
 
 class Simulator(TieredMachine):

@@ -78,6 +78,7 @@ from types import CodeType, FunctionType
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.cfg import BlockCFG
+from repro.bytecode.opcodes import TYPE_TAGS
 from repro.engine import (
     REFERENCE, TIER2, CodegenEnv, MASK64_LITERAL, MeterTrip,
     backedge_targets, fuel_blocks, keep_osr_guards, osr_enabled,
@@ -407,13 +408,20 @@ class TieredMachine:
 
     def _entry(self, name: str, args):
         """The function a public call of ``name`` enters; a missing
-        name or a wrong argument count traps, on every engine."""
+        name, a wrong argument count or an integer argument outside
+        its parameter's declared type traps, on every engine."""
         func = self.module.functions.get(name)
         if func is None:
             raise TrapError(f"no such function {name!r}")
         if len(args) != func.num_params:
             raise TrapError(f"{name} expects {func.num_params} args, "
                             f"got {len(args)}")
+        for index, (value, tag) in enumerate(zip(args, func.param_types)):
+            bounds = _INT_BOUNDS.get(tag)
+            if bounds is not None and isinstance(value, int) and \
+                    not bounds[0] <= value <= bounds[1]:
+                raise TrapError(f"{name}: argument {index} = {value} "
+                                f"is not an {tag}")
         return func
 
     def _predecode(self, func) -> Predecoded:
@@ -424,6 +432,11 @@ class TieredMachine:
 
     def _load(self, func) -> Predecoded:
         raise NotImplementedError
+
+
+#: integer type tag -> (least, greatest) value of the type
+_INT_BOUNDS = {tag: (ty.int_min(t), ty.int_max(t))
+               for tag, t in TYPE_TAGS.items() if ty.is_integer(t)}
 
 
 #: per-call counter value that retires an OSR leader (a declined
@@ -664,14 +677,12 @@ class Interval(NamedTuple):
     whose *assumed* range it rests on; a wrap dropped on its strength
     makes the counted loop's guard check them (:meth:`BlockEmitter.fits`).
     In a counted loop's latch, ``aff`` is the value's exact
-    :class:`Affine` form, when it has one, and ``masks`` the wraps
-    dropped on the way to it, each a guard clause ``(Affine, lo, hi)``."""
+    :class:`Affine` form, when it has one."""
 
     lo: int
     hi: int
     deps: frozenset = frozenset()
     aff: Optional[Affine] = None
-    masks: frozenset = frozenset()
 
 
 def int_interval(int_ty) -> Interval:
@@ -679,11 +690,9 @@ def int_interval(int_ty) -> Interval:
     return Interval(ty.int_min(int_ty), ty.int_max(int_ty))
 
 
-def affine_of(rng: Optional[Interval]) -> Optional[Affine]:
+def affine_of(rng: Interval) -> Optional[Affine]:
     """The exact affine form of a value known to lie in ``rng``: its
     own, or a constant's."""
-    if rng is None:
-        return None
     if rng.aff is None and rng.lo == rng.hi and not rng.deps:
         return Affine(0, rng.lo)
     return rng.aff
@@ -701,9 +710,6 @@ class Access(NamedTuple):
     width: int
     #: the access's ``struct`` format (its element type and lane count)
     fmt: str
-    pc: int
-    #: the wraps dropped on the way to the address (``Interval.masks``)
-    masks: frozenset
     #: the index of the latch line the access's statement follows
     line: int
 
@@ -817,8 +823,6 @@ class BlockEmitter:
         self.leaned: set = set()
         self.skip: frozenset = frozenset()
         self.flag: Optional[int] = None
-        #: the current instruction's pc
-        self.pc = 0
         self.clauses: Optional[set] = set() if hoist else None
         self.accesses: List[Access] = []
         self.checked = 0
@@ -840,9 +844,8 @@ class BlockEmitter:
     def emit(self, text: str, indent: str = "") -> None:
         self.lines.append(indent + text)
 
-    def begin(self, pc: int) -> None:
-        """Start lowering the instruction at ``pc``."""
-        self.pc = pc
+    def begin(self) -> None:
+        """Start lowering the next instruction."""
         self.marker_at = len(self.lines)
         self.impure = False
 
@@ -884,7 +887,7 @@ class BlockEmitter:
             return None
         clause = (rng.aff, whole.lo, whole.hi)
         self.clauses.add(clause)
-        return rng._replace(lo=lo, hi=hi, masks=rng.masks | {clause})
+        return rng._replace(lo=lo, hi=hi)
 
     def exact_binop(self, op: str, int_ty, a: Optional[Interval],
                     b: Optional[Interval]) -> Optional[Interval]:
@@ -914,8 +917,7 @@ class BlockEmitter:
             aff = x.times(1 << shift) if x is not None else None
         else:
             return None
-        return self.fits(Interval(lo, hi, a.deps | b.deps, aff,
-                                  a.masks | b.masks), int_ty)
+        return self.fits(Interval(lo, hi, a.deps | b.deps, aff), int_ty)
 
     def frame(self, offset: int) -> Optional[Interval]:
         """What is known of the frame address ``fb + offset`` (``fb``,
@@ -971,7 +973,7 @@ class BlockEmitter:
             self.checked += 1
             return False
         self.accesses.append(Access(addr, rng.aff, size, packer.format,
-                                    self.pc, rng.masks, len(self.lines)))
+                                    len(self.lines)))
         self.proven.add((addr, size))
         self.widths.add(size)
         return True
@@ -1456,10 +1458,7 @@ class Tier2Writer:
                 (access.aff, access.width) for access in loop.accesses):
             low, high = ends(aff)
             pairs += [f"{NULL_GUARD} <= {low}", f"{high} <= _ms{width}"]
-        covered = {access.aff for access in loop.accesses}
         for aff, lo, hi in clauses:
-            if aff in covered and lo <= NULL_GUARD and hi >= BASE_LIMIT:
-                continue        # an address clause is stronger
             low, high = ends(aff)
             pairs += [f"{lo} <= {low}", f"{high} <= {hi}"]
         if pairs:
@@ -1580,10 +1579,7 @@ def fold_of(hlines: List[str], latch: BlockEmitter, induction: Induction,
     lines = hlines + latch.lines[:-1]
     if not accesses:
         return None
-    try:
-        tree = ast.parse("\n".join(lines))
-    except SyntaxError:
-        return None
+    tree = ast.parse("\n".join(lines))
     known: dict = {induction.iv: ("int",)}
     reads: set = set()
     found: list = []
@@ -1772,21 +1768,24 @@ class Lowering:
 
     @classmethod
     def predecode(cls, func, module=None):
-        """The (cached) predecoded form of ``func``, keyed by its
-        structural content token — in-place code edits invalidate by
+        """The (cached) predecoded form of ``func``, kept on the
+        function object as ``_predecode_cache = (token, binding,
+        payload)`` and keyed by its structural content token
+        (``func.content_token()``) — in-place code edits invalidate by
         content.  With a *frozen* ``module``, ``call`` targets are
         resolved once here (per-call inline caching); the cache
-        records the binding module, so an engine over a different
+        records that binding module, so an engine over a different
         module sharing the function object rebuilds instead of
         calling into the wrong table."""
         binding = module if module is not None and \
             getattr(module, "frozen", False) else None
         token = func.content_token()
-        cached = func.cached_predecode(token, binding)
-        if cached is not None:
-            return cached
+        cached = getattr(func, "_predecode_cache", None)
+        if cached is not None and cached[0] == token and \
+                cached[1] is binding:
+            return cached[2]
         pre = cls(func, binding).build(token, module)
-        func.store_predecode(token, pre, binding)
+        func._predecode_cache = (token, binding, pre)
         return pre
 
     def _resolved_callee(self, name):
@@ -1915,8 +1914,6 @@ class Lowering:
             facts, fresh = cls.facts(func, shipped)
             if fresh:
                 counts["facts_warm" if warm else "facts_request"] += 1
-            if facts is None:
-                return None
             source, env = cls(func, binding).tier2_source(facts)
             exec(compile(source, f"<{cls.tags[1]}:{func.name}>",
                          "exec"), env)
@@ -2079,18 +2076,14 @@ class Lowering:
         (:meth:`induction`), or a block does not lower under it the
         way the counted form needs (a header that can raise, a latch
         that does not end in its back edge)."""
-        try:
-            induction = self.induction(header, latch)
-            if induction is None:
-                return None
-            self.counting = induction
-            head = self.lower(header, self.blocks[header], self.tier2_tier)
-            self.hoisting = True
-            body = self.lower(latch, self.blocks[latch], self.tier2_tier)
-        except Exception:
+        induction = self.induction(header, latch)
+        if induction is None:
             return None
-        finally:
-            self.counting, self.hoisting = None, False
+        self.counting = induction
+        head = self.lower(header, self.blocks[header], self.tier2_tier)
+        self.hoisting = True
+        body = self.lower(latch, self.blocks[latch], self.tier2_tier)
+        self.counting, self.hoisting = None, False
         if head.marks or not head.lines[-1].startswith("pc = ") \
                 or body.lines[-1] != f"pc = {header}":
             return None
@@ -2120,7 +2113,7 @@ class Lowering:
         """The fused loop's induction, read off its instructions
         (see :class:`Induction` for the shape), or ``None`` to keep
         it on the ``while`` form."""
-        return None
+        raise NotImplementedError
 
     def frame_data(self, module) -> dict:
         """The engine's per-call frame initialization data, as the
@@ -2130,8 +2123,9 @@ class Lowering:
 
     @staticmethod
     def facts(func, shipped):
-        """``(facts | None, fresh)``: ``shipped`` if it can be
-        adopted (it is outside input), else computed (``fresh``)."""
+        """``(facts, fresh)``: ``shipped`` if it can be adopted (it is
+        outside input), else computed (``fresh``); a failure to
+        compute them raises, and the build declines."""
         raise NotImplementedError
 
     def begin_tier2(self, facts):
@@ -2149,4 +2143,4 @@ class Lowering:
         """``(count, lines)``: the per-entry re-checks of ``facts`` an
         OSR prologue carries when guards are kept — each line group
         declines the entry with ``return pc``."""
-        return 0, []
+        raise NotImplementedError

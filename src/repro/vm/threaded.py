@@ -46,7 +46,7 @@ table from anywhere is safe to generate code under, is stated once in
 :class:`repro.analysis.passes.LaneRules`; the lowering calls it.
 
 The predecoded form is cached on the function object
-(``BytecodeFunction.cached_predecode``) keyed by a structural content
+(``repro.tiers.Lowering.predecode``) keyed by a structural content
 token: VM construction stays cheap, and in-place code edits
 invalidate by content.
 
@@ -289,7 +289,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin(pc)
+        em.begin()
 
         if op == "ldloc":
             place = local(instr.arg)
@@ -606,17 +606,16 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 # line, because the local outlives this use (deopt
                 # writeback, later blocks).  Only proven-4-lane
                 # operands fuse (never re-evaluated by a guard).
-                for operand, m in ((b, bm), (a, am)):
+                def fused(operand, m):
                     if m is not None and m.get("lanes") == 4 \
                             and lines \
                             and re.fullmatch(r"t\d+", operand) \
                             and lines[-1].startswith(f"{operand} = "):
-                        fusedexpr = f"({lines.pop()[len(operand) + 3:]})"
-                        if operand == b:
-                            b = fusedexpr
-                        else:
-                            a = fusedexpr
                         em.marker_at -= 1
+                        return f"({lines.pop()[len(operand) + 3:]})"
+                    return operand
+                b = fused(b, bm)
+                a = fused(a, am)
                 guards = [f"len({operand}) == 4"
                           for operand, m in ((a, am), (b, bm))
                           if m is None or m.get("lanes") != 4]

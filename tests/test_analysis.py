@@ -346,3 +346,89 @@ class TestLintFindings:
         path.write_text("void f( {")
         assert main([str(path)]) == 2
         assert "compile" in capsys.readouterr().out
+
+    def test_cli_renders_each_finding_at_its_instruction(self, tmp_path,
+                                                          capsys):
+        """A warning and a note, each with the disassembly around its
+        pc and the pc's line marked; ``--strict`` fails on the
+        warning."""
+        from repro.analysis.cli import main
+        path = tmp_path / "null.pvi"
+        path.write_text("int f(int a) { int *p = (int *) 16; int x = 3; "
+                        "x = 4; if (a > 0) return *p; return x; }")
+        assert main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"== {path} ==\nwarn[null-access] f:10: load address" in out
+        assert "    >>    10: load.i32\n" in out
+        assert "info[dead-store] f:1: store to local 0 is never read" in out
+        assert "    >>     1: stloc            0\n" in out
+        assert out.endswith("pvi-lint: 1 module(s), 0 error(s), "
+                            "1 warning(s), 1 note(s)\n")
+        assert main(["--strict", str(path)]) == 1
+
+    def test_cli_pc_outside_the_code_has_no_context(self):
+        from repro.analysis.cli import _pc_context
+        func = offline_compile(SAXPY.source).bytecode.functions["saxpy"]
+        assert _pc_context(func, len(func.code)) == []
+        assert _pc_context(func, 0)[0].startswith("    >>")
+
+    def test_cli_workloads_as_json(self, capsys):
+        """Every bundled kernel, as one JSON array: no errors."""
+        import json
+        from repro.analysis.cli import main
+        assert main(["--workloads", "--json"]) == 0
+        findings = json.loads(capsys.readouterr().out)
+        assert all(f["severity"] != "error" for f in findings)
+
+    def test_cli_without_sources_is_a_usage_error(self, capsys):
+        from repro.analysis.cli import main
+        with pytest.raises(SystemExit) as info:
+            main([])
+        assert info.value.code == 2
+        assert "no sources given" in capsys.readouterr().err
+
+
+class TestRangeEdges:
+    """The range lint's less common inputs: no code, a sum that may
+    wrap, calls and discarded results, and branches whose condition
+    it can decide."""
+
+    def test_no_code_has_no_reachable_block(self):
+        cfg = BlockCFG([])
+        assert cfg.reachable() == frozenset()
+        assert solve_forward(cfg, None, lambda *a: None,
+                             lambda *a: None) == {}
+
+    def test_a_sum_that_may_wrap_or_a_quotient_is_the_whole_type(self):
+        from repro.analysis.passes import _interval_binop
+        big = (2**31 - 5, 2**31 - 1)
+        inf = float("inf")
+        assert _interval_binop("add", "i32", big, big) == \
+            _interval_binop("div", "i32", (1, 4), (1, 2)) == \
+            _interval_binop("add", "i32", (-inf, 0), (inf, inf)) == \
+            (-2**31, 2**31 - 1)
+
+    def test_calls_and_discarded_results(self):
+        """The range walk stops at a call (its effects are unknown) and
+        pops a result nobody reads; the module lints clean."""
+        from repro.bytecode.module import BytecodeFunction, BytecodeModule
+        module = BytecodeModule("m")
+        module.add(BytecodeFunction("g", [], "i32", [], code=[
+            BCInstr("const", "i32", 1), BCInstr("ret")]))
+        module.add(BytecodeFunction("f", [], "i32", ["i32"], code=[
+            BCInstr("call", None, "g"), BCInstr("pop"),
+            BCInstr("const", "i32", 2), BCInstr("stloc", None, 0),
+            BCInstr("ldloc", None, 0), BCInstr("ret")]))
+        assert [f for f in lint_bytecode_module(module)
+                if f.severity != "info"] == []
+
+    def test_decided_branches_are_noted(self):
+        from repro.bytecode.module import BytecodeFunction, BytecodeModule
+        module = BytecodeModule("m")
+        module.add(BytecodeFunction("f", [], "i32", [], code=[
+            BCInstr("const", "i32", 0), BCInstr("brif", None, 4),
+            BCInstr("const", "i32", 7), BCInstr("brif", None, 4),
+            BCInstr("const", "i32", 1), BCInstr("ret")]))
+        kinds = {f.code: f.pc for f in lint_bytecode_module(module)}
+        assert kinds.get("branch-never") == 1
+        assert kinds.get("branch-always") == 3

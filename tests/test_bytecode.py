@@ -515,3 +515,67 @@ class TestCompactness:
         text_size = len(format_module(module).encode())
         bc, _ = emit_module(module)
         assert len(encode_module(bc)) < text_size
+
+
+class TestLessCommonForms:
+    def test_calls_whose_result_goes_unused(self):
+        """A call of an ``int`` function whose IR keeps no result pops
+        it; a ``void`` call has none: the VM and x86 run both."""
+        from repro.ir import Call
+        from repro.jit import compile_for_target
+        from repro.lang import types as ty
+        from repro.semantics import Memory
+        from repro.targets import Simulator
+        from repro.vm import VM
+        module = lower_checked("""
+            int g(int *p) { p[0] = p[0] + 1; return p[0]; }
+            void h(int *p) { p[1] = p[0] * 2; }
+            int f(int *p) { g(p); h(p); return p[0] + p[1]; }""")
+        calls = [i for i in module["f"].instructions()
+                 if isinstance(i, Call)]
+        assert calls[1].dst is None
+        calls[0].dst = None
+        bc, _ = emit_module(module)
+        verify_module(bc)
+        assert [i.op for i in bc.functions["f"].code].count("pop") == 1
+        for image in (bc, compile_for_target(bc, "x86", "split")):
+            memory = Memory()
+            p = memory.alloc_array(ty.I32, [5, 0])
+            if image is bc:
+                assert VM(image, memory).call("f", [p]) == 18
+            else:
+                assert Simulator(image, memory).run("f", [p]).value == 18
+
+    def test_unknown_annotation_kind_is_refused(self):
+        from repro.bytecode.annotations import decode_annotation
+        from repro.bytecode.varint import write_bytes, write_str, write_uint
+        raw = bytearray()
+        write_uint(raw, 99)
+        write_str(raw, "f")
+        write_bytes(raw, b"")
+        with pytest.raises(ValueError, match="unknown annotation kind 99"):
+            decode_annotation(bytes(raw), 0)
+
+    def test_disassembly_lists_frame_slots(self):
+        bc, _ = emit("int f(void) { int a[4]; a[1] = 3; return a[1]; }")
+        assert "  .frame a: 16 align 4" in disassemble(bc)
+
+    def test_duplicate_function_is_refused(self):
+        module = BytecodeModule("m")
+        module.add(BytecodeFunction("f", [], "i32", []))
+        with pytest.raises(ValueError, match="duplicate function 'f'"):
+            module.add(BytecodeFunction("f", [], "i32", []))
+
+
+def test_emitter_refuses_an_instruction_it_cannot_encode():
+    from repro.ir import Module
+    from repro.ir.instructions import Instr
+
+    class Bogus(Instr):
+        pass
+
+    module = lower_checked("int f(void) { return 1; }")
+    module["f"].blocks[0].instrs.insert(0, Bogus(None, []))
+    with pytest.raises(ValueError, match="cannot emit Bogus to bytecode"):
+        emit_module(module)
+    assert isinstance(module, Module)

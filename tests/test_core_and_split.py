@@ -209,3 +209,23 @@ class TestAnnotationRobustness:
         result = Simulator(compiled, memory).run(kernel.entry, run.args)
         expected = sum(memory.read_array(ty.U8, run.args[0], 64))
         assert result.value == expected
+
+
+class TestMilpEdges:
+    def test_nothing_live_nothing_to_spill(self):
+        module = lower_checked("void f(void) { }")
+        assert optimal_spill_set(module["f"], k=1) == []
+
+    def test_a_failed_solve_answers_none(self, monkeypatch):
+        import scipy.optimize
+
+        class Failed:
+            success = False
+
+        monkeypatch.setattr(scipy.optimize, "milp",
+                            lambda **kwargs: Failed())
+        module = lower_checked("""
+            int f(int a, int b, int c) {
+                int x = a + b; int y = b + c; return x * y + a;
+            }""")
+        assert optimal_spill_set(module["f"], k=1) is None

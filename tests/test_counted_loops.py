@@ -36,6 +36,7 @@ from repro.lang import types as ty
 from repro.semantics import Memory, TrapError
 from repro.semantics.memory import NULL_GUARD
 from repro.targets import Simulator, dispatch, target_names
+from repro.targets.isa import CompiledFunction, CompiledModule, MInst
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS
 from tests.test_engine_differential import ENGINES, assert_engines_agree
@@ -92,21 +93,33 @@ def filled_memory():
     return memory, None
 
 
+def past_entry(machine):
+    """``machine``, entered past the check of argument values.  The
+    public entry refuses an integer argument outside its parameter's
+    type (``TieredMachine._entry``; ``tests/test_engine_differential.py``
+    holds every engine to that), but a guard must be sound for
+    whatever a frame holds: the rows that put ``2**40`` in an ``int``
+    reach the clauses that refuse it this way."""
+    machine._entry = lambda name, args: machine.module.functions[name]
+    return machine
+
+
 def run(machine: str, image, args, engine: str, fuel=None,
         fill=array_memory, **knobs):
-    """One call of ``f``: its outcome, counts and all of memory.
-    ``fill`` makes the memory and an array's address, which ``args``
-    maps to the argument list."""
+    """One call of ``f``, entered :func:`past_entry`: its outcome,
+    counts and all of memory.  ``fill`` makes the memory and an
+    array's address, which ``args`` maps to the argument list."""
     memory, base = fill()
     fuel = {} if fuel is None else {"fuel": fuel}
     if machine == "vm":
-        vm = VM(image, memory, engine=engine, **fuel, **knobs)
+        vm = past_entry(VM(image, memory, engine=engine, **fuel, **knobs))
         try:
             got = ("ok", vm.call("f", args(base)))
         except TrapError as exc:
             got = ("trap", str(exc))
         return got + (vm.instructions_executed, bytes(memory.data)), vm
-    sim = Simulator(image, memory, engine=engine, **fuel, **knobs)
+    sim = past_entry(Simulator(image, memory, engine=engine, **fuel,
+                               **knobs))
     try:
         result = sim.run("f", args(base))
         got = ("ok", result.value, result.instructions, result.cycles,
@@ -373,7 +386,8 @@ int f({T} *a, int s0, int start, int n) {{
 """,
     # what the loop leaves behind: the i32 ``i + s0`` (its wrap is a
     # guard clause), and ``(long) s0 + i`` (no wrap while ``s0`` is in
-    # the base range), read through a division, which no wrap undoes
+    # the base range), read through an arithmetic shift, which keeps
+    # the sign a wrap would flip
     "offset": """
 int f({T} *a, int s0, int start, int n) {{
     int k = 0;
@@ -391,7 +405,7 @@ int f({T} *a, int s0, int start, int n) {{
         w = (long) s0 + i;
         a[i] = i;
     }}
-    return (int) (w / ((long) 1048576 * 1048576));
+    return (int) (w >> 40);
 }}
 """,
     # ``(unsigned long) i`` is the identity only while ``0 <= i``: a
@@ -564,3 +578,162 @@ def test_every_exec_steady_kernel_counts(monkeypatch):
     stats = [engine.tier2_build_stats() for engine in (threaded, dispatch)]
     assert {key: stats[0][key] + stats[1][key]
             for key in EXEC_STEADY_BUILDS} == EXEC_STEADY_BUILDS
+
+
+def _machine_loop(prelude=(), latch=None, limit=("int", 0), step=1):
+    """``s = 0; for (i = 0; i < limit; i += step) s += i; return s``
+    in x86-style machine code: ``r0`` is the parameter, ``r1`` the
+    induction, ``r2`` the sum; ``latch`` replaces the latch's
+    instructions before its back edge."""
+    i32 = ty.I32
+    header = 2 + len(prelude)
+    code = [MInst("mov", None, ("int", 1), [("imm", 0)], None),
+            MInst("mov", None, ("int", 2), [("imm", 0)], None),
+            *prelude,
+            MInst("cmp", i32, ("int", 3), [("int", 1), limit], "lt"),
+            MInst("brif", None, None, [("int", 3)], header + 3),
+            MInst("ret", None, None, [("int", 2)], None)]
+    code += latch or [
+        MInst("bin", i32, ("int", 2), [("int", 2), ("int", 1)], "add"),
+        MInst("bin", i32, ("int", 1), [("int", 1), ("imm", step)], "add")]
+    code.append(MInst("br", None, None, [], header))
+    return code
+
+
+def _add(dst, a, b):
+    return MInst("bin", ty.I32, ("int", dst), [("int", a), b], "add")
+
+
+def _mov(dst, src):
+    return MInst("mov", None, ("int", dst), [src], None)
+
+
+@pytest.mark.parametrize("code, counted", [
+    (_machine_loop(), True),
+    (_machine_loop(limit=("imm", 5)), True),
+    (_machine_loop(latch=[_add(1, 1, ("imm", 1))]), False),
+    (_machine_loop(step=0), False),
+    (_machine_loop(latch=[_add(2, 2, ("int", 1)),
+                          _add(4, 1, ("imm", 1))]), False),
+    (_machine_loop(latch=[_add(2, 2, ("int", 1)), _add(4, 1, ("imm", 1)),
+                          _mov(1, ("int", 2))]), False),
+    (_machine_loop(prelude=[_mov(4, ("imm", 0))],
+                   latch=[_add(2, 2, ("int", 4)), _add(4, 1, ("imm", 1)),
+                          _mov(1, ("int", 4))]), False),
+    (_machine_loop(latch=[_mov(1, ("int", 1)), _add(2, 2, ("int", 1)),
+                          _add(1, 1, ("imm", 1))]), False),
+    (_machine_loop(latch=[_add(0, 0, ("imm", 0)), _add(2, 2, ("int", 1)),
+                          _add(1, 1, ("imm", 1))]), False),
+    (_machine_loop(limit=("slot", 0)), False),
+    (_machine_loop(prelude=[MInst("mov", None, ("flt", 0), [("imm", 5.0)],
+                                  None)], limit=("flt", 0)), False),
+    (_machine_loop(limit=("int", 5)), False),
+    (_machine_loop()[:-1] + [MInst("br", None, None, [], 99)], False),
+    ([MInst("mov", None, ("int", 1), [("imm", 0)], None),
+      MInst("mov", None, ("int", 2), [("imm", 0)], None),
+      MInst("cmp", ty.I32, ("int", 3), [("int", 1), ("int", 0)], "ge"),
+      MInst("brif", None, None, [("int", 3)], 7),
+      _add(2, 2, ("int", 1)), _add(1, 1, ("imm", 1)),
+      MInst("br", None, None, [], 2),
+      MInst("ret", None, None, [("int", 2)], None)], False),
+], ids=["canonical", "constant bound", "latch of two", "step 0",
+        "increment into another register", "copy of another value",
+        "increment temp read first", "induction written twice",
+        "bound written", "bound in a slot", "bound in a float register",
+        "header that can raise",
+        "back edge out of the code", "exit taken, latch falls through"])
+def test_machine_induction(code, counted):
+    """Each clause of the machine engine's induction match, one loop
+    away from it: the loop runs counted only when every clause holds,
+    and every engine gives the same outcome either way (fuel bounds
+    the loops that never end)."""
+    func = CompiledFunction(name="f", target_name="x86", code=code,
+                            param_locs=[("int", 0)], ret_void=False)
+    module = CompiledModule("x86")
+    module.add(func)
+    dispatch.reset_tier2_build_stats()
+    outcomes = {}
+    for engine in ENGINES:
+        sim = Simulator(module, Memory(), engine=engine, fuel=500)
+        try:
+            result = sim.run("f", [5])
+            outcomes[engine] = ("ok", result.value, result.instructions)
+        except TrapError as exc:
+            outcomes[engine] = ("trap", str(exc), sim._executed)
+    assert_engines_agree(outcomes)
+    stats = dispatch.tier2_build_stats()
+    fused = code[-1].arg != 99
+    assert (stats["loops_fused"], stats["loops_counted"]) == \
+        (int(fused), int(counted))
+
+
+def test_constant_bound_counts_on_the_vm():
+    artifact = offline_compile(
+        "int f(void) { int s = 0; for (int i = 0; i < 9; i++) s += i; "
+        "return s; }", "constant")
+    threaded.reset_tier2_build_stats()
+    pre = predecoded("vm", artifact.bytecode)
+    assert pre.tier2(warm=True) is not None
+    assert threaded.tier2_build_stats()["loops_counted"] == 1
+    outcomes = {engine: VM(artifact.bytecode, engine=engine).call("f", [])
+                for engine in ENGINES}
+    assert set(outcomes.values()) == {36}
+
+
+#: loops whose latch values the interval walk gives up on, each a
+#: different way: ``i * i`` has no affine form and may wrap, ``3 * i``
+#: is a constant times the induction, ``i / 3`` an op it does not
+#: follow, ``a[i] + (int) 2.5`` sums a value no fold admits; and one
+#: whose lane reduction converts each lane
+GIVE_UPS = {
+    "square": "void f(int *a, int n) { for (int i = 0; i < n; i++) "
+              "a[i] = i * i; }",
+    "scaled": "void f(int *a, int n) { for (int i = 0; i < n; i++) "
+              "a[i] = 3 * i; }",
+    "divided": "void f(int *a, int n) { for (int i = 0; i < n; i++) "
+               "a[i] = i / 3; }",
+    "offset sum": "int f(int *a, int n) { int s = 0; "
+                  "for (int i = 0; i < n; i++) s += a[i] + (int) 2.5; "
+                  "return s; }",
+    # signed lanes summed into an unsigned accumulator: the widening
+    # is not the identity
+    "widened": "unsigned f(char *a, int n) { unsigned s = 0; "
+               "for (int i = 0; i < n; i++) s += a[i]; return s; }",
+}
+
+
+@pytest.mark.parametrize("machine", ["vm", "x86"])
+@pytest.mark.parametrize("name", sorted(GIVE_UPS))
+def test_values_the_interval_walk_gives_up_on(machine, name):
+    """Three-way parity, at every trip count up to the array's."""
+    artifact = offline_compile(GIVE_UPS[name], "giveup")
+    image = artifact.bytecode if machine == "vm" else \
+        deploy(artifact, machine, "split")
+    for n in (0, 1, 7, ELEMENTS):
+        agree(machine, image, lambda base: [base, n])
+
+
+def test_vm_induction_stored_twice_is_not_counted():
+    """A VM loop whose latch stores the induction twice runs as a
+    ``while``, and every engine agrees on it."""
+    from repro.bytecode import BCInstr
+    from repro.bytecode.module import BytecodeFunction, BytecodeModule
+    code = [BCInstr(*i) for i in [
+        ("const", "i32", 0), ("stloc", None, 0),
+        ("const", "i32", 0), ("stloc", None, 1),
+        ("ldloc", None, 0), ("ldarg", None, 0), ("cmp", "i32", "lt"),
+        ("brif", None, 10), ("ldloc", None, 1), ("ret",),
+        ("ldloc", None, 1), ("ldloc", None, 0), ("add", "i32"),
+        ("stloc", None, 1), ("ldloc", None, 0), ("stloc", None, 0),
+        ("ldloc", None, 0), ("const", "i32", 1), ("add", "i32"),
+        ("stloc", None, 0), ("br", None, 4)]]
+    module = BytecodeModule("m")
+    module.add(BytecodeFunction("f", ["i32"], "i32", ["i32", "i32"],
+                                code=code))
+    threaded.reset_tier2_build_stats()
+    pre = threaded.predecode(module.functions["f"], module)
+    assert pre.tier2(warm=True) is not None
+    stats = threaded.tier2_build_stats()
+    assert (stats["loops_fused"], stats["loops_counted"]) == (1, 0)
+    assert {VM(module, engine=engine).call("f", [6])
+            for engine in ENGINES} == {15}

@@ -212,3 +212,21 @@ def test_half_sent_head_then_close_is_dropped(port, fields, keep):
     head = head_with(fields)
     assert exchange(port, [head[:keep % (len(head) - 1)]]) == []
     assert_serving(port)
+
+
+@pytest.mark.parametrize("head, status, message", [
+    (b"GET\r\n\r\n", 400, "malformed HTTP request line"),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"b" * MAX_HEADER_BYTES +
+     b"\r\n\r\n", 431, "headers too large"),
+    (b"POST /healthz HTTP/1.1\r\n\r\n", 405, "/healthz is GET"),
+    (b"DELETE /stats HTTP/1.1\r\n\r\n", 405, "/stats is GET"),
+    (b"GET /deploy HTTP/1.1\r\n\r\n", 405, "/deploy is POST"),
+], ids=["request line", "header block", "healthz", "stats", "deploy"])
+def test_each_refusal_says_why(port, head, status, message):
+    """One head per refusal the generators above need not draw: each
+    is answered once, with its reason, and the server keeps
+    serving."""
+    replies = exchange(port, [head])
+    assert_answered_once(replies, status)
+    assert replies[0][2]["error"]["message"] == message
+    assert_serving(port)

@@ -404,6 +404,115 @@ class TestSimulatorTrapParity:
 
 
 # ---------------------------------------------------------------------------
+# shifts and argument values, against Python
+# ---------------------------------------------------------------------------
+
+def _every_machine(source, machines=("vm", "x86")):
+    """``{(machine, engine): run}`` for ``source`` on the VM and each
+    native target named, under every engine; ``run(name, args)`` is
+    ``("ok", value)`` or ``("trap", message)``."""
+    artifact = offline_compile(source, "m")
+    images = {machine: select_bytecode(artifact, "split") if
+              machine == "vm" else deploy(artifact, machine, "split")
+              for machine in machines}
+
+    def runner(machine, engine):
+        def run(name, args):
+            try:
+                if machine == "vm":
+                    return ("ok", VM(images[machine], Memory(1024),
+                                     engine=engine).call(name, args))
+                return ("ok", Simulator(images[machine], Memory(1024),
+                                        engine=engine)
+                        .run(name, args).value)
+            except TrapError as exc:
+                return ("trap", str(exc))
+        return run
+    return {(machine, engine): runner(machine, engine)
+            for machine in machines for engine in ENGINES}
+
+
+def _wrap64(value: int, signed: bool = True) -> int:
+    value &= (1 << 64) - 1
+    return value - (1 << 64) if signed and value >> 63 else value
+
+
+SHIFTS = """
+long shr_const(long w, int s) { return w >> 40; }
+long shl_const(long w, int s) { return w << 40; }
+long shr_int(long w, int s) { return w >> s; }
+long shl_int(long w, int s) { return w << s; }
+long shr_long(long w, int s) { long c = s; return w >> c; }
+long shl_long(long w, int s) { long c = s; return w << c; }
+unsigned long ushr_int(long w, int s) { unsigned long u = w; return u >> s; }
+long assign(long w, int s) { w >>= s; w <<= (long) 3; return w; }
+"""
+
+#: each function of ``SHIFTS`` in Python, for a count in [0, 64)
+SHIFTED = {
+    "shr_const": lambda w, s: w >> 40,
+    "shl_const": lambda w, s: _wrap64(w << 40),
+    "shr_int": lambda w, s: w >> s,
+    "shl_int": lambda w, s: _wrap64(w << s),
+    "shr_long": lambda w, s: w >> s,
+    "shl_long": lambda w, s: _wrap64(w << s),
+    "ushr_int": lambda w, s: _wrap64(w, signed=False) >> s,
+    "assign": lambda w, s: _wrap64((w >> s) << 3),
+}
+
+
+def test_64_bit_shifts_match_python():
+    """A 64-bit value shifted by a constant, an ``int`` and a ``long``
+    count (and by ``>>=`` / ``<<=``): the count takes the shifted
+    type, and the VM and x86 give Python's answer on every engine."""
+    runs = _every_machine(SHIFTS)
+    for name, expect in SHIFTED.items():
+        for w in (0x123456789ABCDEF, -5, 2**62 + 7, -2**63, 2**63 - 1):
+            for s in (0, 1, 31, 40, 63):
+                want = ("ok", expect(w, s))
+                for key, run in runs.items():
+                    assert run(name, [w, s]) == want, (name, w, s, key)
+
+
+ARGUMENTS = """
+long f(int s0) { return (long) s0 + 1; }
+long g(unsigned char a, short b, unsigned c, long d, unsigned long e) {
+    return (long) a + b + (long) c + d + (long) e;
+}
+"""
+
+#: (g's parameter, its tag, its least and greatest value)
+G_PARAMS = [(0, "u8", 0, 255), (1, "i16", -2**15, 2**15 - 1),
+            (2, "u32", 0, 2**32 - 1), (3, "i64", -2**63, 2**63 - 1),
+            (4, "u64", 0, 2**64 - 1)]
+
+
+def test_out_of_range_argument_traps_alike():
+    """An integer argument outside its parameter's declared type is
+    one trap on the VM, x86 and arm under every engine, before any
+    code runs; every value the type holds is passed unchanged."""
+    runs = _every_machine(ARGUMENTS, ("vm", "x86", "arm"))
+    for run in runs.values():
+        assert run("f", [2**63 - 4]) == (
+            "trap", "f: argument 0 = 9223372036854775804 is not an i32")
+        assert run("f", [2**31]) == (
+            "trap", "f: argument 0 = 2147483648 is not an i32")
+        assert run("f", [-2**31 - 1]) == (
+            "trap", "f: argument 0 = -2147483649 is not an i32")
+        assert run("f", [2**31 - 1]) == ("ok", 2**31)
+        assert run("f", [-2**31]) == ("ok", -2**31 + 1)
+        for index, tag, low, high in G_PARAMS:
+            for value, fits in ((low, True), (high, True),
+                                (low - 1, False), (high + 1, False)):
+                args = [0, 0, 0, 0, 0]
+                args[index] = value
+                want = ("ok", _wrap64(value)) if fits else (
+                    "trap", f"g: argument {index} = {value} is not an "
+                    f"{tag}")
+                assert run("g", args) == want, (index, value)
+
+
+# ---------------------------------------------------------------------------
 # engine selection and predecode-cache behaviour
 # ---------------------------------------------------------------------------
 
@@ -497,7 +606,7 @@ class TestPredecodeCache:
         token_before = func.content_token()
         func.local_types = list(func.local_types) + ["i32"]
         assert func.content_token() != token_before
-        assert func.cached_predecode(func.content_token()) is None
+        assert func._predecode_cache[0] != func.content_token()
 
     def test_param_locs_edit_invalidates_machine_predecode(self):
         """Same for machine code: moving a parameter home must not

@@ -414,3 +414,16 @@ class TestSchemaVersion:
             assert svc.cache.stats()["corrupt_entries"] == 1
         finally:
             svc.shutdown()
+
+
+def test_every_spelling_of_a_candidate():
+    """A search candidate may be a flow name, a flow, a pipeline or a
+    knob configuration: each has one label and one pipeline."""
+    from repro.flows import DEFAULT_PIPELINE, PipelineSpec
+    from repro.iterative.search import pipeline_of
+    flow = as_flow("split")
+    spec = PipelineSpec(unroll=2)
+    assert label_of("split") == label_of(flow) == "flow:split"
+    assert pipeline_of("split") == flow.pipeline == DEFAULT_PIPELINE
+    assert pipeline_of(spec) is spec
+    assert label_of(spec) == spec.label()

@@ -142,3 +142,66 @@ class TestPrinter:
         assert "func @f" in text
         assert "frame buf" in text
         assert "entry0:" in text
+
+
+class TestInterpreterCorners:
+    def test_select_and_vector_parameter(self):
+        """A ``select`` picks by its condition; a vector parameter is
+        taken as a list of lanes."""
+        func = Function("f", ty.I32)
+        vty = vec_of(ty.I32)
+        vec = func.new_param(vty, "v")
+        cond = func.new_param(ty.I32, "c")
+        builder = IRBuilder(func)
+        builder.set_block(func.new_block("entry"))
+        total = builder.vreduce("add", vec, vty, acc_ty=ty.I32)
+        out = func.new_reg(ty.I32)
+        builder.emit(Select(out, cond, total, Const(-1, ty.I32), ty.I32))
+        builder.ret(out)
+        verify_function(func)
+        module = Module("m")
+        module.add(func)
+        interp = IRInterpreter(module, Memory())
+        assert interp.call("f", [(1, 2, 3, 4), 1]) == 10
+        assert interp.call("f", [(1, 2, 3, 4), 0]) == -1
+
+    def test_block_without_terminator_traps(self):
+        func = Function("f", ty.I32)
+        func.new_block("entry").append(Move(func.new_reg(ty.I32),
+                                            Const(1, ty.I32)))
+        module = Module("m")
+        module.add(func)
+        with pytest.raises(TrapError, match="fell off the end of block "
+                                            "entry0"):
+            IRInterpreter(module, Memory()).call("f", [])
+
+    def test_unknown_instruction_traps(self):
+        from repro.ir.instructions import Instr
+
+        class Bogus(Instr):
+            pass
+
+        func = Function("f", ty.I32)
+        func.new_block("entry").append(Bogus(None, []))
+        module = Module("m")
+        module.add(func)
+        with pytest.raises(TrapError, match="unknown instruction Bogus"):
+            IRInterpreter(module, Memory()).call("f", [])
+        assert format_instr(Bogus(None, [])) == "<unknown Bogus>"
+
+    def test_calls_print_with_and_without_a_result(self):
+        from repro.ir import Call
+        func = Function("f", ty.I32)
+        a = func.new_param(ty.I32, "a")
+        assert format_instr(Call(None, "g", [a, Const(2, ty.I32)],
+                                 ty.VOID)) == "call @g(%0.a, 2:i32)"
+        assert format_instr(Call(func.new_reg(ty.I32), "g", [],
+                                 ty.I32)) == "%1 = call @g()"
+
+    def test_reprs_name_what_they_hold(self):
+        func = Function("f", ty.I32)
+        block = func.new_block("entry")
+        block.append(Ret(Const(1, ty.I32)))
+        assert repr(func) == "Function(f, 1 blocks)"
+        assert repr(block) == "BasicBlock(entry0, 1 instrs)"
+        assert repr(Const(-3, ty.I64)) == "-3:i64"

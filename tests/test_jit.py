@@ -356,3 +356,47 @@ def test_no_confirmation_left(corpus_run):
     assert counts["cleanups"] == 720
     # no compiled function leaves a first round anything to report
     assert counts["rounds"] == counts["cleanups"]
+
+
+class TestCodegenRefusals:
+    """What the back end refuses by name rather than miscompile: an IR
+    instruction it has no encoding for, and a vector op that reaches a
+    core without SIMD; and what the allocator does with a register
+    class the core lacks."""
+
+    @staticmethod
+    def _lir(source, name):
+        bytecode = offline_compile(source, name).bytecode
+        lir, _ = decode_function(bytecode[name], bytecode.functions)
+        return lir
+
+    def _generate(self, lir, target):
+        from repro.jit.codegen import generate
+        regs = {cls: target.regs_of_class(cls)
+                for cls in ("int", "flt", "vec")}
+        return generate(lir, allocate(lir, regs), target)
+
+    def test_unknown_instruction(self):
+        from repro.ir.instructions import Instr
+        from repro.jit.codegen import CodegenError
+
+        class Bogus(Instr):
+            pass
+
+        lir = self._lir("int f(int a) { return a; }", "f")
+        lir.blocks[0].instrs.insert(0, Bogus(None, []))
+        with pytest.raises(CodegenError, match="cannot generate Bogus"):
+            self._generate(lir, X86)
+
+    def test_vector_op_without_simd(self):
+        from repro.jit.codegen import CodegenError
+        lir = self._lir(TABLE1["sum_u8"].source, "sum_u8")
+        with pytest.raises(CodegenError, match="vector op reached codegen "
+                                               "for non-SIMD target sparc"):
+            self._generate(lir, SPARC)
+
+    def test_a_class_with_no_registers_spills_everything(self):
+        lir = self._lir("int f(int a, int b) { return a * b + a; }", "f")
+        allocation = allocate(lir, {"int": 0, "flt": 4, "vec": 4})
+        homes = [allocation.home(reg)[0] for reg in lir.params]
+        assert homes == ["slot", "slot"]

@@ -353,3 +353,125 @@ class TestScalarization:
                 for instr in func.code:
                     assert not instr.op.startswith("v"), \
                         (target.name, instr)
+
+
+class TestStackShapesTheOfflineCompilerNeverEmits:
+    def test_swap_through_the_stack(self):
+        """``ldloc 0; ldloc 1; stloc 0; stloc 1`` swaps two locals:
+        the decoder snapshots the value of local 0 still on the stack
+        before the store overwrites its register."""
+        code = [("ldarg", None, 0), ("stloc", None, 0),
+                ("ldarg", None, 1), ("stloc", None, 1),
+                ("ldloc", None, 0), ("ldloc", None, 1),
+                ("stloc", None, 0), ("stloc", None, 1),
+                ("ldloc", None, 0), ("const", "i32", 10), ("mul", "i32"),
+                ("ldloc", None, 1), ("add", "i32"), ("ret",)]
+        assert agree_everywhere(code, ["i32", "i32"], "i32",
+                                ["i32", "i32"],
+                                lambda memory: [3, 4]) == 43
+
+
+class TestDecoderRefusals:
+    """The JIT decodes what it is given, verified or not: an opcode it
+    does not know, or code that runs off its end, is refused by
+    name."""
+
+    @pytest.mark.parametrize("code, message", [
+        ([("const", "i32", 1), ("bogus", None, None)],
+         "unsupported opcode 'bogus'"),
+        ([("const", "i32", 1), ("pop", None, None)],
+         "f: control falls off code end"),
+    ], ids=["opcode", "off the end"])
+    def test_refused(self, code, message):
+        from repro.jit.frontend import FrontendError
+        func = BytecodeFunction("f", [], "i32", [],
+                                code=[BCInstr(*i) for i in code])
+        module = BytecodeModule("m")
+        module.add(func)
+        with pytest.raises(FrontendError, match=message):
+            decode_function(func, module.functions)
+
+
+class TestLessCommonJitInputs:
+    def test_byte_vector_copied_through_a_local(self):
+        """Sixteen u8 lanes kept in a vector local and stored: on the
+        targets without room for the lanes in registers the vector
+        lives in frame temporaries, copied and stored lane by lane."""
+        code = [("ldarg", None, 0), ("vec.load", "u8", None),
+                ("stloc", None, 0), ("ldarg", None, 1),
+                ("ldloc", None, 0), ("vec.store", "u8", None),
+                ("ldarg", None, 1), ("const", "u64", 5), ("add", "u64"),
+                ("load", "u8", None), ("cast", "i32", "u8"), ("ret",)]
+
+        def make_args(memory):
+            return [memory.alloc_array(ty.U8, range(100, 116)),
+                    memory.alloc_array(ty.U8, [0] * 16)]
+
+        assert agree_everywhere(code, ["u64", "u64"], "i32",
+                                ["v128:u8"], make_args) == 105
+
+    def test_byte_vector_redefined_in_a_loop(self):
+        """``v = v + v`` twice over sixteen u8 lanes, then summed: the
+        loop's vector local is copied lane by lane where it lives in
+        memory."""
+        code = [("ldarg", None, 0), ("vec.load", "u8", None),
+                ("stloc", None, 0), ("const", "i32", 0), ("stloc", None, 1),
+                ("ldloc", None, 1), ("const", "i32", 2), ("cmp", "i32", "lt"),
+                ("brif", None, 10), ("br", None, 19),
+                ("ldloc", None, 0), ("ldloc", None, 0), ("vec.add", "u8"),
+                ("stloc", None, 0), ("ldloc", None, 1), ("const", "i32", 1),
+                ("add", "i32"), ("stloc", None, 1), ("br", None, 5),
+                ("ldloc", None, 0), ("vec.reduce", "u8", ("add", "i32")),
+                ("ret",)]
+        want = sum(4 * x % 256 for x in range(100, 116))
+        assert agree_everywhere(
+            code, ["u64"], "i32", ["v128:u8", "i32"],
+            lambda memory: [memory.alloc_array(ty.U8, range(100, 116))]) \
+            == want
+
+
+    def test_byte_vectors_in_memory_on_a_target_without_simd(self):
+        """Sixteen u8 lanes do not fit sparc's registers: the vectors
+        live in frame temporaries, stored and copied lane by lane, and
+        the answer is the VM's."""
+        source = """
+            void f(unsigned char *a, unsigned char *b, int n) {
+                for (int i = 0; i < n; i++) a[i] = b[i] + 3;
+            }"""
+        artifact = offline_compile(source, "bytes")
+        assert artifact.bytecode.functions["f"] is not None
+        results = []
+        for image in (artifact.bytecode,
+                      deploy(artifact, "sparc", "split")):
+            memory = Memory()
+            a = memory.alloc_array(ty.U8, [0] * 40)
+            b = memory.alloc_array(ty.U8, range(200, 240))
+            executor_for(image, memory).run("f", [a, b, 37]) \
+                if image is not artifact.bytecode \
+                else VM(image, memory).call("f", [a, b, 37])
+            results.append(memory.read_array(ty.U8, a, 40))
+        assert results[0] == results[1]
+        assert results[0][:3] == [203, 204, 205]
+
+    def test_calls_with_constant_and_spilled_arguments(self):
+        """A constant argument is an immediate operand; on a core with
+        three integer registers a live value is spilled and passed
+        straight from its slot."""
+        from dataclasses import replace
+        source = """
+            int g(int a, int b) { return a * 10 + b; }
+            int f(int a, int b, int c) {
+                int x = a * b; int y = b * c;
+                return g(x, y) + g(x, 7) + x + y + a + b + c;
+            }"""
+        bytecode = offline_compile(source, "calls").bytecode
+        want = VM(bytecode, Memory()).call("f", [2, 3, 4])
+        tight = replace(X86, name="x86k3", int_regs=3)
+        image = compile_for_target(bytecode, tight, "split")
+        calls = [i for i in image.functions["f"].code if i.op == "call"]
+        assert ("imm", 7) in calls[1].srcs
+        assert any(src[0] == "slot" for call in calls
+                   for src in call.srcs)
+        for engine in ("reference", "fast", "tier2"):
+            assert Simulator(image, Memory(), engine=engine).run(
+                "f", [2, 3, 4]).value == want

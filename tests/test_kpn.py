@@ -164,3 +164,76 @@ class TestDeploymentManager:
         manager.install(artifact)
         # 'gain' is vectorized -> wants SIMD -> should point at the DSP
         assert manager.preferred_core("gain").name == "dsp"
+
+
+class TestPreferredCore:
+    """Every branch of the advisory core hint, and the image lookup."""
+
+    SOURCE = """
+        float scale(float x, float k) { return x * k; }
+        int count(int n) { int c = 0; while (n > 1) { n = n / 2; c++; }
+                           return c; }
+    """
+
+    def manager(self, cores, install=True):
+        artifact = offline_compile(self.SOURCE, "hints")
+        manager = DeploymentManager(Platform("p", cores))
+        if install:
+            manager.install(artifact.bytecode)
+        return manager, artifact
+
+    def test_nothing_installed_no_hint(self):
+        manager, _ = self.manager([Core(HOST, 1)], install=False)
+        assert manager.preferred_core("scale") is None
+
+    def test_fp_and_control_code(self):
+        """No SIMD wanted: fp code goes to the fastest multiplier per
+        clock, control code to the cheapest branch per clock."""
+        manager, artifact = self.manager([Core(HOST, 1), Core(X86, 1)])
+        assert manager.image_for("x86") is manager.installed["x86"]
+        assert [c.name for c in
+                Platform("p", [Core(HOST, 2)]).cores] == ["host"]
+        kinds = manager.platform.kinds()
+        want_fp = min(kinds, key=lambda t: t.costs.fp_mul / t.clock_scale)
+        want_branch = min(kinds,
+                          key=lambda t: t.costs.branch / t.clock_scale)
+        assert manager.preferred_core("scale") is want_fp
+        assert manager.preferred_core("count") is want_branch
+
+    def test_unannotated_function_no_hint(self):
+        manager, _ = self.manager([Core(HOST, 1)])
+        manager._bytecode.annotations = [
+            a for a in manager._bytecode.annotations
+            if a.function != "count"]
+        assert manager.preferred_core("count") is None
+
+
+class TestNetworkEdges:
+    def test_duplicate_names_are_refused(self):
+        network = ProcessNetwork("n", block_size=4)
+        network.add_actor("a", "gain", ["x"], ["y"])
+        with pytest.raises(ValueError, match="duplicate actor 'a'"):
+            network.add_actor("a", "gain", ["y"], ["z"])
+        with pytest.raises(ValueError, match="duplicate channel 'x'"):
+            network.add_channel("x")
+
+    def test_a_channel_has_one_reader(self):
+        network = ProcessNetwork("n", block_size=4)
+        network.add_actor("first", "gain", ["x"], ["y"])
+        with pytest.raises(ValueError, match="channel 'x' already "
+                                             "consumed"):
+            network.add_actor("second", "gain", ["x"], ["z"])
+
+    def test_host_only_without_a_host_uses_core_zero(self, network):
+        platform = Platform("dsp only", [Core(DSP, 2)])
+        mapping = host_only_map(network, platform)
+        assert set(mapping.assignment.values()) == {0}
+
+    def test_actor_images_from_the_default_service(self, artifact,
+                                                   network):
+        from repro.kpn import deploy_actor_images
+        platform = Platform("p", [Core(HOST, 1)])
+        images = deploy_actor_images(network, artifact, platform,
+                                     host_only_map(network, platform))
+        assert set(images) == set(network.actors)
+        assert len({id(image) for image in images.values()}) == 1

@@ -111,3 +111,9 @@ class TestLexErrors:
             tokenize("ok\n  @")
         assert exc.value.line == 2
         assert exc.value.col == 3
+
+
+def test_token_repr():
+    from repro.lang.lexer import tokenize
+    first = tokenize("int x;")[0]
+    assert repr(first) == f"Token({first.kind}, 'int')"

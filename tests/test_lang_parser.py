@@ -192,3 +192,30 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse("int f(void) {\n  return 1 2;\n}")
         assert exc.value.line == 2
+
+
+class TestLessCommonForms:
+    def test_char_literal_is_an_int(self):
+        lit = parse_expr("'a'")
+        assert isinstance(lit, ast.IntLit) and lit.value == ord("a")
+
+    def test_for_with_an_expression_initializer(self):
+        program = parse("int f(int n) { int i; "
+                        "for (i = 0; i < n; i++) ; return i; }")
+        loop = program.funcs[0].body.stmts[1]
+        assert isinstance(loop.init, ast.ExprStmt)
+        assert isinstance(loop.init.expr, ast.Assign)
+
+    @pytest.mark.parametrize("source, message", [
+        (r"int f(void) { return '\q'; }",
+         "<minic>:1:22: unknown escape in char literal"),
+        ("short long f(void) { return 0; }",
+         "<minic>:1:12: unsupported type 'short long'"),
+        ("int f(void) { return 1 + ; }",
+         "<minic>:1:26: unexpected token ';'"),
+    ], ids=["escape", "type", "token"])
+    def test_diagnostics(self, source, message):
+        from repro.lang.errors import CompilerError
+        with pytest.raises(CompilerError) as info:
+            parse(source)
+        assert str(info.value) == message

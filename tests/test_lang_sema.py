@@ -168,3 +168,111 @@ class TestRejections:
             void g(void) {}
             int f(void) { return g() + 1; }
         """)
+
+
+#: (site, a program sema rejects there, its whole diagnostic)
+SEMA_REJECTIONS = [
+    ("convert", 'int f(int *p) { int x = p; return x; }',
+     '<minic>:1:25: cannot convert i32* to i32'),
+    ("scalar", 'void g(void) {} int f(void) { return g() && 1; }',
+     "<minic>:1:38: operand of '&&' must be scalar, got void"),
+    ("conflicting", 'int f(int a); long f(int a) { return a; }',
+     "<minic>:1:15: conflicting declarations of 'f'"),
+    ("redefinition", 'int f(void) { return 0; } int f(void) { return 1; }',
+     "<minic>:1:27: redefinition of 'f'"),
+    ("void param", 'int f(void v) { return 0; }',
+     '<minic>:1:1: parameter of void type'),
+    ("missing value", 'int f(void) { return; }',
+     '<minic>:1:15: non-void function must return a value'),
+    ("void value", 'void f(void) { return 1; }',
+     '<minic>:1:16: void function cannot return a value'),
+    ("break", 'void f(void) { break; }',
+     '<minic>:1:16: break outside loop'),
+    ("continue", 'void f(void) { continue; }',
+     '<minic>:1:16: continue outside loop'),
+    ("void variable", 'void f(void) { void v; }',
+     '<minic>:1:16: variable of void type'),
+    ("array initializer", 'void f(void) { int a[2] = 0; }',
+     '<minic>:1:16: array initializers are not supported'),
+    ("undeclared", 'int f(void) { return y; }',
+     "<minic>:1:22: use of undeclared identifier 'y'"),
+    ("bitwise not", 'int f(float x) { return ~x; }',
+     "<minic>:1:25: operand of '~' must be integer"),
+    ("negate", 'int f(int *p) { return -p; }',
+     "<minic>:1:24: operand of unary '-' must be arithmetic"),
+    ("distinct pointer compare", 'int f(int *p, long *q) { return p < q; }',
+     '<minic>:1:35: comparison of distinct pointer types'),
+    ("compare operands", 'int f(int *p, float x) { return p < x; }',
+     "<minic>:1:35: invalid operands to '<' (i32* and f32)"),
+    ("shift operands", 'int f(float x) { return x << 1; }',
+     "<minic>:1:27: operands of '<<' must be integers"),
+    ("bitwise operands", 'int f(float x) { return x & 1; }',
+     "<minic>:1:27: operands of '&' must be integers"),
+    ("distinct pointer subtract", 'long f(int *p, long *q) { return p - q; }',
+     '<minic>:1:36: subtraction of distinct pointer types'),
+    ("arithmetic operands", 'int f(int *p, int *q) { return p * q; }',
+     "<minic>:1:34: invalid operands to '*' (i32* and i32*)"),
+    ("assign rvalue", 'int f(int a) { a + 1 = 2; return a; }',
+     '<minic>:1:22: assignment target is not an lvalue'),
+    ("assign array", 'void f(void) { int a[2]; int b[2]; a = b; }',
+     '<minic>:1:38: cannot assign to an array'),
+    ("pointer compound", 'void f(int *p) { p *= 2; }',
+     "<minic>:1:20: invalid compound assignment '*=' on pointer"),
+    ("compound integers", 'void f(float x) { x <<= 1; }',
+     "<minic>:1:21: operands of '<<=' must be integers"),
+    ("compound operands", 'void f(int *p, float x) { x += p; }',
+     "<minic>:1:29: invalid operands to '+='"),
+    ("incdec rvalue", 'int f(int a) { return (a + 1)++; }',
+     "<minic>:1:30: operand of '++' is not an lvalue"),
+    ("incdec type", 'void f(void *p) { (*p)++; }',
+     "<minic>:1:23: operand of '++' must be arithmetic or pointer"),
+    ("conditional", 'int f(int c, int *p) { return c ? p : 1.5; }',
+     "<minic>:1:33: incompatible '?:' branch types"),
+    ("undeclared call", 'int f(void) { return g(); }',
+     "<minic>:1:22: call to undeclared function 'g'"),
+    ("arity", 'int g(int a) { return a; } int f(void) { return g(); }',
+     "<minic>:1:49: 'g' expects 1 arguments, got 0"),
+    ("index type", 'int f(int *p, float x) { return p[x]; }',
+     '<minic>:1:34: array index must be an integer'),
+    ("index base", 'int f(int a) { return a[0]; }',
+     '<minic>:1:24: cannot index a value of type i32'),
+    ("dereference", 'int f(int a) { return *a; }',
+     '<minic>:1:23: cannot dereference a non-pointer'),
+    ("address of rvalue", 'long f(int a) { return (long) &(a + 1); }',
+     '<minic>:1:31: cannot take the address of an rvalue'),
+    ("cast", 'int f(float *p) { return (float) p; }',
+     '<minic>:1:26: invalid cast from f32* to f32'),
+]
+
+
+class TestRejectionSites:
+    """Every diagnostic sema can give is reached by a program, and
+    reads as written."""
+
+    @pytest.mark.parametrize("site, source, message", SEMA_REJECTIONS,
+                             ids=[row[0] for row in SEMA_REJECTIONS])
+    def test_rejects(self, site, source, message):
+        assert str(check_fails(source)) == message
+
+    def test_every_site_has_a_row(self):
+        """A new diagnostic in sema needs a row above."""
+        import inspect
+        from repro.lang import sema
+        text = inspect.getsource(sema)
+        assert text.count("raise self.error(") == len(SEMA_REJECTIONS)
+
+
+class TestPointerForms:
+    def test_conditional_of_one_pointer_type(self):
+        assert ret_expr("int *f(int c, int *p, int *q) "
+                        "{ return c ? p : q; }").ty == \
+            ty.PointerType(ty.I32)
+
+    def test_address_of_an_array_is_its_first_element(self):
+        program = check_ok("int f(void) { int a[2]; int *p = &a; "
+                           "p[0] = 5; return a[0]; }")
+        decl = program.funcs[0].body.stmts[1]
+        assert decl.init.ty == ty.PointerType(ty.I32)
+
+    def test_pointer_to_a_64_bit_integer(self):
+        assert ret_expr("long f(int *p) { return (long) p; }").ty == ty.I64

@@ -1,5 +1,6 @@
 """Type system unit and property tests."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -112,3 +113,20 @@ class TestDecay:
         assert str(ty.PointerType(ty.U8)) == "u8*"
         assert str(ty.ArrayType(ty.I32, 4)) == "i32[4]"
         assert str(ty.F64) == "f64"
+
+
+class TestUndefined:
+    def test_no_common_type_with_a_pointer(self):
+        with pytest.raises(ValueError, match="no common arithmetic type "
+                                             "for i32\\* and i32"):
+            ty.common_type(ty.PointerType(ty.I32), ty.I32)
+
+    def test_void_has_no_size(self):
+        with pytest.raises(ValueError, match="sizeof undefined for void"):
+            ty.sizeof(ty.VOID)
+
+    def test_pointers_convert_only_to_themselves(self):
+        p, q = ty.PointerType(ty.I32), ty.PointerType(ty.I64)
+        assert ty.can_convert(ty.ArrayType(ty.I32, 4), p)
+        assert not ty.can_convert(p, q)
+        assert not ty.can_convert(ty.I64, p)

@@ -317,3 +317,94 @@ class TestKernelOracles:
                                arrays={"x": (ty.F64, values)})
         assert mem.read_array(ty.F64, addrs["x"], 3) == \
             [4.0 * v for v in values]
+
+
+#: the lowering's less common forms: address-taken parameters and
+#: locals, declarations with no initializer, pointer compound
+#: assignment, ``int + pointer``, a byte-pointer difference, pointer
+#: and identity casts, ``&*p``, a ``for`` with no condition, a pointer
+#: function that falls off its end, and an array that decays to a
+#: pointer offset by an ``unsigned long``
+FORMS = """
+long addr_param(int a, double d) {
+    int *p = &a;
+    double *q = &d;
+    *p += 2;
+    a++;
+    *q = *q * 2.0;
+    return a + (long) d;
+}
+long addr_local(int k) {
+    int x;
+    float y;
+    int *p = &x;
+    *p = *p + k;
+    y = y + 1.5;
+    return x + (long) (y * 2.0);
+}
+long pointers(int *a, char *s, int n) {
+    int *p = a;
+    p += 2;
+    p -= 1;
+    char *e = s;
+    e += n;
+    int *q = 1 + a;
+    long span = e - s;
+    long *w = (long *) a;
+    int *back = (int *) w;
+    int *same = &*p;
+    (void) n;
+    return *p + *q + span + (long) (back == a) + *same + (int) n;
+}
+int spin(int n) {
+    int i = 0;
+    for (;;) {
+        if (i >= n)
+            break;
+        i++;
+    }
+    return i;
+}
+int *fall(int *p, int c) {
+    if (c)
+        return p;
+}
+long decay(int k) {
+    int a[3];
+    int *p = a;
+    p[1] = k;
+    return a[1] + (p + (unsigned long) 2 - p);
+}
+"""
+
+
+class TestLessCommonForms:
+    @pytest.mark.parametrize("name, args, want", [
+        ("addr_param", [5, 1.5], 11),
+        ("addr_local", [7], 10),
+        ("pointers", ["a", "s", 5], 20 + 20 + 5 + 1 + 20 + 5),
+        ("spin", [9], 9),
+        ("fall", ["a", 0], 0),
+        ("decay", [40], 42),
+    ])
+    def test_against_python(self, name, args, want):
+        """The IR interpreter, then the VM and x86 running the
+        compiled module, give the value worked out by hand."""
+        from repro.core import deploy, offline_compile
+        from repro.semantics import Memory
+        from repro.targets import Simulator
+        from repro.vm import VM
+        arrays = {"a": (ty.I32, [10, 20, 30]), "s": (ty.U8, [1] * 8)}
+        assert run_ir(FORMS, name, args, arrays=arrays)[0] == want
+        artifact = offline_compile(FORMS, "forms")
+        for image in (artifact.bytecode, deploy(artifact, "x86", "split")):
+            memory = Memory()
+            places = {key: memory.alloc_array(*arrays[key])
+                      for key in arrays}
+            concrete = [places.get(a, a) if isinstance(a, str) else a
+                        for a in args]
+            if image is artifact.bytecode:
+                got = VM(image, memory).call(name, concrete)
+            else:
+                got = Simulator(image, memory).run(name, concrete).value
+            assert got == want, image

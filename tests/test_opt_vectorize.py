@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import lower_source
-from repro.ir import VLoad, VReduce, VStore, verify_function
+from repro.ir import Const, VLoad, VReduce, VStore, verify_function
 from repro.ir.interp import IRInterpreter
 from repro.lang import types as ty
 from repro.opt import PassManager, standard_passes
@@ -162,6 +162,100 @@ class TestRejection:
             }""")
 
 
+    @pytest.mark.parametrize("source", [
+        # no memory access at all
+        "int f(int n) { int s = 0; for (int i = 0; i < n; i++) s += 3; "
+        "return s; }",
+        # a store whose address is not affine in i
+        "void f(int *a, int *b, int n) { for (int i = 0; i < n; i++) "
+        "{ a[i] = b[0]; b[0] = 1; } }",
+        # an invariant load from a base the loop stores to
+        "void f(int *a, int n) { for (int i = 0; i < n; i++) "
+        "a[i] = a[0]; }",
+        # a read of what the same trip just stored
+        "void f(int *a, int n) { for (int i = 0; i < n; i++) "
+        "{ a[i] = 1; a[i] = a[i] + 1; } }",
+        # only invariant loads: no element type to widen
+        "int f(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) "
+        "s += a[0]; return s; }",
+        # a product is no lane reduction
+        "int f(int *a, int n) { int s = 1; for (int i = 0; i < n; i++) "
+        "s *= a[i]; return s; }",
+        # an int accumulator over float lanes
+        "int f(float *a, int n) { int s = 0; for (int i = 0; i < n; i++) "
+        "s += (int) a[i]; return s; }",
+        # a value of the trip read after the loop
+        "int f(int *a, int n) { int t = 0; for (int i = 0; i < n; i++) "
+        "{ t = a[i] + 1; a[i] = t; } return t; }",
+        # a compare has no lane-wise form
+        "void f(int *a, int *b, int n) { for (int i = 0; i < n; i++) "
+        "a[i] = b[i] < 3; }",
+        # an invariant load of another element type
+        "void f(int *a, short *b, int n) { for (int i = 0; i < n; i++) "
+        "a[i] = b[0] + a[i]; }",
+        # two stores to one base at different offsets
+        "void f(int *a, int *b, int n) { for (int i = 0; i < n; i++) "
+        "{ a[i] = b[i]; a[i + 4] = b[i]; } }",
+        # an i32 constant summed over u8 lanes
+        "int f(unsigned char *a, int n) { int s = 0; "
+        "for (int i = 0; i < n; i++) { s += 3; a[i] = 0; } return s; }",
+        # an accumulator updated twice a trip
+        "int f(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) "
+        "{ s += a[i]; s += a[i]; } return s; }",
+        # a strided load
+        "int f(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) "
+        "s += a[2 * i]; return s; }",
+        # a load of the stored base, four elements ahead
+        "void f(int *a, int *b, int n) { for (int i = 0; i < n; i++) "
+        "a[i] = b[i] + a[i + 4]; }",
+        # an invariant address computed from i
+        "void f(int *a, int *b, int n) { for (int i = 0; i < n; i++) "
+        "a[i] = b[(i + 4) - i]; }",
+        # a value overwritten each trip, read after the loop
+        "int f(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) "
+        "s = a[i] + a[i]; return s; }",
+    ], ids=["no memory", "non-affine store", "invariant stored base",
+            "read after write", "invariant loads only", "product",
+            "int over float", "used after the loop", "compare",
+            "invariant of another type", "two store offsets",
+            "constant over lanes", "accumulator twice", "strided load",
+            "stored base ahead", "invariant address from i",
+            "overwritten each trip"])
+    def test_rejected_shapes(self, source):
+        self.rejects(source)
+
+
+class TestVectorizedShapes:
+    """Shapes past the Table 1 kernels that do vectorize: a negation
+    and invariant loads, hoisted and splat; the vector form agrees
+    with the scalar one at every length around the lane count."""
+
+    SOURCES = {
+        "negate": "void f(int *a, int *b, int n) { "
+                  "for (int i = 0; i < n; i++) a[i] = -b[i]; }",
+        "fneg": "void f(float *a, float *b, int n) { "
+                "for (int i = 0; i < n; i++) a[i] = -b[i]; }",
+        "splat": "void f(int *a, int *b, int *c, int n) { "
+                 "for (int i = 0; i < n; i++) a[i] = b[i] * c[3]; }",
+    }
+
+    def run(self, name, n, do_vectorize):
+        module, _ = compile_fn(self.SOURCES[name], do_vectorize)
+        memory = Memory(1 << 16)
+        elem = ty.F32 if name == "fneg" else ty.I32
+        a = memory.alloc_array(elem, [0] * (n + 1))
+        b = memory.alloc_array(elem, [k * 3 - 7 for k in range(n + 1)])
+        c = memory.alloc_array(ty.I32, [2, 3, 5, 7])
+        args = [a, b, c, n] if name == "splat" else [a, b, n]
+        IRInterpreter(module, memory).call("f", args)
+        return memory.read_array(elem, a, n + 1)
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    @pytest.mark.parametrize("n", [0, 3, 4, 9])
+    def test_vector_matches_scalar(self, name, n):
+        assert self.run(name, n, True) == self.run(name, n, False)
+
+
 class TestDifferentialExecution:
     """Vectorized and scalar versions must agree bit-for-bit."""
 
@@ -264,3 +358,39 @@ class TestUnroll:
         combo = self.run_sum(lambda f: (unroll(f, 2), vectorize(f)),
                              values)
         assert combo == sum(values)
+
+
+class TestAffineForms:
+    """The address algebra the vectorizer's legality rests on: what
+    is ``base + i*coeff + offset`` and what is not."""
+
+    def test_arithmetic(self):
+        from repro.opt.affine import Affine
+        p, q, i = Affine(1, 0, 0), Affine(2, 0, 0), Affine(None, 4, 8)
+        assert p + q is None            # two bases
+        assert p - q is None            # a base subtracted
+        assert p - i == Affine(1, -4, -8)
+        assert (p + i).scaled(2) is None
+        assert i.scaled(2) == Affine(None, 8, 16)
+
+    def test_map_over_a_body(self):
+        from repro.ir import BinOp, Cast, Function
+        from repro.opt.affine import Affine, AffineMap
+        func = Function("f", ty.I32)
+        iv, base, n = (func.new_reg(ty.I64), func.new_reg(ty.U64),
+                       func.new_reg(ty.I64))
+        amap = AffineMap(iv, [base, n])
+        regs = [func.new_reg(ty.I64) for _ in range(5)]
+        k4 = Const(4, ty.I64)
+        for instr in [
+                BinOp("sub", regs[0], iv, k4, ty.I64),      # i - 4
+                BinOp("mul", regs[1], k4, regs[0], ty.I64),  # 4 * (i - 4)
+                BinOp("mul", regs[2], iv, n, ty.I64),       # i * n: no
+                BinOp("div", regs[3], iv, k4, ty.I64),      # no
+                Cast(regs[4], iv, ty.I64, ty.I32)]:         # narrowing: no
+            amap.visit(instr)
+        assert amap.of(regs[1]) == Affine(None, 4, -16)
+        assert [amap.of(r) for r in regs[2:]] == [None, None, None]
+        assert amap.of(Const(1.5, ty.F64)) is None
+        assert amap.is_invariant(Const(3, ty.I32))
+        assert amap.is_invariant(n) and not amap.is_invariant(iv)

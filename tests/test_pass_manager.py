@@ -187,3 +187,13 @@ class TestStatsOfASkippedPass:
             assert revived.total_work == stats.total_work
             assert PassStats().merge(revived).summary_dict() == summary
             assert "runs" in stats.report().splitlines()[0]
+
+
+def test_stats_with_work_and_no_records_summarize():
+    """Stats built from work alone (no invocation record, nothing
+    restored) still list each pass once, with its work and time."""
+    from repro.opt.pass_manager import PassStats
+    stats = PassStats(work_by_pass={"cse": 3},
+                      time_by_pass={"cse": 0.5})
+    assert stats.summary_dict() == {"cse": {
+        "work": 3, "time": 0.5, "runs": 0, "changed": 0, "ir_delta": 0}}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ir.values import VecType
 from repro.lang import types as ty
 from repro.semantics import (
     Memory, TrapError, eval_binop, eval_cast, eval_cmp, eval_unop,
@@ -213,6 +214,42 @@ class TestMemory:
         assert base < sp0
         mem.pop_frame(base, 64)
         assert mem.stack_ptr >= base + 64
+
+    def test_too_small_is_refused(self):
+        with pytest.raises(ValueError, match="memory too small"):
+            Memory(64)
+
+    def test_stack_overflow_traps(self):
+        mem = Memory(1024)
+        with pytest.raises(TrapError, match="stack overflow"):
+            mem.push_frame(1024)
+
+    def test_unpaired_pop_restores_from_the_frame(self):
+        mem = Memory(4096)
+        mem.pop_frame(1000, 24)
+        assert mem.stack_ptr == 1024
+        mem.pop_frame(4000, 200)
+        assert mem.stack_ptr == 4096
+
+    def test_only_scalar_types_load_and_store(self):
+        mem = Memory(4096)
+        vec = VecType(ty.I32, 4)
+        with pytest.raises(TrapError, match="cannot load type <4 x i32>"):
+            mem.load(vec, 128)
+        with pytest.raises(TrapError, match="cannot store type <4 x i32>"):
+            mem.store(vec, 128, [1, 2, 3, 4])
+
+    def test_store_converts_a_value_its_type_cannot_pack(self):
+        """A value outside the stored type wraps, a float stored as an
+        integer truncates, scalar and lane by lane."""
+        mem = Memory(4096)
+        mem.store(ty.U8, 128, 300)
+        mem.store(ty.I32, 132, -2.7)
+        assert (mem.load(ty.U8, 128), mem.load(ty.I32, 132)) == (44, -2)
+        mem.store_vec(ty.I16, 144, [2**15, 1.9, -1])
+        assert mem.load_vec(ty.I16, 3, 144) == [-2**15, 1, -1]
+        mem.store_vec(ty.F32, 160, [1, "2.5"])
+        assert mem.load_vec(ty.F32, 2, 160) == [1.0, 2.5]
 
     @given(st.integers(64, 4000), st.integers(-2**31, 2**31 - 1))
     def test_store_load_property(self, addr, value):

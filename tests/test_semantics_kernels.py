@@ -295,3 +295,48 @@ class TestKernelsAreTheirTemplates:
         else:
             assert kernel.__qualname__ == \
                 "_generic_vec_kernel.<locals>.vec_kernel"
+
+
+def _any_outcome(call, *args):
+    """``_outcome``, with whatever the reference raises."""
+    try:
+        return ("ok", call(*args))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestUnknownCombinationsRunTheReference:
+    """An op or type with no kernel entry (nor template) gets a kernel
+    that runs the reference ladder itself, so a hostile or malformed
+    instruction traps, or answers, exactly as the reference does."""
+
+    @pytest.mark.parametrize("kernel, reference, key, operands", [
+        (binop_kernel, eval_binop, ("bogus", ty.I32), (1, 2)),
+        (binop_kernel, eval_binop, ("add", ty.VOID), (1, 2)),
+        (cmp_kernel, eval_cmp, ("bogus", ty.F64), (1.0, 2.0)),
+        (cmp_kernel, eval_cmp, ("lt", ty.VOID), (1, 2)),
+        (unop_kernel, eval_unop, ("bogus", ty.I32), (1,)),
+        (unop_kernel, eval_unop, ("neg", ty.VOID), (1,)),
+        (unop_kernel, eval_unop, ("not", ty.F32), (1.0,)),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_scalar(self, kernel, reference, key, operands):
+        assert _any_outcome(kernel(*key), *operands) == \
+            _any_outcome(reference, *key, *operands)
+
+    def test_cast(self):
+        assert _any_outcome(cast_kernel(ty.I32, ty.VOID), 1) == \
+            _any_outcome(eval_cast, 1, ty.I32, ty.VOID) == \
+            ("TrapError", "cast i32 -> void undefined")
+
+    def test_lanes(self):
+        assert _any_outcome(vec_binop_kernel("bogus", ty.I32), [1], [2]) == \
+            ("TrapError", "integer op 'bogus' undefined")
+        assert _any_outcome(vec_binop_kernel("add", ty.VOID), [1], [2]) == \
+            _any_outcome(eval_binop, "add", ty.VOID, 1, 2)
+
+    def test_no_template(self):
+        env = CodegenEnv({})
+        assert inline_binop("add", ty.VOID, env) is None
+        assert inline_cast(ty.I32, ty.VOID, env) is None
+        assert inline_unop("bogus", ty.I32, env) is None
+        assert inline_unop("neg", ty.VOID, env) is None

@@ -232,6 +232,44 @@ class TestPersistence:
         finally:
             svc.shutdown()
 
+    def test_entry_gone_between_check_and_read(self, tmp_path,
+                                               monkeypatch):
+        """Another process unlinked the entry after it was seen: a
+        plain miss, neither an I/O error nor corruption."""
+        svc = CompilationService(cache_capacity=1, persist_dir=tmp_path)
+        try:
+            svc.compile(SAXPY, "one")
+            svc.cache.clear()
+            monkeypatch.setattr(
+                pathlib.Path, "read_bytes",
+                lambda self: (_ for _ in ()).throw(
+                    FileNotFoundError(2, "gone", str(self))))
+            assert not svc.compile(SAXPY, "one").cache_hit
+            stats = svc.cache.stats()
+            assert (stats["io_errors"], stats["corrupt_entries"]) == (0, 0)
+        finally:
+            svc.shutdown()
+
+    def test_corrupt_entry_that_cannot_be_deleted(self, tmp_path,
+                                                  monkeypatch):
+        """The self-heal's unlink fails: counted as an I/O error on top
+        of the corruption, and the lookup is still a miss."""
+        svc = CompilationService(cache_capacity=1, persist_dir=tmp_path)
+        try:
+            svc.compile(SAXPY, "one")
+            entry = next(tmp_path.rglob("*.pvia"))
+            entry.write_bytes(entry.read_bytes()[:40])
+            svc.cache.clear()
+            monkeypatch.setattr(
+                pathlib.Path, "unlink",
+                lambda self, missing_ok=False: (_ for _ in ()).throw(
+                    PermissionError(13, "denied", str(self))))
+            assert svc.cache.get(entry.stem) is None
+            stats = svc.cache.stats()
+            assert (stats["corrupt_entries"], stats["io_errors"]) == (1, 1)
+        finally:
+            svc.shutdown()
+
     def test_unreadable_entry_is_io_error_not_corruption(
             self, tmp_path, monkeypatch):
         """A persist entry that cannot be *read* (permissions, I/O)
@@ -838,3 +876,91 @@ class TestServiceEncapsulationGuard:
             f"public cache/pool/stats surface), or a *Stats class back "
             f"in repro.service (count on repro.telemetry.Counters): "
             f"{offenders}")
+
+
+def test_resident_answer_needs_every_image():
+    """The artifact is resident and admitted, but one target's image
+    is not: the non-blocking half answers ``None`` and the blocking
+    half compiles that image."""
+    svc = CompilationService(executor="inline")
+    try:
+        first = CompileRequest(SAXPY, "m", ["x86"])
+        svc.submit(first)
+        assert svc.serve_resident(first) is not None
+        both = CompileRequest(SAXPY, "m", ["x86", "arm"])
+        assert svc.serve_resident(both) is None
+        assert sorted(svc.submit(both).deployments) == ["arm", "x86"]
+    finally:
+        svc.shutdown()
+
+
+class TestBoundsAndRefusals:
+    """The bounded tables drop their oldest entry, the constructors
+    refuse what cannot work, and the lazy names resolve or fail."""
+
+    def test_wire_table_keeps_the_newest(self):
+        from repro.service.executors import ProcessExecutor, _WIRE_CACHE_CAP
+        executor = ProcessExecutor()
+        for k in range(_WIRE_CACHE_CAP + 1):
+            executor._keep_wire(f"f{k}", b"w")
+        assert list(executor._wires) == \
+            [f"f{k}" for k in range(1, _WIRE_CACHE_CAP + 1)]
+
+    def test_worker_artifact_table_keeps_the_newest(self, monkeypatch):
+        from collections import OrderedDict
+        from repro.service import executors
+        monkeypatch.setattr(executors, "_WORKER_ARTIFACTS", OrderedDict())
+        cap = executors._WORKER_ARTIFACT_CAP
+        for k in range(cap + 1):
+            executors._keep_in_worker(f"f{k}", object())
+        assert list(executors._WORKER_ARTIFACTS) == \
+            [f"f{k}" for k in range(1, cap + 1)]
+
+    def test_seen_table_keeps_the_newest(self):
+        from repro.service.edge.routing import AdaptiveExecutor, _SEEN_CAP
+        executor = AdaptiveExecutor("inline", "inline")
+        for k in range(_SEEN_CAP + 1):
+            executor._mark_seen(f"f{k}")
+        assert len(executor._seen) == _SEEN_CAP
+        assert "f0" not in executor._seen
+
+    def test_submit_to_a_broken_pool_drops_it(self):
+        """A pool a dead worker broke refuses the submit itself: the
+        job fails with that error and the next job gets a new pool."""
+        from concurrent.futures.process import BrokenProcessPool
+        from repro.service.executors import ProcessExecutor
+
+        class Broken:
+            def submit(self, fn, *args):
+                raise BrokenProcessPool("a worker died")
+
+        executor = ProcessExecutor()
+        executor._pool = Broken()
+        with pytest.raises(BrokenProcessPool):
+            executor._run(len, "x")
+        assert executor._pool is None
+
+    def test_constructors_refuse_empty_capacities(self):
+        from repro.service.deployment import DeploymentPool
+        from repro.service.edge.admission import AdmissionController
+        with pytest.raises(ValueError, match="max_images must be >= 1"):
+            DeploymentPool(max_images=0)
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            AdmissionController(0, 1.0, 1)
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            AdmissionController(1, 1.0, 0)
+
+    def test_lazy_names(self):
+        import repro.service
+        from repro.service.asyncio import AsyncCompilationService
+        assert repro.service.AsyncCompilationService is \
+            AsyncCompilationService
+        with pytest.raises(AttributeError, match="has no attribute "
+                                                 "'Bogus'"):
+            repro.service.Bogus
+        core = CompilationService()
+        try:
+            facade = AsyncCompilationService(core)
+            assert (facade.cache, facade.pool) == (core.cache, core.pool)
+        finally:
+            core.shutdown()

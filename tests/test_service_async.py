@@ -778,3 +778,14 @@ class TestAsyncDeployHelper:
             assert image is core.deploy(artifact, X86, "split")
         finally:
             core.shutdown()
+
+    def test_core_online_deploy_of_bytecode(self):
+        """A bytecode module, not an artifact: no service, the JIT runs
+        in the loop's thread pool, awaited or not, to the same image."""
+        from repro.core import deploy, offline_compile
+        from repro.core.online import deploy_async
+        bytecode = offline_compile(SAXPY, "k").bytecode
+        image = asyncio.run(deploy_async(bytecode, X86, "split"))
+        again = deploy(bytecode, X86, "split")
+        assert {name: func.code for name, func in image.functions.items()} \
+            == {name: func.code for name, func in again.functions.items()}

@@ -191,12 +191,21 @@ class TestWireValidation:
         ({"source": "x", "targets": ["vax"]}, "unknown_target"),
         ({"source": "x", "targets": ["x86"],
           "flow": "warp"}, "unknown_flow"),
+        ({"source": "x", "targets": ["x86"], "flow": 3}, "bad_request"),
+        ({"source": "x", "targets": ["x86"], "name": ""}, "bad_request"),
+        ({"source": "x", "targets": ["x86"], "options": [1]},
+         "bad_request"),
     ])
     def test_deploy_rejections(self, payload, code):
         with pytest.raises(WireError) as exc_info:
             parse_deploy_request(payload)
         assert exc_info.value.status == 400
         assert exc_info.value.code == code
+
+    def test_retry_after_is_whole_seconds_and_at_least_one(self):
+        from repro.service.edge.wire import retry_after_header
+        assert [retry_after_header(s) for s in (None, 0, 0.2, 1.5)] == \
+            [1, 1, 1, 2]
 
     def test_compile_rejects_deploy_fields(self):
         with pytest.raises(WireError) as exc_info:
@@ -256,6 +265,34 @@ class TestTenantTable:
         with pytest.raises(ValueError):
             TenantTable([Tenant("a", api_key="k"),
                          Tenant("b", api_key="k")])
+
+    def test_every_table_refusal(self):
+        with pytest.raises(ValueError, match="needs an api_key"):
+            TenantTable([Tenant("a", api_key=None)])
+        with pytest.raises(ValueError, match="duplicate tenant name 'a'"):
+            TenantTable([Tenant("a", api_key="k1"),
+                         Tenant("a", api_key="k2")])
+
+    @pytest.mark.parametrize("wrap", [lambda e: {"tenants": e},
+                                      lambda e: e],
+                             ids=["object", "list"])
+    def test_from_config_builds_each_tenant(self, wrap):
+        """The ``--tenants`` file, as an object or a bare list: every
+        field it may name lands on the tenant."""
+        clock = FakeClock()
+        table = TenantTable.from_config(wrap([
+            {"name": "a", "api_key": "ka", "rate": 2, "burst": 1},
+            {"name": "b", "api_key": "kb", "enabled": False},
+        ]), clock=clock)
+        assert len(table) == 2
+        a = table.authenticate("ka")
+        a.charge()
+        with pytest.raises(WireError) as info:
+            a.charge()
+        assert info.value.retry_after == pytest.approx(0.5)
+        with pytest.raises(WireError) as info:
+            table.authenticate("kb")
+        assert info.value.status == 403
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +836,193 @@ class TestEdgeServer:
         assert stats["edge"]["bad_requests"] == 2 * len(rows)
         assert stats["edge"]["accepted"] == 0
         assert stats["service"]["requests"] == 0
+
+
+    def test_compile_answers_its_key_then_hits_the_cache(self):
+        """``/compile`` answers the artifact key and whether the cache
+        held it: a cold compile, then the same source from the cache
+        under the same key."""
+        async def scenario(edge):
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                cold = await client.compile(SAXPY, "m")
+                warm = await client.compile(SAXPY, "m")
+            return cold, warm, edge.stats_snapshot()
+
+        cold, warm, stats = run_edge(edge_config(), scenario)
+        assert cold[0] == warm[0] == 200
+        assert cold[2]["name"] == warm[2]["name"] == "m"
+        assert cold[2]["artifact_key"] == warm[2]["artifact_key"]
+        assert len(cold[2]["artifact_key"]) == 64
+        assert (cold[2]["cache_hit"], warm[2]["cache_hit"]) == (False, True)
+        assert cold[2]["latency_s"] >= 0
+        assert stats["edge"]["accepted"] == 2
+
+
+
+class TestClientReconnects:
+    """The client's side of a connection that ends."""
+
+    def test_one_reconnect_after_the_server_drops_it(self):
+        """A server that reads the first request and hangs up: the
+        client connects again once and gets its answer there."""
+        async def main():
+            served = []
+
+            async def handle(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                served.append(len(served))
+                if len(served) > 1:
+                    writer.write(b"HTTP/1.1 200 OK\r\n"
+                                 b"Content-Length: 2\r\n\r\n{}")
+                    await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                client = EdgeClient("127.0.0.1", port)
+                reply = await client.request("GET", "/healthz")
+                await client.close()
+                return reply, served
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        (status, _, body), served = asyncio.run(main())
+        assert (status, body, served) == (200, {}, [0, 1])
+
+    def test_server_close_and_a_reset_on_close(self):
+        """``Connection: close`` from the server closes the client's
+        side; a reset while closing is not an error."""
+        class Resetting:
+            def close(self):
+                pass
+
+            def is_closing(self):
+                return False
+
+            async def wait_closed(self):
+                raise ConnectionResetError
+
+        async def scenario(edge):
+            client = EdgeClient("127.0.0.1", edge.port)
+            status, headers, _ = await client.request(
+                "POST", "/compile", {"source": "x" * MAX_BODY_BYTES})
+            closed = client._writer is None
+            client._writer = Resetting()
+            await client.close()
+            return status, headers["connection"], closed, client._writer
+
+        assert run_edge(edge_config(), scenario) == \
+            (413, "close", True, None)
+
+
+class TestEdgeFaults:
+    """What the edge answers when something past the parser fails, and
+    how a connection ends: by the client's ``Connection: close``, or by
+    a peer that resets it."""
+
+    def test_bearer_key_and_connection_close(self):
+        table = TenantTable([Tenant("a", api_key="k-a")])
+
+        async def scenario(edge):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", edge.port)
+            writer.write(b"GET /stats HTTP/1.1\r\n"
+                         b"Authorization: Bearer  k-a \r\n"
+                         b"Connection: close\r\n\r\n")
+            await writer.drain()
+            reply = await reader.read()       # to the server's close
+            writer.close()
+            return reply
+
+        reply = run_edge(edge_config(tenants=table), scenario)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close\r\n" in reply
+
+    def test_a_peer_that_resets_is_dropped_quietly(self):
+        """The answer's write and the close both meet a reset: the
+        connection handler returns without raising."""
+        class Resetting:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                raise ConnectionResetError
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                raise ConnectionResetError
+
+        async def scenario(edge):
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /healthz HTTP/1.1\r\n\r\n")
+            await edge._handle_connection(reader, Resetting())
+            return edge.stats_snapshot()["edge"]["accepted"]
+
+        assert run_edge(edge_config(), scenario) == 0
+
+    def test_failed_analysis_is_a_lint_rejection(self, monkeypatch):
+        """An analysis that raises leaves the function unanalyzed (the
+        facts plane's one handler), which the admission lint refuses:
+        the deploy is a 422, not a 500."""
+        from repro.analysis import passes
+
+        def broken(func, cfg):
+            raise RuntimeError("analysis bug")
+
+        monkeypatch.setattr(passes, "int_value_ranges", broken)
+
+        async def scenario(edge):
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                return await client.deploy(SAXPY + "\n", ["x86"])
+
+        status, _, body = run_edge(edge_config(), scenario)
+        assert status == 422
+        assert body["error"]["code"] == "lint_rejected"
+        assert "analysis-failed" in body["error"]["message"]
+
+    def test_a_wire_error_from_a_job_keeps_its_status(self):
+        from repro.service.edge.wire import WireError
+
+        async def refuse(*args, **kwargs):
+            raise WireError(503, "unavailable", "no compiler today")
+
+        async def scenario(edge):
+            edge.service.compile = refuse
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                return await client.compile(SAXPY, "refused")
+
+        status, _, body = run_edge(edge_config(), scenario)
+        assert (status, body["error"]["code"]) == (503, "unavailable")
+
+    def test_a_worker_cancelled_mid_job_stops(self):
+        """Shutdown cancels a worker in the middle of a job: the job's
+        waiter is answered and the worker really stops."""
+        async def scenario(edge):
+            started = asyncio.Event()
+
+            async def hang(*args, **kwargs):
+                started.set()
+                await asyncio.Event().wait()
+
+            edge.service.compile = hang
+            async with EdgeClient("127.0.0.1", edge.port) as client:
+                reply = asyncio.ensure_future(
+                    client.compile(SAXPY, "held"))
+                await started.wait()
+                busy = [w for w in edge._workers if not w.done()]
+                for worker in busy:
+                    worker.cancel()
+                done = await asyncio.gather(*busy, return_exceptions=True)
+                status, _, body = await reply
+            return done, status, body
+
+        done, status, body = run_edge(edge_config(workers=1), scenario)
+        assert [type(d).__name__ for d in done] == ["CancelledError"]
+        assert (status, body["error"]["code"]) == (500, "internal_error")
 
 
 # ---------------------------------------------------------------------------

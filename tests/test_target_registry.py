@@ -259,7 +259,30 @@ class TestWasm32Differential:
             executor.run("nope", [])
         with pytest.raises(TrapError, match="^f expects 2 args, got 1$"):
             executor.run("f", [1])
+        with pytest.raises(TrapError, match="^f: argument 1 = 4294967296 "
+                                            "is not an i32$"):
+            executor.run("f", [1, 2**32])
         assert executor.run("f", [2, 3]).value == 5
+
+    def test_stack_image_surface(self):
+        """What a stack image shows of itself: functions by name, its
+        functions' pass work summed, and the memory its executor runs
+        in."""
+        image = deploy(offline_compile(
+            "int f(int a, int b) { return a + b; }"
+            "int g(int a) { return a; }"), "wasm32", "split")
+        assert image["f"] is image.functions["f"]
+        image["f"].jit_pass_work = {"lanes": 3}
+        image["g"].jit_pass_work = {"lanes": 2, "other": 1}
+        assert image.total_jit_pass_work == {"lanes": 5, "other": 1}
+        memory = Memory()
+        assert executor_for(image, memory).memory is memory
+
+    def test_registries_count_and_iterate(self):
+        from repro.flows import REGISTRY as FLOWS
+        from repro.targets.registry import REGISTRY as TARGETS
+        assert len(TARGETS) == len(list(TARGETS)) == len(target_names())
+        assert [flow.name for flow in FLOWS] == list(FLOWS.names())
 
     def test_vectorized_bytecode_is_cheaper_on_wasm32(self):
         # Fewer, wider instructions -> fewer interpretive dispatches:

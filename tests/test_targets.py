@@ -168,3 +168,20 @@ class TestCrossTargetConsistency:
             results[target.name] = Simulator(compiled, memory).run(
                 vector_kernel.entry, run.args).cycles
         assert results["dsp"] < results["host"] / 3
+
+
+class TestImageSurface:
+    def test_instruction_text(self):
+        assert repr(MInst("call", None, ("int", 0), [("int", 1)], "g")) \
+            == "call i0, i1, @g"
+        assert repr(MInst("bin", ty.I32, ("int", 2), [("int", 0),
+                                                      ("imm", 3)],
+                          "add")) == "bin.add.i32 i2, i0, #3"
+
+    def test_frozen_image_refuses_a_function(self):
+        module = deploy(offline_compile("int f(void) { return 1; }"),
+                        "x86", "split")
+        assert module.frozen
+        with pytest.raises(ValueError, match="compiled module for 'x86' "
+                                             "is frozen"):
+            module.add(CompiledFunction(name="g", target_name="x86"))

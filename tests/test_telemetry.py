@@ -64,3 +64,13 @@ def test_merged_histogram_holds_every_observation():
     assert merged.counts == [a + b for a, b in
                              zip(fast.counts, slow.counts)]
     assert LatencyHistogram.merged([]).as_dict()["count"] == 0
+
+
+class TestPercentileEdges:
+    def test_empty_leading_bucket_and_past_the_top(self):
+        """A percentile that lands on an empty bucket is that bucket's
+        upper edge; one past every sample is the largest seen."""
+        hist = LatencyHistogram()
+        hist.observe(0.5)
+        assert hist.percentile(0.0) == LatencyHistogram.BASE_S
+        assert hist.percentile(2.0) == 0.5

@@ -941,7 +941,7 @@ class TestBlockTemplates:
         assert stats["resident"] <= len(built[0].steps.low.blocks)
         want = outcome(module, REFERENCE)
         for pre in built:
-            func.store_predecode(pre.token, pre, None)
+            func._predecode_cache = (pre.token, None, pre)
             assert outcome(module, FAST) == want
             assert predecode(module) is pre
 
@@ -1635,3 +1635,45 @@ def test_concurrent_tier2_builds_once(monkeypatch, engine_module):
     assert engine_module.tier2_build_stats()["request"] == 1
     assert len(got) == 2 and got[0] is got[1] is pre._tier2
     assert callable(got[0])
+
+
+def test_osr_threshold_below_one_is_refused(monkeypatch):
+    from repro.engine import osr_threshold
+    monkeypatch.setenv(OSR_THRESHOLD_ENV, "0")
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        osr_threshold()
+
+
+def test_call_through_an_unfrozen_module_with_a_slot_argument():
+    """A module open to edits binds no callee: the call looks ``g`` up
+    when it runs, and an argument read from a spill slot reaches it,
+    on every engine alike."""
+    g = CompiledFunction(name="g", target_name="x86", code=[
+        MInst("bin", ty.I32, ("int", 1), [("int", 0), ("imm", 1)], "add"),
+        MInst("ret", None, None, [("int", 1)], None)],
+        param_locs=[("int", 0)], ret_void=False)
+    f = CompiledFunction(name="f", target_name="x86", code=[
+        MInst("mov", None, ("int", 0), [("imm", 41)], None),
+        MInst("spill.st", None, None, [("int", 0)], 0),
+        MInst("call", None, ("int", 1), [("slot", 0)], "g"),
+        MInst("ret", None, None, [("int", 1)], None)],
+        ret_void=False)
+    module = CompiledModule("x86")
+    module.add(g)
+    module.add(f)
+    assert not module.frozen
+    outcomes = {engine: sim_outcome(module, [], engine)
+                for engine in ENGINES}
+    assert_agree(outcomes)
+    assert outcomes[REFERENCE][:2] == ("ok", 42)
+
+
+def test_rounding_negation_in_machine_tier2():
+    """An f32 negation is inlined in tier-2 with its rounding, which
+    can raise, so its line is marked."""
+    image = deploy(offline_compile("float f(float x) { return -x; }"),
+                   X86, "split")
+    outcomes = {engine: sim_outcome(image, [1.25], engine)
+                for engine in ENGINES}
+    assert_agree(outcomes)
+    assert outcomes[TIER2][:2] == ("ok", -1.25)

@@ -82,7 +82,10 @@ class TestScalarExecution:
 
     def test_argument_coercion(self):
         vm = make_vm("int f(unsigned char c) { return c; }")
-        assert vm.call("f", [300]) == 44        # wrapped at the boundary
+        assert vm.call("f", [255]) == 255
+        assert vm.call("f", [2.9]) == 2         # a float is converted
+        with pytest.raises(TrapError, match="argument 0 = 300 is not an u8"):
+            vm.call("f", [300])                 # an int is not wrapped
 
     def test_unknown_function(self):
         vm = make_vm("int f(void) { return 0; }")
@@ -162,3 +165,42 @@ class TestVMvsIRInterpreter:
             PassManager(standard_passes(), verify=True).run(func)
         bc, _ = emit_module(optimized)
         assert VM(bc).call(entry, args) == expected
+
+
+class TestEveryEngineOnLessCommonCode:
+    """Code the corpus does not hand every engine: a ``select`` and a
+    stack frame under the reference ladder, a rounding f32 negation
+    and an argument-free call inside tier-2, and code that runs off
+    its end."""
+
+    SOURCE = """
+        int pick(int a, int b, int x) { if (a == b) x = a; return x; }
+        int framed(int k) { int a[4]; a[k] = 7; return a[k] + k; }
+        float neg(float x) { return -x; }
+        int three(void) { return 3; }
+        int callee_free(int k) { return three() + k; }
+    """
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "tier2"])
+    def test_values(self, engine):
+        from repro.core import offline_compile
+        bytecode = offline_compile(self.SOURCE, "m").bytecode
+        ops = {i.op for i in bytecode.functions["pick"].code}
+        assert "select" in ops
+        vm = VM(bytecode, Memory(), engine=engine)
+        assert [vm.call("pick", [2, 2, 9]), vm.call("pick", [2, 3, 9])] \
+            == [2, 9]
+        assert vm.call("framed", [2]) == 9
+        assert vm.call("neg", [1.5]) == -1.5
+        assert vm.call("callee_free", [4]) == 7
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "tier2"])
+    def test_running_off_the_end_traps(self, engine):
+        from repro.bytecode import BCInstr
+        from repro.bytecode.module import BytecodeFunction, BytecodeModule
+        module = BytecodeModule("m")
+        module.add(BytecodeFunction("f", [], "i32", [], code=[
+            BCInstr("const", "i32", 1), BCInstr("pop")]))
+        vm = VM(module, Memory(), verify=False, engine=engine)
+        with pytest.raises(TrapError, match="^f: fell off code end$"):
+            vm.call("f", [])

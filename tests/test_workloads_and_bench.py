@@ -74,3 +74,55 @@ class TestHarness:
         assert len(rows) == 1
         assert rows[0].relative > 1.0
         assert rows[0].paper_relative == 5.3
+
+
+class TestExperimentDrivers:
+    """Each experiment driver the ``benchmarks/`` suite runs at full
+    size, run here at the smallest size that still exercises all of
+    it, with the paper's claim it reports held where it holds at that
+    size."""
+
+    def test_split_flow_runs_every_flow_to_one_value(self):
+        from repro.bench.experiments import run_split_flow
+        from repro.flows import flow_names
+        reports = run_split_flow("sum_u8", "x86", n=16)
+        assert [r.flow for r in reports] == list(flow_names())
+        assert len({r.value for r in reports}) == 1
+        assert all(r.cycles > 0 and r.code_bytes > 0 for r in reports)
+
+    def test_jit_budget_split_is_cheaper_online_than_online_only(self):
+        from repro.bench.experiments import run_jit_budget
+        rows = {row[0]: row for row in run_jit_budget(n=16)}
+        assert set(rows) == {"split", "offline-only", "online-only"}
+        assert rows["split"][1] < rows["online-only"][1]
+        assert rows["split"][2] == 0 < rows["online-only"][2]
+        assert rows["split"][3] < rows["offline-only"][3]
+
+    def test_split_regalloc_rows_per_function_and_k(self):
+        from repro.bench.experiments import run_split_regalloc
+        rows = run_split_regalloc(k_values=(6, 16), n=8)
+        assert [(r.function, r.k) for r in rows] == [
+            (name, k) for name in REGALLOC_CORPUS for k in (6, 16)]
+        for row in rows:
+            assert row.saving_vs_local <= 1 and row.saving_vs_linear <= 1
+            assert row.annotated_static >= 0
+
+    def test_code_size_covers_every_kernel(self):
+        from repro.bench.experiments import run_code_size
+        rows = run_code_size(targets=("x86",))
+        assert [r.kernel for r in rows] == list(ALL_KERNELS)
+        assert all(r.pvi_bytes > 0 and r.native["x86"] > 0 for r in rows)
+
+    def test_iterative_never_loses_to_the_default(self):
+        from repro.bench.experiments import run_iterative
+        [row] = run_iterative(["sum_u8"], budget=2, n=16)
+        assert row.best_cycles <= row.default_cycles
+        assert row.speedup >= 1.0 and row.evaluations >= 1
+
+    def test_kpn_mapping_never_loses_to_host_only(self):
+        from repro.bench.experiments import default_kpn_platforms, run_kpn
+        rows = run_kpn(blocks=4)
+        assert [r.platform for r in rows] == \
+            [p.name for p in default_kpn_platforms()]
+        assert all(r.speedup >= 1.0 for r in rows)
+        assert "dsp" in rows[1].assignment.values()
