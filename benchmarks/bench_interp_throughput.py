@@ -22,7 +22,7 @@ what a first call gets.
 The ``break_even`` table (full-size runs only) sizes the promotion
 policy: per kernel and machine, what a tier-2 build costs against
 what a call saves, as executed block-tier instructions per
-instruction of code.  ``repro.tiers.TIER2_PAYBACK`` cites its median
+instruction of code.  ``repro.tiering.TIER2_PAYBACK`` cites its median
 and quartiles.
 
 The ``predecode`` table verifies the block tier's template traffic
@@ -52,7 +52,8 @@ from repro.core import deploy, offline_compile
 from repro.engine import FAST, REFERENCE, TIER2
 from repro.semantics import Memory
 from repro.targets import X86, Simulator, dispatch
-from repro.tiers import TIER2_PAYBACK, block_template, template_stats
+from repro.tiering import TIER2_PAYBACK
+from repro.tiers import block_template, template_stats
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS, TABLE1
 

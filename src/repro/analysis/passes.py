@@ -16,9 +16,10 @@ is; the last two are the lint plane (:mod:`repro.analysis.facts`):
 * **Must-written registers** (machine code) — the forward must-
   dataflow previously private to ``targets.dispatch``: registers
   definitely written on every internal path reaching a leader.
-* **Integer value ranges** — interval abstract interpretation with
-  aggressive widening at joins; feeds the lint plane (provably
-  null-page accesses, constant branch conditions).
+* **Integer value ranges** — interval abstract interpretation
+  (:mod:`repro.analysis.intervals`) with aggressive widening at
+  joins; feeds the lint plane (provably null-page accesses, constant
+  branch conditions).
 * **Liveness / dead stores** (backward) — ``stloc`` sites whose value
   no path ever reads.
 
@@ -31,6 +32,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import BlockCFG
+from repro.analysis.intervals import (
+    TAG_INTERVALS, TOP, Interval, exact_binop, hull, widen, within,
+)
 from repro.analysis.solver import solve_backward, solve_forward
 from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import is_vector_local, vector_elem_tag
@@ -38,8 +42,6 @@ from repro.bytecode.opcodes import BIN_OPS, UN_OPS, type_of
 from repro.lang import types as ty
 from repro.semantics.kernels import cast_kernel, identity_kernel, is_f32_quad
 from repro.semantics.memory import NULL_GUARD, scalar_struct
-
-_INT_TAGS = {"i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64"}
 
 #: machine register classes (kept independent of targets.dispatch's
 #: ``_CLS_INDEX`` so this package never imports the engines)
@@ -325,38 +327,11 @@ def written_at_block_entry(code, cfg: BlockCFG,
 # integer value ranges
 # ---------------------------------------------------------------------------
 
-INF = float("inf")
-TOP = (-INF, INF)
-
-
-def _tag_range(tag: str) -> Tuple:
-    lang_ty = type_of(tag)
-    if isinstance(lang_ty, ty.IntType):
-        return (ty.int_min(lang_ty), ty.int_max(lang_ty))
-    return TOP
-
-
-def _interval_binop(op: str, tag: str, a, b):
-    if tag not in _INT_TAGS:
-        return TOP
-    lo_t, hi_t = _tag_range(tag)
-    if op == "add":
-        lo, hi = a[0] + b[0], a[1] + b[1]
-    elif op == "sub":
-        lo, hi = a[0] - b[1], a[1] - b[0]
-    elif op == "mul":
-        corners = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-        lo, hi = min(corners), max(corners)
-    elif op in ("min", "max"):
-        pick = min if op == "min" else max
-        lo, hi = pick(a[0], b[0]), pick(a[1], b[1])
-    else:                           # div/rem/shifts/bitwise: give up
-        return _tag_range(tag)
-    if lo != lo or hi != hi:        # inf-inf artifacts
-        return _tag_range(tag)
-    if lo < lo_t or hi > hi_t:      # may wrap: the kernel masks
-        return _tag_range(tag)
-    return (lo, hi)
+#: the ops whose result the walk follows (any other is the whole
+#: type).  Not ``shl``: its tighter ranges change what the lint finds
+#: (in a loop, a local it feeds goes from its type's range to a widened
+#: join's ±inf; the register-allocation corpus' ``mat4`` has one).
+_FOLLOWED = frozenset(("add", "sub", "mul", "min", "max"))
 
 
 def _range_block(code, leader: int, length: int, locals_in: dict,
@@ -375,8 +350,8 @@ def _range_block(code, leader: int, length: int, locals_in: dict,
         instr = code[pc]
         op = instr.op
         if op == "const":
-            if instr.ty in _INT_TAGS and isinstance(instr.arg, int):
-                stack.append((instr.arg, instr.arg))
+            if instr.ty in TAG_INTERVALS and isinstance(instr.arg, int):
+                stack.append(Interval(instr.arg, instr.arg))
             else:
                 stack.append(TOP)
         elif op == "ldloc":
@@ -389,34 +364,31 @@ def _range_block(code, leader: int, length: int, locals_in: dict,
             stack.append(TOP)
         elif op in BIN_OPS:
             b, a = pop(), pop()
-            stack.append(_interval_binop(op, instr.ty, a, b))
+            whole = TAG_INTERVALS.get(instr.ty, TOP)
+            stack.append(whole if whole is TOP or op not in _FOLLOWED
+                         else exact_binop(op, type_of(instr.ty), a, b)
+                         or whole)
         elif op in UN_OPS:
             pop()
-            stack.append(_tag_range(instr.ty)
-                         if instr.ty in _INT_TAGS else TOP)
+            stack.append(TAG_INTERVALS.get(instr.ty, TOP))
         elif op == "cmp":
             pop()
             pop()
-            stack.append((0, 1))
+            stack.append(Interval(0, 1))
         elif op == "cast":
-            value = pop()
-            lo_t, hi_t = _tag_range(instr.ty)
-            if instr.ty in _INT_TAGS \
-                    and lo_t <= value[0] and value[1] <= hi_t:
-                stack.append(value)
-            else:
-                stack.append(_tag_range(instr.ty)
-                             if instr.ty in _INT_TAGS else TOP)
+            value, to_ty = pop(), type_of(instr.ty)     # a bad tag raises
+            whole = TAG_INTERVALS.get(instr.ty, TOP)
+            stack.append(value if whole is not TOP and within(value, to_ty)
+                         else whole)
         elif op == "select":
             b, a = pop(), pop()
             pop()
-            stack.append((min(a[0], b[0]), max(a[1], b[1])))
+            stack.append(hull(a, b))
         elif op == "load":
             addr = pop()
             if sink is not None:
                 sink(pc, "load", addr, scalar_struct(type_of(instr.ty)).size)
-            stack.append(_tag_range(instr.ty)
-                         if instr.ty in _INT_TAGS else TOP)
+            stack.append(TAG_INTERVALS.get(instr.ty, TOP))
         elif op == "store":
             pop()
             addr = pop()
@@ -437,10 +409,9 @@ def _range_block(code, leader: int, length: int, locals_in: dict,
             stack.append(TOP)
         elif op == "vec.reduce":
             pop()
-            stack.append(_tag_range(instr.arg[1])
+            stack.append(TAG_INTERVALS.get(instr.arg[1], TOP)
                          if isinstance(instr.arg, tuple)
-                         and len(instr.arg) == 2
-                         and instr.arg[1] in _INT_TAGS else TOP)
+                         and len(instr.arg) == 2 else TOP)
         elif op.startswith("vec.") and op[4:] in BIN_OPS:
             pop()
             pop()
@@ -457,14 +428,14 @@ def _range_block(code, leader: int, length: int, locals_in: dict,
     return loc
 
 
-def int_value_ranges(func, cfg: BlockCFG) -> Dict[int, Dict[int, Tuple]]:
-    """leader -> {local index: (lo, hi)} at block entry, for integer
-    locals.  Joins widen aggressively (a growing bound jumps straight
+def int_value_ranges(func, cfg: BlockCFG) -> Dict[int, Dict[int, Interval]]:
+    """leader -> {local index: :class:`Interval`} at block entry, for
+    integer locals.  Joins widen aggressively (a growing bound jumps straight
     to the type range's side of infinity), so the worklist terminates
     in O(blocks * locals)."""
     int_locals = {index for index, tag in enumerate(func.local_types)
-                  if tag in _INT_TAGS}
-    entry0 = {index: (0, 0) for index in int_locals}   # locals default 0
+                  if tag in TAG_INTERVALS}
+    entry0 = {index: Interval(0, 0) for index in int_locals}  # default 0
 
     def transfer(leader, fact):
         return _range_block(func.code, leader, cfg.blocks[leader],
@@ -474,20 +445,16 @@ def int_value_ranges(func, cfg: BlockCFG) -> Dict[int, Dict[int, Tuple]]:
         merged = {}
         changed = False
         for index in int_locals:
-            olo, ohi = old.get(index, TOP)
-            nlo, nhi = new.get(index, TOP)
-            lo = olo if nlo >= olo else -INF
-            hi = ohi if nhi <= ohi else INF
-            merged[index] = (lo, hi)
-            if (lo, hi) != (olo, ohi):
-                changed = True
+            was = old.get(index, TOP)
+            merged[index] = widen(was, new.get(index, TOP))
+            changed = changed or merged[index] is not was
         return merged, changed
 
     return solve_forward(cfg, entry0, transfer, join)
 
 
 def range_findings(func, cfg: BlockCFG,
-                   ranges: Dict[int, Dict[int, Tuple]]) -> List[Tuple]:
+                   ranges: Dict[int, Dict[int, Interval]]) -> List[Tuple]:
     """(pc, kind, detail) memory/branch facts worth linting: accesses
     whose address is provably inside the null guard page, and ``brif``
     conditions provably constant."""
@@ -495,15 +462,15 @@ def range_findings(func, cfg: BlockCFG,
 
     def sink(pc, kind, interval, width):
         if kind == "brif":
-            if interval == (0, 0):
+            if interval.lo == interval.hi == 0:
                 found.append((pc, "branch-never", "condition is always 0"))
-            elif interval[0] > 0 or interval[1] < 0:
+            elif interval.lo > 0 or interval.hi < 0:
                 found.append((pc, "branch-always",
                               "condition is never 0"))
             return
-        if interval[1] < NULL_GUARD and interval[1] >= 0:
+        if interval.hi < NULL_GUARD and interval.hi >= 0:
             found.append((pc, "null-access",
-                          f"{kind} address <= {interval[1]:#x} lies in "
+                          f"{kind} address <= {interval.hi:#x} lies in "
                           f"the null guard page (< {NULL_GUARD:#x}); "
                           "this access always traps"))
 

@@ -14,7 +14,7 @@ Three engines execute everything in this reproduction:
   (``PVI_OSR``, on by default) lets a call already spinning in the
   block tier enter the tier-2 translation at a hot loop header —
   built once the function has executed enough block-tier
-  instructions to repay the build (:data:`repro.tiers.TIER2_PAYBACK`),
+  instructions to repay the build (:data:`repro.tiering.TIER2_PAYBACK`),
   and entered at pc 0 by every later call — see DESIGN.md §2c.
 * ``tier2`` — whole-function translation: the fuel blocks of a
   function are lowered into one generated Python function (virtual
@@ -67,7 +67,7 @@ OSR_THRESHOLD_ENV = "PVI_OSR_THRESHOLD"
 OSR_GUARDS_ENV = "PVI_OSR_GUARDS"
 
 #: back-edge visits at one loop header between two questions to the
-#: payback gate (:meth:`repro.tiers.Predecoded.tier2_repaid`), and
+#: payback gate (:meth:`repro.tiering.Predecoded.tier2_repaid`), and
 #: between a tier-2 deopt and the re-entry attempt at that header.  It
 #: is the *stride* of the default policy, not its trigger: a crossing
 #: builds tier-2 only once the function has repaid the build.
@@ -155,7 +155,7 @@ def osr_threshold(explicit: Optional[int] = None) -> Tuple[int, bool]:
 class MeterTrip(Exception):
     """Internal to the fast engines: a block-entry fuel debit crossed
     the limit.  The dispatch loop catches it and hands the block to
-    :func:`repro.tiers.replay_metered` (the *metered* path), which
+    :func:`repro.tiering.replay_metered` (the *metered* path), which
     steps the instructions the fuel still covers and raises the fuel
     trap on exactly the instruction the reference engine would have
     trapped on — and an earlier non-fuel trap inside the block still
@@ -204,16 +204,21 @@ def fuel_blocks(code) -> dict:
     return lengths
 
 
+def backward_branches(code):
+    """``(target, src)`` of every ``br`` / ``brif`` at ``src`` to an
+    int ``target`` at or before it: the spans a loop iterates over."""
+    for src, instr in enumerate(code):
+        if instr.op in ("br", "brif") and isinstance(instr.arg, int) \
+                and 0 <= instr.arg <= src:
+            yield instr.arg, src
+
+
 def backedge_targets(code, blocks) -> frozenset:
     """Block leaders targeted by a backward branch — the loop headers
     a running call may on-stack-replace at.  Shared by both fast
     engines so the candidate sets can never drift."""
-    targets = set()
-    for src, instr in enumerate(code):
-        if instr.op in ("br", "brif") and isinstance(instr.arg, int) \
-                and 0 <= instr.arg <= src:
-            targets.add(instr.arg)
-    return frozenset(targets & set(blocks))
+    return frozenset(target for target, _ in backward_branches(code)
+                     if target in blocks)
 
 
 class CodegenEnv:

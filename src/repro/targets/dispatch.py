@@ -22,7 +22,7 @@ blocks execute linearly to their terminator, so successful runs
 reproduce the reference engine's per-instruction totals exactly.  A
 debit crossing the fuel limit (:class:`repro.engine.MeterTrip`) steps
 the instructions the fuel still covers one at a time
-(:func:`repro.tiers.replay_metered`), so the fuel trap lands on
+(:func:`repro.tiering.replay_metered`), so the fuel trap lands on
 precisely the reference engine's instruction.
 A step is the same lowering applied to a one-instruction block, built
 on first use; a block whose code generation bails steps the same way,
@@ -48,6 +48,8 @@ from __future__ import annotations
 import re
 
 from repro.analysis.facts import machine_facts
+from repro.analysis.intervals import Interval
+from repro.counted import Induction
 from repro.engine import normalize_branch_target
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -59,9 +61,10 @@ from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,
 )
 from repro.targets.isa import CompiledFunction, CompiledModule
+from repro.tiering import Predecoded, warm
 from repro.tiers import (
-    BlockEmitter, Induction, Interval, Lowering, Predecoded, Tier,
-    Tier2BuildStats, block_tier, warm, whole_tier, wraps_u64,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, block_tier, whole_tier,
+    wraps_u64,
 )
 
 #: "register never written" sentinel for the flat register files
@@ -100,7 +103,7 @@ def warm_module(module: CompiledModule) -> CompiledModule:
     a plain function for a caller that wants the build outside a timed
     region; the service never calls it, the engine builds lazily.
     Tier-2 is built wherever a serving call could want it
-    (:func:`repro.tiers.warm`), so later runs start in tier-2 at pc 0
+    (:func:`repro.tiering.warm`), so later runs start in tier-2 at pc 0
     with no compile pause (:func:`tier2_build_stats` proves it: runs
     of an image this function has seen leave the ``request`` bucket
     untouched)."""

@@ -15,8 +15,8 @@ Cycle counts, instruction counts and traps are identical by
 construction — the engines differ only in host speed.
 
 The tiering policy, its counters and the trampoline that runs a fast
-call are the tier scaffold's (:class:`repro.tiers.TieredMachine`,
-:func:`repro.tiers.run_tiered`); :meth:`Simulator._call_fast` only
+call are the tiering runtime's (:class:`repro.tiering.TieredMachine`,
+:func:`repro.tiering.run_tiered`); :meth:`Simulator._call_fast` only
 builds the simulator's frame — register files, spill slots, memory
 frame — and reads the return value a ``ret`` left in ``_ret``.
 """
@@ -34,7 +34,7 @@ from repro.semantics import (
 from repro.targets import dispatch
 from repro.targets.dispatch import UNSET
 from repro.targets.isa import CompiledFunction, CompiledModule
-from repro.tiers import TieredMachine, run_tiered
+from repro.tiering import TieredMachine, run_tiered
 
 DEFAULT_FUEL = 200_000_000
 

@@ -10,79 +10,44 @@ block *shapes*, not functions: a block is an instance of a memoized
 template with its constants as holes (:func:`block_template`), so a
 first call compiles only the shapes the process has never seen.
 Everything about that translation that is *not* the operand model
-lives here, once:
-
-* the build-site statistics (:class:`Tier2BuildStats`) and the
-  predecoded form with its lazy, thread-safe ``tier2()`` build and
-  the promotion policy in front of it — build from OSR only what has
-  repaid the build (:class:`Predecoded`, :data:`TIER2_PAYBACK`);
-* the content-token cache protocol and the block-tier build loop
-  (:meth:`Lowering.predecode`, :meth:`Lowering.build`);
-* the template memo and instantiation (:func:`block_template`,
-  :class:`Holes`, :meth:`Lowering.instance`), with its counters
-  (:func:`template_stats`);
-* one-instruction stepping: the lazy table of length-1 blocks
-  (:class:`StepTable`) behind the bail-out fallback body and the
-  metered replay (:func:`replay_metered`);
-* the block line emitter (:class:`BlockEmitter`): temps, the marks
-  of instructions that can raise, how constants are spelled (a hole
-  or a literal), the bounds / store / reduce / quad forms both
-  engines spell identically, and tier-2's in-block and interval
-  knowledge (:class:`Interval`);
-* the debit protocol over per-block *counter vectors*
-  (:class:`Tier2Writer`, :meth:`Lowering.block_source`) and the one
-  trap rollback of both tiers, a source-line table per block
-  (:func:`body_under_rollback`);
-* the tier-2 dispatcher: hot-span ordering, two-block loop fusion,
-  counted loops — a fused loop whose induction the engine's hook
-  finds (:meth:`Lowering.induction`, :class:`Induction`) runs as a
-  ``for ... in range`` with no fuel compare, exit test, i32 / u64
-  wrap or bounds check of an affine access per iteration, under one
-  guard at loop entry whose refused states deopt at the header
-  (:meth:`Tier2Writer.counted`; its latch's accesses as data,
-  :class:`Access`), and an integer reduction folds every trip but
-  the last into one builtin (:func:`fold_of`) — the OSR entry
-  whitelist and prologue, the ``pc`` ladder and its deopt arms
-  (:meth:`Lowering.tier2_source`, :func:`fused_loops`).
+lives here, once: the cache protocol and the block-tier build loop
+(:class:`Lowering`), the template memo (:class:`Holes`,
+:func:`template_stats`), one-instruction stepping
+(:class:`StepTable`), the block line emitter with tier-2's in-block
+and interval knowledge (:class:`BlockEmitter`), the debit protocol
+over per-block counter vectors and the one trap rollback of both
+tiers (:class:`Tier2Writer`, :func:`body_under_rollback`), and the
+tier-2 dispatcher: hot-span ordering, two-block loop fusion
+(:func:`fused_loops`), counted loops written around the proof of
+:mod:`repro.counted`, the OSR entry whitelist and prologue, the
+``pc`` ladder and its deopt arms (:meth:`Lowering.tier2_source`).
 
 An engine is a :class:`Lowering` subclass: class attributes carry its
 data (handler signature, counter names, fuel trap, source tags) and a
 handful of hooks carry its operand model.  Nothing here asks which
-engine is calling; the engines import this module, never the reverse.
-
-The runtime half of tiering is written here too, once for both
-machines: the policy state (:class:`TieredMachine`, which ``VM`` and
-``Simulator`` inherit) and the one trampoline that runs a call
-(:func:`run_tiered`): entry into a built or hinted translation, the
-OSR back-edge counter with the payback gate in front of the build,
-the plain block loop, and the metered replay of a
-:class:`repro.engine.MeterTrip`.  It calls every handler with the
-engine's frame tuple, ``handlers[pc](*frame)``.  That splat costs
-about 12-15 ns a dispatch on CPython 3.11.7 (an 8-argument handler in
-a dispatch loop, 34 -> 46 ns on a 2-core Xeon); a
-``device_first_call`` operation dispatches 191 blocks in about 1.7 ms
-and an ``exec_steady`` call 1 496 on its first call after warming,
-165 by its sixth, in about 2.2 ms — at most 1 %.  What stays per
-engine is the frame itself: building it, the memory frame push and
-pop around the call, and reading the result back.
+engine is calling.  The engines import this module, and so does the
+runtime that runs what it builds (:mod:`repro.tiering`); it imports
+neither.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import re
-import struct
 import threading
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.cfg import BlockCFG
-from repro.bytecode.opcodes import TYPE_TAGS
+from repro.analysis.intervals import (
+    Affine, Interval, binop, int_interval, within,
+)
+from repro.counted import (
+    BASE_LIMIT, I32_LIMIT, Access, CountedLoop, Induction, counted_loop,
+)
 from repro.engine import (
-    REFERENCE, TIER2, CodegenEnv, MASK64_LITERAL, MeterTrip,
-    backedge_targets, fuel_blocks, keep_osr_guards, osr_enabled,
-    osr_threshold, resolve_engine,
+    CodegenEnv, MASK64_LITERAL, MeterTrip, backedge_targets,
+    backward_branches, fuel_blocks, keep_osr_guards,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -106,8 +71,9 @@ class Tier2BuildStats:
       image built ahead keeps ``request`` at zero: the explicit call
       prepaid whole-function codegen.
     * ``deferred`` — OSR threshold crossings where the payback gate
-      (:meth:`Predecoded.tier2_repaid`) said "not yet": the function
-      was hot enough to ask and had not yet spent what a build costs.
+      (:meth:`repro.tiering.Predecoded.tier2_repaid`) said "not yet":
+      the function was hot enough to ask and had not yet spent what a
+      build costs.
       ``deferred > 0`` with ``request == 0`` answers "why did this
       function never promote?" — it never ran long enough to repay
       the build.
@@ -134,8 +100,8 @@ class Tier2BuildStats:
       is affine in the induction variable, proven in range by the
       guard and unchecked in the body; those that keep a per-trip
       check (a loaded index, say); and the latches whose trips but the
-      last fold into one builtin (:func:`fold_of`).  "Why does this
-      loop still check?" — its ``accesses_checked``."""
+      last fold into one builtin (:func:`repro.counted.fold_of`).
+      "Why does this loop still check?" — its ``accesses_checked``."""
 
     def __init__(self) -> None:
         self.counts = dict.fromkeys(
@@ -153,33 +119,11 @@ class Tier2BuildStats:
             self.counts[key] = 0
 
 
-#: "tier-2 code not built yet" sentinel (distinct from None = "build
-#: failed or declined; stay block-threaded")
-_TIER2_UNBUILT = object()
-
-#: block-tier instructions a function must execute, per instruction of
-#: its code, before OSR builds its tier-2 translation (ski rental: wait
-#: until the rent paid equals the price).  Sized by the ``break_even``
-#: table of ``benchmarks/results/BENCH_interp_throughput.json`` (11
-#: kernels x VM / x86 / sparc / arm at n = 4096): a build costs 54-268
-#: us per instruction of code (36-258 before counted loops lowered
-#: their blocks twice; 37-122 on a box twice as fast), tier-2 then
-#: runs 1.30-6.88x the block tier, and the saving repays the build
-#: after a median of 1388 executed instructions per instruction of
-#: code (quartiles 862 / 1676; 1334 and 670 / 1593 before counted
-#: loops, 1599 and 1233 / 1782 before tier-2 loops got cheaper, 1797
-#: and 1265 / 2120 when the constant was chosen).  2000 was the upper
-#: quartile in round figures and now sits a fifth above it: late by
-#: less than one build, and what keeps ``device_first_call`` free of
-#: builds.  A full-size run of that bench fails when it leaves
-#: [q1, 2 x q3].
-TIER2_PAYBACK = 2000
-
 #: serializes first-time tier-2 and step builds.  Predecodes ride
 #: shared images (the deploy memo hands one object to every caller);
 #: the builds are pure Python, so one process-wide lock costs nothing
 #: a per-function lock would save.
-_BUILD_LOCK = threading.Lock()
+BUILD_LOCK = threading.Lock()
 
 
 class StepTable(dict):
@@ -192,14 +136,15 @@ class StepTable(dict):
     reference ladder — the per-opcode lowering stays the only
     fast-engine statement of what an opcode does.
 
-    Only trap paths step: the metered replay (:func:`replay_metered`)
-    and the generated fallback body of a block whose lowering bailed.
-    A step that cannot be lowered raises the lowering's exception when
-    it is *executed*, as the reference ladder only fails on the
-    instruction it runs: the look-up itself raises and stores nothing,
-    so every execution lowers again and fails afresh (a stored
-    exception would grow its traceback with every re-raise and pin
-    each failed call's frames)."""
+    Only trap paths step: the metered replay
+    (:func:`repro.tiering.replay_metered`) and the generated fallback
+    body of a block whose lowering bailed.  A step that cannot be
+    lowered raises the lowering's exception when it is *executed*, as
+    the reference ladder only fails on the instruction it runs: the
+    look-up itself raises and stores nothing, so every execution
+    lowers again and fails afresh (a stored exception would grow its
+    traceback with every re-raise and pin each failed call's
+    frames)."""
 
     def __init__(self, low: Lowering):
         super().__init__()
@@ -207,7 +152,7 @@ class StepTable(dict):
         self.low = low
 
     def __missing__(self, pc: int) -> Callable:
-        with _BUILD_LOCK:
+        with BUILD_LOCK:
             if pc not in self:          # a racing thread may have won
                 low = self.low
                 em = low.lower_block(pc, 1)
@@ -216,316 +161,6 @@ class StepTable(dict):
                 self[pc] = low.instance(text, em.env.env,
                                         f"{low.name}@{pc}")
         return self[pc]
-
-
-class Predecoded:
-    """One function's decoded form: block-compiled handlers at fuel
-    block leaders, the lazy one-instruction :class:`StepTable` (the
-    trap paths), the lazily built tier-2 whole-function translation
-    with the payback gate in front of its OSR build, and — in the
-    engine's subclass — the per-call frame initialization data.
-
-    Promotion policy (ski rental): an unhinted function's translation
-    is built from OSR only once the function has *spent*, in
-    block-tier instructions executed in its counted loops and summed
-    over every call on this object, what the build costs
-    (:data:`TIER2_PAYBACK` per instruction of code).  The counter
-    lives here, not on the call, so short calls add up; once a
-    translation exists (:meth:`built_tier2`) every later call enters
-    it at pc 0.  ``spent`` is read off the machine's one executed
-    counter, so it *includes* what callees ran inside those loops
-    (whatever tier they ran in), and a recursive function counts the
-    same instructions once per active frame: a thin loop around a
-    heavy callee is promoted before its own instructions would repay
-    the build.  The overshoot is one build; telling the two apart
-    would put a second counter on every call.
-
-    ``tier2_hint`` (filled by the engine's ``frame_data``) is the
-    offline evidence that a function is hot — its hotness annotation
-    clears :func:`repro.flows.promotes_to_tier2`, read off its module
-    by the VM and off the JIT's mark by the simulator: build before
-    its first instruction, and at :func:`warm`."""
-
-    __slots__ = ("token", "handlers", "steps", "osr_leaders", "_tier2",
-                 "_tier2_args", "_spent", "tier2_hint")
-
-    def __init__(self, token, handlers, steps: StepTable, osr_leaders,
-                 shipped=None, **frame):
-        self.token = token
-        self.handlers = handlers
-        self.steps = steps
-        #: back-edge target leaders — the candidate on-stack
-        #: replacement entry points the trampoline counts visits at.
-        #: The generated ``_t2`` carries its own (possibly narrower)
-        #: entry whitelist and validates the snapshot itself; this set
-        #: only gates whether counting is worth doing at all.
-        self.osr_leaders = osr_leaders
-        self._tier2 = _TIER2_UNBUILT
-        #: ``shipped``: the facts table the module carried for the
-        #: function, if any (outside input: :meth:`Lowering.facts`)
-        self._tier2_args = (steps.low.func, steps.low.binding, shipped)
-        self._spent = 0
-        for name, value in frame.items():
-            setattr(self, name, value)
-
-    @property
-    def spent(self) -> int:
-        """Block-tier instructions the gate has been told about."""
-        return self._spent
-
-    @property
-    def payback(self) -> int:
-        """What ``spent`` must reach before OSR builds tier-2."""
-        return TIER2_PAYBACK * len(self.steps.low.code)
-
-    def built_tier2(self):
-        """The translation if one exists (an earlier call, a warm
-        hook or a hint built it), else ``None`` — never builds."""
-        t2 = self._tier2
-        return None if t2 is _TIER2_UNBUILT else t2
-
-    @property
-    def tier2_declined(self) -> bool:
-        """The build was tried and failed or declined: nothing left to
-        ask for, the function stays block-threaded."""
-        return self._tier2 is None
-
-    def tier2_repaid(self, executed: int):
-        """The payback gate, asked by a trampoline at an OSR threshold
-        crossing with no translation in hand: ``executed`` instructions
-        ran since it last asked (callees included, see the class
-        docstring).  Returns the translation once the function has
-        repaid its build (building it then), and ``None`` while it has
-        not — or when the build declined (:attr:`tier2_declined`,
-        after which the trampoline stops asking).  A race on
-        ``_spent`` loses a few counts of a heuristic; the build itself
-        is serialized in :meth:`tier2`."""
-        if self._tier2 is _TIER2_UNBUILT:
-            self._spent += executed
-            if self._spent < self.payback:
-                self.steps.low.stats.counts["deferred"] += 1
-                return None
-        return self.tier2()
-
-    def tier2(self, warm: bool = False):
-        """The whole-function tier-2 translation, built on first
-        request and cached with the predecode (so it rides the same
-        content-token invalidation).  ``None`` means the build failed
-        or was declined — callers stay on the block-threaded tier.
-        ``warm`` marks a build a caller asked for ahead of a run
-        (``warm_module`` / ``warm_bytecode_module``), for the
-        build-site stats."""
-        t2 = self._tier2
-        if t2 is _TIER2_UNBUILT:
-            with _BUILD_LOCK:
-                t2 = self._tier2        # a racing thread may have won
-                if t2 is _TIER2_UNBUILT:
-                    t2 = self._tier2 = type(self.steps.low)._build_tier2(
-                        *self._tier2_args, warm)
-        return t2
-
-
-def replay_metered(pre: Predecoded, leader: int, machine, *frame):
-    """The *metered* path: a block-entry debit crossed the fuel limit
-    (:class:`repro.engine.MeterTrip`, block undebited), so step the
-    instructions the remaining fuel still covers — fewer than the
-    block holds, hence never its terminator and never out of the
-    block — and raise the engine's fuel trap on exactly the
-    instruction the reference ladder raises it on; an earlier trap of
-    a stepped instruction still wins.  Never returns.  ``frame`` is
-    the tripped handler's argument list (``machine`` among it)."""
-    low = pre.steps.low
-    executed = getattr(machine, low.executed)
-    covered = machine.fuel - executed
-    if covered >= low.blocks[leader]:
-        raise RuntimeError(f"{low.name}: metered replay of block "
-                           f"{leader}, which the fuel covers")
-    pc = leader
-    for _ in range(covered):
-        executed += 1
-        setattr(machine, low.executed, executed)
-        pc = pre.steps[pc](*frame)
-    setattr(machine, low.executed, executed + 1)
-    raise TrapError(low.fuel_trap)
-
-
-def warm(module, predecode: Callable) -> None:
-    """Predecode every function of ``module`` with the engine's
-    ``predecode`` and pre-build tier-2 wherever a serving call could
-    want it: hinted functions and every OSR candidate (any function
-    with a loop header).  This prepays the build the payback gate
-    would otherwise defer until the loops have repaid it, so later
-    calls start in tier-2 at pc 0 and never build in-request (the
-    ``warm`` bucket of :class:`Tier2BuildStats` counts it)."""
-    for func in module.functions.values():
-        pre = predecode(func, module)
-        if pre.tier2_hint or pre.osr_leaders:
-            pre.tier2(warm=True)
-
-
-# ---------------------------------------------------------------------------
-# the runtime: one tiering policy and one trampoline for both machines
-# ---------------------------------------------------------------------------
-
-class TieredMachine:
-    """The tiering state of one executing machine (``VM``,
-    ``Simulator``): which engine, the promotion policy, its counters,
-    the per-machine predecode memo and the check of a public call's
-    entry.  A subclass sets ``module`` (whose ``functions`` map names
-    to functions with a ``num_params``) and loads a predecode in
-    ``_load``."""
-
-    def __init__(self, engine: Optional[str], osr: Optional[bool],
-                 threshold: Optional[int]):
-        self.engine = resolve_engine(engine)
-        #: the ``tier2`` engine builds every function before its first
-        #: instruction; ``fast`` only those with a ``tier2_hint``
-        self._tier2_all = self.engine == TIER2
-        #: on-stack replacement: a call spinning in the block tier
-        #: enters tier-2 at a hot loop header (and a deopted call may
-        #: re-enter the same way); a call whose translation already
-        #: exists starts in it.  ``None`` defers to ``PVI_OSR``.
-        self._osr = self.engine != REFERENCE and \
-            (osr_enabled() if osr is None else bool(osr))
-        #: an explicit threshold enters at exactly that back-edge
-        #: count; the default one only asks the payback gate
-        self._osr_threshold, self._osr_gated = osr_threshold(threshold)
-        #: calls entered via tier-2 at pc 0, successful mid-call OSR
-        #: entries, and the subset of OSR entries that re-entered after
-        #: an earlier tier-2 deopt in the same call
-        self.tier2_promotions = 0
-        self.osr_entries = 0
-        self.deopt_reentries = 0
-        #: validated predecodes, by function name
-        self._predecoded: Dict[str, Predecoded] = {}
-
-    def tiering_stats(self) -> Dict[str, int]:
-        """The tiering counters in machine-readable form (bench JSON
-        attaches these so BENCH files prove the policy fired)."""
-        return {"tier2_promotions": self.tier2_promotions,
-                "osr_entries": self.osr_entries,
-                "deopt_reentries": self.deopt_reentries}
-
-    def _entry(self, name: str, args):
-        """The function a public call of ``name`` enters; a missing
-        name, a wrong argument count or an integer argument outside
-        its parameter's declared type traps, on every engine."""
-        func = self.module.functions.get(name)
-        if func is None:
-            raise TrapError(f"no such function {name!r}")
-        if len(args) != func.num_params:
-            raise TrapError(f"{name} expects {func.num_params} args, "
-                            f"got {len(args)}")
-        for index, (value, tag) in enumerate(zip(args, func.param_types)):
-            bounds = _INT_BOUNDS.get(tag)
-            if bounds is not None and isinstance(value, int) and \
-                    not bounds[0] <= value <= bounds[1]:
-                raise TrapError(f"{name}: argument {index} = {value} "
-                                f"is not an {tag}")
-        return func
-
-    def _predecode(self, func) -> Predecoded:
-        pre = self._predecoded.get(func.name)
-        if pre is None:
-            pre = self._predecoded[func.name] = self._load(func)
-        return pre
-
-    def _load(self, func) -> Predecoded:
-        raise NotImplementedError
-
-
-#: integer type tag -> (least, greatest) value of the type
-_INT_BOUNDS = {tag: (ty.int_min(t), ty.int_max(t))
-               for tag, t in TYPE_TAGS.items() if ty.is_integer(t)}
-
-
-#: per-call counter value that retires an OSR leader (a declined
-#: entry can never succeed later in the same call — the counter is
-#: parked so far negative it cannot re-cross the threshold)
-_OSR_DISABLED = -(1 << 62)
-
-
-def run_tiered(machine: TieredMachine, pre: Predecoded,
-               frame: tuple) -> None:
-    """Run one call of ``pre`` on ``machine`` to its return.  ``frame``
-    is the handler argument tuple the engine built (its state, memory,
-    the machine); the engine reads the result back from it.
-
-    A hinted function (or any, under the ``tier2`` engine) builds
-    before its first instruction; an OSR candidate starts in a
-    translation that already exists.  ``_t2`` runs to completion (-1)
-    or deopts by returning a block leader, undebited, for the block
-    tier to continue from (which re-debits and meters the fuel trap
-    exactly as usual).
-
-    With OSR on, the block loop counts every backward transfer to a
-    candidate loop header; at the threshold the live frame *is* the
-    snapshot and ``_t2`` is entered at that leader.  With no
-    translation in hand a crossing under the default threshold first
-    asks the payback gate, handing it the instructions executed since
-    the last crossing — once per ``threshold`` back edges, never per
-    block; "not yet" keeps counting, a declined build stops the call
-    counting at all.  The tier-2 prologue revalidates its entered-once
-    facts from the snapshot and declines by returning the entry pc
-    untouched, and that leader is retired for the rest of the call.  A
-    deopted call keeps counting, so hot deopt sites re-enter ``_t2``
-    instead of finishing the call in the block tier.  Entries and
-    deopts are undebited: counts and traps stay byte-identical to the
-    plain loop."""
-    handlers = pre.handlers
-    pc = 0
-    deopted = False
-    leaders = machine._osr and pre.osr_leaders
-    t2 = pre.tier2() if machine._tier2_all or pre.tier2_hint \
-        else pre.built_tier2() if leaders else None
-    if t2 is not None:
-        machine.tier2_promotions += 1
-        pc = t2(*frame)
-        deopted = pc >= 0
-    if pc >= 0 and leaders:
-        threshold = machine._osr_threshold
-        gated = machine._osr_gated
-        executed = pre.steps.low.executed
-        counts: Dict[int, int] = {}
-        asked_at = getattr(machine, executed)
-        while pc >= 0:
-            try:
-                new_pc = handlers[pc](*frame)
-            except MeterTrip as trip:
-                replay_metered(pre, trip.pc, machine, *frame)
-            if 0 <= new_pc <= pc and new_pc in leaders:
-                count = counts.get(new_pc, 0) + 1
-                if count < threshold:
-                    counts[new_pc] = count
-                else:
-                    counts[new_pc] = 0
-                    if t2 is None:
-                        if gated:
-                            now = getattr(machine, executed)
-                            t2 = pre.tier2_repaid(now - asked_at)
-                            asked_at = now
-                        else:
-                            t2 = pre.tier2()
-                        if t2 is None:      # not repaid yet; or the
-                            if pre.tier2_declined:  # build declined:
-                                leaders = ()        # stop counting
-                            pc = new_pc
-                            continue
-                    entered = new_pc
-                    new_pc = t2(*frame, entered)
-                    if new_pc == entered:
-                        counts[entered] = _OSR_DISABLED
-                    else:
-                        machine.osr_entries += 1
-                        if deopted:
-                            machine.deopt_reentries += 1
-                        deopted = new_pc >= 0
-            pc = new_pc
-    while pc >= 0:
-        try:
-            pc = handlers[pc](*frame)
-        except MeterTrip as trip:
-            replay_metered(pre, trip.pc, machine, *frame)
 
 
 class Tier(NamedTuple):
@@ -629,115 +264,6 @@ def template_stats() -> dict:
             "misses": info.misses}
 
 
-#: what a counted loop's guard admits: the induction variable stays
-#: below ``I32_LIMIT`` (so ``iv + c`` never wraps), and a loop-invariant
-#: base the lowering leaned on is below ``BASE_LIMIT`` (so a base plus
-#: an offset derived from the induction variable is a u64 as it is)
-I32_LIMIT = 1 << 31
-BASE_LIMIT = 1 << 62
-
-
-class Affine(NamedTuple):
-    """A counted loop's value as a function of its trip: ``scale * iv
-    + offset + sum(k * name for name, k in terms)`` in exact integer
-    arithmetic, over loop-invariant ints ``terms`` (sorted)."""
-
-    scale: int
-    offset: int
-    terms: Tuple[Tuple[str, int], ...] = ()
-
-    def plus(self, other: "Affine", sign: int = 1) -> "Affine":
-        terms = dict(self.terms)
-        for name, k in other.terms:
-            terms[name] = terms.get(name, 0) + sign * k
-        return Affine(self.scale + sign * other.scale,
-                      self.offset + sign * other.offset,
-                      tuple(sorted((n, k) for n, k in terms.items() if k)))
-
-    def times(self, k: int) -> "Affine":
-        return Affine(self.scale * k, self.offset * k,
-                      tuple((n, c * k) for n, c in self.terms if c * k))
-
-    def at(self, iv: str) -> str:
-        """Python text of the value on the trip whose induction
-        variable is the expression ``iv``."""
-        parts = [] if not self.scale else \
-            [iv if self.scale == 1 else f"{self.scale} * {iv}"]
-        parts += [n if k == 1 else f"{k} * {n}" for n, k in self.terms]
-        text = " + ".join(parts) or "0"
-        if self.offset:
-            text += f" + {self.offset}" if self.offset > 0 \
-                else f" - {-self.offset}"
-        return text
-
-
-class Interval(NamedTuple):
-    """What a lowered integer name or operand is known to hold:
-    ``lo <= value <= hi``.  ``deps`` names the loop-invariant values
-    whose *assumed* range it rests on; a wrap dropped on its strength
-    makes the counted loop's guard check them (:meth:`BlockEmitter.fits`).
-    In a counted loop's latch, ``aff`` is the value's exact
-    :class:`Affine` form, when it has one."""
-
-    lo: int
-    hi: int
-    deps: frozenset = frozenset()
-    aff: Optional[Affine] = None
-
-
-def int_interval(int_ty) -> Interval:
-    """Every value of ``int_ty``."""
-    return Interval(ty.int_min(int_ty), ty.int_max(int_ty))
-
-
-def affine_of(rng: Interval) -> Optional[Affine]:
-    """The exact affine form of a value known to lie in ``rng``: its
-    own, or a constant's."""
-    if rng.aff is None and rng.lo == rng.hi and not rng.deps:
-        return Affine(0, rng.lo)
-    return rng.aff
-
-
-class Access(NamedTuple):
-    """One memory access of a counted loop's latch whose address is
-    affine in the induction variable: proven in range for every trip
-    by its guard, so the body carries no check
-    (:meth:`BlockEmitter.proved`)."""
-
-    #: the lowered name holding the address
-    addr: str
-    aff: Affine
-    width: int
-    #: the access's ``struct`` format (its element type and lane count)
-    fmt: str
-    #: the index of the latch line the access's statement follows
-    line: int
-
-
-class Induction(NamedTuple):
-    """A fused loop that can run counted, as the engine's hook
-    (:meth:`Lowering.induction`) reads it off the instructions: the
-    header tests ``iv < bound`` (a signed compare, its ``brif`` taken
-    into the latch), the latch ends in the only write of ``iv``, one
-    i32 ``iv + step``, and nothing in the loop writes ``bound``.
-    Names are the lowered (tier-2) ones."""
-
-    iv: str
-    #: a lowered name or an integer literal
-    bound: str
-    step: int
-    #: the increment's destination when it is not ``iv`` (then copied
-    #: into ``iv``); no instruction of the loop reads the value the
-    #: increment leaves there, so the counted latch drops both
-    temp: Optional[str]
-    #: pcs of the increment (and the copy) the counted latch drops
-    skip: frozenset
-    #: pc of the header's compare: 1 on every counted iteration
-    flag: int
-    #: integer names no instruction of the loop writes
-    invariants: frozenset
-
-
 def wraps_u64(value_ty) -> bool:
     """Is a pure inline result of ``value_ty`` a wrapped u64: in range
     as an address, whatever it is computed from?"""
@@ -777,22 +303,22 @@ class BlockEmitter:
     ``_ms<width>`` limit, which the dispatcher hoists.
 
     **Interval knowledge** (the blocks of a counted loop only:
-    ``induction``).  :attr:`ranges` holds an :class:`Interval` per
-    name, seeded with what the loop's guard establishes — the
-    induction variable in ``[0, I32_LIMIT - 1 - step]``, every
-    loop-invariant integer *assumed* in ``[0, BASE_LIMIT)`` — and
-    carried through the adds, subtracts, multiplies, constant shifts
-    and integer casts the engine asks about (:meth:`exact_binop`,
-    :meth:`fits`); the dict is empty in every other lowering.  Where
-    a result provably needs no wrap the
-    engine leaves the wrap out, and the assumptions that proved it
-    land in :attr:`leaned`, which the guard then checks.  The engine
-    also drops the pcs in :attr:`skip` and writes 1 for the compare
-    at :attr:`flag`.
+    ``induction``).  :attr:`ranges` holds an ``Interval``
+    (:mod:`repro.analysis.intervals`) per name, seeded with what the
+    loop's guard establishes — the induction variable in ``[0,
+    I32_LIMIT - 1 - step]``, every loop-invariant integer *assumed* in
+    ``[0, BASE_LIMIT)`` — and carried through the integer ops the
+    engine asks about that the algebra follows (add, sub, mul, a
+    constant shift, min, max) and integer casts (:meth:`exact_binop`,
+    :meth:`fits`); the dict is empty in every other lowering.  Where a
+    result provably needs no wrap the engine leaves the wrap out, and
+    the assumptions that proved it land in :attr:`leaned`, which the
+    guard then checks.  The engine also drops the pcs in :attr:`skip`
+    and writes 1 for the compare at :attr:`flag`.
 
     **The loop as data** (a counted loop's latch only: ``hoist``).
-    Each interval also carries the value's exact :class:`Affine` form
-    in the induction variable, where it has one.  A wrap of an affine
+    Each interval also carries the value's exact ``Affine`` form in
+    the induction variable, where it has one.  A wrap of an affine
     value that the interval cannot prove the identity is dropped
     anyway and recorded in :attr:`clauses` — the guard proves it the
     identity on the first and the last trip, which covers every trip
@@ -800,7 +326,7 @@ class BlockEmitter:
     :attr:`accesses` instead of checked (:meth:`proved`); the others
     keep their check and are counted in :attr:`checked`.  Lane
     reductions folded by one builtin are recorded in
-    :attr:`reductions`, for :func:`fold_of`."""
+    :attr:`reductions`, for :func:`repro.counted.fold_of`."""
 
     def __init__(self, env: CodegenEnv, tier: Tier, widths: set,
                  induction: Optional[Induction] = None,
@@ -876,12 +402,12 @@ class BlockEmitter:
         ``rng`` rests on are leaned on — else ``None``."""
         if rng is None or not isinstance(int_ty, ty.IntType):
             return None
-        whole = int_interval(int_ty)
-        if whole.lo <= rng.lo <= rng.hi <= whole.hi:
+        if within(rng, int_ty):
             self.leaned |= rng.deps
             return rng
         # An affine value in a latch: the guard makes the wrap the
         # identity instead, by a clause on the first and last trip.
+        whole = int_interval(int_ty)
         lo, hi = max(rng.lo, whole.lo), min(rng.hi, whole.hi)
         if self.clauses is None or rng.aff is None or lo > hi:
             return None
@@ -891,33 +417,12 @@ class BlockEmitter:
 
     def exact_binop(self, op: str, int_ty, a: Optional[Interval],
                     b: Optional[Interval]) -> Optional[Interval]:
-        """The interval of ``a op b`` when the unwrapped result is a
-        value of ``int_ty`` (:meth:`fits`), else ``None``."""
-        if a is None or b is None or not isinstance(int_ty, ty.IntType):
+        """The interval of ``a op b`` when the unwrapped result
+        (:func:`repro.analysis.intervals.binop`) is a value of
+        ``int_ty`` (:meth:`fits`), else ``None``."""
+        if a is None or b is None:
             return None
-        x, y = affine_of(a), affine_of(b)
-        both = x is not None and y is not None
-        aff = None
-        if op == "add":
-            lo, hi = a.lo + b.lo, a.hi + b.hi
-            aff = x.plus(y) if both else None
-        elif op == "sub":
-            lo, hi = a.lo - b.hi, a.hi - b.lo
-            aff = x.plus(y, -1) if both else None
-        elif op == "mul":
-            ends = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-            lo, hi = min(ends), max(ends)
-            if both and not (x.scale or x.terms):
-                aff = y.times(x.offset)
-            elif both and not (y.scale or y.terms):
-                aff = x.times(y.offset)
-        elif op == "shl" and b.lo == b.hi:
-            shift = b.lo & (int_ty.bits - 1)
-            lo, hi = a.lo << shift, a.hi << shift
-            aff = x.times(1 << shift) if x is not None else None
-        else:
-            return None
-        return self.fits(Interval(lo, hi, a.deps | b.deps, aff), int_ty)
+        return self.fits(binop(op, int_ty, a, b), int_ty)
 
     def frame(self, offset: int) -> Optional[Interval]:
         """What is known of the frame address ``fb + offset`` (``fb``,
@@ -962,7 +467,8 @@ class BlockEmitter:
         no check here?  It is when an earlier check of this block
         raised on the same pair and the name has not been assigned
         since, or — in a counted loop's latch — when the address is
-        affine: then it is recorded for the guard (:class:`Access`)."""
+        affine: then it is recorded for the guard
+        (:class:`repro.counted.Access`)."""
         size = packer.size
         if (addr, size) in self.proven:
             return True
@@ -1405,68 +911,26 @@ class Tier2Writer:
 
     def counted(self, loop: CountedLoop, header: int, latch: int,
                 exit_target: int, base: int, hlines: List[str]) -> None:
-        """A merged loop, counted, under one guard at entry: ``iv``
-        and ``bound`` are ints, ``0 <= iv`` and ``bound <= I32_LIMIT -
-        step`` (no ``iv + step`` of the loop wraps), every base the
-        lowering leaned on is an int in ``[0, BASE_LIMIT)``, the fuel
-        covers every trip plus the header's last run, and — when the
-        loop runs at all — two clauses per affine access and per
-        dropped wrap of the latch (:attr:`BlockEmitter.clauses`): the
-        exact value on the first trip and on the last lies in range (an
-        address in ``[NULL_GUARD, _ms - width]``), so on every trip
-        between.  Then the loop is a ``for iv in range`` with no fuel
-        compare, no exit test and no check or wrap the guard covers,
-        its blocks lowered under those facts, and the exit does at
-        once what the last test would have left: ``iv`` past the
+        """A merged loop, counted, under one guard at entry
+        (:meth:`repro.counted.CountedLoop.guard`, which binds the trip
+        count ``_n``).  Then the loop is a ``for iv in range`` with no
+        fuel compare, no exit test and no check or wrap the guard
+        covers, its blocks lowered under those facts, and the exit does
+        at once what the last test would have left: ``iv`` past the
         bound, the increment's temp, the header's lines (its flag
         register 0) and the debits of every trip.  A foldable latch
-        (:func:`fold_of`) runs every trip but the last as one builtin
-        over one ``struct.unpack_from`` of the whole run, then the
-        last through the body.  A trap in the body debits the trips up
-        to its own, then rolls back through the latch's line table.  A
-        refused state deopts at the header: the block tier runs it,
-        and OSR re-enters once it heals (a refused OSR entry returns
-        its own pc, so it is retired for the call)."""
+        (:func:`repro.counted.fold_of`) runs every trip but the last as
+        one builtin over one ``struct.unpack_from`` of the whole run,
+        then the last through the body.  A trap in the body debits the
+        trips up to its own, then rolls back through the latch's line
+        table.  A refused state deopts at the header: the block tier
+        runs it, and OSR re-enters once it heals (a refused OSR entry
+        returns its own pc, so it is retired for the call)."""
         ind, hlen, fold = loop.induction, self.blocks[header], loop.fold
         period, owed = self.per_trip(header, latch)
         iv, bound, step = ind.iv, ind.bound, ind.step
         scale = "" if step == 1 else f" * {step}"
-        leaned, clauses = sorted(loop.leaned), sorted(loop.clauses, key=repr)
-        named = [iv, bound, *leaned]
-        for aff in [access.aff for access in loop.accesses] \
-                + [clause[0] for clause in clauses]:
-            named += [name for name, _ in aff.terms]
-        if fold is not None:
-            named += [*sorted(fold.reads), fold.acc]
-        checks = [f"type({name}) is int"
-                  for name in dict.fromkeys(named) if name.isidentifier()]
-        checks += [f"0 <= {iv}", f"{bound} <= {I32_LIMIT - step}"]
-        checks += [f"0 <= {name} < {BASE_LIMIT}" for name in leaned]
-        trips = f"{bound} - {iv}" if step == 1 \
-            else f"({bound} - {iv} + {step - 1}) // {step}"
-        checks.append(f"executed + (_n := {trips} if {bound} > {iv} "
-                      f"else 0) * {period} + {hlen} <= fuel")
-        last = f"({iv} + (_n - 1){scale})"
-
-        def ends(aff: Affine) -> Tuple[str, str]:
-            """The value on the trip where it is least, and greatest."""
-            first, final = aff.at(iv), aff.at(last)
-            return (final, first) if aff.scale < 0 else (first, final)
-
-        pairs = []
-        for aff, width in dict.fromkeys(
-                (access.aff, access.width) for access in loop.accesses):
-            low, high = ends(aff)
-            pairs += [f"{NULL_GUARD} <= {low}", f"{high} <= _ms{width}"]
-        for aff, lo, hi in clauses:
-            low, high = ends(aff)
-            pairs += [f"{lo} <= {low}", f"{high} <= {hi}"]
-        if pairs:
-            checks.append(f"(not _n or {' and '.join(pairs)})")
-        if fold is not None and fold.op != "add":
-            checks.append(f"{ty.int_min(fold.acc_ty)} <= {fold.acc} <= "
-                          f"{ty.int_max(fold.acc_ty)}")
-        self.w(f"if not ({' and '.join(checks)}):", base)
+        self.w(f"if not ({loop.guard(period, hlen)}):", base)
         self.deopt(header, base + 4)
         stride = "" if step == 1 else f", {step}"
         self.w(f"_v0 = {iv}", base)
@@ -1491,225 +955,6 @@ class Tier2Writer:
                              + (f" + {part}" if part else "")
                              for f, whole, part in owed), base)
         self.w(f"pc = {exit_target}", base)
-
-
-class CountedLoop(NamedTuple):
-    """A fused loop's counted form (:meth:`Tier2Writer.counted`), its
-    only compiled form: its induction and its two blocks lowered under
-    the guard's facts, terminal branches dropped, and the latch's
-    records (:class:`BlockEmitter`)."""
-
-    induction: Induction
-    hlines: List[str]
-    llines: List[str]
-    lmarks: List[Tuple[int, int]]
-    #: loop-invariant names whose assumed range a dropped wrap needed
-    leaned: frozenset
-    #: the latch's affine accesses, their checks proven by the guard
-    accesses: Tuple[Access, ...]
-    #: the latch's dropped wraps of affine values, ``(Affine, lo, hi)``
-    clauses: frozenset
-    #: the latch's accesses that keep their per-trip check
-    checked: int
-    fold: Optional["Fold"]
-
-
-#: the element type of each integer ``struct`` format character
-_INT_FORMATS = {"b": ty.I8, "B": ty.U8, "h": ty.I16, "H": ty.U16,
-                "i": ty.I32, "I": ty.U32, "q": ty.I64, "Q": ty.U64}
-
-#: the nodes of an expression no int operand makes raise (a shift's
-#: count is checked apart: a negative one raises)
-_PURE_NODES = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.IfExp,
-               ast.Compare, ast.BoolOp, ast.Load, ast.Add, ast.Sub,
-               ast.Mult, ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift,
-               ast.RShift, ast.USub, ast.Invert, ast.Not, ast.And, ast.Or,
-               ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-
-
-#: the text of an integer ``add`` / ``min`` / ``max`` template ->
-#: ``(op, type)``: what a latch's combine into its accumulator is
-_COMBINES = {inline_binop(op, int_ty, None)[0]: (op, int_ty)
-             for op in ("add", "min", "max") for int_ty in ty.INT_TYPES}
-
-
-class Fold(NamedTuple):
-    """A counted latch whose trips fold into one builtin
-    (:func:`fold_of`): ``acc = op(elements loaded at access, acc)``,
-    wrapped into ``acc_ty``."""
-
-    acc: str
-    op: str
-    acc_ty: ty.IntType
-    access: Access
-    #: loop-invariant names the trips read, which the guard type-checks
-    reads: frozenset
-
-    def combine(self, env: CodegenEnv, iv: str) -> str:
-        """The accumulator after the trips ``[iv, last)``: their
-        elements are one contiguous run from the access's first
-        address, folded by one builtin and wrapped once."""
-        char = self.access.fmt[-1]
-        lanes = self.access.width // struct.calcsize("<" + char)
-        count = "(_n - 1)" if lanes == 1 else f"(_n - 1) * {lanes}"
-        run = (f"{env.bind(struct.unpack_from, 'uf')}("
-               f'f"<{{{count}}}{char}", _md, {self.access.aff.at(iv)})')
-        builtin = "sum" if self.op == "add" else self.op
-        return inline_binop(self.op, self.acc_ty, env)[0].format(
-            a=f"{builtin}({run})", b=self.acc)
-
-
-def fold_of(hlines: List[str], latch: BlockEmitter, induction: Induction,
-            env: CodegenEnv) -> Optional[Fold]:
-    """The :class:`Fold` of a counted loop whose trip (the header's
-    ``hlines``, then the latch's) only loads at affine addresses,
-    lane-reduces with an integer ``add`` / ``min`` / ``max`` and
-    combines into one loop-carried accumulator, else ``None``.
-
-    Every trip but the last may then be skipped, so the test is an
-    abstract run of the trip's statements that admits only what
-    cannot raise and leaves nothing but the accumulator to the next
-    trip: copies, pure int arithmetic over the induction variable and
-    the invariants, the recorded loads (:attr:`BlockEmitter.accesses`)
-    and lane reductions (:attr:`BlockEmitter.reductions`), a vector's
-    empty check, and one combine — the engines' own template text.  A
-    name read before the trip writes it is the accumulator, in the
-    combine, or the loop is refused."""
-    accesses, heading = latch.accesses, len(hlines)
-    lines = hlines + latch.lines[:-1]
-    if not accesses:
-        return None
-    tree = ast.parse("\n".join(lines))
-    known: dict = {induction.iv: ("int",)}
-    reads: set = set()
-    found: list = []
-
-    def name(node) -> Optional[tuple]:
-        if node.id in known:
-            return known[node.id]
-        if node.id in induction.invariants:
-            reads.add(node.id)
-            return ("int",)
-        return None
-
-    def load(node, at: int) -> Optional[tuple]:
-        # ``u(_md, addr)[0]`` a scalar; ``u(_md, addr)`` (a tuple) or
-        # ``list(u(_md, addr))`` a vector; ``at``: the statement's latch
-        # line, which follows the access's record.
-        vector = not isinstance(node, ast.Subscript)
-        if not vector:
-            if not (isinstance(node.slice, ast.Constant)
-                    and node.slice.value == 0):
-                return None
-            node = node.value
-        elif isinstance(node, ast.Call) and len(node.args) == 1 \
-                and isinstance(node.func, ast.Name) \
-                and node.func.id == "list":
-            node = node.args[0]
-        if not (isinstance(node, ast.Call) and len(node.args) == 2
-                and all(isinstance(a, ast.Name) for a in node.args)
-                and isinstance(node.func, ast.Name)
-                and node.args[0].id == "_md"):
-            return None
-        access = next((a for a in reversed(accesses) if a.line <= at
-                       and a.addr == node.args[1].id), None)
-        unpack = env.env.get(node.func.id)
-        if access is None or access.fmt[-1] not in _INT_FORMATS \
-                or getattr(unpack, "__name__", None) != "unpack_from" \
-                or getattr(getattr(unpack, "__self__", None), "format",
-                           None) != access.fmt \
-                or vector != (len(access.fmt) > 2):
-            return None
-        return ("vec" if vector else "elem", access)
-
-    def combine(text: str) -> Optional[tuple]:
-        names = sorted(set(re.findall(r"[A-Za-z_]\w*", text))
-                       - {"max", "min"})
-        if len(names) != 2:
-            return None
-        for x, acc in (names, names[::-1]):
-            shape = re.sub(rf"\b{acc}\b", "{b}",
-                           re.sub(rf"\b{x}\b", "{a}", text))
-            if shape in _COMBINES:
-                break
-        else:
-            return None
-        op, acc_ty = _COMBINES[shape]
-        value = known.get(x)
-        if found or acc in known or acc == induction.iv \
-                or acc in induction.invariants or value is None \
-                or value[0] in ("int", "vec", "acc") \
-                or value[0] == "red" and value[1] != op:
-            return None
-        elem = value[2] if value[0] == "red" \
-            else _INT_FORMATS[value[1].fmt[-1]]
-        if op == "add" and value[0] == "red" and elem != acc_ty:
-            return None         # the lanes wrap to another type
-        if op != "add" and not (ty.int_min(acc_ty) <= ty.int_min(elem)
-                                and ty.int_max(elem) <= ty.int_max(acc_ty)):
-            return None
-        found.append((acc, op, acc_ty, value[-1]))
-        return ("acc", acc)
-
-    def pure(node) -> Optional[tuple]:
-        for sub in ast.walk(node):
-            if not isinstance(sub, _PURE_NODES) or isinstance(
-                    sub, ast.Constant) and type(sub.value) is not int:
-                return None
-            if isinstance(sub, ast.BinOp) \
-                    and isinstance(sub.op, (ast.LShift, ast.RShift)):
-                count = sub.right
-                if isinstance(count, ast.BinOp) \
-                        and isinstance(count.op, ast.BitAnd):
-                    count = count.right
-                if not (isinstance(count, ast.Constant)
-                        and count.value >= 0):
-                    return None
-            if isinstance(sub, ast.Name) and (
-                    name(sub) or ("",))[0] not in ("int", "elem"):
-                return None
-        return ("int",)
-
-    def value(node, text: str, at: int) -> Optional[tuple]:
-        if isinstance(node, ast.Name):
-            return name(node)
-        if text in latch.reductions:
-            op, vec, acc_ty = latch.reductions[text]
-            got = known.get(vec)
-            if got is None or got[0] != "vec":
-                return None
-            return ("red", op, _INT_FORMATS[got[1].fmt[-1]]
-                    if op != "add" else acc_ty, got[1])
-        return load(node, at) or combine(text) or pure(node)
-
-    refused = False
-    for stmt in tree.body:
-        if isinstance(stmt, ast.If) and not stmt.orelse \
-                and isinstance(stmt.test, ast.UnaryOp) \
-                and isinstance(stmt.test.op, ast.Not) \
-                and isinstance(stmt.test.operand, ast.Name) \
-                and (known.get(stmt.test.operand.id) or ("",))[0] == "vec" \
-                and len(stmt.body) == 1 \
-                and isinstance(stmt.body[0], ast.Raise):
-            continue                        # a vector is never empty
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.lineno == stmt.end_lineno):
-            refused = True                  # a store, a check, a try
-            continue
-        # The right-hand side as the engine wrote it (a template's text)
-        got = value(stmt.value, lines[stmt.lineno - 1].partition(" = ")[2],
-                    stmt.lineno - 1 - heading)
-        refused = refused or got is None
-        known[stmt.targets[0].id] = got or ("int",)
-    if len(found) != 1:
-        return None                         # nothing, or two, to fold
-    acc, op, acc_ty, access = found[0]
-    eligible = not refused and known.get(acc) == ("acc", acc) \
-        and access.aff.scale * induction.step == access.width
-    if not eligible:
-        return None
-    return Fold(acc, op, acc_ty, access, frozenset(reads))
 
 
 class Lowering:
@@ -1759,8 +1004,9 @@ class Lowering:
         #: access widths the tier-2 blocks check against ``_ms<width>``
         self.widths: set = set()
         #: the induction a counted loop's blocks are being lowered
-        #: under (:meth:`counted_loop`), for the engine's emitter, and
-        #: whether the block is its latch (hoisted accesses and wraps)
+        #: under (:func:`repro.counted.counted_loop`), for the engine's
+        #: emitter, and whether the block is its latch (hoisted accesses
+        #: and wraps)
         self.counting: Optional[Induction] = None
         self.hoisting = False
 
@@ -1799,7 +1045,7 @@ class Lowering:
 
     # -- block tier ----------------------------------------------------------
 
-    def build(self, token, module=None) -> Predecoded:
+    def build(self, token, module=None):
         """The block tier: one template instance per fuel block.  No
         source is compiled here — :meth:`instance` finds the block's
         shape in the process-wide memo (:func:`block_template`)."""
@@ -1830,7 +1076,7 @@ class Lowering:
                     *self.block_source(leader, length), label)
 
         return self.predecoded(token, handlers, steps,
-                               self.osr_candidates(),
+                               backedge_targets(self.code, self.blocks),
                                **self.frame_data(module))
 
     def lower_block(self, leader: int, length: int) -> BlockEmitter:
@@ -1953,11 +1199,8 @@ class Lowering:
         # match on the first arms instead of scanning the whole elif
         # chain once per transfer (which made short-block loops slower
         # than the trampoline's O(1) handler indexing).
-        hot = set()
-        for src, instr in enumerate(code):
-            if instr.op in ("br", "brif") and isinstance(instr.arg, int) \
-                    and 0 <= instr.arg <= src:
-                hot.update(b for b in blocks if instr.arg <= b <= src)
+        hot = {b for target, src in backward_branches(code)
+               for b in blocks if target <= b <= src}
         ordered = [b for b in blocks if b in hot] \
             + [b for b in blocks if b not in hot]
 
@@ -1981,7 +1224,7 @@ class Lowering:
         counted = {} if live else {
             header: loop for header, (latch, *_) in loops.items()
             if not marks[header]
-            and (loop := self.counted_loop(header, latch)) is not None}
+            and (loop := counted_loop(self, header, latch)) is not None}
         self.check_facts(facts)
 
         osr_entries = osr_entry_points(code, blocks, bodies)
@@ -2069,31 +1312,6 @@ class Lowering:
         out.deopt("pc", 12)
         return "\n".join(out.out), env_dict
 
-    def counted_loop(self, header: int,
-                     latch: int) -> Optional[CountedLoop]:
-        """The counted version of the fused loop ``header`` /
-        ``latch``, or ``None``: the engine finds no induction
-        (:meth:`induction`), or a block does not lower under it the
-        way the counted form needs (a header that can raise, a latch
-        that does not end in its back edge)."""
-        induction = self.induction(header, latch)
-        if induction is None:
-            return None
-        self.counting = induction
-        head = self.lower(header, self.blocks[header], self.tier2_tier)
-        self.hoisting = True
-        body = self.lower(latch, self.blocks[latch], self.tier2_tier)
-        self.counting, self.hoisting = None, False
-        if head.marks or not head.lines[-1].startswith("pc = ") \
-                or body.lines[-1] != f"pc = {header}":
-            return None
-        hlines, llines = head.lines[:-1], body.lines[:-1]
-        return CountedLoop(induction, hlines, llines, body.marks,
-                           frozenset(head.leaned | body.leaned),
-                           tuple(body.accesses), frozenset(body.clauses),
-                           body.checked,
-                           fold_of(hlines, body, induction, self.env))
-
     # -- what an engine supplies ---------------------------------------------
 
     def lower(self, leader: int, length: int, tier: Tier) -> BlockEmitter:
@@ -2106,13 +1324,10 @@ class Lowering:
         """Result-counter amounts of one block (beyond its fuel)."""
         return {}
 
-    def osr_candidates(self) -> frozenset:
-        return backedge_targets(self.code, self.blocks)
-
     def induction(self, header: int, latch: int) -> Optional[Induction]:
-        """The fused loop's induction, read off its instructions
-        (see :class:`Induction` for the shape), or ``None`` to keep
-        it on the ``while`` form."""
+        """The fused loop's induction, read off its instructions (see
+        :class:`repro.counted.Induction` for the shape), or ``None`` to
+        keep it on the ``while`` form."""
         raise NotImplementedError
 
     def frame_data(self, module) -> dict:

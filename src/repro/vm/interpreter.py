@@ -7,10 +7,10 @@ original if/elif ladder in :meth:`VM._run`, kept verbatim as the
 semantic oracle the differential suite compares against.
 
 The tiering policy, its counters and the trampoline that runs a fast
-call are the tier scaffold's (:class:`repro.tiers.TieredMachine`,
-:func:`repro.tiers.run_tiered`); :meth:`VM._run_fast` only builds the
-VM's frame — operand stack, locals, args, memory frame — and pops the
-return value off the stack.
+call are the tiering runtime's (:class:`repro.tiering.TieredMachine`,
+:func:`repro.tiering.run_tiered`); :meth:`VM._run_fast` only builds
+the VM's frame — operand stack, locals, args, memory frame — and pops
+the return value off the stack.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.semantics import (
     round_float, vec_binop, vec_reduce, vec_splat,
 )
 from repro.lang import types as ty
-from repro.tiers import TieredMachine, run_tiered
+from repro.tiering import TieredMachine, run_tiered
 from repro.vm import threaded
 
 DEFAULT_FUEL = 50_000_000

@@ -6,8 +6,8 @@ through a string if/elif ladder and re-dispatches every ALU op through
 :class:`~repro.bytecode.module.BytecodeFunction` **once** into a tuple
 of specialized handler closures, resolving opcodes, operand types (as
 :mod:`repro.semantics.kernels` kernels), immediates and frame offsets
-at decode time.  Execution is the tier scaffold's trampoline
-(:func:`repro.tiers.run_tiered`, shared with the simulator) over the
+at decode time.  Execution is the tiering runtime's trampoline
+(:func:`repro.tiering.run_tiered`, shared with the simulator) over the
 VM's frame tuple::
 
     frame = (stack, locals_, args, frame_base, memory, vm)
@@ -27,7 +27,7 @@ terminator and calls end blocks, so successful runs produce exactly
 the reference engine's per-instruction totals.  When a debit crosses
 the limit (:class:`repro.engine.MeterTrip`) the instructions the fuel
 still covers are stepped one at a time
-(:func:`repro.tiers.replay_metered`), so the fuel trap lands on
+(:func:`repro.tiering.replay_metered`), so the fuel trap lands on
 precisely the instruction the reference engine traps on — and an
 earlier non-fuel trap inside the block still wins.  A step is the
 same lowering applied to a one-instruction block, built on first use;
@@ -65,12 +65,14 @@ from __future__ import annotations
 import re
 from typing import List
 
+from repro.analysis.intervals import Interval
 from repro.analysis.passes import (
     LaneRules, declared_lanes, lane_fixpoint, starts_declared,
 )
 from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import BytecodeFunction
 from repro.bytecode.opcodes import BIN_OPS, TYPE_TAGS, UN_OPS, type_of
+from repro.counted import Induction
 from repro.engine import normalize_branch_target
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
@@ -81,9 +83,10 @@ from repro.semantics.kernels import (
 from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,
 )
+from repro.tiering import Predecoded, warm
 from repro.tiers import (
-    BlockEmitter, Induction, Interval, Lowering, Predecoded, Tier,
-    Tier2BuildStats, block_tier, warm, whole_tier, wraps_u64,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, block_tier, whole_tier,
+    wraps_u64,
 )
 
 _EMPTY_DEPS = frozenset()
@@ -134,7 +137,7 @@ def predecode(func: BytecodeFunction,
 def warm_bytecode_module(module) -> None:
     """Predecode every function of a bytecode module and pre-build its
     tier-2 translation wherever a serving call could want it
-    (:func:`repro.tiers.warm`): every later call starts in tier-2 at
+    (:func:`repro.tiering.warm`): every later call starts in tier-2 at
     pc 0 and never runs whole-function codegen in-request
     (:func:`tier2_build_stats` proves it).  The VM twin of
     :func:`repro.targets.dispatch.warm_module`."""

@@ -2,13 +2,14 @@
 
 A counted tier-2 loop (``repro.tiers.Tier2Writer.counted``) runs with
 no per-trip fuel compare, exit test, bounds check or wrap, because one
-guard at loop entry proves what they would have checked; a fold
-(``repro.tiers.fold_of``) skips every trip but the last.  Each row of
-:data:`MUTANTS` is one edit of ``src/repro/tiers.py`` that drops a
-conjunct of that guard, or makes the fold's eligibility test always
-true.  For each row the script copies ``src/`` to a temporary
-directory, applies the edit (its snippet must occur exactly once) and
-runs ``tests/test_counted_loops.py`` against the copy.  A mutant the
+guard at loop entry (``repro.counted.CountedLoop.guard``) proves what
+they would have checked; a fold (``repro.counted.fold_of``) skips every
+trip but the last.  Each row of :data:`MUTANTS` is one edit of
+``src/repro/counted.py`` that drops a conjunct of that guard, or makes
+the fold's eligibility test always true.  For each row the script
+copies ``src/`` to a temporary directory, applies the edit (its
+snippet must occur exactly once) and runs
+``tests/test_counted_loops.py`` against the copy.  A mutant the
 tests pass on *survived*: the test file cannot tell the guard without
 that clause from the real one.
 
@@ -32,10 +33,10 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TARGET = os.path.join("repro", "tiers.py")
+TARGET = os.path.join("repro", "counted.py")
 TESTS = os.path.join("tests", "test_counted_loops.py")
 
-#: name -> (snippet of ``src/repro/tiers.py``, its replacement)
+#: name -> (snippet of ``src/repro/counted.py``, its replacement)
 MUTANTS = {
     "type": (
         'checks = [f"type({name}) is int"\n'

@@ -12,20 +12,30 @@ the service refuses unverifiable artifacts while surfacing warnings.
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     AdmissionError, BlockCFG, FactsTable, bytecode_facts, check_admission,
     lint_bytecode_module, machine_facts, module_facts, solve_backward,
     solve_forward,
 )
-from repro.analysis.passes import lane_fixpoint
+from repro.analysis.intervals import (
+    INF, TRANSFERS, Affine, Interval, binop, exact_binop,
+)
+from repro.analysis.passes import (
+    int_value_ranges, lane_fixpoint, range_findings,
+)
 from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.opcodes import BCInstr
 from repro.core import deploy, offline_compile
 from repro.engine import OSR_GUARDS_ENV
+from repro.lang import types as ty
 from repro.semantics import Memory
 from repro.service import CompilationService
 from repro.targets import Simulator, X86
@@ -36,6 +46,11 @@ from repro.workloads import ALL_KERNELS
 
 N = 64
 SAXPY = ALL_KERNELS["saxpy_fp"]
+
+#: ``(lines, sha256)`` of the range lint's output over the corpus
+#: (``TestRangeEdges.test_ranges_and_findings_of_the_corpus_are_pinned``)
+PINNED_RANGES = (
+    228, "ec19553bf31dfc421988ca2e41c55d8cf5ca57b46843d30521361e9a62e1a867")
 
 
 def _fresh_artifact(kernel=SAXPY, name="mod"):
@@ -399,14 +414,33 @@ class TestRangeEdges:
         assert solve_forward(cfg, None, lambda *a: None,
                              lambda *a: None) == {}
 
-    def test_a_sum_that_may_wrap_or_a_quotient_is_the_whole_type(self):
-        from repro.analysis.passes import _interval_binop
-        big = (2**31 - 5, 2**31 - 1)
-        inf = float("inf")
-        assert _interval_binop("add", "i32", big, big) == \
-            _interval_binop("div", "i32", (1, 4), (1, 2)) == \
-            _interval_binop("add", "i32", (-inf, 0), (inf, inf)) == \
-            (-2**31, 2**31 - 1)
+    def test_ranges_and_findings_of_the_corpus_are_pinned(self):
+        """``int_value_ranges`` and ``range_findings`` of every bytecode
+        function (both flavours) of the workload kernels and
+        ``examples/*.pvi``, byte for byte: intervals as ``repr`` of
+        their two bounds, so the digest holds whatever type carries
+        them."""
+        sources = {name: kernel.source
+                   for name, kernel in sorted(ALL_KERNELS.items())}
+        examples = pathlib.Path(__file__).parent.parent / "examples"
+        for path in sorted(examples.glob("*.pvi")):
+            sources[path.stem] = path.read_text()
+        lines = []
+        for name, source in sources.items():
+            artifact = offline_compile(source, name)
+            for module in (artifact.scalar_bytecode, artifact.bytecode):
+                for func in module.functions.values():
+                    cfg = BlockCFG(func.code)
+                    ranges = int_value_ranges(func, cfg)
+                    lines.append(f"{name} {func.name}")
+                    for leader in sorted(ranges):
+                        lines.append(f"  {leader}: " + ", ".join(
+                            f"{index}=[{rng[0]!r}, {rng[1]!r}]"
+                            for index, rng in sorted(ranges[leader].items())))
+                    lines += [f"  {finding!r}" for finding
+                              in range_findings(func, cfg, ranges)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == PINNED_RANGES
 
     def test_calls_and_discarded_results(self):
         """The range walk stops at a call (its effects are unknown) and
@@ -432,3 +466,122 @@ class TestRangeEdges:
         kinds = {f.code: f.pc for f in lint_bytecode_module(module)}
         assert kinds.get("branch-never") == 1
         assert kinds.get("branch-always") == 3
+
+
+# ---------------------------------------------------------------------------
+# the interval algebra both planes share
+# ---------------------------------------------------------------------------
+
+def _unwrapped(op, x, y, int_ty):
+    """``x op y`` as the kernel computes it before its wrap; a bound
+    may be ``±inf`` (a shift is then a product)."""
+    if op == "add":
+        return x + y
+    if op == "sub":
+        return x - y
+    if op == "mul":
+        return x * y
+    if op == "shl":
+        return x * (1 << (y & (int_ty.bits - 1)))
+    return min(x, y) if op == "min" else max(x, y)
+
+
+def _bound(int_ty):
+    """A bound near zero, near either end of ``int_ty``, or infinite."""
+    lo, hi = ty.int_min(int_ty), ty.int_max(int_ty)
+    return st.one_of(st.integers(-300, 300), st.integers(lo - 3, lo + 3),
+                     st.integers(hi - 3, hi + 3),
+                     st.integers(-(1 << 70), 1 << 70),
+                     st.sampled_from((-INF, INF)))
+
+
+def _member(bounds, permille):
+    """An int of ``bounds``, ``permille`` / 1000 of the way up (an
+    infinite side: within 2**80 of the other, or of 0)."""
+    lo, hi = bounds
+    if lo == -INF:
+        lo = (0 if hi == INF else hi) - (1 << 80)
+    if hi == INF:
+        hi = lo + (1 << 80)
+    return lo + (hi - lo) * permille // 1000
+
+
+@st.composite
+def _transfer_case(draw):
+    int_ty = draw(st.sampled_from(ty.INT_TYPES))
+    op = draw(st.sampled_from(sorted(TRANSFERS)))
+    a = sorted(draw(st.lists(_bound(int_ty), min_size=2, max_size=2)))
+    if op == "shl":             # a constant count, now and then not
+        count = draw(st.integers(-70, 70))
+        b = [count, count + draw(st.sampled_from((0, 0, 0, 1)))]
+    else:
+        b = sorted(draw(st.lists(_bound(int_ty), min_size=2, max_size=2)))
+    picks = draw(st.lists(st.tuples(st.integers(0, 1000),
+                                    st.integers(0, 1000)), max_size=6))
+    return op, int_ty, tuple(a), tuple(b), picks
+
+
+class TestIntervals:
+    """:mod:`repro.analysis.intervals`, which the range lint and
+    tier-2's counted loops both call."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_transfer_case())
+    # the lint's wrap, an op and a varying count it does not follow,
+    # and NaN corners
+    @example(("add", ty.I32, (2**31 - 5, 2**31 - 1), (2**31 - 5, 2**31 - 1),
+              [(0, 1000)]))
+    @example(("div", ty.I32, (1, 4), (1, 2), [(500, 500)]))
+    @example(("add", ty.I32, (-INF, 0), (INF, INF), []))
+    @example(("shl", ty.I32, (1, 4), (2, 3), []))
+    def test_transfer_is_sound_and_tight(self, case):
+        """Every concrete unwrapped ``x op y`` of members lies inside
+        the result, which is exactly the corners' hull; the result is
+        ``None`` exactly when a corner leaves the type (or is NaN), or
+        when the algebra does not follow the op: one it lacks, or a
+        shift by a count that varies."""
+        op, int_ty, a, b, picks = case
+        got = exact_binop(op, int_ty, Interval(*a), Interval(*b))
+        if op not in TRANSFERS or op == "shl" and b[0] != b[1]:
+            assert got is None
+            return
+        corners = [_unwrapped(op, x, y, int_ty) for x in a for y in b]
+        leaves = not all(ty.int_min(int_ty) <= c <= ty.int_max(int_ty)
+                         for c in corners)
+        assert (got is None) == leaves, (corners, got)
+        if got is None:
+            return
+        assert (got.lo, got.hi) == (min(corners), max(corners))
+        for fa, fb in picks:
+            x, y = _member(a, fa), _member(b, fb)
+            assert got.lo <= _unwrapped(op, x, y, int_ty) <= got.hi
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(TRANSFERS)),
+           st.tuples(st.integers(-9, 9), st.integers(-99, 99),
+                     st.integers(-3, 3), st.integers(-3, 3)),
+           st.tuples(st.integers(-9, 9), st.integers(-99, 99),
+                     st.integers(-3, 3), st.integers(-3, 3)),
+           st.tuples(st.integers(-50, 50), st.integers(-50, 50),
+                     st.integers(-50, 50)))
+    def test_affine_form_evaluates_to_the_value(self, op, x, y, values):
+        """Where the result has an affine form, its text evaluated on
+        a trip is ``x op y`` of the operands' values on that trip (a
+        shift's count and a product's factor are constants)."""
+        forms, operands = [], []
+        for scale, offset, p, q in (x, y):
+            if op == "shl" and forms or op == "mul" and forms \
+                    and (forms[0].scale or forms[0].terms):
+                forms.append(Affine(0, offset))     # a constant operand
+                operands.append(Interval(offset, offset))
+                continue
+            forms.append(Affine(scale, offset, tuple(
+                (name, k) for name, k in (("p", p), ("q", q)) if k)))
+            operands.append(Interval(-(1 << 40), 1 << 40, aff=forms[-1]))
+        env = dict(zip(("iv", "p", "q"), values))
+        a, b = (eval(form.at("iv"), env) for form in forms)
+        got = binop(op, ty.I64, *operands)
+        assert got is not None
+        if got.aff is not None:
+            assert eval(got.aff.at("(iv)"), env) == \
+                _unwrapped(op, a, b, ty.I64)

@@ -1,4 +1,4 @@
-"""Counted tier-2 loops (:meth:`repro.tiers.Tier2Writer.counted`).
+"""Counted tier-2 loops (:mod:`repro.counted`).
 
 A fused loop whose header tests ``iv < bound`` and whose latch steps
 ``iv += c`` is compiled as a ``for iv in range(iv, bound, c)`` with no
@@ -23,17 +23,26 @@ one."""
 from __future__ import annotations
 
 import functools
+import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import tiers
+from repro import tiering, tiers
+from repro.analysis.intervals import Affine
+from repro.bytecode import BCInstr
+from repro.bytecode.module import BytecodeFunction, BytecodeModule
+from repro.counted import (
+    BASE_LIMIT, I32_LIMIT, Access, Induction, counted_loop, fold_of,
+)
 from repro.core import deploy, offline_compile, select_bytecode
 from repro.jit import compile_for_target
-from repro.engine import FAST, REFERENCE, TIER2
+from repro.engine import FAST, REFERENCE, TIER2, CodegenEnv
 from repro.lang import types as ty
 from repro.semantics import Memory, TrapError
+from repro.semantics.kernels import inline_binop
 from repro.semantics.memory import NULL_GUARD
 from repro.targets import Simulator, dispatch, target_names
 from repro.targets.isa import CompiledFunction, CompiledModule, MInst
@@ -148,7 +157,7 @@ def agree(machine: str, image, args, fuel=None,
                                          fuel, fill, osr=True,
                                          osr_threshold=2)
     pre = predecoded(machine, image)
-    pre._tier2 = tiers._TIER2_UNBUILT       # else entered at pc 0
+    pre._tier2 = tiering._TIER2_UNBUILT       # else entered at pc 0
     outcomes["osr"], entered = run(machine, image, args, FAST, fuel,
                                    fill, osr=True, osr_threshold=2)
     assert_engines_agree(outcomes, f"{machine} fuel={fuel}")
@@ -295,11 +304,11 @@ def test_guard_edges_generated(machine, source, data):
     two trips either side of what the call executes (a wrapping loop
     runs until a cap of 50 trips)."""
     step = data.draw(st.sampled_from([1, 2, 3, 4, 8]), "step")
-    edge = tiers.I32_LIMIT - step
+    edge = I32_LIMIT - step
     start = data.draw(st.integers(-3, 3) | st.integers(
-        edge - 3, min(edge + 3, tiers.I32_LIMIT - 1)), "start")
+        edge - 3, min(edge + 3, I32_LIMIT - 1)), "start")
     n = min(start + data.draw(st.integers(0, 40), "trips") * step,
-            tiers.I32_LIMIT - 1)
+            I32_LIMIT - 1)
     image = images(source, step)[machine]
     trip = period(machine, source, step)
 
@@ -484,7 +493,7 @@ def test_shapes_generated(machine, data):
     elif where == "null":
         base = data.draw(st.integers(0, NULL_GUARD - 1), "null base")
     elif where == "huge":
-        base = tiers.BASE_LIMIT + data.draw(st.integers(-2, 2)) * size
+        base = BASE_LIMIT + data.draw(st.integers(-2, 2)) * size
     elif where == "wrap":
         back = data.draw(st.integers(1, 8)) * size
         base, start = 2**64 - back, (back + 128) // size
@@ -547,15 +556,13 @@ def test_every_exec_steady_kernel_counts(monkeypatch):
     them keeps a per-trip check on an affine access; the build
     counters of all 44 entry functions are pinned."""
     loops = []
-    counted_loop = tiers.Lowering.counted_loop
-
     def spy(low, header, latch):
         loop = counted_loop(low, header, latch)
         if loop is not None:
             loops.append(loop)
         return loop
 
-    monkeypatch.setattr(tiers.Lowering, "counted_loop", spy)
+    monkeypatch.setattr(tiers, "counted_loop", spy)
     for engine in (threaded, dispatch):
         engine.reset_tier2_build_stats()
     for name, kernel in ALL_KERNELS.items():
@@ -566,7 +573,7 @@ def test_every_exec_steady_kernel_counts(monkeypatch):
             loops.clear()
             for func in image.functions:
                 pre = predecoded(machine, image, func)
-                pre._tier2 = tiers._TIER2_UNBUILT
+                pre._tier2 = tiering._TIER2_UNBUILT
                 assert pre.tier2(warm=True) is not None
             if machine not in ("vm", "x86"):
                 continue
@@ -716,8 +723,6 @@ def test_values_the_interval_walk_gives_up_on(machine, name):
 def test_vm_induction_stored_twice_is_not_counted():
     """A VM loop whose latch stores the induction twice runs as a
     ``while``, and every engine agrees on it."""
-    from repro.bytecode import BCInstr
-    from repro.bytecode.module import BytecodeFunction, BytecodeModule
     code = [BCInstr(*i) for i in [
         ("const", "i32", 0), ("stloc", None, 0),
         ("const", "i32", 0), ("stloc", None, 1),
@@ -737,3 +742,120 @@ def test_vm_induction_stored_twice_is_not_counted():
     assert (stats["loops_fused"], stats["loops_counted"]) == (1, 0)
     assert {VM(module, engine=engine).call("f", [6])
             for engine in ENGINES} == {15}
+
+
+def mutant(source: str, name: str, pc: int, instr: BCInstr,
+           vector: bool = True, original: bool = False) -> BytecodeModule:
+    """The compiled ``name`` of ``source`` (vector or scalar bytecode)
+    as ``f``, with the instruction at ``pc`` replaced by ``instr``
+    (unless ``original``): a shape the verifier refuses, which the
+    engines still run alike."""
+    artifact = offline_compile(source, name)
+    func = (artifact.bytecode if vector
+            else artifact.scalar_bytecode).functions[name]
+    code = [BCInstr(i.op, i.ty, i.arg) for i in func.code]
+    assert code[pc].op == instr.op, code[pc]
+    if not original:
+        code[pc] = instr
+    module = BytecodeModule("m")
+    module.add(BytecodeFunction("f", list(func.param_types), func.ret_type,
+                                list(func.local_types), code=code))
+    return module
+
+
+def falling_bytes():
+    """``(memory, None)``: the bytes 200, 100, 50 over and over, past
+    ``i8``'s range and falling, so that a trip's wrap into ``i8``
+    changes what a later trip computes."""
+    memory = Memory(MEMORY_BYTES)
+    memory.data[:] = bytes((200, 100, 50) * MEMORY_BYTES)[:MEMORY_BYTES]
+    return memory, None
+
+
+#: a combine whose operand is not the accumulator's type, verifier
+#: aside: each trip wraps into the narrower type, so no trip may be
+#: folded into one builtin wrapped once
+UNFOLDABLE_COMBINES = {
+    # lanes of i8 summed into an i8 each trip, then added into an int
+    "lane sum wraps to i8": (
+        "int f(char *a, int n) { int s = 0; "
+        "for (int i = 0; i < n; i++) s += a[i]; return s; }",
+        "f", 21, BCInstr("vec.reduce", "i8", ("add", "i8")), True),
+    # u8 elements folded by an i8 max: 200 is -56 there
+    "u8 elements into an i8 max": (
+        ALL_KERNELS["max_u8"].source, "max_u8", 18,
+        BCInstr("max", "i8", None), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFOLDABLE_COMBINES))
+def test_combines_of_another_type_do_not_fold(name):
+    """The loop still runs counted but no longer folds, and every
+    engine agrees at every trip count."""
+    def built(module):
+        threaded.reset_tier2_build_stats()
+        assert predecoded("vm", module).tier2(warm=True) is not None
+        stats = threaded.tier2_build_stats()
+        return stats["loops_counted"], stats["loops_folded"]
+
+    module = mutant(*UNFOLDABLE_COMBINES[name])
+    counted, folded = built(mutant(*UNFOLDABLE_COMBINES[name],
+                                   original=True))
+    assert built(module) == (counted, folded - 1)
+    for n in (0, 1, 3, 17, 40, 300):
+        outcomes = {engine: run("vm", module, lambda _: [NULL_GUARD, n],
+                                engine, fill=falling_bytes,
+                                verify=False)[0]
+                    for engine in ENGINES}
+        assert_engines_agree(outcomes, f"{name} n={n}")
+
+
+def test_a_latch_that_loses_its_back_edge_is_not_counted(monkeypatch):
+    """An induction whose dropped pcs include the latch's back edge
+    lowers a latch that does not end in it: the loop is refused its
+    counted form and runs as a ``while``, alike on every engine."""
+    real = threaded._BytecodeLowering.induction
+
+    def induction(low, header, latch):
+        found = real(low, header, latch)
+        end = latch + low.blocks[latch] - 1
+        return None if found is None \
+            else found._replace(skip=found.skip | {end})
+
+    monkeypatch.setattr(threaded._BytecodeLowering, "induction", induction)
+    image = select_bytecode(offline_compile(SUM % 1, "counted"), "split")
+    threaded.reset_tier2_build_stats()
+    assert predecoded("vm", image).tier2(warm=True) is not None
+    stats = threaded.tier2_build_stats()
+    assert (stats["loops_fused"], stats["loops_counted"]) == (1, 0)
+    agree("vm", image, lambda _: [0, 9])
+
+
+def _trip(*edit: str):
+    """The fold of a counted latch's trip that folds, ``s += a[i]``
+    over i32 as the engines spell it, with ``edit``'s lines inserted
+    before the combine (or ``None``)."""
+    env = CodegenEnv({})
+    unpack = env.bind(struct.Struct("<i").unpack_from, "u")
+    combine = inline_binop("add", ty.I32, None)[0].format(a="t2", b="s")
+    lines = ["t1 = 4 * i + a", f"t2 = {unpack}(_md, t1)[0]", *edit,
+             f"s = {combine}", "pc = 2"]
+    latch = SimpleNamespace(
+        lines=lines, reductions={},
+        accesses=[Access("t1", Affine(4, 0, (("a", 1),)), 4, "<i", 1)])
+    induction = Induction("i", "n", 1, None, frozenset(), 0,
+                          frozenset(("a", "n", "k")))
+    return fold_of([], latch, induction, env)
+
+
+@pytest.mark.parametrize("edit, control", [
+    # a shift by a count the text does not mask may be negative
+    ("t3 = t2 << k", "t3 = t2 << (k & 31)"),
+    # a scalar unpack holds one element: another index raises
+    ("t3 = u0(_md, t1)[1]", "t3 = u0(_md, t1)[0]"),
+], ids=["unmasked shift count", "element past the first"])
+def test_fold_refuses_a_trip_statement_that_can_raise(edit, control):
+    """One statement that may raise keeps every trip; the same
+    statement that cannot is skipped with the rest."""
+    assert _trip(control) is not None
+    assert _trip(edit) is None

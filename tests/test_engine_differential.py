@@ -859,7 +859,7 @@ class TestTier2Promotion:
     """Who gets whole-function translation, and when it is built."""
 
     def test_vm_promotes_only_hot_annotated_functions(self):
-        from repro.tiers import _TIER2_UNBUILT
+        from repro.tiering import _TIER2_UNBUILT
 
         cold = offline_compile(HOT_LOOP, "cold")
         hot = offline_compile(HOT_LOOP, "hot", hotness={"f": 5})
@@ -887,7 +887,7 @@ class TestTier2Promotion:
         assert pre_h._tier2 is _TIER2_UNBUILT
 
     def test_tier2_engine_promotes_everything(self):
-        from repro.tiers import _TIER2_UNBUILT
+        from repro.tiering import _TIER2_UNBUILT
 
         artifact = offline_compile(HOT_LOOP, "cold2")
         vm = VM(artifact.bytecode, engine=TIER2)
@@ -899,7 +899,7 @@ class TestTier2Promotion:
             assert pre._tier2 is not None
 
     def test_sim_promotion_follows_jit_hint(self):
-        from repro.tiers import _TIER2_UNBUILT
+        from repro.tiering import _TIER2_UNBUILT
 
         # no hotness profile: nothing is hinted
         plain = deploy(offline_compile(HOT_LOOP), X86, "split")
@@ -950,7 +950,7 @@ class TestTier2Promotion:
 
     def test_warm_module_builds_hinted_tier2(self):
         from repro.targets import warm_module
-        from repro.tiers import _TIER2_UNBUILT
+        from repro.tiering import _TIER2_UNBUILT
 
         hot = offline_compile(HOT_LOOP, "hot", hotness={"f": 5})
         compiled = deploy(hot, X86, "split")

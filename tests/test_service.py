@@ -894,6 +894,21 @@ def test_resident_answer_needs_every_image():
         svc.shutdown()
 
 
+def test_resident_answer_needs_the_admission_gate():
+    """The artifact is resident (``compile`` put it there) but has not
+    passed the admission gate: the non-blocking half answers ``None``,
+    and the blocking half lints it and deploys."""
+    svc = CompilationService(executor="inline")
+    try:
+        svc.compile(SAXPY, "m")
+        request = CompileRequest(SAXPY, "m", ["x86"])
+        assert svc.serve_resident(request) is None
+        assert sorted(svc.submit(request).deployments) == ["x86"]
+        assert svc.serve_resident(request) is not None
+    finally:
+        svc.shutdown()
+
+
 class TestBoundsAndRefusals:
     """The bounded tables drop their oldest entry, the constructors
     refuse what cannot work, and the lazy names resolve or fail."""

@@ -19,7 +19,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.tiering
 from repro import tiers
+from repro.tiering import (
+    TIER2_PAYBACK, Predecoded, TieredMachine, _TIER2_UNBUILT, replay_metered,
+)
 from repro.bytecode import emit_module
 from repro.bytecode.module import BytecodeFunction, BytecodeModule
 from repro.bytecode.opcodes import BCInstr, type_of
@@ -528,7 +532,7 @@ class TestStepping:
         contains has then been stepped as a one-instruction block —
         bar the terminators, which the replay never reaches."""
         trips = []
-        real = tiers.replay_metered
+        real = replay_metered
 
         def spy(pre, leader, machine, *frame):
             trips.append((pre, leader, getattr(
@@ -536,7 +540,7 @@ class TestStepping:
             real(pre, leader, machine, *frame)
 
         # both engines' trips reach it through the one trampoline
-        monkeypatch.setattr(tiers, "replay_metered", spy)
+        monkeypatch.setattr(repro.tiering, "replay_metered", spy)
         for context, predecode, module, observe in stepping_images():
             # Walk the run block by block: the trip that ends a run
             # names the block the fuel ran out in and its entry count,
@@ -599,12 +603,12 @@ class TestStepping:
                      SimpleNamespace())
         assert pre.steps.low.blocks[0] > 1
         with pytest.raises(TrapError, match="fuel exhausted"):
-            tiers.replay_metered(pre, 0, machine, *frame)
+            replay_metered(pre, 0, machine, *frame)
         assert getattr(machine, pre.steps.low.executed) == 2
         assert set(pre.steps) == {0}
         machine.fuel = 1 << 20
         with pytest.raises(RuntimeError, match="which the fuel covers"):
-            tiers.replay_metered(pre, 0, machine, *frame)
+            replay_metered(pre, 0, machine, *frame)
 
 
 #: ``tests.support.sources_digest`` of ``generated_sources()``: the
@@ -1342,7 +1346,7 @@ class TestEmptyHeaderLoop:
                         for engine in ENGINES}
             for threshold in (2, 3, 4):
                 # (a built translation would be entered at pc 0)
-                pre._tier2 = tiers._TIER2_UNBUILT
+                pre._tier2 = _TIER2_UNBUILT
                 sim = Simulator(module, Memory(), engine=FAST, fuel=fuel,
                                 osr=True, osr_threshold=threshold)
                 try:
@@ -1411,7 +1415,7 @@ def test_engines_share_one_predecoded_protocol():
     # one trampoline: both machines inherit the scaffold's policy and
     # neither keeps a counting loop of its own
     for machine in (VM, Simulator):
-        assert issubclass(machine, tiers.TieredMachine)
+        assert issubclass(machine, TieredMachine)
         assert not hasattr(machine, "_run_osr")
 
 
@@ -1473,7 +1477,7 @@ class TestPaybackGate:
         assert stats["request"] == 0 and stats["deferred"] == 7
         assert pre.built_tier2() is None
         assert 0 < pre.spent < pre.payback == \
-            tiers.TIER2_PAYBACK * len(pre.steps.low.code)
+            TIER2_PAYBACK * len(pre.steps.low.code)
 
     def test_short_calls_add_up_to_one_promotion(self, engine_module):
         """The counter lives on the predecode: the k-th short call
@@ -1539,9 +1543,9 @@ class TestPaybackGate:
         for once per call and the call stops counting back edges."""
         _, pre, call = self.fresh(engine_module)
         asked = []
-        real = tiers.Predecoded.tier2_repaid
+        real = Predecoded.tier2_repaid
         monkeypatch.setattr(
-            tiers.Predecoded, "tier2_repaid",
+            Predecoded, "tier2_repaid",
             lambda self, executed: asked.append(executed)
             or real(self, executed))
         want, _ = call(self.N, REFERENCE)
@@ -1587,7 +1591,7 @@ class TestPaybackGate:
         entered = []
         for fuel in range(total + 2):
             want = outcome(module, [9], REFERENCE, fuel=fuel)
-            pre._tier2 = tiers._TIER2_UNBUILT
+            pre._tier2 = _TIER2_UNBUILT
             assert outcome(module, [9], FAST, fuel=fuel, osr=True,
                            osr_threshold=3) == want, fuel
             if pre.built_tier2() is not None:
@@ -1609,7 +1613,7 @@ def test_concurrent_tier2_builds_once(monkeypatch, engine_module):
         module = deploy(offline_compile(LOOP), X86, "split")
         pre = dispatch.predecode_machine(module["f"], module)
         lowering = dispatch._MachineLowering
-    assert pre._tier2 is tiers._TIER2_UNBUILT
+    assert pre._tier2 is _TIER2_UNBUILT
     building, release = threading.Event(), threading.Event()
     real = lowering.tier2_source
 
