@@ -19,8 +19,7 @@ Import discipline: this package may import ``repro.engine``,
 
 from repro.analysis.cfg import BlockCFG
 from repro.analysis.facts import (
-    FACTS_SCHEMA, FactsTable, FunctionFacts, bytecode_facts,
-    machine_facts, module_facts,
+    FactsTable, FunctionFacts, bytecode_facts, machine_facts, module_facts,
 )
 from repro.analysis.lint import (
     AdmissionError, LintFinding, check_admission, lint_artifact,
@@ -29,7 +28,7 @@ from repro.analysis.lint import (
 from repro.analysis.solver import solve_backward, solve_forward
 
 __all__ = [
-    "BlockCFG", "FACTS_SCHEMA", "FactsTable", "FunctionFacts",
+    "BlockCFG", "FactsTable", "FunctionFacts",
     "bytecode_facts", "machine_facts", "module_facts",
     "AdmissionError", "LintFinding", "check_admission",
     "lint_artifact", "lint_bytecode_module",

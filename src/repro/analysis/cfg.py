@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.engine import fuel_blocks, normalize_branch_target
+from repro.engine import branch_target, fuel_blocks
 
 
 class BlockCFG:
@@ -30,7 +30,7 @@ class BlockCFG:
     def __init__(self, code):
         self.n = len(code)
         self.blocks = fuel_blocks(code)
-        self.successors = _successors(code, self.blocks, self.n)
+        self.successors = _successors(code, self.blocks)
         self.predecessors: Dict[int, List[int]] = \
             {leader: [] for leader in self.blocks}
         for leader, succs in self.successors.items():
@@ -57,21 +57,22 @@ class BlockCFG:
         return frozenset(seen)
 
 
-def _successors(code, blocks, n: int) -> Dict[int, List[int]]:
+def _successors(code, blocks) -> Dict[int, List[int]]:
     """leader -> pcs reachable by the block's terminator.  Includes
-    the out-of-graph exit pc ``n`` (normalized malformed targets and
-    fall-through past the last instruction) so callers can tell "this
-    block can leave the function" from "this edge stays internal"."""
+    the out-of-graph exit pc ``len(code)`` (normalized malformed
+    targets and fall-through past the last instruction) so callers can
+    tell "this block can leave the function" from "this edge stays
+    internal"."""
     succs: Dict[int, List[int]] = {}
     for leader, length in blocks.items():
         term = code[leader + length - 1]
         exit_pc = leader + length
         op = term.op
         if op == "br":
-            target = normalize_branch_target(term.arg, n)
+            target = branch_target(term.arg, code)
             succs[leader] = [target] if isinstance(target, int) else []
         elif op == "brif":
-            target = normalize_branch_target(term.arg, n)
+            target = branch_target(term.arg, code)
             succs[leader] = ([target] if isinstance(target, int)
                              else []) + [exit_pc]
         elif op == "ret":

@@ -19,8 +19,8 @@ and a build that finds none runs the lane walk alone, never this
 plane.
 
 Facts ride the function object as ``_pvi_facts_cache = (token,
-facts)`` keyed by ``[FACTS_SCHEMA] + content_token()`` — the same
-invalidate-by-content discipline as the predecode cache.  Unlike the
+facts)`` keyed by ``content_token()`` — the same invalidate-by-content
+discipline as the predecode cache.  Unlike the
 predecode (whose closures must be stripped at process seams), facts
 are pure data and survive pickling.
 
@@ -41,14 +41,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import BlockCFG
 from repro.analysis import passes
-
-#: bumped whenever the facts payload shape or any producing analysis
-#: changes meaning (3: the VM tier-2 fields left for the bytecode's
-#: ``LaneFactsAnnotation``; 4: ``maybe_uninit`` left for the
-#: verifier).  Nothing persists a table any more, so this only
-#: separates planes that could share a pickled function.
-FACTS_SCHEMA = 4
-
 
 @dataclass
 class FunctionFacts:
@@ -122,7 +114,7 @@ def analyze_machine_function(func) -> FunctionFacts:
 def _cached_facts(func, analyze):
     """``(facts, fresh)``, cached on ``func`` keyed by content
     token."""
-    token = [FACTS_SCHEMA] + func.content_token()
+    token = func.content_token()
     cached = getattr(func, "_pvi_facts_cache", None)
     if cached is not None and cached[0] == token:
         return cached[1], False

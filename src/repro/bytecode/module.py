@@ -78,21 +78,11 @@ class BytecodeFunction:
     # over a different module misses and rebuilds instead of running
     # another module's callees.
 
-    #: bumped whenever the predecode payload shape changes (e.g. the
-    #: OSR entry-point set added alongside the handler table, or the
-    #: dataflow-plane facts the tier-2 translation is generated
-    #: under), so externally persisted tokens from older schemas never
-    #: validate.  The analysis plane's facts cache keys through this
-    #: token too (``[FACTS_SCHEMA] + content_token()``).
-    PREDECODE_SCHEMA = 3
-
     def content_token(self) -> List:
         """Structural identity of everything the predecode bakes in:
         the code, plus the signature/frame/local layout it derives
-        defaults and offsets from, and the payload schema version.
-        Any in-place edit changes it."""
-        return [self.PREDECODE_SCHEMA,
-                tuple(self.param_types), self.ret_type,
+        defaults and offsets from.  Any in-place edit changes it."""
+        return [tuple(self.param_types), self.ret_type,
                 tuple(self.local_types),
                 [(s.name, s.size, s.align) for s in self.frame_slots],
                 [(i.op, i.ty, i.arg) for i in self.code]]

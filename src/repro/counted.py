@@ -6,10 +6,11 @@ or bounds check of an affine access, under one guard at loop entry.
 intervals of :mod:`repro.analysis.intervals`), the latch's affine
 accesses (:class:`Access`) and dropped wraps become the clauses of
 :meth:`CountedLoop.guard`, and :func:`fold_of` finds an integer
-reduction whose trips but the last run as one builtin.
-:meth:`repro.tiers.Tier2Writer.counted` writes the loop around them.
-Nothing here imports the scaffold or an engine: a lowering is passed
-in.
+reduction whose trips but the last run as one builtin; a block's
+transfer is its emitter's ``exit`` (:class:`repro.tiers.Exit`), never
+parsed out of the text.  :meth:`repro.tiers.Tier2Writer.counted` writes
+the loop around them.  Nothing here imports the scaffold or an engine:
+a lowering is passed in.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ class Fold(NamedTuple):
 def fold_of(hlines: List[str], latch, induction: Induction,
             env: CodegenEnv) -> Optional[Fold]:
     """The :class:`Fold` of a counted loop whose trip (the header's
-    ``hlines``, then the ``latch`` emitter's) only loads at affine addresses,
+    ``hlines``, then the ``latch`` emitter's ``body``, its lines up to
+    its back edge) only loads at affine addresses,
     lane-reduces with an integer ``add`` / ``min`` / ``max`` and
     combines into one loop-carried accumulator, else ``None``.
 
@@ -209,7 +211,7 @@ def fold_of(hlines: List[str], latch, induction: Induction,
     name read before the trip writes it is the accumulator, in the
     combine, or the loop is refused."""
     accesses, heading = latch.accesses, len(hlines)
-    lines = hlines + latch.lines[:-1]
+    lines = hlines + latch.body
     if not accesses:
         return None
     tree = ast.parse("\n".join(lines))
@@ -359,11 +361,11 @@ def counted_loop(low, header: int, latch: int) -> Optional[CountedLoop]:
     low.hoisting = True
     body = low.lower(latch, low.blocks[latch], low.tier2_tier)
     low.counting, low.hoisting = None, False
-    if head.marks or not head.lines[-1].startswith("pc = ") \
-            or body.lines[-1] != f"pc = {header}":
+    if head.marks or head.exit is None \
+            or body.exit != (header, None, None):   # a plain back edge
         return None
-    hlines, llines = head.lines[:-1], body.lines[:-1]
-    return CountedLoop(induction, hlines, llines, body.marks,
+    hlines = head.body
+    return CountedLoop(induction, hlines, body.body, body.marks,
                        frozenset(head.leaned | body.leaned),
                        tuple(body.accesses), frozenset(body.clauses),
                        body.checked,

@@ -45,6 +45,7 @@ target normalization.  What an op computes lives in
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Optional, Tuple
 
@@ -238,18 +239,23 @@ class CodegenEnv:
         return repr(value)
 
 
-def normalize_branch_target(target, n: int):
-    """Clamp an out-of-range branch target to ``n`` (the tail handler,
-    which raises the fell-off-code-end trap).
+def branch_target(target, code):
+    """Where a branch to ``target`` in ``code`` lands, as the reference
+    ladders dispatch it, or the exception they raise on the way.
 
-    Machine code has no verifier, so malformed targets must not slip
-    through the fast engine's ``pc >= 0`` dispatch check: a negative
-    target would silently end the call and a target past the tail
-    would IndexError.  Both reference ladders trap out-of-range pcs
-    with "fell off code end", so redirecting to the tail preserves
-    exact trap parity.  Non-int targets pass through untouched — they
-    fail at dispatch time in both engines.
+    Machine code has no verifier: a negative target must not end the
+    call silently through the fast engine's ``pc >= 0`` check, nor one
+    past the tail IndexError.  Both ladders trap an out-of-range ``pc``
+    with "fell off code end", so it lands on ``len(code)``, the tail
+    handler, which raises that trap.  A target that is no int meets
+    the same range test, then the ladders' fetch ``code[pc]``: what
+    either raises is returned, for a taken branch to raise.
     """
-    if isinstance(target, int) and not 0 <= target <= n:
-        return n
-    return target
+    n = len(code)
+    try:
+        if target >= n or target < 0:
+            return n
+        code[target]
+    except Exception as exc:
+        return exc
+    return operator.index(target)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -106,9 +107,9 @@ class CompilationService:
         self.counts = Counters("requests", "coalesced_requests",
                                "lint_rejections", "offline_s",
                                "deploy_s", "coalesced_wait_s")
-        #: warn-severity lint findings, once per artifact
-        #: (``LintFinding.as_dict()`` form)
-        self._lint_findings: List[Dict[str, object]] = []
+        #: artifact key -> its warn-severity lint findings (``as_dict``
+        #: form), for the cache's capacity of keys, oldest out first
+        self._lint_findings: "OrderedDict[str, list]" = OrderedDict()
         self._lint_lock = threading.Lock()
         #: in-flight offline compiles, keyed by artifact key — the
         #: offline-side twin of the pool's in-flight image builds
@@ -177,34 +178,39 @@ class CompilationService:
 
     # -- online half --------------------------------------------------------
 
-    def _admit(self, artifact: OfflineArtifact) -> None:
+    def _admit(self, artifact: OfflineArtifact, key: str) -> None:
         """The deploy-time admission gate: verify + lint the artifact
         before any target compiles.  ``error`` findings raise
         :class:`AdmissionError` (the structured diagnostic carries the
-        findings); ``warn`` findings are surfaced once per artifact in
-        ``stats()["lint"]["findings"]``.  Findings are memoized on the
-        artifact, so repeat deployments re-check nothing."""
+        findings); ``warn`` findings are surfaced in
+        ``stats()["lint"]["findings"]`` once per artifact ``key`` (a
+        direct deployment's is its :func:`artifact_fingerprint`).
+        Findings are memoized on the artifact: repeat deployments
+        re-check nothing."""
         try:
             findings = check_admission(artifact)
         except AdmissionError:
             self.counts.add("lint_rejections")
             raise
-        self._surface(artifact, findings)
+        self._surface(key, findings)
 
-    def _surface(self, artifact: OfflineArtifact, findings) -> None:
-        """Record an admitted artifact's warn findings, once."""
+    def _surface(self, key: str, findings) -> None:
+        """Record an admitted artifact's warn findings, once per key:
+        an artifact evicted and compiled again is the same key."""
+        if key in self._lint_findings:
+            return
         warns = [f.as_dict() for f in findings if f.severity == "warn"]
-        if warns and not getattr(artifact, "_pvi_lint_surfaced", False):
-            artifact._pvi_lint_surfaced = True
-            with self._lint_lock:
-                self._lint_findings.extend(warns)
+        with self._lint_lock:
+            self._lint_findings[key] = warns
+            while len(self._lint_findings) > self.cache.capacity:
+                self._lint_findings.popitem(last=False)
 
     def deploy(self, artifact: OfflineArtifact, target: Targetish,
                flow="split"):
         """Compile (or reuse) one image for one target (descriptor or
         registered name); the compile runs on the pool's executor
         through the target's backend."""
-        self._admit(artifact)
+        self._admit(artifact, artifact_fingerprint(artifact))
         start = time.perf_counter()
         image = self.pool.deploy_one(artifact, target, flow)
         self.counts.add("deploy_s", time.perf_counter() - start)
@@ -215,7 +221,7 @@ class CompilationService:
                     flow="split") -> Dict[str, object]:
         """Fan one artifact out over a target catalog (descriptors or
         registered names, mixed freely)."""
-        self._admit(artifact)
+        self._admit(artifact, artifact_fingerprint(artifact))
         start = time.perf_counter()
         images = self.pool.deploy_many(artifact, targets, flow)
         self.counts.add("deploy_s", time.perf_counter() - start)
@@ -274,7 +280,7 @@ class CompilationService:
             return None
         self.counts.add("requests")
         self.cache.hit(key)
-        self._surface(artifact, findings)
+        self._surface(key, findings)
         self.counts.add("coalesced_wait_s", time.perf_counter() - start)
         outcome = CompileOutcome(artifact=artifact, key=key,
                                  cache_hit=True, latency=offline)
@@ -293,7 +299,7 @@ class CompilationService:
         outcome = self._compile_keyed(request.artifact_key(),
                                       request.source, request.name,
                                       request.offline_options())
-        self._admit(outcome.artifact)
+        self._admit(outcome.artifact, outcome.key)
         deploy_start = time.perf_counter()
         futures = self.pool.submit_many(outcome.artifact, targets, flow)
         info = {}
@@ -373,7 +379,8 @@ class CompilationService:
         the service's own counts, the cache's and the pool's views."""
         counts = self.counts.snapshot()
         with self._lint_lock:
-            findings = [dict(entry) for entry in self._lint_findings]
+            findings = [dict(entry) for warns in self._lint_findings.values()
+                        for entry in warns]
         return {
             "requests": counts["requests"],
             "coalesced_requests": counts["coalesced_requests"],

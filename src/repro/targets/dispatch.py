@@ -10,10 +10,13 @@ module translates a :class:`~repro.targets.isa.CompiledFunction`
 locations, semantics kernels and cycle costs resolved at decode time.
 
 The structure is the tier scaffold (:mod:`repro.tiers`) shared with
-:mod:`repro.vm.threaded`; this module supplies the machine operand
-model (the per-opcode lowering over register files — the only
-fast-engine statement of what an opcode does — the ``_t2`` frame
-lines, the register layout) and the block *counter vector*.  Every
+:mod:`repro.vm.threaded`, and so is what a scalar op or a control
+transfer lowers to (:class:`repro.tiers.BlockEmitter`); this module
+supplies the machine operand model (where an operand is read from —
+register files with the uninitialized-register check — and where a
+result goes, in ``_gen_block_lines``, which still lowers ``select``,
+memory and vector ops itself; the ``_t2`` frame lines, the register
+layout) and the block *counter vector*.  Every
 *fuel block* (ending at a branch, ``ret`` or ``call``) becomes one
 Python function (an instance of a memoized block template,
 :func:`repro.tiers.block_template`) that debits fuel **and all
@@ -45,26 +48,20 @@ unchanged.
 
 from __future__ import annotations
 
-import re
-
 from repro.analysis.facts import machine_facts
 from repro.analysis.intervals import Interval
 from repro.counted import Induction
-from repro.engine import normalize_branch_target
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
-from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, inline_binop,
-    inline_cast, inline_cmp, inline_unop, unop_kernel, vec_binop_kernel,
-)
+from repro.semantics.kernels import vec_binop_kernel
 from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,
 )
 from repro.targets.isa import CompiledFunction, CompiledModule
 from repro.tiering import Predecoded, warm
 from repro.tiers import (
-    BlockEmitter, Lowering, Tier, Tier2BuildStats, block_tier, whole_tier,
-    wraps_u64,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, block_tier,
+    whole_tier,
 )
 
 #: "register never written" sentinel for the flat register files
@@ -141,21 +138,20 @@ def _register_layout(func: CompiledFunction):
 def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                      tier: Tier) -> BlockEmitter:
     """The per-instruction lowering shared by the block tier and the
-    tier-2 whole-function compiler.  ``tier.place`` maps a register
-    file name + index to its lvalue (flat list vs lowered Python
-    local, where the uninitialized check tests the local directly
-    instead of reading into a temp).  Under ``tier.tier2`` the
-    arith/cmp/cast kernels are inlined as Python expressions where
-    provably identical.  In both tiers ``em.impure`` is set exactly
-    where the emitted code can raise: it is what puts the instruction
-    in the block's rollback table.
+    tier-2 whole-function compiler: the machine's operand model over
+    the emitter's lowering (:class:`repro.tiers.BlockEmitter` decides
+    what a scalar op or a control transfer lowers to).  ``tier.place``
+    maps a register file name + index to its lvalue (flat list vs
+    lowered Python local, where the uninitialized check tests the
+    local directly instead of reading into a temp).  In both tiers
+    ``em.impure`` is set exactly where the emitted code can raise: it
+    is what puts the instruction in the block's rollback table.
     """
     name, code, env = low.name, low.code, low.env
     tier2 = tier.tier2
-    reg_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
+    reg_fmt, data = tier.place, tier.data
     written = set(low.entry_written.get(leader, low.param_regs))
-    em = BlockEmitter(env, tier, low.widths,
-                      low.counting if tier2 else None, low.hoisting)
+    em = BlockEmitter(low, tier)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     ranges = em.ranges
 
@@ -221,6 +217,26 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             return em.address(t, exact is not None, exact)
         return em.address(base, base in em.masked, span(srcs[0]))
 
+    def take(count: int):
+        """What is known of a scalar op's sources (``BlockEmitter``):
+        nothing outside a counted loop's blocks."""
+        if ranges:
+            return [span(instr.srcs[i]) for i in range(count)]
+
+    def read_srcs(count: int) -> list:
+        srcs = instr.srcs
+        return [read(srcs[0])] if count == 1 \
+            else [read(srcs[0]), read(srcs[1])]
+
+    def set_result(instr, value: Value) -> None:
+        emit(f"{dst_of(instr, value.masked, rng=value.rng)} = "
+             f"{em.rhs(value)}")
+
+    def copy(instr) -> None:
+        rng = span(instr.srcs[0]) if ranges else None
+        source = read(instr.srcs[0])
+        emit(f"{dst_of(instr, rng=rng)} = {source}")
+
     exit_pc = leader + length
     skip = em.skip
 
@@ -235,76 +251,21 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         # *before* dst_of marks the destination written — a dst that
         # aliases an unwritten source must still trap.
         if op == "bin":
-            rng = em.exact_binop(instr.arg, instr.ty, span(instr.srcs[0]),
-                                 span(instr.srcs[1])) if ranges else None
-            template = inline_binop(instr.arg, instr.ty, env,
-                                    rng is not None) if tier2 else None
-            a = read(instr.srcs[0])
-            b = read(instr.srcs[1])
-            if template is not None:
-                expr, pure = template
-                if not pure:
-                    em.impure = True
-                emit(f"{dst_of(instr, wraps_u64(instr.ty), rng=rng)} = "
-                     f"{expr.format(a=a, b=b)}")
-            else:
-                em.impure = True    # div/rem trap; kernel calls too
-                kernel = env.bind(binop_kernel(instr.arg, instr.ty),
-                                  "k")
-                emit(f"{dst_of(instr)} = {kernel}({a}, {b})")
+            set_result(instr, em.binop(instr.arg, instr.ty, take, read_srcs))
         elif op == "mov":
-            rng = span(instr.srcs[0]) if ranges else None
-            source = read(instr.srcs[0])
-            emit(f"{dst_of(instr, rng=rng)} = {source}")
-        elif op == "cmp" and pc == em.flag:     # a counted loop's test
-            emit(f"{dst_of(instr)} = (1)")
+            copy(instr)
         elif op == "cmp":
-            template = inline_cmp(instr.arg, instr.ty) \
-                if tier2 else None
-            a = read(instr.srcs[0])
-            b = read(instr.srcs[1])
-            if template is not None:
-                emit(f"{dst_of(instr)} = "
-                     f"{template.format(a=a, b=b)}")
-            else:
-                em.impure = True    # undefined predicates trap
-                kernel = env.bind(cmp_kernel(instr.arg, instr.ty), "k")
-                emit(f"{dst_of(instr)} = {kernel}({a}, {b})")
+            set_result(instr, em.compare(instr.arg, instr.ty, pc, take,
+                                         read_srcs))
         elif op == "un":
-            template = inline_unop(instr.arg, instr.ty, env) \
-                if tier2 else None
-            source = read(instr.srcs[0])
-            if template is not None:
-                expr, pure = template
-                if not pure:
-                    em.impure = True
-                emit(f"{dst_of(instr)} = {expr.format(a=source)}")
-            else:
-                em.impure = True
-                kernel = env.bind(unop_kernel(instr.arg, instr.ty),
-                                  "k")
-                emit(f"{dst_of(instr)} = {kernel}({source})")
+            set_result(instr, em.unop(instr.arg, instr.ty, take, read_srcs))
         elif op == "cast":
             from_ty, to_ty = instr.arg
-            kernel = cast_kernel(from_ty, to_ty)
-            rng = span(instr.srcs[0]) if ranges else None
-            if kernel is not identity_kernel:
-                rng = em.fits(rng, to_ty)
-            template = inline_cast(from_ty, to_ty, env, rng is not None) \
-                if tier2 and kernel is not identity_kernel else None
-            source = read(instr.srcs[0])
-            if kernel is identity_kernel:
-                emit(f"{dst_of(instr, rng=rng)} = {source}")
-            elif template is not None:
-                expr, pure = template
-                if not pure:
-                    em.impure = True
-                emit(f"{dst_of(instr, wraps_u64(to_ty), rng=rng)} = "
-                     f"{expr.format(a=source)}")
+            value = em.cast(from_ty, to_ty, take, read_srcs)
+            if value is None:       # a cast that changes no value
+                copy(instr)
             else:
-                em.impure = True    # float->int: NaN/inf trap
-                emit(f"{dst_of(instr)} = "
-                     f"{env.bind(kernel, 'k')}({source})")
+                set_result(instr, value)
         elif op == "select":
             # Lazy like the reference: only the chosen operand is read
             # (and only it gets the uninitialized-register check); the
@@ -350,30 +311,9 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         elif op == "spill.st":
             emit(f"slots[{lit(instr.arg)}] = {read(instr.srcs[0])}")
         elif op == "br":
-            target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):     # the reference's
-                # ``pc`` comparison raises TypeError here too
-                raise TypeError("non-integer branch target")
-            emit(goto_fmt.format(lit(target)))
+            em.jump(instr.arg, code)
         elif op == "brif":
-            target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):     # the reference's
-                # ``pc`` comparison raises TypeError here too
-                raise TypeError("non-integer branch target")
-            cond = read(instr.srcs[0])
-            test = f"({cond}) != 0"
-            if tier2 and lines:
-                # Peephole: a register just written by an inlined
-                # comparison — branch on the comparison itself (the
-                # register write stays, for deopt and later reads).
-                prefix = f"{cond} = (1 if "
-                if lines[-1].startswith(prefix) \
-                        and lines[-1].endswith(" else 0)"):
-                    inner = lines[-1][len(prefix):-len(" else 0)")]
-                    if not re.search(rf"\b{re.escape(cond)}\b", inner):
-                        test = inner
-            emit(goto_fmt.format(
-                f"{lit(target)} if {test} else {lit(exit_pc)}"))
+            em.branch(instr.arg, code, read(instr.srcs[0]), exit_pc)
         elif op == "call":
             em.impure = True
             resolved = low._resolved_callee(instr.arg)
@@ -388,26 +328,25 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                     values.append(t)
                 else:
                     values.append(read(operand))
-            result = newt()
+            value = newt()
             if resolved is not None:
                 # Inline cache: the frozen module pins the callee.
-                emit(f"{result} = sim._call_fast("
+                emit(f"{value} = sim._call_fast("
                      f"{env.bind(resolved, 'f')}, "
                      f"[{', '.join(values)}], res)")
             else:
                 callee = env.bind(instr.arg, "n")
-                emit(f"{result} = sim._call_fast(sim.module.functions"
+                emit(f"{value} = sim._call_fast(sim.module.functions"
                      f"[{callee}], [{', '.join(values)}], res)")
             if instr.dst is not None:
-                emit(f"{dst_of(instr)} = {result}")
-            emit(goto_fmt.format(lit(exit_pc)))
+                emit(f"{dst_of(instr)} = {value}")
+            em.goto(exit_pc)
         elif op == "ret":
             if instr.srcs:
                 emit(f"sim._ret = {read(instr.srcs[0])}")
             else:
                 emit("sim._ret = None")
-            for line in low.ret_lines:
-                emit(line)
+            em.ret()
         elif op == "vload":
             em.impure = True
             packer = vector_struct(instr.ty.elem, instr.ty.lanes)
@@ -481,9 +420,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
 
         em.end(pc - leader)
 
-    if code[exit_pc - 1].op not in ("br", "brif", "ret", "call"):
-        emit(goto_fmt.format(lit(exit_pc)))
-
+    if not em.ended:    # the next leader cut the block short
+        em.goto(exit_pc)
     return em
 
 

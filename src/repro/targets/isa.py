@@ -109,21 +109,11 @@ class CompiledFunction:
     def num_params(self) -> int:
         return len(self.param_locs)
 
-    #: bumped whenever the predecode payload shape changes (e.g. the
-    #: OSR entry-point set added alongside the handler table, or the
-    #: dataflow-plane facts the tier-2 translation is generated
-    #: under), so externally persisted tokens from older schemas never
-    #: validate.  The analysis plane's facts cache keys through this
-    #: token too (``[FACTS_SCHEMA] + content_token()``).
-    PREDECODE_SCHEMA = 3
-
     def content_token(self) -> List:
         """Structural identity of everything the predecode bakes in:
         the code plus the parameter homes and frame size it sizes the
-        register files and stack frame from, and the payload schema
-        version."""
-        return [self.PREDECODE_SCHEMA, tuple(self.param_locs),
-                self.frame_bytes, self.ret_void,
+        register files and stack frame from."""
+        return [tuple(self.param_locs), self.frame_bytes, self.ret_void,
                 [(i.op, i.ty, i.dst, tuple(i.srcs), i.arg, i.cost)
                  for i in self.code]]
 

@@ -4,30 +4,28 @@
 :mod:`repro.targets.dispatch` (machine code, ``_UNSET`` register
 files) translate a function the same way: one Python function per
 fuel block, a lazily built whole-function tier-2 translation, and
-one-instruction handlers for the trap paths — all three generated
-from the engine's one per-opcode lowering.  The block tier compiles
-block *shapes*, not functions: a block is an instance of a memoized
-template with its constants as holes (:func:`block_template`), so a
-first call compiles only the shapes the process has never seen.
-Everything about that translation that is *not* the operand model
+one-instruction handlers for the trap paths — all three generated by
+one lowering.  The block tier compiles block *shapes*, not functions:
+a block is an instance of a memoized template with its constants as
+holes (:func:`block_template`), so a first call compiles only the
+shapes the process has never seen.  Everything but the operand model
 lives here, once: the cache protocol and the block-tier build loop
-(:class:`Lowering`), the template memo (:class:`Holes`,
-:func:`template_stats`), one-instruction stepping
-(:class:`StepTable`), the block line emitter with tier-2's in-block
-and interval knowledge (:class:`BlockEmitter`), the debit protocol
-over per-block counter vectors and the one trap rollback of both
-tiers (:class:`Tier2Writer`, :func:`body_under_rollback`), and the
-tier-2 dispatcher: hot-span ordering, two-block loop fusion
-(:func:`fused_loops`), counted loops written around the proof of
-:mod:`repro.counted`, the OSR entry whitelist and prologue, the
-``pc`` ladder and its deopt arms (:meth:`Lowering.tier2_source`).
+(:class:`Lowering`), the template memo, one-instruction stepping
+(:class:`StepTable`), what each instruction lowers to and each
+block's :class:`Exit` as data (:class:`BlockEmitter`), the debit
+protocol and the one trap rollback of both tiers (:class:`Tier2Writer`,
+:func:`body_under_rollback`), and the tier-2 dispatcher with its loop
+fusion read off the exits (:func:`fused_loops`), its counted loops
+(:mod:`repro.counted`), OSR prologue and ``pc`` ladder
+(:meth:`Lowering.tier2_source`).
 
 An engine is a :class:`Lowering` subclass: class attributes carry its
-data (handler signature, counter names, fuel trap, source tags) and a
-handful of hooks carry its operand model.  Nothing here asks which
-engine is calling.  The engines import this module, and so does the
-runtime that runs what it builds (:mod:`repro.tiering`); it imports
-neither.
+data (handler signature, counter names, fuel trap, source tags) and
+its ``_gen_block_lines`` and a handful of hooks its operand model —
+where an operand is read from and where a result goes.  Nothing here
+asks which engine is calling.  The engines import this module, and so
+does the runtime that runs what it builds (:mod:`repro.tiering`); it
+imports neither.
 """
 
 from __future__ import annotations
@@ -47,13 +45,14 @@ from repro.counted import (
 )
 from repro.engine import (
     CodegenEnv, MASK64_LITERAL, MeterTrip, backedge_targets,
-    backward_branches, fuel_blocks, keep_osr_guards,
+    backward_branches, branch_target, fuel_blocks, keep_osr_guards,
 )
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, identity_kernel, inline_binop, inline_cast,
-    is_f32_quad, quad_batch,
+    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, inline_binop,
+    inline_cast, inline_cmp, inline_unop, is_f32_quad, quad_batch,
+    unop_kernel,
 )
 from repro.semantics.memory import (
     NULL_GUARD, PACK_COERCE_ERRORS, scalar_struct,
@@ -193,31 +192,14 @@ def whole_tier(place: str) -> Tier:
 # block templates: one compile() per block shape, per process
 # ---------------------------------------------------------------------------
 #
-# The block tier never compiles a function's source.  Every block (a
-# fuel block, its stepping fallback, a one-instruction step) is lowered
-# to a *template* — the text of one ``def _b(<signature>)`` — plus its
-# hole values, and runs as an instance of the template's memoized code.
-#
-# Shape and hole.  The template text is the block's shape: the
-# signature, which counters it debits, the statement structure,
-# whether it has a ``try``.  Every number and every object the
-# lowering formats is a hole, ``h<k>`` in order of occurrence (one per
-# occurrence, bar a value the text structurally repeats, like the
-# block length): register, local and slot indexes, immediates, branch
-# targets, debit and charge amounts, the leader, kernels, messages,
-# and the rollback line table (two blocks with one text may split
-# their lines between instructions differently).  Constants that never
-# vary (the 64-bit mask, the null guard, access sizes) stay literal; a
-# literal left in the text is still correct, only less shared.
-#
-# An instance is a ``FunctionType`` over a *private copy* of the
-# template's code and a small globals dict holding the holes: a hole
-# costs one ``LOAD_GLOBAL`` where it is used and nothing per call, and
-# CPython's inline caches are not shared between instances with
-# different dicts.  Closure cells and default arguments cost every
-# call in proportion to the hole count, cold-path holes included, and
-# measured dearer: DESIGN.md section 2 has the numbers, do not retry
-# them.
+# Every block (a fuel block, its stepping fallback, a one-instruction
+# step) is a *template* — the text of one ``def _b(<signature>)``, its
+# shape — plus hole values: every number and object the lowering
+# formats, ``h<k>`` in order of occurrence.  An instance is a
+# ``FunctionType`` over a private copy of the template's code and a
+# small globals dict holding the holes.  DESIGN.md section 2 ("Block
+# templates") says what is a hole and why globals: closure cells and
+# default arguments measured dearer, do not retry them.
 
 class Holes(CodegenEnv):
     """One block-tier block's constants: every object *and* every
@@ -264,16 +246,45 @@ def template_stats() -> dict:
             "misses": info.misses}
 
 
-def wraps_u64(value_ty) -> bool:
-    """Is a pure inline result of ``value_ty`` a wrapped u64: in range
-    as an address, whatever it is computed from?"""
-    return isinstance(value_ty, ty.IntType) and value_ty.bits == 64 \
-        and not value_ty.signed
+class Exit(NamedTuple):
+    """Where a block goes (its last line): to ``target``, or if ``test``
+    is set and false, to ``fall``.  A return or a raise has none."""
+
+    target: int
+    test: Optional[str] = None
+    fall: Optional[int] = None
+
+
+class Value:
+    """A scalar op's lowering: the expression an engine stores; if it
+    cannot raise (only a ``pure`` one may be deferred), a wrapped u64
+    (``masked``: in range as an address) and its interval.  With a
+    ``kernel``, ``expr`` is its argument list (see ``rhs``)."""
+
+    __slots__ = ("expr", "pure", "masked", "rng", "kernel")
+
+    def __init__(self, expr: str, pure: bool, masked: bool = False,
+                 rng: Optional[Interval] = None, kernel=None):
+        self.expr, self.pure, self.masked = expr, pure, masked
+        self.rng, self.kernel = rng, kernel
 
 
 class BlockEmitter:
-    """Source lines of one fuel block's body, plus the *marks* that
-    say which instruction each line belongs to.
+    """Source lines of one fuel block's body as ``low`` (a
+    :class:`Lowering`) lowers it in ``tier``, plus the *marks* that
+    say which instruction each line belongs to, and its :attr:`exit`.
+
+    **What an instruction lowers to** is decided here, for both
+    engines: a ``bin`` / ``cmp`` / ``un`` / ``cast`` (:meth:`binop` and
+    its siblings: exact range, template or kernel, purity, the result's
+    facts) and every transfer (:meth:`goto`, :meth:`jump`,
+    :meth:`branch`, :meth:`ret`).  The engine's operand model reaches a
+    scalar op as two callables: ``take(count)`` takes the operands
+    from its storage and returns their intervals (looked at in a
+    counted loop's blocks only), ``read(count)`` emits their reads and
+    returns their expressions.  The template is
+    picked between the two and a kernel bound after (a cast's by
+    :meth:`rhs`): the order of holes both engines' texts have.
 
     A mark ``(line index, instruction offset)`` is recorded before the
     first line of every instruction whose generated code can raise —
@@ -303,7 +314,7 @@ class BlockEmitter:
     ``_ms<width>`` limit, which the dispatcher hoists.
 
     **Interval knowledge** (the blocks of a counted loop only:
-    ``induction``).  :attr:`ranges` holds an ``Interval``
+    ``low.counting``).  :attr:`ranges` holds an ``Interval``
     (:mod:`repro.analysis.intervals`) per name, seeded with what the
     loop's guard establishes — the induction variable in ``[0,
     I32_LIMIT - 1 - step]``, every loop-invariant integer *assumed* in
@@ -311,12 +322,13 @@ class BlockEmitter:
     engine asks about that the algebra follows (add, sub, mul, a
     constant shift, min, max) and integer casts (:meth:`exact_binop`,
     :meth:`fits`); the dict is empty in every other lowering.  Where a
-    result provably needs no wrap the engine leaves the wrap out, and
-    the assumptions that proved it land in :attr:`leaned`, which the
-    guard then checks.  The engine also drops the pcs in :attr:`skip`
-    and writes 1 for the compare at :attr:`flag`.
+    result provably needs no wrap the wrap is left out, and the
+    assumptions that proved it land in :attr:`leaned`, which the
+    guard then checks.  The engine drops the pcs in :attr:`skip`; the
+    compare at :attr:`flag` is 1.
 
-    **The loop as data** (a counted loop's latch only: ``hoist``).
+    **The loop as data** (a counted loop's latch only:
+    ``low.hoisting``).
     Each interval also carries the value's exact ``Affine`` form in
     the induction variable, where it has one.  A wrap of an affine
     value that the interval cannot prove the identity is dropped
@@ -328,14 +340,17 @@ class BlockEmitter:
     reductions folded by one builtin are recorded in
     :attr:`reductions`, for :func:`repro.counted.fold_of`."""
 
-    def __init__(self, env: CodegenEnv, tier: Tier, widths: set,
-                 induction: Optional[Induction] = None,
-                 hoist: bool = False):
-        self.env = env
-        self.lit = env.lit
+    def __init__(self, low: Lowering, tier: Tier):
+        self.env = low.env
+        self.lit = low.env.lit
         self.tier = tier
         self.lines: List[str] = []
         self.marks: List[Tuple[int, int]] = []
+        #: where the block goes (:class:`Exit`), and whether its last
+        #: instruction ended it (a transfer, a ``ret``, a raise)
+        self.exit: Optional[Exit] = None
+        self.ended = False
+        self.ret_lines = low.ret_lines
         #: current instruction: where its lines start, and whether it
         #: emitted code that can raise (forces its mark)
         self.marker_at = 0
@@ -344,16 +359,17 @@ class BlockEmitter:
         self.proven: set = set()
         self.masked: set = set()
         self.lanes: dict = {}
-        self.widths = widths
+        self.widths = low.widths
         self.ranges: dict = {}
         self.leaned: set = set()
         self.skip: frozenset = frozenset()
         self.flag: Optional[int] = None
-        self.clauses: Optional[set] = set() if hoist else None
+        self.clauses: Optional[set] = set() if low.hoisting else None
         self.accesses: List[Access] = []
         self.checked = 0
         #: right-hand side text -> ``(reduce op, vector name, acc type)``
         self.reductions: dict = {}
+        induction = low.counting if tier.tier2 else None
         if induction is not None:
             self.skip, self.flag = induction.skip, induction.flag
             for name in induction.invariants:
@@ -459,6 +475,127 @@ class BlockEmitter:
             return None
         self.widths.add(size)
         return f"_ms{size}"
+
+    # -- scalar ops ----------------------------------------------------------
+
+    def _value(self, tmpl, operands: List[str], kernel: Callable,
+               result_ty=None, rng: Optional[Interval] = None,
+               late: bool = False) -> Value:
+        """``tmpl`` (``(text, pure)``) or ``kernel()`` over ``operands``."""
+        if tmpl is not None:
+            expr, pure = tmpl
+            expr = expr.format(a=operands[0], b=operands[-1])
+            if not pure:
+                self.impure = True
+                return Value(expr, False)
+            return Value(expr, True, isinstance(result_ty, ty.IntType)
+                         and result_ty.bits == 64 and not result_ty.signed,
+                         rng)
+        self.impure = True
+        args = ", ".join(operands)
+        if late:
+            return Value(args, False, kernel=kernel())
+        return Value(f"{self.env.bind(kernel(), 'k')}({args})", False)
+
+    def rhs(self, value: Value) -> str:
+        if value.kernel is None:
+            return value.expr
+        return f"{self.env.bind(value.kernel, 'k')}({value.expr})"
+
+    def binop(self, op: str, value_ty, take, read) -> Value:
+        spans = take(2)
+        rng = self.exact_binop(op, value_ty, *spans) if self.ranges \
+            else None
+        tmpl = inline_binop(op, value_ty, self.env, rng is not None) \
+            if self.tier.tier2 else None
+        return self._value(tmpl, read(2), lambda: binop_kernel(op, value_ty),
+                           value_ty, rng)
+
+    def compare(self, pred: str, value_ty, pc: int, take, read) -> Value:
+        """At a counted loop's header test (:attr:`flag`): ``1``."""
+        take(2)
+        if pc == self.flag:
+            return Value("(1)", True)
+        tmpl = inline_cmp(pred, value_ty) if self.tier.tier2 else None
+        return self._value(tmpl and (tmpl, True), read(2),
+                           lambda: cmp_kernel(pred, value_ty))
+
+    def unop(self, op: str, value_ty, take, read) -> Value:
+        take(1)
+        tmpl = inline_unop(op, value_ty, self.env) \
+            if self.tier.tier2 else None
+        return self._value(tmpl, read(1), lambda: unop_kernel(op, value_ty))
+
+    def cast(self, from_ty, to_ty, take, read) -> Optional[Value]:
+        """``None`` for a cast that changes no value (operand kept)."""
+        kernel = cast_kernel(from_ty, to_ty)
+        if kernel is identity_kernel:
+            return None
+        spans = take(1)
+        rng = self.fits(spans[0], to_ty) if self.ranges else None
+        tmpl = inline_cast(from_ty, to_ty, self.env, rng is not None) \
+            if self.tier.tier2 else None
+        return self._value(tmpl, read(1), lambda: kernel, to_ty, rng, True)
+
+    # -- control transfers ---------------------------------------------------
+
+    def goto(self, target: int) -> None:
+        """A ``br``, the continuation after a ``call``, a fall-through."""
+        self.exit, self.ended = Exit(target), True
+        self.emit(self.tier.goto_fmt.format(self.lit(target)))
+
+    def fail(self, exc: Exception, indent: str = "") -> None:
+        """Raise a copy of ``exc`` (:func:`repro.engine.branch_target`)."""
+        self.impure = True
+        self.emit(f"raise {self.env.bind(type(exc), 'x')}"
+                  f"({self.env.bind(str(exc), 'm')})", indent)
+
+    def jump(self, target, code) -> None:
+        """A ``br`` to ``target`` in ``code``."""
+        dest = branch_target(target, code)
+        if isinstance(dest, Exception):
+            self.ended = True
+            self.fail(dest)
+        else:
+            self.goto(dest)
+
+    def branch(self, target, code, cond: str, fall: int) -> None:
+        """A ``brif`` on ``cond``: taken, a target the reference cannot
+        dispatch fails as there; untaken, it falls through."""
+        dest = branch_target(target, code)
+        test = self.test_of(cond)
+        if isinstance(dest, Exception):
+            self.emit(f"if {test}:")
+            self.fail(dest, "    ")
+            self.goto(fall)
+            return
+        self.exit, self.ended = Exit(dest, test, fall), True
+        self.emit(self.tier.goto_fmt.format(
+            f"{self.lit(dest)} if {test} else {self.lit(fall)}"))
+
+    def test_of(self, cond: str) -> str:
+        """An inline comparison's own test ``X`` where ``cond`` is one,
+        ``(1 if X else 0)`` deferred, or names one the line above wrote
+        (tier-2; the write stays), else ``(cond) != 0``."""
+        text = cond
+        if self.tier.tier2 and self.lines \
+                and self.lines[-1].startswith(f"{cond} = "):
+            text = self.lines[-1][len(cond) + 3:]
+        folded = re.fullmatch(r"\(1 if (.+) else 0\)", text)
+        if folded and (text is cond or not re.search(
+                rf"\b{re.escape(cond)}\b", folded.group(1))):
+            return folded.group(1)
+        return f"({cond}) != 0"
+
+    def ret(self) -> None:
+        """A ``ret``, after the engine stored its value."""
+        self.ended = True
+        self.lines += self.ret_lines
+
+    @property
+    def body(self) -> List[str]:
+        """The lines before the exit's transfer."""
+        return self.lines if self.exit is None else self.lines[:-1]
 
     # -- templates both engines spell identically ----------------------------
 
@@ -605,13 +742,22 @@ class BlockEmitter:
             self.emit(f"{dst} = {kernel}({a}, {b})", "    ")
 
 
+class Fused(NamedTuple):
+    """A fused loop's lone latch, and its exit: the test, and where."""
+
+    latch: int
+    test: str
+    target: int
+
+
 def fused_loops(code, blocks: Dict[int, int],
-                bodies: Dict[int, Optional[List[str]]]) -> dict:
-    """header -> ``(latch, condition, taken pc, fall pc)`` for every
-    two-block natural loop — a header ending in ``brif`` and a lone
-    latch ending in ``br header`` — that tier-2 runs as a native
-    ``while`` inside the header's dispatch arm, so iterations pay no
-    dispatch at all.  Layout does not matter: the header may precede
+                exits: Dict[int, Optional[Exit]]) -> Dict[int, Fused]:
+    """header -> :class:`Fused` for every two-block natural loop — a
+    header ending in ``brif`` and a lone latch ending in ``br header``
+    — that tier-2 runs as a native ``while`` inside the header's
+    dispatch arm, so iterations pay no dispatch at all.  ``exits``:
+    each translated block's :class:`Exit` (an untranslated block has
+    no key).  Layout does not matter: the header may precede
     its latch (``while``: the ``br`` is the back edge) or follow it
     (a rotated loop: the body ends in a forward ``br`` to the test
     block, whose ``brif`` jumps back).  What an iteration is debited
@@ -621,34 +767,26 @@ def fused_loops(code, blocks: Dict[int, int],
     arm of its own, so it stays an OSR entry; any *other* entry into
     a fused latch lands in the else arm — a deopt, correct but
     slower; real loop latches have no such entries."""
-    loops: dict = {}
+    loops: Dict[int, Fused] = {}
     dropped = set()
-    for src, instr in enumerate(code):
-        if instr.op != "br" or not isinstance(instr.arg, int):
+    for latch, back in exits.items():
+        if back is None or back.test is not None \
+                or code[latch + blocks[latch] - 1].op != "br":
             continue
-        header = instr.arg
-        if header not in blocks:
-            continue
-        latch = max(b for b in blocks if b <= src)
-        if latch == header or src != latch + blocks[latch] - 1:
-            continue
-        hbody, lbody = bodies.get(header), bodies.get(latch)
-        if not hbody or not lbody or lbody[-1] != f"pc = {header}":
-            continue
-        branch = re.fullmatch(r"pc = (\d+) if (.+) else (\d+)",
-                              hbody[-1])
-        if branch is None:
-            continue
-        taken, fall = int(branch.group(1)), int(branch.group(3))
-        if taken == fall or latch not in (taken, fall):
+        header, head = back.target, exits.get(back.target)
+        if header == latch or head is None or head.test is None \
+                or head.target == head.fall \
+                or latch not in (head.target, head.fall):
             continue
         if header in loops:
             dropped.add(header)     # two latches: keep the ladder form
-        loops[header] = (latch, branch.group(2), taken, fall)
+        loops[header] = Fused(latch, f"not ({head.test})", head.fall) \
+            if latch == head.target else \
+            Fused(latch, head.test, head.target)
     for header in dropped:
         del loops[header]
-    # (No block is both: a latch body ends in ``pc = <header>``, a
-    # header body in a conditional ``pc = ... if ... else ...``.)
+    # (No block is both: a latch goes to its header unconditionally, a
+    # header branches two ways.)
     return loops
 
 
@@ -675,17 +813,17 @@ def loop_back_edges(code) -> List[Tuple[int, int]]:
     return edges
 
 
-def osr_entry_points(code, blocks, bodies) -> frozenset:
+def osr_entry_points(code, blocks, translated) -> frozenset:
     """On-stack replacement entry points: the translated back-edge
-    targets, each of which has a dispatch arm (a fused latch keeps
-    its own only when it is one).  The trampoline may call
-    ``_t2`` with ``pc`` at one of these, handing over the live
-    block-tier frame mid-call; the prologue re-establishes every
-    entered-once fact from that snapshot or declines the entry by
-    returning ``pc`` untouched (nothing debited, nothing written — the
-    block tier just continues)."""
+    targets (``translated``: leader -> its lowering, or ``None``),
+    each of which has a dispatch arm (a fused latch keeps its own
+    only when it is one).  The trampoline may call ``_t2`` with ``pc``
+    at one of these, handing over the live block-tier frame mid-call;
+    the prologue re-establishes every entered-once fact from that
+    snapshot or declines the entry by returning ``pc`` untouched
+    (nothing debited, nothing written — the block tier continues)."""
     return frozenset(t for t in backedge_targets(code, blocks)
-                     if bodies.get(t))
+                     if translated.get(t))
 
 
 def body_under_rollback(out: List[str], pad: str, lines: List[str],
@@ -865,12 +1003,11 @@ class Tier2Writer:
                 [(f, whole, hcharge.get(f, 0)) for f in self.carried
                  if (whole := hcharge.get(f, 0) + lcharge.get(f, 0))])
 
-    def loop(self, header: int, latch: int, exit_test: str,
-             exit_target: int, base: int, hbody, hmarks, lbody,
-             lmarks) -> None:
-        """A fused two-block loop.  The header's terminal branch
-        becomes the loop exit; the latch's terminal transfer to the
-        header becomes the implicit back edge.
+    def loop(self, header: int, fused: Fused, base: int,
+             head: BlockEmitter, tail: BlockEmitter) -> None:
+        """A fused two-block loop, its blocks lowered by ``head`` and
+        ``tail``.  The header's exit becomes the loop exit; the latch's
+        transfer to the header becomes the implicit back edge.
 
         The plain form debits per block, as the ladder does: what a
         function with calls and a header that can raise get.  A
@@ -881,17 +1018,17 @@ class Tier2Writer:
         the iteration runs in the ladder's order — header debit,
         header, exit, then the latch's debit, the one that crosses —
         so deopt pcs, fuel traps and counts stay byte-identical."""
-        hlen, llen = self.blocks[header], self.blocks[latch]
-        exits = [f"if {exit_test}:", f"    pc = {exit_target}",
+        hlen, llen = self.blocks[header], self.blocks[fused.latch]
+        exits = [f"if {fused.test}:", f"    pc = {fused.target}",
                  "    break"]
-        self.settling = self.per_trip(header, latch)
+        self.settling = self.per_trip(header, fused.latch)
         if self.settling[1]:
             self.w("_e0 = executed", base)
         self.w("while 1:", base)
         inner = base + 4
-        if self.live or hmarks:
-            self.block(header, inner, hbody[:-1] + exits, hmarks)
-            self.block(latch, inner, lbody[:-1], lmarks)
+        if self.live or head.marks:
+            self.block(header, inner, head.body + exits, head.marks)
+            self.block(fused.latch, inner, tail.body, tail.marks)
         else:
             self.w(f"executed += {hlen + llen}", inner)
             self.w("if executed > fuel:", inner)
@@ -899,18 +1036,18 @@ class Tier2Writer:
             self.w("if executed > fuel:", inner + 4)
             self.w(f"executed -= {hlen}", inner + 8)
             self.deopt(header, inner + 8)
-            for line in hbody[:-1] + exits:
+            for line in head.body + exits:
                 self.w(line, inner + 4)
-            self.deopt(latch, inner + 4)
-            for line in hbody[:-1] + [exits[0], f"    executed -= {llen}",
-                                      *exits[1:]]:
+            self.deopt(fused.latch, inner + 4)
+            for line in head.body + [exits[0], f"    executed -= {llen}",
+                                     *exits[1:]]:
                 self.w(line, inner)
-            self.body(latch, inner, lbody[:-1], lmarks)
+            self.body(fused.latch, inner, tail.body, tail.marks)
         self.settle(base)
         self.settling = None
 
-    def counted(self, loop: CountedLoop, header: int, latch: int,
-                exit_target: int, base: int, hlines: List[str]) -> None:
+    def counted(self, loop: CountedLoop, header: int, fused: Fused,
+                base: int, hlines: List[str]) -> None:
         """A merged loop, counted, under one guard at entry
         (:meth:`repro.counted.CountedLoop.guard`, which binds the trip
         count ``_n``).  Then the loop is a ``for iv in range`` with no
@@ -927,6 +1064,7 @@ class Tier2Writer:
         runs it, and OSR re-enters once it heals (a refused OSR entry
         returns its own pc, so it is retired for the call)."""
         ind, hlen, fold = loop.induction, self.blocks[header], loop.fold
+        latch = fused.latch
         period, owed = self.per_trip(header, latch)
         iv, bound, step = ind.iv, ind.bound, ind.step
         scale = "" if step == 1 else f" * {step}"
@@ -954,7 +1092,7 @@ class Tier2Writer:
             self.w("; ".join(f"_r_{f} += _n * {whole}"
                              + (f" + {part}" if part else "")
                              for f, whole, part in owed), base)
-        self.w(f"pc = {exit_target}", base)
+        self.w(f"pc = {fused.target}", base)
 
 
 class Lowering:
@@ -1209,28 +1347,30 @@ class Lowering:
         # per-block deopt point.  The pass records what it stores and
         # checks under ``facts``; a table those records contradict (a
         # foreign or corrupt one) aborts the build, never the run.
-        bodies: Dict[int, Optional[List[str]]] = {}
-        marks: Dict[int, list] = {}
+        lowered: Dict[int, Optional[BlockEmitter]] = {}
         for leader, length in blocks.items():
             try:
-                block = self.lower(leader, length, self.tier2_tier)
-                bodies[leader], marks[leader] = block.lines, block.marks
+                lowered[leader] = self.lower(leader, length,
+                                             self.tier2_tier)
             except Exception:
-                bodies[leader] = None
-        loops = fused_loops(code, blocks, bodies)
+                lowered[leader] = None
+        loops = fused_loops(code, blocks, {
+            leader: em.exit for leader, em in lowered.items()
+            if em is not None})
         # Counted forms only where the merged ``while`` would run (no
         # calls, a header that cannot raise); lowered before the facts
         # are checked, so the check covers them too.
         counted = {} if live else {
-            header: loop for header, (latch, *_) in loops.items()
-            if not marks[header]
-            and (loop := counted_loop(self, header, latch)) is not None}
+            header: loop for header, fused in loops.items()
+            if not lowered[header].marks
+            and (loop := counted_loop(self, header, fused.latch))
+            is not None}
         self.check_facts(facts)
 
-        osr_entries = osr_entry_points(code, blocks, bodies)
-        armless = {entry[0] for entry in loops.values()} - osr_entries
+        osr_entries = osr_entry_points(code, blocks, lowered)
+        armless = {fused.latch for fused in loops.values()} - osr_entries
         env_dict["_OSR_ENTRIES"] = osr_entries
-        pairs = [{header, loop[0]} for header, loop in loops.items()]
+        pairs = [{header, fused.latch} for header, fused in loops.items()]
         edges = [{block, target} in pairs
                  for block, target in loop_back_edges(code)]
         env_dict["_LOOPS"] = {
@@ -1283,25 +1423,18 @@ class Lowering:
 
         keyword = "if"
         for leader in ordered:
-            body = bodies[leader]
-            if body is None or leader in armless:
+            em = lowered[leader]
+            if em is None or leader in armless:
                 continue
             w(f"{keyword} pc == {leader}:", 8)
             keyword = "elif"
-            if leader not in loops:
-                out.block(leader, 12, body, marks[leader])
-                continue
-            latch, cond, taken, fall = loops[leader]
-            if latch == taken:
-                exit_test, exit_target = f"not ({cond})", fall
+            fused = loops.get(leader)
+            if fused is None:
+                out.block(leader, 12, em.lines, em.marks)
+            elif leader in counted:
+                out.counted(counted[leader], leader, fused, 12, em.body)
             else:
-                exit_test, exit_target = cond, taken
-            if leader in counted:
-                out.counted(counted[leader], leader, latch, exit_target,
-                            12, body[:-1])
-            else:
-                out.loop(leader, latch, exit_test, exit_target, 12, body,
-                         marks[leader], bodies[latch], marks[latch])
+                out.loop(leader, fused, 12, em, lowered[fused.latch])
 
         fell = env.bind(f"{self.name}: fell off code end", "m")
         w(f"{keyword} pc == {len(code)}:", 8)

@@ -37,13 +37,16 @@ to execution time, like the reference engine) steps the same way.
 The protocol around the lowering — the build loop, the debit and
 rollback forms, stepping, the cache, the lazy tier-2 build and its
 dispatcher — is the tier scaffold (:mod:`repro.tiers`) shared with
-:mod:`repro.targets.dispatch`.  This module supplies the VM's operand
-model: the per-opcode lowering over a virtual operand stack
-(``_gen_block_lines``, the only fast-engine statement of what an
-opcode does), the ``_t2`` frame lines and the per-call initialization
-data.  What tier-2 may assume of a vector value, and why a facts
-table from anywhere is safe to generate code under, is stated once in
-:class:`repro.analysis.passes.LaneRules`; the lowering calls it.
+:mod:`repro.targets.dispatch`, and so is what a scalar op or a
+control transfer lowers to (:class:`repro.tiers.BlockEmitter`).  This
+module supplies the VM's operand model: where an operand comes from
+and where a result goes over a virtual operand stack with deferral
+(``_gen_block_lines``, which still lowers ``select``, memory and
+vector ops itself), the ``_t2`` frame lines and the per-call
+initialization data.  What tier-2 may assume of a vector value, and
+why a facts table from anywhere is safe to generate code under, is
+stated once in :class:`repro.analysis.passes.LaneRules`; the lowering
+calls it.
 
 The predecoded form is cached on the function object
 (``repro.tiers.Lowering.predecode``) keyed by a structural content
@@ -73,33 +76,25 @@ from repro.bytecode.annotations import LaneFactsAnnotation
 from repro.bytecode.module import BytecodeFunction
 from repro.bytecode.opcodes import BIN_OPS, TYPE_TAGS, UN_OPS, type_of
 from repro.counted import Induction
-from repro.engine import normalize_branch_target
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
-from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, inline_binop,
-    inline_cast, inline_cmp, inline_unop, unop_kernel, vec_binop_kernel,
-)
+from repro.semantics.kernels import vec_binop_kernel
 from repro.semantics.memory import (
     NULL_GUARD, scalar_struct, vector_struct,
 )
 from repro.tiering import Predecoded, warm
 from repro.tiers import (
-    BlockEmitter, Lowering, Tier, Tier2BuildStats, block_tier, whole_tier,
-    wraps_u64,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, block_tier,
+    whole_tier,
 )
 
 _EMPTY_DEPS = frozenset()
 
-#: vstack meta for a wrapped-u64 inline result (``tiers.wraps_u64``)
+#: vstack meta for a wrapped-u64 inline result (``Value.masked``)
 #: — feeding one into an address slot skips the redundant 64-bit
 #: re-mask.  Every vector meta comes from :class:`LaneRules`, to
 #: which this one is as good as ``None``.
 _MASKED64_META = {"masked64": True}
-
-
-def _scalar_meta(value_ty, rng=None):
-    return _ranged(_MASKED64_META if wraps_u64(value_ty) else None, rng)
 
 
 def _ranged(meta, rng):
@@ -158,23 +153,22 @@ def _hotness_hint(func, module) -> bool:
 
 def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                      tier: Tier) -> BlockEmitter:
-    """Emit one fuel block's body as source lines.
+    """Emit one fuel block's body as source lines: the VM's operand
+    model over the emitter's lowering.
 
-    The same per-op lowering serves two tiers: the block-threaded
-    engine (locals stay in the ``lo`` list, transfers return the next
-    leader to the trampoline) and the tier-2 whole-function compiler
-    (locals lowered to Python locals, transfers assign ``pc`` inside
-    the generated dispatcher, ``ret`` may need to flush a local fuel
-    counter first).
+    The same lowering serves two tiers: the block-threaded engine
+    (locals stay in the ``lo`` list) and the tier-2 whole-function
+    compiler (locals lowered to Python locals).  What a scalar op or a
+    control transfer lowers to is the emitter's
+    (:class:`repro.tiers.BlockEmitter`); this function says where its
+    operands come from — a virtual stack of pending expressions, the
+    real stack ``s`` once that is empty — and where its result goes.
 
     ``tier.tier2`` additionally turns on the optimizations the
-    trampoline tier cannot use: kernel calls inlined as the templates
-    the kernels are compiled from (see
-    :func:`repro.semantics.kernels.inline_binop`), pure values
-    *deferred* on the virtual stack so statements fuse (deferral
-    tracks which local each pending expression reads, so a ``stloc``
-    materializes the values it would clobber), and
-    ``mem.data``/``mem.size`` read from
+    trampoline tier cannot use: pure values *deferred* on the virtual
+    stack so statements fuse (deferral tracks which local each pending
+    expression reads, so a ``stloc`` materializes the values it would
+    clobber), and ``mem.data``/``mem.size`` read from
     the dispatcher's hoisted ``_md``/``_ms`` locals.  What tier-2
     statically knows of a vector value (its *meta*) is made and
     recorded by ``low.rules``, the :class:`LaneRules` of the facts
@@ -188,9 +182,8 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
     tier2 = tier.tier2
     if tier2:
         rules.enter_block()
-    local_fmt, goto_fmt, data = tier.place, tier.goto_fmt, tier.data
-    em = BlockEmitter(env, tier, low.widths,
-                      low.counting if tier2 else None, low.hoisting)
+    local_fmt, data = tier.place, tier.data
+    em = BlockEmitter(low, tier)
     lines, emit, newt, lit = em.lines, em.emit, em.newt, em.lit
     ranges = em.ranges      # empty outside a counted loop's blocks
     vstack: List[str] = []          # expressions for virtual stack slots
@@ -284,6 +277,28 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         return em.address(expr, masked,
                           meta.get("range") if meta is not None else None)
 
+    taken: list = []        # a scalar op's operands: (expr, deps, range)
+
+    def take(count: int):
+        """Pop a scalar op's operands (see ``BlockEmitter``)."""
+        last = popd()
+        taken[:] = (popd(), last) if count == 2 else (last,)
+        if ranges:
+            return [rng for _, _, rng in taken]
+
+    def read(count: int) -> List[str]:
+        return [taken[0][0]] if count == 1 else [taken[0][0], taken[1][0]]
+
+    def set_result(value: Value) -> None:
+        """Push a scalar op's result: deferred when it cannot raise."""
+        rhs = em.rhs(value)
+        if not value.pure:
+            push(rhs)
+            return
+        deps = taken[0][1] if len(taken) == 1 else taken[0][1] | taken[1][1]
+        push_atom(rhs, deps, _ranged(
+            _MASKED64_META if value.masked else None, value.rng))
+
     exit_pc = leader + length
     skip = em.skip
 
@@ -340,76 +355,16 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             else:
                 push_atom(env.bind(value, "c"))
         elif op in BIN_OPS:
-            value_ty = type_of(instr.ty)
-            b, bdeps, brng = popd()
-            a, adeps, arng = popd()
-            rng = em.exact_binop(op, value_ty, arng, brng) if ranges \
-                else None
-            tmpl = inline_binop(op, value_ty, env, rng is not None) \
-                if tier2 else None
-            if tmpl is not None:
-                expr, pure = tmpl
-                expr = expr.format(a=a, b=b)
-                if pure:
-                    push_atom(expr, adeps | bdeps,
-                              meta=_scalar_meta(value_ty, rng))
-                else:
-                    em.impure = True
-                    push(expr)
-            else:
-                em.impure = True    # div/rem trap; fallback kernels too
-                kernel = env.bind(binop_kernel(op, value_ty), "k")
-                push(f"{kernel}({a}, {b})")
+            set_result(em.binop(op, type_of(instr.ty), take, read))
         elif op == "cmp":
-            value_ty = type_of(instr.ty)
-            tmpl = inline_cmp(instr.arg, value_ty) if tier2 else None
-            b, bdeps, _ = popd()
-            a, adeps, _ = popd()
-            if pc == em.flag:           # a counted loop's header test
-                push_atom("(1)")
-            elif tmpl is not None:
-                push_atom(tmpl.format(a=a, b=b), adeps | bdeps)
-            else:
-                em.impure = True    # undefined predicates trap
-                kernel = env.bind(cmp_kernel(instr.arg, value_ty), "k")
-                push(f"{kernel}({a}, {b})")
+            set_result(em.compare(instr.arg, type_of(instr.ty), pc, take,
+                                  read))
         elif op in UN_OPS:
-            value_ty = type_of(instr.ty)
-            tmpl = inline_unop(op, value_ty, env) if tier2 else None
-            a, adeps, _ = popd()
-            if tmpl is not None:
-                expr, pure = tmpl
-                expr = expr.format(a=a)
-                if pure:
-                    push_atom(expr, adeps)
-                else:
-                    em.impure = True
-                    push(expr)
-            else:
-                em.impure = True
-                kernel = env.bind(unop_kernel(op, value_ty), "k")
-                push(f"{kernel}({a})")
+            set_result(em.unop(op, type_of(instr.ty), take, read))
         elif op == "cast":
-            from_ty = type_of(instr.arg)
-            to_ty = type_of(instr.ty)
-            kernel = cast_kernel(from_ty, to_ty)
-            if kernel is not identity_kernel:    # elide no-op widenings
-                a, adeps, arng = popd()
-                rng = em.fits(arng, to_ty)
-                tmpl = inline_cast(from_ty, to_ty, env, rng is not None) \
-                    if tier2 else None
-                if tmpl is not None:
-                    expr, pure = tmpl
-                    expr = expr.format(a=a)
-                    if pure:
-                        push_atom(expr, adeps,
-                                  meta=_scalar_meta(to_ty, rng))
-                    else:
-                        em.impure = True
-                        push(expr)
-                else:
-                    em.impure = True
-                    push(f"{env.bind(kernel, 'k')}({a})")
+            value = em.cast(type_of(instr.arg), type_of(instr.ty), take, read)
+            if value is not None:   # else the operand stays where it is
+                set_result(value)
         elif op == "select":
             b, bdeps, _ = popd()
             a, adeps, _ = popd()
@@ -438,25 +393,12 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             push_atom(f"(fb + {lit(offset)})",
                       meta=_ranged(None, em.frame(offset)))
         elif op == "br":
-            target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):     # the reference's
-                # ``pc`` comparison raises TypeError here too
-                raise TypeError("non-integer branch target")
             flush()
-            emit(goto_fmt.format(lit(target)))
+            em.jump(instr.arg, code)
         elif op == "brif":
-            target = normalize_branch_target(instr.arg, len(code))
-            if not isinstance(target, int):     # the reference's
-                # ``pc`` comparison raises TypeError here too
-                raise TypeError("non-integer branch target")
             cond = pop()
             flush()
-            # An inlined comparison pushes ``(1 if X else 0)``; testing
-            # that against zero is just ``X``.
-            folded = re.fullmatch(r"\(1 if (.+) else 0\)", cond)
-            test = folded.group(1) if folded else f"({cond}) != 0"
-            emit(goto_fmt.format(
-                f"{lit(target)} if {test} else {lit(exit_pc)}"))
+            em.branch(instr.arg, code, cond, exit_pc)
         elif op == "call":
             em.impure = True
             flush()
@@ -475,7 +417,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 emit(f"{r} = vm._run_fast({f}, {a})")
                 if resolved.ret_type is not None:
                     emit(f"s.append({r})")
-                emit(goto_fmt.format(lit(exit_pc)))
+                em.goto(exit_pc)
             else:
                 callee = env.bind(instr.arg, "n")
                 f, c, a, r = newt(), newt(), newt(), newt()
@@ -489,11 +431,10 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 emit(f"{r} = vm._run_fast({f}, {a})")
                 emit(f"if {f}.ret_type is not None:")
                 emit(f"s.append({r})", "    ")
-                emit(goto_fmt.format(lit(exit_pc)))
+                em.goto(exit_pc)
         elif op == "ret":
             flush()
-            for line in low.ret_lines:
-                emit(line)
+            em.ret()
         elif op == "pop":
             if vstack:
                 vstack.pop()
@@ -648,10 +589,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
 
         em.end(pc - leader)
 
-    if code[exit_pc - 1].op not in ("br", "brif", "ret", "call"):
-        # fall-through block: transfer to the next leader explicitly
+    if not em.ended:    # the next leader cut the block short
         flush()
-        emit(goto_fmt.format(lit(exit_pc)))
+        em.goto(exit_pc)
     return em
 
 

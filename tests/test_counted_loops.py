@@ -838,10 +838,10 @@ def _trip(*edit: str):
     env = CodegenEnv({})
     unpack = env.bind(struct.Struct("<i").unpack_from, "u")
     combine = inline_binop("add", ty.I32, None)[0].format(a="t2", b="s")
-    lines = ["t1 = 4 * i + a", f"t2 = {unpack}(_md, t1)[0]", *edit,
-             f"s = {combine}", "pc = 2"]
+    body = ["t1 = 4 * i + a", f"t2 = {unpack}(_md, t1)[0]", *edit,
+            f"s = {combine}"]
     latch = SimpleNamespace(
-        lines=lines, reductions={},
+        body=body, reductions={},
         accesses=[Access("t1", Affine(4, 0, (("a", 1),)), 4, "<i", 1)])
     induction = Induction("i", "n", 1, None, frozenset(), 0,
                           frozenset(("a", "n", "k")))

@@ -118,6 +118,13 @@ def _vm_trap(source, entry, args, engine, fuel=None):
         return ("trap", str(exc), vm.instructions_executed)
 
 
+#: a branch with no condition, and a ``brif`` taken and not
+BRANCHES = [("br", None), ("brif", 1), ("brif", 0)]
+BRANCH_IDS = ["br", "brif taken", "brif not taken"]
+#: what the reference ladders' ``pc`` range test raises on ``"x"``
+NOT_A_PC = "'>=' not supported between instances of 'str' and 'int'"
+
+
 class TestVMTrapParity:
     def test_division_by_zero_message(self):
         source = "int f(int a) { return 10 / a; }"
@@ -235,6 +242,33 @@ class TestVMTrapParity:
         assert_engines_agree(outcomes)
         assert outcomes[FAST][0] == "ok"
 
+
+    @pytest.mark.parametrize("op, cond", BRANCHES, ids=BRANCH_IDS)
+    def test_non_integer_branch_target(self, op, cond):
+        """Unverified bytecode branching to ``"x"``: a taken branch
+        fails as the reference's ``pc`` comparison does, after the same
+        count; an untaken ``brif`` falls through to the result on
+        every engine."""
+        from repro.bytecode.module import BytecodeFunction, BytecodeModule
+        from repro.bytecode.opcodes import BCInstr
+        code = [] if op == "br" else [BCInstr("const", "i32", cond)]
+        code += [BCInstr(op, None, "x"), BCInstr("const", "i32", 7),
+                 BCInstr("ret")]
+        module = BytecodeModule("m", {"f": BytecodeFunction(
+            "f", [], "i32", [], [], code)})
+        outcomes = {}
+        for engine in ENGINES:
+            vm = VM(module, engine=engine, verify=False)
+            try:
+                outcome = ("ok", vm.call("f", []))
+            except TypeError as exc:
+                outcome = ("TypeError", str(exc))
+            outcomes[engine] = (*outcome, vm.instructions_executed)
+        assert_engines_agree(outcomes)
+        # a taken branch is the last instruction counted
+        assert outcomes[REFERENCE] == (
+            ("ok", 7, 4) if cond == 0
+            else ("TypeError", NOT_A_PC, len(code) - 2))
 
     @pytest.mark.parametrize("scalar", [0, 5])
     def test_vec_store_of_a_scalar_is_one_outcome(self, scalar):
@@ -386,6 +420,30 @@ class TestSimulatorTrapParity:
                     for engine in ENGINES}
         assert_engines_agree(outcomes)
         assert outcomes[FAST] == ("trap", "f: fell off code end")
+
+    @pytest.mark.parametrize("op, cond", BRANCHES, ids=BRANCH_IDS)
+    def test_non_integer_branch_target(self, op, cond):
+        """The VM row's machine twin, cycles compared too where the run
+        returns them."""
+        module = self._module([
+            MInst("mov", None, ("int", 0), [("imm", cond or 0)], None),
+            MInst(op, None, None, [("int", 0)] if op == "brif" else [],
+                  "x"),
+            MInst("mov", None, ("int", 1), [("imm", 7)], None),
+            MInst("ret", None, None, [("int", 1)], None)])
+        outcomes = {}
+        for engine in ENGINES:
+            simulator = Simulator(module, engine=engine)
+            try:
+                result = simulator.run("f", [])
+                outcomes[engine] = ("ok", result.value, result.instructions,
+                                    result.cycles)
+            except TypeError as exc:
+                outcomes[engine] = ("TypeError", str(exc),
+                                    simulator._executed)
+        assert_engines_agree(outcomes)
+        assert outcomes[REFERENCE] == (("ok", 7, 4, 4) if cond == 0
+                                       else ("TypeError", NOT_A_PC, 2))
 
     def test_division_by_zero_in_simulator(self):
         source = "int f(int a, int b) { return a / b; }"

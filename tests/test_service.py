@@ -909,6 +909,52 @@ def test_resident_answer_needs_the_admission_gate():
         svc.shutdown()
 
 
+def test_lint_findings_keep_one_entry_per_artifact_key():
+    """Two modules with a ``null-access`` warning, alternated through a
+    one-artifact cache, are compiled again every round: their findings
+    are kept once per artifact key, for as many keys as the cache
+    holds, where each recompile used to append them again."""
+    source = "int %s(int a) { int *p = (int *) 16; " \
+             "if (a > 0) return *p; return a; }"
+    svc = CompilationService(cache_capacity=1, executor="inline")
+    try:
+        for _ in range(4):
+            for name in ("f", "g"):
+                svc.submit(CompileRequest(source % name, name, ["x86"]))
+            assert [(f["code"], f["function"])
+                    for f in svc.stats()["lint"]["findings"]] \
+                == [("null-access", "g")]
+    finally:
+        svc.shutdown()
+
+
+def test_lint_findings_stay_bounded_under_racing_admissions():
+    """Eight threads surface findings for sixteen keys at once, a short
+    switch interval forcing interleavings: what is kept is at most the
+    cache's capacity of keys, each key's findings once."""
+    from types import SimpleNamespace
+    svc = CompilationService(cache_capacity=4, executor="inline")
+    warn = SimpleNamespace(severity="warn", as_dict=lambda: {"code": "w"})
+
+    def admit(base):
+        for k in range(200):
+            svc._surface(f"key{(base + k) % 16}", [warn])
+
+    threads = [threading.Thread(target=admit, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        svc.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert svc.stats()["lint"]["findings"] == [{"code": "w"}] * 4
+
+
 class TestBoundsAndRefusals:
     """The bounded tables drop their oldest entry, the constructors
     refuse what cannot work, and the lazy names resolve or fail."""

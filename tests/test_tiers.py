@@ -21,6 +21,7 @@ import pytest
 
 import repro.tiering
 from repro import tiers
+from repro.tiers import Exit
 from repro.tiering import (
     TIER2_PAYBACK, Predecoded, TieredMachine, _TIER2_UNBUILT, replay_metered,
 )
@@ -102,27 +103,31 @@ def instrs(*pairs):
 
 
 class TestLoopDetection:
-    def detect(self, code, bodies):
+    def detect(self, code, exits):
+        """``exits``: each block's :class:`tiers.Exit` (``None``: it
+        returns), or ``False`` for a block that was not translated."""
         blocks = fuel_blocks(code)
-        assert set(blocks) == set(bodies)
-        loops = tiers.fused_loops(code, blocks, bodies)
-        return loops, tiers.osr_entry_points(code, blocks, bodies)
+        assert set(blocks) == set(exits)
+        translated = {leader: exit_ for leader, exit_ in exits.items()
+                      if exit_ is not False}
+        loops = tiers.fused_loops(code, blocks, translated)
+        return loops, tiers.osr_entry_points(
+            code, blocks, {leader: exit_ is not False
+                           for leader, exit_ in exits.items()})
 
     def test_header_and_lone_latch_fuse(self):
         code = instrs(("brif", 3), ("nop", None), ("br", 0),
                       ("ret", None))
         loops, entries = self.detect(code, {
-            0: ["pc = 3 if c else 1"], 1: ["x = 1", "pc = 0"],
-            3: ["return -1"]})
-        assert loops == {0: (1, "c", 3, 1)}
+            0: Exit(3, "c", 1), 1: Exit(0), 3: None})
+        assert loops == {0: (1, "c", 3)}
         assert entries == {0}
 
     def test_header_with_two_latches_keeps_the_ladder(self):
         code = instrs(("brif", 3), ("nop", None), ("br", 0),
                       ("nop", None), ("br", 0))
         loops, entries = self.detect(code, {
-            0: ["pc = 3 if c else 1"], 1: ["x = 1", "pc = 0"],
-            3: ["x = 2", "pc = 0"]})
+            0: Exit(3, "c", 1), 1: Exit(0), 3: Exit(0)})
         assert loops == {}
         assert entries == {0}
 
@@ -133,15 +138,13 @@ class TestLoopDetection:
         code = instrs(("brif", 4), ("nop", None), ("brif", 0),
                       ("ret", None), ("ret", None))
         loops, entries = self.detect(code, {
-            0: ["pc = 4 if c else 1"],
-            1: ["x = 1", "pc = 0 if d else 3"],
-            3: ["return -1"], 4: ["return -1"]})
+            0: Exit(4, "c", 1), 1: Exit(0, "d", 3), 3: None, 4: None})
         assert loops == {}
         assert entries == {0}
 
     def test_single_block_self_loop_is_not_fused(self):
         code = instrs(("nop", None), ("br", 0))
-        loops, entries = self.detect(code, {0: ["x = 1", "pc = 0"]})
+        loops, entries = self.detect(code, {0: Exit(0)})
         assert loops == {}
         assert entries == {0}
 
@@ -149,7 +152,7 @@ class TestLoopDetection:
         code = instrs(("brif", 3), ("nop", None), ("br", 0),
                       ("ret", None))
         loops, entries = self.detect(code, {
-            0: None, 1: ["x = 1", "pc = 0"], 3: ["return -1"]})
+            0: False, 1: Exit(0), 3: None})
         assert loops == {} and entries == frozenset()
 
     def test_rotated_loop_fuses_and_keeps_its_entry(self):
@@ -159,9 +162,8 @@ class TestLoopDetection:
         code = instrs(("br", 3), ("nop", None), ("br", 3),
                       ("brif", 1), ("ret", None))
         loops, entries = self.detect(code, {
-            0: ["pc = 3"], 1: ["x = 1", "pc = 3"],
-            3: ["pc = 1 if c else 4"], 4: ["return -1"]})
-        assert loops == {3: (1, "c", 1, 4)}
+            0: Exit(3), 1: Exit(3), 3: Exit(1, "c", 4), 4: None})
+        assert loops == {3: (1, "not (c)", 4)}
         assert entries == {1}
 
     def test_rotated_header_with_two_latches_keeps_the_ladder(self):
@@ -170,8 +172,7 @@ class TestLoopDetection:
         code = instrs(("nop", None), ("br", 2), ("brif", 0),
                       ("nop", None), ("br", 2))
         loops, entries = self.detect(code, {
-            0: ["x = 1", "pc = 2"], 2: ["pc = 0 if c else 3"],
-            3: ["x = 2", "pc = 2"]})
+            0: Exit(2), 2: Exit(0, "c", 3), 3: Exit(2)})
         assert loops == {}
         assert entries == {0, 2}
 
@@ -186,9 +187,8 @@ class TestLoopDetection:
         blocks = fuel_blocks(code)
         assert backedge_targets(code, blocks) == {0, 1}
         loops, entries = self.detect(code, {
-            0: ["pc = 3 if c else 1"], 1: ["x = 1", "pc = 0"],
-            3: ["pc = 1"]})
-        assert loops == {0: (1, "c", 3, 1)}
+            0: Exit(3, "c", 1), 1: Exit(0), 3: Exit(1)})
+        assert loops == {0: (1, "c", 3)}
         assert entries == {0, 1}
         # ... over real translations, both layouts: every entry has an
         # arm, and a latch has one only if it is an entry
@@ -232,7 +232,9 @@ def counting_loop(header: dict, latch: dict, fused: bool, hlines=(),
     hbody = [*hlines, "pc = 9 if i >= n else 5"]
     lbody = ["i += 1", "pc = 0"]
     if fused:
-        out.loop(0, 5, "i >= n", 9, 12, hbody, list(hmarks), lbody, [])
+        out.loop(0, tiers.Fused(5, "i >= n", 9), 12,
+                 SimpleNamespace(body=hbody[:-1], marks=list(hmarks)),
+                 SimpleNamespace(body=lbody[:-1], marks=[]))
     else:
         out.block(0, 12, hbody, list(hmarks))
         out.w("elif pc == 5:", 8)
@@ -657,7 +659,9 @@ def test_generated_sources_digest():
                       != pinned[2 * index:2 * index + 2]), None)
         pytest.fail(f"generated sources moved, first at {moved}:\n"
                     f"sha256 {got[0]}\ntags {got[1]}\n"
-                    f"prints {prints}")
+                    f"prints {prints}\n"
+                    f"to see what moved, run `python tools/sources.py DIR` "
+                    f"in this tree and in the parent's, then `diff -r`")
 
 
 def test_block_tier_rollback_structure(monkeypatch):
