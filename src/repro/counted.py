@@ -206,8 +206,9 @@ def fold_of(hlines: List[str], latch, induction: Induction,
     cannot raise and leaves nothing but the accumulator to the next
     trip: copies, pure int arithmetic over the induction variable and
     the invariants, the recorded loads and lane reductions (the
-    emitter's ``accesses`` and ``reductions``), a vector's empty
-    check, and one combine — the engines' own template text.  A
+    emitter's ``accesses`` and ``reductions``; a loaded vector's lanes
+    are proven, so it has no empty check), and one combine — the
+    engines' own template text.  A
     name read before the trip writes it is the accumulator, in the
     combine, or the loop is refused."""
     accesses, heading = latch.accesses, len(hlines)
@@ -228,19 +229,15 @@ def fold_of(hlines: List[str], latch, induction: Induction,
         return None
 
     def load(node, at: int) -> Optional[tuple]:
-        # ``u(_md, addr)[0]`` a scalar; ``u(_md, addr)`` (a tuple) or
-        # ``list(u(_md, addr))`` a vector; ``at``: the statement's latch
-        # line, which follows the access's record.
+        # ``u(_md, addr)[0]`` a scalar, ``u(_md, addr)`` (a tuple) a
+        # vector; ``at``: the statement's latch line, which follows the
+        # access's record.
         vector = not isinstance(node, ast.Subscript)
         if not vector:
             if not (isinstance(node.slice, ast.Constant)
                     and node.slice.value == 0):
                 return None
             node = node.value
-        elif isinstance(node, ast.Call) and len(node.args) == 1 \
-                and isinstance(node.func, ast.Name) \
-                and node.func.id == "list":
-            node = node.args[0]
         if not (isinstance(node, ast.Call) and len(node.args) == 2
                 and all(isinstance(a, ast.Name) for a in node.args)
                 and isinstance(node.func, ast.Name)
@@ -318,14 +315,6 @@ def fold_of(hlines: List[str], latch, induction: Induction,
 
     refused = False
     for stmt in tree.body:
-        if isinstance(stmt, ast.If) and not stmt.orelse \
-                and isinstance(stmt.test, ast.UnaryOp) \
-                and isinstance(stmt.test.op, ast.Not) \
-                and isinstance(stmt.test.operand, ast.Name) \
-                and (known.get(stmt.test.operand.id) or ("",))[0] == "vec" \
-                and len(stmt.body) == 1 \
-                and isinstance(stmt.body[0], ast.Raise):
-            continue                        # a vector is never empty
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                 and isinstance(stmt.targets[0], ast.Name)
                 and stmt.lineno == stmt.end_lineno):

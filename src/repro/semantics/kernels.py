@@ -16,8 +16,10 @@ compiled on its first lookup into a function (filename
 ``<pvi-kernel>``) over the names it bound.  So the block tier and
 tier-2 compute the same thing by construction.  The lane kernels come
 from the same text: a pure template mapped over the lanes, or for f32
-the 4-lane batch whose core :func:`quad_batch` returns to tier-2 as
-well.
+the batch round trip of :func:`f32_batch`.  Tier-2 writes the lanes of
+a vector op out one by one from the same templates (and the same
+batch, at any lane count), so a lane kernel is only ever its fallback
+(:meth:`repro.tiers.BlockEmitter.vbinop`).
 
 Kernels are written by hand only where no template exists, because
 the op needs a statement a single expression cannot make:
@@ -78,9 +80,10 @@ _F32_QUAD = struct.Struct("<4f")
 # marked impure.
 
 def is_f32_quad(bop: str, elem) -> bool:
-    """Is ``vec.<bop>`` over ``elem`` a shape tier-2 inlines as the
-    4-lane f32 batch kernel?  The emitters ask before inlining, the
-    lane analysis before giving the result a tuple meta."""
+    """Is ``vec.<bop>`` over ``elem`` an f32 batch (:func:`f32_batch`):
+    one rounding round trip for all its lanes, whose result tier-2
+    keeps as a tuple?  The emitter asks before inlining, the lane
+    analysis before giving the result a tuple meta."""
     return isinstance(elem, ty.FloatType) and elem.bits == 32 \
         and bop in ("add", "sub", "mul", "min", "max")
 
@@ -205,18 +208,21 @@ def inline_unop(op: str, value_ty, env: CodegenEnv):
     return "(-({a}))", True
 
 
-def quad_batch(bop: str, env: CodegenEnv) -> Tuple[str, str, str]:
-    """``(pack name, unpack name, lane results)`` of the 4-lane f32
-    batch ``bop`` over ``_a0..3`` / ``_b0..3``: the four raw results,
-    rounded by one ``<4f>`` round trip — per lane, exactly the scalar
-    f32 kernel's rounding.  The quad kernel and tier-2's inlined
-    batch are both this text."""
-    qp = env.bind(_F32_QUAD.pack, "qp")
-    qu = env.bind(_F32_QUAD.unpack, "qu")
-    core = _float_core(bop)
-    cores = ", ".join(core.format(a=f"_a{i}", b=f"_b{i}")
-                      for i in range(4))
-    return qp, qu, cores
+def f32_batch(bop: str, lanes: int, env: CodegenEnv) -> Tuple[str, str, str]:
+    """``(pack name, unpack name, lane template)`` of ``lanes`` f32
+    lanes of ``bop`` rounded by one ``<{lanes}f`` round trip: per lane,
+    exactly the scalar f32 kernel's rounding (the same ``OverflowError``,
+    first failing lane first).  The lane template has ``{a}`` / ``{b}``
+    slots; the results are ``unpack(pack(<lane>, <lane>, ...))``.  The
+    4-lane kernel and tier-2's inlined batches are both this text."""
+    batch = _f32_batch_struct(lanes)
+    return (env.bind(batch.pack, "qp"), env.bind(batch.unpack, "qu"),
+            _float_core(bop))
+
+
+@functools.lru_cache(maxsize=None)
+def _f32_batch_struct(lanes: int) -> struct.Struct:
+    return _F32_QUAD if lanes == 4 else struct.Struct(f"<{lanes}f")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,8 @@ def _lane_kernel(template: str) -> Callable:
 def _quad_kernel(op: str) -> Callable:
     """The f32 4-lane batch; any other lane count goes per lane."""
     env = CodegenEnv({})
-    qp, qu, cores = quad_batch(op, env)
+    qp, qu, core = f32_batch(op, 4, env)
+    cores = ", ".join(core.format(a=f"_a{i}", b=f"_b{i}") for i in range(4))
     generic = env.bind(_generic_vec_kernel(op, ty.F32), "g")
     return _compiled(
         env, "a, b",

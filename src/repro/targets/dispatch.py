@@ -10,13 +10,16 @@ module translates a :class:`~repro.targets.isa.CompiledFunction`
 locations, semantics kernels and cycle costs resolved at decode time.
 
 The structure is the tier scaffold (:mod:`repro.tiers`) shared with
-:mod:`repro.vm.threaded`, and so is what a scalar op or a control
-transfer lowers to (:class:`repro.tiers.BlockEmitter`); this module
-supplies the machine operand model (where an operand is read from —
-register files with the uninitialized-register check — and where a
-result goes, in ``_gen_block_lines``, which still lowers ``select``,
-memory and vector ops itself; the ``_t2`` frame lines, the register
-layout) and the block *counter vector*.  Every
+:mod:`repro.vm.threaded`, and so is what a scalar op, a vector op or a
+control transfer lowers to (:class:`repro.tiers.BlockEmitter`); this
+module supplies the machine operand model (where an operand is read
+from — register files with the uninitialized-register check — and
+where a result goes, in ``_gen_block_lines``, which still lowers
+``select`` and the scalar memory ops itself; the ``_t2`` frame lines,
+the register layout) and the block *counter vector*.  Tier-2 keeps a
+vector register a tuple until it leaves the register files (returned,
+passed, spilled, or written back at a deopt), where it is re-listed.
+Every
 *fuel block* (ending at a branch, ``ret`` or ``call``) becomes one
 Python function (an instance of a memoized block template,
 :func:`repro.tiers.block_template`) that debits fuel **and all
@@ -53,14 +56,11 @@ from repro.analysis.intervals import Interval
 from repro.counted import Induction
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
-from repro.semantics.kernels import vec_binop_kernel
-from repro.semantics.memory import (
-    NULL_GUARD, scalar_struct, vector_struct,
-)
+from repro.semantics.memory import scalar_struct
 from repro.targets.isa import CompiledFunction, CompiledModule
 from repro.tiering import Predecoded, warm
 from repro.tiers import (
-    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, block_tier,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, Vec, block_tier,
     whole_tier,
 )
 
@@ -195,16 +195,32 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         emit(f"raise TrapError({message})", indent + "    ")
         return t
 
-    def dst_of(instr, masked: bool = False, lanes=None, rng=None) -> str:
+    def dst_of(instr, masked: bool = False, rng=None) -> str:
         """The destination's place, marked written (``masked`` /
-        ``lanes`` / ``rng``: what tier-2 knows of the value:
-        ``em.rewrite``)."""
+        ``rng``: what tier-2 knows of the value: ``em.rewrite``; a
+        vector's, ``em.assign``)."""
         kind, index = instr.dst
         written.add((kind, index))
         place = reg_fmt.format(_REG_FILES[kind], lit(index))
         if tier2:
-            em.rewrite(place, masked, lanes, rng)
+            em.rewrite(place, masked, rng)
         return place
+
+    def vread(operand) -> Vec:
+        """A vector operand: what this block wrote there, or the
+        register as it stands (in tier-2 possibly a tuple)."""
+        location = read(operand)
+        return em.vecs.get(location) or Vec(location, tuple=tier2)
+
+    def observed(operand) -> str:
+        """An operand that leaves the register files (returned, passed,
+        spilled): tier-2's vector tuples become the lists the reference
+        holds."""
+        location = read(operand)
+        if tier2 and operand[0] == "vec":
+            return f"(list({location}) if type({location}) is tuple " \
+                   f"else {location})"
+        return location
 
     def addr_of(instr, srcs) -> str:
         base = read(srcs[0])
@@ -245,7 +261,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin()
+        em.begin(pc - leader)
 
         # NB: sources must be read (and uninitialized-register checked)
         # *before* dst_of marks the destination written — a dst that
@@ -309,7 +325,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             emit("except KeyError:")
             emit(f"raise TrapError({message})", "    ")
         elif op == "spill.st":
-            emit(f"slots[{lit(instr.arg)}] = {read(instr.srcs[0])}")
+            emit(f"slots[{lit(instr.arg)}] = {observed(instr.srcs[0])}")
         elif op == "br":
             em.jump(instr.arg, code)
         elif op == "brif":
@@ -327,7 +343,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                     emit(f"{t} = slots[{lit(operand[1])}]")
                     values.append(t)
                 else:
-                    values.append(read(operand))
+                    values.append(observed(operand))
             value = newt()
             if resolved is not None:
                 # Inline cache: the frozen module pins the callee.
@@ -343,82 +359,36 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             em.goto(exit_pc)
         elif op == "ret":
             if instr.srcs:
-                emit(f"sim._ret = {read(instr.srcs[0])}")
+                emit(f"sim._ret = {observed(instr.srcs[0])}")
             else:
                 emit("sim._ret = None")
             em.ret()
         elif op == "vload":
-            em.impure = True
-            packer = vector_struct(instr.ty.elem, instr.ty.lanes)
-            unpack = env.bind(packer.unpack_from, "u")
-            addr = addr_of(instr, instr.srcs)
-            em.bounds(addr, packer)
-            emit(f"{dst_of(instr, lanes=instr.ty.lanes)} = "
-                 f"list({unpack}({data}, {addr}))")
+            vec = em.vload(instr.ty.elem, instr.ty.lanes,
+                           lambda: addr_of(instr, instr.srcs))
+            em.assign(dst_of(instr), vec)
         elif op == "vstore":
-            em.impure = True
-            lanes = instr.ty.lanes
-            packer = vector_struct(instr.ty.elem, lanes)
-            pack = env.bind(packer.pack_into, "p")
-            elem_name = env.bind(instr.ty.elem, "e")
-            addr = addr_of(instr, instr.srcs[:-1])
-            value = read(instr.srcs[-1])
-            # Not re-checked: the lane count of a vector this block
-            # wrote, and with it a range it checked at this width or a
-            # counted loop's guard proved.
-            pad = "    "
-            if em.lanes.get(value) != lanes:
-                emit(f"if len({value}) == {lit(lanes)} and "
-                     f"{addr} >= {NULL_GUARD} and "
-                     f"{addr} + {lit(packer.size)} <= {tier.size}:")
-            elif not em.proved(addr, packer):
-                emit(f"if {addr} >= {NULL_GUARD} and {addr} <= "
-                     f"{em.bound_limit(packer.size)}:")
-            else:
-                pad = ""
-            emit("try:", pad)
-            emit(f"{pack}({data}, {addr}, *{value})", pad + "    ")
-            emit("except _PE:", pad)
-            emit(f"mem.store_vec({elem_name}, {addr}, {value})",
-                 pad + "    ")
-            if pad:
-                emit("else:")
-                emit(f"mem.store_vec({elem_name}, {addr}, {value})", pad)
+            em.vstore(instr.ty.elem, instr.ty.lanes,
+                      lambda: (addr_of(instr, instr.srcs[:-1]),
+                               vread(instr.srcs[-1])))
         elif op == "vbin":
-            em.impure = True        # lane-count mismatch traps, and
-            a = read(instr.srcs[0])  # the f32 repack can overflow
-            b = read(instr.srcs[1])
-            bop = instr.arg
-            elem = instr.ty.elem
-            quad = em.quad_kernels(bop, elem)
-            kernel = env.bind(vec_binop_kernel(bop, elem), "v")
-            if quad is not None:
-                # Any other shape than 4 x 4 lanes falls back to the
-                # kernel in the else arm: only operands this block did
-                # not write as 4 lanes are asked.  With one proven
-                # operand the fallback can only trap on a mismatch, so
-                # whatever flows on has 4 lanes.
-                guards = [f"len({v}) == 4" for v in (a, b)
-                          if em.lanes.get(v) != 4]
-                em.quad(quad, a, b, guards,
-                        dst_of(instr, lanes=4 if len(guards) < 2 else None),
-                        "list({0})", kernel)
-            else:
-                emit(f"{dst_of(instr)} = {kernel}({a}, {b})")
+            a = vread(instr.srcs[0])
+            b = vread(instr.srcs[1])
+            vec = em.vbinop(instr.arg, instr.ty.elem, instr.ty.lanes, a, b)
+            em.assign(dst_of(instr), vec)
         elif op == "vsplat":
             source = read(instr.srcs[0])
-            emit(f"{dst_of(instr, lanes=instr.ty.lanes)} = [{source}] * "
-                 f"{lit(instr.ty.lanes)}")
+            place = dst_of(instr)
+            em.assign(place, em.vsplat(source, instr.ty.lanes))
         elif op == "vreduce":
-            em.impure = True        # empty-vector trap
             reduce_op, acc_ty = instr.arg
-            acc = em.reduce(reduce_op, instr.ty.elem, acc_ty,
-                            lambda: read(instr.srcs[0]))
+            acc = em.reduce(reduce_op, instr.ty.elem, acc_ty, instr.ty.lanes,
+                            lambda: vread(instr.srcs[0]))
             emit(f"{dst_of(instr)} = {acc}")
         else:
             raise TrapError(f"bad machine opcode {op!r}")
 
-        em.end(pc - leader)
+        em.end()
 
     if not em.ended:    # the next leader cut the block short
         em.goto(exit_pc)
@@ -560,9 +530,13 @@ class _MachineLowering(Lowering):
                 for k in range(count)]
         if not regs:
             return [], [], []
+        # Deopt writeback: a vector register tier-2 left a tuple in
+        # goes back to the register file as the list it is there.
         return ([],
                 ["; ".join(f"{f}{k} = {f}[{k}]" for f, k in regs)],
-                ["; ".join(f"{f}[{k}] = {f}{k}" for f, k in regs)])
+                ["; ".join(f"rv[{k}] = list(rv{k}) if type(rv{k}) is tuple "
+                           f"else rv{k}" if f == "rv" else f"{f}[{k}] = {f}{k}"
+                           for f, k in regs)])
 
     def fact_guards(self, entries):
         count, lines = 0, []

@@ -37,16 +37,17 @@ to execution time, like the reference engine) steps the same way.
 The protocol around the lowering — the build loop, the debit and
 rollback forms, stepping, the cache, the lazy tier-2 build and its
 dispatcher — is the tier scaffold (:mod:`repro.tiers`) shared with
-:mod:`repro.targets.dispatch`, and so is what a scalar op or a
-control transfer lowers to (:class:`repro.tiers.BlockEmitter`).  This
-module supplies the VM's operand model: where an operand comes from
-and where a result goes over a virtual operand stack with deferral
-(``_gen_block_lines``, which still lowers ``select``, memory and
-vector ops itself), the ``_t2`` frame lines and the per-call
+:mod:`repro.targets.dispatch`, and so is what a scalar op, a vector op
+or a control transfer lowers to (:class:`repro.tiers.BlockEmitter`).
+This module supplies the VM's operand model: where an operand comes
+from and where a result goes over a virtual operand stack with
+deferral (``_gen_block_lines``, which still lowers ``select`` and the
+scalar memory ops itself; a vector slot holds a
+:class:`repro.tiers.Vec`), the ``_t2`` frame lines and the per-call
 initialization data.  What tier-2 may assume of a vector value, and
 why a facts table from anywhere is safe to generate code under, is
 stated once in :class:`repro.analysis.passes.LaneRules`; the lowering
-calls it.
+calls it, and gives the emitter the lane counts it proves.
 
 The predecoded form is cached on the function object
 (``repro.tiers.Lowering.predecode``) keyed by a structural content
@@ -78,13 +79,10 @@ from repro.bytecode.opcodes import BIN_OPS, TYPE_TAGS, UN_OPS, type_of
 from repro.counted import Induction
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
-from repro.semantics.kernels import vec_binop_kernel
-from repro.semantics.memory import (
-    NULL_GUARD, scalar_struct, vector_struct,
-)
+from repro.semantics.memory import scalar_struct
 from repro.tiering import Predecoded, warm
 from repro.tiers import (
-    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, block_tier,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, Vec, block_tier,
     whole_tier,
 )
 
@@ -201,17 +199,25 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         vdeps.append(_EMPTY_DEPS)
         vmeta.append(meta)
 
-    def push_atom(atom: str, deps: frozenset = _EMPTY_DEPS,
-                  meta=None) -> None:
+    def push_atom(atom, deps: frozenset = _EMPTY_DEPS, meta=None) -> None:
         """Defer a *pure* expression (const, frame address, or — in
-        tier-2 — any inlined arithmetic that cannot raise)."""
+        tier-2 — any inlined arithmetic that cannot raise), or a
+        vector (:class:`Vec`)."""
         vstack.append(atom)
         vdeps.append(deps)
         vmeta.append(meta)
 
+    def push_vec(vec: Vec, meta, deps: frozenset = _EMPTY_DEPS) -> None:
+        """A vector result: a fresh load or kernel call is assigned to
+        a temp now (the block tier assigns every one); anything else
+        waits on the stack as the emitter left it."""
+        if vec.fresh or not tier2:
+            vec = em.assign(newt(), vec, temp=True)
+        push_atom(vec, deps, meta)
+
     def popm():
-        """(expr, deps, meta) — the raw slot, tuple-ness visible only
-        through ``meta``; callers that let the value escape to an
+        """(entry, deps, meta) — the raw slot: an expression or a
+        :class:`Vec`; callers that let the value escape to an
         engine-observable place must go through :func:`popd`."""
         if vstack:
             return vstack.pop(), vdeps.pop(), vmeta.pop()
@@ -226,20 +232,23 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         every value the reference engine could observe must be a
         list."""
         expr, deps, meta = popm()
-        if meta is None:
-            return expr, deps, None
-        if meta.get("tuple"):
-            expr = f"list({expr})"
-        return expr, deps, meta.get("range")
+        if isinstance(expr, Vec):
+            return em.whole(expr, listed=True), deps, None
+        return expr, deps, meta.get("range") if meta else None
+
+    def vpop():
+        """A vector operand and its meta: the slot's :class:`Vec`, or
+        one over the slot's expression."""
+        expr, _, meta = popm()
+        return (expr if isinstance(expr, Vec) else Vec(expr)), meta
 
     def pop() -> str:
         return popd()[0]
 
     def flush() -> None:
-        for j, atom in enumerate(vstack):
-            meta = vmeta[j]
-            if meta is not None and meta.get("tuple"):
-                atom = f"list({atom})"
+        for atom in vstack:
+            if isinstance(atom, Vec):
+                atom = em.whole(atom, listed=True)
             emit(f"s.append({atom})")
         del vstack[:]
         del vdeps[:]
@@ -252,8 +261,11 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         for j, deps in enumerate(vdeps):
             if index in deps:
                 t = newt()
-                emit(f"{t} = {vstack[j]}")
-                vstack[j] = t
+                if isinstance(vstack[j], Vec):
+                    vstack[j] = em.assign(t, vstack[j])
+                else:
+                    emit(f"{t} = {vstack[j]}")
+                    vstack[j] = t
                 vdeps[j] = _EMPTY_DEPS
 
     def local(index: int) -> str:
@@ -271,11 +283,19 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         """Pop an address, skipping the 64-bit re-mask when the
         expression is a wrapped-u64 inline result (already in range)."""
         expr, _, meta = popm()
-        masked = meta is not None and meta.get("masked64", False)
-        if meta is not None and meta.get("tuple"):
-            expr = f"list({expr})"      # same TypeError as the lists
-        return em.address(expr, masked,
-                          meta.get("range") if meta is not None else None)
+        if isinstance(expr, Vec):   # the same TypeError as the lists
+            expr, meta = em.whole(expr, listed=True), None
+        return em.address(expr, bool(meta and meta.get("masked64")),
+                          meta.get("range") if meta else None)
+
+    def store_operands():
+        """A vector store's value, then its address.  When the address
+        is a deferred slot (popping it cannot raise), a pending f32
+        batch being stored waits for the store (``em.claim``)."""
+        vec, _ = vpop()
+        if tier2 and vstack:
+            em.claim(vec)
+        return pop_addr(), vec
 
     taken: list = []        # a scalar op's operands: (expr, deps, range)
 
@@ -307,14 +327,17 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin()
+        em.begin(pc - leader)
 
         if op == "ldloc":
             place = local(instr.arg)
             if tier2:
-                push_atom(place, frozenset((instr.arg,)),
-                          meta=_ranged(rules.ldloc(instr.arg),
-                                       ranges.get(place)))
+                meta = _ranged(rules.ldloc(instr.arg), ranges.get(place))
+                vec = em.vecs.get(place)
+                if vec is None and meta is not None and "lanes" in meta:
+                    vec = Vec(place, meta["lanes"], meta["tuple"])
+                push_atom(place if vec is None else vec,
+                          frozenset((instr.arg,)), meta)
             else:
                 push(place)
         elif op == "ldarg":
@@ -335,7 +358,25 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 rules.stloc(instr.arg, meta)
                 spill_local(instr.arg)
                 em.rewrite(target, rng=meta.get("range") if meta else None)
-            if tier2 and lines and re.fullmatch(r"t\d+", value) \
+            if isinstance(value, Vec):
+                # A local holds a tuple only where the table lets it.
+                listed = not (meta and meta.get("tuple"))
+                if tier2 and instr.arg in low.block_locals:
+                    # No block reads the local before writing it: the
+                    # value is this block's alone, and only its Vec
+                    # is read.
+                    em.vecs[target] = value
+                elif tier2 and value.line == len(lines) - 1 \
+                        and not (listed and value.tuple):
+                    # the temp a load or kernel call just wrote: the
+                    # store takes its line (as for scalars, below)
+                    lines[-1] = f"{target} = " \
+                        f"{lines[-1][len(value.whole) + 3:]}"
+                    em.vecs[target] = Vec(target, value.lanes, value.tuple,
+                                          value.exprs)
+                else:
+                    em.assign(target, value, listed)
+            elif tier2 and lines and re.fullmatch(r"t\d+", value) \
                     and lines[-1].startswith(f"{value} = "):
                 # The value is a single-use temp defined on the line
                 # just emitted: fold the store into the defining
@@ -437,157 +478,41 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             em.ret()
         elif op == "pop":
             if vstack:
-                vstack.pop()
+                dropped = vstack.pop()
                 vdeps.pop()
                 vmeta.pop()
+                if isinstance(dropped, Vec):
+                    em.settle(dropped)      # an f32 batch still traps
             else:
                 em.impure = True
                 emit("s.pop()")
         elif op == "vec.load":
-            em.impure = True
             elem = type_of(instr.ty)
-            lanes = 16 // ty.sizeof(elem)
-            packer = vector_struct(elem, lanes)
-            unpack = env.bind(packer.unpack_from, "u")
-            addr = pop_addr()
-            em.bounds(addr, packer)
-            if tier2:
-                # Keep the unpacked tuple: downstream lane-wise
-                # consumers read it directly, and ``popd``/``flush``
-                # re-list it wherever the value becomes observable.
-                push(f"{unpack}({data}, {addr})",
-                     meta=rules.vec_load(elem))
-            else:
-                push(f"list({unpack}({data}, {addr}))")
+            push_vec(em.vload(elem, 16 // ty.sizeof(elem), pop_addr),
+                     rules.vec_load(elem) if tier2 else None)
         elif op == "vec.store":
-            em.impure = True
             elem = type_of(instr.ty)
-            lanes = 16 // ty.sizeof(elem)
-            packer = vector_struct(elem, lanes)
-            pack = env.bind(packer.pack_into, "p")
-            elem_name = env.bind(elem, "e")
-            value, _, meta = popm()
-            static4 = meta is not None and meta.get("lanes") == lanes
-            proven_float = static4 and meta.get("float") \
-                and isinstance(elem, ty.FloatType)
-            # Store-pack fusion: when the value being stored is an
-            # inlined f32 quad result whose defining line was emitted
-            # just above (``X = qu(qp(lane exprs))``), the store packs
-            # the raw lane expressions directly — ``pack`` applies the
-            # identical <4f> rounding, so the stored bytes match the
-            # round-tripped tuple bit for bit.  The local (if any)
-            # then reads its rounded lanes back out of memory, and the
-            # out-of-bounds arm recomputes the tuple before trapping,
-            # keeping the deopt writeback value intact.
-            fused_rhs = cores = None
-            if tier2 and proven_float and lines:
-                fold = re.fullmatch(
-                    rf"{re.escape(value)} = "
-                    rf"(qu\d+)\((qp\d+)\((.+)\)\)", lines[-1])
-                if fold is not None:
-                    cores = fold.group(3)
-                    fused_rhs = f"{fold.group(1)}({fold.group(2)}" \
-                        f"({cores}))"
-                    lines.pop()
-                    em.marker_at = min(em.marker_at, len(lines))
-            addr = pop_addr()
-            slow = f"mem.store_vec({elem_name}, {addr}, {value})"
-            pad = "    "
-            if static4 and em.proved(addr, packer):
-                # A raise-check in this block, or a counted loop's
-                # guard, already proved this exact (address, width) in
-                # range: the store's guard is always true and its
-                # out-of-bounds arm is dead.
-                pad = ""
-            else:
-                limit = em.bound_limit(packer.size)
-                upper = f"{addr} <= {limit}" if limit is not None \
-                    else f"{addr} + {lit(packer.size)} <= {tier.size}"
-                guard = "" if static4 \
-                    else f"len({value}) == {lit(lanes)} and "
-                emit(f"if {guard}{addr} >= {NULL_GUARD} and {upper}:")
-            if cores is not None:
-                emit(f"{pack}({data}, {addr}, {cores})", pad)
-                if re.fullmatch(r"l\d+", value):
-                    readback = env.bind(packer.unpack_from, "u")
-                    emit(f"{value} = {readback}({data}, {addr})", pad)
-            elif proven_float:
-                # Lanes produced by the same pack/unpack round trip
-                # the store would apply — already genuine in-range
-                # floats, so the coercion fallback is unreachable.
-                emit(f"{pack}({data}, {addr}, *{value})", pad)
-            else:
-                emit("try:", pad)
-                emit(f"{pack}({data}, {addr}, *{value})", pad + "    ")
-                emit("except _PE:", pad)
-                emit(slow, pad + "    ")
-            if pad:
-                emit("else:")
-                if cores is not None:
-                    emit(f"{value} = {fused_rhs}", pad)
-                emit(slow, pad)
+            em.vstore(elem, 16 // ty.sizeof(elem), store_operands)
         elif op.startswith("vec.") and op[4:] in BIN_OPS:
-            em.impure = True            # lane-count mismatch traps
-            bop = op[4:]
-            elem = type_of(instr.ty)
-            kernel = env.bind(vec_binop_kernel(bop, elem), "v")
-            quad = em.quad_kernels(bop, elem)
-            if quad is None:
-                b = pop()
-                a = pop()
-                push(f"{kernel}({a}, {b})")
-            else:
-                # Inline the 4-lane f32 kernel; operands whose lane
-                # count the block hasn't proven guard into the kernel.
-                b, _, bm = popm()
-                a, _, am = popm()
-                # Fuse a just-materialized 4-lane temp (typically a
-                # vec.load's unpack) straight into the lane unpack —
-                # the temp's defining line is dropped and its pure
-                # right-hand side moves to the point of use.  Only
-                # single-use *temps* fuse: a local whose store
-                # happens to be the last emitted line must keep that
-                # line, because the local outlives this use (deopt
-                # writeback, later blocks).  Only proven-4-lane
-                # operands fuse (never re-evaluated by a guard).
-                def fused(operand, m):
-                    if m is not None and m.get("lanes") == 4 \
-                            and lines \
-                            and re.fullmatch(r"t\d+", operand) \
-                            and lines[-1].startswith(f"{operand} = "):
-                        em.marker_at -= 1
-                        return f"({lines.pop()[len(operand) + 3:]})"
-                    return operand
-                b = fused(b, bm)
-                a = fused(a, am)
-                guards = [f"len({operand}) == 4"
-                          for operand, m in ((a, am), (b, bm))
-                          if m is None or m.get("lanes") != 4]
-                result = newt()
-                em.quad(quad, a, b, guards, result, "{0}", kernel)
-                vstack.append(result)
-                vdeps.append(_EMPTY_DEPS)
-                vmeta.append(rules.vec_binop(bop, elem, am, bm))
+            bop, elem = op[4:], type_of(instr.ty)
+            b, bm = vpop()
+            a, am = vpop()
+            push_vec(em.vbinop(bop, elem, 16 // ty.sizeof(elem), a, b),
+                     rules.vec_binop(bop, elem, am, bm) if tier2 else None)
         elif op == "vec.splat":
             elem = type_of(instr.ty)
-            lanes = 16 // ty.sizeof(elem)
             x, xdeps, _ = popd()
-            if tier2:
-                push_atom(f"([{x}] * {lit(lanes)})", xdeps,
-                          meta=rules.vec_splat(elem))
-            else:
-                push(f"[{x}] * {lit(lanes)}")
+            push_vec(em.vsplat(x, 16 // ty.sizeof(elem)),
+                     rules.vec_splat(elem) if tier2 else None, xdeps)
         elif op == "vec.reduce":
-            em.impure = True            # empty-vector trap
             reduce_op, acc_tag = instr.arg
-            acc = em.reduce(
-                reduce_op, type_of(instr.ty), type_of(acc_tag),
-                lambda: popm()[0])      # tuples index/iterate the same
-            push_atom(acc)
+            elem = type_of(instr.ty)
+            push_atom(em.reduce(reduce_op, elem, type_of(acc_tag),
+                                16 // ty.sizeof(elem), lambda: vpop()[0]))
         else:
             raise TrapError(f"unknown opcode {op!r}")
 
-        em.end(pc - leader)
+        em.end()
 
     if not em.ended:    # the next leader cut the block short
         flush()
@@ -607,7 +532,9 @@ class _BytecodeLowering(Lowering):
     machine = "vm"
     executed = "instructions_executed"
     fuel_trap = "VM fuel exhausted"
+    counts_fetch = True
     tags = ("pvi", "pvi-t2")
+    store_holes = ("size", "lanes")
     block_tier = block_tier("lo[{0}]")
     tier2_tier = whole_tier("l{0}")
     predecoded = PredecodedFunction
@@ -620,6 +547,8 @@ class _BytecodeLowering(Lowering):
         #: the lane rules under the facts table tier-2 blocks are
         #: generated under (``begin_tier2``); the block tier has none
         self.rules: LaneRules = None
+        #: locals every block writes before it reads them (tier-2)
+        self.block_locals = frozenset()
 
     def lower(self, leader, length, tier):
         return _gen_block_lines(self, leader, length, tier)
@@ -663,6 +592,18 @@ class _BytecodeLowering(Lowering):
         nlocals = len(func.local_types)
         tuple_locals = facts.tuple_locals
         self.rules = LaneRules(tuple_locals, facts.lane_locals)
+        # A value in one of these never leaves its block: the block
+        # tier and the reference never read it, and neither does a
+        # later block, so tier-2 need not store a vector there.
+        crossing = set()
+        for leader, length in self.blocks.items():
+            stored = set()
+            for instr in self.code[leader:leader + length]:
+                if instr.op == "ldloc" and instr.arg not in stored:
+                    crossing.add(instr.arg)
+                elif instr.op == "stloc":
+                    stored.add(instr.arg)
+        self.block_locals = frozenset(range(nlocals)) - crossing
         entry = []
         num_params = self.safe_args = len(func.param_types)
         if num_params:

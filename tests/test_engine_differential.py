@@ -245,30 +245,50 @@ class TestVMTrapParity:
 
     @pytest.mark.parametrize("op, cond", BRANCHES, ids=BRANCH_IDS)
     def test_non_integer_branch_target(self, op, cond):
-        """Unverified bytecode branching to ``"x"``: a taken branch
-        fails as the reference's ``pc`` comparison does, after the same
-        count; an untaken ``brif`` falls through to the result on
-        every engine."""
+        """Unverified bytecode branching to ``"x"``, ``1.5`` or
+        ``2.0``: a taken branch fails as the reference does, after the
+        same count — ``"x"`` at its ``pc`` range test, the branch the
+        last instruction counted; a float passes the test, so the
+        ladder counts the next instruction (and checks its fuel) before
+        its fetch ``code[pc]`` raises.  An untaken ``brif`` falls
+        through to the result on every engine.  With the fuel ending
+        at the branch, that count is the fuel trap instead."""
+        for target in ("x", 1.5, 2.0):
+            self.branch_to(op, cond, target)
+
+    @staticmethod
+    def branch_to(op, cond, target):
         from repro.bytecode.module import BytecodeFunction, BytecodeModule
         from repro.bytecode.opcodes import BCInstr
         code = [] if op == "br" else [BCInstr("const", "i32", cond)]
-        code += [BCInstr(op, None, "x"), BCInstr("const", "i32", 7),
+        code += [BCInstr(op, None, target), BCInstr("const", "i32", 7),
                  BCInstr("ret")]
         module = BytecodeModule("m", {"f": BytecodeFunction(
             "f", [], "i32", [], [], code)})
-        outcomes = {}
-        for engine in ENGINES:
-            vm = VM(module, engine=engine, verify=False)
-            try:
-                outcome = ("ok", vm.call("f", []))
-            except TypeError as exc:
-                outcome = ("TypeError", str(exc))
-            outcomes[engine] = (*outcome, vm.instructions_executed)
-        assert_engines_agree(outcomes)
-        # a taken branch is the last instruction counted
-        assert outcomes[REFERENCE] == (
+        taken = len(code) - 2           # count through the branch
+        fetched = not isinstance(target, str)
+
+        def outcomes(fuel):
+            seen = {}
+            for engine in ENGINES:
+                vm = VM(module, engine=engine, verify=False, fuel=fuel)
+                try:
+                    outcome = ("ok", vm.call("f", []))
+                except (TypeError, TrapError) as exc:
+                    outcome = (type(exc).__name__, str(exc))
+                seen[engine] = (*outcome, vm.instructions_executed)
+            assert_engines_agree(seen, repr(target))
+            return seen[REFERENCE]
+
+        message = NOT_A_PC if not fetched \
+            else "list indices must be integers or slices, not float"
+        assert outcomes(1000) == (
             ("ok", 7, 4) if cond == 0
-            else ("TypeError", NOT_A_PC, len(code) - 2))
+            else ("TypeError", message, taken + fetched)), target
+        if cond != 0:
+            assert outcomes(taken) == (
+                ("TrapError", "VM fuel exhausted", taken + 1) if fetched
+                else ("TypeError", message, taken)), target
 
     @pytest.mark.parametrize("scalar", [0, 5])
     def test_vec_store_of_a_scalar_is_one_outcome(self, scalar):

@@ -8,6 +8,7 @@ promotion policy, and the thread-safe lazy tier-2 build."""
 from __future__ import annotations
 
 import bisect
+import functools
 import gc
 import random
 import re
@@ -41,7 +42,8 @@ from repro.targets.isa import CompiledFunction, CompiledModule, MInst
 from repro.vm import VM, threaded
 from repro.workloads import ALL_KERNELS
 from tests.support import (
-    DIGEST_FLOWS, generated_sources, lower_checked, sources_digest,
+    DIGEST_FLOWS, first_moved, generated_sources, lower_checked,
+    sources_digest,
 )
 from tests.test_engine_differential import (
     ENGINES, assert_engines_agree as assert_agree,
@@ -613,53 +615,67 @@ class TestStepping:
             replay_metered(pre, 0, machine, *frame)
 
 
-#: ``tests.support.sources_digest`` of ``generated_sources()``: the
-#: sha256, the per-tag ``(sources, lines)`` and the per-source prints
-PINNED_SOURCES = (
-    "4082693273112d30c293ec7b7871ba1218826461cd36c2e335344aa1b696307d",
-    {"pvi": (22, 4391), "pvi-sim": (132, 50117),
-     "pvi-sim-t2": (132, 23921), "pvi-t2": (22, 2116)},
-    ("0446aad9454b5521bebcda42ebe42badd2754816c25cc80feb045b22"
-     "f440c118b390f81eb4876712290221fed70344ba653da28bfd0477f9"
-     "c3724fbdbb223f0fd83004f72bdb4217eeeda58a6e65d4dc5271c4b5"
-     "5f7753d129a48a28cc1636780ca211e7877d82670ffb99dbe408e3a4"
-     "233e5ca887cef7b3f7fea65f96f81c80918ffe81f3b09812a76e36d7"
-     "10a925ebbccabca68a80770a79e87720da17f52664d33419563473fe"
-     "54ac5cddb4de0cb964a655feb6ab2662439ee335ce543738dcfec2cf"
-     "5704d259c6fc98c7263feecd35cdaae6cb1cb2c967551e3aff6dd2d9"
-     "8b5fca3f955224550c8b5d809caa4b53ee3cf84a721cfd38393c29c6"
-     "9ea4c4bb854f5dcd45c994093527503ae8c66f0980534f4350cb024c"
-     "02b69cd9828686f43bf5198aa83b8fd22d0b404359af17bf061d92b6"))
+#: ``tests.support.sources_digest`` of ``generated_sources()``, one pin
+#: per tier: the sha256, the per-tag ``(sources, lines)`` and the
+#: per-source prints.  The block tier's templates and holes are what a
+#: device's first call runs, and most PRs must not move them; a PR
+#: that means to move tier-2 code re-pins ``tier2`` alone.
+PINNED_SOURCES = {
+    "block": (
+        "39f9b3ea19f189b86df6a8c285aec6753d2fe884d9939034a1a72056fb4eb761",
+        {"pvi": (22, 4391), "pvi-sim": (132, 50117)},
+        ("46d94b21bc42e4ad75165c0f04224018901e871202fe03ba3d8b04f9"
+         "72bd220f30f7db17ed8a65dc71b577d1a4281678a2e77d67fbdb08a4"
+         "3ea8ceb3fe5ff8808f81b0126ed7a9ebcaa6800ae8201726d31934fe"
+         "acdddeb9a6feab629e355438fecf0459fcc73fcdcde61cc9553a6dd9"
+         "5f3f52558b80aa533c4a1c383cc6a4bb4fcdc909273ac6095343cb4c"
+         "b6d986f4f58a3bd20b43afbf1db6")),
+    "tier2": (
+        "4fce8b466aad4dec251408a48421dda96be0189d9582ebd21939e14a048f401b",
+        {"pvi-sim-t2": (132, 23963), "pvi-t2": (22, 2103)},
+        ("a9db4555bedaa32b2748c2c845caf4c1b3f8b4672921d74465a2fd77"
+         "c34fbb3fd8042b42eea56ed452c4b9d4298acc3620ae81820f9970dc"
+         "174387f7f7a676a6f2fef398ca971025bcbc8a777977daf564345673"
+         "62e5b40c6455bea9bce3ce372a5c2552c69826ee444492b2671e8f61"
+         "35e295240c5d98fcc6f872fd1201b7fc855d4594380fb66f804f5f92"
+         "9ccc82863b19d45e74405917f551")),
+}
 
 
-def test_generated_sources_digest():
+@functools.lru_cache(maxsize=1)
+def corpus_sources():
+    return generated_sources()
+
+
+@pytest.mark.parametrize("tier", ["block", "tier2"])
+def test_generated_sources_digest(tier):
     """Everything both engines generate over kernels x flows x
-    targets, byte for byte: each tier-2 source, and each block-tier
-    block as template text plus hole values, captured where it is
-    instantiated (``tests.support.generated_sources``) so the digest
-    does not depend on what the template memo already held.  A PR
-    that means to move generated code re-pins the three values and
-    says so; CI also runs this under two fixed ``PYTHONHASHSEED``
-    values, and once after another test module in the same process.
+    targets, byte for byte, one pin per tier: each tier-2 source, and
+    each block-tier block as template text plus hole values, captured
+    where it is instantiated (``tests.support.generated_sources``) so
+    the digest does not depend on what the template memo already held.
+    A PR that means to move generated code re-pins the tier it moves
+    and says so; CI also runs both pins under two fixed
+    ``PYTHONHASHSEED`` values, and once after another test module in
+    the same process.
 
-    Last re-pin: a counted loop checks its bounds once.  Its latch's
-    affine accesses and the wraps on the way to them are clauses of
-    its guard instead of per-trip checks, and an integer reduction
-    folds every trip but the last into one builtin.  Tier-2 only: 147
-    of the 148 tier-2 entries with a counted loop moved (``pvi-t2``
-    2171 -> 2116 lines, ``pvi-sim-t2`` 24923 -> 23921), the other 7
-    and all 154 ``pvi`` / ``pvi-sim`` block-tier entries are
-    byte-identical to the parent's."""
-    sources = generated_sources()
+    Last tier-2 re-pin: vector ops lower once, in the emitter, and
+    tier-2 writes their lanes out where the lane count is proven (a
+    lane guard where it is not, the kernel its other arm); a vector
+    stays a tuple until observable, on the simulator too, whose deopt
+    writeback re-lists its vector registers.  The 56 tier-2 entries
+    that hold a vector op (8 kernels: 4 vector targets of the split
+    flow, 3 of the online-only one) moved (``pvi-t2`` 2116 -> 2103
+    lines, ``pvi-sim-t2`` 23921 -> 23963); the other 98 tier-2 entries
+    and every block-tier entry are byte-identical to the parent's."""
+    sources = {key: text for key, text in corpus_sources().items()
+               if ("-t2:" in key[3]) == (tier == "tier2")}
     got = sources_digest(sources)
-    if got != PINNED_SOURCES:
-        prints, pinned = got[2], PINNED_SOURCES[2]
-        moved = next((key for index, key in enumerate(sorted(sources))
-                      if prints[2 * index:2 * index + 2]
-                      != pinned[2 * index:2 * index + 2]), None)
-        pytest.fail(f"generated sources moved, first at {moved}:\n"
+    if got != PINNED_SOURCES[tier]:
+        moved = first_moved(sources, got[2], PINNED_SOURCES[tier][2])
+        pytest.fail(f"{tier} sources moved, first at {moved}:\n"
                     f"sha256 {got[0]}\ntags {got[1]}\n"
-                    f"prints {prints}\n"
+                    f"prints {got[2]}\n"
                     f"to see what moved, run `python tools/sources.py DIR` "
                     f"in this tree and in the parent's, then `diff -r`")
 
@@ -676,11 +692,11 @@ def test_block_tier_rollback_structure(monkeypatch):
     spans = {}      # block-tier emitter -> [(first line, end, offset)]
     real_end = tiers.BlockEmitter.end
 
-    def end(self, offset):
+    def end(self):
         if not self.tier.tier2:
             spans.setdefault(self, []).append(
-                (self.marker_at, len(self.lines), offset))
-        real_end(self, offset)
+                (self.marker_at, len(self.lines), self.offset))
+        real_end(self)
 
     monkeypatch.setattr(tiers.BlockEmitter, "end", end)
     sources = generated_sources()
@@ -1161,6 +1177,12 @@ class TestSimTier2Rollback:
         assert set(re.findall(r"len\((\w+)\)", block)) == {"rv2"}
         assert "and ri4 >= 64" in block     # ... whose store keeps
         assert block.count("mem.store_vec") == 3    # the whole guard
+        # both f32 ops are one inline batch each; the lane kernel runs
+        # only in the other arm of the one guard
+        assert len(re.findall(r"\bqp\d+\(", block)) == 2
+        assert len(re.findall(r"\bv\d+\(", block)) == 1
+        assert re.search(r"\n( +)else:\n\1    t\d+ = v\d+\(rv1, rv2\)\n",
+                         block)
         # out of bounds: the first access traps, before any store
         (kind, text, executed), _ = self.elided(code, [None, 4], 2,
                                                 sources)
@@ -1239,13 +1261,24 @@ def test_reduce_agrees_at_the_boundaries(engine_module, sources, op):
                 assert_agree(reduce_outcomes(engine_module, elem, op,
                                              acc, lanes),
                              f"{op} {elem}->{acc} {lanes}")
-            # f32 rounds through a pack that can raise: it keeps the
-            # loop, like every float sum
-            inlined = f" = {builtin}(" in sources[tag] \
-                or f"({builtin}(" in sources[tag]
+            # f32 rounds through a pack that can raise, and a float sum
+            # rounds per lane: they unroll the lanes, one statement
+            # each, under the one guard on a count the block cannot
+            # prove (here an argument's), the kernel loop the other arm
+            source = sources[tag]
+            inlined = re.search(rf"\b{builtin}\(\w+\)", source) is not None
             assert inlined == (elem not in ("f32", "f64")
                                or (elem == "f64" and op != "add")), \
-                (op, elem, acc, sources[tag])
+                (op, elem, acc, source)
+            guard = re.search(r"^( +)if len\((\w+)\) == (\d+):\n"
+                              r"((?:\1    .*\n)+)\1else:\n", source, re.M)
+            assert (guard is not None) == (not inlined), (op, elem, source)
+            if guard is not None:
+                arm = guard.group(4)
+                folds = re.findall(r"^ +(\w+) = ", arm, re.M)
+                assert "for " not in arm and len(set(folds)) == 1 \
+                    and len(folds) == int(guard.group(3)) - 1, \
+                    (op, elem, source)
     assert "reduce of empty vector" in reduce_outcomes(
         engine_module, "i32", op, "i32", [])[TIER2]
 
