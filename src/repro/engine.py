@@ -249,13 +249,19 @@ def branch_target(target, code):
     with "fell off code end", so it lands on ``len(code)``, the tail
     handler, which raises that trap.  A target that is no int meets
     the same range test, then the ladders' fetch ``code[pc]``: what
-    either raises is returned, for a taken branch to raise.
+    either raises is returned for a taken branch to raise, as ``(exc,
+    fetched)`` — ``fetched`` when the range test passed and the fetch
+    raised (``1.5``, not ``"x"``), which a ladder that counts an
+    instruction before fetching it has counted.
     """
     n = len(code)
     try:
         if target >= n or target < 0:
             return n
+    except Exception as exc:
+        return exc, False
+    try:
         code[target]
     except Exception as exc:
-        return exc
+        return exc, True
     return operator.index(target)

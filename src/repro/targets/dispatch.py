@@ -17,8 +17,11 @@ from — register files with the uninitialized-register check — and
 where a result goes, in ``_gen_block_lines``, which still lowers
 ``select`` and the scalar memory ops itself; the ``_t2`` frame lines,
 the register layout) and the block *counter vector*.  Tier-2 keeps a
-vector register a tuple until it leaves the register files (returned,
-passed, spilled, or written back at a deopt), where it is re-listed.
+vector register a tuple; only a vector register holds one (a vector
+op's result in another register file is a list), and it is re-listed
+wherever anything but a vector op reads it and where it leaves the
+register files (returned, passed, spilled, or written back at a
+deopt).
 Every
 *fuel block* (ending at a branch, ``ret`` or ``call``) becomes one
 Python function (an instance of a memoized block template,
@@ -59,8 +62,9 @@ from repro.semantics.errors import TrapError
 from repro.semantics.memory import scalar_struct
 from repro.targets.isa import CompiledFunction, CompiledModule
 from repro.tiering import Predecoded, warm
+from repro.lanes import Vec
 from repro.tiers import (
-    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, Vec, block_tier,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, block_tier,
     whole_tier,
 )
 
@@ -212,22 +216,41 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         location = read(operand)
         return em.vecs.get(location) or Vec(location, tuple=tier2)
 
-    def observed(operand) -> str:
-        """An operand that leaves the register files (returned, passed,
-        spilled): tier-2's vector tuples become the lists the reference
-        holds."""
-        location = read(operand)
-        if tier2 and operand[0] == "vec":
+    def observed(operand, indent: str = "") -> str:
+        """An operand anything but a vector op reads (a scalar op, a
+        copy out of the vector registers, a store, an address), or
+        that leaves the register files (returned, passed, spilled):
+        tier-2's vector tuples become the lists the reference holds.
+        So a tuple never leaves a vector register, and the deopt
+        writeback re-lists those alone."""
+        location = read(operand, indent)
+        if operand[0] == "vec":
             return f"(list({location}) if type({location}) is tuple " \
                    f"else {location})"
         return location
 
+    if not tier2:
+        observed = read     # the block tier holds no tuple
+
+    def kept(instr, operand, indent: str = "") -> str:
+        """An operand copied into ``instr``'s destination as it is: a
+        vector register's tuple stays one only in another vector
+        register."""
+        if instr.dst[0] == "vec":
+            return read(operand, indent)
+        return observed(operand, indent)
+
+    def vassign(instr, vec: Vec) -> None:
+        """A vector op's result into its destination: a list unless
+        that is a vector register."""
+        em.assign(dst_of(instr), vec, instr.dst[0] != "vec")
+
     def addr_of(instr, srcs) -> str:
-        base = read(srcs[0])
+        base = observed(srcs[0])
         if len(srcs) > 1:
             exact = em.exact_binop("add", ty.U64, span(srcs[0]),
                                    span(srcs[1])) if ranges else None
-            offset = read(srcs[1])
+            offset = observed(srcs[1])
             t = newt()
             emit(f"{t} = ({base}) + ({offset})")
             return em.address(t, exact is not None, exact)
@@ -241,8 +264,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
 
     def read_srcs(count: int) -> list:
         srcs = instr.srcs
-        return [read(srcs[0])] if count == 1 \
-            else [read(srcs[0]), read(srcs[1])]
+        return [observed(srcs[0])] if count == 1 \
+            else [observed(srcs[0]), observed(srcs[1])]
 
     def set_result(instr, value: Value) -> None:
         emit(f"{dst_of(instr, value.masked, rng=value.rng)} = "
@@ -250,7 +273,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
 
     def copy(instr) -> None:
         rng = span(instr.srcs[0]) if ranges else None
-        source = read(instr.srcs[0])
+        source = kept(instr, instr.srcs[0])
         emit(f"{dst_of(instr, rng=rng)} = {source}")
 
     exit_pc = leader + length
@@ -261,7 +284,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin(pc - leader)
+        em.begin()
 
         # NB: sources must be read (and uninitialized-register checked)
         # *before* dst_of marks the destination written — a dst that
@@ -291,10 +314,10 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             kind, index = instr.dst
             dst = reg_fmt.format(_REG_FILES[kind], lit(index))
             emit(f"if ({cond}) != 0:")
-            taken = read(instr.srcs[1], "    ")
+            taken = kept(instr, instr.srcs[1], "    ")
             emit(f"{dst} = {taken}", "    ")
             emit("else:")
-            untaken = read(instr.srcs[2], "    ")
+            untaken = kept(instr, instr.srcs[2], "    ")
             emit(f"{dst} = {untaken}", "    ")
             written.add((kind, index))
             if tier2:
@@ -310,7 +333,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
             em.impure = True
             packer, pack, coerce = em.store_kernels(instr.ty)
             addr = addr_of(instr, instr.srcs[:-1])
-            value = read(instr.srcs[-1])
+            value = observed(instr.srcs[-1])
             em.bounds(addr, packer)
             em.store(pack, coerce, addr, value)
         elif op == "lea.frame":
@@ -364,9 +387,8 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
                 emit("sim._ret = None")
             em.ret()
         elif op == "vload":
-            vec = em.vload(instr.ty.elem, instr.ty.lanes,
-                           lambda: addr_of(instr, instr.srcs))
-            em.assign(dst_of(instr), vec)
+            vassign(instr, em.vload(instr.ty.elem, instr.ty.lanes,
+                                    lambda: addr_of(instr, instr.srcs)))
         elif op == "vstore":
             em.vstore(instr.ty.elem, instr.ty.lanes,
                       lambda: (addr_of(instr, instr.srcs[:-1]),
@@ -374,12 +396,13 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         elif op == "vbin":
             a = vread(instr.srcs[0])
             b = vread(instr.srcs[1])
-            vec = em.vbinop(instr.arg, instr.ty.elem, instr.ty.lanes, a, b)
-            em.assign(dst_of(instr), vec)
+            vassign(instr, em.vbinop(instr.arg, instr.ty.elem,
+                                     instr.ty.lanes, a, b))
         elif op == "vsplat":
-            source = read(instr.srcs[0])
-            place = dst_of(instr)
-            em.assign(place, em.vsplat(source, instr.ty.lanes))
+            source = observed(instr.srcs[0])
+            place = dst_of(instr)       # bound before the lane count
+            em.assign(place, em.vsplat(source, instr.ty.lanes),
+                      instr.dst[0] != "vec")
         elif op == "vreduce":
             reduce_op, acc_ty = instr.arg
             acc = em.reduce(reduce_op, instr.ty.elem, acc_ty, instr.ty.lanes,
@@ -388,7 +411,7 @@ def _gen_block_lines(low: _MachineLowering, leader: int, length: int,
         else:
             raise TrapError(f"bad machine opcode {op!r}")
 
-        em.end()
+        em.end(pc - leader)
 
     if not em.ended:    # the next leader cut the block short
         em.goto(exit_pc)

@@ -12,7 +12,8 @@ shapes the process has never seen.  Everything but the operand model
 lives here, once: the cache protocol and the block-tier build loop
 (:class:`Lowering`), the template memo, one-instruction stepping
 (:class:`StepTable`), what each instruction lowers to — vector ops
-included, a vector value being a :class:`Vec` — and each block's
+included, over :class:`repro.lanes.Vec` values
+(:class:`repro.lanes.VectorOps`) — and each block's
 :class:`Exit` as data (:class:`BlockEmitter`), the debit
 protocol and the one trap rollback of both tiers (:class:`Tier2Writer`,
 :func:`body_under_rollback`), and the tier-2 dispatcher with its loop
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import re
-import struct
 import threading
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -49,15 +49,15 @@ from repro.engine import (
     CodegenEnv, MASK64_LITERAL, MeterTrip, backedge_targets,
     backward_branches, branch_target, fuel_blocks, keep_osr_guards,
 )
+from repro.lanes import VectorOps
 from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.kernels import (
-    binop_kernel, cast_kernel, cmp_kernel, f32_batch, identity_kernel,
-    inline_binop, inline_cast, inline_cmp, inline_unop, is_f32_quad,
-    unop_kernel, vec_binop_kernel,
+    binop_kernel, cast_kernel, cmp_kernel, identity_kernel, inline_binop,
+    inline_cast, inline_cmp, inline_unop, unop_kernel,
 )
 from repro.semantics.memory import (
-    NULL_GUARD, PACK_COERCE_ERRORS, scalar_struct, vector_struct,
+    NULL_GUARD, PACK_COERCE_ERRORS, scalar_struct,
 )
 
 
@@ -271,50 +271,7 @@ class Value:
         self.rng, self.kernel = rng, kernel
 
 
-def fetched(target, code) -> bool:
-    """Does a branch target the reference cannot dispatch pass the
-    ladders' ``pc`` range test, so that their fetch ``code[pc]`` is what
-    raises (``1.5``, not ``"x"``)?"""
-    try:
-        target >= len(code) or target < 0
-    except Exception:
-        return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def _raw_bytes(size: int) -> struct.Struct:
-    """``size`` bytes as they are: a batch's packed lanes, stored."""
-    return struct.Struct(f"<{size}s")
-
-
-class Vec:
-    """A vector value as the block in hand knows it.
-
-    ``whole`` is the expression that holds it whole: a name, a pure
-    display, or — ``fresh`` — a load or kernel call the engine assigns
-    at once (:meth:`BlockEmitter.assign`).  ``lanes``: its lane count,
-    when proven (tier-2 only).  ``tuple``: the whole may be a tuple,
-    which every engine-observable place re-lists.  ``exprs`` (tier-2):
-    the names of its lanes once split, or written lane by lane — then
-    ``whole`` is ``None`` until asked for.  ``batch``: an f32 result
-    whose one rounding round trip is not written yet, ``(owner offset,
-    pack, unpack, lane results, places that hold it)``
-    (:meth:`BlockEmitter.settle`).  ``line``: the index of the line
-    that assigned ``whole``, while it is the last one."""
-
-    __slots__ = ("whole", "lanes", "tuple", "exprs", "fresh", "batch",
-                 "line")
-
-    def __init__(self, whole: Optional[str], lanes: Optional[int] = None,
-                 tuple: bool = False, exprs: Optional[List[str]] = None,
-                 fresh: bool = False):
-        self.whole, self.lanes, self.tuple = whole, lanes, tuple
-        self.exprs, self.fresh = exprs, fresh
-        self.batch = self.line = None
-
-
-class BlockEmitter:
+class BlockEmitter(VectorOps):
     """Source lines of one fuel block's body as ``low`` (a
     :class:`Lowering`) lowers it in ``tier``, plus the *marks* that
     say which instruction each line belongs to, and its :attr:`exit`.
@@ -324,7 +281,7 @@ class BlockEmitter:
     its siblings: exact range, template or kernel, purity, the result's
     facts), every vector op (:meth:`vload`, :meth:`vstore`,
     :meth:`vbinop`, :meth:`vsplat`, :meth:`reduce`: a :class:`Vec` in,
-    a :class:`Vec` out) and every transfer (:meth:`goto`, :meth:`jump`,
+    a :class:`Vec` out, written in :mod:`repro.lanes`) and every transfer (:meth:`goto`, :meth:`jump`,
     :meth:`branch`, :meth:`ret`).  The engine's operand model reaches a
     scalar op as two callables: ``take(count)`` takes the operands
     from its storage and returns their intervals (looked at in a
@@ -336,10 +293,7 @@ class BlockEmitter:
     A mark ``(line index, instruction offset)`` is recorded before the
     first line of every instruction whose generated code can raise —
     in both tiers: the per-opcode lowering sets :attr:`impure` where
-    it emits a kernel call, a memory access or a ``raise``.  A line
-    written for an earlier instruction (an f32 batch's rounding,
-    :meth:`settle`) is marked as that instruction's, and the lines
-    after it as the current one's again (:meth:`emit_as`).  If that
+    it emits a kernel call, a memory access or a ``raise``.  If that
     instruction traps mid-block, the rollback handler maps the
     trapping source line through the marks to roll the block-entry
     fuel debit back to exactly the reference engine's per-instruction
@@ -360,7 +314,8 @@ class BlockEmitter:
     a bounds check already raised on, :attr:`masked` names holding a
     wrapped-u64 inline result (no re-mask as an address), :attr:`vecs`
     the :class:`Vec` a vector name holds as this block wrote it (its
-    proven lane count, its split lanes).  ``widths``
+    proven lane count, its split lanes, an f32 batch's packed bytes).
+    ``widths``
     (the lowering's) collects the access widths checked against a
     ``_ms<width>`` limit, which the dispatcher hoists.
 
@@ -403,17 +358,14 @@ class BlockEmitter:
         self.ended = False
         self.ret_lines = low.ret_lines
         self.low = low
-        #: current instruction: its block offset, where its lines start,
-        #: and whether it emitted code that can raise (forces its mark)
-        self.offset = 0
+        #: current instruction: where its lines start, and whether it
+        #: emitted code that can raise (forces its mark)
         self.marker_at = 0
         self.impure = False
         self._temps = 0
         self.proven: set = set()
         self.masked: set = set()
         self.vecs: dict = {}
-        #: f32 batches whose rounding the next line writes first
-        self.pending: List[Vec] = []
         self.widths = low.widths
         self.ranges: dict = {}
         self.leaned: set = set()
@@ -439,30 +391,17 @@ class BlockEmitter:
         return f"t{self._temps}"
 
     def emit(self, text: str, indent: str = "") -> None:
-        if self.pending:
-            self.settle()
         self.lines.append(indent + text)
 
-    def emit_as(self, offset: int, text: str, indent: str = "") -> None:
-        """Emit ``text`` as a line of the (earlier) instruction at
-        ``offset``: the instruction in hand's lines so far keep their
-        mark, and its next lines start a span of their own."""
-        if len(self.lines) > self.marker_at:
-            self.marks.append((self.marker_at, self.offset))
-        self.marks.append((len(self.lines), offset))
-        self.lines.append(indent + text)
-        self.marker_at = len(self.lines)
-
-    def begin(self, offset: int) -> None:
-        """Start lowering the instruction at block offset ``offset``."""
-        self.offset = offset
+    def begin(self) -> None:
+        """Start lowering the next instruction."""
         self.marker_at = len(self.lines)
         self.impure = False
 
-    def end(self) -> None:
-        """Finish the instruction in hand."""
+    def end(self, offset: int) -> None:
+        """Finish the instruction at block offset ``offset``."""
         if len(self.lines) > self.marker_at and self.impure:
-            self.marks.append((self.marker_at, self.offset))
+            self.marks.append((self.marker_at, offset))
 
     # -- in-block knowledge ---------------------------------------------------
 
@@ -634,9 +573,9 @@ class BlockEmitter:
     def jump(self, target, code) -> None:
         """A ``br`` to ``target`` in ``code``."""
         dest = branch_target(target, code)
-        if isinstance(dest, Exception):
+        if isinstance(dest, tuple):
             self.ended = True
-            self.fail(dest, fetched(target, code))
+            self.fail(*dest)
         else:
             self.goto(dest)
 
@@ -645,9 +584,9 @@ class BlockEmitter:
         dispatch fails as there; untaken, it falls through."""
         dest = branch_target(target, code)
         test = self.test_of(cond)
-        if isinstance(dest, Exception):
+        if isinstance(dest, tuple):
             self.emit(f"if {test}:")
-            self.fail(dest, fetched(target, code), "    ")
+            self.fail(*dest, "    ")
             self.goto(fall)
             return
         self.exit, self.ended = Exit(dest, test, fall), True
@@ -670,8 +609,6 @@ class BlockEmitter:
 
     def ret(self) -> None:
         """A ``ret``, after the engine stored its value."""
-        if self.pending:
-            self.settle()
         self.ended = True
         self.lines += self.ret_lines
 
@@ -741,322 +678,6 @@ class BlockEmitter:
         self.emit(f"{pack}({data}, {addr}, {value})", "    ")
         self.emit("except _PE:")
         self.emit(f"{pack}({data}, {addr}, {coerce}({value}))", "    ")
-
-    # -- vector ops ----------------------------------------------------------
-    #
-    # A vector value is a :class:`Vec`.  The block tier lowers every op
-    # to one kernel call over lists (its templates must not move);
-    # tier-2 writes the lanes out wherever their count is proven — by
-    # this block, or by the engine's facts — and guards an operand
-    # whose count is not with one ``len(x) == k`` test, the kernel
-    # being the other arm.  A Python host is one lane wide.  A vector
-    # op's own count is ``VECTOR_BYTES`` over its element size: two
-    # lanes or more.
-
-    def whole(self, vec: Vec, listed: bool = False) -> str:
-        """``vec`` as one value: a list where it is observable
-        (``listed``)."""
-        if vec.batch is not None:
-            self.settle(vec)
-        if vec.whole is None:
-            return f"[{', '.join(vec.exprs)}]"
-        if listed and vec.tuple:
-            return f"list({vec.whole})"
-        return vec.whole
-
-    def lanes_of(self, vec: Vec, count: int, pad: str = "") -> List[str]:
-        """The names of ``vec``'s ``count`` lanes: split once at the
-        block's top level, or inside a lane guard's arm for that arm
-        only."""
-        if vec.batch is not None and not pad:
-            self.settle(vec, split=True)
-        if vec.exprs is not None:
-            return vec.exprs
-        names = [self.newt() for _ in range(count)]
-        split = f"{', '.join(names)} = "
-        if vec.line == len(self.lines) - 1 and not pad:
-            # the temp the line above wrote has no other reader yet:
-            # split its right-hand side instead
-            self.lines[-1] = split + self.lines[-1][len(vec.whole) + 3:]
-            vec.whole = vec.line = None
-        else:
-            self.emit(split + self.whole(vec), pad)
-        if not pad:
-            vec.exprs = names
-        return names
-
-    def settle(self, vec: Optional[Vec] = None, split: bool = False) -> None:
-        """Write the rounding of every pending f32 batch, and of
-        ``vec``'s, in the order they were made, each as its own
-        instruction's line: into the places that hold it, or (``split``)
-        straight into ``vec``'s lanes."""
-        pending, self.pending = self.pending, []
-        if vec is not None and vec.batch is not None and vec not in pending:
-            pending.append(vec)
-        for each in pending:
-            owner, pack, unpack, cores, places = each.batch
-            each.batch = None
-            rhs = f"{unpack}({pack}({cores}))"
-            if split and each is vec and not places:
-                each.exprs = [self.newt() for _ in range(each.lanes)]
-                self.emit_as(owner, f"{', '.join(each.exprs)} = {rhs}")
-            else:
-                each.whole = places[0] if places else self.newt()
-                self.emit_as(owner, f"{each.whole} = {rhs}")
-                self.lines += [f"{place} = {each.whole}"
-                               for place in places[1:]]
-                self._rehome(each, places)
-
-    def _rehome(self, vec: Vec, places: List[str]) -> None:
-        for place in places:
-            if self.vecs.get(place) is vec:
-                self.vecs[place] = Vec(place, vec.lanes, True)
-
-    def claim(self, vec: Vec) -> Vec:
-        """``vec`` is the value of the store in hand: a pending batch
-        waits for it across the lines that pop its address (which
-        cannot raise), so the store writes the batch's packed bytes
-        itself."""
-        if vec in self.pending:
-            self.pending.remove(vec)
-        return vec
-
-    def assign(self, place: str, vec: Vec, listed: bool = False,
-               temp: bool = False) -> Vec:
-        """Store ``vec`` at ``place`` (a register or local the engine
-        just rewrote, or a ``temp``), a list there if ``listed``, and
-        remember it (tier-2).  A pending batch only names the place."""
-        if vec.batch is not None and not listed:
-            vec.batch[4].append(place)
-            self.vecs[place] = vec
-            return vec
-        self.emit(f"{place} = {self.whole(vec, listed)}")
-        held = Vec(place, vec.lanes, vec.tuple and not listed, vec.exprs)
-        if temp:
-            held.line = len(self.lines) - 1
-        if self.tier.tier2:
-            self.vecs[place] = held
-        return held
-
-    def vload(self, elem, lanes: int, address: Callable[[], str]) -> Vec:
-        """A fresh load of ``lanes`` lanes at ``address()`` (the
-        engine's operand read): tier-2 keeps the unpacked tuple."""
-        self.impure = True
-        packer = vector_struct(elem, lanes)
-        unpack = self.env.bind(packer.unpack_from, "u")
-        addr = address()
-        self.bounds(addr, packer)
-        rhs = f"{unpack}({self.tier.data}, {addr})"
-        if not self.tier.tier2:
-            return Vec(f"list({rhs})", fresh=True)
-        return Vec(rhs, lanes, True, fresh=True)
-
-    def vsplat(self, scalar: str, lanes: int) -> Vec:
-        """``lanes`` copies of ``scalar``: pure, a list."""
-        text = f"[{scalar}] * {self.lit(lanes)}"
-        if not self.tier.tier2:
-            return Vec(text)
-        return Vec(f"({text})", lanes)
-
-    def vbinop(self, bop: str, elem, lanes: int, a: Vec, b: Vec) -> Vec:
-        """``a bop b`` lane by lane, ``lanes`` the op's own count.
-        Tier-2 writes each lane's template as a statement, an f32 batch
-        as one pending round trip (:meth:`settle`); an operand whose
-        count is not proven is asked once, the kernel (any count, the
-        exact mismatch trap) in the other arm.  Ops with no template
-        (integer ``div`` / ``rem``, float ``div``) call the kernel."""
-        self.impure = True
-        env = self.env
-        tmpl = batch = None
-        if self.tier.tier2:
-            if is_f32_quad(bop, elem):
-                batch = f32_batch(bop, lanes, env)
-            else:
-                tmpl = inline_binop(bop, elem, env)
-                tmpl = tmpl[0] if tmpl is not None and tmpl[1] else None
-        proven = lanes if lanes in (a.lanes, b.lanes) else None
-        if tmpl is None and batch is None:
-            kernel = env.bind(vec_binop_kernel(bop, elem), "v")
-            return Vec(f"{kernel}({self.whole(a)}, {self.whole(b)})",
-                       proven, fresh=True)
-        guards = [x for x in ((a,) if a is b else (a, b))
-                  if x.lanes != lanes]
-        pad = ""
-        if guards:
-            kernel = env.bind(vec_binop_kernel(bop, elem), "v")
-            self.emit("if " + " and ".join(
-                f"len({self.whole(x)}) == {lanes}" for x in guards) + ":")
-            pad = "    "
-        pairs = zip(self.lanes_of(a, lanes, pad), self.lanes_of(b, lanes, pad))
-        if batch is not None:
-            pack, unpack, core = batch
-            cores = ", ".join(core.format(a=x, b=y) for x, y in pairs)
-            if not guards:
-                vec = Vec(None, lanes, True)
-                vec.batch = (self.offset, pack, unpack, cores, [])
-                self.pending.append(vec)
-                return vec
-            rhs = f"{unpack}({pack}({cores}))"
-        else:
-            names = []
-            for x, y in pairs:
-                names.append(self.newt())
-                self.emit(f"{names[-1]} = {tmpl.format(a=x, b=y)}", pad)
-            if not guards:
-                return Vec(None, lanes, exprs=names)
-            rhs = f"[{', '.join(names)}]"
-        result = self.newt()
-        self.emit(f"{result} = {rhs}", pad)
-        self.emit("else:")
-        self.emit(f"{result} = {kernel}({self.whole(a)}, {self.whole(b)})",
-                  "    ")
-        return Vec(result, proven, batch is not None)
-
-    def vstore(self, elem, lanes: int, operands) -> None:
-        """Store ``lanes`` lanes: ``operands()`` (the engine's reads,
-        in its order) gives the address and the :class:`Vec`.  Packed
-        straight into the buffer, lane by lane where tier-2 has them;
-        any other shape, or a value the struct rejects, goes through
-        the reference's ``mem.store_vec``.  A pending f32 batch goes
-        in as the bytes of its own pack, with no unpack between
-        (:meth:`fused_store`)."""
-        self.impure = True
-        tier, env = self.tier, self.env
-        packer = vector_struct(elem, lanes)
-        pack = env.bind(packer.pack_into, "p")
-        elem_name = env.bind(elem, "e")
-        addr, vec = operands()
-        pad = "    "
-        if not tier.tier2:
-            # the hole order each engine's templates have
-            holes = {key: self.lit(lanes if key == "lanes" else packer.size)
-                     for key in self.low.store_holes}
-            self.emit(f"if len({vec.whole}) == {holes['lanes']} and "
-                      f"{addr} >= {NULL_GUARD} and "
-                      f"{addr} + {holes['size']} <= {tier.size}:")
-        else:
-            self.settle()
-            proven = vec.lanes == lanes
-            if proven and self.proved(addr, packer):
-                pad = ""
-            else:
-                guard = "" if proven \
-                    else f"len({self.whole(vec)}) == {lanes} and "
-                self.emit(f"if {guard}{addr} >= {NULL_GUARD} and {addr} <= "
-                          f"{self.bound_limit(packer.size)}:")
-            if vec.batch is not None and isinstance(elem, ty.FloatType) \
-                    and elem.bits == 32:
-                self.fused_store(packer, elem_name, addr, vec, pad)
-                return
-        args = ", ".join(vec.exprs) if tier.tier2 and vec.exprs \
-            and vec.lanes == lanes else f"*{self.whole(vec)}"
-        slow = f"mem.store_vec({elem_name}, {addr}, {self.whole(vec)})"
-        self.emit("try:", pad)
-        self.emit(f"{pack}({tier.data}, {addr}, {args})", pad + "    ")
-        self.emit("except _PE:", pad)
-        self.emit(slow, pad + "    ")
-        if pad:
-            self.emit("else:")
-            self.emit(slow, pad)
-
-    def fused_store(self, packer, elem_name: str, addr: str, vec: Vec,
-                    pad: str) -> None:
-        """The store of a pending f32 batch: its packed bytes go into
-        the buffer as they are, with no unpack between — the pack is
-        the batch's, under its own mark (an overflow is its trap, and
-        raises before a byte is written).  The places that hold it,
-        and any later reader, unpack the same bytes.  Out of range,
-        the batch is packed first, so it still traps before the store
-        does."""
-        owner, qp, qu, cores, places = vec.batch
-        vec.batch = None
-        packed = self.newt()
-        raw = self.env.bind(_raw_bytes(packer.size).pack_into, "p")
-        for arm in ("if", "else") if pad else ("if",):
-            if arm == "else":
-                self.emit("else:")
-            self.emit_as(owner, f"{packed} = {qp}({cores})", pad)
-            if arm == "if":
-                self.emit(f"{raw}({self.tier.data}, {addr}, {packed})", pad)
-                for place in places:
-                    self.emit(f"{place} = {qu}({packed})", pad)
-        if pad:
-            self.emit(f"mem.store_vec({elem_name}, {addr}, {qu}({packed}))",
-                      pad)
-        vec.whole = places[0] if places else f"{qu}({packed})"
-        self._rehome(vec, places)
-
-    def reduce(self, reduce_op: str, elem, acc_ty, lanes: int,
-               read_vec: Callable[[], Vec]) -> str:
-        """Fold a vector into an accumulator temp (returned).
-        ``read_vec`` reads the operand (the engine's order: before the
-        kernels are bound); ``lanes`` is the op's own lane count.
-        Where widening is the identity, tier-2 folds in one builtin
-        call: ``max`` / ``min`` are the same left fold as the kernels
-        (NaN order included) over values no wrap changes, and two's-
-        complement wrap distributes over ``+``, so an integer sum
-        wraps once.  Otherwise it unrolls the lanes, the widen dropped
-        where it is the identity and the fold's template one statement
-        per lane; a float sum rounds per lane that way.  A lane count
-        not proven is asked once, the kernel loop in the other arm."""
-        if reduce_op not in ("add", "max", "min"):
-            raise TrapError(f"reduce op {reduce_op!r} undefined")
-        self.impure = True
-        env = self.env
-        widen_kernel = cast_kernel(elem, acc_ty)
-        identity = widen_kernel is identity_kernel
-        widen_tpl = fold_tpl = None
-        if self.tier.tier2:
-            widen_tpl = ("{a}", True) if identity \
-                else inline_cast(elem, acc_ty, env)
-            fold_tpl = inline_binop(reduce_op, acc_ty, env)
-        vec = read_vec()
-        acc = self.newt()
-        indent = ""
-        if widen_tpl is not None and fold_tpl is not None:
-            if identity and fold_tpl[1] and (
-                    reduce_op != "add" or isinstance(acc_ty, ty.IntType)):
-                # One builtin; a sum wraps once.
-                whole = self.whole(vec)
-                self.nonempty(vec, whole)
-                folded = f"{reduce_op}({whole})" if reduce_op != "add" \
-                    else inline_cast(acc_ty, acc_ty, env)[0].format(
-                        a=f"sum({whole})")
-                self.emit(f"{acc} = {folded}")
-                if self.clauses is not None:
-                    self.reductions[folded] = (reduce_op, whole, acc_ty)
-                return acc
-            pad = ""
-            if vec.lanes != lanes:
-                self.emit(f"if len({self.whole(vec)}) == {lanes}:")
-                pad = indent = "    "
-            first, *rest = self.lanes_of(vec, lanes, pad)
-            widen = widen_tpl[0]
-            folded = widen.format(a=first)
-            for lane in rest:
-                self.emit(f"{acc} = " + fold_tpl[0].format(
-                    a=folded, b=widen.format(a=lane)), pad)
-                folded = acc
-            if not pad:
-                return acc
-            self.emit("else:")
-        whole = self.whole(vec)
-        lane = self.newt()
-        self.nonempty(vec, whole, indent)
-        widen = env.bind(widen_kernel, "k")
-        fold = env.bind(binop_kernel(reduce_op, acc_ty), "k")
-        self.emit(f"{acc} = {widen}({whole}[0])", indent)
-        self.emit(f"for {lane} in {whole}[1:]:", indent)
-        self.emit(f"{acc} = {fold}({acc}, {widen}({lane}))", indent + "    ")
-        return acc
-
-    def nonempty(self, vec: Vec, whole: str, indent: str = "") -> None:
-        """The reduce's empty-vector trap, unless the lanes are
-        proven."""
-        if not vec.lanes:
-            self.emit(f"if not {whole}:", indent)
-            self.emit("raise TrapError('reduce of empty vector')",
-                      indent + "    ")
 
 
 class Fused(NamedTuple):

@@ -43,7 +43,7 @@ This module supplies the VM's operand model: where an operand comes
 from and where a result goes over a virtual operand stack with
 deferral (``_gen_block_lines``, which still lowers ``select`` and the
 scalar memory ops itself; a vector slot holds a
-:class:`repro.tiers.Vec`), the ``_t2`` frame lines and the per-call
+:class:`repro.lanes.Vec`), the ``_t2`` frame lines and the per-call
 initialization data.  What tier-2 may assume of a vector value, and
 why a facts table from anywhere is safe to generate code under, is
 stated once in :class:`repro.analysis.passes.LaneRules`; the lowering
@@ -81,8 +81,9 @@ from repro.lang import types as ty
 from repro.semantics.errors import TrapError
 from repro.semantics.memory import scalar_struct
 from repro.tiering import Predecoded, warm
+from repro.lanes import Vec
 from repro.tiers import (
-    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, Vec, block_tier,
+    BlockEmitter, Lowering, Tier, Tier2BuildStats, Value, block_tier,
     whole_tier,
 )
 
@@ -212,7 +213,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         a temp now (the block tier assigns every one); anything else
         waits on the stack as the emitter left it."""
         if vec.fresh or not tier2:
-            vec = em.assign(newt(), vec, temp=True)
+            vec = em.assign(newt(), vec)
         push_atom(vec, deps, meta)
 
     def popm():
@@ -289,12 +290,8 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                           meta.get("range") if meta else None)
 
     def store_operands():
-        """A vector store's value, then its address.  When the address
-        is a deferred slot (popping it cannot raise), a pending f32
-        batch being stored waits for the store (``em.claim``)."""
+        """A vector store's value, then its address."""
         vec, _ = vpop()
-        if tier2 and vstack:
-            em.claim(vec)
         return pop_addr(), vec
 
     taken: list = []        # a scalar op's operands: (expr, deps, range)
@@ -327,7 +324,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             continue
         instr = code[pc]
         op = instr.op
-        em.begin(pc - leader)
+        em.begin()
 
         if op == "ldloc":
             place = local(instr.arg)
@@ -353,7 +350,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 push(f"ar[{lit(instr.arg)}]")   # the reference's args[i]
         elif op == "stloc":
             target = local(instr.arg)
-            value, _, meta = popm()
+            value, deps, meta = popm()
             if tier2:
                 rules.stloc(instr.arg, meta)
                 spill_local(instr.arg)
@@ -364,16 +361,10 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
                 if tier2 and instr.arg in low.block_locals:
                     # No block reads the local before writing it: the
                     # value is this block's alone, and only its Vec
-                    # is read.
-                    em.vecs[target] = value
-                elif tier2 and value.line == len(lines) - 1 \
-                        and not (listed and value.tuple):
-                    # the temp a load or kernel call just wrote: the
-                    # store takes its line (as for scalars, below)
-                    lines[-1] = f"{target} = " \
-                        f"{lines[-1][len(value.whole) + 3:]}"
-                    em.vecs[target] = Vec(target, value.lanes, value.tuple,
-                                          value.exprs)
+                    # is read — by name, once it names no local that
+                    # may be written before that read.
+                    em.vecs[target] = em.assign(newt(), value) \
+                        if deps else value
                 else:
                     em.assign(target, value, listed)
             elif tier2 and lines and re.fullmatch(r"t\d+", value) \
@@ -478,11 +469,9 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
             em.ret()
         elif op == "pop":
             if vstack:
-                dropped = vstack.pop()
+                vstack.pop()
                 vdeps.pop()
                 vmeta.pop()
-                if isinstance(dropped, Vec):
-                    em.settle(dropped)      # an f32 batch still traps
             else:
                 em.impure = True
                 emit("s.pop()")
@@ -512,7 +501,7 @@ def _gen_block_lines(low: _BytecodeLowering, leader: int, length: int,
         else:
             raise TrapError(f"unknown opcode {op!r}")
 
-        em.end()
+        em.end(pc - leader)
 
     if not em.ended:    # the next leader cut the block short
         flush()

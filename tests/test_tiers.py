@@ -631,14 +631,14 @@ PINNED_SOURCES = {
          "5f3f52558b80aa533c4a1c383cc6a4bb4fcdc909273ac6095343cb4c"
          "b6d986f4f58a3bd20b43afbf1db6")),
     "tier2": (
-        "4fce8b466aad4dec251408a48421dda96be0189d9582ebd21939e14a048f401b",
-        {"pvi-sim-t2": (132, 23963), "pvi-t2": (22, 2103)},
-        ("a9db4555bedaa32b2748c2c845caf4c1b3f8b4672921d74465a2fd77"
+        "47b7c6a045017480e7171244bc6c6a26c473b04b1ca68b0bbc74a448f38566a6",
+        {"pvi-sim-t2": (132, 23945), "pvi-t2": (22, 2109)},
+        ("a9db4555bedaa32b2748c2c8d3caf4c1b3f8b4672921d74465a2fd77"
          "c34fbb3fd8042b42eea56ed452c4b9d4298acc3620ae81820f9970dc"
          "174387f7f7a676a6f2fef398ca971025bcbc8a777977daf564345673"
-         "62e5b40c6455bea9bce3ce372a5c2552c69826ee444492b2671e8f61"
+         "45fdb40c645597840be3ce370b5d897cc69826eed64690b2671e8086"
          "35e295240c5d98fcc6f872fd1201b7fc855d4594380fb66f804f5f92"
-         "9ccc82863b19d45e74405917f551")),
+         "208d82863b199898a240591755df")),
 }
 
 
@@ -661,12 +661,13 @@ def test_generated_sources_digest(tier):
 
     Last tier-2 re-pin: vector ops lower once, in the emitter, and
     tier-2 writes their lanes out where the lane count is proven (a
-    lane guard where it is not, the kernel its other arm); a vector
+    lane guard where it is not, the kernel its other arm); an f32
+    batch is packed at its op and a store writes those bytes; a vector
     stays a tuple until observable, on the simulator too, whose deopt
     writeback re-lists its vector registers.  The 56 tier-2 entries
     that hold a vector op (8 kernels: 4 vector targets of the split
-    flow, 3 of the online-only one) moved (``pvi-t2`` 2116 -> 2103
-    lines, ``pvi-sim-t2`` 23921 -> 23963); the other 98 tier-2 entries
+    flow, 3 of the online-only one) moved (``pvi-t2`` 2116 -> 2109
+    lines, ``pvi-sim-t2`` 23921 -> 23945); the other 98 tier-2 entries
     and every block-tier entry are byte-identical to the parent's."""
     sources = {key: text for key, text in corpus_sources().items()
                if ("-t2:" in key[3]) == (tier == "tier2")}
@@ -692,11 +693,11 @@ def test_block_tier_rollback_structure(monkeypatch):
     spans = {}      # block-tier emitter -> [(first line, end, offset)]
     real_end = tiers.BlockEmitter.end
 
-    def end(self):
+    def end(self, offset):
         if not self.tier.tier2:
             spans.setdefault(self, []).append(
-                (self.marker_at, len(self.lines), self.offset))
-        real_end(self)
+                (self.marker_at, len(self.lines), offset))
+        real_end(self, offset)
 
     monkeypatch.setattr(tiers.BlockEmitter, "end", end)
     sources = generated_sources()

@@ -23,7 +23,7 @@ import pytest
 
 from repro.bytecode.module import BytecodeFunction, BytecodeModule
 from repro.bytecode.opcodes import BCInstr, BIN_OPS, TYPE_TAGS
-from repro.engine import REFERENCE
+from repro.engine import REFERENCE, TIER2
 from repro.ir.values import VecType
 from repro.lang import types as ty
 from repro.semantics import Memory
@@ -136,6 +136,15 @@ def vm_binop(op, tag, shape):
         I("stloc", None, 0), I("br", None, 2)], local_types=["i32"])
 
 
+def built(module, engine):
+    """A ``tier2`` run ran tier-2: its build returned a function (a
+    build that fails leaves the function on the block tier, which
+    would agree with the reference without tier-2 being asked)."""
+    if engine == TIER2:
+        pre = module.functions["f"]._predecode_cache[2]
+        assert callable(pre.tier2()), "tier-2 build failed"
+
+
 def vm_run(module, build, engine):
     memory = Memory()
     args = build(memory)
@@ -144,6 +153,7 @@ def vm_run(module, build, engine):
         outcome = ("ok", repr(vm.call("f", args)))
     except Exception as exc:
         outcome = (type(exc).__name__, str(exc))
+    built(module, engine)
     return (*outcome, vm.instructions_executed, bytes(memory.data))
 
 
@@ -273,6 +283,7 @@ def sim_run(module, build, engine):
                    result.branches)
     except Exception as exc:
         outcome = (type(exc).__name__, str(exc))
+    built(module, engine)
     return (*outcome, sim._executed, bytes(memory.data))
 
 
@@ -315,7 +326,8 @@ def test_sim_binop_table(op):
 def test_vm_stack_corners(tag):
     """A dropped result still traps (an f32 batch rounds even when no
     one reads it), and a vector read from a local the block then
-    overwrites keeps the value it read."""
+    overwrites keeps the value it read — also where it was first
+    stored in a local no other block reads."""
     elem, k = TYPE_TAGS[tag], natural(tag)
     dropped = vm_module(["u64", "u64"], [
         I("ldarg", None, 0), I("vec.load", tag), I("ldarg", None, 1),
@@ -341,9 +353,31 @@ def test_vm_stack_corners(tag):
         memory.alloc_array(elem, lanes(tag, k, 0)),
         memory.alloc_array(elem, [0] * k)], f"overwritten {tag}")
     assert outcome[0] == "ok"
+    # ``prev = cur; cur = load(...); store(prev)``: local 3 is read
+    # before this block writes it, local 5 is the block's own; and the
+    # same with a splat of a scalar local
+    for name, code in (
+            ("vector", [I("ldloc", None, 3), I("stloc", None, 5),
+                        I("ldarg", None, 0), I("vec.load", tag),
+                        I("stloc", None, 3)]),
+            ("splat", [I("ldloc", None, 2), I("vec.splat", tag),
+                       I("stloc", None, 5), I("ldarg", None, 0),
+                       I("load", tag), I("stloc", None, 2)])):
+        aliased = vm_module(["u64", "u64"], [
+            *code, I("ldarg", None, 1), I("ldloc", None, 5),
+            I("vec.store", tag), I("const", "i32", 0), I("ret")],
+            local_types=[tag] * 3 + [f"v128:{tag}"] * 3)
+        outcome = agree(vm_run, aliased, lambda memory: [
+            memory.alloc_array(elem, lanes(tag, k, 0)),
+            memory.alloc_array(elem, lanes(tag, k, 1))],
+            f"{name} read before the local is written {tag}")
+        assert outcome[0] == "ok" and not any(outcome[-1][-16:])
     # an f32 batch kept in a local a later block reads, stored (the
-    # local reads the stored lanes back), stored as another type, and
-    # left in a local at a void return
+    # local reads the stored lanes back), stored at once, stored as
+    # another type, and left in a local at a void return; an overflow
+    # traps before the store reads a vector "address" (with no
+    # overflow, the reference's TypeError there names ``&=`` and the
+    # generated code's ``&``)
     both = [I("ldarg", None, 0), I("vec.load", tag), I("ldarg", None, 1),
             I("vec.load", tag), I("vec.add", tag)]
     kept = vm_module(["u64", "u64", "u64"], [
@@ -351,8 +385,14 @@ def test_vm_stack_corners(tag):
         I("ldloc", None, 0), I("vec.store", tag), I("br", None, 10),
         I("ldloc", None, 0), I("vec.reduce", tag, ("max", tag)),
         I("ret")], ret=tag, local_types=[f"v128:{tag}"])
+    stored = vm_module(["u64", "u64", "u64"], [
+        I("ldarg", None, 2), *both, I("vec.store", tag),
+        I("const", "i32", 0), I("ret")])
     retyped = vm_module(["u64", "u64", "u64"], [
         I("ldarg", None, 2), *both, I("vec.store", "i32"),
+        I("const", "i32", 0), I("ret")])
+    vector_address = vm_module(["u64", "u64", "u64"], [
+        I("ldarg", None, 2), I("vec.load", tag), *both, I("vec.store", tag),
         I("const", "i32", 0), I("ret")])
     void = vm_module(["u64", "u64", "u64"], [
         *both, I("stloc", None, 0), I("ret")], ret=None,
@@ -365,10 +405,42 @@ def test_vm_stack_corners(tag):
             return [memory.alloc_array(elem, row),
                     memory.alloc_array(elem, row[::-1]),
                     memory.alloc_array(elem, [0] * k)]
-        for name, module in (("kept", kept), ("retyped", retyped),
-                             ("void", void)):
+        for name, module in (("kept", kept), ("stored", stored),
+                             ("retyped", retyped), ("void", void)):
             kind, *_ = agree(vm_run, module, build, f"{name} {tag} {row}")
             assert kind in ("ok", "OverflowError"), (name, kind)
+        if kind == "OverflowError":
+            kind, *_ = agree(vm_run, vector_address, build,
+                             f"vector address {tag} {row}")
+            assert kind == "OverflowError"
+
+
+@pytest.mark.parametrize("tag", ["f32", "i32"])
+def test_sim_tuples_stay_in_vector_registers(tag):
+    """Tier-2 keeps a vector register a tuple; whatever reads it other
+    than a vector op — a copy to another register file, a scalar
+    store, a splat, a return — reads the list the other executors
+    hold, as does a vector op's result in a scalar register."""
+    elem, k = TYPE_TAGS[tag], natural(tag)
+    v = VecType(elem, k)
+    load = M("vload", v, ("vec", 0), [("int", 1)])
+    ret = M("ret", None, None, [("int", 0)])
+    programs = {
+        "mov": [load, M("mov", None, ("int", 0), [("vec", 0)]), ret],
+        "ret": [load, M("ret", None, None, [("vec", 0)])],
+        "select": [load, M("select", None, ("int", 0),
+                           [("int", 1), ("vec", 0), ("int", 1)]), ret],
+        "store": [load, M("store", elem, None, [("int", 1), ("vec", 0)]),
+                  *RET0],
+        "splat": [load, M("vsplat", v, ("vec", 1), [("vec", 0)]),
+                  M("vstore", v, None, [("int", 1), ("vec", 1)]), *RET0],
+        "scalar destination": [M("vload", v, ("int", 0), [("int", 1)]),
+                               ret],
+    }
+    for name, code in programs.items():
+        agree(sim_run, sim_module(code, [("int", 1)]),
+              lambda memory: [memory.alloc_array(elem, lanes(tag, k, 0))],
+              f"{name} {tag}")
 
 
 def test_lane_order_is_observable():
